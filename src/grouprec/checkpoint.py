@@ -38,21 +38,44 @@ def save_checkpoint(path, config_dict, named_arrays, meta=None):
 
 
 def load_checkpoint(path):
-    """Returns (config dict, list of (name, array), meta dict)."""
+    """Returns (config dict, list of (name, array), meta dict).
+
+    A file whose header or payload length disagrees with its descriptors
+    raises ValueError naming the path (and the tensor, on truncation).
+    """
     with open(path, "rb") as f:
-        magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a checkpoint (bad magic {magic!r})")
-        header_len = int.from_bytes(f.read(8), "big")
-        header = json.loads(f.read(header_len).decode())
-        payload = f.read()
+        data = f.read()
+    magic = data[: len(MAGIC)]
+    if magic != MAGIC:
+        raise ValueError(f"{path}: not a checkpoint (bad magic {magic!r})")
+    start = len(MAGIC) + 8
+    header_len = int.from_bytes(data[len(MAGIC) : start], "big")
+    if start + header_len > len(data):
+        raise ValueError(f"{path}: truncated header ({len(data)}-byte file)")
+    try:
+        header = json.loads(data[start : start + header_len].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ValueError(f"{path}: unreadable header ({e})") from None
+    payload = memoryview(data)[start + header_len :]
     arrays = []
+    expected = 0
     for desc in header["tensors"]:
         shape = tuple(desc["shape"])
         count = int(np.prod(shape)) if shape else 1
-        start = desc["offset"]
-        arr = np.frombuffer(payload, dtype=np.float64, count=count, offset=start)
+        offset = desc["offset"]
+        end = offset + count * 8
+        if end > len(payload):
+            raise ValueError(
+                f"{path}: truncated in tensor {desc['name']!r} "
+                f"(needs payload bytes up to {end}, file has {len(payload)})"
+            )
+        arr = np.frombuffer(payload, dtype=np.float64, count=count, offset=offset)
         arrays.append((desc["name"], arr.reshape(shape).copy()))
+        expected += count * 8
+    if len(payload) != expected:
+        raise ValueError(
+            f"{path}: payload is {len(payload)} bytes, its tensors describe {expected}"
+        )
     return header["config"], arrays, header.get("meta", {})
 
 

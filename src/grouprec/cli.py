@@ -8,6 +8,7 @@ environment variable (DEBUG/INFO/WARNING/ERROR).
 """
 
 import argparse
+import csv
 import itertools
 import json
 import logging
@@ -28,6 +29,7 @@ from .datasets import (
     split_holdout,
     subsample,
     synthesize_group_items,
+    write_edges,
     write_splits,
 )
 from .evaluate import evaluate_popularity, evaluate_ranking
@@ -102,9 +104,7 @@ def cmd_prepare(args):
         save_dataset(ds, out_dir)
     elif args.synthesize_groups:
         # only the synthesized file is new; the rest is already in place
-        with open(os.path.join(out_dir, GROUP_EDGES_FILE), "w") as f:
-            for g, v in zip(ds.group_items.anchors, ds.group_items.items):
-                f.write(f"{g}\t{v}\n")
+        write_edges(ds.group_items, os.path.join(out_dir, GROUP_EDGES_FILE))
     write_splits(ds.user_items, os.path.join(out_dir, "splits_user.tsv"))
     if len(ds.group_items):
         write_splits(ds.group_items, os.path.join(out_dir, "splits_group.tsv"))
@@ -257,10 +257,8 @@ def cmd_sweep(args):
         log.info("sweep point %s: val ndcg@10 %.4f", point, trials[-1][1])
 
     trials.sort(key=lambda t: -t[1])
-    import csv as _csv
-
     with open(os.path.join(args.out, "sweep.csv"), "w", newline="") as f:
-        writer = _csv.writer(f)
+        writer = csv.writer(f)
         writer.writerow(axes + ["val_ndcg10_mean", "val_ndcg10_std"])
         for point, mean, std in trials:
             writer.writerow([point[a] for a in axes] + [f"{mean:.6f}", f"{std:.6f}"])
@@ -274,7 +272,7 @@ def cmd_sweep(args):
             if v not in best_by_value or mean > best_by_value[v]:
                 best_by_value[v] = mean
         with open(os.path.join(args.out, f"sensitivity_{axis}.csv"), "w", newline="") as f:
-            writer = _csv.writer(f)
+            writer = csv.writer(f)
             writer.writerow([axis, "val_ndcg10"])
             for v in sorted(best_by_value):
                 writer.writerow([v, f"{best_by_value[v]:.6f}"])
@@ -308,8 +306,6 @@ def cmd_ablate(args):
     ks = parse_ks(args.k)
     seeds = [cfg.seed + i for i in range(args.seeds)]
     os.makedirs(args.out, exist_ok=True)
-    import csv as _csv
-
     variants = [resolve_variant(v) for v in args.variants.split(",") if v]
     per_variant = {}
     rows = []
@@ -322,7 +318,7 @@ def cmd_ablate(args):
             per_variant.setdefault(variant, []).append(metrics)
     metric_names = [f"{m}@{k}" for m in ("recall", "ndcg") for k in ks]
     with open(os.path.join(args.out, "ablation.csv"), "w", newline="") as f:
-        writer = _csv.writer(f)
+        writer = csv.writer(f)
         writer.writerow(["variant", "letter", "seed"] + metric_names)
         for variant, seed, metrics in rows:
             writer.writerow(
@@ -337,7 +333,7 @@ def cmd_ablate(args):
     }
     full_mean = means.get("full", {}).get(anchor)
     with open(os.path.join(args.out, "ablation_summary.csv"), "w", newline="") as f:
-        writer = _csv.writer(f)
+        writer = csv.writer(f)
         writer.writerow(["variant", "letter"] + [f"{n}_mean" for n in metric_names] + [f"rel_delta_{anchor}_pct"])
         for variant in variants:
             delta = ""
@@ -352,7 +348,7 @@ def cmd_ablate(args):
     if args.interest_modes:
         modes = [m.strip() for m in args.interest_modes.split(",") if m.strip()]
         with open(os.path.join(args.out, "interest_modes.csv"), "w", newline="") as f:
-            writer = _csv.writer(f)
+            writer = csv.writer(f)
             writer.writerow(["mode", "interest_params", "seed"] + metric_names)
             for mode in modes:
                 for seed in seeds:

@@ -18,8 +18,7 @@ import math
 import os
 
 import numpy as np
-
-from .sparse import SparseMatrix
+import scipy.sparse as sp
 
 log = logging.getLogger(__name__)
 
@@ -75,15 +74,19 @@ class Interactions:
             out[a].add(int(v))
         return out
 
-    def to_sparse(self, split=None):
-        m = SparseMatrix(self.n_anchors, self.n_items)
-        for a, v, s in zip(self.anchors, self.items, self.splits):
-            if split is None or s == split:
-                m.set(int(a), int(v), 1.0)
-        return m
+
+def membership_matrix(n_groups, n_users, gids, uids):
+    """Groups x users CSR of ones in canonical form; a repeated pair counts once."""
+    gids = np.asarray(gids, dtype=np.int64)
+    uids = np.asarray(uids, dtype=np.int64)
+    m = sp.csr_matrix((np.ones(len(gids)), (gids, uids)), shape=(n_groups, n_users))
+    m.data[:] = 1.0
+    return m
 
 
 class Dataset:
+    """Counts, both edge lists, and `group_members`, a membership_matrix CSR."""
+
     def __init__(self, n_users, n_items, n_groups, user_items, group_items, group_members):
         self.n_users = int(n_users)
         self.n_items = int(n_items)
@@ -91,15 +94,13 @@ class Dataset:
         self.user_items = user_items
         self.group_items = group_items
         self.group_members = group_members
-        self._members = None
-        self._groups_of = None
 
     def validate(self):
         if self.group_members.shape != (self.n_groups, self.n_users):
             raise ValueError("membership matrix shape does not match counts")
-        for g in range(self.n_groups):
-            if not self.group_members.row_indices(g):
-                raise ValueError(f"group {g} has no members")
+        empty = np.flatnonzero(np.diff(self.group_members.indptr) == 0)
+        if len(empty):
+            raise ValueError(f"group {empty[0]} has no members")
         if (self.user_items.n_anchors, self.user_items.n_items) != (self.n_users, self.n_items):
             raise ValueError("user interactions do not match counts")
         if (self.group_items.n_anchors, self.group_items.n_items) != (self.n_groups, self.n_items):
@@ -107,21 +108,9 @@ class Dataset:
         return self
 
     def members_of(self, g):
-        if self._members is None:
-            self._members = [
-                np.array(self.group_members.row_indices(i), dtype=np.int64)
-                for i in range(self.n_groups)
-            ]
-        return self._members[g]
-
-    def groups_of(self, u):
-        if self._groups_of is None:
-            lists = [[] for _ in range(self.n_users)]
-            for g in range(self.n_groups):
-                for u_ in self.members_of(g):
-                    lists[u_].append(g)
-            self._groups_of = [np.array(lst, dtype=np.int64) for lst in lists]
-        return self._groups_of[u]
+        """Sorted member ids of group g, a view into the membership CSR."""
+        m = self.group_members
+        return m.indices[m.indptr[g] : m.indptr[g + 1]]
 
     def fingerprint(self):
         """Content hash covering counts, edges, split labels, and memberships."""
@@ -131,7 +120,8 @@ class Dataset:
             order = np.lexsort((inter.items, inter.anchors))
             for i in order:
                 h.update(b"%d %d %d\n" % (inter.anchors[i], inter.items[i], inter.splits[i]))
-        for g, u, _ in self.group_members.entries():
+        m = self.group_members.tocoo()  # row-major, as the CSR stores it
+        for g, u in zip(m.row.tolist(), m.col.tolist()):
             h.update(b"m%d %d\n" % (g, u))
         return h.hexdigest()
 
@@ -169,7 +159,8 @@ def load_interactions(path, n_anchors, n_items):
 
 
 def load_group_members(path, n_users, n_groups):
-    members = SparseMatrix(n_groups, n_users)
+    gids, uids = [], []
+    line_of = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
@@ -186,11 +177,15 @@ def load_group_members(path, n_users, n_groups):
                 raise ValueError(f"{path}:{lineno}: group {g} lists no members")
             if g < 0 or g >= n_groups:
                 raise ValueError(f"{path}:{lineno}: group id {g} out of range (n={n_groups})")
+            if g in line_of:
+                raise ValueError(f"{path}:{lineno}: group {g} already listed on line {line_of[g]}")
+            line_of[g] = lineno
             for u in users:
                 if u < 0 or u >= n_users:
                     raise ValueError(f"{path}:{lineno}: user id {u} out of range (n={n_users})")
-                members.set(g, u, 1.0)
-    return members
+            gids.extend([g] * len(users))
+            uids.extend(users)
+    return membership_matrix(n_groups, n_users, gids, uids)
 
 
 def load_dataset(dataset_dir):
@@ -231,15 +226,20 @@ def save_dataset(dataset, dataset_dir):
             indent=2,
         )
         f.write("\n")
-    for fname, inter in ((USER_EDGES_FILE, dataset.user_items), (GROUP_EDGES_FILE, dataset.group_items)):
-        with open(os.path.join(dataset_dir, fname), "w") as f:
-            order = np.lexsort((inter.items, inter.anchors))
-            for i in order:
-                f.write(f"{inter.anchors[i]}\t{inter.items[i]}\n")
+    write_edges(dataset.user_items, os.path.join(dataset_dir, USER_EDGES_FILE))
+    write_edges(dataset.group_items, os.path.join(dataset_dir, GROUP_EDGES_FILE))
     with open(os.path.join(dataset_dir, MEMBERS_FILE), "w") as f:
         for g in range(dataset.n_groups):
-            us = ",".join(str(u) for u in dataset.group_members.row_indices(g))
+            us = ",".join(str(u) for u in dataset.members_of(g))
             f.write(f"{g} {us}\n")
+
+
+def write_edges(interactions, path):
+    """Write 'id<TAB>item' lines sorted by anchor, then item."""
+    order = np.lexsort((interactions.items, interactions.anchors))
+    with open(path, "w") as f:
+        for a, v in zip(interactions.anchors[order].tolist(), interactions.items[order].tolist()):
+            f.write(f"{a}\t{v}\n")
 
 
 def split_holdout(interactions, seed):
@@ -300,10 +300,8 @@ def build_norm_adjacency(dataset):
     users, items = dataset.user_items.edges_of(TRAIN)
     deg_u = np.bincount(users, minlength=dataset.n_users).astype(np.float64)
     deg_v = np.bincount(items, minlength=dataset.n_items).astype(np.float64)
-    adj = SparseMatrix(dataset.n_users, dataset.n_items)
-    for u, v in zip(users, items):
-        adj.set(int(u), int(v), 1.0 / math.sqrt(deg_u[u] * deg_v[v]))
-    return adj
+    weights = 1.0 / np.sqrt(deg_u[users] * deg_v[items])
+    return sp.csr_matrix((weights, (users, items)), shape=(dataset.n_users, dataset.n_items))
 
 
 def subsample(dataset, fraction, seed):
@@ -317,49 +315,44 @@ def subsample(dataset, fraction, seed):
     rng = np.random.default_rng(seed)
     n_keep = max(1, math.ceil(fraction * dataset.n_users))
     kept_users = np.sort(rng.choice(dataset.n_users, size=n_keep, replace=False))
-    user_map = {int(u): i for i, u in enumerate(kept_users)}
+    user_map = np.full(dataset.n_users, -1, dtype=np.int64)
+    user_map[kept_users] = np.arange(n_keep)
 
-    ua = [user_map[int(u)] for u, _ in zip(*_all_edges(dataset.user_items)) if int(u) in user_map]
-    uv = [int(v) for u, v in zip(*_all_edges(dataset.user_items)) if int(u) in user_map]
+    ui = dataset.user_items
+    ua = user_map[ui.anchors]
+    uv = ui.items[ua >= 0]
+    ua = ua[ua >= 0]
 
-    kept_groups = []
-    memberships = []
-    for g in range(dataset.n_groups):
-        ms = [user_map[int(u)] for u in dataset.members_of(g) if int(u) in user_map]
-        if ms:
-            memberships.append(ms)
-            kept_groups.append(g)
-    group_map = {g: i for i, g in enumerate(kept_groups)}
+    m = dataset.group_members.tocoo()
+    mu = user_map[m.col]
+    mg = m.row[mu >= 0]
+    mu = mu[mu >= 0]
+    kept_groups = np.unique(mg)
+    group_map = np.full(dataset.n_groups, -1, dtype=np.int64)
+    group_map[kept_groups] = np.arange(len(kept_groups))
 
-    ga = [group_map[int(g)] for g, _ in zip(*_all_edges(dataset.group_items)) if int(g) in group_map]
-    gv = [int(v) for g, v in zip(*_all_edges(dataset.group_items)) if int(g) in group_map]
+    gi = dataset.group_items
+    ga = group_map[gi.anchors]
+    gv = gi.items[ga >= 0]
+    ga = ga[ga >= 0]
 
-    kept_items = sorted(set(uv) | set(gv))
-    item_map = {v: i for i, v in enumerate(kept_items)}
-    uv = [item_map[v] for v in uv]
-    gv = [item_map[v] for v in gv]
-
-    members = SparseMatrix(len(kept_groups), len(kept_users))
-    for gi, ms in enumerate(memberships):
-        for u in ms:
-            members.set(gi, u, 1.0)
+    kept_items = np.unique(np.concatenate([uv, gv]))
+    item_map = np.full(dataset.n_items, -1, dtype=np.int64)
+    item_map[kept_items] = np.arange(len(kept_items))
+    n_items = max(1, len(kept_items))
 
     ds = Dataset(
-        len(kept_users),
-        max(1, len(kept_items)),
+        n_keep,
+        n_items,
         len(kept_groups),
-        Interactions(len(kept_users), max(1, len(kept_items)), ua, uv),
-        Interactions(len(kept_groups), max(1, len(kept_items)), ga, gv),
-        members,
+        Interactions(n_keep, n_items, ua, item_map[uv]),
+        Interactions(len(kept_groups), n_items, ga, item_map[gv]),
+        membership_matrix(len(kept_groups), n_keep, group_map[mg], mu),
     )
     log.info(
         "subsampled to %d users, %d items, %d groups", ds.n_users, ds.n_items, ds.n_groups
     )
     return ds.validate()
-
-
-def _all_edges(interactions):
-    return interactions.anchors, interactions.items
 
 
 def write_splits(interactions, path):

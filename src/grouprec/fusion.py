@@ -19,18 +19,19 @@ def build_user_pool(dataset, mode="mean"):
     that fused = coef * e_u + 0.5 * pool @ e*_g is the half-half blend for
     joiners and the identity for everyone else.
     """
-    from .sparse import SparseMatrix
+    pool = dataset.group_members.T.tocsr()
+    if mode != "sum":
+        pool = row_mean(pool)
+    coef = np.where(np.diff(pool.indptr) > 0, 0.5, 1.0)
+    return pool, coef
 
-    counts = np.zeros(dataset.n_users)
-    for g in range(dataset.n_groups):
-        for u in dataset.group_members.row_indices(g):
-            counts[u] += 1
-    pool = SparseMatrix(dataset.n_users, dataset.n_groups)
-    for g in range(dataset.n_groups):
-        for u in dataset.group_members.row_indices(g):
-            pool.set(u, g, 1.0 if mode == "sum" else 1.0 / counts[u])
-    coef = np.where(counts > 0, 0.5, 1.0)
-    return pool.tocsr(), coef
+
+def row_mean(m):
+    """Copy of a CSR of ones whose entries are 1/(entries in their row)."""
+    counts = np.diff(m.indptr)
+    out = m.copy()
+    out.data = 1.0 / np.repeat(counts, counts)
+    return out
 
 
 def fuse_users(user_emb, fused_groups, pool_csr, coef, max_member_groups=None):

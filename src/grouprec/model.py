@@ -19,7 +19,6 @@ from .config import TrainConfig
 from .datasets import build_norm_adjacency
 from .gating import INIT_STD, make_interest_generator
 from .losses import pairwise_abs_cosine
-from .sparse import SparseMatrix
 
 
 @dataclass
@@ -45,9 +44,8 @@ class GroupRecommender:
             rng.normal(0.0, INIT_STD, size=(dataset.n_items, d)), requires_grad=True
         )
 
-        adj = build_norm_adjacency(dataset).tocsr()
-        self.adj = adj
-        self.adj_t = adj.T.tocsr()
+        self.adj = build_norm_adjacency(dataset)
+        self.adj_t = self.adj.T.tocsr()
 
         self.group_emb = None
         self.att_vec = None
@@ -58,24 +56,15 @@ class GroupRecommender:
             self.group_emb = Tensor(
                 rng.normal(0.0, INIT_STD, size=(dataset.n_groups, d)), requires_grad=True
             )
-            member_pairs = [
-                (g, int(u)) for g in range(dataset.n_groups) for u in dataset.members_of(g)
-            ]
-            self.member_gid = np.array([g for g, _ in member_pairs], dtype=np.int64)
-            self.member_uid = np.array([u for _, u in member_pairs], dtype=np.int64)
+            members = dataset.group_members.tocoo()
+            self.member_gid = members.row.astype(np.int64)
+            self.member_uid = members.col.astype(np.int64)
             self.pool_csr, self.pool_coef = fusion.build_user_pool(dataset, config.pooling)
             self.max_lists = None
             if config.pooling == "max":
-                self.max_lists = [
-                    dataset.groups_of(u).tolist() for u in range(dataset.n_users)
-                ]
+                self.max_lists = np.split(self.pool_csr.indices, self.pool_csr.indptr[1:-1])
             if config.variant == "mean_members":
-                mean_members = SparseMatrix(dataset.n_groups, dataset.n_users)
-                for g in range(dataset.n_groups):
-                    ms = dataset.members_of(g)
-                    for u in ms:
-                        mean_members.set(g, int(u), 1.0 / len(ms))
-                self.member_mean_csr = mean_members.tocsr()
+                self.member_mean_csr = fusion.row_mean(dataset.group_members)
             else:
                 self.att_vec = Tensor(rng.normal(0.0, INIT_STD, size=d), requires_grad=True)
                 self.generator = make_interest_generator(

@@ -4,8 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import Dataset, Interactions
-from .sparse import SparseMatrix
+from .datasets import Dataset, Interactions, membership_matrix
 
 
 @dataclass
@@ -78,13 +77,14 @@ def generate_synthetic(
             uv.append(v)
 
     group_interest = np.array([g % m_true for g in range(n_groups)], dtype=np.int64)
-    members = SparseMatrix(n_groups, n_users)
+    mg, mu = [], []
     ga, gv = [], []
     for g in range(n_groups):
         n = int(group_interest[g])
         size = min(group_size, len(holders[n]))
         for u in rng.choice(holders[n], size=size, replace=False):
-            members.set(g, int(u), 1.0)
+            mg.append(g)
+            mu.append(int(u))
         for v in draw_edges(block_items[n], edges_per_group):
             ga.append(g)
             gv.append(v)
@@ -95,6 +95,6 @@ def generate_synthetic(
         n_groups,
         Interactions(n_users, n_items, ua, uv),
         Interactions(n_groups, n_items, ga, gv),
-        members,
+        membership_matrix(n_groups, n_users, mg, mu),
     ).validate()
     return ds, PlantedLabels(user_interests, group_interest, item_block)

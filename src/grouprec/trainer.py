@@ -66,16 +66,10 @@ class Trainer:
             self.group_sampler = TripleSampler(dataset.group_items, group_rng)
         n_train = int(np.sum(dataset.user_items.splits == TRAIN))
         self.steps_per_epoch = max(1, math.ceil(n_train / config.batch_user))
-        self._members_cache = {}
 
     def _reg_users(self, user_anchors, group_anchors):
-        parts = [user_anchors]
-        for g in group_anchors:
-            g = int(g)
-            if g not in self._members_cache:
-                self._members_cache[g] = self.dataset.members_of(g)
-            parts.append(self._members_cache[g])
-        return np.unique(np.concatenate(parts))
+        members = self.dataset.group_members[group_anchors].indices
+        return np.unique(np.concatenate([user_anchors, members]))
 
     def _step(self):
         cfg = self.cfg

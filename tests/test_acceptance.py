@@ -303,12 +303,11 @@ def test_hard_selection_matches_soft_distribution():
 def test_propagation_matches_dense_oracle():
     ds, _ = planted_world()
     adj = build_norm_adjacency(ds)
-    dense = adj.todense()
-    csr = adj.tocsr()
+    dense = adj.toarray()
     rng = np.random.default_rng(2)
     users = Tensor(rng.normal(size=(ds.n_users, 6)))
     items = Tensor(rng.normal(size=(ds.n_items, 6)))
-    uf, vf = propagate(csr, csr.T.tocsr(), users, items, n_layers=3)
+    uf, vf = propagate(adj, adj.T.tocsr(), users, items, n_layers=3)
     u, v = users.data, items.data
     su, sv = u.copy(), v.copy()
     for _ in range(3):

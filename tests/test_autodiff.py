@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from grouprec import autodiff as ag
 from grouprec.autodiff import Tape, Tensor
 from grouprec.optim import Adam
-from grouprec.sparse import SparseMatrix
 
 
 def grad_of(fn, *arrs):
@@ -87,28 +86,28 @@ def test_spmm_identity_and_empty_row():
     eye = sp.identity(3, format="csr")
     np.testing.assert_allclose(ag.spmm(eye, Tensor(X)).data, X)
 
-    A = SparseMatrix(2, 3, [(0, 1, 2.0)])  # row 1 empty
-    out = ag.spmm(A.tocsr(), Tensor(X)).data
+    A = sp.csr_matrix(([2.0], ([0], [1])), shape=(2, 3))  # row 1 empty
+    out = ag.spmm(A, Tensor(X)).data
     np.testing.assert_allclose(out[1], [0.0, 0.0])
 
 
 def test_spmm_hand_case_matches_dense():
-    A = SparseMatrix(2, 2, [(0, 0, 1.0), (0, 1, 1.0)])
+    A = sp.csr_matrix(([1.0, 1.0], ([0, 0], [0, 1])), shape=(2, 2))
     X = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = ag.spmm(A.tocsr(), Tensor(X)).data
+    out = ag.spmm(A, Tensor(X)).data
     np.testing.assert_allclose(out, [[4.0, 6.0], [0.0, 0.0]])
-    np.testing.assert_allclose(out, A.todense() @ X)
+    np.testing.assert_allclose(out, A.toarray() @ X)
 
 
 def test_spmm_random_matches_dense_oracle():
     rng = np.random.default_rng(7)
     for _ in range(5):
-        A = SparseMatrix(20, 20)
+        dense = np.zeros((20, 20))
         for _ in range(60):
-            A.set(int(rng.integers(20)), int(rng.integers(20)), float(rng.normal()))
+            dense[int(rng.integers(20)), int(rng.integers(20))] = float(rng.normal())
         X = rng.normal(size=(20, 4))
-        got = ag.spmm(A.tocsr(), Tensor(X)).data
-        np.testing.assert_allclose(got, A.todense() @ X, atol=1e-12)
+        got = ag.spmm(sp.csr_matrix(dense), Tensor(X)).data
+        np.testing.assert_allclose(got, dense @ X, atol=1e-12)
 
 
 def test_spmm_shape_mismatch():
@@ -316,15 +315,3 @@ def test_tape_reverse_order_and_reuse():
         z = ag.add(y, ag.mul(x, Tensor([3.0])))  # x^2 + 3x
         tape.backward(ag.tsum(z))
     assert x.grad[0] == pytest.approx(2 * 2.0 + 3.0)
-
-
-def test_sparse_matrix_validation():
-    m = SparseMatrix(2, 2)
-    m.set(0, 1, 1.0)
-    m.set(0, 1, 2.0)  # dedup keeps last weight
-    assert len(m) == 1
-    assert m.entries() == [(0, 1, 2.0)]
-    with pytest.raises(IndexError):
-        m.set(2, 0, 1.0)
-    with pytest.raises(ValueError):
-        m.set(0, 0, float("nan"))

@@ -53,3 +53,38 @@ def test_truncated_magic_detected(tmp_path):
     path.write_bytes(MAGIC[:3])
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def damaged(tmp_path, cut):
+    """Path of a saved checkpoint with its bytes passed through cut."""
+    full = tmp_path / "full.ckpt"
+    save_checkpoint(full, {"k": 1}, sample_arrays(np.random.default_rng(2)))
+    path = tmp_path / "damaged.ckpt"
+    path.write_bytes(cut(full.read_bytes()))
+    return path
+
+
+def test_truncated_payload_names_path_and_tensor(tmp_path):
+    path = damaged(tmp_path, lambda b: b[:-8])
+    with pytest.raises(ValueError, match=r"damaged\.ckpt: truncated in tensor 'bias'"):
+        load_checkpoint(path)
+
+
+def test_trailing_payload_bytes_rejected(tmp_path):
+    path = damaged(tmp_path, lambda b: b + b"\x00" * 16)
+    with pytest.raises(ValueError, match=r"damaged\.ckpt: payload is .* bytes"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        (lambda b: b[: len(MAGIC) + 8 + 10], "truncated header"),
+        (lambda b: b[: len(MAGIC) + 8] + b"\xff" + b[len(MAGIC) + 9 :], "unreadable header"),
+    ],
+    ids=["cut", "garbled"],
+)
+def test_damaged_header_names_path(tmp_path, cut, message):
+    path = damaged(tmp_path, cut)
+    with pytest.raises(ValueError, match=rf"damaged\.ckpt: {message}"):
+        load_checkpoint(path)

@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from grouprec import datasets as d
-from grouprec.datasets import TRAIN, VALID, TEST, Dataset, Interactions
+from grouprec import fusion
+from grouprec.datasets import TRAIN, VALID, TEST, Dataset, Interactions, membership_matrix
 from grouprec.sampling import TripleSampler
-from grouprec.sparse import SparseMatrix
 from grouprec.synthetic import generate_synthetic
 
 
 def make_dataset(n_users, n_items, user_edges, memberships, group_edges=()):
-    members = SparseMatrix(len(memberships), n_users)
-    for g, us in enumerate(memberships):
-        for u in us:
-            members.set(g, u, 1.0)
+    members = membership_matrix(
+        len(memberships), n_users,
+        [g for g, us in enumerate(memberships) for _ in us],
+        [u for us in memberships for u in us],
+    )
     return Dataset(
         n_users,
         n_items,
@@ -55,13 +56,20 @@ def test_load_group_members_basic(tmp_path):
     p = tmp_path / "group_members.txt"
     p.write_text("0 1,2,3\n")
     m = d.load_group_members(p, 5, 1)
-    assert m.row_indices(0) == [1, 2, 3]
+    assert m.toarray().tolist() == [[0, 1, 1, 1, 0]]
 
 
 def test_load_group_members_dedup(tmp_path):
     p = tmp_path / "group_members.txt"
     p.write_text("0 1,1\n")
-    assert d.load_group_members(p, 5, 1).row_indices(0) == [1]
+    assert d.load_group_members(p, 5, 1).toarray().tolist() == [[0, 1, 0, 0, 0]]
+
+
+def test_load_group_members_rejects_group_listed_twice(tmp_path):
+    p = tmp_path / "group_members.txt"
+    p.write_text("0 1,2\n0 3\n")
+    with pytest.raises(ValueError, match=r"group_members\.txt:2: group 0 already listed on line 1"):
+        d.load_group_members(p, 5, 1)
 
 
 def test_load_group_members_range_error(tmp_path):
@@ -154,13 +162,14 @@ def test_synthesize_uses_train_edges_only():
 def test_adjacency_single_edge_weight_one():
     ds = make_dataset(1, 1, [(0, 0)], [[0]])
     adj = d.build_norm_adjacency(ds)
-    assert adj.entries() == [(0, 0, 1.0)]
+    assert adj.toarray().tolist() == [[1.0]]
 
 
 def test_adjacency_two_items_weight():
     ds = make_dataset(1, 2, [(0, 0), (0, 1)], [[0]])
     adj = d.build_norm_adjacency(ds)
-    for _, _, w in adj.entries():
+    assert adj.nnz == 2
+    for w in adj.data:
         assert w == pytest.approx(1.0 / np.sqrt(2.0))
 
 
@@ -168,7 +177,8 @@ def test_adjacency_excludes_heldout_edges():
     ds = make_dataset(1, 2, [(0, 0), (0, 1)], [[0]])
     ds.user_items.splits[1] = VALID
     adj = d.build_norm_adjacency(ds)
-    assert adj.entries() == [(0, 0, 1.0)]
+    assert adj.nnz == 1
+    assert adj.toarray().tolist() == [[1.0, 0.0]]
 
 
 def test_adjacency_matches_brute_force_random_graphs():
@@ -178,7 +188,7 @@ def test_adjacency_matches_brute_force_random_graphs():
             {(int(rng.integers(25)), int(rng.integers(25))) for _ in range(120)}
         )
         ds = make_dataset(25, 25, edges, [[0]])
-        adj = d.build_norm_adjacency(ds).todense()
+        adj = d.build_norm_adjacency(ds).toarray()
         deg_u = {u: sum(1 for a, _ in edges if a == u) for u in range(25)}
         deg_v = {v: sum(1 for _, b in edges if b == v) for v in range(25)}
         expect = np.zeros((25, 25))
@@ -247,6 +257,31 @@ def test_synthetic_seeded_regeneration_identical():
     a, _ = generate_synthetic(20, 30, 5, m_true=2, noise=0.2, seed=11)
     b, _ = generate_synthetic(20, 30, 5, m_true=2, noise=0.2, seed=11)
     assert a.fingerprint() == b.fingerprint()
+
+
+def test_fingerprint_pinned_across_versions():
+    # a changed digest means every prepared directory and checkpoint meta goes stale
+    ds, _ = generate_synthetic(20, 30, 5, m_true=2, noise=0.1, seed=7)
+    ds.user_items = d.split_holdout(ds.user_items, seed=1)
+    ds.group_items = d.split_holdout(ds.group_items, seed=2)
+    assert ds.fingerprint() == "22279c8528e12e65ecbcc33b594f9597d5820e27c58a0be6591d3e12f4ff29f5"
+
+
+def test_sparse_structures_are_canonical_csr(tmp_path):
+    ds, _ = generate_synthetic(40, 40, 8, m_true=2, noise=0.1, seed=5)
+    (tmp_path / "group_members.txt").write_text("1 4,0,4\n0 3,1\n")
+    loaded = d.load_group_members(tmp_path / "group_members.txt", 5, 2)
+    assert loaded.toarray().tolist() == [[0, 1, 0, 1, 0], [1, 0, 0, 0, 1]]
+    structures = [
+        loaded,
+        ds.group_members,
+        d.subsample(ds, 0.5, seed=1).group_members,
+        d.build_norm_adjacency(ds),
+        fusion.build_user_pool(ds, "mean")[0],
+        fusion.build_user_pool(ds, "sum")[0],
+    ]
+    for m in structures:
+        assert m.format == "csr" and m.has_canonical_format
 
 
 def test_synthetic_infeasible_sizes():

@@ -6,8 +6,7 @@ import pytest
 
 from grouprec import evaluate as ev
 from grouprec import reporting
-from grouprec.datasets import TRAIN, VALID, TEST, Dataset, Interactions
-from grouprec.sparse import SparseMatrix
+from grouprec.datasets import TRAIN, VALID, TEST, Dataset, Interactions, membership_matrix
 
 NDCG_RANK2 = 0.6309297535714574  # 1 / log2(3)
 
@@ -96,9 +95,7 @@ def test_evaluate_scores_random_model_hypergeometric():
 
 
 def tiny_dataset():
-    members = SparseMatrix(1, 2)
-    members.set(0, 0, 1.0)
-    members.set(0, 1, 1.0)
+    members = membership_matrix(1, 2, [0, 0], [0, 1])
     ui = Interactions(
         2,
         5,
@@ -153,7 +150,7 @@ def test_popularity_ranking_order():
         1,
         ui,
         Interactions(1, 4),
-        SparseMatrix(1, 3, [(0, 0, 1.0)]),
+        membership_matrix(1, 3, [0], [0]),
     ).validate()
     scores = ev.popularity_scores(ds)
     assert list(np.argsort(-scores)) == [0, 1, 2, 3]  # counts 3,1 then unseen by id

@@ -5,15 +5,15 @@ from grouprec import autodiff as ag
 from grouprec import fusion
 from grouprec import graphconv
 from grouprec.autodiff import Tensor
-from grouprec.datasets import Dataset, Interactions, build_norm_adjacency
-from grouprec.sparse import SparseMatrix
+from grouprec.datasets import Dataset, Interactions, build_norm_adjacency, membership_matrix
 
 
 def dataset_with_members(n_users, memberships, n_items=3, user_edges=((0, 0),)):
-    members = SparseMatrix(len(memberships), n_users)
-    for g, us in enumerate(memberships):
-        for u in us:
-            members.set(g, u, 1.0)
+    members = membership_matrix(
+        len(memberships), n_users,
+        [g for g, us in enumerate(memberships) for _ in us],
+        [u for us in memberships for u in us],
+    )
     return Dataset(
         n_users,
         n_items,
@@ -100,6 +100,21 @@ def test_fuse_users_sum_pooling():
     np.testing.assert_allclose(fused.data, [[1.0, 1.0]])
 
 
+def test_build_user_pool_matches_dense_oracle():
+    memberships = [[0, 2], [2], [0, 2, 3]]  # user 1 joins no group
+    ds = dataset_with_members(4, memberships)
+    member = np.zeros((4, 3))
+    for g, us in enumerate(memberships):
+        member[us, g] = 1.0
+    counts = member.sum(axis=1)
+    pool, coef = fusion.build_user_pool(ds, mode="sum")
+    np.testing.assert_array_equal(pool.toarray(), member)
+    np.testing.assert_array_equal(coef, [0.5, 1.0, 0.5, 0.5])
+    pool, coef = fusion.build_user_pool(ds, mode="mean")
+    np.testing.assert_array_equal(pool.toarray(), member / np.maximum(counts, 1.0)[:, None])
+    np.testing.assert_array_equal(coef, [0.5, 1.0, 0.5, 0.5])
+
+
 def test_fuse_users_max_pooling_hand_case_and_gradient():
     ds = dataset_with_members(2, [[0], [0]])
     pool, coef = fusion.build_user_pool(ds)
@@ -140,7 +155,7 @@ def test_fusion_chain_gradients():
 
 def single_edge_graph():
     ds = dataset_with_members(1, [[0]], n_items=1, user_edges=[(0, 0)])
-    adj = build_norm_adjacency(ds).tocsr()
+    adj = build_norm_adjacency(ds)
     return adj, adj.T.tocsr()
 
 
@@ -155,7 +170,7 @@ def test_propagate_single_edge_one_layer():
 
 def test_propagate_isolated_user():
     ds = dataset_with_members(2, [[0]], n_items=1, user_edges=[(0, 0)])
-    adj = build_norm_adjacency(ds).tocsr()
+    adj = build_norm_adjacency(ds)
     u0 = Tensor([[1.0, 2.0], [3.0, 4.0]])
     v0 = Tensor([[0.0, 0.0]])
     uf, _ = graphconv.propagate(adj, adj.T.tocsr(), u0, v0, 1)
@@ -164,7 +179,7 @@ def test_propagate_isolated_user():
 
 def test_propagate_star_graph_weights():
     ds = dataset_with_members(1, [[0]], n_items=2, user_edges=[(0, 0), (0, 1)])
-    adj = build_norm_adjacency(ds).tocsr()
+    adj = build_norm_adjacency(ds)
     u0 = Tensor([[0.0, 0.0]])
     v0 = Tensor([[1.0, 0.0], [0.0, 1.0]])
     uf, _ = graphconv.propagate(adj, adj.T.tocsr(), u0, v0, 1)
@@ -193,7 +208,7 @@ def test_propagate_linearity():
     rng = np.random.default_rng(3)
     edges = sorted({(int(rng.integers(6)), int(rng.integers(5))) for _ in range(12)})
     ds = dataset_with_members(6, [[0]], n_items=5, user_edges=edges)
-    adj = build_norm_adjacency(ds).tocsr()
+    adj = build_norm_adjacency(ds)
     u0 = rng.normal(size=(6, 3))
     v0 = rng.normal(size=(5, 3))
     uf1, _ = graphconv.propagate(adj, adj.T.tocsr(), Tensor(u0), Tensor(v0), 3)
@@ -206,13 +221,12 @@ def test_propagate_matches_dense_oracle():
     n_u, n_v, d, k = 30, 30, 8, 3
     edges = sorted({(int(rng.integers(n_u)), int(rng.integers(n_v))) for _ in range(150)})
     ds = dataset_with_members(n_u, [[0]], n_items=n_v, user_edges=edges)
-    sparse_adj = build_norm_adjacency(ds)
-    adj = sparse_adj.tocsr()
+    adj = build_norm_adjacency(ds)
     u0 = rng.normal(size=(n_u, d))
     v0 = rng.normal(size=(n_v, d))
     uf, vf = graphconv.propagate(adj, adj.T.tocsr(), Tensor(u0), Tensor(v0), k)
 
-    dense = sparse_adj.todense()
+    dense = adj.toarray()
     du, dv = u0.copy(), v0.copy()
     su, sv = u0.copy(), v0.copy()
     for _ in range(k):

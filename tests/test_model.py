@@ -7,20 +7,20 @@ from grouprec import autodiff as ag
 from grouprec import losses
 from grouprec.autodiff import Tape, Tensor
 from grouprec.config import TrainConfig
-from grouprec.datasets import Dataset, Interactions, split_holdout
+from grouprec.datasets import Dataset, Interactions, membership_matrix, split_holdout
 from grouprec.graphconv import score_pairs
 from grouprec.model import GroupRecommender
-from grouprec.sparse import SparseMatrix
 
 LN2 = math.log(2.0)
 
 
 def toy_dataset(n_users=5, n_items=4, memberships=((0, 1), (2, 3))):
     edges = [(u, v) for u in range(n_users) for v in range(n_items) if (u + v) % 2 == 0]
-    members = SparseMatrix(len(memberships), n_users)
-    for g, us in enumerate(memberships):
-        for u in us:
-            members.set(g, u, 1.0)
+    members = membership_matrix(
+        len(memberships), n_users,
+        [g for g, us in enumerate(memberships) for _ in us],
+        [u for us in memberships for u in us],
+    )
     ds = Dataset(
         n_users,
         n_items,
@@ -195,6 +195,15 @@ def test_mean_members_variant_uses_member_average():
     want = 0.5 * (model.group_emb.data[0] + model.user_emb.data[g0_members].mean(axis=0))
     np.testing.assert_allclose(state.group_fused.data[0], want, atol=1e-12)
     assert state.interests is None and model.generator is None
+
+
+def test_max_pooling_lists_hold_each_users_groups():
+    ds = toy_dataset(memberships=((0, 1), (3, 1), (1,)))  # users 2 and 4 join nothing
+    model = GroupRecommender(ds, small_config(pooling="max"), np.random.default_rng(0))
+    dense = ds.group_members.toarray()
+    want = [np.flatnonzero(dense[:, u]).tolist() for u in range(ds.n_users)]
+    assert [list(gs) for gs in model.max_lists] == want
+    assert want[1] == [0, 1, 2] and want[2] == []
 
 
 def test_interest_similarity_matrix_properties():
