@@ -1,8 +1,10 @@
 """Group-level interest pooling and stochastic interest selection.
 
-Members' n-th interests are attention-pooled into one vector per group.
-A group then mixes its M pooled vectors with weights from a
-Gumbel-Softmax over the scores e_g . pooled_n. The noise-free softmax of
+Members' n-th interests are attention-pooled into one vector per group,
+for all M channels at once: the (|U|, M, d) interest tensor becomes a
+(|G|, M, d) pooled tensor. A group then mixes its M pooled vectors with
+weights from a Gumbel-Softmax over the scores e_g . pooled_n, giving one
+(|G|, d) interest vector per group. The noise-free softmax of
 the same scores is the evaluation-time path, so selection is
 deterministic outside training.
 
@@ -25,30 +27,27 @@ def sample_gumbel(rng, shape):
     return -np.log(-np.log(eps))
 
 
-def attention_pool(interest_rows, member_uid, member_gid, n_groups, att_vec):
-    """Pool one interest channel over group members.
+def attention_pool(interests, member_uid, member_gid, n_groups, att_vec):
+    """Pool every interest channel over group members.
 
-    interest_rows: (|U|, d) tensor for a single interest. member_uid and
-    member_gid are parallel arrays flattening the membership relation.
-    Weights are a per-group softmax of att_vec . i_u; output is (n_groups, d).
-    Groups are guaranteed at least one member by dataset validation.
+    interests: (|U|, M, d) tensor. member_uid and member_gid are parallel
+    arrays flattening the membership relation. For each group and channel
+    the weights are a softmax over members of att_vec . i_u; output is
+    (n_groups, M, d). Groups are guaranteed at least one member by dataset
+    validation.
     """
-    rows = ag.gather_rows(interest_rows, member_uid)
-    scores = ag.matmul(rows, att_vec)
-    gamma = ag.segment_softmax(scores, member_gid, n_groups)
-    weighted = ag.mul(ag.reshape(gamma, (len(member_uid), 1)), rows)
-    return ag.segment_sum(weighted, member_gid, n_groups)
+    return ag.segment_attention(interests, att_vec, member_uid, member_gid, n_groups)
 
 
 def selection_weights(group_emb, pooled, tau, noise=None, hard=False):
     """Mixture weights over the M pooled interest vectors, one row per group.
 
-    pooled is a list of (|G|, d) tensors. noise is an optional constant
-    (|G|, M) Gumbel array; omit it for the deterministic softmax path.
-    hard snaps each row to a one-hot at its argmax, with gradients taken
-    from the soft weights.
+    pooled is the (|G|, M, d) output of attention_pool. noise is an
+    optional constant (|G|, M) Gumbel array; omit it for the deterministic
+    softmax path. hard snaps each row to a one-hot at its argmax, with
+    gradients taken from the soft weights.
     """
-    psi = ag.stack_cols([ag.rowwise_dot(group_emb, p) for p in pooled])
+    psi = ag.channel_dot(group_emb, pooled)
     logits = psi if noise is None else ag.add(psi, Tensor(noise))
     omega = ag.softmax_rows(logits, tau)
     if hard:
@@ -59,10 +58,5 @@ def selection_weights(group_emb, pooled, tau, noise=None, hard=False):
 
 
 def mix_interests(omega, pooled):
-    """i*_g = sum_n omega[:, n] * pooled_n."""
-    n_groups = pooled[0].shape[0]
-    out = None
-    for n, p in enumerate(pooled):
-        term = ag.mul(ag.reshape(ag.take_col(omega, n), (n_groups, 1)), p)
-        out = term if out is None else ag.add(out, term)
-    return out
+    """i*_g = sum_n omega[:, n] * pooled[:, n]; (|G|, M), (|G|, M, d) -> (|G|, d)."""
+    return ag.channel_mix(omega, pooled)

@@ -4,14 +4,19 @@ Every op does a plain numpy forward pass and, when a tape is active and some
 input requires gradients, records a backward closure on the tape. Calling
 ``Tape.backward(loss)`` walks the recorded nodes in reverse creation order,
 which is a valid reverse topological order because operands always exist
-before their results.
+before their results. Each node's gradient is released as the walk reaches
+it, so a closure may hand that array (or disjoint views of it) to an operand
+instead of copying it; only leaf tensors keep a gradient afterwards.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.special import expit
 
 log = logging.getLogger(__name__)
 
@@ -71,6 +76,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+        self._spent = False
 
     def __enter__(self):
         global _ACTIVE_TAPE
@@ -85,13 +91,22 @@ class Tape:
         return False
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(x) into ``.grad`` of every reachable tensor."""
+        """Accumulate d(loss)/d(x) into ``.grad`` of every reachable leaf.
+
+        Recorded (non-leaf) tensors end with ``.grad`` None: each one's
+        gradient is taken off it before its closure runs. Closures may also
+        reuse their own forward buffers, so a tape runs backward once.
+        """
+        if self._spent:
+            raise RuntimeError("backward already ran on this tape; record a new one")
+        self._spent = True
         if loss.grad is None:
             loss.grad = np.ones_like(loss.data)
         for node in reversed(self.nodes):
-            if node.grad is None or node._backward is None:
+            g, node.grad = node.grad, None
+            if g is None or node._backward is None:
                 continue
-            node._backward(node.grad)
+            node._backward(g)
 
 
 def _as_tensor(x) -> Tensor:
@@ -101,10 +116,15 @@ def _as_tensor(x) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add g into t.grad, taking g over as the buffer when t has none yet.
+
+    Callers pass arrays no other tensor will hold: fresh results, or views
+    of the released output gradient that no other operand receives.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+        t.grad = g
     else:
         t.grad += g
 
@@ -120,7 +140,9 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to an operand's shape."""
+    """Sum a broadcast gradient back down to an operand's shape (g itself if equal)."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -138,8 +160,9 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        ga, gb = _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        _accum(a, ga)
+        _accum(b, gb.copy() if gb is ga else gb)
 
     return _record(out, (a, b), backward)
 
@@ -160,8 +183,10 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _record(out, (a, b), backward)
 
@@ -196,11 +221,9 @@ def matmul(a, b) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def backward(g):
-        if b.data.ndim == 1:
-            _accum(a, np.outer(g, b.data))
-            _accum(b, a.data.T @ g)
-        else:
-            _accum(a, g @ b.data.T)
+        if a.requires_grad:
+            _accum(a, np.outer(g, b.data) if b.data.ndim == 1 else g @ b.data.T)
+        if b.requires_grad:
             _accum(b, a.data.T @ g)
 
     return _record(out, (a, b), backward)
@@ -209,22 +232,13 @@ def matmul(a, b) -> Tensor:
 def sigmoid(x) -> Tensor:
     """Elementwise logistic function; saturates instead of overflowing."""
     x = _as_tensor(x)
-    out = Tensor(_sigmoid_np(x.data))
+    y = expit(x.data)
+    out = Tensor(y)
 
     def backward(g):
-        y = out.data
         _accum(x, g * y * (1.0 - y))
 
     return _record(out, (x,), backward)
-
-
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    pos = x >= 0
-    z = np.empty_like(x)
-    z[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    z[~pos] = ex / (1.0 + ex)
-    return z
 
 
 def softplus(x) -> Tensor:
@@ -233,7 +247,7 @@ def softplus(x) -> Tensor:
     out = Tensor(np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data))))
 
     def backward(g):
-        _accum(x, g * _sigmoid_np(x.data))
+        _accum(x, g * expit(x.data))
 
     return _record(out, (x,), backward)
 
@@ -287,28 +301,62 @@ def reshape(x, shape) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def stack_cols(cols: list[Tensor]) -> Tensor:
-    """Stack 1-d tensors of equal length into the columns of a matrix."""
-    cols = [_as_tensor(c) for c in cols]
-    out = Tensor(np.stack([c.data for c in cols], axis=1))
+def stack(tensors: list[Tensor]) -> Tensor:
+    """Stack equal-shaped tensors along a new axis 1: M of (n, ...) -> (n, M, ...)."""
+    tensors = [_as_tensor(t) for t in tensors]
+    out = Tensor(np.stack([t.data for t in tensors], axis=1))
 
     def backward(g):
-        for j, c in enumerate(cols):
-            _accum(c, g[:, j])
+        for j, t in enumerate(tensors):
+            _accum(t, g[:, j])
 
-    return _record(out, tuple(cols), backward)
+    return _record(out, tuple(tensors), backward)
 
 
-def take_col(x, j: int) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(x.data[:, j].copy())
+def _onehot_rows(idx: np.ndarray, n_rows: int):
+    """CSR (n_rows, len(idx)) with a 1 at (idx[j], j), columns in order per row.
 
-    def backward(g):
-        buf = np.zeros_like(x.data)
-        buf[:, j] = g
-        _accum(x, buf)
+    ``_onehot_rows(idx, n) @ g`` sums the rows of g into n buckets. Each bucket
+    adds its rows in their original order, so the result is bit-equal to
+    ``np.add.at(zeros, idx, g)``, only without the per-element dispatch.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(idx, minlength=n_rows), out=indptr[1:])
+    order = np.argsort(idx, kind="stable")
+    return sp.csr_matrix((np.ones(len(idx)), order, indptr), shape=(n_rows, len(idx)))
 
-    return _record(out, (x,), backward)
+
+def _scatter(onehot, g: np.ndarray) -> np.ndarray:
+    """onehot @ g over g's leading axis, for g of any trailing shape."""
+    flat = g.reshape(onehot.shape[1], math.prod(g.shape[1:]))
+    return (onehot @ flat).reshape((onehot.shape[0],) + g.shape[1:])
+
+
+def scatter_rows(idx: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sum g's rows into n_rows buckets by idx; bit-equal to np.add.at."""
+    return _scatter(_onehot_rows(idx, n_rows), g)
+
+
+def _segment_max(x: np.ndarray, onehot) -> np.ndarray:
+    """Per-segment max over x's leading axis; -inf for empty segments."""
+    counts = np.diff(onehot.indptr)
+    out = np.full((onehot.shape[0],) + x.shape[1:], -np.inf)
+    has = counts > 0
+    if has.any():
+        out[has] = np.maximum.reduceat(x[onehot.indices], onehot.indptr[:-1][has], axis=0)
+    return out
+
+
+def _segment_softmax(s: np.ndarray, seg: np.ndarray, onehot) -> np.ndarray:
+    """Softmax of s over its leading axis within each segment, max-shifted."""
+    e = np.exp(s - _segment_max(s, onehot)[seg])
+    return e / (onehot @ e)[seg]
+
+
+def _segment_softmax_grad(p: np.ndarray, g: np.ndarray, seg: np.ndarray, onehot) -> np.ndarray:
+    """Gradient at the scores of a segment softmax p, given the gradient g at p."""
+    return p * (g - (onehot @ (p * g))[seg])
 
 
 def gather_rows(x, idx: np.ndarray) -> Tensor:
@@ -318,9 +366,7 @@ def gather_rows(x, idx: np.ndarray) -> Tensor:
     out = Tensor(x.data[idx])
 
     def backward(g):
-        buf = np.zeros_like(x.data)
-        np.add.at(buf, idx, g)
-        _accum(x, buf)
+        _accum(x, scatter_rows(idx, g, x.data.shape[0]))
 
     return _record(out, (x,), backward)
 
@@ -339,11 +385,10 @@ def gather_elements(x, row_idx: np.ndarray) -> Tensor:
         raise ValueError(f"bad shapes for gather_elements: {x.shape} vs {row_idx.shape}")
     cols = np.broadcast_to(np.arange(x.data.shape[1]), row_idx.shape)
     out = Tensor(x.data[row_idx, cols])
+    flat = (row_idx * x.data.shape[1] + cols).ravel()
 
     def backward(g):
-        buf = np.zeros_like(x.data)
-        np.add.at(buf, (row_idx, cols), g)
-        _accum(x, buf)
+        _accum(x, scatter_rows(flat, g.ravel(), x.data.size).reshape(x.data.shape))
 
     return _record(out, (x,), backward)
 
@@ -436,18 +481,12 @@ def segment_softmax(scores, segment_ids: np.ndarray, n_segments: int) -> Tensor:
     """
     scores = _as_tensor(scores)
     seg = np.asarray(segment_ids, dtype=np.int64)
-    mx = np.full(n_segments, -np.inf)
-    np.maximum.at(mx, seg, scores.data)
-    e = np.exp(scores.data - mx[seg])
-    den = np.zeros(n_segments)
-    np.add.at(den, seg, e)
-    p = e / den[seg]
+    onehot = _onehot_rows(seg, n_segments)
+    p = _segment_softmax(scores.data, seg, onehot)
     out = Tensor(p)
 
     def backward(g):
-        dot = np.zeros(n_segments)
-        np.add.at(dot, seg, p * g)
-        _accum(scores, p * (g - dot[seg]))
+        _accum(scores, _segment_softmax_grad(p, g, seg, onehot))
 
     return _record(out, (scores,), backward)
 
@@ -456,10 +495,7 @@ def segment_sum(x, segment_ids: np.ndarray, n_segments: int) -> Tensor:
     """Sum rows of x into n_segments buckets given per-row segment ids."""
     x = _as_tensor(x)
     seg = np.asarray(segment_ids, dtype=np.int64)
-    shape = (n_segments,) + x.data.shape[1:]
-    y = np.zeros(shape)
-    np.add.at(y, seg, x.data)
-    out = Tensor(y)
+    out = Tensor(scatter_rows(seg, x.data, n_segments))
 
     def backward(g):
         _accum(x, g[seg])
@@ -503,6 +539,135 @@ def straight_through(soft: Tensor, hard: np.ndarray) -> Tensor:
         _accum(soft, g)
 
     return _record(out, (soft,), backward)
+
+
+# ---------------------------------------------------------------------------
+# fused interest ops: M interest channels carried as one (n, M, d) tensor,
+# one tape node per op, backward written out by hand
+
+
+def gated_channels(x, weights: list[Tensor], biases: list[Tensor]) -> Tensor:
+    """out[:, n] = x * sigmoid(x @ weights[n] + biases[n]): (U, d) -> (U, M, d).
+
+    The M (d, d) gates run as one (U, d) @ (d, M*d) product over the
+    column-concatenated weights.
+    """
+    x = _as_tensor(x)
+    m, d = len(weights), x.data.shape[1]
+    w_cat = np.concatenate([w.data for w in weights], axis=1)
+    z = x.data @ w_cat
+    z += np.concatenate([b.data for b in biases])
+    gate = expit(z, out=z).reshape(-1, m, d)
+    gated = x.data[:, None, :] * gate
+    out = Tensor(gated)
+
+    def backward(g):
+        if x.requires_grad:
+            _accum(x, np.einsum("umd,umd->ud", g, gate))
+        # g (released by the tape) and gate are dead after this, so both are reused
+        dz = g
+        dz *= gated
+        dz *= np.subtract(1.0, gate, out=gate)  # g * x * gate * (1 - gate)
+        dz = dz.reshape(-1, m * d)
+        dw = x.data.T @ dz
+        db = dz.sum(axis=0)
+        for n in range(m):
+            cols = slice(n * d, (n + 1) * d)
+            _accum(weights[n], dw[:, cols])
+            _accum(biases[n], db[cols])
+        if x.requires_grad:
+            x.grad += dz @ w_cat.T
+
+    return _record(out, (x, *weights, *biases), backward)
+
+
+def segment_attention(x, att, rows: np.ndarray, segment_ids: np.ndarray,
+                      n_segments: int) -> Tensor:
+    """Attention-weighted segment sums of gathered rows, per channel.
+
+    x is (U, M, d); rows and segment_ids are parallel (n,) arrays placing
+    row x[rows[j]] in segment segment_ids[j]. Within each segment and
+    channel the weights are a softmax of att . x[rows[j], m]. Returns
+    (n_segments, M, d); empty segments come out zero.
+    """
+    x, att = _as_tensor(x), _as_tensor(att)
+    rows = np.asarray(rows, dtype=np.int64)
+    seg = np.asarray(segment_ids, dtype=np.int64)
+    onehot = _onehot_rows(seg, n_segments)
+    r = x.data[rows]
+    gamma = _segment_softmax(r @ att.data, seg, onehot)
+    out = Tensor(_scatter(onehot, gamma[:, :, None] * r))
+
+    def backward(g):
+        g_rows = g[seg]
+        ds = _segment_softmax_grad(gamma, np.einsum("nmd,nmd->nm", g_rows, r), seg, onehot)
+        _accum(att, np.einsum("nm,nmd->d", ds, r))
+        if x.requires_grad:
+            g_rows *= gamma[:, :, None]
+            g_rows += np.multiply(ds[:, :, None], att.data, out=r)  # r is dead here
+            _accum(x, scatter_rows(rows, g_rows, x.data.shape[0]))
+
+    return _record(out, (x, att), backward)
+
+
+def channel_dot(a, channels) -> Tensor:
+    """out[g, m] = a[g] . channels[g, m]: (G, d), (G, M, d) -> (G, M)."""
+    a, channels = _as_tensor(a), _as_tensor(channels)
+    out = Tensor(np.einsum("gd,gmd->gm", a.data, channels.data))
+
+    def backward(g):
+        _accum(a, np.einsum("gm,gmd->gd", g, channels.data))
+        _accum(channels, g[:, :, None] * a.data[:, None, :])
+
+    return _record(out, (a, channels), backward)
+
+
+def channel_mix(weights, channels) -> Tensor:
+    """out[g] = sum_m weights[g, m] * channels[g, m]: (G, M), (G, M, d) -> (G, d)."""
+    weights, channels = _as_tensor(weights), _as_tensor(channels)
+    out = Tensor(np.einsum("gm,gmd->gd", weights.data, channels.data))
+
+    def backward(g):
+        _accum(weights, np.einsum("gd,gmd->gm", g, channels.data))
+        _accum(channels, weights.data[:, :, None] * g[:, None, :])
+
+    return _record(out, (weights, channels), backward)
+
+
+def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
+    """Mean over rows of the summed channel-pair cosines that pass a threshold.
+
+    For each r in rows, sums cosine(x[r, p], x[r, q]) over channel pairs
+    p < q with |cosine| >= threshold, then divides by len(rows). The mask
+    is taken from forward values and is constant under backward. As in
+    cosine_rows, a channel whose norm is below COSINE_NORM_EPS has
+    similarity 0 with everything and passes no gradient.
+    """
+    x = _as_tensor(x)
+    rows = np.asarray(rows, dtype=np.int64)
+    n, m = len(rows), x.data.shape[1]
+    r = x.data[rows]
+    norms = np.sqrt(np.einsum("nmd,nmd->nm", r, r))
+    ok = norms >= COSINE_NORM_EPS
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=ok)
+    unit = r
+    unit *= inv[:, :, None]
+    cos = unit @ unit.transpose(0, 2, 1)
+    mask = np.triu(np.ones((m, m), dtype=bool), k=1) & ok[:, :, None] & ok[:, None, :]
+    mask &= np.abs(cos) >= threshold
+    inv_n = 1.0 / n
+    out = Tensor((cos * mask).sum() * inv_n)
+
+    def backward(g):
+        w = mask * (float(g) * inv_n)
+        w += w.transpose(0, 2, 1)
+        d_unit = w @ unit
+        proj = np.einsum("nmd,nmd->nm", d_unit, unit)
+        d_unit -= np.multiply(unit, proj[:, :, None], out=unit)  # unit is dead here
+        d_unit *= inv[:, :, None]
+        _accum(x, scatter_rows(rows, d_unit, x.data.shape[0]))
+
+    return _record(out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -376,7 +376,15 @@ def read_splits(interactions, path):
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 3 or parts[2] not in label_of:
                 raise ValueError(f"{path}:{lineno}: expected 'anchor<TAB>item<TAB>split'")
-            seen[(int(parts[0]), int(parts[1]))] = label_of[parts[2]]
+            try:
+                key = (int(parts[0]), int(parts[1]))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-integer id in {line!r}") from None
+            if key in seen:
+                raise ValueError(
+                    f"{path}:{lineno}: edge {key} already labeled {SPLIT_NAMES[seen[key]]!r}"
+                )
+            seen[key] = label_of[parts[2]]
     splits = np.zeros(len(interactions), dtype=np.int8)
     for i, (a, v) in enumerate(zip(interactions.anchors, interactions.items)):
         key = (int(a), int(v))

@@ -4,7 +4,10 @@ The default extractor carves M interest vectors out of each user embedding
 with per-interest self-gates: interest n is e ⊙ sigmoid(e W_n + b_n). The
 alternative generators (plain linear maps, a two-layer map, free per-user
 tables) exist only for the comparison harness and share the same interface:
-``interests(user_emb)`` returns a list of M tensors shaped like the input.
+``interests(user_emb)`` maps the (|U|, d) embedding table to one (|U|, M, d)
+tensor whose [:, n] slice is interest n. Parameters stay one tensor per
+interest (``gate_{n}_w``, ``gate_{n}_b``, ...), so checkpoints name them
+individually.
 """
 
 import numpy as np
@@ -34,11 +37,8 @@ class SelfGatingInterests:
         self.b = [Tensor(np.zeros(dim), requires_grad=True) for _ in range(m_interests)]
 
     def interests(self, user_emb):
-        out = []
-        for n in range(self.m):
-            gate = ag.sigmoid(ag.add(ag.matmul(user_emb, self.w[n]), self.b[n]))
-            out.append(ag.mul(user_emb, gate))
-        return out
+        """(|U|, d) -> (|U|, M, d): all M gates in one fused op."""
+        return ag.gated_channels(user_emb, self.w, self.b)
 
     def named_params(self):
         pairs = []
@@ -63,9 +63,9 @@ class LinearInterests:
         self.b = [Tensor(np.zeros(dim), requires_grad=True) for _ in range(m_interests)]
 
     def interests(self, user_emb):
-        return [
-            ag.add(ag.matmul(user_emb, self.w[n]), self.b[n]) for n in range(self.m)
-        ]
+        return ag.stack(
+            [ag.add(ag.matmul(user_emb, self.w[n]), self.b[n]) for n in range(self.m)]
+        )
 
     def named_params(self):
         pairs = []
@@ -96,7 +96,7 @@ class TwoLayerInterests:
         for n in range(self.m):
             h = ag.relu(ag.add(ag.matmul(user_emb, self.w1[n]), self.b1[n]))
             out.append(ag.add(ag.matmul(h, self.w2[n]), self.b2[n]))
-        return out
+        return ag.stack(out)
 
     def named_params(self):
         pairs = []
@@ -131,7 +131,7 @@ class TableInterests:
     def interests(self, user_emb):
         if user_emb.shape[0] != self.n_users:
             raise ValueError("table generator sized for a different user count")
-        return list(self.tables)
+        return ag.stack(self.tables)
 
     def named_params(self):
         return [(f"interest_table_{n}", self.tables[n]) for n in range(self.m)]

@@ -57,39 +57,32 @@ def bpr_loss(pos_scores, neg_scores):
 def interest_regularizer(interests, user_idx, threshold):
     """Per-user mean of masked pairwise interest similarities.
 
-    For the users in user_idx, sums cosine(i_p, i_q) over pairs p < q whose
-    |cosine| is at least the threshold; the mask is computed from forward
-    values only and is constant under backward. threshold 0 keeps every
-    pair. Returns a scalar tensor, zero when there is a single interest.
+    interests is the (|U|, M, d) interest tensor. For the users in
+    user_idx, sums cosine(i_p, i_q) over pairs p < q whose |cosine| is at
+    least the threshold; the mask is computed from forward values only and
+    is constant under backward. threshold 0 keeps every pair. Returns a
+    scalar tensor, zero when there is a single interest.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    m = len(interests)
-    n = len(user_idx)
-    if m < 2 or n == 0:
+    if interests.shape[1] < 2 or len(user_idx) == 0:
         return Tensor(0.0)
-    rows = [ag.gather_rows(t, user_idx) for t in interests]
-    acc = None
-    for p in range(m):
-        for q in range(p + 1, m):
-            sim = ag.cosine_rows(rows[p], rows[q])
-            mask = (np.abs(sim.data) >= threshold).astype(np.float64)
-            term = ag.tsum(ag.mul(sim, Tensor(mask)))
-            acc = term if acc is None else ag.add(acc, term)
-    return ag.scale(acc, 1.0 / n)
+    return ag.mean_pair_cosine(interests, user_idx, threshold)
 
 
 def pairwise_abs_cosine(interests, user_idx=None):
-    """M x M matrix of mean |cosine| between interest channels, diagonal 1."""
-    m = len(interests)
-    mats = [t.data if user_idx is None else t.data[user_idx] for t in interests]
-    norms = [np.linalg.norm(a, axis=1) for a in mats]
-    out = np.eye(m)
-    for p in range(m):
-        for q in range(p + 1, m):
-            denom = norms[p] * norms[q]
-            ok = denom > ag.COSINE_NORM_EPS
-            cos = np.zeros(len(denom))
-            cos[ok] = np.einsum("ij,ij->i", mats[p], mats[q])[ok] / denom[ok]
-            out[p, q] = out[q, p] = float(np.mean(np.abs(cos))) if len(cos) else 0.0
+    """M x M matrix of mean |cosine| between interest channels, diagonal 1.
+
+    interests is the (|U|, M, d) interest tensor; a pair whose norm product
+    is at most COSINE_NORM_EPS counts as cosine 0.
+    """
+    x = interests.data if user_idx is None else interests.data[user_idx]
+    if len(x) == 0:
+        return np.eye(x.shape[1])
+    norms = np.linalg.norm(x, axis=2)
+    denom = norms[:, :, None] * norms[:, None, :]
+    ok = denom > ag.COSINE_NORM_EPS
+    cos = np.divide(x @ x.transpose(0, 2, 1), denom, out=np.zeros_like(denom), where=ok)
+    out = np.abs(cos).mean(axis=0)
+    np.fill_diagonal(out, 1.0)
     return out

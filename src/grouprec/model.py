@@ -1,5 +1,8 @@
 """The full recommender: interests -> group mixing -> fusion -> propagation.
 
+The M interests travel as one (|U|, M, d) tensor, pooled per group into one
+(|G|, M, d) tensor that selection mixes down to (|G|, d).
+
 One forward pass covers the whole user, item, and group tables; mini-batching
 happens only in the losses, which index into the returned tables. Running a
 forward outside a gradient tape is the (deterministic) inference path.
@@ -27,7 +30,7 @@ class ForwardState:
     item_final: Tensor
     group_fused: Tensor  # None when groups are disabled
     omega: Tensor  # None unless the interest mixer ran
-    interests: list  # None unless interests were generated
+    interests: Tensor  # (|U|, M, d); None unless interests were generated
 
 
 class GroupRecommender:
@@ -111,12 +114,9 @@ class GroupRecommender:
                 group_fused = fusion.fuse_groups(self.group_emb, member_pool)
             else:
                 interests = self.generator.interests(self.user_emb)
-                pooled = [
-                    aggregation.attention_pool(
-                        t, self.member_uid, self.member_gid, n_groups, self.att_vec
-                    )
-                    for t in interests
-                ]
+                pooled = aggregation.attention_pool(
+                    interests, self.member_uid, self.member_gid, n_groups, self.att_vec
+                )
                 if cfg.variant == "uniform_mix":
                     m = cfg.n_interests
                     omega = Tensor(np.full((n_groups, m), 1.0 / m))

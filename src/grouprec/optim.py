@@ -29,21 +29,40 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        # two scratch arrays per parameter keep the step free of fresh temporaries
+        self._scratch = [(np.empty_like(p.data), np.empty_like(p.data)) for p in self.params]
 
     def step(self) -> None:
+        """One update, in place, rounding exactly as the textbook expressions:
+
+        g = grad + wd * p;  m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g;
+        p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps).
+        """
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for p, m, v, (num, den) in zip(self.params, self.m, self.v, self._scratch):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if g.shape != p.data.shape:
                 raise ValueError(f"gradient shape {g.shape} != param shape {p.data.shape}")
             if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            m_hat = self.m[i] / (1.0 - b1 ** self.t)
-            v_hat = self.v[i] / (1.0 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                np.multiply(self.weight_decay, p.data, out=den)
+                den += g
+                g = den
+            m *= b1
+            np.multiply(1.0 - b1, g, out=num)
+            m += num
+            np.multiply(1.0 - b2, g, out=num)
+            num *= g
+            v *= b2
+            v += num
+            np.divide(v, c2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            np.divide(m, c1, out=num)
+            num *= self.lr
+            num /= den
+            p.data -= num
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -263,7 +263,7 @@ def test_end_to_end_gradient_check():
 def test_selection_distribution_invariants():
     rng = np.random.default_rng(0)
     group_emb = Tensor(rng.normal(size=(6, 4)))
-    pooled = [Tensor(rng.normal(size=(6, 4))) for _ in range(3)]
+    pooled = Tensor(np.stack([rng.normal(size=(6, 4)) for _ in range(3)], axis=1))
     noise = sample_gumbel(rng, (6, 3))
     soft = selection_weights(group_emb, pooled, tau=0.7, noise=noise).data
     hard = selection_weights(group_emb, pooled, tau=0.7, noise=noise, hard=True).data
@@ -283,7 +283,7 @@ def test_hard_selection_matches_soft_distribution():
     # comparing frequencies against the noiseless distribution needs tau=1
     rng = np.random.default_rng(1)
     group_emb = Tensor(rng.normal(size=(1, 6)))
-    pooled = [Tensor(rng.normal(size=(1, 6))) for _ in range(4)]
+    pooled = Tensor(np.stack([rng.normal(size=(1, 6)) for _ in range(4)], axis=1))
     soft = selection_weights(group_emb, pooled, tau=1.0).data[0]
     counts = np.zeros(4)
     draws = 20000

@@ -18,29 +18,36 @@ class FixedUniform:
         return np.broadcast_to(self.vals, shape).copy()
 
 
+def channels(*tables):
+    """(n, M, d) tensor whose [:, m] slice is tables[m]."""
+    return Tensor(np.stack([np.asarray(t, dtype=np.float64) for t in tables], axis=1))
+
+
 def pool(interest_table, uid, gid, n_groups, att):
-    return agg.attention_pool(
-        Tensor(interest_table), np.array(uid), np.array(gid), n_groups, Tensor(att)
+    """Pool a single interest channel; returns the (n_groups, d) pooled table."""
+    out = agg.attention_pool(
+        channels(interest_table), np.array(uid), np.array(gid), n_groups, Tensor(att)
     )
+    return out.data[:, 0]
 
 
 def test_attention_single_member_identity():
     out = pool([[2.0, 5.0]], [0], [0], 1, [1.0, 0.0])
-    np.testing.assert_allclose(out.data, [[2.0, 5.0]])
+    np.testing.assert_allclose(out, [[2.0, 5.0]])
 
 
 def test_attention_equal_projections_mean():
     # both members project to the same score, so weights are 1/2 each
     out = pool([[1.0, 0.0], [3.0, 0.0]], [0, 1], [0, 0], 1, [0.0, 1.0])
-    np.testing.assert_allclose(out.data, [[2.0, 0.0]])
+    np.testing.assert_allclose(out, [[2.0, 0.0]])
 
 
 def test_attention_scalar_hand_case():
     out = pool([[1.0], [3.0]], [0, 1], [0, 0], 1, [1.0])
     e1, e3 = math.exp(1.0), math.exp(3.0)
     want = (e1 * 1.0 + e3 * 3.0) / (e1 + e3)
-    assert out.data[0, 0] == pytest.approx(want, abs=1e-12)
-    assert out.data[0, 0] == pytest.approx(2.7615941559557644)
+    assert out[0, 0] == pytest.approx(want, abs=1e-12)
+    assert out[0, 0] == pytest.approx(2.7615941559557644)
 
 
 def test_attention_rejects_silently_nothing_multi_group():
@@ -48,7 +55,7 @@ def test_attention_rejects_silently_nothing_multi_group():
     out = pool(
         [[1.0, 0.0], [0.0, 1.0], [4.0, 4.0]], [0, 1, 2], [0, 0, 1], 2, [0.0, 0.0]
     )
-    np.testing.assert_allclose(out.data, [[0.5, 0.5], [4.0, 4.0]])
+    np.testing.assert_allclose(out, [[0.5, 0.5], [4.0, 4.0]])
 
 
 def test_gumbel_noise_fixed_points():
@@ -69,14 +76,14 @@ def test_gumbel_noise_extreme_uniforms_stay_finite():
 
 def test_selection_equal_scores_uniform():
     group = Tensor([[1.0, 0.0]])
-    pooled = [Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0]])]
+    pooled = channels([[1.0, 0.0]], [[1.0, 0.0]], [[1.0, 0.0]])
     omega = agg.selection_weights(group, pooled, tau=0.5)
     np.testing.assert_allclose(omega.data, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-12)
 
 
 def test_selection_matches_softmax_oracle():
     group = Tensor([[1.0, 0.0]])
-    pooled = [Tensor([[2.0, 0.0]]), Tensor([[0.0, 5.0]])]  # scores 2 and 0
+    pooled = channels([[2.0, 0.0]], [[0.0, 5.0]])  # scores 2 and 0
     omega = agg.selection_weights(group, pooled, tau=1.0)
     e2 = math.exp(2.0)
     np.testing.assert_allclose(omega.data, [[e2 / (e2 + 1), 1 / (e2 + 1)]], atol=1e-4)
@@ -85,7 +92,7 @@ def test_selection_matches_softmax_oracle():
 def test_selection_hard_one_hot():
     rng = np.random.default_rng(1)
     group = Tensor(rng.normal(size=(6, 4)))
-    pooled = [Tensor(rng.normal(size=(6, 4))) for _ in range(3)]
+    pooled = channels(*[rng.normal(size=(6, 4)) for _ in range(3)])
     noise = agg.sample_gumbel(rng, (6, 3))
     omega = agg.selection_weights(group, pooled, tau=0.5, noise=noise, hard=True)
     assert np.all(np.isin(omega.data, [0.0, 1.0]))
@@ -95,7 +102,7 @@ def test_selection_hard_one_hot():
 def test_selection_simplex_invariant():
     rng = np.random.default_rng(2)
     group = Tensor(rng.normal(size=(40, 8)))
-    pooled = [Tensor(rng.normal(size=(40, 8))) for _ in range(5)]
+    pooled = channels(*[rng.normal(size=(40, 8)) for _ in range(5)])
     noise = agg.sample_gumbel(rng, (40, 5))
     omega = agg.selection_weights(group, pooled, tau=0.25, noise=noise)
     np.testing.assert_allclose(omega.data.sum(axis=1), np.ones(40), atol=1e-12)
@@ -106,11 +113,11 @@ def test_hard_selection_frequencies_match_soft_distribution():
     # with tau=1 the argmax of noised scores is a draw from the noiseless softmax
     rng = np.random.default_rng(3)
     group = Tensor([[1.0, 0.0, 0.0]])
-    pooled = [
-        Tensor([[0.5, 0.0, 0.0]]),
-        Tensor([[1.3, 0.0, 0.0]]),
-        Tensor([[0.1, 0.0, 0.0]]),
-    ]
+    pooled = channels(
+        [[0.5, 0.0, 0.0]],
+        [[1.3, 0.0, 0.0]],
+        [[0.1, 0.0, 0.0]],
+    )
     soft = agg.selection_weights(group, pooled, tau=1.0).data[0]
     counts = np.zeros(3)
     n = 10_000
@@ -122,19 +129,19 @@ def test_hard_selection_frequencies_match_soft_distribution():
 
 
 def test_mix_one_hot_selects_single_interest():
-    pooled = [Tensor([[1.0, 2.0]]), Tensor([[5.0, 6.0]])]
+    pooled = channels([[1.0, 2.0]], [[5.0, 6.0]])
     omega = Tensor([[0.0, 1.0]])
     np.testing.assert_allclose(agg.mix_interests(omega, pooled).data, [[5.0, 6.0]])
 
 
 def test_mix_uniform_is_mean():
-    pooled = [Tensor([[2.0, 0.0]]), Tensor([[0.0, 2.0]])]
+    pooled = channels([[2.0, 0.0]], [[0.0, 2.0]])
     omega = Tensor([[0.5, 0.5]])
     np.testing.assert_allclose(agg.mix_interests(omega, pooled).data, [[1.0, 1.0]])
 
 
 def test_mix_weighted_hand_case():
-    pooled = [Tensor([[4.0, 0.0]]), Tensor([[0.0, 4.0]])]
+    pooled = channels([[4.0, 0.0]], [[0.0, 4.0]])
     omega = Tensor([[0.25, 0.75]])
     np.testing.assert_allclose(agg.mix_interests(omega, pooled).data, [[1.0, 3.0]])
 
@@ -148,10 +155,8 @@ def test_selection_gradients_flow():
     gid = np.array([0, 0, 1, 1, 2, 2])
 
     def loss():
-        pooled = [
-            agg.attention_pool(table, uid, gid, 3, att),
-            agg.attention_pool(ag.scale(table, 2.0), uid, gid, 3, att),
-        ]
+        interests = ag.stack([table, ag.scale(table, 2.0)])
+        pooled = agg.attention_pool(interests, uid, gid, 3, att)
         omega = agg.selection_weights(group, pooled, tau=0.7)
         mixed = agg.mix_interests(omega, pooled)
         return ag.tsum(ag.mul(mixed, mixed))

@@ -176,6 +176,36 @@ def test_adam_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_adam_in_place_step_is_bit_identical_to_formula():
+    # the out-of-place expressions the in-place step must reproduce bit for bit
+    def formula_step(p, g, m, v, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
+        g = np.zeros_like(p) if g is None else g
+        g = g + wd * p
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+    rng = np.random.default_rng(23)
+    shapes = [(7, 3), (4,), (2, 5)]
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    ref = [(t.data.copy(), np.zeros(s), np.zeros(s)) for t, s in zip(params, shapes)]
+    untouched = params[1].data.copy()
+    opt = Adam(params, lr=0.03, weight_decay=1e-2)
+    for t in range(1, 7):
+        grads = [rng.normal(size=shapes[0]) * t, None, rng.normal(size=shapes[2])]
+        for p, g in zip(params, grads):
+            p.grad = None if g is None else g.copy()
+        opt.step()
+        ref = [formula_step(r[0], g, r[1], r[2], t, 0.03, 1e-2) for r, g in zip(ref, grads)]
+        for i, p in enumerate(params):
+            assert np.array_equal(p.data, ref[i][0])
+            assert np.array_equal(opt.m[i], ref[i][1])
+            assert np.array_equal(opt.v[i], ref[i][2])
+    assert not np.array_equal(params[1].data, untouched)  # decay alone moved it
+
+
 def test_unreachable_param_gets_zero_grad():
     used = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     unused = Tensor(np.array([5.0]), requires_grad=True)
@@ -270,14 +300,15 @@ def test_spmm_gradient():
     assert err < 1e-4
 
 
-def test_stack_take_col_gradients():
+def test_stack_gradients():
     rng = np.random.default_rng(17)
-    u = Tensor(rng.normal(size=4), requires_grad=True)
-    v = Tensor(rng.normal(size=4), requires_grad=True)
+    u = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    v = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 
     def loss():
-        m = ag.stack_cols([u, v])
-        return ag.tsum(ag.mul(ag.take_col(m, 0), ag.take_col(m, 1)))
+        m = ag.stack([u, v, u])  # (4, 3, 3); u feeds two channels
+        assert m.shape == (4, 3, 3)
+        return ag.tsum(ag.mul(m, ag.stack([v, u, v])))
 
     err = ag.finite_difference_check(loss, [u, v], h=1e-5, rng=rng)
     assert err < 1e-4
@@ -315,3 +346,15 @@ def test_tape_reverse_order_and_reuse():
         z = ag.add(y, ag.mul(x, Tensor([3.0])))  # x^2 + 3x
         tape.backward(ag.tsum(z))
     assert x.grad[0] == pytest.approx(2 * 2.0 + 3.0)
+
+
+def test_tape_keeps_leaf_gradients_only_and_runs_backward_once():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    with Tape() as tape:
+        y = ag.mul(x, x)
+        z = ag.add(y, y)  # both operands are one tensor: 2 * x^2
+        tape.backward(ag.tsum(z))
+    np.testing.assert_array_equal(x.grad, [4.0, -8.0])
+    assert y.grad is None and z.grad is None
+    with pytest.raises(RuntimeError, match="backward already ran"):
+        tape.backward(ag.tsum(z))

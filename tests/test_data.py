@@ -307,6 +307,22 @@ def test_split_file_round_trip(tmp_path):
     assert np.array_equal(back.splits, split.splits)
 
 
+def test_read_splits_non_integer_id_names_file_and_line(tmp_path):
+    inter = d.Interactions(2, 2, [0, 1], [1, 0])
+    path = tmp_path / "splits_user.tsv"
+    path.write_text("0\t1\ttrain\nx\t0\ttest\n")
+    with pytest.raises(ValueError, match=r"splits_user\.tsv:2: non-integer id"):
+        d.read_splits(inter, path)
+
+
+def test_read_splits_rejects_edge_labeled_twice(tmp_path):
+    inter = d.Interactions(2, 2, [0, 1], [1, 0])
+    path = tmp_path / "splits_user.tsv"
+    path.write_text("0\t1\ttrain\n1\t0\ttrain\n0\t1\ttest\n")
+    with pytest.raises(ValueError, match=r"splits_user\.tsv:3: edge \(0, 1\) already labeled 'train'"):
+        d.read_splits(inter, path)
+
+
 def test_load_prepared_requires_splits(tmp_path):
     ds, _ = generate_synthetic(20, 30, 5, m_true=2, noise=0.1, seed=7)
     d.save_dataset(ds, tmp_path)

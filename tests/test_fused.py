@@ -1,0 +1,294 @@
+"""Fused interest ops: finite differences, a per-interest reference built from
+primitive ops, and the one-hot scatter kernel."""
+
+import numpy as np
+import pytest
+
+from grouprec import aggregation as agg
+from grouprec import autodiff as ag
+from grouprec import losses
+from grouprec.autodiff import Tape, Tensor
+from grouprec.gating import make_interest_generator
+
+# group 0 = users {0, 2, 3}, group 1 = {1} (a single member), group 2 = {4, 0}
+UID = np.array([0, 2, 3, 1, 4, 0])
+GID = np.array([0, 0, 0, 1, 2, 2])
+N_GROUPS = 3
+
+
+def param(rng, *shape):
+    return Tensor(rng.normal(size=shape), requires_grad=True)
+
+
+def grads_of(loss_fn, params):
+    for p in params:
+        p.grad = None
+    with Tape() as tape:
+        loss = loss_fn()
+        tape.backward(loss)
+    return loss.item(), [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+
+
+def close(a, b, rel=1e-10):
+    """Agreement relative to the reference array's largest magnitude."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.abs(a - b).max(initial=0.0) <= rel * max(np.abs(b).max(initial=0.0), 1e-300)
+
+
+# ------------------------------------------------------------ finite differences
+
+
+def test_gated_channels_finite_differences():
+    rng = np.random.default_rng(0)
+    x = param(rng, 5, 4)
+    ws = [param(rng, 4, 4) for _ in range(3)]
+    bs = [param(rng, 4) for _ in range(3)]
+    coef = rng.normal(size=(5, 3, 4))
+
+    def loss():
+        out = ag.gated_channels(x, ws, bs)
+        return ag.tsum(ag.mul(ag.mul(out, out), Tensor(coef)))
+
+    assert ag.gated_channels(x, ws, bs).shape == (5, 3, 4)
+    err = ag.finite_difference_check(loss, [x, *ws, *bs], h=1e-5, rng=rng)
+    assert err < 1e-4
+
+
+def test_segment_attention_finite_differences_and_single_member():
+    rng = np.random.default_rng(1)
+    x = param(rng, 5, 3, 4)
+    att = param(rng, 4)
+    coef = rng.normal(size=(N_GROUPS, 3, 4))
+
+    def loss():
+        out = ag.segment_attention(x, att, UID, GID, N_GROUPS)
+        return ag.tsum(ag.mul(ag.mul(out, out), Tensor(coef)))
+
+    err = ag.finite_difference_check(loss, [x, att], h=1e-5, rng=rng, max_coords=30)
+    assert err < 1e-4
+    # the single-member group passes its member's rows through, every channel
+    out = ag.segment_attention(x, att, UID, GID, N_GROUPS)
+    np.testing.assert_array_equal(out.data[1], x.data[1])
+
+
+def test_channel_dot_and_mix_finite_differences():
+    rng = np.random.default_rng(2)
+    a = param(rng, 3, 4)
+    w = param(rng, 3, 5)
+    chans = param(rng, 3, 5, 4)
+    proj = Tensor(rng.normal(size=(5, 4)))
+
+    def loss():
+        psi = ag.channel_dot(a, chans)
+        mixed = ag.channel_mix(w, chans)
+        return ag.add(ag.tsum(ag.mul(psi, psi)), ag.tsum(ag.mul(mixed, ag.matmul(psi, proj))))
+
+    err = ag.finite_difference_check(loss, [a, w, chans], h=1e-5, rng=rng)
+    assert err < 1e-4
+
+
+def test_mean_pair_cosine_masked_pairs_finite_differences():
+    rng = np.random.default_rng(3)
+    x = param(rng, 6, 4, 5)
+    rows = np.array([0, 2, 3, 5])
+    threshold = 0.3
+    u = x.data[rows] / np.linalg.norm(x.data[rows], axis=2, keepdims=True)
+    p, q = np.triu_indices(4, k=1)
+    signed = (u @ u.transpose(0, 2, 1))[:, p, q]
+    cos = np.abs(signed)
+    # some pairs on each side of the threshold, none close enough for FD to cross it
+    assert (cos < threshold).any() and (cos >= threshold).any()
+    assert np.abs(cos - threshold).min() > 1e-3
+
+    def loss():
+        return ag.mean_pair_cosine(x, rows, threshold)
+
+    err = ag.finite_difference_check(loss, [x], h=1e-6, rng=rng, max_coords=40)
+    assert err < 1e-4
+    want = np.sum(np.where(cos >= threshold, signed, 0.0))
+    assert loss().item() == pytest.approx(want / len(rows), abs=1e-12)
+
+
+def test_mean_pair_cosine_zero_norm_row_has_zero_similarity_and_no_gradient():
+    rng = np.random.default_rng(4)
+    a = param(rng, 3, 4)
+    b = param(rng, 3, 4)
+    c_vals = rng.normal(size=(3, 4))
+    c_vals[1] = 0.0  # user 1's third interest is the zero vector
+    c = Tensor(c_vals, requires_grad=True)
+    rows = np.arange(3)
+
+    def loss():
+        return ag.mean_pair_cosine(ag.stack([a, b, c]), rows, 0.0)
+
+    _, (ga, gb, gc) = grads_of(loss, [a, b, c])
+    np.testing.assert_array_equal(gc[1], 0.0)
+    # every pair with the zero row counts as 0: user 1 contributes cos(a, b) only
+    per_user = []
+    for r in rows:
+        chans = [a.data[r], b.data[r], c.data[r]]
+        per_user.append(sum(ag.cosine_similarity(chans[p], chans[q])
+                            for p in range(3) for q in range(p + 1, 3)))
+    assert loss().item() == pytest.approx(sum(per_user) / 3, abs=1e-12)
+    # a and b are smooth everywhere the zero row is left alone
+    err = ag.finite_difference_check(loss, [a, b], h=1e-5, rng=rng)
+    assert err < 1e-4
+
+
+def test_hard_select_gradient_is_the_soft_paths_gradient():
+    # straight-through: with a loss linear in omega, the hard path's gradients
+    # equal the soft path's, which finite differences confirm
+    rng = np.random.default_rng(5)
+    group = param(rng, 4, 3)
+    pooled = param(rng, 4, 3, 3)
+    noise = agg.sample_gumbel(rng, (4, 3))
+    coef = Tensor(rng.normal(size=(4, 3)))
+    mixed_channels = Tensor(rng.normal(size=(4, 3, 3)))  # constant: the loss is linear in omega
+
+    def loss(hard):
+        omega = agg.selection_weights(group, pooled, tau=0.7, noise=noise, hard=hard)
+        return ag.tsum(ag.mul(agg.mix_interests(omega, mixed_channels), coef))
+
+    hard_omega = agg.selection_weights(group, pooled, tau=0.7, noise=noise, hard=True).data
+    assert np.all(np.isin(hard_omega, [0.0, 1.0]))
+    _, hard_grads = grads_of(lambda: loss(True), [group, pooled])
+    _, soft_grads = grads_of(lambda: loss(False), [group, pooled])
+    for h, s in zip(hard_grads, soft_grads):
+        np.testing.assert_allclose(h, s, rtol=1e-12, atol=1e-15)
+    assert np.any(hard_grads[0])
+    err = ag.finite_difference_check(lambda: loss(False), [group, pooled], h=1e-5, rng=rng)
+    assert err < 1e-4
+
+
+# ------------------------------------------------------------ per-interest reference
+
+
+def reference_pipeline(e, gen, att, group, noise, hard, reg_users, threshold):
+    """The interest pipeline one interest at a time, from primitive ops only."""
+    m = gen.m
+    ints = [ag.mul(e, ag.sigmoid(ag.add(ag.matmul(e, gen.w[n]), gen.b[n]))) for n in range(m)]
+    pooled = []
+    for t in ints:
+        rows = ag.gather_rows(t, UID)
+        gamma = ag.segment_softmax(ag.matmul(rows, att), GID, N_GROUPS)
+        weighted = ag.mul(ag.reshape(gamma, (len(UID), 1)), rows)
+        pooled.append(ag.segment_sum(weighted, GID, N_GROUPS))
+    psi = ag.reshape(ag.stack([ag.rowwise_dot(group, p) for p in pooled]), (N_GROUPS, m))
+    omega = ag.softmax_rows(ag.add(psi, Tensor(noise)), 0.5)
+    if hard:
+        onehot = np.eye(m)[omega.data.argmax(axis=1)]
+        omega = ag.straight_through(omega, onehot)
+    mixed = None
+    for n, p in enumerate(pooled):
+        term = ag.mul(ag.matmul(omega, Tensor(np.eye(m)[:, n:n + 1])), p)
+        mixed = term if mixed is None else ag.add(mixed, term)
+    rows = [ag.gather_rows(t, reg_users) for t in ints]
+    acc = Tensor(0.0)
+    for p in range(m):
+        for q in range(p + 1, m):
+            sim = ag.cosine_rows(rows[p], rows[q])
+            mask = (np.abs(sim.data) >= threshold).astype(np.float64)
+            acc = ag.add(acc, ag.tsum(ag.mul(sim, Tensor(mask))))
+    reg = ag.scale(acc, 1.0 / len(reg_users))
+    return ints, pooled, omega, mixed, reg
+
+
+def fused_pipeline(e, gen, att, group, noise, hard, reg_users, threshold):
+    interests = gen.interests(e)
+    pooled = agg.attention_pool(interests, UID, GID, N_GROUPS, att)
+    omega = agg.selection_weights(group, pooled, 0.5, noise=noise, hard=hard)
+    mixed = agg.mix_interests(omega, pooled)
+    reg = losses.interest_regularizer(interests, reg_users, threshold)
+    return interests, pooled, omega, mixed, reg
+
+
+@pytest.mark.parametrize("hard", [False, True], ids=["soft", "hard_select"])
+def test_fused_pipeline_matches_per_interest_reference(hard):
+    rng = np.random.default_rng(6)
+    m, d = 3, 4
+    e = param(rng, 6, d)
+    e.data[5] = 0.0  # every interest of user 5 is zero: the regularizer's zero-norm rule
+    gen = make_interest_generator("gate", m, d, rng)
+    for _, t in gen.named_params():
+        t.data[:] = rng.normal(size=t.shape)
+    att = param(rng, d)
+    group = param(rng, N_GROUPS, d)
+    noise = agg.sample_gumbel(rng, (N_GROUPS, m))
+    coef = Tensor(rng.normal(size=(N_GROUPS, d)))
+    reg_users = np.array([0, 1, 3, 4, 5])
+    threshold = 0.2
+    params = [e, att, group] + [t for _, t in gen.named_params()]
+    args = (e, gen, att, group, noise, hard, reg_users, threshold)
+
+    def loss(pipeline):
+        *_, mixed, reg = pipeline(*args)
+        return ag.add(ag.tsum(ag.mul(mixed, coef)), ag.scale(reg, 0.7))
+
+    fused = fused_pipeline(*args)
+    ref = reference_pipeline(*args)
+    assert close(fused[0].data, np.stack([t.data for t in ref[0]], axis=1))
+    assert close(fused[1].data, np.stack([t.data for t in ref[1]], axis=1))
+    for f, r in zip(fused[2:], ref[2:]):
+        assert close(f.data, r.data)
+    assert fused[4].item() != 0.0  # the threshold keeps some pairs
+
+    fused_loss, fused_grads = grads_of(lambda: loss(fused_pipeline), params)
+    ref_loss, ref_grads = grads_of(lambda: loss(reference_pipeline), params)
+    assert close(fused_loss, ref_loss)
+    for (name, _), f, r in zip([("e", 0), ("att", 0), ("group", 0)] + gen.named_params(),
+                               fused_grads, ref_grads):
+        assert np.any(r), name
+        assert close(f, r), name
+
+
+def test_fused_pipeline_is_fewer_tape_nodes():
+    rng = np.random.default_rng(7)
+    e = param(rng, 6, 4)
+    gen = make_interest_generator("gate", 4, 4, rng)
+    att, group = param(rng, 4), param(rng, N_GROUPS, 4)
+    noise = agg.sample_gumbel(rng, (N_GROUPS, 4))
+    counts = []
+    for pipeline in (fused_pipeline, reference_pipeline):
+        with Tape() as tape:
+            pipeline(e, gen, att, group, noise, False, np.arange(6), 0.1)
+        counts.append(len(tape.nodes))
+    # gate, attention, score, noise, softmax, mix, regularizer
+    assert counts[0] == 7 and counts[1] > 5 * counts[0]
+
+
+# ------------------------------------------------------------ kernels
+
+
+@pytest.mark.parametrize("tail", [(), (3,), (2, 4)])
+def test_scatter_rows_bit_equal_to_add_at(tail):
+    rng = np.random.default_rng(8)
+    idx = rng.integers(0, 7, size=60)  # heavy repetition; rows 7 and 8 stay empty
+    g = rng.normal(size=(60,) + tail) * 10.0 ** rng.integers(-8, 9, size=(60,) + tail)
+    g.flat[::7] = -0.0
+    want = np.zeros((9,) + tail)
+    np.add.at(want, idx, g)
+    got = ag.scatter_rows(idx, g, 9)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_scatter_rows_empty_index():
+    out = ag.scatter_rows(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), 4)
+    assert np.array_equal(out, np.zeros((4, 3)))
+
+
+def test_pairwise_abs_cosine_matches_per_pair_oracle():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(7, 3, 5))
+    x[2, 1] = 0.0
+    users = np.array([0, 2, 4, 6])
+    got = losses.pairwise_abs_cosine(Tensor(x), users)
+    want = np.eye(3)
+    for p in range(3):
+        for q in range(p + 1, 3):
+            want[p, q] = want[q, p] = np.mean(
+                [abs(ag.cosine_similarity(x[u, p], x[u, q])) for u in users]
+            )
+    np.testing.assert_allclose(got, want, atol=1e-12)
+    np.testing.assert_array_equal(losses.pairwise_abs_cosine(Tensor(x), np.zeros(0, dtype=int)), np.eye(3))

@@ -17,30 +17,32 @@ def zeroed(gen):
 def test_zero_gate_halves_embedding():
     gen = zeroed(make_interest_generator("gate", 2, 3, np.random.default_rng(0)))
     e = Tensor([[2.0, -4.0, 6.0]])
-    for out in gen.interests(e):
-        np.testing.assert_allclose(out.data, [[1.0, -2.0, 3.0]])
+    out = gen.interests(e)
+    for n in range(2):
+        np.testing.assert_allclose(out.data[:, n], [[1.0, -2.0, 3.0]])
 
 
 def test_zero_embedding_gives_zero_interest():
     gen = make_interest_generator("gate", 3, 4, np.random.default_rng(1))
-    outs = gen.interests(Tensor(np.zeros((2, 4))))
-    for out in outs:
-        np.testing.assert_allclose(out.data, np.zeros((2, 4)))
+    out = gen.interests(Tensor(np.zeros((2, 4))))
+    for n in range(3):
+        np.testing.assert_allclose(out.data[:, n], np.zeros((2, 4)))
 
 
 def test_identity_gate_hand_value():
     gen = make_interest_generator("gate", 1, 2, np.random.default_rng(0))
     gen.w[0].data[:] = np.eye(2)
     gen.b[0].data[:] = 0.0
-    out = gen.interests(Tensor([[1.0, 1.0]]))[0]
-    np.testing.assert_allclose(out.data, [[SIGMOID_1, SIGMOID_1]], atol=1e-12)
+    out = gen.interests(Tensor([[1.0, 1.0]]))
+    np.testing.assert_allclose(out.data[:, 0], [[SIGMOID_1, SIGMOID_1]], atol=1e-12)
 
 
 def test_identical_users_identical_interests():
     gen = make_interest_generator("gate", 2, 3, np.random.default_rng(2))
     e = Tensor(np.array([[0.3, -0.1, 0.5], [0.3, -0.1, 0.5]]))
-    for out in gen.interests(e):
-        np.testing.assert_allclose(out.data[0], out.data[1])
+    out = gen.interests(e)
+    for n in range(2):
+        np.testing.assert_allclose(out.data[0, n], out.data[1, n])
 
 
 def test_output_shape_all_modes():
@@ -48,18 +50,17 @@ def test_output_shape_all_modes():
     e = Tensor(rng.normal(size=(5, 4)))
     for mode in ("gate", "fc1", "fc2", "table"):
         gen = make_interest_generator(mode, 3, 4, rng, n_users=5)
-        outs = gen.interests(e)
-        assert len(outs) == 3
-        for out in outs:
-            assert out.shape == (5, 4)
+        out = gen.interests(e)
+        assert out.shape == (5, 3, 4)
 
 
 def test_gate_outputs_bounded_by_embedding():
     rng = np.random.default_rng(4)
     gen = make_interest_generator("gate", 4, 6, rng)
     e = rng.normal(size=(20, 6)) * 3.0
-    for out in gen.interests(Tensor(e)):
-        assert np.all(np.abs(out.data) <= np.abs(e) + 1e-15)
+    out = gen.interests(Tensor(e))
+    for n in range(4):
+        assert np.all(np.abs(out.data[:, n]) <= np.abs(e) + 1e-15)
 
 
 def test_param_counts_exact():
@@ -96,8 +97,8 @@ def test_gradients_reach_all_parameters(mode):
     params = [e] + [t for _, t in gen.named_params()]
 
     def loss():
-        outs = gen.interests(e)
-        return ag.tsum(ag.add(ag.mul(outs[0], outs[0]), ag.mul(outs[1], outs[1])))
+        out = gen.interests(e)  # (4, 2, 3): both channels enter the sum of squares
+        return ag.tsum(ag.mul(out, out))
 
     err = ag.finite_difference_check(loss, params, h=1e-5, rng=rng)
     assert err < 1e-4

@@ -77,14 +77,14 @@ def test_bpr_empty_batch_rejected():
 def test_regularizer_identical_interests():
     a = Tensor([[1.0, 0.0]])
     b = Tensor([[2.0, 0.0]])  # same direction, cosine 1
-    reg = losses.interest_regularizer([a, b], np.array([0]), threshold=0.5)
+    reg = losses.interest_regularizer(ag.stack([a, b]), np.array([0]), threshold=0.5)
     assert reg.item() == pytest.approx(1.0)
 
 
 def test_regularizer_orthogonal_masked_out():
     a = Tensor([[1.0, 0.0]])
     b = Tensor([[0.0, 1.0]])
-    reg = losses.interest_regularizer([a, b], np.array([0]), threshold=0.5)
+    reg = losses.interest_regularizer(ag.stack([a, b]), np.array([0]), threshold=0.5)
     assert reg.item() == 0.0
 
 
@@ -92,7 +92,7 @@ def test_regularizer_threshold_zero_keeps_all_pairs():
     rng = np.random.default_rng(0)
     ints = [Tensor(rng.normal(size=(3, 4))) for _ in range(3)]
     idx = np.arange(3)
-    reg = losses.interest_regularizer(ints, idx, threshold=0.0)
+    reg = losses.interest_regularizer(ag.stack(ints), idx, threshold=0.0)
     manual = 0.0
     for p in range(3):
         for q in range(p + 1, 3):
@@ -105,7 +105,7 @@ def test_regularizer_mask_blocks_gradient_of_dropped_pairs():
     a = Tensor(np.array([[1.0, 0.0]]), requires_grad=True)
     b = Tensor(np.array([[0.0, 1.0]]), requires_grad=True)  # |cos| = 0 < t
     with Tape() as tape:
-        reg = losses.interest_regularizer([a, b], np.array([0]), threshold=0.5)
+        reg = losses.interest_regularizer(ag.stack([a, b]), np.array([0]), threshold=0.5)
         loss = ag.add(reg, ag.tsum(ag.mul(a, a)))
         tape.backward(loss)
     np.testing.assert_allclose(b.grad if b.grad is not None else np.zeros_like(b.data), 0.0)
@@ -117,7 +117,7 @@ def test_regularizer_gradient_matches_cosine_away_from_threshold():
     idx = np.arange(4)
 
     def loss():
-        return losses.interest_regularizer(ints, idx, threshold=0.0)
+        return losses.interest_regularizer(ag.stack(ints), idx, threshold=0.0)
 
     err = ag.finite_difference_check(loss, ints, h=1e-5, rng=rng)
     assert err < 1e-4
@@ -143,7 +143,7 @@ def test_forward_shapes_and_simplex():
     assert state.group_fused.shape == (2, 6)
     assert state.omega.shape == (2, 2)
     np.testing.assert_allclose(state.omega.data.sum(axis=1), np.ones(2), atol=1e-12)
-    assert len(state.interests) == 2
+    assert state.interests.shape == (5, 2, 6)
 
 
 def test_forward_deterministic_without_noise():
