@@ -59,20 +59,21 @@ class Interactions:
         mask = self.splits == split
         return self.anchors[mask], self.items[mask]
 
-    def items_per_anchor(self, splits=(TRAIN,)):
-        """List (len n_anchors) of item-id arrays drawn from the given splits."""
-        keep = np.isin(self.splits, np.asarray(splits, dtype=np.int8))
-        out = [[] for _ in range(self.n_anchors)]
-        for a, v in zip(self.anchors[keep], self.items[keep]):
-            out[a].append(v)
-        return [np.array(sorted(lst), dtype=np.int64) for lst in out]
+    def relabeled(self, splits):
+        """A copy of the edges carrying new split labels."""
+        return Interactions(
+            self.n_anchors, self.n_items, self.anchors.copy(), self.items.copy(), splits
+        )
 
-    def sets_per_anchor(self, splits=(TRAIN,)):
+    def anchor_index(self, splits=(TRAIN,)):
+        """CSR-style (indptr, indices) of each anchor's items in the given splits.
+
+        Row a is indices[indptr[a] : indptr[a + 1]], sorted, duplicates kept.
+        """
         keep = np.isin(self.splits, np.asarray(splits, dtype=np.int8))
-        out = [set() for _ in range(self.n_anchors)]
-        for a, v in zip(self.anchors[keep], self.items[keep]):
-            out[a].add(int(v))
-        return out
+        anchors, items = self.anchors[keep], self.items[keep]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(anchors, minlength=self.n_anchors))))
+        return indptr, items[np.lexsort((items, anchors))]
 
 
 def membership_matrix(n_groups, n_users, gids, uids):
@@ -118,11 +119,10 @@ class Dataset:
         h.update(json.dumps([self.n_users, self.n_items, self.n_groups]).encode())
         for inter in (self.user_items, self.group_items):
             order = np.lexsort((inter.items, inter.anchors))
-            for i in order:
-                h.update(b"%d %d %d\n" % (inter.anchors[i], inter.items[i], inter.splits[i]))
+            rows = zip(*(col[order].tolist() for col in (inter.anchors, inter.items, inter.splits)))
+            h.update(b"".join(b"%d %d %d\n" % row for row in rows))
         m = self.group_members.tocoo()  # row-major, as the CSR stores it
-        for g, u in zip(m.row.tolist(), m.col.tolist()):
-            h.update(b"m%d %d\n" % (g, u))
+        h.update(b"".join(b"m%d %d\n" % pair for pair in zip(m.row.tolist(), m.col.tolist())))
         return h.hexdigest()
 
 
@@ -249,30 +249,20 @@ def split_holdout(interactions, seed):
     anchor is testable; anchors with fewer than 3 edges hold nothing out.
     """
     rng = np.random.default_rng(seed)
+    # order by item id within each anchor (as anchor_index does) so labeling
+    # depends only on the edge set; anchors draw their permutations in id order
+    order = np.lexsort((interactions.items, interactions.anchors))
+    counts = np.bincount(interactions.anchors, minlength=interactions.n_anchors)
+    held = np.flatnonzero(counts >= 3)
+    n = counts[held]
+    perms = [rng.permutation(k) for k in n.tolist()]
     splits = np.zeros(len(interactions), dtype=np.int8)
-    by_anchor = [[] for _ in range(interactions.n_anchors)]
-    for idx, a in enumerate(interactions.anchors):
-        by_anchor[a].append(idx)
-    for a in range(interactions.n_anchors):
-        idxs = by_anchor[a]
-        n = len(idxs)
-        if n < 3:
-            continue
-        # order by item id first so labeling depends only on the edge set
-        idxs = sorted(idxs, key=lambda i: interactions.items[i])
-        perm = rng.permutation(n)
-        n_hold = max(1, n // 10)
-        for j in perm[:n_hold]:
-            splits[idxs[j]] = VALID
-        for j in perm[n_hold : 2 * n_hold]:
-            splits[idxs[j]] = TEST
-    return Interactions(
-        interactions.n_anchors,
-        interactions.n_items,
-        interactions.anchors.copy(),
-        interactions.items.copy(),
-        splits,
-    )
+    if perms:  # slot j of anchor held[i] takes its perms[i][j]-th edge; slots fill valid, then test
+        n_hold = np.repeat(np.maximum(1, n // 10), n)
+        slot = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        edge = order[np.repeat(np.cumsum(counts)[held] - n, n) + np.concatenate(perms)]
+        splits[edge] = np.where(slot < n_hold, VALID, np.where(slot < 2 * n_hold, TEST, TRAIN))
+    return interactions.relabeled(splits)
 
 
 def synthesize_group_items(dataset, cap=30):
@@ -281,18 +271,14 @@ def synthesize_group_items(dataset, cap=30):
     Per group, items are ranked by how many member train edges touch them,
     ties broken toward the smaller item id, and the top `cap` are kept.
     """
-    train_items = dataset.user_items.items_per_anchor((TRAIN,))
-    anchors, items = [], []
-    for g in range(dataset.n_groups):
-        counts = {}
-        for u in dataset.members_of(g):
-            for v in train_items[u]:
-                counts[int(v)] = counts.get(int(v), 0) + 1
-        ranked = sorted(counts, key=lambda v: (-counts[v], v))
-        for v in ranked[:cap]:
-            anchors.append(g)
-            items.append(v)
-    return Interactions(dataset.n_groups, dataset.n_items, anchors, items)
+    indptr, items = dataset.user_items.anchor_index((TRAIN,))
+    counts = sp.csr_matrix((np.ones(len(items)), items, indptr), (dataset.n_users, dataset.n_items))
+    per_group = (dataset.group_members @ counts).tocsr()  # member train edges per group and item
+    groups = np.repeat(np.arange(dataset.n_groups), np.diff(per_group.indptr))
+    order = np.lexsort((per_group.indices, -per_group.data, groups))
+    rank = np.arange(len(order)) - per_group.indptr[groups[order]]
+    keep = order[rank < cap]
+    return Interactions(dataset.n_groups, dataset.n_items, groups[keep], per_group.indices[keep])
 
 
 def build_norm_adjacency(dataset):
@@ -356,13 +342,12 @@ def subsample(dataset, fraction, seed):
 
 
 def write_splits(interactions, path):
+    """Write 'anchor<TAB>item<TAB>split' lines sorted by anchor, then item."""
+    order = np.lexsort((interactions.items, interactions.anchors))
+    cols = (interactions.anchors, interactions.items, interactions.splits)
     with open(path, "w") as f:
-        order = np.lexsort((interactions.items, interactions.anchors))
-        for i in order:
-            f.write(
-                f"{interactions.anchors[i]}\t{interactions.items[i]}"
-                f"\t{SPLIT_NAMES[interactions.splits[i]]}\n"
-            )
+        for a, v, s in zip(*(col[order].tolist() for col in cols)):
+            f.write(f"{a}\t{v}\t{SPLIT_NAMES[s]}\n")
 
 
 def read_splits(interactions, path):
@@ -393,13 +378,7 @@ def read_splits(interactions, path):
         splits[i] = seen.pop(key)
     if seen:
         raise ValueError(f"{path}: {len(seen)} labeled edges missing from the dataset")
-    return Interactions(
-        interactions.n_anchors,
-        interactions.n_items,
-        interactions.anchors.copy(),
-        interactions.items.copy(),
-        splits,
-    )
+    return interactions.relabeled(splits)
 
 
 def load_prepared(dataset_dir):

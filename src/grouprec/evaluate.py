@@ -3,6 +3,11 @@
 Every anchor's scores cover the whole item catalog; items the anchor
 already touched in the masked splits are pushed to -inf before ranking,
 and anchors with nothing held out in the target split are skipped.
+`evaluate_scores` ranks row blocks (at most BLOCK_ELEMENTS scores each) as
+`top_k` ranks a row: argpartition takes the k best, with ties across the cut
+left as numpy's introselect leaves them, and a stable argsort orders them.
+Gains add in rank order and anchors left to right, so the metrics are
+bit-equal to a per-anchor loop of `top_k`, `recall_at_k` and `ndcg_at_k`.
 """
 
 import math
@@ -22,12 +27,12 @@ def recall_at_k(topk_items, relevant, k):
 def ndcg_at_k(topk_items, relevant, k):
     if not relevant:
         raise ValueError("empty relevant set")
-    dcg = sum(
-        1.0 / math.log2(rank + 1)
-        for rank, v in enumerate(topk_items[:k], start=1)
-        if v in relevant
-    )
-    ideal = sum(1.0 / math.log2(r + 1) for r in range(1, min(len(relevant), k) + 1))
+    dcg = ideal = 0.0  # added left to right: builtin sum() compensates from Python 3.12 on
+    for rank, v in enumerate(topk_items[:k], start=1):
+        if v in relevant:
+            dcg += 1.0 / math.log2(rank + 1)
+    for rank in range(1, min(len(relevant), k) + 1):
+        ideal += 1.0 / math.log2(rank + 1)
     return dcg / ideal
 
 
@@ -41,25 +46,52 @@ def top_k(scores_row, banned, k):
     return part[np.argsort(-s[part], kind="stable")]
 
 
-def evaluate_scores(score_matrix, eval_sets, mask_sets, ks):
-    """Mean metrics over anchors with nonempty eval sets.
+BLOCK_ELEMENTS = 1 << 18  # so memory past the score matrix grows with edges, not anchors
 
+
+def evaluate_scores(score_matrix, eval_index, mask_index, ks):
+    """Mean metrics over anchors with nonempty eval rows.
+
+    The indexes are (indptr, indices) pairs from `Interactions.anchor_index`:
+    each anchor's relevant items, and the items kept out of its ranking.
     Returns ({"recall@k": v, "ndcg@k": v, ...}, n_evaluated).
     """
-    kmax = max(ks)
-    sums = {f"{m}@{k}": 0.0 for m in ("recall", "ndcg") for k in ks}
-    n = 0
-    for a, relevant in enumerate(eval_sets):
-        if not relevant:
-            continue
-        ranked = list(top_k(score_matrix[a], mask_sets[a], kmax))
+    n_anchors, n_items = score_matrix.shape
+    eval_keys = np.repeat(np.arange(n_anchors), np.diff(eval_index[0])) * n_items + eval_index[1]
+    n_relevant = np.bincount(np.unique(eval_keys) // n_items, minlength=n_anchors)
+    rows = np.flatnonzero(n_relevant)
+    kept = np.repeat(n_relevant > 0, np.diff(mask_index[0]))  # mask entries of evaluated anchors
+    mask_pos = np.repeat(np.cumsum(n_relevant > 0) - 1, np.diff(mask_index[0]))[kept]  # in `rows`
+    mask_items = mask_index[1][kept]
+    depth = min(max(ks), n_items)
+    gains = np.array([1.0 / math.log2(rank + 1) for rank in range(1, max(ks) + 1)])  # as ndcg_at_k
+    ideal = np.cumsum(gains)  # ideal[m - 1]: the first m ranks all hit
+    step = max(1, BLOCK_ELEMENTS // n_items)
+    vals = {f"{m}@{k}": [0.0] for m in ("recall", "ndcg") for k in ks}  # 0.0, then per anchor
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step]
+        neg = np.asarray(score_matrix[block], dtype=np.float64)
+        np.negative(neg, out=neg)
+        a, b = np.searchsorted(mask_pos, (lo, lo + step))
+        neg[mask_pos[a:b] - lo, mask_items[a:b]] = np.inf
+        part = np.argpartition(neg, depth - 1, axis=1)[:, :depth].copy()  # frees the full buffer
+        order = np.argsort(np.take_along_axis(neg, part, axis=1), axis=1, kind="stable")
+        query = block[:, None] * n_items + np.take_along_axis(part, order, axis=1)
+        hit = eval_keys[np.minimum(np.searchsorted(eval_keys, query), len(eval_keys) - 1)] == query
+        hits, dcg = np.cumsum(hit, axis=1), np.cumsum(np.where(hit, gains[:depth], 0.0), axis=1)
+        relevant = n_relevant[block]
         for k in ks:
-            sums[f"recall@{k}"] += recall_at_k(ranked, relevant, k)
-            sums[f"ndcg@{k}"] += ndcg_at_k(ranked, relevant, k)
-        n += 1
-    if n == 0:
-        return {key: 0.0 for key in sums}, 0
-    return {key: val / n for key, val in sums.items()}, n
+            vals[f"recall@{k}"].append(hits[:, min(k, depth) - 1] / relevant)
+            vals[f"ndcg@{k}"].append(dcg[:, min(k, depth) - 1] / ideal[np.minimum(relevant, k) - 1])
+    # cumsum adds left to right, in anchor order, and 0.0 + v is exactly v
+    n = len(rows)
+    return {key: float(np.cumsum(np.hstack(v))[-1] / max(n, 1)) for key, v in vals.items()}, n
+
+
+def _indexes(interactions, target):
+    """Eval and mask index: TEST masks train+valid, VALID masks train only."""
+    mask_splits = (TRAIN, VALID) if target == TEST else (TRAIN,)
+    return interactions.anchor_index((target,)), interactions.anchor_index(mask_splits)
 
 
 def evaluate_ranking(model, dataset, task, ks=(5, 10), target=TEST, state=None):
@@ -69,11 +101,8 @@ def evaluate_ranking(model, dataset, task, ks=(5, 10), target=TEST, state=None):
     (the model-selection path during training).
     """
     interactions = dataset.user_items if task == "user" else dataset.group_items
-    mask_splits = (TRAIN, VALID) if target == TEST else (TRAIN,)
-    eval_sets = interactions.sets_per_anchor((target,))
-    mask_sets = interactions.sets_per_anchor(mask_splits)
     scores = model.full_scores(task, state=state)
-    return evaluate_scores(scores, eval_sets, mask_sets, ks)
+    return evaluate_scores(scores, *_indexes(interactions, target), ks)
 
 
 def popularity_scores(dataset):
@@ -89,9 +118,5 @@ def popularity_scores(dataset):
 
 def evaluate_popularity(dataset, task, ks=(5, 10), target=TEST):
     interactions = dataset.user_items if task == "user" else dataset.group_items
-    mask_splits = (TRAIN, VALID) if target == TEST else (TRAIN,)
-    eval_sets = interactions.sets_per_anchor((target,))
-    mask_sets = interactions.sets_per_anchor(mask_splits)
-    row = popularity_scores(dataset)
-    scores = np.broadcast_to(row, (interactions.n_anchors, dataset.n_items))
-    return evaluate_scores(scores, eval_sets, mask_sets, ks)
+    scores = np.broadcast_to(popularity_scores(dataset), (interactions.n_anchors, dataset.n_items))
+    return evaluate_scores(scores, *_indexes(interactions, target), ks)

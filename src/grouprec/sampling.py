@@ -22,31 +22,27 @@ class TripleSampler:
     def __init__(self, interactions, rng):
         self.n_items = interactions.n_items
         self.rng = rng
-        self._pos = interactions.items_per_anchor((TRAIN,))
-        self._pos_sets = interactions.sets_per_anchor((TRAIN,))
-        eligible = []
-        for a, items in enumerate(self._pos):
-            if len(items) == 0:
-                continue
-            if len(items) >= self.n_items:
-                log.warning("anchor %d interacts with all items; skipped", a)
-                continue
-            eligible.append(a)
-        if not eligible:
+        indptr, items = interactions.anchor_index((TRAIN,))
+        counts = np.diff(indptr)
+        for a in np.flatnonzero(counts >= self.n_items):
+            log.warning("anchor %d interacts with all items; skipped", a)
+        self.eligible = np.flatnonzero((counts > 0) & (counts < self.n_items))
+        if not len(self.eligible):
             raise ValueError("no anchor has train edges to sample from")
-        self.eligible = np.array(eligible, dtype=np.int64)
+        self._indptr, self._items = indptr.tolist(), items
+        owner = np.repeat(np.arange(len(counts)), counts)
+        self._taken = set((owner * self.n_items + items).tolist())  # anchor * n_items + item
 
     def sample(self, batch_size):
         anchors = self.rng.choice(self.eligible, size=batch_size, replace=True)
         pos = np.empty(batch_size, dtype=np.int64)
         neg = np.empty(batch_size, dtype=np.int64)
-        for i, a in enumerate(anchors):
-            items = self._pos[a]
-            pos[i] = items[self.rng.integers(len(items))]
-            taken = self._pos_sets[a]
+        for i, a in enumerate(anchors.tolist()):
+            lo, hi = self._indptr[a], self._indptr[a + 1]
+            pos[i] = self._items[lo + self.rng.integers(hi - lo)]
             while True:
                 j = int(self.rng.integers(self.n_items))
-                if j not in taken:
+                if a * self.n_items + j not in self._taken:
                     neg[i] = j
                     break
         return anchors, pos, neg

@@ -23,7 +23,15 @@ from grouprec.autodiff import Tensor
 from grouprec.checkpoint import file_sha256, save_checkpoint
 from grouprec.cli import main as cli_main
 from grouprec.config import TrainConfig, baseline_config
-from grouprec.datasets import build_norm_adjacency, load_dataset, load_prepared, split_holdout
+from grouprec.datasets import (
+    TEST,
+    TRAIN,
+    Interactions,
+    build_norm_adjacency,
+    load_dataset,
+    load_prepared,
+    split_holdout,
+)
 from grouprec.evaluate import evaluate_popularity, evaluate_ranking, evaluate_scores
 from grouprec.graphconv import propagate
 from grouprec.synthetic import generate_synthetic
@@ -327,9 +335,9 @@ def test_ranking_matches_hand_enumerated_oracle():
         [5.0, 4.0, 0.0, 0.0, 0.0, 0.0],
         [1.0, 9.0, 2.0, 5.0, 0.0, 6.0],
     ])
-    eval_sets = [{4}, {0}, {2, 5}]
-    mask_sets = [{0}, {1}, {1}]
-    metrics, n = evaluate_scores(scores, eval_sets, mask_sets, ks=(2,))
+    # eval items {4}, {0}, {2, 5} as TEST edges; masked {0}, {1}, {1} as TRAIN edges
+    edges = Interactions(3, 6, [0, 1, 2, 2, 0, 1, 2], [4, 0, 2, 5, 0, 1, 1], [TEST] * 4 + [TRAIN] * 3)
+    metrics, n = evaluate_scores(scores, edges.anchor_index((TEST,)), edges.anchor_index((TRAIN,)), ks=(2,))
     half = 1.0 / np.log2(3.0)
     want_recall = (1.0 + 1.0 + 0.5) / 3.0
     want_ndcg = (half + 1.0 + 1.0 / (1.0 + half)) / 3.0

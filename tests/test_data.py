@@ -127,6 +127,94 @@ def test_split_deterministic_and_partition():
             assert counts[VALID] == counts[TEST] == 0
 
 
+def split_reference(interactions, seed):
+    """The per-anchor loop split_holdout replaced, kept as its oracle."""
+    rng = np.random.default_rng(seed)
+    splits = np.zeros(len(interactions), dtype=np.int8)
+    by_anchor = [[] for _ in range(interactions.n_anchors)]
+    for idx, a in enumerate(interactions.anchors):
+        by_anchor[a].append(idx)
+    for a in range(interactions.n_anchors):
+        idxs = by_anchor[a]
+        n = len(idxs)
+        if n < 3:
+            continue
+        idxs = sorted(idxs, key=lambda i: interactions.items[i])
+        perm = rng.permutation(n)
+        n_hold = max(1, n // 10)
+        for j in perm[:n_hold]:
+            splits[idxs[j]] = VALID
+        for j in perm[n_hold : 2 * n_hold]:
+            splits[idxs[j]] = TEST
+    return splits
+
+
+def test_split_matches_per_anchor_reference():
+    # unsorted edges, duplicate pairs, anchors with 0-2 edges and an empty world
+    rng = np.random.default_rng(3)
+    for n_edges in (0, 5, 400, 3000):
+        anchors = rng.integers(0, 60, size=n_edges)
+        items = rng.integers(0, 30, size=n_edges)
+        inter = Interactions(61, 30, anchors, items)
+        for seed in (0, 7):
+            got = d.split_holdout(inter, seed=seed)
+            assert np.array_equal(got.splits, split_reference(inter, seed))
+            assert np.array_equal(got.anchors, inter.anchors)
+            assert np.array_equal(got.items, inter.items)
+
+
+def test_anchor_index_matches_dict_oracle():
+    rng = np.random.default_rng(4)
+    n_anchors, n_items = 12, 9
+    anchors = rng.integers(0, n_anchors - 1, size=150)  # the last anchor has no edge
+    items = rng.integers(0, n_items, size=150)  # 150 draws of 99 pairs: duplicates
+    splits = rng.integers(0, 3, size=150)
+    inter = Interactions(n_anchors, n_items, anchors, items, splits)
+    for wanted in ((TRAIN,), (TEST,), (TRAIN, VALID), (TRAIN, VALID, TEST)):
+        rows = {a: [] for a in range(n_anchors)}
+        for a, v, s in zip(anchors.tolist(), items.tolist(), splits.tolist()):
+            if s in wanted:
+                rows[a].append(v)
+        indptr, indices = inter.anchor_index(wanted)
+        assert indptr.tolist() == np.cumsum([0] + [len(rows[a]) for a in range(n_anchors)]).tolist()
+        for a in range(n_anchors):
+            assert indices[indptr[a] : indptr[a + 1]].tolist() == sorted(rows[a])
+    assert inter.anchor_index((TRAIN,))[0][-2] == inter.anchor_index((TRAIN,))[0][-1]
+
+
+def synthesize_reference(dataset, cap):
+    """The dict-counting synthesize_group_items replaced, kept as its oracle."""
+    train_items = [[] for _ in range(dataset.n_users)]
+    for u, v in zip(*dataset.user_items.edges_of(TRAIN)):
+        train_items[u].append(int(v))
+    anchors, items = [], []
+    for g in range(dataset.n_groups):
+        counts = {}
+        for u in dataset.members_of(g):
+            for v in train_items[u]:
+                counts[v] = counts.get(v, 0) + 1
+        ranked = sorted(counts, key=lambda v: (-counts[v], v))
+        for v in ranked[:cap]:
+            anchors.append(g)
+            items.append(v)
+    return anchors, items
+
+
+def test_synthesize_matches_dict_counting_reference():
+    rng = np.random.default_rng(5)
+    n_users, n_items = 80, 60
+    edges = list(zip(rng.integers(0, n_users, 900).tolist(), rng.integers(0, n_items, 900).tolist()))
+    edges += edges[:40]  # duplicate edges count twice
+    groups = [rng.choice(n_users, size=int(rng.integers(1, 6)), replace=False).tolist() for _ in range(25)]
+    ds = make_dataset(n_users, n_items, edges, groups)
+    ds.user_items = d.split_holdout(ds.user_items, seed=1)
+    for cap in (0, 3, 30, 1000):
+        got = d.synthesize_group_items(ds, cap=cap)
+        anchors, items = synthesize_reference(ds, cap)
+        assert got.anchors.tolist() == anchors
+        assert got.items.tolist() == items
+
+
 def test_synthesize_rank_by_frequency():
     ds = make_dataset(
         2, 5, [(0, 0), (0, 1), (1, 1), (1, 2)], [[0, 1]]
@@ -225,10 +313,10 @@ def test_sampler_negative_soundness_bulk():
     # over 1e5 draws no negative may collide with the anchor's train set
     ds, _ = generate_synthetic(30, 40, 6, m_true=3, noise=0.2, seed=0)
     ds.user_items = d.split_holdout(ds.user_items, seed=0)
-    train_sets = ds.user_items.sets_per_anchor((TRAIN,))
+    train = set(zip(*(col.tolist() for col in ds.user_items.edges_of(TRAIN))))
     sampler = TripleSampler(ds.user_items, np.random.default_rng(2))
     anchors, _, neg = sampler.sample(100_000)
-    collisions = sum(1 for a, j in zip(anchors, neg) if int(j) in train_sets[a])
+    collisions = sum(1 for a, j in zip(anchors.tolist(), neg.tolist()) if (a, j) in train)
     assert collisions == 0
 
 

@@ -11,6 +11,13 @@ from grouprec.datasets import TRAIN, VALID, TEST, Dataset, Interactions, members
 NDCG_RANK2 = 0.6309297535714574  # 1 / log2(3)
 
 
+def index_of(sets, n_items):
+    """The anchor index of per-anchor item sets, built through Interactions."""
+    anchors = [a for a, items in enumerate(sets) for _ in items]
+    items = [v for row in sets for v in row]
+    return Interactions(len(sets), n_items, anchors, items).anchor_index((TRAIN,))
+
+
 def test_recall_values():
     assert ev.recall_at_k(["a", "b", "c"], {"a"}, 5) == 1.0
     assert ev.recall_at_k(["x", "y", "b", "z", "w"], {"a", "b"}, 5) == 0.5
@@ -54,7 +61,7 @@ def test_evaluate_scores_oracle_model_perfect_recall():
             [1.0, 1.0, 1.0, 1.0],
         ]
     )
-    metrics, n = ev.evaluate_scores(scores, eval_sets, mask_sets, ks=(5,))
+    metrics, n = ev.evaluate_scores(scores, index_of(eval_sets, 4), index_of(mask_sets, 4), ks=(5,))
     assert n == 2  # the empty-test anchor is skipped
     assert metrics["recall@5"] == 1.0
     assert metrics["ndcg@5"] == 1.0
@@ -66,7 +73,7 @@ def test_evaluate_scores_hand_enumerated_instance():
     scores = rng.normal(size=(5, 8))
     eval_sets = [set(rng.choice(8, size=2, replace=False).tolist()) for _ in range(5)]
     mask_sets = [set(rng.choice(8, size=2, replace=False).tolist()) - eval_sets[i] for i in range(5)]
-    metrics, n = ev.evaluate_scores(scores, eval_sets, mask_sets, ks=(3,))
+    metrics, n = ev.evaluate_scores(scores, index_of(eval_sets, 8), index_of(mask_sets, 8), ks=(3,))
 
     recalls, ndcgs = [], []
     for a in range(5):
@@ -90,8 +97,61 @@ def test_evaluate_scores_random_model_hypergeometric():
     scores = rng.normal(size=(n_anchor, n_items))
     eval_sets = [{int(rng.integers(n_items))} for _ in range(n_anchor)]
     mask_sets = [set() for _ in range(n_anchor)]
-    metrics, _ = ev.evaluate_scores(scores, eval_sets, mask_sets, ks=(10,))
+    metrics, _ = ev.evaluate_scores(
+        scores, index_of(eval_sets, n_items), index_of(mask_sets, n_items), ks=(10,)
+    )
     assert metrics["recall@10"] == pytest.approx(0.01, abs=0.005)
+
+
+def reference_metrics(scores, eval_sets, mask_sets, ks):
+    """The per-anchor loop block ranking replaced, built from top_k and the metrics."""
+    sums = {f"{m}@{k}": 0.0 for m in ("recall", "ndcg") for k in ks}
+    n = 0
+    for a, relevant in enumerate(eval_sets):
+        if not relevant:
+            continue
+        ranked = list(ev.top_k(scores[a], mask_sets[a], max(ks)))
+        for k in ks:
+            sums[f"recall@{k}"] += ev.recall_at_k(ranked, relevant, k)
+            sums[f"ndcg@{k}"] += ev.ndcg_at_k(ranked, relevant, k)
+        n += 1
+    if n == 0:
+        return {key: 0.0 for key in sums}, 0
+    return {key: val / n for key, val in sums.items()}, n
+
+
+@pytest.mark.parametrize(
+    "n_anchors, n_items, n_eval, n_mask, ks, ties",
+    [
+        (60, 40, 80, 300, (5, 10), True),  # integer scores, many ties at and across the cut
+        (700, 1000, 1400, 7000, (5, 10, 20), True),  # 700 anchors, 262 rows per block
+        (700, 1000, 1400, 7000, (5, 10, 20), False),
+        (40, 12, 60, 400, (5, 10), False),  # most items masked: fewer unmasked than k
+        (30, 6, 40, 40, (5, 10), True),  # n_items < k
+        (50, 30, 12, 100, (1, 3), False),  # most anchors have no eval item
+        (300, 200, 600, 3000, (10, 50), True),  # ties inside a top 50 keep their order
+    ],
+)
+def test_block_ranking_equals_per_anchor_reference(n_anchors, n_items, n_eval, n_mask, ks, ties):
+    # edges drawn with replacement: duplicate pairs, and eval items that are also masked
+    rng = np.random.default_rng(n_anchors + n_items)
+    n = n_eval + n_mask
+    anchors, items = rng.integers(0, n_anchors, n), rng.integers(0, n_items, n)
+    inter = Interactions(n_anchors, n_items, anchors, items, [TEST] * n_eval + [TRAIN] * n_mask)
+    eval_sets = [set() for _ in range(n_anchors)]
+    mask_sets = [set() for _ in range(n_anchors)]
+    for i, (a, v) in enumerate(zip(anchors.tolist(), items.tolist())):
+        (eval_sets if i < n_eval else mask_sets)[a].add(v)
+    if ties:
+        scores = rng.integers(0, 4, size=(n_anchors, n_items)).astype(np.float64)
+    else:
+        scores = rng.normal(size=(n_anchors, n_items))
+    for a in range(n_anchors):  # relevant items lead, and masked ones would lead them
+        scores[a, list(eval_sets[a])] += 2.0
+        scores[a, list(mask_sets[a])] += 4.0
+    got = ev.evaluate_scores(scores, inter.anchor_index((TEST,)), inter.anchor_index((TRAIN,)), ks)
+    assert got == reference_metrics(scores, eval_sets, mask_sets, ks)
+    assert got[1] < n_anchors
 
 
 def tiny_dataset():
@@ -197,6 +257,6 @@ def test_metric_bounds_invariant():
     scores = rng.normal(size=(30, 20))
     eval_sets = [set(map(int, rng.choice(20, size=3, replace=False))) for _ in range(30)]
     mask_sets = [set() for _ in range(30)]
-    metrics, _ = ev.evaluate_scores(scores, eval_sets, mask_sets, ks=(5, 10))
+    metrics, _ = ev.evaluate_scores(scores, index_of(eval_sets, 20), index_of(mask_sets, 20), ks=(5, 10))
     for v in metrics.values():
         assert 0.0 <= v <= 1.0
