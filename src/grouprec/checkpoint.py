@@ -9,6 +9,7 @@ determinism probes.
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -40,8 +41,10 @@ def save_checkpoint(path, config_dict, named_arrays, meta=None):
 def load_checkpoint(path):
     """Returns (config dict, list of (name, array), meta dict).
 
-    A file whose header or payload length disagrees with its descriptors
-    raises ValueError naming the path (and the tensor, on truncation).
+    A file whose header or payload disagrees with what save_checkpoint writes
+    raises ValueError naming the path (and the tensor, where one is at fault):
+    tensors must have unique names and non-negative integer shapes, and must
+    follow one another in the payload with no gap or overlap.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -56,22 +59,38 @@ def load_checkpoint(path):
         header = json.loads(data[start : start + header_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ValueError(f"{path}: unreadable header ({e})") from None
+    tensors = header.get("tensors") if isinstance(header, dict) else None
+    if not isinstance(tensors, list) or "config" not in header:
+        raise ValueError(f"{path}: header needs a config and a tensors list")
     payload = memoryview(data)[start + header_len :]
     arrays = []
+    names = set()
     expected = 0
-    for desc in header["tensors"]:
-        shape = tuple(desc["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        offset = desc["offset"]
-        end = offset + count * 8
+    for desc in tensors:
+        named = isinstance(desc, dict) and isinstance(desc.get("name"), str)
+        if not (named and {"shape", "offset"} <= desc.keys()):
+            raise ValueError(f"{path}: bad tensor descriptor {desc!r}")
+        name, shape, offset = desc["name"], desc["shape"], desc["offset"]
+        if name in names:
+            raise ValueError(f"{path}: tensor {name!r} appears twice")
+        names.add(name)
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise ValueError(f"{path}: tensor {name!r} has bad shape {shape!r}")
+        if offset != expected:
+            raise ValueError(
+                f"{path}: tensor {name!r} starts at payload byte {offset}, "
+                f"not at byte {expected} where the tensors before it end"
+            )
+        count = math.prod(shape)
+        end = expected + count * 8
         if end > len(payload):
             raise ValueError(
-                f"{path}: truncated in tensor {desc['name']!r} "
+                f"{path}: truncated in tensor {name!r} "
                 f"(needs payload bytes up to {end}, file has {len(payload)})"
             )
-        arr = np.frombuffer(payload, dtype=np.float64, count=count, offset=offset)
-        arrays.append((desc["name"], arr.reshape(shape).copy()))
-        expected += count * 8
+        arr = np.frombuffer(payload, dtype=np.float64, count=count, offset=expected)
+        arrays.append((name, arr.reshape(shape).copy()))
+        expected = end
     if len(payload) != expected:
         raise ValueError(
             f"{path}: payload is {len(payload)} bytes, its tensors describe {expected}"

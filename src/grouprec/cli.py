@@ -8,7 +8,6 @@ environment variable (DEBUG/INFO/WARNING/ERROR).
 """
 
 import argparse
-import csv
 import itertools
 import json
 import logging
@@ -33,7 +32,7 @@ from .datasets import (
     write_splits,
 )
 from .evaluate import evaluate_popularity, evaluate_ranking
-from .reporting import export_report, metric_rows
+from .reporting import export_report, metric_rows, write_csv
 from .synthetic import generate_synthetic
 from .trainer import Trainer, build_model_from_arrays
 
@@ -212,16 +211,6 @@ def cmd_eval(args):
     return 0
 
 
-def _train_and_validate(ds, cfg, out_dir=None):
-    trainer = Trainer(ds, cfg)
-    log_path = None
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        log_path = os.path.join(out_dir, "train_log.csv")
-    result = trainer.train(log_path=log_path)
-    return trainer, result
-
-
 SENSITIVITY_AXES = (
     "n_interests",
     "interest_reg_weight",
@@ -251,17 +240,16 @@ def cmd_sweep(args):
         vals = []
         for seed in seeds:
             trial_cfg = TrainConfig.from_dict({**cfg.as_dict(), **point, "seed": seed})
-            _, result = _train_and_validate(ds, trial_cfg)
-            vals.append(result.best_metric)
+            vals.append(Trainer(ds, trial_cfg).train().best_metric)
         trials.append((point, float(np.mean(vals)), float(np.std(vals))))
         log.info("sweep point %s: val ndcg@10 %.4f", point, trials[-1][1])
 
     trials.sort(key=lambda t: -t[1])
-    with open(os.path.join(args.out, "sweep.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(axes + ["val_ndcg10_mean", "val_ndcg10_std"])
-        for point, mean, std in trials:
-            writer.writerow([point[a] for a in axes] + [f"{mean:.6f}", f"{std:.6f}"])
+    write_csv(
+        os.path.join(args.out, "sweep.csv"),
+        axes + ["val_ndcg10_mean", "val_ndcg10_std"],
+        ([point[a] for a in axes] + [f"{mean:.6f}", f"{std:.6f}"] for point, mean, std in trials),
+    )
 
     for axis in axes:
         if axis not in SENSITIVITY_AXES:
@@ -271,11 +259,11 @@ def cmd_sweep(args):
             v = point[axis]
             if v not in best_by_value or mean > best_by_value[v]:
                 best_by_value[v] = mean
-        with open(os.path.join(args.out, f"sensitivity_{axis}.csv"), "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow([axis, "val_ndcg10"])
-            for v in sorted(best_by_value):
-                writer.writerow([v, f"{best_by_value[v]:.6f}"])
+        write_csv(
+            os.path.join(args.out, f"sensitivity_{axis}.csv"),
+            [axis, "val_ndcg10"],
+            ([v, f"{best_by_value[v]:.6f}"] for v in sorted(best_by_value)),
+        )
 
     write_manifest(args.out, "sweep", cfg.as_dict(), ds.fingerprint(), seeds, args.argv_used)
     best = trials[0]
@@ -312,19 +300,20 @@ def cmd_ablate(args):
     for variant in variants:
         for seed in seeds:
             vcfg = cfg.replace(variant=variant, seed=seed).validate()
-            trainer, _ = _train_and_validate(ds, vcfg)
+            trainer = Trainer(ds, vcfg)
+            trainer.train()
             metrics = _test_metrics(trainer, ds, args.task, ks)
             rows.append((variant, seed, metrics))
             per_variant.setdefault(variant, []).append(metrics)
     metric_names = [f"{m}@{k}" for m in ("recall", "ndcg") for k in ks]
-    with open(os.path.join(args.out, "ablation.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["variant", "letter", "seed"] + metric_names)
-        for variant, seed, metrics in rows:
-            writer.writerow(
-                [variant, VARIANT_LETTERS[variant], seed]
-                + [f"{metrics[name]:.6f}" for name in metric_names]
-            )
+    write_csv(
+        os.path.join(args.out, "ablation.csv"),
+        ["variant", "letter", "seed"] + metric_names,
+        (
+            [variant, VARIANT_LETTERS[variant], seed] + [f"{metrics[name]:.6f}" for name in metric_names]
+            for variant, seed, metrics in rows
+        ),
+    )
 
     anchor = "ndcg@10" if 10 in ks else metric_names[-1]
     means = {
@@ -332,33 +321,35 @@ def cmd_ablate(args):
         for v, ms in per_variant.items()
     }
     full_mean = means.get("full", {}).get(anchor)
-    with open(os.path.join(args.out, "ablation_summary.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["variant", "letter"] + [f"{n}_mean" for n in metric_names] + [f"rel_delta_{anchor}_pct"])
-        for variant in variants:
-            delta = ""
-            if full_mean:
-                delta = f"{100.0 * (means[variant][anchor] - full_mean) / full_mean:.2f}"
-            writer.writerow(
-                [variant, VARIANT_LETTERS[variant]]
-                + [f"{means[variant][nm]:.6f}" for nm in metric_names]
-                + [delta]
-            )
+    write_csv(
+        os.path.join(args.out, "ablation_summary.csv"),
+        ["variant", "letter"] + [f"{n}_mean" for n in metric_names] + [f"rel_delta_{anchor}_pct"],
+        (
+            [variant, VARIANT_LETTERS[variant]]
+            + [f"{means[variant][nm]:.6f}" for nm in metric_names]
+            + [f"{100.0 * (means[variant][anchor] - full_mean) / full_mean:.2f}" if full_mean else ""]
+            for variant in variants
+        ),
+    )
 
     if args.interest_modes:
         modes = [m.strip() for m in args.interest_modes.split(",") if m.strip()]
-        with open(os.path.join(args.out, "interest_modes.csv"), "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["mode", "interest_params", "seed"] + metric_names)
-            for mode in modes:
-                for seed in seeds:
-                    mcfg = cfg.replace(interest_mode=mode, variant="full", seed=seed).validate()
-                    trainer, _ = _train_and_validate(ds, mcfg)
-                    metrics = _test_metrics(trainer, ds, args.task, ks)
-                    writer.writerow(
-                        [mode, trainer.model.generator.param_count(), seed]
-                        + [f"{metrics[nm]:.6f}" for nm in metric_names]
-                    )
+        mode_rows = []
+        for mode in modes:
+            for seed in seeds:
+                mcfg = cfg.replace(interest_mode=mode, variant="full", seed=seed).validate()
+                trainer = Trainer(ds, mcfg)
+                trainer.train()
+                metrics = _test_metrics(trainer, ds, args.task, ks)
+                mode_rows.append(
+                    [mode, trainer.model.generator.param_count(), seed]
+                    + [f"{metrics[nm]:.6f}" for nm in metric_names]
+                )
+        write_csv(
+            os.path.join(args.out, "interest_modes.csv"),
+            ["mode", "interest_params", "seed"] + metric_names,
+            mode_rows,
+        )
 
     write_manifest(args.out, "ablate", cfg.as_dict(), ds.fingerprint(), seeds, args.argv_used)
     print(f"ablation over {variants} written to {args.out}")

@@ -9,6 +9,9 @@ Canonical on-disk layout for a dataset directory:
 
 All ids are 0-based and dense. A prepared directory additionally holds
 splits_user.tsv and splits_group.tsv with "anchor<TAB>item<TAB>split" rows.
+
+Edge order is decided once, by `Interactions`: edges are held sorted by
+(anchor, item), and every reader and writer here takes them as stored.
 """
 
 import hashlib
@@ -32,25 +35,33 @@ MEMBERS_FILE = "group_members.txt"
 
 
 class Interactions:
-    """Anchor-item edge list with a split label per edge."""
+    """Anchor-item edges with a split label each, held sorted by (anchor, item).
+
+    The constructor sorts once, stably, so duplicate edges keep their given
+    order; every reader of the arrays relies on this order and sorts nothing.
+    """
 
     def __init__(self, n_anchors, n_items, anchors=(), items=(), splits=None):
         self.n_anchors = int(n_anchors)
         self.n_items = int(n_items)
-        self.anchors = np.asarray(anchors, dtype=np.int64)
-        self.items = np.asarray(items, dtype=np.int64)
-        if self.anchors.shape != self.items.shape:
+        anchors = np.asarray(anchors, dtype=np.int64)
+        items = np.asarray(items, dtype=np.int64)
+        if anchors.shape != items.shape:
             raise ValueError("anchor and item arrays differ in length")
         if splits is None:
-            splits = np.zeros(len(self.anchors), dtype=np.int8)
-        self.splits = np.asarray(splits, dtype=np.int8)
-        if self.splits.shape != self.anchors.shape:
+            splits = np.zeros(len(anchors), dtype=np.int8)
+        splits = np.asarray(splits, dtype=np.int8)
+        if splits.shape != anchors.shape:
             raise ValueError("split labels differ in length from edges")
-        if len(self.anchors):
-            if self.anchors.min() < 0 or self.anchors.max() >= self.n_anchors:
+        if len(anchors):
+            if anchors.min() < 0 or anchors.max() >= self.n_anchors:
                 raise ValueError("anchor id out of range")
-            if self.items.min() < 0 or self.items.max() >= self.n_items:
+            if items.min() < 0 or items.max() >= self.n_items:
                 raise ValueError("item id out of range")
+        # a stable sort on one int64 key: the same order as lexsort, and linear
+        # time on edges that already arrive sorted (files, relabeled copies)
+        order = np.argsort(anchors * self.n_items + items, kind="stable")
+        self.anchors, self.items, self.splits = anchors[order], items[order], splits[order]
 
     def __len__(self):
         return len(self.anchors)
@@ -60,10 +71,8 @@ class Interactions:
         return self.anchors[mask], self.items[mask]
 
     def relabeled(self, splits):
-        """A copy of the edges carrying new split labels."""
-        return Interactions(
-            self.n_anchors, self.n_items, self.anchors.copy(), self.items.copy(), splits
-        )
+        """A copy of the edges carrying new split labels, given in stored order."""
+        return Interactions(self.n_anchors, self.n_items, self.anchors, self.items, splits)
 
     def anchor_index(self, splits=(TRAIN,)):
         """CSR-style (indptr, indices) of each anchor's items in the given splits.
@@ -71,9 +80,8 @@ class Interactions:
         Row a is indices[indptr[a] : indptr[a + 1]], sorted, duplicates kept.
         """
         keep = np.isin(self.splits, np.asarray(splits, dtype=np.int8))
-        anchors, items = self.anchors[keep], self.items[keep]
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(anchors, minlength=self.n_anchors))))
-        return indptr, items[np.lexsort((items, anchors))]
+        counts = np.bincount(self.anchors[keep], minlength=self.n_anchors)
+        return np.concatenate(([0], np.cumsum(counts))), self.items[keep]
 
 
 def membership_matrix(n_groups, n_users, gids, uids):
@@ -118,8 +126,7 @@ class Dataset:
         h = hashlib.sha256()
         h.update(json.dumps([self.n_users, self.n_items, self.n_groups]).encode())
         for inter in (self.user_items, self.group_items):
-            order = np.lexsort((inter.items, inter.anchors))
-            rows = zip(*(col[order].tolist() for col in (inter.anchors, inter.items, inter.splits)))
+            rows = zip(inter.anchors.tolist(), inter.items.tolist(), inter.splits.tolist())
             h.update(b"".join(b"%d %d %d\n" % row for row in rows))
         m = self.group_members.tocoo()  # row-major, as the CSR stores it
         h.update(b"".join(b"m%d %d\n" % pair for pair in zip(m.row.tolist(), m.col.tolist())))
@@ -140,9 +147,8 @@ def _parse_edge_line(line, lineno, path):
 
 
 def load_interactions(path, n_anchors, n_items):
-    """Read 'id<TAB>item' edges; dedup keeps first occurrence."""
-    edges = []
-    seen = set()
+    """Read 'id<TAB>item' edges as int64 (anchors, items), duplicates dropped."""
+    anchors, items = [], []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
@@ -152,10 +158,10 @@ def load_interactions(path, n_anchors, n_items):
                 raise ValueError(f"{path}:{lineno}: anchor id {a} out of range (n={n_anchors})")
             if v >= n_items:
                 raise ValueError(f"{path}:{lineno}: item id {v} out of range (n={n_items})")
-            if (a, v) not in seen:
-                seen.add((a, v))
-                edges.append((a, v))
-    return edges
+            anchors.append(a)
+            items.append(v)
+    keys = np.unique(np.asarray(anchors, dtype=np.int64) * n_items + np.asarray(items, dtype=np.int64))
+    return np.divmod(keys, max(n_items, 1))
 
 
 def load_group_members(path, n_users, n_groups):
@@ -201,15 +207,12 @@ def load_dataset(dataset_dir):
     except KeyError as e:
         raise ValueError(f"{meta_path}: missing key {e}") from None
 
-    ue = load_interactions(os.path.join(dataset_dir, USER_EDGES_FILE), n_users, n_items)
-    user_items = Interactions(
-        n_users, n_items, [a for a, _ in ue], [v for _, v in ue]
-    )
+    user_edges = load_interactions(os.path.join(dataset_dir, USER_EDGES_FILE), n_users, n_items)
+    user_items = Interactions(n_users, n_items, *user_edges)
 
     ge_path = os.path.join(dataset_dir, GROUP_EDGES_FILE)
     if os.path.exists(ge_path):
-        ge = load_interactions(ge_path, n_groups, n_items)
-        group_items = Interactions(n_groups, n_items, [a for a, _ in ge], [v for _, v in ge])
+        group_items = Interactions(n_groups, n_items, *load_interactions(ge_path, n_groups, n_items))
     else:
         group_items = Interactions(n_groups, n_items)
 
@@ -235,10 +238,9 @@ def save_dataset(dataset, dataset_dir):
 
 
 def write_edges(interactions, path):
-    """Write 'id<TAB>item' lines sorted by anchor, then item."""
-    order = np.lexsort((interactions.items, interactions.anchors))
+    """Write 'id<TAB>item' lines in stored order: by anchor, then item."""
     with open(path, "w") as f:
-        for a, v in zip(interactions.anchors[order].tolist(), interactions.items[order].tolist()):
+        for a, v in zip(interactions.anchors.tolist(), interactions.items.tolist()):
             f.write(f"{a}\t{v}\n")
 
 
@@ -247,11 +249,10 @@ def split_holdout(interactions, seed):
 
     Valid and test each get max(1, floor(n/10)) edges so every held-out
     anchor is testable; anchors with fewer than 3 edges hold nothing out.
+    Anchors draw their permutations in id order over their edges in stored
+    order, so the labels depend only on the edge set.
     """
     rng = np.random.default_rng(seed)
-    # order by item id within each anchor (as anchor_index does) so labeling
-    # depends only on the edge set; anchors draw their permutations in id order
-    order = np.lexsort((interactions.items, interactions.anchors))
     counts = np.bincount(interactions.anchors, minlength=interactions.n_anchors)
     held = np.flatnonzero(counts >= 3)
     n = counts[held]
@@ -260,7 +261,7 @@ def split_holdout(interactions, seed):
     if perms:  # slot j of anchor held[i] takes its perms[i][j]-th edge; slots fill valid, then test
         n_hold = np.repeat(np.maximum(1, n // 10), n)
         slot = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        edge = order[np.repeat(np.cumsum(counts)[held] - n, n) + np.concatenate(perms)]
+        edge = np.repeat(np.cumsum(counts)[held] - n, n) + np.concatenate(perms)
         splits[edge] = np.where(slot < n_hold, VALID, np.where(slot < 2 * n_hold, TEST, TRAIN))
     return interactions.relabeled(splits)
 
@@ -342,18 +343,21 @@ def subsample(dataset, fraction, seed):
 
 
 def write_splits(interactions, path):
-    """Write 'anchor<TAB>item<TAB>split' lines sorted by anchor, then item."""
-    order = np.lexsort((interactions.items, interactions.anchors))
+    """Write 'anchor<TAB>item<TAB>split' lines in stored order: by anchor, then item."""
     cols = (interactions.anchors, interactions.items, interactions.splits)
     with open(path, "w") as f:
-        for a, v, s in zip(*(col[order].tolist() for col in cols)):
+        for a, v, s in zip(*(col.tolist() for col in cols)):
             f.write(f"{a}\t{v}\t{SPLIT_NAMES[s]}\n")
 
 
 def read_splits(interactions, path):
-    """Attach split labels from a splits file to a matching edge list."""
+    """Attach split labels from a splits file to the same edge set.
+
+    Lines may come in any order but must label each edge exactly once.
+    """
     label_of = {name: code for code, name in enumerate(SPLIT_NAMES)}
-    seen = {}
+    n_items, fields = interactions.n_items, []  # anchor, item, label, line of each in-range line
+    n_outside = 0
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
@@ -362,23 +366,32 @@ def read_splits(interactions, path):
             if len(parts) != 3 or parts[2] not in label_of:
                 raise ValueError(f"{path}:{lineno}: expected 'anchor<TAB>item<TAB>split'")
             try:
-                key = (int(parts[0]), int(parts[1]))
+                a, v = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-integer id in {line!r}") from None
-            if key in seen:
-                raise ValueError(
-                    f"{path}:{lineno}: edge {key} already labeled {SPLIT_NAMES[seen[key]]!r}"
-                )
-            seen[key] = label_of[parts[2]]
-    splits = np.zeros(len(interactions), dtype=np.int8)
-    for i, (a, v) in enumerate(zip(interactions.anchors, interactions.items)):
-        key = (int(a), int(v))
-        if key not in seen:
-            raise ValueError(f"{path}: no split label for edge {key}")
-        splits[i] = seen.pop(key)
-    if seen:
-        raise ValueError(f"{path}: {len(seen)} labeled edges missing from the dataset")
-    return interactions.relabeled(splits)
+            if 0 <= a < interactions.n_anchors and 0 <= v < n_items:
+                fields.extend((a, v, label_of[parts[2]], lineno))
+            else:  # cannot be a dataset edge
+                n_outside += 1
+    anchors, items, labels, linenos = np.array(fields, dtype=np.int64).reshape(-1, 4).T
+    labeled = Interactions(interactions.n_anchors, n_items, anchors, items, labels)
+    keys, wanted = (x.anchors * n_items + x.items for x in (labeled, interactions))
+    twice = np.flatnonzero(keys[1:] == keys[:-1])
+    if len(twice):
+        first, second = np.flatnonzero(anchors * n_items + items == keys[twice[0]])[:2]
+        edge = (int(anchors[first]), int(items[first]))
+        label = SPLIT_NAMES[labels[first]]
+        raise ValueError(f"{path}:{linenos[second]}: edge {edge} already labeled {label!r}")
+    # labeled keys are unique, so a dataset edge repeating its predecessor has no label
+    unlabeled = ~np.isin(wanted, keys)
+    unlabeled[1:] |= wanted[1:] == wanted[:-1]
+    if unlabeled.any():
+        edge = divmod(int(wanted[np.argmax(unlabeled)]), n_items)
+        raise ValueError(f"{path}: no split label for edge {edge}")
+    extra = len(keys) + n_outside - len(wanted)
+    if extra:
+        raise ValueError(f"{path}: {extra} labeled edges missing from the dataset")
+    return labeled
 
 
 def load_prepared(dataset_dir):

@@ -16,12 +16,13 @@ def metric_rows(task, metrics, seed):
     return rows
 
 
-def write_metrics_csv(rows, path):
+def write_csv(path, header, rows):
+    """Write rows as CSV (excel dialect), after a header row unless header is None."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(("task", "metric", "k", "seed", "value"))
-        for row in rows:
-            writer.writerow(row)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _spread(vals):
@@ -58,21 +59,14 @@ def write_summary_json(rows, config_dict, dataset_name, wall_time_s, path):
     return payload
 
 
-def write_similarity_csv(matrix, path):
-    matrix = np.asarray(matrix)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        for row in matrix:
-            writer.writerow([f"{v:.6f}" for v in row])
-
-
 def export_report(rows, config_dict, dataset_name, wall_time_s, out_dir, similarity=None):
     """Write metrics.csv, summary.json, and optionally interest_sim.csv."""
     os.makedirs(out_dir, exist_ok=True)
-    write_metrics_csv(rows, os.path.join(out_dir, "metrics.csv"))
+    write_csv(os.path.join(out_dir, "metrics.csv"), ("task", "metric", "k", "seed", "value"), rows)
     summary = write_summary_json(
         rows, config_dict, dataset_name, wall_time_s, os.path.join(out_dir, "summary.json")
     )
     if similarity is not None:
-        write_similarity_csv(similarity, os.path.join(out_dir, "interest_sim.csv"))
+        sim_rows = ([f"{v:.6f}" for v in row] for row in np.asarray(similarity))
+        write_csv(os.path.join(out_dir, "interest_sim.csv"), None, sim_rows)
     return summary

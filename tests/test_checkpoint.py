@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,39 @@ def test_damaged_header_names_path(tmp_path, cut, message):
     path = damaged(tmp_path, cut)
     with pytest.raises(ValueError, match=rf"damaged\.ckpt: {message}"):
         load_checkpoint(path)
+
+
+def forged(tmp_path, header, payload):
+    """Path of a file framed as save_checkpoint frames it, around a hand-made header."""
+    blob = json.dumps(header).encode()
+    path = tmp_path / "damaged.ckpt"
+    path.write_bytes(MAGIC + len(blob).to_bytes(8, "big") + blob + payload)
+    return path
+
+
+def tensor(name, shape, offset):
+    return {"name": name, "shape": shape, "offset": offset}
+
+
+@pytest.mark.parametrize(
+    "tensors, message",
+    [
+        # each pair of 16-byte tensors fills the 32-byte payload exactly
+        ([tensor("a", [2], 0), tensor("b", [2], 0)], "tensor 'b' starts at payload byte 0, not at byte 16"),
+        ([tensor("a", [2], 16), tensor("b", [2], 0)], "tensor 'a' starts at payload byte 16, not at byte 0"),
+        ([tensor("a", [2], 0), tensor("a", [2], 16)], "tensor 'a' appears twice"),
+        ([tensor("a", [-2, -2], 0)], r"tensor 'a' has bad shape \[-2, -2\]"),
+        ([tensor("a", [4.0], 0)], r"tensor 'a' has bad shape \[4\.0\]"),
+        ([{"name": "a", "shape": [4]}], "bad tensor descriptor"),
+        (None, "header needs a config and a tensors list"),
+    ],
+    ids=["overlap", "out-of-order", "duplicate-name", "negative-shape", "float-shape", "no-offset", "no-tensors"],
+)
+def test_forged_descriptors_name_path(tmp_path, tensors, message):
+    header = {"config": {}, "meta": {}}
+    if tensors is not None:
+        header["tensors"] = tensors
+    path = forged(tmp_path, header, bytes(32))
+    with pytest.raises(ValueError, match=rf"damaged\.ckpt: {message}"):
+        load_checkpoint(path)
+

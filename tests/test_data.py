@@ -29,13 +29,17 @@ def make_dataset(n_users, n_items, user_edges, memberships, group_edges=()):
 def test_load_interactions_dedup(tmp_path):
     p = tmp_path / "users.tsv"
     p.write_text("0\t5\n0\t5\n")
-    assert d.load_interactions(p, 1, 6) == [(0, 5)]
+    anchors, items = d.load_interactions(p, 1, 6)
+    assert anchors.dtype == items.dtype == np.int64
+    assert anchors.tolist() == [0] and items.tolist() == [5]
 
 
 def test_load_interactions_empty(tmp_path):
     p = tmp_path / "users.tsv"
     p.write_text("")
-    assert d.load_interactions(p, 1, 1) == []
+    anchors, items = d.load_interactions(p, 1, 1)
+    assert anchors.dtype == items.dtype == np.int64
+    assert anchors.tolist() == [] and items.tolist() == []
 
 
 def test_load_interactions_malformed_line_number(tmp_path):
@@ -182,6 +186,44 @@ def test_anchor_index_matches_dict_oracle():
     assert inter.anchor_index((TRAIN,))[0][-2] == inter.anchor_index((TRAIN,))[0][-1]
 
 
+def test_interactions_hold_one_order_whatever_the_input_order(tmp_path):
+    rng = np.random.default_rng(8)
+    n_anchors, n_items = 15, 12
+    keys = rng.choice(n_anchors * n_items, size=60, replace=False)
+    unique = [(int(k) // n_items, int(k) % n_items, int(rng.integers(0, 3))) for k in keys]
+    edges = unique + unique[:20]  # duplicates carry the same label
+    given = [edges[i] for i in rng.permutation(len(edges))]
+
+    def build(rows):
+        return Interactions(n_anchors, n_items, *zip(*rows))
+
+    a, b = build(given), build(sorted(given))
+    for name in ("anchors", "items", "splits"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    for wanted in ((TRAIN,), (VALID, TEST), (TRAIN, VALID, TEST)):
+        for x, y in zip(a.anchor_index(wanted), b.anchor_index(wanted)):
+            assert np.array_equal(x, y)
+    members = membership_matrix(1, n_anchors, [0] * n_anchors, range(n_anchors))
+    fingerprints = {
+        Dataset(n_anchors, n_items, 1, inter, Interactions(1, n_items), members).fingerprint()
+        for inter in (a, b)
+    }
+    assert len(fingerprints) == 1
+    for write in (d.write_edges, d.write_splits):
+        write(a, tmp_path / "a.tsv")
+        write(b, tmp_path / "b.tsv")
+        assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+    assert np.array_equal(d.split_holdout(a, seed=3).splits, d.split_holdout(b, seed=3).splits)
+
+    # a splits file may list its edges in any order
+    path = tmp_path / "splits_user.tsv"
+    path.write_text("".join(f"{x}\t{y}\t{d.SPLIT_NAMES[s]}\n" for x, y, s in unique))
+    back = d.read_splits(Interactions(n_anchors, n_items, keys // n_items, keys % n_items), path)
+    want = build(sorted(unique))
+    for name in ("anchors", "items", "splits"):
+        assert np.array_equal(getattr(back, name), getattr(want, name))
+
+
 def synthesize_reference(dataset, cap):
     """The dict-counting synthesize_group_items replaced, kept as its oracle."""
     train_items = [[] for _ in range(dataset.n_users)]
@@ -211,8 +253,7 @@ def test_synthesize_matches_dict_counting_reference():
     for cap in (0, 3, 30, 1000):
         got = d.synthesize_group_items(ds, cap=cap)
         anchors, items = synthesize_reference(ds, cap)
-        assert got.anchors.tolist() == anchors
-        assert got.items.tolist() == items
+        assert list(zip(got.anchors.tolist(), got.items.tolist())) == sorted(zip(anchors, items))
 
 
 def test_synthesize_rank_by_frequency():
@@ -220,7 +261,10 @@ def test_synthesize_rank_by_frequency():
         2, 5, [(0, 0), (0, 1), (1, 1), (1, 2)], [[0, 1]]
     )
     rg = d.synthesize_group_items(ds)
-    assert list(rg.items) == [1, 0, 2]  # item 1 twice, then ties by id
+    assert list(rg.items) == [0, 1, 2]  # all three fit under the cap; edges are held sorted
+    # item 2 twice, then items 0 and 1 once each: the cap keeps 2 and the smaller id
+    ds = make_dataset(2, 5, [(0, 0), (0, 2), (1, 1), (1, 2)], [[0, 1]])
+    assert list(d.synthesize_group_items(ds, cap=2).items) == [0, 2]
 
 
 def test_synthesize_tie_break_keeps_smallest_ids():
@@ -408,6 +452,22 @@ def test_read_splits_rejects_edge_labeled_twice(tmp_path):
     path = tmp_path / "splits_user.tsv"
     path.write_text("0\t1\ttrain\n1\t0\ttrain\n0\t1\ttest\n")
     with pytest.raises(ValueError, match=r"splits_user\.tsv:3: edge \(0, 1\) already labeled 'train'"):
+        d.read_splits(inter, path)
+
+
+def test_read_splits_names_an_unlabeled_edge(tmp_path):
+    inter = d.Interactions(2, 2, [0, 1], [1, 0])
+    path = tmp_path / "splits_user.tsv"
+    path.write_text("1\t0\ttrain\n")
+    with pytest.raises(ValueError, match=r"splits_user\.tsv: no split label for edge \(0, 1\)"):
+        d.read_splits(inter, path)
+
+
+def test_read_splits_counts_labeled_edges_missing_from_the_dataset(tmp_path):
+    inter = d.Interactions(2, 2, [0, 1], [1, 0])
+    path = tmp_path / "splits_user.tsv"
+    path.write_text("0\t1\ttrain\n1\t0\tvalid\n1\t1\ttest\n5\t0\ttrain\n")
+    with pytest.raises(ValueError, match=r"splits_user\.tsv: 2 labeled edges missing from the dataset"):
         d.read_splits(inter, path)
 
 
