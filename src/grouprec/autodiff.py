@@ -11,14 +11,11 @@ instead of copying it; only leaf tensors keep a gradient afterwards.
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
-
-log = logging.getLogger(__name__)
 
 COSINE_NORM_EPS = 1e-12
 
@@ -63,9 +60,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
 
 
 _ACTIVE_TAPE: "Tape | None" = None
@@ -191,16 +185,6 @@ def mul(a, b) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def neg(x) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(-x.data)
-
-    def backward(g):
-        _accum(x, -g)
-
-    return _record(out, (x,), backward)
-
-
 def scale(x, c: float) -> Tensor:
     x = _as_tensor(x)
     c = float(c)
@@ -227,18 +211,6 @@ def matmul(a, b) -> Tensor:
             _accum(b, a.data.T @ g)
 
     return _record(out, (a, b), backward)
-
-
-def sigmoid(x) -> Tensor:
-    """Elementwise logistic function; saturates instead of overflowing."""
-    x = _as_tensor(x)
-    y = expit(x.data)
-    out = Tensor(y)
-
-    def backward(g):
-        _accum(x, g * y * (1.0 - y))
-
-    return _record(out, (x,), backward)
 
 
 def softplus(x) -> Tensor:
@@ -289,16 +261,6 @@ def tmean(x) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # shape plumbing
-
-
-def reshape(x, shape) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(x.data.reshape(shape))
-
-    def backward(g):
-        _accum(x, g.reshape(x.data.shape))
-
-    return _record(out, (x,), backward)
 
 
 def stack(tensors: list[Tensor]) -> Tensor:
@@ -410,48 +372,6 @@ def rowwise_dot(a, b) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def cosine_rows(a, b) -> Tensor:
-    """Rowwise cosine similarity in [-1, 1].
-
-    Rows where either norm is below COSINE_NORM_EPS yield similarity 0 and
-    pass no gradient to either side.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"cosine_rows shape mismatch: {a.data.shape} vs {b.data.shape}")
-    na = np.linalg.norm(a.data, axis=1)
-    nb = np.linalg.norm(b.data, axis=1)
-    ok = (na >= COSINE_NORM_EPS) & (nb >= COSINE_NORM_EPS)
-    if not ok.all():
-        log.debug("cosine_rows: %d degenerate row(s) clamped to 0", int((~ok).sum()))
-    denom = np.where(ok, na * nb, 1.0)
-    cos = np.where(ok, (a.data * b.data).sum(axis=1) / denom, 0.0)
-    out = Tensor(cos)
-
-    def backward(g):
-        gm = np.where(ok, g, 0.0)[:, None]
-        na_ = np.where(ok, na, 1.0)[:, None]
-        nb_ = np.where(ok, nb, 1.0)[:, None]
-        c = cos[:, None]
-        _accum(a, gm * (b.data / (na_ * nb_) - c * a.data / (na_ * na_)))
-        _accum(b, gm * (a.data / (na_ * nb_) - c * b.data / (nb_ * nb_)))
-
-    return _record(out, (a, b), backward)
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Plain-number cosine of two vectors; 0.0 when either is near zero."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"cosine_similarity shape mismatch: {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na < COSINE_NORM_EPS or nb < COSINE_NORM_EPS:
-        log.debug("cosine_similarity: degenerate input, returning 0")
-        return 0.0
-    return float(a @ b / (na * nb))
-
-
 # ---------------------------------------------------------------------------
 # softmax family
 
@@ -470,35 +390,6 @@ def softmax_rows(x, tau: float = 1.0) -> Tensor:
     def backward(g):
         inner = (p * g).sum(axis=1, keepdims=True)
         _accum(x, p * (g - inner) / tau)
-
-    return _record(out, (x,), backward)
-
-
-def segment_softmax(scores, segment_ids: np.ndarray, n_segments: int) -> Tensor:
-    """Softmax of a 1-d score vector within each segment.
-
-    Empty segments are fine (they simply contribute no entries).
-    """
-    scores = _as_tensor(scores)
-    seg = np.asarray(segment_ids, dtype=np.int64)
-    onehot = _onehot_rows(seg, n_segments)
-    p = _segment_softmax(scores.data, seg, onehot)
-    out = Tensor(p)
-
-    def backward(g):
-        _accum(scores, _segment_softmax_grad(p, g, seg, onehot))
-
-    return _record(out, (scores,), backward)
-
-
-def segment_sum(x, segment_ids: np.ndarray, n_segments: int) -> Tensor:
-    """Sum rows of x into n_segments buckets given per-row segment ids."""
-    x = _as_tensor(x)
-    seg = np.asarray(segment_ids, dtype=np.int64)
-    out = Tensor(scatter_rows(seg, x.data, n_segments))
-
-    def backward(g):
-        _accum(x, g[seg])
 
     return _record(out, (x,), backward)
 
@@ -639,9 +530,9 @@ def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
 
     For each r in rows, sums cosine(x[r, p], x[r, q]) over channel pairs
     p < q with |cosine| >= threshold, then divides by len(rows). The mask
-    is taken from forward values and is constant under backward. As in
-    cosine_rows, a channel whose norm is below COSINE_NORM_EPS has
-    similarity 0 with everything and passes no gradient.
+    is taken from forward values and is constant under backward. A channel
+    whose norm is below COSINE_NORM_EPS has similarity 0 with everything and
+    passes no gradient.
     """
     x = _as_tensor(x)
     rows = np.asarray(rows, dtype=np.int64)

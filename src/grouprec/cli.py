@@ -2,9 +2,10 @@
 
 Every command writes a run_manifest.json into its output directory with the
 resolved configuration, dataset fingerprint, and seeds, which is enough to
-re-run it identically. Errors leave a machine-readable JSON line on stderr
-and a nonzero exit code. Log verbosity comes from the GROUPREC_LOG
-environment variable (DEBUG/INFO/WARNING/ERROR).
+re-run it identically, plus the library versions, the BLAS thread variables
+and whether the malloc setting of Trainer.train took effect. Errors leave a
+machine-readable JSON line on stderr and a nonzero exit code. Log verbosity
+comes from the GROUPREC_LOG environment variable (DEBUG/INFO/WARNING/ERROR).
 """
 
 import argparse
@@ -12,10 +13,12 @@ import itertools
 import json
 import logging
 import os
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -34,7 +37,7 @@ from .datasets import (
 from .evaluate import evaluate_popularity, evaluate_ranking
 from .reporting import export_report, metric_rows, write_csv
 from .synthetic import generate_synthetic
-from .trainer import Trainer, build_model_from_arrays
+from .trainer import Trainer, build_model_from_arrays, heap_kept
 
 log = logging.getLogger(__name__)
 
@@ -49,6 +52,14 @@ def write_manifest(out_dir, command, config_dict, fingerprint, seeds, argv):
         "seeds": list(seeds),
         "out_dir": os.path.abspath(out_dir),
         "version": f"grouprec-{__version__}",
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "malloc_keeps_freed_heap": heap_kept(),
+        },
     }
     with open(os.path.join(out_dir, "run_manifest.json"), "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -126,6 +137,7 @@ def cmd_train(args):
     result = trainer.train(log_path=os.path.join(args.out, "train_log.csv"))
     wall = time.perf_counter() - t0
     ckpt_path = os.path.join(args.out, "best.ckpt")
+    fingerprint = ds.fingerprint()
     # timing is deliberately absent: same-seed runs must rewrite this file byte for byte
     save_checkpoint(
         ckpt_path,
@@ -136,10 +148,10 @@ def cmd_train(args):
             "best_metric": result.best_metric,
             "epochs_run": result.epochs_run,
             "stopped_early": result.stopped_early,
-            "dataset_fingerprint": ds.fingerprint(),
+            "dataset_fingerprint": fingerprint,
         },
     )
-    write_manifest(args.out, "train", cfg.as_dict(), ds.fingerprint(), [cfg.seed], args.argv_used)
+    write_manifest(args.out, "train", cfg.as_dict(), fingerprint, [cfg.seed], args.argv_used)
     print(
         f"trained {result.epochs_run} epochs in {wall:.1f}s; "
         f"best val ndcg@10 {result.best_metric:.4f} at epoch {result.best_epoch}; "

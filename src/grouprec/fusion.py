@@ -37,21 +37,25 @@ def row_mean(m):
 def fuse_users(user_emb, fused_groups, pool_csr, coef, max_member_groups=None):
     """e_u-hat = (e_u + pooled groups) / 2, identity when the user has none.
 
-    With max pooling, max_member_groups carries per-user group id lists and
-    the pooled vector is the coordinatewise max over the user's fused group
-    rows (argmax picked outside the tape, gradients routed to the winners).
+    With max pooling, max_member_groups carries per-user group id lists (the
+    rows of pool_csr) and the pooled vector is the coordinatewise max over
+    the user's fused group rows (argmax picked outside the tape, gradients
+    routed to the winners).
     """
     if max_member_groups is not None:
-        n_users, d = user_emb.shape
-        row_idx = np.zeros((n_users, d), dtype=np.int64)
-        has = np.zeros((n_users, 1))
-        for u, gs in enumerate(max_member_groups):
-            if len(gs):
-                block = fused_groups.data[gs]
-                row_idx[u] = np.asarray(gs)[block.argmax(axis=0)]
-                has[u] = 1.0
+        groups = pool_csr.indices
+        counts = np.diff(pool_csr.indptr)
+        has = counts > 0
+        starts = pool_csr.indptr[:-1][has]
+        block = fused_groups.data[groups]
+        top = np.repeat(np.maximum.reduceat(block, starts, axis=0), counts[has], axis=0)
+        # the first group reaching the max wins, as in argmax (a NaN counts as the max)
+        hit = (block == top) | np.isnan(block)
+        slot = np.where(hit, np.arange(len(groups))[:, None], len(groups))
+        row_idx = np.zeros(user_emb.shape, dtype=np.int64)
+        row_idx[has] = groups[np.minimum.reduceat(slot, starts, axis=0)]
         picked = ag.gather_elements(fused_groups, row_idx)
-        pooled = ag.mul(Tensor(has), picked)
+        pooled = ag.mul(Tensor(has[:, None]), picked)
     else:
         pooled = ag.spmm(pool_csr, fused_groups)
     kept = ag.mul(Tensor(coef[:, None]), user_emb)

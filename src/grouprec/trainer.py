@@ -1,8 +1,10 @@
 """The dual-task training loop with validation-based model selection."""
 
 import csv
+import ctypes
 import logging
 import math
+import platform
 import time
 from dataclasses import dataclass, field
 
@@ -30,6 +32,62 @@ LOG_COLUMNS = (
     "val_metric",
     "seconds",
 )
+
+# mallopt parameter numbers from glibc's <malloc.h>
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+# Above glibc's 32 MiB ceiling for its dynamic threshold on purpose: the
+# step's (U, M, d) temporaries and the evaluation score matrices (64 MB on
+# MaFengWo, 320 MB at twice its size) all come from the one kept heap. With
+# 32 MiB the score matrices were mapped on top of the kept heap and peak RSS
+# rose by 15-19% on both benchmark shapes; at 1 GiB it ended no higher than
+# with glibc's defaults.
+MMAP_THRESHOLD_BYTES = 1 << 30
+TRIM_THRESHOLD_BYTES = 2**31 - 1
+
+_heap_kept = None  # None until the first Trainer.train, then whether both settings took
+
+
+def _load_libc():
+    return ctypes.CDLL("libc.so.6")
+
+
+def _keep_freed_heap():
+    """Stop glibc from handing freed step buffers back to the kernel.
+
+    Every step frees and reallocates the same large temporaries; with
+    glibc's defaults they are mmapped, or the heap is trimmed, so each step
+    faults the same pages in again. Raising the mmap and trim thresholds
+    keeps those pages in the heap for the next step. This changes how the
+    whole process allocates (RSS stays near its peak until exit) and no
+    arithmetic. Runs once per process; off glibc, or if libc cannot be
+    loaded or rejects a value, it logs once at DEBUG and training goes on.
+    """
+    global _heap_kept
+    if _heap_kept is not None:
+        return
+    _heap_kept = False
+    if platform.libc_ver()[0] != "glibc":
+        log.debug("libc is not glibc; malloc thresholds left at their defaults")
+        return
+    try:
+        mallopt = _load_libc().mallopt
+    except (OSError, AttributeError) as exc:
+        log.debug("cannot reach glibc mallopt (%s); malloc thresholds left at their defaults", exc)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in ((M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES),
+                         (M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)):
+        if mallopt(param, value) != 1:
+            log.debug("mallopt(%d, %d) was rejected; freed heap may still be trimmed", param, value)
+            return
+    _heap_kept = True
+
+
+def heap_kept():
+    """Whether Trainer.train has set glibc to keep freed heap in this process."""
+    return _heap_kept is True
 
 
 @dataclass
@@ -130,6 +188,7 @@ class Trainer:
         return metrics["ndcg@10"]
 
     def train(self, log_path=None):
+        _keep_freed_heap()
         cfg = self.cfg
         best_metric = -np.inf
         best_epoch = 0

@@ -1,0 +1,127 @@
+"""Unfused reference ops, kept as the oracles for the fused ops in grouprec.autodiff.
+
+Each is a plain tape op built on autodiff's own recording helpers, so the
+fused ops can be checked against compositions of these.
+"""
+
+import logging
+
+import numpy as np
+from scipy.special import expit
+
+from grouprec.autodiff import (
+    COSINE_NORM_EPS,
+    Tensor,
+    _accum,
+    _as_tensor,
+    _onehot_rows,
+    _record,
+    _segment_softmax,
+    _segment_softmax_grad,
+    scatter_rows,
+)
+
+log = logging.getLogger(__name__)
+
+
+def neg(x) -> Tensor:
+    x = _as_tensor(x)
+    out = Tensor(-x.data)
+
+    def backward(g):
+        _accum(x, -g)
+
+    return _record(out, (x,), backward)
+
+
+def sigmoid(x) -> Tensor:
+    """Elementwise logistic function; saturates instead of overflowing."""
+    x = _as_tensor(x)
+    y = expit(x.data)
+    out = Tensor(y)
+
+    def backward(g):
+        _accum(x, g * y * (1.0 - y))
+
+    return _record(out, (x,), backward)
+
+
+def reshape(x, shape) -> Tensor:
+    x = _as_tensor(x)
+    out = Tensor(x.data.reshape(shape))
+
+    def backward(g):
+        _accum(x, g.reshape(x.data.shape))
+
+    return _record(out, (x,), backward)
+
+
+def cosine_rows(a, b) -> Tensor:
+    """Rowwise cosine similarity in [-1, 1].
+
+    Rows where either norm is below COSINE_NORM_EPS yield similarity 0 and
+    pass no gradient to either side.
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"cosine_rows shape mismatch: {a.data.shape} vs {b.data.shape}")
+    na = np.linalg.norm(a.data, axis=1)
+    nb = np.linalg.norm(b.data, axis=1)
+    ok = (na >= COSINE_NORM_EPS) & (nb >= COSINE_NORM_EPS)
+    if not ok.all():
+        log.debug("cosine_rows: %d degenerate row(s) clamped to 0", int((~ok).sum()))
+    denom = np.where(ok, na * nb, 1.0)
+    cos = np.where(ok, (a.data * b.data).sum(axis=1) / denom, 0.0)
+    out = Tensor(cos)
+
+    def backward(g):
+        gm = np.where(ok, g, 0.0)[:, None]
+        na_ = np.where(ok, na, 1.0)[:, None]
+        nb_ = np.where(ok, nb, 1.0)[:, None]
+        c = cos[:, None]
+        _accum(a, gm * (b.data / (na_ * nb_) - c * a.data / (na_ * na_)))
+        _accum(b, gm * (a.data / (na_ * nb_) - c * b.data / (nb_ * nb_)))
+
+    return _record(out, (a, b), backward)
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Plain-number cosine of two vectors; 0.0 when either is near zero."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"cosine_similarity shape mismatch: {a.shape} vs {b.shape}")
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na < COSINE_NORM_EPS or nb < COSINE_NORM_EPS:
+        log.debug("cosine_similarity: degenerate input, returning 0")
+        return 0.0
+    return float(a @ b / (na * nb))
+
+
+def segment_softmax(scores, segment_ids: np.ndarray, n_segments: int) -> Tensor:
+    """Softmax of a 1-d score vector within each segment.
+
+    Empty segments are fine (they simply contribute no entries).
+    """
+    scores = _as_tensor(scores)
+    seg = np.asarray(segment_ids, dtype=np.int64)
+    onehot = _onehot_rows(seg, n_segments)
+    p = _segment_softmax(scores.data, seg, onehot)
+    out = Tensor(p)
+
+    def backward(g):
+        _accum(scores, _segment_softmax_grad(p, g, seg, onehot))
+
+    return _record(out, (scores,), backward)
+
+
+def segment_sum(x, segment_ids: np.ndarray, n_segments: int) -> Tensor:
+    """Sum rows of x into n_segments buckets given per-row segment ids."""
+    x = _as_tensor(x)
+    seg = np.asarray(segment_ids, dtype=np.int64)
+    out = Tensor(scatter_rows(seg, x.data, n_segments))
+
+    def backward(g):
+        _accum(x, g[seg])
+
+    return _record(out, (x,), backward)

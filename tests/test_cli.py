@@ -2,6 +2,7 @@
 
 import csv
 import json
+import platform
 import shutil
 
 import numpy as np
@@ -236,6 +237,14 @@ def test_every_output_dir_gets_one_manifest(run_dir):
     for key in ("config", "dataset_fingerprint", "seeds", "out_dir", "version"):
         assert key in payload
     assert payload["seeds"] == [3]
+    env = payload["environment"]
+    assert env["numpy"] == np.__version__
+    for key in ("python", "scipy"):
+        assert isinstance(env[key], str) and env[key]
+    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        assert env[key] is None or isinstance(env[key], str)
+    # Trainer.train sets the malloc thresholds wherever libc is glibc
+    assert env["malloc_keeps_freed_heap"] is (platform.libc_ver()[0] == "glibc")
 
 
 def test_version_flag_exits_zero(capsys):

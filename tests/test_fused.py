@@ -10,6 +10,8 @@ from grouprec import losses
 from grouprec.autodiff import Tape, Tensor
 from grouprec.gating import make_interest_generator
 
+import reference as ref
+
 # group 0 = users {0, 2, 3}, group 1 = {1} (a single member), group 2 = {4, 0}
 UID = np.array([0, 2, 3, 1, 4, 0])
 GID = np.array([0, 0, 0, 1, 2, 2])
@@ -127,7 +129,7 @@ def test_mean_pair_cosine_zero_norm_row_has_zero_similarity_and_no_gradient():
     per_user = []
     for r in rows:
         chans = [a.data[r], b.data[r], c.data[r]]
-        per_user.append(sum(ag.cosine_similarity(chans[p], chans[q])
+        per_user.append(sum(ref.cosine_similarity(chans[p], chans[q])
                             for p in range(3) for q in range(p + 1, 3)))
     assert loss().item() == pytest.approx(sum(per_user) / 3, abs=1e-12)
     # a and b are smooth everywhere the zero row is left alone
@@ -166,14 +168,14 @@ def test_hard_select_gradient_is_the_soft_paths_gradient():
 def reference_pipeline(e, gen, att, group, noise, hard, reg_users, threshold):
     """The interest pipeline one interest at a time, from primitive ops only."""
     m = gen.m
-    ints = [ag.mul(e, ag.sigmoid(ag.add(ag.matmul(e, gen.w[n]), gen.b[n]))) for n in range(m)]
+    ints = [ag.mul(e, ref.sigmoid(ag.add(ag.matmul(e, gen.w[n]), gen.b[n]))) for n in range(m)]
     pooled = []
     for t in ints:
         rows = ag.gather_rows(t, UID)
-        gamma = ag.segment_softmax(ag.matmul(rows, att), GID, N_GROUPS)
-        weighted = ag.mul(ag.reshape(gamma, (len(UID), 1)), rows)
-        pooled.append(ag.segment_sum(weighted, GID, N_GROUPS))
-    psi = ag.reshape(ag.stack([ag.rowwise_dot(group, p) for p in pooled]), (N_GROUPS, m))
+        gamma = ref.segment_softmax(ag.matmul(rows, att), GID, N_GROUPS)
+        weighted = ag.mul(ref.reshape(gamma, (len(UID), 1)), rows)
+        pooled.append(ref.segment_sum(weighted, GID, N_GROUPS))
+    psi = ref.reshape(ag.stack([ag.rowwise_dot(group, p) for p in pooled]), (N_GROUPS, m))
     omega = ag.softmax_rows(ag.add(psi, Tensor(noise)), 0.5)
     if hard:
         onehot = np.eye(m)[omega.data.argmax(axis=1)]
@@ -186,7 +188,7 @@ def reference_pipeline(e, gen, att, group, noise, hard, reg_users, threshold):
     acc = Tensor(0.0)
     for p in range(m):
         for q in range(p + 1, m):
-            sim = ag.cosine_rows(rows[p], rows[q])
+            sim = ref.cosine_rows(rows[p], rows[q])
             mask = (np.abs(sim.data) >= threshold).astype(np.float64)
             acc = ag.add(acc, ag.tsum(ag.mul(sim, Tensor(mask))))
     reg = ag.scale(acc, 1.0 / len(reg_users))
@@ -288,7 +290,7 @@ def test_pairwise_abs_cosine_matches_per_pair_oracle():
     for p in range(3):
         for q in range(p + 1, 3):
             want[p, q] = want[q, p] = np.mean(
-                [abs(ag.cosine_similarity(x[u, p], x[u, q])) for u in users]
+                [abs(ref.cosine_similarity(x[u, p], x[u, q])) for u in users]
             )
     np.testing.assert_allclose(got, want, atol=1e-12)
     np.testing.assert_array_equal(losses.pairwise_abs_cosine(Tensor(x), np.zeros(0, dtype=int)), np.eye(3))

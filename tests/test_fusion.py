@@ -259,3 +259,47 @@ def test_score_ranking_matches_brute_force():
     ).data
     np.testing.assert_allclose(s, (group @ items.T).ravel(), atol=1e-12)
     assert list(np.argsort(-s)) == list(np.argsort(-(group @ items.T).ravel()))
+
+
+def loop_max_pool(user_emb, fused_groups, coef, lists):
+    """The per-user loop max pooling was first written as: argmax per user."""
+    n_users, d = user_emb.shape
+    row_idx = np.zeros((n_users, d), dtype=np.int64)
+    has = np.zeros((n_users, 1))
+    for u, gs in enumerate(lists):
+        if len(gs):
+            block = fused_groups.data[gs]
+            row_idx[u] = np.asarray(gs)[block.argmax(axis=0)]
+            has[u] = 1.0
+    pooled = ag.mul(Tensor(has), ag.gather_elements(fused_groups, row_idx))
+    return ag.add(ag.mul(Tensor(coef[:, None]), user_emb), ag.scale(pooled, 0.5))
+
+
+def test_fuse_users_max_pooling_matches_loop_oracle():
+    # user 0 joins no group, user 1 one group, users 2-5 several, with ties
+    memberships = [[1, 2, 3], [2, 3, 4, 5], [2, 4], [3, 4, 5], [5]]
+    ds = dataset_with_members(6, memberships)
+    pool, coef = fusion.build_user_pool(ds)
+    lists = np.split(pool.indices, pool.indptr[1:-1])
+    assert len(lists[0]) == 0 and len(lists[1]) == 1
+    rng = np.random.default_rng(5)
+    # few distinct values, so most users' groups tie on some coordinate
+    groups_data = rng.integers(-2, 3, size=(len(memberships), 7)).astype(np.float64)
+    upstream = rng.normal(size=(6, 7))
+    grads = []
+    for pool_fn in (
+        lambda u, g: fusion.fuse_users(u, g, pool, coef, max_member_groups=lists),
+        lambda u, g: loop_max_pool(u, g, coef, lists),
+    ):
+        user = Tensor(np.ones((6, 7)), requires_grad=True)
+        groups = Tensor(groups_data, requires_grad=True)
+        with ag.Tape() as tape:
+            out = pool_fn(user, groups)
+            tape.backward(ag.tsum(ag.mul(out, Tensor(upstream))))
+        grads.append((out.data, user.grad, groups.grad))
+    (out_v, gu_v, gg_v), (out_l, gu_l, gg_l) = grads
+    np.testing.assert_array_equal(out_v, out_l)
+    np.testing.assert_array_equal(gu_v, gu_l)
+    # the group gradient lands on the winning rows, so it also checks which tied row won
+    np.testing.assert_array_equal(gg_v, gg_l)
+    np.testing.assert_array_equal(out_v[0], 1.0)  # no groups: identity

@@ -1,8 +1,12 @@
 import csv
+import ctypes
+import logging
+import types
 
 import numpy as np
 import pytest
 
+from grouprec import trainer as trainer_mod
 from grouprec.checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from grouprec.config import TrainConfig
 from grouprec.datasets import split_holdout
@@ -182,3 +186,80 @@ def test_checkpoint_rebuild_rejects_mismatch(tmp_path):
         build_model_from_arrays(ds, trainer.cfg, bad)
     with pytest.raises(ValueError, match="missing"):
         build_model_from_arrays(ds, trainer.cfg, arrays[1:])
+
+
+# --- the malloc setting of Trainer.train ----------------------------------
+
+
+class StubMallopt:
+    """Stands in for libc's mallopt: records calls, returns a fixed status."""
+
+    def __init__(self, status):
+        self.status = status
+        self.calls = []
+        self.argtypes = self.restype = None
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.status
+
+
+@pytest.fixture
+def fresh_malloc_state(monkeypatch):
+    """Pretend Trainer.train has not yet run in this process, on glibc."""
+    monkeypatch.setattr(trainer_mod, "_heap_kept", None)
+    monkeypatch.setattr(trainer_mod.platform, "libc_ver", lambda: ("glibc", "2.35"))
+
+
+def stub_libc(monkeypatch, mallopt):
+    monkeypatch.setattr(trainer_mod, "_load_libc", lambda: types.SimpleNamespace(mallopt=mallopt))
+
+
+def trained_ckpt_bytes(tmp_path, name):
+    ds, _ = planted_dataset()
+    trainer = Trainer(ds, toy_config(epochs=2))
+    trainer.train()
+    path = tmp_path / name
+    save_checkpoint(path, trainer.cfg.as_dict(), trainer.model.named_params_data())
+    return path.read_bytes()
+
+
+def test_malloc_thresholds_set_once_per_process(monkeypatch, fresh_malloc_state, tmp_path):
+    mallopt = StubMallopt(1)
+    stub_libc(monkeypatch, mallopt)
+    trained_ckpt_bytes(tmp_path, "a.ckpt")
+    trained_ckpt_bytes(tmp_path, "b.ckpt")
+    assert mallopt.calls == [
+        (trainer_mod.M_MMAP_THRESHOLD, 1 << 30),
+        (trainer_mod.M_TRIM_THRESHOLD, 2**31 - 1),
+    ]
+    assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+    assert trainer_mod.heap_kept()
+
+
+def failing_loader():
+    raise OSError("no libc here")
+
+
+@pytest.mark.parametrize("failure", ["rejected", "unloadable", "not_glibc"])
+def test_malloc_setting_failure_logs_once_and_trains_the_same(
+    monkeypatch, fresh_malloc_state, tmp_path, caplog, failure
+):
+    monkeypatch.setattr(trainer_mod, "_heap_kept", True)  # the unpatched run skips the setting
+    want = trained_ckpt_bytes(tmp_path, "plain.ckpt")
+    monkeypatch.setattr(trainer_mod, "_heap_kept", None)
+    if failure == "rejected":
+        stub_libc(monkeypatch, StubMallopt(0))
+    elif failure == "unloadable":
+        monkeypatch.setattr(trainer_mod, "_load_libc", failing_loader)
+    else:
+        monkeypatch.setattr(trainer_mod.platform, "libc_ver", lambda: ("", ""))
+        monkeypatch.setattr(trainer_mod, "_load_libc", failing_loader)  # must not be reached
+    with caplog.at_level(logging.DEBUG, logger=trainer_mod.__name__):
+        first = trained_ckpt_bytes(tmp_path, "first.ckpt")
+        second = trained_ckpt_bytes(tmp_path, "second.ckpt")
+    debug = [r for r in caplog.records if r.name == trainer_mod.__name__ and r.levelno == logging.DEBUG]
+    assert len(debug) == 1
+    assert ("not glibc" in debug[0].getMessage()) is (failure == "not_glibc")
+    assert first == want and second == want
+    assert not trainer_mod.heap_kept()
