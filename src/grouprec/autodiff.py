@@ -15,7 +15,6 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 COSINE_NORM_EPS = 1e-12
 
@@ -50,9 +49,6 @@ class Tensor:
     # Convenience arithmetic used in loss assembly.
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -161,17 +157,6 @@ def add(a, b) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data - b.data)
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _record(out, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data * b.data)
@@ -213,15 +198,17 @@ def matmul(a, b) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def softplus(x) -> Tensor:
-    """log(1 + exp(x)), computed stably. Gradient is sigmoid(x)."""
-    x = _as_tensor(x)
-    out = Tensor(np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data))))
+def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
+    """z <- 1 / (1 + exp(-z)), in place. Saturates to exactly 0 and 1.
 
-    def backward(g):
-        _accum(x, g * expit(x.data))
-
-    return _record(out, (x,), backward)
+    exp overflows to inf for z below about -709, which gives 1 / inf = 0;
+    that overflow is expected and not warned about.
+    """
+    with np.errstate(over="ignore"):
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        return np.reciprocal(z, out=z)
 
 
 def relu(x) -> Tensor:
@@ -244,17 +231,6 @@ def tsum(x) -> Tensor:
 
     def backward(g):
         _accum(x, np.full_like(x.data, float(g)))
-
-    return _record(out, (x,), backward)
-
-
-def tmean(x) -> Tensor:
-    x = _as_tensor(x)
-    n = x.data.size
-    out = Tensor(x.data.mean())
-
-    def backward(g):
-        _accum(x, np.full_like(x.data, float(g) / n))
 
     return _record(out, (x,), backward)
 
@@ -321,18 +297,6 @@ def _segment_softmax_grad(p: np.ndarray, g: np.ndarray, seg: np.ndarray, onehot)
     return p * (g - (onehot @ (p * g))[seg])
 
 
-def gather_rows(x, idx: np.ndarray) -> Tensor:
-    """Row lookup x[idx]; backward scatter-adds into the source rows."""
-    x = _as_tensor(x)
-    idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(x.data[idx])
-
-    def backward(g):
-        _accum(x, scatter_rows(idx, g, x.data.shape[0]))
-
-    return _record(out, (x,), backward)
-
-
 def gather_elements(x, row_idx: np.ndarray) -> Tensor:
     """Per-column row selection: out[r, j] = x[row_idx[r, j], j].
 
@@ -353,23 +317,6 @@ def gather_elements(x, row_idx: np.ndarray) -> Tensor:
         _accum(x, scatter_rows(flat, g.ravel(), x.data.size).reshape(x.data.shape))
 
     return _record(out, (x,), backward)
-
-
-# ---------------------------------------------------------------------------
-# rowwise geometry
-
-
-def rowwise_dot(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"rowwise_dot shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out = Tensor((a.data * b.data).sum(axis=1))
-
-    def backward(g):
-        _accum(a, g[:, None] * b.data)
-        _accum(b, g[:, None] * a.data)
-
-    return _record(out, (a, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +395,7 @@ def gated_channels(x, weights: list[Tensor], biases: list[Tensor]) -> Tensor:
     w_cat = np.concatenate([w.data for w in weights], axis=1)
     z = x.data @ w_cat
     z += np.concatenate([b.data for b in biases])
-    gate = expit(z, out=z).reshape(-1, m, d)
+    gate = _sigmoid_inplace(z).reshape(-1, m, d)
     gated = x.data[:, None, :] * gate
     out = Tensor(gated)
 
@@ -559,6 +506,32 @@ def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
         _accum(x, scatter_rows(rows, d_unit, x.data.shape[0]))
 
     return _record(out, (x,), backward)
+
+
+def bpr_pairs(anchors, items, a: np.ndarray, p: np.ndarray, n: np.ndarray) -> Tensor:
+    """Mean over the batch of softplus(s(a, n) - s(a, p)), s the dot product.
+
+    softplus(s_n - s_p) = -log sigmoid(s_p - s_n), computed stably. a, p and
+    n are parallel index arrays into the anchor and item tables. The anchor
+    rows are gathered once; backward does one scatter per table.
+    """
+    anchors, items = _as_tensor(anchors), _as_tensor(items)
+    a, p, n = (np.asarray(i, dtype=np.int64) for i in (a, p, n))
+    rows = anchors.data[a]
+    diff = items.data[n] - items.data[p]
+    x = np.einsum("bd,bd->b", rows, diff)
+    out = Tensor(np.mean(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))))
+
+    def backward(g):
+        s = _sigmoid_inplace(x)[:, None] * (float(g) / len(x))  # x is dead here
+        if anchors.requires_grad:
+            _accum(anchors, scatter_rows(a, diff * s, anchors.data.shape[0]))
+        if items.requires_grad:
+            d_neg = rows * s  # and its negation at the positives
+            d_rows = np.concatenate((np.negative(d_neg), d_neg))
+            _accum(items, scatter_rows(np.concatenate((p, n)), d_rows, items.data.shape[0]))
+
+    return _record(out, (anchors, items), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -34,15 +34,16 @@ def row_mean(m):
     return out
 
 
-def fuse_users(user_emb, fused_groups, pool_csr, coef, max_member_groups=None):
+def fuse_users(user_emb, fused_groups, pool_csr, coef, pooling="mean"):
     """e_u-hat = (e_u + pooled groups) / 2, identity when the user has none.
 
-    With max pooling, max_member_groups carries per-user group id lists (the
-    rows of pool_csr) and the pooled vector is the coordinatewise max over
-    the user's fused group rows (argmax picked outside the tape, gradients
-    routed to the winners).
+    pooling is the config's pooling mode. "mean" and "sum" apply pool_csr as
+    build_user_pool made it. With "max" only its pattern counts: the pooled
+    vector is the coordinatewise max over the fused rows of the user's groups
+    (the rows of pool_csr), with the argmax picked outside the tape and
+    gradients routed to the winners.
     """
-    if max_member_groups is not None:
+    if pooling == "max":
         groups = pool_csr.indices
         counts = np.diff(pool_csr.indptr)
         has = counts > 0

@@ -23,9 +23,3 @@ def propagate(adj_csr, adj_t_csr, users0, items0, n_layers):
         u_cur, v_cur = u_next, v_next
     return u_acc, v_acc
 
-
-def score_pairs(final_anchor, final_items, anchor_idx, item_idx):
-    """Dot-product scores for aligned (anchor, item) index arrays."""
-    a = ag.gather_rows(final_anchor, anchor_idx)
-    b = ag.gather_rows(final_items, item_idx)
-    return ag.rowwise_dot(a, b)

@@ -43,15 +43,16 @@ class LossBreakdown:
         return asdict(self)
 
 
-def bpr_loss(pos_scores, neg_scores):
-    """Mean of -log sigmoid(pos - neg) over the batch.
+def bpr_loss(anchor_table, item_table, anchors, pos, neg):
+    """Mean of -log sigmoid(s(a, p) - s(a, n)) over a batch of triples.
 
-    softplus(neg - pos) is the same quantity without the intermediate
-    sigmoid, so large score gaps stay finite.
+    s is the dot product of an anchor row and an item row; anchors, pos and
+    neg are parallel index arrays. The loss is one tape node per call,
+    computed as softplus(s(a, n) - s(a, p)) so large score gaps stay finite.
     """
-    if pos_scores.shape[0] == 0:
+    if len(anchors) == 0:
         raise ValueError("empty batch")
-    return ag.tmean(ag.softplus(ag.sub(neg_scores, pos_scores)))
+    return ag.bpr_pairs(anchor_table, item_table, anchors, pos, neg)
 
 
 def interest_regularizer(interests, user_idx, threshold):

@@ -63,9 +63,6 @@ class GroupRecommender:
             self.member_gid = members.row.astype(np.int64)
             self.member_uid = members.col.astype(np.int64)
             self.pool_csr, self.pool_coef = fusion.build_user_pool(dataset, config.pooling)
-            self.max_lists = None
-            if config.pooling == "max":
-                self.max_lists = np.split(self.pool_csr.indices, self.pool_csr.indptr[1:-1])
             if config.variant == "mean_members":
                 self.member_mean_csr = fusion.row_mean(dataset.group_members)
             else:
@@ -140,7 +137,7 @@ class GroupRecommender:
                 group_fused,
                 self.pool_csr,
                 self.pool_coef,
-                max_member_groups=self.max_lists,
+                pooling=cfg.pooling,
             )
         user_final, item_final = graphconv.propagate(
             self.adj, self.adj_t, users0, self.item_emb, cfg.n_layers

@@ -13,10 +13,11 @@ class TripleSampler:
     """Draws (anchor, positive, negative) triples for one anchor kind.
 
     Anchors are drawn uniformly from those with at least one train edge;
-    positives uniformly from the anchor's train items; negatives by
-    rejection from items outside the anchor's train set. Anchors that
-    interact with every item cannot supply negatives and are dropped
-    with a warning at construction.
+    positives uniformly from the anchor's train items; negatives uniformly
+    from items outside the anchor's train set, by rejection in vector rounds
+    that redraw only the rejected slots. Anchors that interact with every
+    item cannot supply negatives and are dropped with a warning at
+    construction.
     """
 
     def __init__(self, interactions, rng):
@@ -24,25 +25,33 @@ class TripleSampler:
         self.rng = rng
         indptr, items = interactions.anchor_index((TRAIN,))
         counts = np.diff(indptr)
-        for a in np.flatnonzero(counts >= self.n_items):
-            log.warning("anchor %d interacts with all items; skipped", a)
-        self.eligible = np.flatnonzero((counts > 0) & (counts < self.n_items))
+        owner = np.repeat(np.arange(len(counts)), counts)
+        # anchor * n_items + item, sorted because the index is sorted by (anchor, item)
+        self._keys = owner * self.n_items + items
+        first = np.ones(len(items), dtype=bool)
+        first[1:] = self._keys[1:] != self._keys[:-1]
+        distinct = np.bincount(owner[first], minlength=len(counts))  # duplicate edges count once
+        full = np.flatnonzero(distinct == self.n_items)
+        if len(full):
+            log.warning("%d anchor(s) interact with all items; skipped: %s", len(full), full.tolist())
+        self.eligible = np.flatnonzero((distinct > 0) & (distinct < self.n_items))
         if not len(self.eligible):
             raise ValueError("no anchor has train edges to sample from")
-        self._indptr, self._items = indptr.tolist(), items
-        owner = np.repeat(np.arange(len(counts)), counts)
-        self._taken = set((owner * self.n_items + items).tolist())  # anchor * n_items + item
+        self._starts, self._counts, self._items = indptr[:-1], counts, items
+
+    def _is_train(self, anchors, items):
+        """Whether each (anchor, item) pair is a train edge."""
+        keys = anchors * self.n_items + items
+        at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        return self._keys[at] == keys
 
     def sample(self, batch_size):
-        anchors = self.rng.choice(self.eligible, size=batch_size, replace=True)
-        pos = np.empty(batch_size, dtype=np.int64)
-        neg = np.empty(batch_size, dtype=np.int64)
-        for i, a in enumerate(anchors.tolist()):
-            lo, hi = self._indptr[a], self._indptr[a + 1]
-            pos[i] = self._items[lo + self.rng.integers(hi - lo)]
-            while True:
-                j = int(self.rng.integers(self.n_items))
-                if a * self.n_items + j not in self._taken:
-                    neg[i] = j
-                    break
+        rng = self.rng
+        anchors = rng.choice(self.eligible, size=batch_size, replace=True)
+        pos = self._items[self._starts[anchors] + rng.integers(self._counts[anchors])]
+        neg = rng.integers(self.n_items, size=batch_size)
+        redo = np.flatnonzero(self._is_train(anchors, neg))
+        while len(redo):
+            neg[redo] = rng.integers(self.n_items, size=len(redo))
+            redo = redo[self._is_train(anchors[redo], neg[redo])]
         return anchors, pos, neg

@@ -14,7 +14,6 @@ from . import autodiff as ag
 from .autodiff import Tape, Tensor
 from .datasets import TRAIN, VALID
 from .evaluate import evaluate_ranking
-from .graphconv import score_pairs
 from .losses import LossBreakdown, bpr_loss, interest_regularizer
 from .model import GroupRecommender
 from .optim import Adam
@@ -135,18 +134,14 @@ class Trainer:
             state = self.model.forward(noise_rng=self.noise_rng)
 
             ua, up, un = self.user_sampler.sample(cfg.batch_user)
-            pos = score_pairs(state.user_final, state.item_final, ua, up)
-            neg = score_pairs(state.user_final, state.item_final, ua, un)
-            l_user = bpr_loss(pos, neg)
+            l_user = bpr_loss(state.user_final, state.item_final, ua, up, un)
             loss = ag.scale(l_user, cfg.user_task_weight)
 
             l_group_val = 0.0
             ga = np.zeros(0, dtype=np.int64)
             if self.group_sampler is not None and cfg.user_task_weight < 1.0:
                 ga, gp, gn = self.group_sampler.sample(cfg.batch_group)
-                gpos = score_pairs(state.group_fused, state.item_final, ga, gp)
-                gneg = score_pairs(state.group_fused, state.item_final, ga, gn)
-                l_group = bpr_loss(gpos, gneg)
+                l_group = bpr_loss(state.group_fused, state.item_final, ga, gp, gn)
                 l_group_val = l_group.item()
                 loss = ag.add(loss, ag.scale(l_group, 1.0 - cfg.user_task_weight))
 

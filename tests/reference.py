@@ -18,6 +18,7 @@ from grouprec.autodiff import (
     _record,
     _segment_softmax,
     _segment_softmax_grad,
+    _unbroadcast,
     scatter_rows,
 )
 
@@ -125,3 +126,79 @@ def segment_sum(x, segment_ids: np.ndarray, n_segments: int) -> Tensor:
         _accum(x, g[seg])
 
     return _record(out, (x,), backward)
+
+
+def sub(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    out = Tensor(a.data - b.data)
+
+    def backward(g):
+        _accum(a, _unbroadcast(g, a.data.shape))
+        _accum(b, _unbroadcast(-g, b.data.shape))
+
+    return _record(out, (a, b), backward)
+
+
+def softplus(x) -> Tensor:
+    """log(1 + exp(x)), computed stably. Gradient is sigmoid(x)."""
+    x = _as_tensor(x)
+    out = Tensor(np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data))))
+
+    def backward(g):
+        _accum(x, g * expit(x.data))
+
+    return _record(out, (x,), backward)
+
+
+def tmean(x) -> Tensor:
+    x = _as_tensor(x)
+    n = x.data.size
+    out = Tensor(x.data.mean())
+
+    def backward(g):
+        _accum(x, np.full_like(x.data, float(g) / n))
+
+    return _record(out, (x,), backward)
+
+
+def gather_rows(x, idx: np.ndarray) -> Tensor:
+    """Row lookup x[idx]; backward scatter-adds into the source rows."""
+    x = _as_tensor(x)
+    idx = np.asarray(idx, dtype=np.int64)
+    out = Tensor(x.data[idx])
+
+    def backward(g):
+        _accum(x, scatter_rows(idx, g, x.data.shape[0]))
+
+    return _record(out, (x,), backward)
+
+
+def rowwise_dot(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"rowwise_dot shape mismatch: {a.data.shape} vs {b.data.shape}")
+    out = Tensor((a.data * b.data).sum(axis=1))
+
+    def backward(g):
+        _accum(a, g[:, None] * b.data)
+        _accum(b, g[:, None] * a.data)
+
+    return _record(out, (a, b), backward)
+
+
+def score_pairs(final_anchor, final_items, anchor_idx, item_idx):
+    """Dot-product scores for aligned (anchor, item) index arrays."""
+    a = gather_rows(final_anchor, anchor_idx)
+    b = gather_rows(final_items, item_idx)
+    return rowwise_dot(a, b)
+
+
+def bpr_loss(pos_scores, neg_scores):
+    """Mean of -log sigmoid(pos - neg) over the batch.
+
+    softplus(neg - pos) is the same quantity without the intermediate
+    sigmoid, so large score gaps stay finite.
+    """
+    if pos_scores.shape[0] == 0:
+        raise ValueError("empty batch")
+    return tmean(softplus(sub(neg_scores, pos_scores)))

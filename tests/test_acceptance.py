@@ -232,7 +232,6 @@ class FrozenUniform:
 
 def test_end_to_end_gradient_check():
     from grouprec.autodiff import add, finite_difference_check, scale
-    from grouprec.graphconv import score_pairs
     from grouprec.losses import bpr_loss, interest_regularizer
 
     ds, _ = planted_world()
@@ -251,14 +250,8 @@ def test_end_to_end_gradient_check():
 
     def loss_fn():
         state = model.forward(noise_rng=frozen)
-        l_user = bpr_loss(
-            score_pairs(state.user_final, state.item_final, ua, up),
-            score_pairs(state.user_final, state.item_final, ua, un),
-        )
-        l_group = bpr_loss(
-            score_pairs(state.group_fused, state.item_final, ga, gp),
-            score_pairs(state.group_fused, state.item_final, ga, gn),
-        )
+        l_user = bpr_loss(state.user_final, state.item_final, ua, up, un)
+        l_group = bpr_loss(state.group_fused, state.item_final, ga, gp, gn)
         reg = interest_regularizer(state.interests, all_users, cfg.sim_threshold)
         return add(add(scale(l_user, 0.9), scale(l_group, 0.1)), scale(reg, 0.4))
 

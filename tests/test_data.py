@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from grouprec import datasets as d
 from grouprec import fusion
@@ -362,6 +363,40 @@ def test_sampler_negative_soundness_bulk():
     anchors, _, neg = sampler.sample(100_000)
     collisions = sum(1 for a, j in zip(anchors.tolist(), neg.tolist()) if (a, j) in train)
     assert collisions == 0
+
+
+def test_sampler_negatives_uniform_over_complement():
+    # anchors with 3, 1 and 10 of 12 items; each anchor's negatives must be
+    # uniform over its own complement
+    owned = {0: [0, 1, 2], 1: [5], 2: list(range(10))}
+    ds = make_dataset(3, 12, [(a, v) for a, vs in owned.items() for v in vs], [[0]])
+    anchors, _, neg = TripleSampler(ds.user_items, np.random.default_rng(3)).sample(60_000)
+    for a, vs in owned.items():
+        complement = np.setdiff1d(np.arange(12), vs)
+        counts = np.bincount(neg[anchors == a], minlength=12)
+        assert counts[vs].sum() == 0
+        observed = counts[complement]
+        expected = observed.sum() / len(complement)
+        chi2 = np.sum((observed - expected) ** 2 / expected)
+        # the 1 - 1e-6 quantile of chi-square with len(complement) - 1 degrees of freedom
+        assert chi2 < stats.chi2.ppf(1.0 - 1e-6, len(complement) - 1), (a, observed)
+
+
+def test_sampler_anchor_missing_one_item_always_gets_it():
+    ds = make_dataset(2, 7, [(0, v) for v in (0, 1, 2, 4, 5, 6)] + [(1, 3)], [[0]])
+    anchors, _, neg = TripleSampler(ds.user_items, np.random.default_rng(4)).sample(5_000)
+    assert np.all(neg[anchors == 0] == 3)
+    assert not np.any(neg[anchors == 1] == 3)
+    assert set(np.unique(anchors)) == {0, 1}
+
+
+def test_sampler_counts_duplicate_edges_once():
+    # anchor 0 has three train edges but only two distinct items of three
+    ds = make_dataset(2, 3, [(0, 0), (0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 2)], [[0]])
+    sampler = TripleSampler(ds.user_items, np.random.default_rng(0))
+    assert sampler.eligible.tolist() == [0]
+    _, _, neg = sampler.sample(50)
+    assert set(neg) == {2}
 
 
 def test_sampler_skips_anchor_with_all_items():

@@ -1,5 +1,7 @@
-"""Fused interest ops: finite differences, a per-interest reference built from
+"""Fused interest and BPR ops: finite differences, references built from
 primitive ops, and the one-hot scatter kernel."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -171,11 +173,11 @@ def reference_pipeline(e, gen, att, group, noise, hard, reg_users, threshold):
     ints = [ag.mul(e, ref.sigmoid(ag.add(ag.matmul(e, gen.w[n]), gen.b[n]))) for n in range(m)]
     pooled = []
     for t in ints:
-        rows = ag.gather_rows(t, UID)
+        rows = ref.gather_rows(t, UID)
         gamma = ref.segment_softmax(ag.matmul(rows, att), GID, N_GROUPS)
         weighted = ag.mul(ref.reshape(gamma, (len(UID), 1)), rows)
         pooled.append(ref.segment_sum(weighted, GID, N_GROUPS))
-    psi = ref.reshape(ag.stack([ag.rowwise_dot(group, p) for p in pooled]), (N_GROUPS, m))
+    psi = ref.reshape(ag.stack([ref.rowwise_dot(group, p) for p in pooled]), (N_GROUPS, m))
     omega = ag.softmax_rows(ag.add(psi, Tensor(noise)), 0.5)
     if hard:
         onehot = np.eye(m)[omega.data.argmax(axis=1)]
@@ -184,7 +186,7 @@ def reference_pipeline(e, gen, att, group, noise, hard, reg_users, threshold):
     for n, p in enumerate(pooled):
         term = ag.mul(ag.matmul(omega, Tensor(np.eye(m)[:, n:n + 1])), p)
         mixed = term if mixed is None else ag.add(mixed, term)
-    rows = [ag.gather_rows(t, reg_users) for t in ints]
+    rows = [ref.gather_rows(t, reg_users) for t in ints]
     acc = Tensor(0.0)
     for p in range(m):
         for q in range(p + 1, m):
@@ -256,6 +258,74 @@ def test_fused_pipeline_is_fewer_tape_nodes():
         counts.append(len(tape.nodes))
     # gate, attention, score, noise, softmax, mix, regularizer
     assert counts[0] == 7 and counts[1] > 5 * counts[0]
+
+
+# ------------------------------------------------------------ fused BPR loss
+
+# repeated anchors, an item that is both a positive and a negative, and p == n
+BPR_A = np.array([0, 3, 3, 1, 0, 5, 2])
+BPR_P = np.array([1, 4, 4, 0, 7, 2, 8])
+BPR_N = np.array([6, 1, 2, 0, 3, 7, 4])
+
+
+def test_bpr_loss_finite_differences():
+    rng = np.random.default_rng(12)
+    anchors, items = param(rng, 6, 4), param(rng, 9, 4)
+
+    def loss():
+        return losses.bpr_loss(anchors, items, BPR_A, BPR_P, BPR_N)
+
+    err = ag.finite_difference_check(loss, [anchors, items], h=1e-5, rng=rng, max_coords=36)
+    assert err < 1e-4
+    # one table in both roles accumulates both gradients
+    err = ag.finite_difference_check(
+        lambda: losses.bpr_loss(items, items, BPR_A, BPR_P, BPR_N), [items], h=1e-5, max_coords=36
+    )
+    assert err < 1e-4
+
+
+@pytest.mark.parametrize("spread", [0.3, 3.0, 30.0])
+def test_bpr_loss_matches_reference_composition(spread):
+    rng = np.random.default_rng(13)
+    anchors, items = param(rng, 6, 4), param(rng, 9, 4)
+    items.data *= spread  # score gaps from well inside to far outside the softplus bend
+
+    def fused():
+        return losses.bpr_loss(anchors, items, BPR_A, BPR_P, BPR_N)
+
+    def composed():
+        pos = ref.score_pairs(anchors, items, BPR_A, BPR_P)
+        neg = ref.score_pairs(anchors, items, BPR_A, BPR_N)
+        return ref.bpr_loss(pos, neg)
+
+    (lf, gf), (lr, gr) = grads_of(fused, [anchors, items]), grads_of(composed, [anchors, items])
+    assert abs(lf - lr) <= 1e-12 * abs(lr)
+    for a, b in zip(gf, gr):
+        assert close(a, b, rel=1e-12)
+    with Tape() as tape:
+        fused()
+    assert len(tape.nodes) == 1
+
+
+def test_sigmoid_saturates_to_exact_zero_and_one_without_warnings():
+    x = Tensor(np.ones((1, 1)), requires_grad=True)
+    ws = [Tensor([[800.0]], requires_grad=True), Tensor([[-800.0]], requires_grad=True)]
+    bs = [Tensor([0.0], requires_grad=True), Tensor([0.0], requires_grad=True)]
+    anchor = Tensor([[1.0]], requires_grad=True)
+    items = Tensor([[0.0], [800.0]], requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with Tape() as tape:
+            out = ag.gated_channels(x, ws, bs)
+            tape.backward(ag.tsum(out))
+        with Tape() as tape:
+            # one triple 800 in favour of the positive, one 800 against it
+            bpr = losses.bpr_loss(anchor, items, [0, 0], [1, 0], [0, 1])
+            tape.backward(bpr)
+    assert out.data.ravel().tolist() == [1.0, 0.0]
+    assert bpr.item() == 400.0
+    assert items.grad.ravel().tolist() == [-0.5, 0.5]
+    assert anchor.grad.ravel().tolist() == [400.0]
 
 
 # ------------------------------------------------------------ kernels

