@@ -33,6 +33,27 @@ class ForwardState:
     interests: Tensor  # (|U|, M, d); None unless interests were generated
 
 
+class RowScores:
+    """anchors @ items.T, computed one row block at a time and never whole.
+
+    `.shape` is the full matrix's; `[rows]` returns those rows as a new
+    float64 array. `nbytes` is the size of the largest block returned so far,
+    the score memory held at once.
+    """
+
+    def __init__(self, anchors, items):
+        self.anchors = anchors
+        # a row-major copy: OpenBLAS packs it faster per block than a transposed view, same bits
+        self.items_t = np.ascontiguousarray(items.T)
+        self.shape = (len(anchors), len(items))
+        self.nbytes = 0
+
+    def __getitem__(self, rows):
+        block = self.anchors[rows] @ self.items_t
+        self.nbytes = max(self.nbytes, block.nbytes)
+        return block
+
+
 class GroupRecommender:
     def __init__(self, dataset, config: TrainConfig, rng):
         config.validate()
@@ -144,17 +165,16 @@ class GroupRecommender:
         )
         return ForwardState(user_final, item_final, group_fused, omega, interests)
 
-    def full_scores(self, task, state=None):
-        """Dense anchor-by-item score matrix for ranking, no tape involved."""
+    def row_scores(self, task, state=None):
+        """The anchor-by-item scores of a task as a `RowScores`, no tape involved."""
         if state is None:
             state = self.forward()
-        items = state.item_final.data
         if task == "user":
-            return state.user_final.data @ items.T
+            return RowScores(state.user_final.data, state.item_final.data)
         if task == "group":
             if state.group_fused is None:
                 raise ValueError("group scoring requested with groups disabled")
-            return state.group_fused.data @ items.T
+            return RowScores(state.group_fused.data, state.item_final.data)
         raise ValueError(f"unknown task {task!r}")
 
     def interest_similarity(self, state=None):

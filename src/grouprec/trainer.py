@@ -35,12 +35,10 @@ LOG_COLUMNS = (
 # mallopt parameter numbers from glibc's <malloc.h>
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
-# Above glibc's 32 MiB ceiling for its dynamic threshold on purpose: the
-# step's (U, M, d) temporaries and the evaluation score matrices (64 MB on
-# MaFengWo, 320 MB at twice its size) all come from the one kept heap. With
-# 32 MiB the score matrices were mapped on top of the kept heap and peak RSS
-# rose by 15-19% on both benchmark shapes; at 1 GiB it ended no higher than
-# with glibc's defaults.
+# Above glibc's 32 MiB ceiling for its dynamic threshold on purpose, so that
+# every array the step allocates comes from the one kept heap at any data
+# size: arrays over 32 MiB (once the dense evaluation score matrices) were
+# mapped on top of the kept heap and raised peak RSS by 15-19%.
 MMAP_THRESHOLD_BYTES = 1 << 30
 TRIM_THRESHOLD_BYTES = 2**31 - 1
 
@@ -162,7 +160,7 @@ class Trainer:
         self.opt.step()
         self.opt.zero_grad()
 
-        reg_params = sum(float(np.sum(t.data * t.data)) for t in self.model.tensors())
+        reg_params = sum(float(np.vdot(t.data, t.data)) for t in self.model.tensors())
         return LossBreakdown.build(
             l_user.item(),
             l_group_val,

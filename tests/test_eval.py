@@ -1,12 +1,17 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from grouprec import evaluate as ev
 from grouprec import reporting
-from grouprec.datasets import TRAIN, VALID, TEST, Dataset, Interactions, membership_matrix
+from grouprec.config import TrainConfig
+from grouprec.datasets import TRAIN, VALID, TEST, Dataset, Interactions, membership_matrix, split_holdout
+from grouprec.model import GroupRecommender, RowScores
+from grouprec.synthetic import generate_synthetic
+from grouprec.trainer import Trainer
 
 NDCG_RANK2 = 0.6309297535714574  # 1 / log2(3)
 
@@ -172,7 +177,7 @@ class StubModel:
         self._u = np.asarray(user_scores, dtype=np.float64)
         self._g = None if group_scores is None else np.asarray(group_scores, dtype=np.float64)
 
-    def full_scores(self, task, state=None):
+    def row_scores(self, task, state=None):
         return self._u if task == "user" else self._g
 
 
@@ -260,3 +265,62 @@ def test_metric_bounds_invariant():
     metrics, _ = ev.evaluate_scores(scores, index_of(eval_sets, 20), index_of(mask_sets, 20), ks=(5, 10))
     for v in metrics.values():
         assert 0.0 <= v <= 1.0
+
+
+def test_row_scores_blocks_and_nbytes():
+    rng = np.random.default_rng(5)
+    anchors, items = rng.normal(size=(9, 4)), rng.normal(size=(7, 4))
+    scores = RowScores(anchors, items)
+    assert scores.shape == (9, 7) and scores.nbytes == 0
+    rows = np.array([8, 0, 3])
+    np.testing.assert_allclose(scores[rows], (anchors @ items.T)[rows], rtol=0, atol=1e-14)
+    scores[np.array([1])]
+    assert scores.nbytes == 3 * 7 * 8  # the largest block returned so far
+
+
+@pytest.fixture(scope="module")
+def trained_toy():
+    ds, _ = generate_synthetic(300, 200, 40, m_true=3, noise=0.1, seed=4)
+    ds.user_items = split_holdout(ds.user_items, seed=4)
+    ds.group_items = split_holdout(ds.group_items, seed=5)
+    cfg = TrainConfig(embed_dim=8, n_interests=2, n_layers=1, batch_user=256, batch_group=32,
+                      epochs=2, patience=5, seed=2, lr=0.05)
+    trainer = Trainer(ds, cfg)
+    trainer.train()
+    return trainer.model, ds
+
+
+@pytest.mark.parametrize("block_elements", [ev.BLOCK_ELEMENTS, 200 * 7])  # one block; 7 rows each
+@pytest.mark.parametrize("target", [VALID, TEST])
+@pytest.mark.parametrize("task", ["user", "group"])
+def test_row_block_scoring_equals_dense_product(trained_toy, monkeypatch, task, target, block_elements):
+    model, ds = trained_toy
+    monkeypatch.setattr(ev, "BLOCK_ELEMENTS", block_elements)
+    state = model.forward()
+    anchors = state.user_final.data if task == "user" else state.group_fused.data
+    dense = anchors @ state.item_final.data.T
+    interactions = ds.user_items if task == "user" else ds.group_items
+    ks = (5, 10, 20)
+    got = ev.evaluate_ranking(model, ds, task, ks=ks, target=target, state=state)
+    assert got == ev.evaluate_scores(dense, *ev._indexes(interactions, target), ks)
+    assert got[1] > 0
+
+
+def test_evaluate_ranking_never_holds_the_dense_matrix():
+    n_users, n_items, per_user = 3000, 2000, 4
+    rng = np.random.default_rng(0)
+    items = np.concatenate([rng.choice(n_items, size=per_user, replace=False) for _ in range(n_users)])
+    splits = np.tile([TRAIN, TRAIN, VALID, TEST], n_users)
+    ui = Interactions(n_users, n_items, np.repeat(np.arange(n_users), per_user), items, splits)
+    ds = Dataset(n_users, n_items, 1, ui, Interactions(1, n_items), membership_matrix(1, n_users, [0], [0]))
+    cfg = TrainConfig(embed_dim=16, n_layers=1, use_groups=False)
+    model = GroupRecommender(ds.validate(), cfg, np.random.default_rng(1))
+    dense_bytes = n_users * n_items * 8
+    tracemalloc.start()
+    try:
+        metrics, n = ev.evaluate_ranking(model, ds, "user", ks=(10,), target=TEST)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n == n_users and 0.0 <= metrics["ndcg@10"] <= 1.0
+    assert peak < dense_bytes / 4, f"peak {peak / 1e6:.1f} MB against a {dense_bytes / 1e6:.0f} MB dense matrix"

@@ -165,7 +165,7 @@ def test_mf_reduction_scores_are_raw_dot_products():
     ds = toy_dataset()
     cfg = small_config(use_groups=False, n_layers=0)
     model = GroupRecommender(ds, cfg, np.random.default_rng(0))
-    scores = model.full_scores("user")
+    scores = model.row_scores("user")[:]
     np.testing.assert_allclose(scores, model.user_emb.data @ model.item_emb.data.T, atol=1e-12)
     assert model.group_emb is None and model.generator is None
 
@@ -177,7 +177,7 @@ def test_graph_reduction_ignores_groups():
     state = model.forward()
     assert state.group_fused is None and state.interests is None
     with pytest.raises(ValueError):
-        model.full_scores("group")
+        model.row_scores("group")
 
 
 def test_uniform_mix_variant_freezes_omega():
