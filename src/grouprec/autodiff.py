@@ -181,23 +181,6 @@ def scale(x, c: float) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim not in (1, 2):
-        raise ValueError(f"matmul expects 2-d @ 1/2-d, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, np.outer(g, b.data) if b.data.ndim == 1 else g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
-
-    return _record(out, (a, b), backward)
-
-
 def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
     """z <- 1 / (1 + exp(-z)), in place. Saturates to exactly 0 and 1.
 
@@ -237,18 +220,6 @@ def tsum(x) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # shape plumbing
-
-
-def stack(tensors: list[Tensor]) -> Tensor:
-    """Stack equal-shaped tensors along a new axis 1: M of (n, ...) -> (n, M, ...)."""
-    tensors = [_as_tensor(t) for t in tensors]
-    out = Tensor(np.stack([t.data for t in tensors], axis=1))
-
-    def backward(g):
-        for j, t in enumerate(tensors):
-            _accum(t, g[:, j])
-
-    return _record(out, tuple(tensors), backward)
 
 
 def _onehot_rows(idx: np.ndarray, n_rows: int):
@@ -345,23 +316,21 @@ def softmax_rows(x, tau: float = 1.0) -> Tensor:
 # sparse
 
 
-def spmm(csr, x, csr_t=None) -> Tensor:
-    """Sparse (CSR) times dense; the sparse factor is a constant.
+def spmm(mat, x) -> Tensor:
+    """Sparse times dense; the sparse factor is a constant.
 
-    Backward scatters through the sparsity pattern via the transpose, which
-    the caller can pass precomputed to avoid rebuilding it every step.
+    Backward multiplies by ``mat.T``, which scipy gives as a view (CSR turns
+    into CSC and back without a copy), so no transpose is ever built. The
+    product through the view adds the same terms in the same order as one
+    through a transposed copy, so the bits match too.
     """
     x = _as_tensor(x)
-    if csr.shape[1] != x.data.shape[0]:
-        raise ValueError(f"spmm shape mismatch: {csr.shape} @ {x.data.shape}")
-    out = Tensor(csr @ x.data)
-    at = csr_t
+    if mat.shape[1] != x.data.shape[0]:
+        raise ValueError(f"spmm shape mismatch: {mat.shape} @ {x.data.shape}")
+    out = Tensor(mat @ x.data)
 
     def backward(g):
-        nonlocal at
-        if at is None:
-            at = csr.T.tocsr()
-        _accum(x, at @ g)
+        _accum(x, mat.T @ g)
 
     return _record(out, (x,), backward)
 
@@ -384,17 +353,17 @@ def straight_through(soft: Tensor, hard: np.ndarray) -> Tensor:
 # one tape node per op, backward written out by hand
 
 
-def gated_channels(x, weights: list[Tensor], biases: list[Tensor]) -> Tensor:
-    """out[:, n] = x * sigmoid(x @ weights[n] + biases[n]): (U, d) -> (U, M, d).
+def gated_channels(x, w, b) -> Tensor:
+    """out[:, n] = x * sigmoid(x @ w[n] + b[n]): (U, d), (M, d, d), (M, d) -> (U, M, d).
 
-    The M (d, d) gates run as one (U, d) @ (d, M*d) product over the
-    column-concatenated weights.
+    The M (d, d) gates run as one (U, d) @ (d, M*d) product, whose column
+    block n is w[n].
     """
-    x = _as_tensor(x)
-    m, d = len(weights), x.data.shape[1]
-    w_cat = np.concatenate([w.data for w in weights], axis=1)
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    m, d = w.data.shape[0], x.data.shape[1]
+    w_cat = w.data.transpose(1, 0, 2).reshape(d, m * d)
     z = x.data @ w_cat
-    z += np.concatenate([b.data for b in biases])
+    z += b.data.reshape(m * d)
     gate = _sigmoid_inplace(z).reshape(-1, m, d)
     gated = x.data[:, None, :] * gate
     out = Tensor(gated)
@@ -407,16 +376,34 @@ def gated_channels(x, weights: list[Tensor], biases: list[Tensor]) -> Tensor:
         dz *= gated
         dz *= np.subtract(1.0, gate, out=gate)  # g * x * gate * (1 - gate)
         dz = dz.reshape(-1, m * d)
-        dw = x.data.T @ dz
-        db = dz.sum(axis=0)
-        for n in range(m):
-            cols = slice(n * d, (n + 1) * d)
-            _accum(weights[n], dw[:, cols])
-            _accum(biases[n], db[cols])
+        _accum(w, (x.data.T @ dz).reshape(d, m, d).transpose(1, 0, 2))
+        _accum(b, dz.sum(axis=0).reshape(m, d))
         if x.requires_grad:
             x.grad += dz @ w_cat.T
 
-    return _record(out, (x, *weights, *biases), backward)
+    return _record(out, (x, w, b), backward)
+
+
+def channel_linear(x, w, b) -> Tensor:
+    """out[:, n] = x_n @ w[n] + b[n]: (U, d) or (U, M, d), (M, d, d'), (M, d') -> (U, M, d').
+
+    x_n is x itself for a (U, d) input and x[:, n] for a (U, M, d) one. The
+    M products run as one stacked matmul over the channel axis.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    xm = x.data[:, None, :] if x.data.ndim == 2 else x.data  # (U, 1 or M, d)
+    xc = xm.transpose(1, 0, 2)  # (1 or M, U, d)
+    out = Tensor((xc @ w.data).transpose(1, 0, 2) + b.data)
+
+    def backward(g):
+        gc = g.transpose(1, 0, 2)  # (M, U, d')
+        if x.requires_grad:
+            dx = gc @ w.data.transpose(0, 2, 1)  # (M, U, d)
+            _accum(x, dx.sum(axis=0) if x.data.ndim == 2 else dx.transpose(1, 0, 2))
+        _accum(w, xc.transpose(0, 2, 1) @ gc)
+        _accum(b, g.sum(axis=0))
+
+    return _record(out, (x, w, b), backward)
 
 
 def segment_attention(x, att, rows: np.ndarray, segment_ids: np.ndarray,

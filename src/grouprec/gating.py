@@ -5,9 +5,10 @@ with per-interest self-gates: interest n is e ⊙ sigmoid(e W_n + b_n). The
 alternative generators (plain linear maps, a two-layer map, free per-user
 tables) exist only for the comparison harness and share the same interface:
 ``interests(user_emb)`` maps the (|U|, d) embedding table to one (|U|, M, d)
-tensor whose [:, n] slice is interest n. Parameters stay one tensor per
-interest (``gate_{n}_w``, ``gate_{n}_b``, ...), so checkpoints name them
-individually.
+tensor whose [:, n] slice is interest n. Parameters follow the same
+convention: each role is one tensor whose slice n belongs to interest n
+(``gate_w`` is (M, d, d) and ``gate_w[n]`` is W_n), except the free table,
+which is (|U|, M, d) like the interests it stands for.
 """
 
 import numpy as np
@@ -22,122 +23,91 @@ def _weight(rng, shape):
     return Tensor(rng.normal(0.0, INIT_STD, size=shape), requires_grad=True)
 
 
-class SelfGatingInterests:
+def _bias(shape):
+    # zero biases start every gate near the 0.5*e regime
+    return Tensor(np.zeros(shape), requires_grad=True)
+
+
+class _Generator:
+    """Parameter bookkeeping shared by the generators.
+
+    ``roles`` pairs each checkpoint tensor name with the attribute holding it.
+    """
+
+    roles = ()
+
+    def named_params(self):
+        return [(name, getattr(self, attr)) for name, attr in self.roles]
+
+    def param_count(self):
+        return sum(t.data.size for _, t in self.named_params())
+
+
+class SelfGatingInterests(_Generator):
     """M sigmoid self-gates; parameter count M * (d + 1) * d."""
 
     mode = "gate"
+    roles = (("gate_w", "w"), ("gate_b", "b"))
 
     def __init__(self, m_interests, dim, rng):
         if m_interests < 1:
             raise ValueError("need at least one interest")
-        self.m = m_interests
-        self.dim = dim
-        self.w = [_weight(rng, (dim, dim)) for _ in range(m_interests)]
-        # zero biases start every gate near the 0.5*e regime
-        self.b = [Tensor(np.zeros(dim), requires_grad=True) for _ in range(m_interests)]
+        self.w = _weight(rng, (m_interests, dim, dim))
+        self.b = _bias((m_interests, dim))
 
     def interests(self, user_emb):
         """(|U|, d) -> (|U|, M, d): all M gates in one fused op."""
         return ag.gated_channels(user_emb, self.w, self.b)
 
-    def named_params(self):
-        pairs = []
-        for n in range(self.m):
-            pairs.append((f"gate_{n}_w", self.w[n]))
-            pairs.append((f"gate_{n}_b", self.b[n]))
-        return pairs
 
-    def param_count(self):
-        return self.m * (self.dim + 1) * self.dim
-
-
-class LinearInterests:
+class LinearInterests(_Generator):
     """One affine map per interest; same parameter count as the gates."""
 
     mode = "fc1"
+    roles = (("fc1_w", "w"), ("fc1_b", "b"))
 
     def __init__(self, m_interests, dim, rng):
-        self.m = m_interests
-        self.dim = dim
-        self.w = [_weight(rng, (dim, dim)) for _ in range(m_interests)]
-        self.b = [Tensor(np.zeros(dim), requires_grad=True) for _ in range(m_interests)]
+        self.w = _weight(rng, (m_interests, dim, dim))
+        self.b = _bias((m_interests, dim))
 
     def interests(self, user_emb):
-        return ag.stack(
-            [ag.add(ag.matmul(user_emb, self.w[n]), self.b[n]) for n in range(self.m)]
-        )
-
-    def named_params(self):
-        pairs = []
-        for n in range(self.m):
-            pairs.append((f"fc1_{n}_w", self.w[n]))
-            pairs.append((f"fc1_{n}_b", self.b[n]))
-        return pairs
-
-    def param_count(self):
-        return self.m * (self.dim + 1) * self.dim
+        return ag.channel_linear(user_emb, self.w, self.b)
 
 
-class TwoLayerInterests:
+class TwoLayerInterests(_Generator):
     """Two affine maps with a ReLU between; twice the single-layer count."""
 
     mode = "fc2"
+    roles = (("fc2_w1", "w1"), ("fc2_b1", "b1"), ("fc2_w2", "w2"), ("fc2_b2", "b2"))
 
     def __init__(self, m_interests, dim, rng):
-        self.m = m_interests
-        self.dim = dim
-        self.w1 = [_weight(rng, (dim, dim)) for _ in range(m_interests)]
-        self.b1 = [Tensor(np.zeros(dim), requires_grad=True) for _ in range(m_interests)]
-        self.w2 = [_weight(rng, (dim, dim)) for _ in range(m_interests)]
-        self.b2 = [Tensor(np.zeros(dim), requires_grad=True) for _ in range(m_interests)]
+        self.w1 = _weight(rng, (m_interests, dim, dim))
+        self.b1 = _bias((m_interests, dim))
+        self.w2 = _weight(rng, (m_interests, dim, dim))
+        self.b2 = _bias((m_interests, dim))
 
     def interests(self, user_emb):
-        out = []
-        for n in range(self.m):
-            h = ag.relu(ag.add(ag.matmul(user_emb, self.w1[n]), self.b1[n]))
-            out.append(ag.add(ag.matmul(h, self.w2[n]), self.b2[n]))
-        return ag.stack(out)
-
-    def named_params(self):
-        pairs = []
-        for n in range(self.m):
-            pairs.extend(
-                [
-                    (f"fc2_{n}_w1", self.w1[n]),
-                    (f"fc2_{n}_b1", self.b1[n]),
-                    (f"fc2_{n}_w2", self.w2[n]),
-                    (f"fc2_{n}_b2", self.b2[n]),
-                ]
-            )
-        return pairs
-
-    def param_count(self):
-        return 2 * self.m * (self.dim + 1) * self.dim
+        hidden = ag.relu(ag.channel_linear(user_emb, self.w1, self.b1))
+        return ag.channel_linear(hidden, self.w2, self.b2)
 
 
-class TableInterests:
+class TableInterests(_Generator):
     """Free interest embeddings, one full table per interest: M * |U| * d."""
 
     mode = "table"
+    roles = (("interest_table", "table"),)
 
     def __init__(self, m_interests, dim, rng, n_users=None):
         if n_users is None:
             raise ValueError("free interest tables need the user count")
-        self.m = m_interests
-        self.dim = dim
-        self.n_users = n_users
-        self.tables = [_weight(rng, (n_users, dim)) for _ in range(m_interests)]
+        # drawn interest by interest, stored user-major like the interests
+        draw = rng.normal(0.0, INIT_STD, size=(m_interests, n_users, dim))
+        self.table = Tensor(np.ascontiguousarray(draw.transpose(1, 0, 2)), requires_grad=True)
 
     def interests(self, user_emb):
-        if user_emb.shape[0] != self.n_users:
+        if user_emb.shape[0] != self.table.shape[0]:
             raise ValueError("table generator sized for a different user count")
-        return ag.stack(self.tables)
-
-    def named_params(self):
-        return [(f"interest_table_{n}", self.tables[n]) for n in range(self.m)]
-
-    def param_count(self):
-        return self.m * self.n_users * self.dim
+        return self.table
 
 
 GENERATORS = {

@@ -3,7 +3,7 @@
 from . import autodiff as ag
 
 
-def propagate(adj_csr, adj_t_csr, users0, items0, n_layers):
+def propagate(adj, users0, items0, n_layers):
     """Run n_layers of neighbor averaging and sum the layer outputs.
 
     Each layer maps the previous pair through the normalized bipartite
@@ -16,8 +16,8 @@ def propagate(adj_csr, adj_t_csr, users0, items0, n_layers):
     u_cur, v_cur = users0, items0
     u_acc, v_acc = users0, items0
     for _ in range(n_layers):
-        u_next = ag.spmm(adj_csr, v_cur, csr_t=adj_t_csr)
-        v_next = ag.spmm(adj_t_csr, u_cur, csr_t=adj_csr)
+        u_next = ag.spmm(adj, v_cur)
+        v_next = ag.spmm(adj.T, u_cur)
         u_acc = ag.add(u_acc, u_next)
         v_acc = ag.add(v_acc, v_next)
         u_cur, v_cur = u_next, v_next

@@ -69,7 +69,6 @@ class GroupRecommender:
         )
 
         self.adj = build_norm_adjacency(dataset)
-        self.adj_t = self.adj.T.tocsr()
 
         self.group_emb = None
         self.att_vec = None
@@ -161,7 +160,7 @@ class GroupRecommender:
                 pooling=cfg.pooling,
             )
         user_final, item_final = graphconv.propagate(
-            self.adj, self.adj_t, users0, self.item_emb, cfg.n_layers
+            self.adj, users0, self.item_emb, cfg.n_layers
         )
         return ForwardState(user_final, item_final, group_fused, omega, interests)
 

@@ -25,6 +25,48 @@ from grouprec.autodiff import (
 log = logging.getLogger(__name__)
 
 
+def matmul(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.data.ndim != 2 or b.data.ndim not in (1, 2):
+        raise ValueError(f"matmul expects 2-d @ 1/2-d, got {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
+    out = Tensor(a.data @ b.data)
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, np.outer(g, b.data) if b.data.ndim == 1 else g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
+
+    return _record(out, (a, b), backward)
+
+
+def stack(tensors: list[Tensor]) -> Tensor:
+    """Stack equal-shaped tensors along a new axis 1: M of (n, ...) -> (n, M, ...)."""
+    tensors = [_as_tensor(t) for t in tensors]
+    out = Tensor(np.stack([t.data for t in tensors], axis=1))
+
+    def backward(g):
+        for j, t in enumerate(tensors):
+            _accum(t, g[:, j])
+
+    return _record(out, tuple(tensors), backward)
+
+
+def take(x, n) -> Tensor:
+    """Slice x[n] of a stacked parameter, as its own tape node."""
+    x = _as_tensor(x)
+    out = Tensor(x.data[n])
+
+    def backward(g):
+        grad = np.zeros_like(x.data)
+        grad[n] = g
+        _accum(x, grad)
+
+    return _record(out, (x,), backward)
+
+
 def neg(x) -> Tensor:
     x = _as_tensor(x)
     out = Tensor(-x.data)

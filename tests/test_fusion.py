@@ -156,15 +156,14 @@ def test_fusion_chain_gradients():
 
 def single_edge_graph():
     ds = dataset_with_members(1, [[0]], n_items=1, user_edges=[(0, 0)])
-    adj = build_norm_adjacency(ds)
-    return adj, adj.T.tocsr()
+    return build_norm_adjacency(ds)
 
 
 def test_propagate_single_edge_one_layer():
-    adj, adj_t = single_edge_graph()
+    adj = single_edge_graph()
     u0 = Tensor([[1.0, 0.0]])
     v0 = Tensor([[0.0, 1.0]])
-    uf, vf = graphconv.propagate(adj, adj_t, u0, v0, 1)
+    uf, vf = graphconv.propagate(adj, u0, v0, 1)
     np.testing.assert_allclose(uf.data, [[1.0, 1.0]])  # u0 + v0
     np.testing.assert_allclose(vf.data, [[1.0, 1.0]])
 
@@ -174,7 +173,7 @@ def test_propagate_isolated_user():
     adj = build_norm_adjacency(ds)
     u0 = Tensor([[1.0, 2.0], [3.0, 4.0]])
     v0 = Tensor([[0.0, 0.0]])
-    uf, _ = graphconv.propagate(adj, adj.T.tocsr(), u0, v0, 1)
+    uf, _ = graphconv.propagate(adj, u0, v0, 1)
     np.testing.assert_allclose(uf.data[1], [3.0, 4.0])  # layer-1 is zero there
 
 
@@ -183,24 +182,24 @@ def test_propagate_star_graph_weights():
     adj = build_norm_adjacency(ds)
     u0 = Tensor([[0.0, 0.0]])
     v0 = Tensor([[1.0, 0.0], [0.0, 1.0]])
-    uf, _ = graphconv.propagate(adj, adj.T.tocsr(), u0, v0, 1)
+    uf, _ = graphconv.propagate(adj, u0, v0, 1)
     np.testing.assert_allclose(uf.data, [[1 / np.sqrt(2), 1 / np.sqrt(2)]])
 
 
 def test_propagate_zero_layers_identity():
-    adj, adj_t = single_edge_graph()
+    adj = single_edge_graph()
     u0 = Tensor([[5.0, 6.0]])
     v0 = Tensor([[7.0, 8.0]])
-    uf, vf = graphconv.propagate(adj, adj_t, u0, v0, 0)
+    uf, vf = graphconv.propagate(adj, u0, v0, 0)
     np.testing.assert_allclose(uf.data, u0.data)
     np.testing.assert_allclose(vf.data, v0.data)
 
 
 def test_propagate_two_layers_single_edge():
-    adj, adj_t = single_edge_graph()
+    adj = single_edge_graph()
     u0 = np.array([[1.0, 2.0]])
     v0 = np.array([[10.0, 20.0]])
-    uf, vf = graphconv.propagate(adj, adj_t, Tensor(u0), Tensor(v0), 2)
+    uf, vf = graphconv.propagate(adj, Tensor(u0), Tensor(v0), 2)
     np.testing.assert_allclose(uf.data, 2 * u0 + v0)
     np.testing.assert_allclose(vf.data, 2 * v0 + u0)
 
@@ -212,8 +211,8 @@ def test_propagate_linearity():
     adj = build_norm_adjacency(ds)
     u0 = rng.normal(size=(6, 3))
     v0 = rng.normal(size=(5, 3))
-    uf1, _ = graphconv.propagate(adj, adj.T.tocsr(), Tensor(u0), Tensor(v0), 3)
-    uf2, _ = graphconv.propagate(adj, adj.T.tocsr(), Tensor(2.5 * u0), Tensor(2.5 * v0), 3)
+    uf1, _ = graphconv.propagate(adj, Tensor(u0), Tensor(v0), 3)
+    uf2, _ = graphconv.propagate(adj, Tensor(2.5 * u0), Tensor(2.5 * v0), 3)
     np.testing.assert_allclose(uf2.data, 2.5 * uf1.data, atol=1e-12)
 
 
@@ -225,7 +224,7 @@ def test_propagate_matches_dense_oracle():
     adj = build_norm_adjacency(ds)
     u0 = rng.normal(size=(n_u, d))
     v0 = rng.normal(size=(n_v, d))
-    uf, vf = graphconv.propagate(adj, adj.T.tocsr(), Tensor(u0), Tensor(v0), k)
+    uf, vf = graphconv.propagate(adj, Tensor(u0), Tensor(v0), k)
 
     dense = adj.toarray()
     du, dv = u0.copy(), v0.copy()
@@ -239,9 +238,9 @@ def test_propagate_matches_dense_oracle():
 
 
 def test_propagate_rejects_negative_layers():
-    adj, adj_t = single_edge_graph()
+    adj = single_edge_graph()
     with pytest.raises(ValueError):
-        graphconv.propagate(adj, adj_t, Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]]), -1)
+        graphconv.propagate(adj, Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]]), -1)
 
 
 def test_score_pairs_values():

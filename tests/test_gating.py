@@ -31,8 +31,8 @@ def test_zero_embedding_gives_zero_interest():
 
 def test_identity_gate_hand_value():
     gen = make_interest_generator("gate", 1, 2, np.random.default_rng(0))
-    gen.w[0].data[:] = np.eye(2)
-    gen.b[0].data[:] = 0.0
+    gen.w.data[0] = np.eye(2)
+    gen.b.data[0] = 0.0
     out = gen.interests(Tensor([[1.0, 1.0]]))
     np.testing.assert_allclose(out.data[:, 0], [[SIGMOID_1, SIGMOID_1]], atol=1e-12)
 

@@ -188,6 +188,23 @@ def test_checkpoint_rebuild_rejects_mismatch(tmp_path):
         build_model_from_arrays(ds, trainer.cfg, arrays[1:])
 
 
+def test_checkpoint_in_the_per_interest_layout_is_rejected(tmp_path):
+    ds, _ = planted_dataset()
+    trainer = Trainer(ds, toy_config(epochs=1))
+    old = []
+    for name, arr in trainer.model.named_params_data():
+        if name.startswith("gate_"):
+            role = name.split("_")[1]  # gate_w -> gate_0_w, gate_1_w, ...
+            old.extend((f"gate_{n}_{role}", arr[n]) for n in range(len(arr)))
+        else:
+            old.append((name, arr))
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, trainer.cfg.as_dict(), old)
+    cfg_dict, arrays, _ = load_checkpoint(path)
+    with pytest.raises(ValueError, match="missing tensor 'gate_w'"):
+        build_model_from_arrays(ds, TrainConfig.from_dict(cfg_dict), arrays)
+
+
 # --- the malloc setting of Trainer.train ----------------------------------
 
 
