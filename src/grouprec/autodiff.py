@@ -391,8 +391,7 @@ def channel_linear(x, w, b) -> Tensor:
     M products run as one stacked matmul over the channel axis.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    xm = x.data[:, None, :] if x.data.ndim == 2 else x.data  # (U, 1 or M, d)
-    xc = xm.transpose(1, 0, 2)  # (1 or M, U, d)
+    xc = x.data[None] if x.data.ndim == 2 else x.data.transpose(1, 0, 2)  # (1 or M, U, d)
     out = Tensor((xc @ w.data).transpose(1, 0, 2) + b.data)
 
     def backward(g):
