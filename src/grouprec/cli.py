@@ -35,6 +35,7 @@ from .datasets import (
     write_splits,
 )
 from .evaluate import evaluate_popularity, evaluate_ranking
+from .gating import param_count
 from .reporting import export_report, metric_rows, write_csv
 from .synthetic import generate_synthetic
 from .trainer import Trainer, build_model_from_arrays, heap_kept
@@ -354,7 +355,7 @@ def cmd_ablate(args):
                 trainer.train()
                 metrics = _test_metrics(trainer, ds, args.task, ks)
                 mode_rows.append(
-                    [mode, trainer.model.generator.param_count(), seed]
+                    [mode, param_count(trainer.model.generator.named_params()), seed]
                     + [f"{metrics[nm]:.6f}" for nm in metric_names]
                 )
         write_csv(

@@ -28,26 +28,15 @@ def _bias(shape):
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
-class _Generator:
-    """Parameter bookkeeping shared by the generators.
-
-    ``roles`` pairs each checkpoint tensor name with the attribute holding it.
-    """
-
-    roles = ()
-
-    def named_params(self):
-        return [(name, getattr(self, attr)) for name, attr in self.roles]
-
-    def param_count(self):
-        return sum(t.data.size for _, t in self.named_params())
+def param_count(named_params):
+    """Number of scalars held by ``(name, Tensor)`` pairs."""
+    return sum(t.data.size for _, t in named_params)
 
 
-class SelfGatingInterests(_Generator):
+class SelfGatingInterests:
     """M sigmoid self-gates; parameter count M * (d + 1) * d."""
 
     mode = "gate"
-    roles = (("gate_w", "w"), ("gate_b", "b"))
 
     def __init__(self, m_interests, dim, rng):
         if m_interests < 1:
@@ -59,12 +48,14 @@ class SelfGatingInterests(_Generator):
         """(|U|, d) -> (|U|, M, d): all M gates in one fused op."""
         return ag.gated_channels(user_emb, self.w, self.b)
 
+    def named_params(self):
+        return [("gate_w", self.w), ("gate_b", self.b)]
 
-class LinearInterests(_Generator):
+
+class LinearInterests:
     """One affine map per interest; same parameter count as the gates."""
 
     mode = "fc1"
-    roles = (("fc1_w", "w"), ("fc1_b", "b"))
 
     def __init__(self, m_interests, dim, rng):
         self.w = _weight(rng, (m_interests, dim, dim))
@@ -73,12 +64,14 @@ class LinearInterests(_Generator):
     def interests(self, user_emb):
         return ag.channel_linear(user_emb, self.w, self.b)
 
+    def named_params(self):
+        return [("fc1_w", self.w), ("fc1_b", self.b)]
 
-class TwoLayerInterests(_Generator):
+
+class TwoLayerInterests:
     """Two affine maps with a ReLU between; twice the single-layer count."""
 
     mode = "fc2"
-    roles = (("fc2_w1", "w1"), ("fc2_b1", "b1"), ("fc2_w2", "w2"), ("fc2_b2", "b2"))
 
     def __init__(self, m_interests, dim, rng):
         self.w1 = _weight(rng, (m_interests, dim, dim))
@@ -90,12 +83,14 @@ class TwoLayerInterests(_Generator):
         hidden = ag.relu(ag.channel_linear(user_emb, self.w1, self.b1))
         return ag.channel_linear(hidden, self.w2, self.b2)
 
+    def named_params(self):
+        return [("fc2_w1", self.w1), ("fc2_b1", self.b1), ("fc2_w2", self.w2), ("fc2_b2", self.b2)]
 
-class TableInterests(_Generator):
+
+class TableInterests:
     """Free interest embeddings, one full table per interest: M * |U| * d."""
 
     mode = "table"
-    roles = (("interest_table", "table"),)
 
     def __init__(self, m_interests, dim, rng, n_users=None):
         if n_users is None:
@@ -108,6 +103,9 @@ class TableInterests(_Generator):
         if user_emb.shape[0] != self.table.shape[0]:
             raise ValueError("table generator sized for a different user count")
         return self.table
+
+    def named_params(self):
+        return [("interest_table", self.table)]
 
 
 GENERATORS = {

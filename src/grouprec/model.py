@@ -20,7 +20,7 @@ from . import aggregation, fusion, graphconv
 from .autodiff import Tensor
 from .config import TrainConfig
 from .datasets import build_norm_adjacency
-from .gating import INIT_STD, make_interest_generator
+from .gating import INIT_STD, make_interest_generator, param_count
 from .losses import pairwise_abs_cosine
 
 
@@ -112,7 +112,7 @@ class GroupRecommender:
         return [(name, t.data) for name, t in self.named_params()]
 
     def param_count(self):
-        return sum(t.data.size for t in self.tensors())
+        return param_count(self.named_params())
 
     def forward(self, noise_rng=None):
         """Build all final representations; noise_rng=None is deterministic."""

@@ -33,6 +33,7 @@ from grouprec.datasets import (
     split_holdout,
 )
 from grouprec.evaluate import evaluate_popularity, evaluate_ranking, evaluate_scores
+from grouprec.gating import param_count
 from grouprec.graphconv import propagate
 from grouprec.synthetic import generate_synthetic
 from grouprec.trainer import Trainer
@@ -174,8 +175,8 @@ def test_interest_generator_comparison(tmp_path_factory):
     gate = _test_metrics(gate_t, ds, "user")["ndcg@5"]
     table = _test_metrics(table_t, ds, "user")["ndcg@5"]
     m, d = 4, 64
-    gate_params = gate_t.model.generator.param_count()
-    table_params = table_t.model.generator.param_count()
+    gate_params = param_count(gate_t.model.generator.named_params())
+    table_params = param_count(table_t.model.generator.named_params())
     ok = (
         (gate - table) / table >= 0.03
         and gate_params == m * (d + 1) * d
@@ -256,7 +257,8 @@ def test_end_to_end_gradient_check():
         return add(add(scale(l_user, 0.9), scale(l_group, 0.1)), scale(reg, 0.4))
 
     params = [t for _, t in model.named_params()]
-    worst = finite_difference_check(loss_fn, params, h=1e-5, max_coords=4,
+    # each interest role stacks n_interests slices: 4 coordinates per slice
+    worst = finite_difference_check(loss_fn, params, h=1e-5, max_coords=4 * cfg.n_interests,
                                     rng=np.random.default_rng(0))
     report("end-to-end gradient check", worst < 1e-4, f"max relative error {worst:.2e} (<1e-4)")
 

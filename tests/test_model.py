@@ -8,6 +8,7 @@ from grouprec import losses
 from grouprec.autodiff import Tape, Tensor
 from grouprec.config import TrainConfig
 from grouprec.datasets import Dataset, Interactions, membership_matrix, split_holdout
+from grouprec.gating import param_count
 from grouprec.model import GroupRecommender
 
 import reference as ref
@@ -232,7 +233,7 @@ def test_param_registry_covers_all_modes():
         )
         names = [n for n, _ in model.named_params()]
         assert names[:3] == ["user_emb", "item_emb", "group_emb"]
-        assert model.generator.param_count() == extra
+        assert param_count(model.generator.named_params()) == extra
 
 
 def test_end_to_end_gradients_match_finite_differences():
@@ -275,5 +276,7 @@ def test_end_to_end_gradients_max_pooling_variant():
         state = model.forward()
         return ag.tsum(ag.mul(state.user_final, state.user_final))
 
-    err = ag.finite_difference_check(loss, model.tensors(), h=1e-6, rng=rng, max_coords=6)
+    # each interest role stacks n_interests slices: 6 coordinates per slice
+    per_role = 6 * model.cfg.n_interests
+    err = ag.finite_difference_check(loss, model.tensors(), h=1e-6, rng=rng, max_coords=per_role)
     assert err < 1e-4
