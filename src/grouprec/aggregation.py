@@ -1,9 +1,9 @@
 """Group-level interest pooling and stochastic interest selection.
 
 Members' n-th interests are attention-pooled into one vector per group,
-for all M channels at once: the (|U|, M, d) interest tensor becomes a
-(|G|, M, d) pooled tensor. A group then mixes its M pooled vectors with
-weights from a Gumbel-Softmax over the scores e_g . pooled_n, giving one
+for all M channels at once: the (len(interest_rows), M, d) interest tensor
+becomes a (|G|, M, d) pooled tensor. A group then mixes its M pooled vectors
+with weights from a Gumbel-Softmax over the scores e_g . pooled_n, giving one
 (|G|, d) interest vector per group. The noise-free softmax of
 the same scores is the evaluation-time path, so selection is
 deterministic outside training.
@@ -30,8 +30,9 @@ def sample_gumbel(rng, shape):
 def attention_pool(interests, member_uid, member_gid, n_groups, att_vec):
     """Pool every interest channel over group members.
 
-    interests: (|U|, M, d) tensor. member_uid and member_gid are parallel
-    arrays flattening the membership relation. For each group and channel
+    interests: (n, M, d) tensor. member_uid and member_gid are parallel
+    arrays flattening the membership relation, member_uid holding each
+    member's row in interests. For each group and channel
     the weights are a softmax over members of att_vec . i_u; output is
     (n_groups, M, d). Groups are guaranteed at least one member by dataset
     validation.

@@ -247,6 +247,29 @@ def scatter_rows(idx: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
     return _scatter(_onehot_rows(idx, n_rows), g)
 
 
+def gather_rows(x, idx: np.ndarray) -> Tensor:
+    """Row lookup x[idx]; backward adds each row's gradient back into its source row.
+
+    Rows given sorted and without repeats (interest rows) are added with one
+    indexed add; any other idx sums through scatter_rows first. Either way a
+    source row gains the bits np.add.at sums for it from zero.
+    """
+    x = _as_tensor(x)
+    idx = np.asarray(idx, dtype=np.int64)
+    out = Tensor(x.data[idx])
+    distinct = bool(np.all(idx[1:] > idx[:-1]))
+
+    def backward(g):
+        if not distinct:
+            _accum(x, scatter_rows(idx, g, x.data.shape[0]))
+            return
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        x.grad[idx] += g
+
+    return _record(out, (x,), backward)
+
+
 def _segment_max(x: np.ndarray, onehot) -> np.ndarray:
     """Per-segment max over x's leading axis; -inf for empty segments."""
     counts = np.diff(onehot.indptr)

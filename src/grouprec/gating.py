@@ -4,11 +4,13 @@ The default extractor carves M interest vectors out of each user embedding
 with per-interest self-gates: interest n is e ⊙ sigmoid(e W_n + b_n). The
 alternative generators (plain linear maps, a two-layer map, free per-user
 tables) exist only for the comparison harness and share the same interface:
-``interests(user_emb)`` maps the (|U|, d) embedding table to one (|U|, M, d)
-tensor whose [:, n] slice is interest n. Parameters follow the same
-convention: each role is one tensor whose slice n belongs to interest n
+``interests(user_rows, rows)`` maps the (r, d) embeddings of the users
+``rows`` (sorted ids; None means every user, in order) to one (r, M, d)
+tensor whose [:, n] slice is interest n. Only the free tables read ``rows``;
+the other generators depend on the embeddings alone. Parameters follow the
+same convention: each role is one tensor whose slice n belongs to interest n
 (``gate_w`` is (M, d, d) and ``gate_w[n]`` is W_n), except the free table,
-which is (|U|, M, d) like the interests it stands for.
+which holds every user's interests, (|U|, M, d), and gathers the rows asked for.
 """
 
 import numpy as np
@@ -44,9 +46,9 @@ class SelfGatingInterests:
         self.w = _weight(rng, (m_interests, dim, dim))
         self.b = _bias((m_interests, dim))
 
-    def interests(self, user_emb):
-        """(|U|, d) -> (|U|, M, d): all M gates in one fused op."""
-        return ag.gated_channels(user_emb, self.w, self.b)
+    def interests(self, user_rows, rows=None):
+        """(n, d) -> (n, M, d): all M gates in one fused op."""
+        return ag.gated_channels(user_rows, self.w, self.b)
 
     def named_params(self):
         return [("gate_w", self.w), ("gate_b", self.b)]
@@ -61,8 +63,8 @@ class LinearInterests:
         self.w = _weight(rng, (m_interests, dim, dim))
         self.b = _bias((m_interests, dim))
 
-    def interests(self, user_emb):
-        return ag.channel_linear(user_emb, self.w, self.b)
+    def interests(self, user_rows, rows=None):
+        return ag.channel_linear(user_rows, self.w, self.b)
 
     def named_params(self):
         return [("fc1_w", self.w), ("fc1_b", self.b)]
@@ -79,8 +81,8 @@ class TwoLayerInterests:
         self.w2 = _weight(rng, (m_interests, dim, dim))
         self.b2 = _bias((m_interests, dim))
 
-    def interests(self, user_emb):
-        hidden = ag.relu(ag.channel_linear(user_emb, self.w1, self.b1))
+    def interests(self, user_rows, rows=None):
+        hidden = ag.relu(ag.channel_linear(user_rows, self.w1, self.b1))
         return ag.channel_linear(hidden, self.w2, self.b2)
 
     def named_params(self):
@@ -99,8 +101,11 @@ class TableInterests:
         draw = rng.normal(0.0, INIT_STD, size=(m_interests, n_users, dim))
         self.table = Tensor(np.ascontiguousarray(draw.transpose(1, 0, 2)), requires_grad=True)
 
-    def interests(self, user_emb):
-        if user_emb.shape[0] != self.table.shape[0]:
+    def interests(self, user_rows, rows=None):
+        """The table itself, or a gather of the rows of the users `rows`."""
+        if rows is not None:
+            return ag.gather_rows(self.table, rows)
+        if user_rows.shape[0] != self.table.shape[0]:
             raise ValueError("table generator sized for a different user count")
         return self.table
 

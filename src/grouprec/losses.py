@@ -58,8 +58,9 @@ def bpr_loss(anchor_table, item_table, anchors, pos, neg):
 def interest_regularizer(interests, user_idx, threshold):
     """Per-user mean of masked pairwise interest similarities.
 
-    interests is the (|U|, M, d) interest tensor. For the users in
-    user_idx, sums cosine(i_p, i_q) over pairs p < q whose |cosine| is at
+    interests is the (len(interest_rows), M, d) interest tensor of a
+    forward, and user_idx indexes its rows (not user ids). For those rows,
+    sums cosine(i_p, i_q) over pairs p < q whose |cosine| is at
     least the threshold; the mask is computed from forward values only and
     is constant under backward. threshold 0 keeps every pair. Returns a
     scalar tensor, zero when there is a single interest.
@@ -74,8 +75,9 @@ def interest_regularizer(interests, user_idx, threshold):
 def pairwise_abs_cosine(interests, user_idx=None):
     """M x M matrix of mean |cosine| between interest channels, diagonal 1.
 
-    interests is the (|U|, M, d) interest tensor; a pair whose norm product
-    is at most COSINE_NORM_EPS counts as cosine 0.
+    interests is the (len(interest_rows), M, d) interest tensor of a
+    forward; the mean runs over all its rows, or the rows in user_idx. A pair
+    whose norm product is at most COSINE_NORM_EPS counts as cosine 0.
     """
     x = interests.data if user_idx is None else interests.data[user_idx]
     if len(x) == 0:

@@ -1,11 +1,15 @@
 """The full recommender: interests -> group mixing -> fusion -> propagation.
 
-The M interests travel as one (|U|, M, d) tensor, pooled per group into one
-(|G|, M, d) tensor that selection mixes down to (|G|, d).
+The M interests travel as one (len(interest_rows), M, d) tensor, pooled per
+group into one (|G|, M, d) tensor that selection mixes down to (|G|, d).
 
 One forward pass covers the whole user, item, and group tables; mini-batching
-happens only in the losses, which index into the returned tables. Running a
-forward outside a gradient tape is the (deterministic) inference path.
+happens only in the losses, which index into the returned tables. Interests
+are the exception: only the attention pool (group members) and the
+regularizer (its users) read them, so a forward given users generates them
+for members plus those users alone, and `ForwardState.interest_rows` names
+the user of each row. A forward without users generates every user's. Running
+a forward outside a gradient tape is the (deterministic) inference path.
 
 Structural reductions double as baselines: use_groups=False with n_layers=0
 is plain matrix factorization, use_groups=False with n_layers>0 is the
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aggregation, fusion, graphconv
+from . import autodiff as ag
 from .autodiff import Tensor
 from .config import TrainConfig
 from .datasets import build_norm_adjacency
@@ -30,7 +35,12 @@ class ForwardState:
     item_final: Tensor
     group_fused: Tensor  # None when groups are disabled
     omega: Tensor  # None unless the interest mixer ran
-    interests: Tensor  # (|U|, M, d); None unless interests were generated
+    interests: Tensor  # (len(interest_rows), M, d); None unless interests were generated
+    interest_rows: np.ndarray  # sorted user ids of the interests' rows; None with interests
+
+
+# forward(users=NO_USERS) generates the group members' interests only
+NO_USERS = np.zeros(0, dtype=np.int64)
 
 
 class RowScores:
@@ -82,6 +92,8 @@ class GroupRecommender:
             members = dataset.group_members.tocoo()
             self.member_gid = members.row.astype(np.int64)
             self.member_uid = members.col.astype(np.int64)
+            self.is_member = np.zeros(dataset.n_users, dtype=bool)
+            self.is_member[self.member_uid] = True
             self.pool_csr, self.pool_coef = fusion.build_user_pool(dataset, config.pooling)
             if config.variant == "mean_members":
                 self.member_mean_csr = fusion.row_mean(dataset.group_members)
@@ -114,25 +126,47 @@ class GroupRecommender:
     def param_count(self):
         return param_count(self.named_params())
 
-    def forward(self, noise_rng=None):
-        """Build all final representations; noise_rng=None is deterministic."""
+    def _interests(self, users):
+        """The interest tensor, the user of each row, and each membership's row.
+
+        users=None gives every user's interests, in user order; an array gives
+        those of the group members plus those users.
+        """
+        if users is None:
+            rows = np.arange(self.dataset.n_users)
+            return self.generator.interests(self.user_emb), rows, self.member_uid
+        keep = self.is_member.copy()
+        keep[users] = True
+        rows = np.flatnonzero(keep)
+        # a kept user's row in the compact table is the count of kept users before it
+        member_idx = (np.cumsum(keep) - 1)[self.member_uid]
+        interests = self.generator.interests(ag.gather_rows(self.user_emb, rows), rows)
+        return interests, rows, member_idx
+
+    def forward(self, noise_rng=None, users=None):
+        """Build all final representations; noise_rng=None is deterministic.
+
+        users=None generates every user's interests. An array of user ids
+        generates them for the group members plus those users only: the
+        other rows reach no output, so the values and gradients that do are
+        the same. NO_USERS gives the members alone.
+        """
         cfg = self.cfg
         group_fused = None
         omega = None
         interests = None
+        rows = None
         if not cfg.use_groups:
             users0 = self.user_emb
         else:
             n_groups = self.dataset.n_groups
             if cfg.variant == "mean_members":
-                from . import autodiff as ag
-
                 member_pool = ag.spmm(self.member_mean_csr, self.user_emb)
                 group_fused = fusion.fuse_groups(self.group_emb, member_pool)
             else:
-                interests = self.generator.interests(self.user_emb)
+                interests, rows, member_idx = self._interests(users)
                 pooled = aggregation.attention_pool(
-                    interests, self.member_uid, self.member_gid, n_groups, self.att_vec
+                    interests, member_idx, self.member_gid, n_groups, self.att_vec
                 )
                 if cfg.variant == "uniform_mix":
                     m = cfg.n_interests
@@ -162,12 +196,15 @@ class GroupRecommender:
         user_final, item_final = graphconv.propagate(
             self.adj, users0, self.item_emb, cfg.n_layers
         )
-        return ForwardState(user_final, item_final, group_fused, omega, interests)
+        return ForwardState(user_final, item_final, group_fused, omega, interests, rows)
 
     def row_scores(self, task, state=None):
-        """The anchor-by-item scores of a task as a `RowScores`, no tape involved."""
+        """The anchor-by-item scores of a task as a `RowScores`, no tape involved.
+
+        Without a state it runs the forward that generates members' interests only.
+        """
         if state is None:
-            state = self.forward()
+            state = self.forward(users=NO_USERS)
         if task == "user":
             return RowScores(state.user_final.data, state.item_final.data)
         if task == "group":
@@ -177,7 +214,10 @@ class GroupRecommender:
         raise ValueError(f"unknown task {task!r}")
 
     def interest_similarity(self, state=None):
-        """Mean |cosine| between interest channels; identity if they don't exist."""
+        """Mean |cosine| between interest channels; identity if they don't exist.
+
+        The mean runs over the state's interest rows: every user when state is None.
+        """
         if state is None:
             state = self.forward()
         if state.interests is None:

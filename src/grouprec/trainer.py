@@ -15,7 +15,7 @@ from .autodiff import Tape, Tensor
 from .datasets import TRAIN, VALID
 from .evaluate import evaluate_ranking
 from .losses import LossBreakdown, bpr_loss, interest_regularizer
-from .model import GroupRecommender
+from .model import NO_USERS, GroupRecommender
 from .optim import Adam
 from .sampling import TripleSampler
 
@@ -99,11 +99,13 @@ class TrainResult:
 class Trainer:
     """Owns a model, its optimizer, and the samplers for both tasks.
 
-    Each step draws one user batch and one group batch, runs a single
-    full-table forward, and backpropagates the combined loss. Validation
-    NDCG@10 on the configured task picks the kept parameters; training
-    stops once it fails to improve for `patience` epochs in a row (at
-    least one).
+    Each step draws one user batch and one group batch, runs one forward
+    over the whole user, item and group tables, and backpropagates the
+    combined loss. That forward generates interests only for the rows that
+    read them: group members, plus the users the interest regularizer
+    covers in this step when it applies. Validation NDCG@10 on the
+    configured task picks the kept parameters; training stops once it
+    fails to improve for `patience` epochs in a row (at least one).
     """
 
     def __init__(self, dataset, config):
@@ -121,53 +123,79 @@ class Trainer:
             self.group_sampler = TripleSampler(dataset.group_items, group_rng)
         n_train = int(np.sum(dataset.user_items.splits == TRAIN))
         self.steps_per_epoch = max(1, math.ceil(n_train / config.batch_user))
+        self.reg_applies = (
+            self.model.generator is not None
+            and config.interest_reg_weight > 0.0
+            and config.variant != "no_interest_reg"
+        )
+        if self.model.generator is not None:
+            log.info(
+                "interests generated for %d group members of %d users%s",
+                int(np.count_nonzero(self.model.is_member)),
+                dataset.n_users,
+                " plus each step's regularized batch users" if self.reg_applies else "",
+            )
 
-    def _reg_users(self, user_anchors, group_anchors):
-        members = self.dataset.group_members[group_anchors].indices
+    def _draw(self):
+        """The step's user triples, and its group triples (None when the group task is off)."""
+        cfg = self.cfg
+        user = self.user_sampler.sample(cfg.batch_user)
+        group = None
+        if self.group_sampler is not None and cfg.user_task_weight < 1.0:
+            group = self.group_sampler.sample(cfg.batch_group)
+        return user, group
+
+    def _reg_users(self, user_anchors, group):
+        """The regularizer's users: the batch users plus the batch groups' members."""
+        if group is None:
+            return np.unique(user_anchors)
+        members = self.dataset.group_members[group[0]].indices
         return np.unique(np.concatenate([user_anchors, members]))
+
+    def _loss(self, user, group, noise_rng):
+        """The step's loss tensor, then its user, group and interest terms as floats.
+
+        user and group are (anchors, positives, negatives) triples from _draw.
+        """
+        cfg = self.cfg
+        reg_users = self._reg_users(user[0], group) if self.reg_applies else NO_USERS
+        state = self.model.forward(noise_rng=noise_rng, users=reg_users)
+
+        l_user = bpr_loss(state.user_final, state.item_final, *user)
+        loss = ag.scale(l_user, cfg.user_task_weight)
+
+        l_group_val = 0.0
+        if group is not None:
+            l_group = bpr_loss(state.group_fused, state.item_final, *group)
+            l_group_val = l_group.item()
+            loss = ag.add(loss, ag.scale(l_group, 1.0 - cfg.user_task_weight))
+
+        reg_val = 0.0
+        if self.reg_applies:
+            reg_idx = np.searchsorted(state.interest_rows, reg_users)
+            reg = interest_regularizer(state.interests, reg_idx, cfg.sim_threshold)
+            reg_val = reg.item()
+            loss = ag.add(loss, ag.scale(reg, cfg.interest_reg_weight))
+        return loss, l_user.item(), l_group_val, reg_val
 
     def _step(self):
         cfg = self.cfg
+        # the samplers' streams are their own, so drawing before the forward changes no draw
+        user, group = self._draw()
         with Tape() as tape:
-            state = self.model.forward(noise_rng=self.noise_rng)
-
-            ua, up, un = self.user_sampler.sample(cfg.batch_user)
-            l_user = bpr_loss(state.user_final, state.item_final, ua, up, un)
-            loss = ag.scale(l_user, cfg.user_task_weight)
-
-            l_group_val = 0.0
-            ga = np.zeros(0, dtype=np.int64)
-            if self.group_sampler is not None and cfg.user_task_weight < 1.0:
-                ga, gp, gn = self.group_sampler.sample(cfg.batch_group)
-                l_group = bpr_loss(state.group_fused, state.item_final, ga, gp, gn)
-                l_group_val = l_group.item()
-                loss = ag.add(loss, ag.scale(l_group, 1.0 - cfg.user_task_weight))
-
-            reg_val = 0.0
-            apply_reg = (
-                state.interests is not None
-                and cfg.interest_reg_weight > 0.0
-                and cfg.variant != "no_interest_reg"
-            )
-            if apply_reg:
-                reg = interest_regularizer(
-                    state.interests, self._reg_users(ua, ga), cfg.sim_threshold
-                )
-                reg_val = reg.item()
-                loss = ag.add(loss, ag.scale(reg, cfg.interest_reg_weight))
-
+            loss, l_user, l_group, reg_interest = self._loss(user, group, self.noise_rng)
             tape.backward(loss)
         self.opt.step()
         self.opt.zero_grad()
 
         reg_params = sum(float(np.vdot(t.data, t.data)) for t in self.model.tensors())
         return LossBreakdown.build(
-            l_user.item(),
-            l_group_val,
-            reg_val,
+            l_user,
+            l_group,
+            reg_interest,
             reg_params,
             cfg.user_task_weight,
-            cfg.interest_reg_weight if apply_reg else 0.0,
+            cfg.interest_reg_weight if self.reg_applies else 0.0,
             cfg.weight_decay,
         )
 

@@ -19,6 +19,7 @@ from grouprec.autodiff import (
     _segment_softmax,
     _segment_softmax_grad,
     _unbroadcast,
+    gather_rows,
     scatter_rows,
 )
 
@@ -199,18 +200,6 @@ def tmean(x) -> Tensor:
 
     def backward(g):
         _accum(x, np.full_like(x.data, float(g) / n))
-
-    return _record(out, (x,), backward)
-
-
-def gather_rows(x, idx: np.ndarray) -> Tensor:
-    """Row lookup x[idx]; backward scatter-adds into the source rows."""
-    x = _as_tensor(x)
-    idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(x.data[idx])
-
-    def backward(g):
-        _accum(x, scatter_rows(idx, g, x.data.shape[0]))
 
     return _record(out, (x,), backward)
 

@@ -268,13 +268,33 @@ def test_gather_and_segment_gradients():
     w = Tensor(rng.normal(size=5), requires_grad=True)
 
     def loss():
-        rows = ref.gather_rows(table, idx)
+        rows = ag.gather_rows(table, idx)
         gamma = ref.segment_softmax(ref.matmul(rows, Tensor(np.array([1.0, -0.5, 2.0]))), seg, 2)
         mixed = ref.segment_sum(ag.mul(ref.reshape(ag.mul(gamma, w), (5, 1)), rows), seg, 2)
         return ag.tsum(ag.mul(mixed, mixed))
 
     err = ag.finite_difference_check(loss, [table, w], h=1e-5, rng=rng)
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("idx", [[0, 2, 3, 5], [0, 2, 2, 5, 1], [5, 2, 0]])
+@pytest.mark.parametrize("held", [False, True])
+def test_gather_rows_backward_adds_the_row_sums_of_add_at(idx, held):
+    # sorted distinct rows take the indexed add, the others the one-hot scatter
+    rng = np.random.default_rng(6)
+    idx = np.array(idx)
+    table = Tensor(rng.normal(size=(6, 2, 3)), requires_grad=True)
+    g = rng.normal(size=(len(idx), 2, 3))
+    want = np.zeros_like(table.data)
+    np.add.at(want, idx, g)
+    if held:  # a gradient already held by the source, as user_emb's is
+        table.grad = rng.normal(size=table.data.shape)
+        want += table.grad
+    with Tape() as tape:
+        rows = ag.gather_rows(table, idx)
+        np.testing.assert_array_equal(rows.data, table.data[idx])
+        tape.backward(ag.tsum(ag.mul(rows, Tensor(g))))
+    np.testing.assert_array_equal(table.grad, want)
 
 
 def test_cosine_and_rowdot_gradients():

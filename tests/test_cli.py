@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import platform
 import shutil
 
@@ -144,6 +145,22 @@ def test_eval_both_tasks(world, run_dir, tmp_path):
     with open(out / "metrics.csv") as f:
         header = f.readline().strip()
     assert header == "task,metric,k,seed,value"
+
+
+def test_interest_rows_log_line_leaves_outputs_unchanged(world, run_dir, tmp_path, caplog):
+    quiet, logged = tmp_path / "quiet", tmp_path / "logged"
+    assert run(["eval", "--data", world, "--out", quiet,
+                "--checkpoint", run_dir / "best.ckpt", "--task", "both"]) == 0
+    with caplog.at_level(logging.INFO, logger="grouprec.trainer"):
+        assert run(["train", "--data", world, "--out", logged / "run", "--seed", 3, *TOY]) == 0
+        assert run(["eval", "--data", world, "--out", logged,
+                    "--checkpoint", logged / "run" / "best.ckpt", "--task", "both"]) == 0
+    lines = [r.getMessage() for r in caplog.records if "group members" in r.getMessage()]
+    members = int(np.count_nonzero(np.diff(load_prepared(str(world)).group_members.tocsc().indptr)))
+    assert lines == [f"interests generated for {members} group members of 30 users "
+                     "plus each step's regularized batch users"]
+    assert (logged / "run" / "best.ckpt").read_bytes() == (run_dir / "best.ckpt").read_bytes()
+    assert (logged / "metrics.csv").read_bytes() == (quiet / "metrics.csv").read_bytes()
 
 
 def test_eval_popularity_zero_std_and_reproducible(world, tmp_path):

@@ -195,7 +195,7 @@ def reference_pipeline(e, gen, att, group, noise, hard, reg_users, threshold):
             for n in range(m)]
     pooled = []
     for t in ints:
-        rows = ref.gather_rows(t, UID)
+        rows = ag.gather_rows(t, UID)
         gamma = ref.segment_softmax(ref.matmul(rows, att), GID, N_GROUPS)
         weighted = ag.mul(ref.reshape(gamma, (len(UID), 1)), rows)
         pooled.append(ref.segment_sum(weighted, GID, N_GROUPS))
@@ -208,7 +208,7 @@ def reference_pipeline(e, gen, att, group, noise, hard, reg_users, threshold):
     for n, p in enumerate(pooled):
         term = ag.mul(ref.matmul(omega, Tensor(np.eye(m)[:, n:n + 1])), p)
         mixed = term if mixed is None else ag.add(mixed, term)
-    rows = [ref.gather_rows(t, reg_users) for t in ints]
+    rows = [ag.gather_rows(t, reg_users) for t in ints]
     acc = Tensor(0.0)
     for p in range(m):
         for q in range(p + 1, m):
