@@ -205,20 +205,6 @@ def relu(x) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions
-
-
-def tsum(x) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(x.data.sum())
-
-    def backward(g):
-        _accum(x, np.full_like(x.data, float(g)))
-
-    return _record(out, (x,), backward)
-
-
-# ---------------------------------------------------------------------------
 # shape plumbing
 
 
@@ -250,8 +236,8 @@ def scatter_rows(idx: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
 def gather_rows(x, idx: np.ndarray) -> Tensor:
     """Row lookup x[idx]; backward adds each row's gradient back into its source row.
 
-    Rows given sorted and without repeats (interest rows) are added with one
-    indexed add; any other idx sums through scatter_rows first. Either way a
+    Rows given sorted and without repeats (interest rows) are taken, added to
+    and put back; any other idx sums through scatter_rows first. Either way a
     source row gains the bits np.add.at sums for it from zero.
     """
     x = _as_tensor(x)
@@ -265,7 +251,9 @@ def gather_rows(x, idx: np.ndarray) -> Tensor:
             return
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
-        x.grad[idx] += g
+        rows = x.grad.take(idx, axis=0)
+        rows += g
+        x.grad[idx] = rows
 
     return _record(out, (x,), backward)
 

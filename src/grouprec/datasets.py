@@ -19,6 +19,7 @@ import json
 import logging
 import math
 import os
+import warnings
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +33,11 @@ META_FILE = "meta.json"
 USER_EDGES_FILE = "users.tsv"
 GROUP_EDGES_FILE = "groups_items.tsv"
 MEMBERS_FILE = "group_members.txt"
+
+# rows of the whole-file parse of an edge file and of a splits file; the label
+# is one byte wider than the longest name, so no longer label is cut down to one
+_EDGE_ROW = np.dtype([("a", "i8"), ("v", "i8")])
+_SPLIT_ROW = np.dtype([("a", "i8"), ("v", "i8"), ("s", f"S{max(map(len, SPLIT_NAMES)) + 1}")])
 
 
 class Interactions:
@@ -147,7 +153,19 @@ def _parse_edge_line(line, lineno, path):
 
 
 def load_interactions(path, n_anchors, n_items):
-    """Read 'id<TAB>item' edges as int64 (anchors, items), duplicates dropped."""
+    """Read 'id<TAB>item' edges as int64 (anchors, items), sorted, duplicates dropped.
+
+    The whole file is parsed at once; a file that parse refuses, or one with
+    an id out of range, is read again line by line to name the bad line.
+    """
+    rows = _load_rows(path, _EDGE_ROW)
+    if rows is None or not (_in_range(rows["a"], n_anchors) and _in_range(rows["v"], n_items)):
+        return _load_interactions_lines(path, n_anchors, n_items)
+    return _unique_edges(rows["a"], rows["v"], n_items)
+
+
+def _load_interactions_lines(path, n_anchors, n_items):
+    """load_interactions one line at a time: raises 'path:line' errors."""
     anchors, items = [], []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -160,8 +178,38 @@ def load_interactions(path, n_anchors, n_items):
                 raise ValueError(f"{path}:{lineno}: item id {v} out of range (n={n_items})")
             anchors.append(a)
             items.append(v)
-    keys = np.unique(np.asarray(anchors, dtype=np.int64) * n_items + np.asarray(items, dtype=np.int64))
-    return np.divmod(keys, max(n_items, 1))
+    return _unique_edges(np.asarray(anchors, dtype=np.int64), np.asarray(items, dtype=np.int64), n_items)
+
+
+def _unique_edges(anchors, items, n_items):
+    """Distinct (anchor, item) pairs sorted by key, through a sort and a neighbour mask."""
+    keys = np.sort(anchors * n_items + items)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return np.divmod(keys[first], max(n_items, 1))
+
+
+def _in_range(ids, n):
+    return ids.min() >= 0 and ids.max() < n
+
+
+def _load_rows(path, dtype):
+    """The whole tab-separated file as one structured array, or None.
+
+    None means the per-line reader must decide: a wrong field count, an id
+    that is not a plain int64 literal, a whitespace-only line, no rows at all
+    (loadtxt only warns), or a NUL byte anywhere (a fixed-width label drops
+    trailing NULs). Empty lines are skipped, as the per-line reader skips them.
+    """
+    with open(path, "rb") as f:
+        if b"\0" in f.read():
+            return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(path, dtype=dtype, delimiter="\t", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
 
 
 def load_group_members(path, n_users, n_groups):
@@ -353,8 +401,35 @@ def write_splits(interactions, path):
 def read_splits(interactions, path):
     """Attach split labels from a splits file to the same edge set.
 
-    Lines may come in any order but must label each edge exactly once.
+    Lines may come in any order but must label each edge exactly once. The
+    whole file is parsed at once; a file that parse refuses, or one that does
+    not label each edge once, is read again line by line to name the fault.
     """
+    rows = _load_rows(path, _SPLIT_ROW)
+    labeled = None if rows is None else _labels_from_rows(interactions, rows)
+    return _read_splits_lines(interactions, path) if labeled is None else labeled
+
+
+def _labels_from_rows(interactions, rows):
+    """interactions relabeled from parsed rows that label each edge once, else None."""
+    codes = np.full(len(rows), -1, dtype=np.int8)
+    for code, name in enumerate(SPLIT_NAMES):
+        codes[rows["s"] == name.encode()] = code
+    anchors, items, n_items = rows["a"], rows["v"], interactions.n_items
+    if codes.min() < 0 or not (_in_range(anchors, interactions.n_anchors) and _in_range(items, n_items)):
+        return None
+    keys = anchors * n_items + items  # one key per edge only for ids in range
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # equal sorted keys, none repeated: one row per edge, so the row counts match too
+    wanted = interactions.anchors * n_items + interactions.items
+    if (keys[1:] == keys[:-1]).any() or not np.array_equal(keys, wanted):
+        return None
+    return interactions.relabeled(codes[order])
+
+
+def _read_splits_lines(interactions, path):
+    """read_splits one line at a time: raises 'path:line' errors."""
     label_of = {name: code for code, name in enumerate(SPLIT_NAMES)}
     n_items, fields = interactions.n_items, []  # anchor, item, label, line of each in-range line
     n_outside = 0

@@ -193,6 +193,16 @@ def softplus(x) -> Tensor:
     return _record(out, (x,), backward)
 
 
+def tsum(x) -> Tensor:
+    x = _as_tensor(x)
+    out = Tensor(x.data.sum())
+
+    def backward(g):
+        _accum(x, np.full_like(x.data, float(g)))
+
+    return _record(out, (x,), backward)
+
+
 def tmean(x) -> Tensor:
     x = _as_tensor(x)
     n = x.data.size

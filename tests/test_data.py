@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from grouprec import datasets as d
@@ -504,6 +508,179 @@ def test_read_splits_counts_labeled_edges_missing_from_the_dataset(tmp_path):
     path.write_text("0\t1\ttrain\n1\t0\tvalid\n1\t1\ttest\n5\t0\ttrain\n")
     with pytest.raises(ValueError, match=r"splits_user\.tsv: 2 labeled edges missing from the dataset"):
         d.read_splits(inter, path)
+
+
+# Whole-file parsing against the per-line reader: each input must give both
+# the same arrays or the same error message, and no warning may escape.
+
+EDGE_CASES = [  # (file text, outcome) with 3 anchors and 4 items
+    ("0\t1\n2\t3\n", "ok"),
+    ("0\t1", "ok"),  # no final newline
+    ("1.0\t2\n", "error"),
+    ("0_1\t2\n", "ok"),  # int() reads the underscore, loadtxt does not
+    ("0x1\t2\n", "error"),
+    ("#x\t2\n", "error"),
+    ("+1\t2\n", "ok"),
+    (" 1 \t 2 \n", "ok"),
+    ("\xa01\t\x0b2\n", "ok"),
+    ("-0\t2\n", "ok"),
+    ("\u0661\t2\n", "ok"),  # an Arabic-Indic digit one
+    ("1\t2\t\n", "error"),  # trailing tab
+    ("1\n", "error"),
+    ("1\t2\t3\n", "error"),
+    ("0\t1\n \n2\t3\n", "ok"),  # a whitespace-only line is blank
+    ("0\t1\n\t\n", "ok"),
+    ("0\t1\n\n\n2\t3\n", "ok"),
+    ("", "ok"),
+    ("\n\n", "ok"),
+    ("0\t1\r\n2\t3\r\n", "ok"),
+    ("0\t1\r2\t3", "ok"),
+    ("0\t1\n0\t1\n2\t0\n0\t1\n", "ok"),  # duplicate edges
+    ("-1\t2\n", "error"),
+    ("0\t-2\n", "error"),
+    ("3\t0\n", "error"),
+    ("0\t4\n", "error"),
+    ("99999999999999999999\t0\n", "error"),
+    ("0\t9223372036854775808\n", "error"),
+    ("1\x00\t2\n", "error"),
+]
+
+INTER = (3, 4, [0, 0, 1, 2], [1, 3, 0, 2])  # n_anchors, n_items, anchors, items
+SPLIT_CASES = [  # (file text, outcome) for Interactions(*INTER)
+    ("0\t1\ttrain\n0\t3\tvalid\n1\t0\ttest\n2\t2\ttrain\n", "ok"),
+    ("2\t2\ttest\n1\t0\ttrain\n0\t3\ttrain\n0\t1\tvalid", "ok"),  # any line order
+    ("0\t1\ttrain\r\n0\t3\tvalid\r\n\r\n1\t0\ttest\r\n2\t2\ttrain\r\n", "ok"),
+    (" 0\t+1\ttrain\n0\t3\tvalid\n1\t-0\ttest\n2\t2\ttrain\n", "ok"),
+    ("0\t1\ttrainee\n0\t3\tvalid\n1\t0\ttest\n2\t2\ttrain\n", "error"),  # 'train' in S5
+    ("0\t1\tTrain\n0\t3\tvalid\n1\t0\ttest\n2\t2\ttrain\n", "error"),
+    ("0\t1\ttrain \n0\t3\tvalid\n1\t0\ttest\n2\t2\ttrain\n", "error"),
+    ("0\t1\ttest\x00\n0\t3\tvalid\n1\t0\ttest\n2\t2\ttrain\n", "error"),  # 'test' in S6
+    ("0\t1\ttrain\n0\t3\tvalid\n0\t1\ttest\n2\t2\ttrain\n", "error"),  # twice, one unlabeled
+    ("0\t1\ttrain\n0\t3\tvalid\n1\t0\ttest\n2\t2\ttrain\n0\t1\ttest\n", "error"),
+    ("0\t1\ttrain\n0\t3\tvalid\n1\t0\ttest\n", "error"),
+    ("0\t1\ttrain\n0\t3\tvalid\n1\t0\ttest\n2\t2\ttrain\n2\t1\ttest\n", "error"),
+    ("0\t1\ttrain\n0\t3\tvalid\n1\t0\ttest\n2\t2\ttrain\n5\t0\ttrain\n", "error"),
+    ("0\t1\ttrain\n0\t3\tvalid\n0\t4\ttest\n2\t2\ttrain\n", "error"),  # (0, 4) keys as (1, 0)
+    ("0\t1\ttrain\n0\t3\tvalid\n1\t0\ttest\n2\t2\n", "error"),
+    ("0\t1\ttrain\n0\t3\tvalid\n1\t0\ttest\n2\t2\ttrain\t\n", "error"),
+    ("0\t1\ttrain\n0\tx\tvalid\n1\t0\ttest\n2\t2\ttrain\n", "error"),
+    ("0\t1\ttrain\n0\t3\tvalid\n1\t0\ttest\n2\t99999999999999999999\ttrain\n", "error"),
+    ("", "error"),
+]
+
+
+def outcome(fn, *args):
+    """("ok", dtypes and values) or ("error", message); a warning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = fn(*args)
+        except ValueError as e:
+            return "error", str(e)
+    if isinstance(out, Interactions):
+        out = (out.anchors, out.items, out.splits)
+    return "ok", [(a.dtype.str, a.tolist()) for a in out]
+
+
+def edge_outcomes(path, text):
+    path.write_bytes(text.encode())
+    return outcome(d.load_interactions, path, 3, 4), outcome(d._load_interactions_lines, path, 3, 4)
+
+
+def split_outcomes(path, text, inter):
+    path.write_bytes(text.encode())
+    return outcome(d.read_splits, inter, path), outcome(d._read_splits_lines, inter, path)
+
+
+@pytest.mark.parametrize("text, kind", EDGE_CASES)
+def test_load_interactions_whole_file_matches_per_line(tmp_path, text, kind):
+    whole, per_line = edge_outcomes(tmp_path / "users.tsv", text)
+    assert whole == per_line
+    assert whole[0] == kind
+
+
+@pytest.mark.parametrize("text, kind", SPLIT_CASES)
+def test_read_splits_whole_file_matches_per_line(tmp_path, text, kind):
+    whole, per_line = split_outcomes(tmp_path / "splits_user.tsv", text, Interactions(*INTER))
+    assert whole == per_line
+    assert whole[0] == kind
+
+
+def test_read_splits_paths_agree_on_a_dataset_with_a_repeated_edge(tmp_path):
+    inter = Interactions(2, 2, [0, 0, 1], [1, 1, 0])
+    for text in ("0\t1\ttrain\n0\t1\ttest\n1\t0\ttrain\n", "0\t1\ttrain\n1\t0\ttrain\n"):
+        whole, per_line = split_outcomes(tmp_path / "splits_user.tsv", text, inter)
+        assert whole == per_line
+        assert whole[0] == "error"
+
+
+ALPHABET = "0123456789+-._xe \t\r\n\x0b\xa0\u0661"
+junk = st.text(alphabet=ALPHABET, max_size=5)
+labels = st.sampled_from(d.SPLIT_NAMES + ("trainee", "Train"))
+any_field = st.one_of(st.integers(-1, 4).map(str), labels, junk)
+line_end = st.sampled_from(["\n", "\r\n", "\r", "\n \n", "\n\n"])
+
+
+def mutated(draw, rows):
+    """Rows with up to two fields replaced or added, joined with assorted line ends."""
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            row = draw(st.sampled_from(rows))
+            col = draw(st.integers(0, len(row)))
+            row[col : col + 1] = [draw(any_field)]
+    return "".join("\t".join(row) + draw(line_end) for row in rows)
+
+
+@st.composite
+def edge_files(draw):
+    rows = draw(st.lists(st.lists(st.integers(0, 3).map(str), min_size=2, max_size=2), max_size=6))
+    return mutated(draw, rows)
+
+
+@st.composite
+def split_files(draw):
+    """Labels for INTER's edges in any order, plus up to two lines of any fields."""
+    rows = [[str(a), str(v), draw(st.sampled_from(d.SPLIT_NAMES))] for a, v in zip(*INTER[2:])]
+    extra = draw(st.lists(st.lists(any_field, min_size=1, max_size=4), max_size=2))
+    rows = draw(st.permutations(rows)) + extra
+    return mutated(draw, rows)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(text=st.one_of(edge_files(), st.text(alphabet=ALPHABET, max_size=40)))
+def test_load_interactions_paths_agree_on_generated_files(tmp_path_factory, text):
+    whole, per_line = edge_outcomes(tmp_path_factory.mktemp("edges") / "users.tsv", text)
+    assert whole == per_line
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(text=split_files())
+def test_read_splits_paths_agree_on_generated_files(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("splits") / "splits_user.tsv"
+    whole, per_line = split_outcomes(path, text, Interactions(*INTER))
+    assert whole == per_line
+
+
+def test_library_files_take_the_whole_file_path(tmp_path, monkeypatch):
+    # a silent fall back to the per-line reader would lose its speed and pass every other test
+    ds, _ = generate_synthetic(40, 50, 8, m_true=2, noise=0.1, seed=3)
+    ds.user_items = d.split_holdout(ds.user_items, seed=1)
+    ds.group_items = d.split_holdout(ds.group_items, seed=2)
+    d.save_dataset(ds, tmp_path)
+    d.write_splits(ds.user_items, tmp_path / "splits_user.tsv")
+    d.write_splits(ds.group_items, tmp_path / "splits_group.tsv")
+
+    def refuse(*args):
+        raise AssertionError("per-line reader called on a file the library wrote")
+
+    monkeypatch.setattr(d, "_load_interactions_lines", refuse)
+    monkeypatch.setattr(d, "_read_splits_lines", refuse)
+    back = d.load_prepared(tmp_path)
+    assert back.fingerprint() == ds.fingerprint()
+    for x, y in ((back.user_items, ds.user_items), (back.group_items, ds.group_items)):
+        for name in ("anchors", "items", "splits"):
+            assert np.array_equal(getattr(x, name), getattr(y, name))
+            assert getattr(x, name).dtype == getattr(y, name).dtype
 
 
 def test_load_prepared_requires_splits(tmp_path):

@@ -51,7 +51,7 @@ def test_gated_channels_finite_differences():
 
     def loss():
         out = ag.gated_channels(x, w, b)
-        return ag.tsum(ag.mul(ag.mul(out, out), Tensor(coef)))
+        return ref.tsum(ag.mul(ag.mul(out, out), Tensor(coef)))
 
     assert ag.gated_channels(x, w, b).shape == (5, 3, 4)
     err = ag.finite_difference_check(loss, [x, w, b], h=1e-5, rng=rng, max_coords=48)
@@ -68,7 +68,7 @@ def test_channel_linear_finite_differences(rank):
 
     def loss():
         out = ag.channel_linear(x, w, b)
-        return ag.tsum(ag.mul(ag.mul(out, out), Tensor(coef)))
+        return ref.tsum(ag.mul(ag.mul(out, out), Tensor(coef)))
 
     out = ag.channel_linear(x, w, b).data
     assert out.shape == (5, 3, 2)
@@ -87,7 +87,7 @@ def test_segment_attention_finite_differences_and_single_member():
 
     def loss():
         out = ag.segment_attention(x, att, UID, GID, N_GROUPS)
-        return ag.tsum(ag.mul(ag.mul(out, out), Tensor(coef)))
+        return ref.tsum(ag.mul(ag.mul(out, out), Tensor(coef)))
 
     err = ag.finite_difference_check(loss, [x, att], h=1e-5, rng=rng, max_coords=30)
     assert err < 1e-4
@@ -106,7 +106,7 @@ def test_channel_dot_and_mix_finite_differences():
     def loss():
         psi = ag.channel_dot(a, chans)
         mixed = ag.channel_mix(w, chans)
-        return ag.add(ag.tsum(ag.mul(psi, psi)), ag.tsum(ag.mul(mixed, ref.matmul(psi, proj))))
+        return ag.add(ref.tsum(ag.mul(psi, psi)), ref.tsum(ag.mul(mixed, ref.matmul(psi, proj))))
 
     err = ag.finite_difference_check(loss, [a, w, chans], h=1e-5, rng=rng)
     assert err < 1e-4
@@ -172,7 +172,7 @@ def test_hard_select_gradient_is_the_soft_paths_gradient():
 
     def loss(hard):
         omega = agg.selection_weights(group, pooled, tau=0.7, noise=noise, hard=hard)
-        return ag.tsum(ag.mul(agg.mix_interests(omega, mixed_channels), coef))
+        return ref.tsum(ag.mul(agg.mix_interests(omega, mixed_channels), coef))
 
     hard_omega = agg.selection_weights(group, pooled, tau=0.7, noise=noise, hard=True).data
     assert np.all(np.isin(hard_omega, [0.0, 1.0]))
@@ -214,7 +214,7 @@ def reference_pipeline(e, gen, att, group, noise, hard, reg_users, threshold):
         for q in range(p + 1, m):
             sim = ref.cosine_rows(rows[p], rows[q])
             mask = (np.abs(sim.data) >= threshold).astype(np.float64)
-            acc = ag.add(acc, ag.tsum(ag.mul(sim, Tensor(mask))))
+            acc = ag.add(acc, ref.tsum(ag.mul(sim, Tensor(mask))))
     reg = ag.scale(acc, 1.0 / len(reg_users))
     return ints, pooled, omega, mixed, reg
 
@@ -248,13 +248,13 @@ def test_fused_pipeline_matches_per_interest_reference(hard):
 
     def loss(pipeline):
         *_, mixed, reg = pipeline(*args)
-        return ag.add(ag.tsum(ag.mul(mixed, coef)), ag.scale(reg, 0.7))
+        return ag.add(ref.tsum(ag.mul(mixed, coef)), ag.scale(reg, 0.7))
 
     fused = fused_pipeline(*args)
-    ref = reference_pipeline(*args)
-    assert close(fused[0].data, np.stack([t.data for t in ref[0]], axis=1))
-    assert close(fused[1].data, np.stack([t.data for t in ref[1]], axis=1))
-    for f, r in zip(fused[2:], ref[2:]):
+    expected = reference_pipeline(*args)
+    assert close(fused[0].data, np.stack([t.data for t in expected[0]], axis=1))
+    assert close(fused[1].data, np.stack([t.data for t in expected[1]], axis=1))
+    for f, r in zip(fused[2:], expected[2:]):
         assert close(f.data, r.data)
     assert fused[4].item() != 0.0  # the threshold keeps some pairs
 
@@ -339,7 +339,7 @@ def test_sigmoid_saturates_to_exact_zero_and_one_without_warnings():
         warnings.simplefilter("error")
         with Tape() as tape:
             out = ag.gated_channels(x, w, b)
-            tape.backward(ag.tsum(out))
+            tape.backward(ref.tsum(out))
         with Tape() as tape:
             # one triple 800 in favour of the positive, one 800 against it
             bpr = losses.bpr_loss(anchor, items, [0, 0], [1, 0], [0, 1])
