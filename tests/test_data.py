@@ -551,10 +551,10 @@ SPLIT_CASES = [  # (file text, outcome) for Interactions(*INTER)
     ("2\t2\ttest\n1\t0\ttrain\n0\t3\ttrain\n0\t1\tvalid", "ok"),  # any line order
     ("0\t1\ttrain\r\n0\t3\tvalid\r\n\r\n1\t0\ttest\r\n2\t2\ttrain\r\n", "ok"),
     (" 0\t+1\ttrain\n0\t3\tvalid\n1\t-0\ttest\n2\t2\ttrain\n", "ok"),
-    ("0\t1\ttrainee\n0\t3\tvalid\n1\t0\ttest\n2\t2\ttrain\n", "error"),  # 'train' in S5
+    ("0\t1\ttrainee\n0\t3\tvalid\n1\t0\ttest\n2\t2\ttrain\n", "error"),  # an S5 field reads 'train'
     ("0\t1\tTrain\n0\t3\tvalid\n1\t0\ttest\n2\t2\ttrain\n", "error"),
     ("0\t1\ttrain \n0\t3\tvalid\n1\t0\ttest\n2\t2\ttrain\n", "error"),
-    ("0\t1\ttest\x00\n0\t3\tvalid\n1\t0\ttest\n2\t2\ttrain\n", "error"),  # 'test' in S6
+    ("0\t1\ttest\x00\n0\t3\tvalid\n1\t0\ttest\n2\t2\ttrain\n", "error"),  # an S6 field drops the NUL
     ("0\t1\ttrain\n0\t3\tvalid\n0\t1\ttest\n2\t2\ttrain\n", "error"),  # twice, one unlabeled
     ("0\t1\ttrain\n0\t3\tvalid\n1\t0\ttest\n2\t2\ttrain\n0\t1\ttest\n", "error"),
     ("0\t1\ttrain\n0\t3\tvalid\n1\t0\ttest\n", "error"),
