@@ -27,17 +27,17 @@ def sample_gumbel(rng, shape):
     return -np.log(-np.log(eps))
 
 
-def attention_pool(interests, member_uid, member_gid, n_groups, att_vec):
+def attention_pool(interests, member_rows, member_gid, pattern, att_vec):
     """Pool every interest channel over group members.
 
-    interests: (n, M, d) tensor. member_uid and member_gid are parallel
-    arrays flattening the membership relation, member_uid holding each
-    member's row in interests. For each group and channel
-    the weights are a softmax over members of att_vec . i_u; output is
-    (n_groups, M, d). Groups are guaranteed at least one member by dataset
-    validation.
+    interests: (n, M, d) tensor. member_rows and member_gid are parallel
+    arrays flattening the membership relation: each membership's row in
+    interests and its group. pattern is their ag.segment_pattern, built once.
+    For each group and channel the weights are a softmax over members of
+    att_vec . i_u; output is (n_groups, M, d). Groups are guaranteed at least
+    one member by dataset validation.
     """
-    return ag.segment_attention(interests, att_vec, member_uid, member_gid, n_groups)
+    return ag.segment_attention(interests, att_vec, member_rows, member_gid, pattern)
 
 
 def selection_weights(group_emb, pooled, tau, noise=None, hard=False):

@@ -222,15 +222,10 @@ def _onehot_rows(idx: np.ndarray, n_rows: int):
     return sp.csr_matrix((np.ones(len(idx)), order, indptr), shape=(n_rows, len(idx)))
 
 
-def _scatter(onehot, g: np.ndarray) -> np.ndarray:
-    """onehot @ g over g's leading axis, for g of any trailing shape."""
-    flat = g.reshape(onehot.shape[1], math.prod(g.shape[1:]))
-    return (onehot @ flat).reshape((onehot.shape[0],) + g.shape[1:])
-
-
 def scatter_rows(idx: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
-    """Sum g's rows into n_rows buckets by idx; bit-equal to np.add.at."""
-    return _scatter(_onehot_rows(idx, n_rows), g)
+    """Sum g's rows (any trailing shape) into n_rows buckets by idx; bit-equal to np.add.at."""
+    flat = g.reshape(len(idx), math.prod(g.shape[1:]))
+    return (_onehot_rows(idx, n_rows) @ flat).reshape((n_rows,) + g.shape[1:])
 
 
 def gather_rows(x, idx: np.ndarray) -> Tensor:
@@ -416,31 +411,63 @@ def channel_linear(x, w, b) -> Tensor:
     return _record(out, (x, w, b), backward)
 
 
-def segment_attention(x, att, rows: np.ndarray, segment_ids: np.ndarray,
-                      n_segments: int) -> Tensor:
+def _cells(idx: np.ndarray, m: int) -> np.ndarray:
+    """Flat (entry, channel) cells idx[j] * m + c, in entry-major order."""
+    return (idx[:, None] * m + np.arange(m)).ravel()
+
+
+def segment_pattern(segment_ids: np.ndarray, n_segments: int, n_channels: int):
+    """segment_attention's layout for a fixed segment assignment, built once.
+
+    The one-hot CSR of shape (n_segments * M, n * M) whose row s * M + c
+    holds cell j * M + c of every entry j in segment s, in order of j.
+    """
+    seg = np.asarray(segment_ids, dtype=np.int64)
+    return _onehot_rows(_cells(seg, n_channels), n_segments * n_channels)
+
+
+def _gathered_dots(a: np.ndarray, ia: np.ndarray, b: np.ndarray, ib: np.ndarray, block=256):
+    """einsum("nmd,nmd->nm", a[ia], b[ib]), gathered a cache-sized block of rows at a time."""
+    out = np.empty((len(ia), a.shape[1]))
+    for i in range(0, len(ia), block):
+        j = slice(i, i + block)
+        out[j] = np.einsum("nmd,nmd->nm", a[ia[j]], b[ib[j]])
+    return out
+
+
+def segment_attention(x, att, rows: np.ndarray, segment_ids: np.ndarray, pattern) -> Tensor:
     """Attention-weighted segment sums of gathered rows, per channel.
 
     x is (U, M, d); rows and segment_ids are parallel (n,) arrays placing
-    row x[rows[j]] in segment segment_ids[j]. Within each segment and
-    channel the weights are a softmax of att . x[rows[j], m]. Returns
-    (n_segments, M, d); empty segments come out zero.
+    row x[rows[j]] in segment segment_ids[j], and pattern is their
+    segment_pattern. Within each segment and channel the weights γ are a
+    softmax of att . x[rows[j], m]. Returns (n_segments, M, d); empty
+    segments come out zero. The sum is one sparse product over x: the
+    pattern with γ as its data and each cell's column moved to its row of x.
     """
     x, att = _as_tensor(x), _as_tensor(att)
     rows = np.asarray(rows, dtype=np.int64)
-    seg = np.asarray(segment_ids, dtype=np.int64)
-    onehot = _onehot_rows(seg, n_segments)
-    r = x.data[rows]
-    gamma = _segment_softmax(r @ att.data, seg, onehot)
-    out = Tensor(_scatter(onehot, gamma[:, :, None] * r))
+    sid = np.asarray(segment_ids, dtype=np.int64)
+    u, m, d = x.data.shape
+    seg, cols = _cells(sid, m), _cells(rows, m)  # each cell's pattern row, and its row of x's cells
+    # att . x per row of x, then gathered: the same (M, d) @ (d,) products as gathering first
+    gamma = _segment_softmax((x.data @ att.data)[rows].ravel(), seg, pattern)
+    cell = pattern.indices
+    weights = sp.csr_matrix((gamma[cell], cols[cell], pattern.indptr), shape=(pattern.shape[0], u * m))
+    table = x.data.reshape(u * m, d)
+    out = Tensor((weights @ table).reshape(-1, m, d))
 
     def backward(g):
-        g_rows = g[seg]
-        ds = _segment_softmax_grad(gamma, np.einsum("nmd,nmd->nm", g_rows, r), seg, onehot)
-        _accum(att, np.einsum("nm,nmd->d", ds, r))
+        gdot = _gathered_dots(g, sid, x.data, rows).ravel()
+        ds_cells = _segment_softmax_grad(gamma, gdot, seg, pattern)
+        ds = np.bincount(cols, weights=ds_cells, minlength=u * m)  # summed into x's cells
+        _accum(att, ds @ table)
         if x.requires_grad:
-            g_rows *= gamma[:, :, None]
-            g_rows += np.multiply(ds[:, :, None], att.data, out=r)  # r is dead here
-            _accum(x, scatter_rows(rows, g_rows, x.data.shape[0]))
+            # weights.T @ g plus ds ⊗ att, as one product: ds is one more row of weights, against att
+            data, idx = np.append(weights.data, ds), np.append(weights.indices, np.arange(u * m))
+            indptr = np.append(weights.indptr, len(data))
+            both = sp.csr_matrix((data, idx, indptr), shape=(len(indptr) - 1, u * m))
+            _accum(x, (both.T @ np.vstack((g.reshape(-1, d), att.data))).reshape(u, m, d))
 
     return _record(out, (x, att), backward)
 

@@ -294,8 +294,7 @@ VARIANT_LETTERS = {
 
 
 def _test_metrics(trainer, ds, task, ks):
-    state = trainer.model.forward()
-    metrics, n = evaluate_ranking(trainer.model, ds, task, ks=ks, state=state)
+    metrics, n = evaluate_ranking(trainer.model, ds, task, ks=ks)  # the members-only forward
     if n == 0:
         raise ValueError(f"no {task} anchors with test edges")
     return metrics

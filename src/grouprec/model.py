@@ -99,6 +99,9 @@ class GroupRecommender:
                 self.member_mean_csr = fusion.row_mean(dataset.group_members)
             else:
                 self.att_vec = Tensor(rng.normal(0.0, INIT_STD, size=d), requires_grad=True)
+                self.pool_pattern = ag.segment_pattern(
+                    self.member_gid, dataset.n_groups, config.n_interests
+                )
                 self.generator = make_interest_generator(
                     config.interest_mode,
                     config.n_interests,
@@ -166,7 +169,7 @@ class GroupRecommender:
             else:
                 interests, rows, member_idx = self._interests(users)
                 pooled = aggregation.attention_pool(
-                    interests, member_idx, self.member_gid, n_groups, self.att_vec
+                    interests, member_idx, self.member_gid, self.pool_pattern, self.att_vec
                 )
                 if cfg.variant == "uniform_mix":
                     m = cfg.n_interests

@@ -159,6 +159,39 @@ def segment_softmax(scores, segment_ids: np.ndarray, n_segments: int) -> Tensor:
     return _record(out, (scores,), backward)
 
 
+def segment_attention(x, att, rows: np.ndarray, segment_ids: np.ndarray,
+                      n_segments: int) -> Tensor:
+    """Attention-weighted segment sums of gathered rows, per channel.
+
+    The oracle for autodiff.segment_attention: the group one-hot built per
+    call, the (n, M, d) weighted rows, and a per-entry scatter in backward.
+    x is (U, M, d); rows and segment_ids are parallel (n,) arrays placing
+    row x[rows[j]] in segment segment_ids[j]. Within each segment and
+    channel the weights are a softmax of att . x[rows[j], m]. Returns
+    (n_segments, M, d); empty segments come out zero.
+    """
+    x, att = _as_tensor(x), _as_tensor(att)
+    rows = np.asarray(rows, dtype=np.int64)
+    seg = np.asarray(segment_ids, dtype=np.int64)
+    onehot = _onehot_rows(seg, n_segments)
+    r = x.data[rows]
+    gamma = _segment_softmax(r @ att.data, seg, onehot)
+    out = Tensor(scatter_rows(seg, gamma[:, :, None] * r, n_segments))
+
+    def backward(g):
+        g_rows = g[seg]
+        ds = _segment_softmax_grad(gamma, np.einsum("nmd,nmd->nm", g_rows, r), seg, onehot)
+        _accum(att, np.einsum("nm,nmd->d", ds, r))
+        if x.requires_grad:
+            g_rows *= gamma[:, :, None]
+            g_rows += np.multiply(ds[:, :, None], att.data, out=r)  # r is dead here
+            _accum(x, scatter_rows(rows, g_rows, x.data.shape[0]))
+
+    return _record(out, (x, att), backward)
+
+
+
+
 def segment_sum(x, segment_ids: np.ndarray, n_segments: int) -> Tensor:
     """Sum rows of x into n_segments buckets given per-row segment ids."""
     x = _as_tensor(x)

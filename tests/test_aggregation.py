@@ -27,8 +27,9 @@ def channels(*tables):
 
 def pool(interest_table, uid, gid, n_groups, att):
     """Pool a single interest channel; returns the (n_groups, d) pooled table."""
+    pattern = ag.segment_pattern(np.array(gid), n_groups, 1)
     out = agg.attention_pool(
-        channels(interest_table), np.array(uid), np.array(gid), n_groups, Tensor(att)
+        channels(interest_table), np.array(uid), np.array(gid), pattern, Tensor(att)
     )
     return out.data[:, 0]
 
@@ -158,7 +159,7 @@ def test_selection_gradients_flow():
 
     def loss():
         interests = ref.stack([table, ag.scale(table, 2.0)])
-        pooled = agg.attention_pool(interests, uid, gid, 3, att)
+        pooled = agg.attention_pool(interests, uid, gid, ag.segment_pattern(gid, 3, 2), att)
         omega = agg.selection_weights(group, pooled, tau=0.7)
         mixed = agg.mix_interests(omega, pooled)
         return ref.tsum(ag.mul(mixed, mixed))

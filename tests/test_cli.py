@@ -9,8 +9,10 @@ import shutil
 import numpy as np
 import pytest
 
+from grouprec import cli
 from grouprec.cli import main
 from grouprec.datasets import TRAIN, VALID, TEST, load_dataset, load_prepared
+from grouprec.evaluate import evaluate_ranking
 
 # small but structured enough that groups, splits, and both tasks all exist
 TOY = [
@@ -227,6 +229,32 @@ def test_ablate_full_row_has_zero_delta(world, tmp_path):
         rows = {row["letter"]: row for row in csv.DictReader(f)}
     assert set(rows) == {"Full", "C"}
     assert float(rows["Full"]["rel_delta_ndcg@10_pct"]) == 0.0
+
+
+@pytest.mark.parametrize("task", ["user", "group"])
+def test_ablate_test_metrics_equal_the_full_table_forward(world, tmp_path, monkeypatch, task):
+    # ablate ranks from the members-only forward; ranking from the forward that
+    # gates every user must give the same metrics, which are the ones written
+    seen = []
+
+    def both_forwards(model, ds, which, ks=(5, 10), target=TEST, state=None):
+        got = evaluate_ranking(model, ds, which, ks=ks, target=target, state=state)
+        full = evaluate_ranking(model, ds, which, ks=ks, target=target, state=model.forward())
+        seen.append((state, got, full))
+        return got
+
+    monkeypatch.setattr(cli, "evaluate_ranking", both_forwards)
+    out = tmp_path / "abl"
+    assert run(["ablate", "--data", world, "--out", out, "--variants", "Full,A,D", "--task", task,
+                "--seeds", 2, "--seed", 0, *TOY]) == 0
+    assert len(seen) == 6
+    with open(out / "ablation.csv") as f:
+        rows = list(csv.DictReader(f))
+    for row, (state, got, full) in zip(rows, seen):
+        assert state is None
+        assert got == full and got[1] > 0
+        for name, value in got[0].items():
+            assert row[name] == f"{value:.6f}"
 
 
 def test_ablate_rejects_unknown_variant(world, tmp_path, capsys):

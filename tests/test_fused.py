@@ -86,14 +86,44 @@ def test_segment_attention_finite_differences_and_single_member():
     coef = rng.normal(size=(N_GROUPS, 3, 4))
 
     def loss():
-        out = ag.segment_attention(x, att, UID, GID, N_GROUPS)
+        out = ag.segment_attention(x, att, UID, GID, ag.segment_pattern(GID, N_GROUPS, 3))
         return ref.tsum(ag.mul(ag.mul(out, out), Tensor(coef)))
 
     err = ag.finite_difference_check(loss, [x, att], h=1e-5, rng=rng, max_coords=30)
     assert err < 1e-4
     # the single-member group passes its member's rows through, every channel
-    out = ag.segment_attention(x, att, UID, GID, N_GROUPS)
+    out = ag.segment_attention(x, att, UID, GID, ag.segment_pattern(GID, N_GROUPS, 3))
     np.testing.assert_array_equal(out.data[1], x.data[1])
+
+
+# compact rows 0..8: rows 0, 2 and 5 sit in two groups each, group 1 has the
+# single member 3, group 2 lists its members out of row order, and rows 4, 7
+# and 8 are in no group
+POOL_ROWS = np.array([0, 2, 5, 3, 5, 1, 0, 6, 2])
+POOL_SEGS = np.array([0, 0, 0, 1, 2, 2, 2, 3, 3])
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["grouped", "shuffled"])
+@pytest.mark.parametrize("m", [1, 4])
+def test_segment_attention_matches_the_reference_op(m, shuffled):
+    rng = np.random.default_rng(20 + m)
+    order = rng.permutation(len(POOL_ROWS)) if shuffled else np.arange(len(POOL_ROWS))
+    rows, segs = POOL_ROWS[order], POOL_SEGS[order]
+    x0, att0 = rng.normal(size=(9, m, 5)), rng.normal(size=5)
+    coef = rng.normal(size=(4, m, 5))
+    results = []
+    for op, last in ((ag.segment_attention, ag.segment_pattern(segs, 4, m)), (ref.segment_attention, 4)):
+        x, att = Tensor(x0.copy(), requires_grad=True), Tensor(att0.copy(), requires_grad=True)
+        with Tape() as tape:
+            out = op(x, att, rows, segs, last)
+            tape.backward(ref.tsum(ag.mul(out, Tensor(coef))))
+        results.append((out.data, x.grad, att.grad))
+    (out, dx, datt), (want, want_dx, want_datt) = results
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(out[1], x0[3])  # the single member passes through
+    assert close(dx, want_dx, rel=1e-12) and close(datt, want_datt, rel=1e-12)
+    assert np.all(dx[[4, 7, 8]] == 0.0)
+    assert np.all(np.abs(dx[[0, 1, 2, 3, 5, 6]]).max(axis=(1, 2)) > 0.0)
 
 
 def test_channel_dot_and_mix_finite_differences():
@@ -221,7 +251,8 @@ def reference_pipeline(e, gen, att, group, noise, hard, reg_users, threshold):
 
 def fused_pipeline(e, gen, att, group, noise, hard, reg_users, threshold):
     interests = gen.interests(e)
-    pooled = agg.attention_pool(interests, UID, GID, N_GROUPS, att)
+    pattern = ag.segment_pattern(GID, N_GROUPS, interests.shape[1])
+    pooled = agg.attention_pool(interests, UID, GID, pattern, att)
     omega = agg.selection_weights(group, pooled, 0.5, noise=noise, hard=hard)
     mixed = agg.mix_interests(omega, pooled)
     reg = losses.interest_regularizer(interests, reg_users, threshold)

@@ -169,6 +169,33 @@ def test_compact_path_gradients_match_finite_differences(mode):
     assert err < 1e-4
 
 
+def test_pool_pattern_is_built_once_per_model(monkeypatch):
+    trainer = Trainer(world(), config())
+    model = trainer.model
+    pattern = model.pool_pattern
+    layout = [a.copy() for a in (pattern.indptr, pattern.indices, pattern.data)]
+    onehots = []
+    onehot_rows = ag._onehot_rows
+
+    def recording_onehot_rows(idx, n_rows):
+        onehots.append(np.array(idx))
+        return onehot_rows(idx, n_rows)
+
+    def no_rebuild(*args):
+        raise AssertionError("segment_pattern called inside a step")
+
+    monkeypatch.setattr(ag, "segment_pattern", no_rebuild)
+    monkeypatch.setattr(ag, "_onehot_rows", recording_onehot_rows)
+    trainer._step()
+    trainer._step()
+    assert model.pool_pattern is pattern
+    for before, after in zip(layout, (pattern.indptr, pattern.indices, pattern.data)):
+        np.testing.assert_array_equal(after, before)
+    # no one-hot over the memberships, in groups or in (group, channel) cells
+    cells = (model.member_gid[:, None] * 3 + np.arange(3)).ravel()
+    assert not any(np.array_equal(idx, model.member_gid) or np.array_equal(idx, cells) for idx in onehots)
+
+
 @pytest.fixture(scope="module")
 def trained():
     ds = world(split=True)
