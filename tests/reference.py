@@ -190,8 +190,6 @@ def segment_attention(x, att, rows: np.ndarray, segment_ids: np.ndarray,
     return _record(out, (x, att), backward)
 
 
-
-
 def segment_sum(x, segment_ids: np.ndarray, n_segments: int) -> Tensor:
     """Sum rows of x into n_segments buckets given per-row segment ids."""
     x = _as_tensor(x)

@@ -112,10 +112,12 @@ def test_segment_attention_matches_the_reference_op(m, shuffled):
     x0, att0 = rng.normal(size=(9, m, 5)), rng.normal(size=5)
     coef = rng.normal(size=(4, m, 5))
     results = []
-    for op, last in ((ag.segment_attention, ag.segment_pattern(segs, 4, m)), (ref.segment_attention, 4)):
+    # the new op takes the pattern where the reference takes the group count
+    pattern = ag.segment_pattern(segs, 4, m)
+    for op, layout in ((ag.segment_attention, pattern), (ref.segment_attention, 4)):
         x, att = Tensor(x0.copy(), requires_grad=True), Tensor(att0.copy(), requires_grad=True)
         with Tape() as tape:
-            out = op(x, att, rows, segs, last)
+            out = op(x, att, rows, segs, layout)
             tape.backward(ref.tsum(ag.mul(out, Tensor(coef))))
         results.append((out.data, x.grad, att.grad))
     (out, dx, datt), (want, want_dx, want_datt) = results

@@ -191,7 +191,8 @@ def test_pool_pattern_is_built_once_per_model(monkeypatch):
     assert model.pool_pattern is pattern
     for before, after in zip(layout, (pattern.indptr, pattern.indices, pattern.data)):
         np.testing.assert_array_equal(after, before)
-    # no one-hot over the memberships, in groups or in (group, channel) cells
+    # the step's scatters were seen, and none was over the memberships (by group or by cell)
+    assert onehots
     cells = (model.member_gid[:, None] * 3 + np.arange(3)).ravel()
     assert not any(np.array_equal(idx, model.member_gid) or np.array_equal(idx, cells) for idx in onehots)
 
