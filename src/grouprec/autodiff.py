@@ -479,7 +479,7 @@ def channel_dot(a, channels) -> Tensor:
 
     def backward(g):
         _accum(a, np.einsum("gm,gmd->gd", g, channels.data))
-        _accum(channels, g[:, :, None] * a.data[:, None, :])
+        _accum(channels, np.einsum("gm,gd->gmd", g, a.data))
 
     return _record(out, (a, channels), backward)
 
@@ -491,7 +491,7 @@ def channel_mix(weights, channels) -> Tensor:
 
     def backward(g):
         _accum(weights, np.einsum("gd,gmd->gm", g, channels.data))
-        _accum(channels, weights.data[:, :, None] * g[:, None, :])
+        _accum(channels, np.einsum("gm,gd->gmd", weights.data, g))
 
     return _record(out, (weights, channels), backward)
 

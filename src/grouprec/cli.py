@@ -204,7 +204,7 @@ def cmd_eval(args):
                     raise ValueError(f"no {task} anchors with test edges")
                 rows.extend(metric_rows(task, metrics, seed))
             if similarity is None and state.interests is not None:
-                similarity = model.interest_similarity(state)
+                similarity = model.interest_similarity()
             config_echo = cfg.as_dict()
 
     summary = export_report(

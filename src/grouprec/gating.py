@@ -5,12 +5,12 @@ with per-interest self-gates: interest n is e ⊙ sigmoid(e W_n + b_n). The
 alternative generators (plain linear maps, a two-layer map, free per-user
 tables) exist only for the comparison harness and share the same interface:
 ``interests(user_rows, rows)`` maps the (r, d) embeddings of the users
-``rows`` (sorted ids; None means every user, in order) to one (r, M, d)
-tensor whose [:, n] slice is interest n. Only the free tables read ``rows``;
-the other generators depend on the embeddings alone. Parameters follow the
-same convention: each role is one tensor whose slice n belongs to interest n
-(``gate_w`` is (M, d, d) and ``gate_w[n]`` is W_n), except the free table,
-which holds every user's interests, (|U|, M, d), and gathers the rows asked for.
+``rows`` (sorted ids) to one (r, M, d) tensor whose [:, n] slice is
+interest n. Only the free tables read ``rows``; the other generators depend
+on the embeddings alone. Parameters follow the same convention: each role is
+one tensor whose slice n belongs to interest n (``gate_w`` is (M, d, d) and
+``gate_w[n]`` is W_n), except the free table, which holds every user's
+interests, (|U|, M, d), and gathers the rows asked for.
 """
 
 import numpy as np
@@ -46,7 +46,7 @@ class SelfGatingInterests:
         self.w = _weight(rng, (m_interests, dim, dim))
         self.b = _bias((m_interests, dim))
 
-    def interests(self, user_rows, rows=None):
+    def interests(self, user_rows, rows):
         """(n, d) -> (n, M, d): all M gates in one fused op."""
         return ag.gated_channels(user_rows, self.w, self.b)
 
@@ -63,7 +63,7 @@ class LinearInterests:
         self.w = _weight(rng, (m_interests, dim, dim))
         self.b = _bias((m_interests, dim))
 
-    def interests(self, user_rows, rows=None):
+    def interests(self, user_rows, rows):
         return ag.channel_linear(user_rows, self.w, self.b)
 
     def named_params(self):
@@ -81,7 +81,7 @@ class TwoLayerInterests:
         self.w2 = _weight(rng, (m_interests, dim, dim))
         self.b2 = _bias((m_interests, dim))
 
-    def interests(self, user_rows, rows=None):
+    def interests(self, user_rows, rows):
         hidden = ag.relu(ag.channel_linear(user_rows, self.w1, self.b1))
         return ag.channel_linear(hidden, self.w2, self.b2)
 
@@ -101,13 +101,9 @@ class TableInterests:
         draw = rng.normal(0.0, INIT_STD, size=(m_interests, n_users, dim))
         self.table = Tensor(np.ascontiguousarray(draw.transpose(1, 0, 2)), requires_grad=True)
 
-    def interests(self, user_rows, rows=None):
-        """The table itself, or a gather of the rows of the users `rows`."""
-        if rows is not None:
-            return ag.gather_rows(self.table, rows)
-        if user_rows.shape[0] != self.table.shape[0]:
-            raise ValueError("table generator sized for a different user count")
-        return self.table
+    def interests(self, user_rows, rows):
+        """The table's rows of the users `rows`."""
+        return ag.gather_rows(self.table, rows)
 
     def named_params(self):
         return [("interest_table", self.table)]

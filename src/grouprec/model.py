@@ -6,10 +6,11 @@ group into one (|G|, M, d) tensor that selection mixes down to (|G|, d).
 One forward pass covers the whole user, item, and group tables; mini-batching
 happens only in the losses, which index into the returned tables. Interests
 are the exception: only the attention pool (group members) and the
-regularizer (its users) read them, so a forward given users generates them
-for members plus those users alone, and `ForwardState.interest_rows` names
-the user of each row. A forward without users generates every user's. Running
-a forward outside a gradient tape is the (deterministic) inference path.
+regularizer (its users) read them, so a forward generates them for the
+members plus the users it is given, and `ForwardState.interest_rows` names
+the user of each row. Given no users it generates the members' alone; every
+user's takes users=np.arange(n_users). Running a forward outside a gradient
+tape is the (deterministic) inference path.
 
 Structural reductions double as baselines: use_groups=False with n_layers=0
 is plain matrix factorization, use_groups=False with n_layers>0 is the
@@ -36,10 +37,10 @@ class ForwardState:
     group_fused: Tensor  # None when groups are disabled
     omega: Tensor  # None unless the interest mixer ran
     interests: Tensor  # (len(interest_rows), M, d); None unless interests were generated
-    interest_rows: np.ndarray  # sorted user ids of the interests' rows; None with interests
+    interest_rows: np.ndarray  # sorted user ids of the interests' rows; None when interests is None
 
 
-# forward(users=NO_USERS) generates the group members' interests only
+# users=NO_USERS, the forward's default, generates the group members' interests only
 NO_USERS = np.zeros(0, dtype=np.int64)
 
 
@@ -130,14 +131,7 @@ class GroupRecommender:
         return param_count(self.named_params())
 
     def _interests(self, users):
-        """The interest tensor, the user of each row, and each membership's row.
-
-        users=None gives every user's interests, in user order; an array gives
-        those of the group members plus those users.
-        """
-        if users is None:
-            rows = np.arange(self.dataset.n_users)
-            return self.generator.interests(self.user_emb), rows, self.member_uid
+        """The interests of the members plus `users`, each row's user, and each membership's row."""
         keep = self.is_member.copy()
         keep[users] = True
         rows = np.flatnonzero(keep)
@@ -146,13 +140,13 @@ class GroupRecommender:
         interests = self.generator.interests(ag.gather_rows(self.user_emb, rows), rows)
         return interests, rows, member_idx
 
-    def forward(self, noise_rng=None, users=None):
+    def forward(self, noise_rng=None, users=NO_USERS):
         """Build all final representations; noise_rng=None is deterministic.
 
-        users=None generates every user's interests. An array of user ids
-        generates them for the group members plus those users only: the
-        other rows reach no output, so the values and gradients that do are
-        the same. NO_USERS gives the members alone.
+        Interests are generated for the group members plus the user ids in
+        `users` only: the other rows reach no output, so the values and
+        gradients that do are the same as from every user's.
+        users=np.arange(n_users) gives the full table.
         """
         cfg = self.cfg
         group_fused = None
@@ -204,10 +198,10 @@ class GroupRecommender:
     def row_scores(self, task, state=None):
         """The anchor-by-item scores of a task as a `RowScores`, no tape involved.
 
-        Without a state it runs the forward that generates members' interests only.
+        Without a state it runs the members-only forward.
         """
         if state is None:
-            state = self.forward(users=NO_USERS)
+            state = self.forward()
         if task == "user":
             return RowScores(state.user_final.data, state.item_final.data)
         if task == "group":
@@ -216,13 +210,8 @@ class GroupRecommender:
             return RowScores(state.group_fused.data, state.item_final.data)
         raise ValueError(f"unknown task {task!r}")
 
-    def interest_similarity(self, state=None):
-        """Mean |cosine| between interest channels; identity if they don't exist.
-
-        The mean runs over the state's interest rows: every user when state is None.
-        """
-        if state is None:
-            state = self.forward()
-        if state.interests is None:
+    def interest_similarity(self):
+        """Mean |cosine| between interest channels over every user; identity if they don't exist."""
+        if self.generator is None:
             return np.eye(max(1, self.cfg.n_interests))
-        return pairwise_abs_cosine(state.interests)
+        return pairwise_abs_cosine(self.forward(users=np.arange(self.dataset.n_users)).interests)

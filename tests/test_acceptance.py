@@ -250,7 +250,7 @@ def test_end_to_end_gradient_check():
     all_users = np.arange(ds.n_users)
 
     def loss_fn():
-        state = model.forward(noise_rng=frozen)
+        state = model.forward(noise_rng=frozen, users=all_users)
         l_user = bpr_loss(state.user_final, state.item_final, ua, up, un)
         l_group = bpr_loss(state.group_fused, state.item_final, ga, gp, gn)
         reg = interest_regularizer(state.interests, all_users, cfg.sim_threshold)

@@ -11,8 +11,12 @@ import pytest
 
 from grouprec import cli
 from grouprec.cli import main
+from grouprec.checkpoint import load_checkpoint
+from grouprec.config import TrainConfig
 from grouprec.datasets import TRAIN, VALID, TEST, load_dataset, load_prepared
 from grouprec.evaluate import evaluate_ranking
+from grouprec.losses import pairwise_abs_cosine
+from grouprec.trainer import build_model_from_arrays
 
 # small but structured enough that groups, splits, and both tasks all exist
 TOY = [
@@ -143,10 +147,17 @@ def test_eval_both_tasks(world, run_dir, tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary["results"]) == {"user", "group"}
     assert "wall_time_s" in summary
-    assert (out / "interest_sim.csv").exists()
     with open(out / "metrics.csv") as f:
         header = f.readline().strip()
     assert header == "task,metric,k,seed,value"
+    # the similarity is the mean over every user's interests, not the members' alone
+    cfg_dict, arrays, _ = load_checkpoint(run_dir / "best.ckpt")
+    ds = load_prepared(str(world))
+    model = build_model_from_arrays(ds, TrainConfig.from_dict(cfg_dict), arrays)
+    full = model.forward(users=np.arange(model.dataset.n_users))
+    want = [[f"{v:.6f}" for v in row] for row in pairwise_abs_cosine(full.interests)]
+    with open(out / "interest_sim.csv", newline="") as f:
+        assert list(csv.reader(f)) == want
 
 
 def test_interest_rows_log_line_leaves_outputs_unchanged(world, run_dir, tmp_path, caplog):
@@ -239,7 +250,8 @@ def test_ablate_test_metrics_equal_the_full_table_forward(world, tmp_path, monke
 
     def both_forwards(model, ds, which, ks=(5, 10), target=TEST, state=None):
         got = evaluate_ranking(model, ds, which, ks=ks, target=target, state=state)
-        full = evaluate_ranking(model, ds, which, ks=ks, target=target, state=model.forward())
+        full_state = model.forward(users=np.arange(ds.n_users))
+        full = evaluate_ranking(model, ds, which, ks=ks, target=target, state=full_state)
         seen.append((state, got, full))
         return got
 

@@ -252,7 +252,7 @@ def reference_pipeline(e, gen, att, group, noise, hard, reg_users, threshold):
 
 
 def fused_pipeline(e, gen, att, group, noise, hard, reg_users, threshold):
-    interests = gen.interests(e)
+    interests = gen.interests(e, np.arange(e.shape[0]))
     pattern = ag.segment_pattern(GID, N_GROUPS, interests.shape[1])
     pooled = agg.attention_pool(interests, UID, GID, pattern, att)
     omega = agg.selection_weights(group, pooled, 0.5, noise=noise, hard=hard)

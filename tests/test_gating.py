@@ -19,14 +19,14 @@ def zeroed(gen):
 def test_zero_gate_halves_embedding():
     gen = zeroed(make_interest_generator("gate", 2, 3, np.random.default_rng(0)))
     e = Tensor([[2.0, -4.0, 6.0]])
-    out = gen.interests(e)
+    out = gen.interests(e, np.arange(1))
     for n in range(2):
         np.testing.assert_allclose(out.data[:, n], [[1.0, -2.0, 3.0]])
 
 
 def test_zero_embedding_gives_zero_interest():
     gen = make_interest_generator("gate", 3, 4, np.random.default_rng(1))
-    out = gen.interests(Tensor(np.zeros((2, 4))))
+    out = gen.interests(Tensor(np.zeros((2, 4))), np.arange(2))
     for n in range(3):
         np.testing.assert_allclose(out.data[:, n], np.zeros((2, 4)))
 
@@ -35,14 +35,14 @@ def test_identity_gate_hand_value():
     gen = make_interest_generator("gate", 1, 2, np.random.default_rng(0))
     gen.w.data[0] = np.eye(2)
     gen.b.data[0] = 0.0
-    out = gen.interests(Tensor([[1.0, 1.0]]))
+    out = gen.interests(Tensor([[1.0, 1.0]]), np.arange(1))
     np.testing.assert_allclose(out.data[:, 0], [[SIGMOID_1, SIGMOID_1]], atol=1e-12)
 
 
 def test_identical_users_identical_interests():
     gen = make_interest_generator("gate", 2, 3, np.random.default_rng(2))
     e = Tensor(np.array([[0.3, -0.1, 0.5], [0.3, -0.1, 0.5]]))
-    out = gen.interests(e)
+    out = gen.interests(e, np.arange(2))
     for n in range(2):
         np.testing.assert_allclose(out.data[0, n], out.data[1, n])
 
@@ -52,7 +52,7 @@ def test_output_shape_all_modes():
     e = Tensor(rng.normal(size=(5, 4)))
     for mode in ("gate", "fc1", "fc2", "table"):
         gen = make_interest_generator(mode, 3, 4, rng, n_users=5)
-        out = gen.interests(e)
+        out = gen.interests(e, np.arange(5))
         assert out.shape == (5, 3, 4)
 
 
@@ -60,7 +60,7 @@ def test_gate_outputs_bounded_by_embedding():
     rng = np.random.default_rng(4)
     gen = make_interest_generator("gate", 4, 6, rng)
     e = rng.normal(size=(20, 6)) * 3.0
-    out = gen.interests(Tensor(e))
+    out = gen.interests(Tensor(e), np.arange(20))
     for n in range(4):
         assert np.all(np.abs(out.data[:, n]) <= np.abs(e) + 1e-15)
 
@@ -99,7 +99,7 @@ def test_gradients_reach_all_parameters(mode):
     params = [e] + [t for _, t in gen.named_params()]
 
     def loss():
-        out = gen.interests(e)  # (4, 2, 3): both channels enter the sum of squares
+        out = gen.interests(e, np.arange(4))  # (4, 2, 3): both channels enter the sum of squares
         return ref.tsum(ag.mul(out, out))
 
     every = max(t.data.size for t in params)

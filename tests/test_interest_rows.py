@@ -1,8 +1,9 @@
 """Interests generated for the rows that read them, against the full-table oracle.
 
-A forward given users generates interests for group members plus those users
-only (the training and inference paths); a forward without users generates
-every user's. Both must give the same loss, gradients and scores.
+A forward generates interests for group members plus the users it is given
+only: the members alone by default (inference), the members plus the
+regularizer's users in training. users=np.arange(n_users) gives every user's,
+the oracle. All must give the same loss, gradients and scores.
 """
 
 import numpy as np
@@ -72,15 +73,15 @@ def config(**kw):
 def spy(trainer, full):
     """Patch the model so the next forwards record their state and interest gradient.
 
-    full=True also drops the users, so the forward generates every user's
-    interests: the oracle. The gradient at the interests is read through an
-    exact identity node (x * 1.0) placed behind the generator.
+    full=True also passes every user as the users, so the forward generates
+    every user's interests: the oracle. The gradient at the interests is read
+    through an exact identity node (x * 1.0) placed behind the generator.
     """
     model, seen = trainer.model, {}
     forward, generate = model.forward, model.generator.interests
 
-    def patched_forward(noise_rng=None, users=None):
-        seen["state"] = forward(noise_rng=noise_rng, users=None if full else users)
+    def patched_forward(noise_rng=None, users=NO_USERS):
+        seen["state"] = forward(noise_rng=noise_rng, users=np.arange(N_USERS) if full else users)
         return seen["state"]
 
     def patched_interests(*args):
@@ -208,9 +209,9 @@ def trained():
 @pytest.mark.parametrize("task", ["user", "group"])
 def test_members_only_inference_matches_the_full_table(trained, task):
     ds, model = trained
-    full_state = model.forward()
-    members_state = model.forward(users=NO_USERS)
-    np.testing.assert_array_equal(members_state.interest_rows, MEMBERS)
+    full_state = model.forward(users=np.arange(N_USERS))
+    np.testing.assert_array_equal(model.forward().interest_rows, MEMBERS)
+    np.testing.assert_array_equal(model.forward(users=NO_USERS).interest_rows, MEMBERS)
 
     scores = model.row_scores(task)[:]  # no state: the members-only forward
     want = model.row_scores(task, full_state)[:]
@@ -223,6 +224,6 @@ def test_members_only_inference_matches_the_full_table(trained, task):
 
 def test_interest_similarity_stays_the_all_user_mean(trained):
     _, model = trained
-    full = model.forward()
+    full = model.forward(users=np.arange(N_USERS))
     assert full.interests.shape[0] == N_USERS
     np.testing.assert_array_equal(model.interest_similarity(), pairwise_abs_cosine(full.interests))

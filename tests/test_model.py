@@ -145,7 +145,7 @@ def test_loss_breakdown_rejects_nan():
 def test_forward_shapes_and_simplex():
     ds = toy_dataset()
     model = GroupRecommender(ds, small_config(), np.random.default_rng(0))
-    state = model.forward()
+    state = model.forward(users=np.arange(5))
     assert state.user_final.shape == (5, 6)
     assert state.item_final.shape == (4, 6)
     assert state.group_fused.shape == (2, 6)
@@ -246,7 +246,7 @@ def test_end_to_end_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
 
     def loss():
-        state = model.forward()
+        state = model.forward(users=np.arange(5))
         l_user = losses.bpr_loss(state.user_final, state.item_final, ua[:4], uv[:4], (uv[:4] + 1) % 4)
         l_group = losses.bpr_loss(
             state.group_fused, state.item_final, np.array([0, 1]), np.array([0, 1]), np.array([3, 2])
@@ -273,7 +273,7 @@ def test_end_to_end_gradients_max_pooling_variant():
     rng = np.random.default_rng(4)
 
     def loss():
-        state = model.forward()
+        state = model.forward(users=np.arange(5))
         return ref.tsum(ag.mul(state.user_final, state.user_final))
 
     # each interest role stacks n_interests slices: 6 coordinates per slice

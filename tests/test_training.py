@@ -188,6 +188,16 @@ def test_checkpoint_rebuild_rejects_mismatch(tmp_path):
         build_model_from_arrays(ds, trainer.cfg, arrays[1:])
 
 
+def test_checkpoint_rebuild_rejects_a_table_for_another_user_count():
+    # the free interest table has no size check of its own: the rebuild is its guard
+    ds, _ = planted_dataset()
+    cfg = toy_config(interest_mode="table")
+    arrays = Trainer(ds, cfg).model.named_params_data()
+    bad = [(n, a[:-1] if n == "interest_table" else a) for n, a in arrays]
+    with pytest.raises(ValueError, match="'interest_table' has shape"):
+        build_model_from_arrays(ds, cfg, bad)
+
+
 def test_checkpoint_in_the_per_interest_layout_is_rejected(tmp_path):
     ds, _ = planted_dataset()
     trainer = Trainer(ds, toy_config(epochs=1))
