@@ -26,14 +26,13 @@ class Tensor:
     parameters exclusively during training, is the one sanctioned mutator.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
         self._backward = None
 
     @property
@@ -45,17 +44,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # Convenience arithmetic used in loss assembly.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
 
 
 _ACTIVE_TAPE: "Tape | None" = None
@@ -123,7 +111,6 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
     tape = _ACTIVE_TAPE
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
         out._backward = backward
         tape.nodes.append(out)
     return out

@@ -22,7 +22,7 @@ import scipy
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import TrainConfig, resolve_variant
+from .config import TASKS, VARIANT_LETTERS, TrainConfig, resolve_variant
 from .datasets import (
     GROUP_EDGES_FILE,
     load_dataset,
@@ -163,10 +163,18 @@ def cmd_train(args):
 
 def _tasks_of(arg):
     if arg == "both":
-        return ("user", "group")
-    if arg in ("user", "group"):
+        return TASKS
+    if arg in TASKS:
         return (arg,)
-    raise ValueError(f"--task must be user, group, or both, got {arg!r}")
+    raise ValueError(f"--task must be one of {TASKS} or both, got {arg!r}")
+
+
+def _test_metrics(task, evaluation):
+    """The metrics of a (metrics, n) test evaluation, which must have ranked some anchor."""
+    metrics, n = evaluation
+    if n == 0:
+        raise ValueError(f"no {task} anchors with test edges")
+    return metrics
 
 
 def cmd_eval(args):
@@ -185,9 +193,7 @@ def cmd_eval(args):
         for seed in range(args.seeds):
             seeds.append(seed)
             for task in tasks:
-                metrics, n = evaluate_popularity(ds, task, ks=ks)
-                if n == 0:
-                    raise ValueError(f"no {task} anchors with test edges")
+                metrics = _test_metrics(task, evaluate_popularity(ds, task, ks=ks))
                 rows.extend(metric_rows(task, metrics, seed))
         config_echo = {"baseline": "popularity"}
     else:
@@ -199,9 +205,7 @@ def cmd_eval(args):
             seed = cfg.seed
             seeds.append(seed)
             for task in tasks:
-                metrics, n = evaluate_ranking(model, ds, task, ks=ks, state=state)
-                if n == 0:
-                    raise ValueError(f"no {task} anchors with test edges")
+                metrics = _test_metrics(task, evaluate_ranking(model, ds, task, ks=ks, state=state))
                 rows.extend(metric_rows(task, metrics, seed))
             if similarity is None and state.interests is not None:
                 similarity = model.interest_similarity()
@@ -284,20 +288,11 @@ def cmd_sweep(args):
     return 0
 
 
-VARIANT_LETTERS = {
-    "full": "Full",
-    "mean_members": "A",
-    "uniform_mix": "B",
-    "no_interest_reg": "C",
-    "hard_select": "D",
-}
-
-
-def _test_metrics(trainer, ds, task, ks):
-    metrics, n = evaluate_ranking(trainer.model, ds, task, ks=ks)  # the members-only forward
-    if n == 0:
-        raise ValueError(f"no {task} anchors with test edges")
-    return metrics
+def _train_and_test(ds, cfg, task, ks):
+    """Train cfg on ds; the trainer and its test metrics from the members-only forward."""
+    trainer = Trainer(ds, cfg)
+    trainer.train()
+    return trainer, _test_metrics(task, evaluate_ranking(trainer.model, ds, task, ks=ks))
 
 
 def cmd_ablate(args):
@@ -311,10 +306,7 @@ def cmd_ablate(args):
     rows = []
     for variant in variants:
         for seed in seeds:
-            vcfg = cfg.replace(variant=variant, seed=seed).validate()
-            trainer = Trainer(ds, vcfg)
-            trainer.train()
-            metrics = _test_metrics(trainer, ds, args.task, ks)
+            _, metrics = _train_and_test(ds, cfg.replace(variant=variant, seed=seed), args.task, ks)
             rows.append((variant, seed, metrics))
             per_variant.setdefault(variant, []).append(metrics)
     metric_names = [f"{m}@{k}" for m in ("recall", "ndcg") for k in ks]
@@ -349,10 +341,8 @@ def cmd_ablate(args):
         mode_rows = []
         for mode in modes:
             for seed in seeds:
-                mcfg = cfg.replace(interest_mode=mode, variant="full", seed=seed).validate()
-                trainer = Trainer(ds, mcfg)
-                trainer.train()
-                metrics = _test_metrics(trainer, ds, args.task, ks)
+                mcfg = cfg.replace(interest_mode=mode, variant="full", seed=seed)
+                trainer, metrics = _train_and_test(ds, mcfg, args.task, ks)
                 mode_rows.append(
                     [mode, param_count(trainer.model.generator.named_params()), seed]
                     + [f"{metrics[nm]:.6f}" for nm in metric_names]
@@ -454,7 +444,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--variants", default="Full,A,B,C,D")
     p.add_argument("--interest-modes", default=None, help="e.g. gate,fc1,fc2,table")
-    p.add_argument("--task", default="user", choices=["user", "group"])
+    p.add_argument("--task", default="user", choices=TASKS)
     p.add_argument("--k", default="5,10")
     p.add_argument("--seeds", type=int, default=1)
     add_config_args(p)

@@ -1,18 +1,18 @@
-"""Training configuration: defaults, validation, JSON round trip."""
+"""Training configuration: defaults, validation, loading from a dict or JSON file."""
 
 import dataclasses
 import json
 from dataclasses import dataclass
 
-VARIANTS = ("full", "mean_members", "uniform_mix", "no_interest_reg", "hard_select")
-
-# the comparison harness historically labels the variants by letter
-VARIANT_ALIASES = {
-    "a": "mean_members",
-    "b": "uniform_mix",
-    "c": "no_interest_reg",
-    "d": "hard_select",
+# each variant's name and the letter the paper's ablation gives it
+VARIANT_LETTERS = {
+    "full": "Full",
+    "mean_members": "A",
+    "uniform_mix": "B",
+    "no_interest_reg": "C",
+    "hard_select": "D",
 }
+VARIANTS = tuple(VARIANT_LETTERS)
 
 INTEREST_MODES = ("gate", "fc1", "fc2", "table")
 POOLINGS = ("mean", "sum", "max")
@@ -93,19 +93,13 @@ class TrainConfig:
         with open(path) as f:
             return cls.from_dict(json.load(f))
 
-    def to_json(self, path):
-        with open(path, "w") as f:
-            json.dump(self.as_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
-
 
 def resolve_variant(name):
     """Map a variant spelling (letter or full name, any case) to its canonical name."""
     low = str(name).strip().lower()
-    if low in VARIANTS:
-        return low
-    if low in VARIANT_ALIASES:
-        return VARIANT_ALIASES[low]
+    for variant, letter in VARIANT_LETTERS.items():
+        if low in (variant, letter.lower()):
+            return variant
     raise ValueError(f"unknown variant {name!r}")
 
 

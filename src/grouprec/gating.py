@@ -38,8 +38,6 @@ def param_count(named_params):
 class SelfGatingInterests:
     """M sigmoid self-gates; parameter count M * (d + 1) * d."""
 
-    mode = "gate"
-
     def __init__(self, m_interests, dim, rng):
         if m_interests < 1:
             raise ValueError("need at least one interest")
@@ -57,8 +55,6 @@ class SelfGatingInterests:
 class LinearInterests:
     """One affine map per interest; same parameter count as the gates."""
 
-    mode = "fc1"
-
     def __init__(self, m_interests, dim, rng):
         self.w = _weight(rng, (m_interests, dim, dim))
         self.b = _bias((m_interests, dim))
@@ -72,8 +68,6 @@ class LinearInterests:
 
 class TwoLayerInterests:
     """Two affine maps with a ReLU between; twice the single-layer count."""
-
-    mode = "fc2"
 
     def __init__(self, m_interests, dim, rng):
         self.w1 = _weight(rng, (m_interests, dim, dim))
@@ -92,11 +86,7 @@ class TwoLayerInterests:
 class TableInterests:
     """Free interest embeddings, one full table per interest: M * |U| * d."""
 
-    mode = "table"
-
-    def __init__(self, m_interests, dim, rng, n_users=None):
-        if n_users is None:
-            raise ValueError("free interest tables need the user count")
+    def __init__(self, m_interests, dim, rng, n_users):
         # drawn interest by interest, stored user-major like the interests
         draw = rng.normal(0.0, INIT_STD, size=(m_interests, n_users, dim))
         self.table = Tensor(np.ascontiguousarray(draw.transpose(1, 0, 2)), requires_grad=True)
@@ -117,9 +107,10 @@ GENERATORS = {
 }
 
 
-def make_interest_generator(mode, m_interests, dim, rng, n_users=None):
+def make_interest_generator(mode, m_interests, dim, rng, n_users):
+    """The generator of mode for n_users users; only the free tables use the count."""
     if mode not in GENERATORS:
         raise ValueError(f"unknown interest mode {mode!r}; pick from {sorted(GENERATORS)}")
     if mode == "table":
-        return TableInterests(m_interests, dim, rng, n_users=n_users)
+        return TableInterests(m_interests, dim, rng, n_users)
     return GENERATORS[mode](m_interests, dim, rng)

@@ -1,6 +1,6 @@
 """Ranking losses and the interest-diversity regularizer."""
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,10 +12,11 @@ from .autodiff import Tensor
 class LossBreakdown:
     """Reported per-step (or per-epoch mean) loss components.
 
-    total always equals the weighted sum of the four components. The
-    quadratic parameter penalty reaches the gradients through optimizer
-    weight decay rather than the tape, but it is reported here so the
-    decomposition stays checkable.
+    Its fields, in order, are the loss columns of the training log. total
+    always equals the weighted sum of the four components. The quadratic
+    parameter penalty reaches the gradients through optimizer weight decay
+    rather than the tape, but it is reported here so the decomposition
+    stays checkable.
     """
 
     l_bpr: float
@@ -38,9 +39,6 @@ class LossBreakdown:
                 f"reg={reg_interest} params={reg_params}"
             )
         return cls(float(l_bpr), float(l_group), float(reg_interest), float(reg_params), float(total))
-
-    def as_dict(self):
-        return asdict(self)
 
 
 def bpr_loss(anchor_table, item_table, anchors, pos, neg):
@@ -76,15 +74,17 @@ def pairwise_abs_cosine(interests, user_idx=None):
     """M x M matrix of mean |cosine| between interest channels, diagonal 1.
 
     interests is the (len(interest_rows), M, d) interest tensor of a
-    forward; the mean runs over all its rows, or the rows in user_idx. A pair
-    whose norm product is at most COSINE_NORM_EPS counts as cosine 0.
+    forward; the mean runs over all its rows, or the rows in user_idx. As in
+    the regularizer, a channel whose norm is below COSINE_NORM_EPS has
+    cosine 0 with every other channel.
     """
     x = interests.data if user_idx is None else interests.data[user_idx]
     if len(x) == 0:
         return np.eye(x.shape[1])
     norms = np.linalg.norm(x, axis=2)
     denom = norms[:, :, None] * norms[:, None, :]
-    ok = denom > ag.COSINE_NORM_EPS
+    live = norms >= ag.COSINE_NORM_EPS
+    ok = live[:, :, None] & live[:, None, :]
     cos = np.divide(x @ x.transpose(0, 2, 1), denom, out=np.zeros_like(denom), where=ok)
     out = np.abs(cos).mean(axis=0)
     np.fill_diagonal(out, 1.0)

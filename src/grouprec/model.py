@@ -26,7 +26,7 @@ from . import autodiff as ag
 from .autodiff import Tensor
 from .config import TrainConfig
 from .datasets import build_norm_adjacency
-from .gating import INIT_STD, make_interest_generator, param_count
+from .gating import INIT_STD, make_interest_generator
 from .losses import pairwise_abs_cosine
 
 
@@ -104,11 +104,7 @@ class GroupRecommender:
                     self.member_gid, dataset.n_groups, config.n_interests
                 )
                 self.generator = make_interest_generator(
-                    config.interest_mode,
-                    config.n_interests,
-                    d,
-                    rng,
-                    n_users=dataset.n_users,
+                    config.interest_mode, config.n_interests, d, rng, dataset.n_users
                 )
 
     def named_params(self):
@@ -126,9 +122,6 @@ class GroupRecommender:
 
     def named_params_data(self):
         return [(name, t.data) for name, t in self.named_params()]
-
-    def param_count(self):
-        return param_count(self.named_params())
 
     def _interests(self, users):
         """The interests of the members plus `users`, each row's user, and each membership's row."""

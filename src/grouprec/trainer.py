@@ -6,7 +6,7 @@ import logging
 import math
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -21,16 +21,8 @@ from .sampling import TripleSampler
 
 log = logging.getLogger(__name__)
 
-LOG_COLUMNS = (
-    "epoch",
-    "l_bpr",
-    "l_group",
-    "reg_interest",
-    "reg_params",
-    "total",
-    "val_metric",
-    "seconds",
-)
+LOSS_TERMS = tuple(f.name for f in fields(LossBreakdown))
+LOG_COLUMNS = ("epoch", *LOSS_TERMS, "val_metric", "seconds")
 
 # mallopt parameter numbers from glibc's <malloc.h>
 M_TRIM_THRESHOLD = -1
@@ -92,7 +84,7 @@ class TrainResult:
     best_epoch: int
     best_metric: float
     epochs_run: int
-    history: list = field(default_factory=list)  # one LossBreakdown dict + val per epoch
+    history: list = field(default_factory=list)  # one dict per epoch, keyed by LOG_COLUMNS
     stopped_early: bool = False
 
 
@@ -221,15 +213,14 @@ class Trainer:
         log_file = None
         if log_path is not None:
             log_file = open(log_path, "w", newline="")
-            writer = csv.writer(log_file)
-            writer.writerow(LOG_COLUMNS)
+            writer = csv.DictWriter(log_file, LOG_COLUMNS)
+            writer.writeheader()
         try:
             for epoch in range(1, cfg.epochs + 1):
                 t0 = time.perf_counter()
-                acc = np.zeros(5)
+                acc = np.zeros(len(LOSS_TERMS))
                 for _ in range(self.steps_per_epoch):
-                    br = self._step()
-                    acc += (br.l_bpr, br.l_group, br.reg_interest, br.reg_params, br.total)
+                    acc += astuple(self._step())
                 acc /= self.steps_per_epoch
 
                 val = None
@@ -245,26 +236,17 @@ class Trainer:
                     else:
                         streak += 1
                 seconds = time.perf_counter() - t0
-                row = {
-                    "epoch": epoch,
-                    "l_bpr": acc[0],
-                    "l_group": acc[1],
-                    "reg_interest": acc[2],
-                    "reg_params": acc[3],
-                    "total": acc[4],
-                    "val_metric": val,
-                    "seconds": seconds,
-                }
+                row = {"epoch": epoch, **dict(zip(LOSS_TERMS, acc)), "val_metric": val, "seconds": seconds}
                 history.append(row)
                 if writer:
-                    writer.writerow([row[c] for c in LOG_COLUMNS])
+                    writer.writerow(row)
                 log.info(
                     "epoch %d: total %.4f bpr %.4f group %.4f reg %.4f val %s (%.2fs)",
                     epoch,
-                    acc[4],
-                    acc[0],
-                    acc[1],
-                    acc[2],
+                    row["total"],
+                    row["l_bpr"],
+                    row["l_group"],
+                    row["reg_interest"],
                     "-" if val is None else f"{val:.4f}",
                     seconds,
                 )

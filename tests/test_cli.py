@@ -12,7 +12,7 @@ import pytest
 from grouprec import cli
 from grouprec.cli import main
 from grouprec.checkpoint import load_checkpoint
-from grouprec.config import TrainConfig
+from grouprec.config import VARIANT_LETTERS, VARIANTS, TrainConfig, resolve_variant
 from grouprec.datasets import TRAIN, VALID, TEST, load_dataset, load_prepared
 from grouprec.evaluate import evaluate_ranking
 from grouprec.losses import pairwise_abs_cosine
@@ -267,6 +267,32 @@ def test_ablate_test_metrics_equal_the_full_table_forward(world, tmp_path, monke
         assert got == full and got[1] > 0
         for name, value in got[0].items():
             assert row[name] == f"{value:.6f}"
+
+
+def test_variant_table_resolves_names_and_letters():
+    assert VARIANTS == tuple(VARIANT_LETTERS)
+    assert list(VARIANT_LETTERS.values()) == ["Full", "A", "B", "C", "D"]
+    for variant, letter in VARIANT_LETTERS.items():
+        for spelling in (variant, variant.upper(), f" {variant.title()}\t", letter, letter.lower(),
+                         letter.upper(), f"  {letter} "):
+            assert resolve_variant(spelling) == variant
+        assert TrainConfig.from_dict({"variant": letter}).variant == variant
+        assert TrainConfig.from_dict({"variant": f" {letter.lower()} "}).variant == variant
+    for bad in ("E", "", "fulll", "mean members", "AB", "Full,A"):
+        with pytest.raises(ValueError, match="unknown variant"):
+            resolve_variant(bad)
+    with pytest.raises(ValueError, match="variant must be one of"):
+        TrainConfig.from_dict({"variant": "E"})
+
+
+def test_ablate_letters_come_from_the_variant_table(world, tmp_path):
+    out = tmp_path / "abl"
+    assert run(["ablate", "--data", world, "--out", out, "--variants", " full ,a,Uniform_Mix,c , HARD_SELECT",
+                "--seed", 0, *TOY]) == 0
+    for name in ("ablation.csv", "ablation_summary.csv"):
+        with open(out / name) as f:
+            rows = list(csv.DictReader(f))
+        assert [(row["variant"], row["letter"]) for row in rows] == list(VARIANT_LETTERS.items())
 
 
 def test_ablate_rejects_unknown_variant(world, tmp_path, capsys):

@@ -267,7 +267,7 @@ def test_fused_pipeline_matches_per_interest_reference(hard):
     m, d = 3, 4
     e = param(rng, 6, d)
     e.data[5] = 0.0  # every interest of user 5 is zero: the regularizer's zero-norm rule
-    gen = make_interest_generator("gate", m, d, rng)
+    gen = make_interest_generator("gate", m, d, rng, n_users=6)
     for _, t in gen.named_params():
         t.data[:] = rng.normal(size=t.shape)
     att = param(rng, d)
@@ -303,7 +303,7 @@ def test_fused_pipeline_matches_per_interest_reference(hard):
 def test_fused_pipeline_is_fewer_tape_nodes():
     rng = np.random.default_rng(7)
     e = param(rng, 6, 4)
-    gen = make_interest_generator("gate", 4, 4, rng)
+    gen = make_interest_generator("gate", 4, 4, rng, n_users=6)
     att, group = param(rng, 4), param(rng, N_GROUPS, 4)
     noise = agg.sample_gumbel(rng, (N_GROUPS, 4))
     counts = []
@@ -419,3 +419,17 @@ def test_pairwise_abs_cosine_matches_per_pair_oracle():
             )
     np.testing.assert_allclose(got, want, atol=1e-12)
     np.testing.assert_array_equal(losses.pairwise_abs_cosine(Tensor(x), np.zeros(0, dtype=int)), np.eye(3))
+
+
+def test_pairwise_abs_cosine_zero_norm_rule_is_the_regularizers():
+    # both norms pass COSINE_NORM_EPS and their product does not: a zero pair
+    # only when a channel's own norm is below the threshold
+    x = np.zeros((1, 2, 3))
+    x[0, :, 0] = 1e-7, 2e-7
+    assert x[0, 0, 0] * x[0, 1, 0] < ag.COSINE_NORM_EPS
+    reg = losses.interest_regularizer(Tensor(x), np.array([0]), 0.0).item()
+    assert reg == ref.cosine_similarity(x[0, 0], x[0, 1]) == 1.0
+    np.testing.assert_allclose(losses.pairwise_abs_cosine(Tensor(x)), np.ones((2, 2)), rtol=1e-12)
+    x[0, 0, 0] = 1e-13
+    assert losses.interest_regularizer(Tensor(x), np.array([0]), 0.0).item() == 0.0
+    np.testing.assert_array_equal(losses.pairwise_abs_cosine(Tensor(x)), np.eye(2))

@@ -17,7 +17,7 @@ def zeroed(gen):
 
 
 def test_zero_gate_halves_embedding():
-    gen = zeroed(make_interest_generator("gate", 2, 3, np.random.default_rng(0)))
+    gen = zeroed(make_interest_generator("gate", 2, 3, np.random.default_rng(0), n_users=1))
     e = Tensor([[2.0, -4.0, 6.0]])
     out = gen.interests(e, np.arange(1))
     for n in range(2):
@@ -25,14 +25,14 @@ def test_zero_gate_halves_embedding():
 
 
 def test_zero_embedding_gives_zero_interest():
-    gen = make_interest_generator("gate", 3, 4, np.random.default_rng(1))
+    gen = make_interest_generator("gate", 3, 4, np.random.default_rng(1), n_users=2)
     out = gen.interests(Tensor(np.zeros((2, 4))), np.arange(2))
     for n in range(3):
         np.testing.assert_allclose(out.data[:, n], np.zeros((2, 4)))
 
 
 def test_identity_gate_hand_value():
-    gen = make_interest_generator("gate", 1, 2, np.random.default_rng(0))
+    gen = make_interest_generator("gate", 1, 2, np.random.default_rng(0), n_users=1)
     gen.w.data[0] = np.eye(2)
     gen.b.data[0] = 0.0
     out = gen.interests(Tensor([[1.0, 1.0]]), np.arange(1))
@@ -40,7 +40,7 @@ def test_identity_gate_hand_value():
 
 
 def test_identical_users_identical_interests():
-    gen = make_interest_generator("gate", 2, 3, np.random.default_rng(2))
+    gen = make_interest_generator("gate", 2, 3, np.random.default_rng(2), n_users=2)
     e = Tensor(np.array([[0.3, -0.1, 0.5], [0.3, -0.1, 0.5]]))
     out = gen.interests(e, np.arange(2))
     for n in range(2):
@@ -58,7 +58,7 @@ def test_output_shape_all_modes():
 
 def test_gate_outputs_bounded_by_embedding():
     rng = np.random.default_rng(4)
-    gen = make_interest_generator("gate", 4, 6, rng)
+    gen = make_interest_generator("gate", 4, 6, rng, n_users=20)
     e = rng.normal(size=(20, 6)) * 3.0
     out = gen.interests(Tensor(e), np.arange(20))
     for n in range(4):
@@ -83,12 +83,7 @@ def test_param_counts_exact():
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError, match="unknown interest mode"):
-        make_interest_generator("capsule", 2, 4, np.random.default_rng(0))
-
-
-def test_table_mode_needs_user_count():
-    with pytest.raises(ValueError):
-        make_interest_generator("table", 2, 4, np.random.default_rng(0))
+        make_interest_generator("capsule", 2, 4, np.random.default_rng(0), n_users=1)
 
 
 @pytest.mark.parametrize("mode", ["gate", "fc1", "fc2", "table"])

@@ -148,13 +148,26 @@ def test_nan_abort_carries_diagnostics():
 
 def test_epoch_log_csv(tmp_path):
     ds, _ = planted_dataset()
-    trainer = Trainer(ds, toy_config(epochs=2))
+    cfg = toy_config(epochs=2)
     path = tmp_path / "train_log.csv"
-    trainer.train(log_path=path)
-    with open(path) as f:
+    result = Trainer(ds, cfg).train(log_path=path)
+    with open(path, newline="") as f:
         rows = list(csv.reader(f))
-    assert rows[0] == list(LOG_COLUMNS)
-    assert len(rows) == 3
+    # the columns perfbench/run.py's read_log reads by name
+    header = ["epoch", "l_bpr", "l_group", "reg_interest", "reg_params", "total", "val_metric", "seconds"]
+    assert rows[0] == header == list(LOG_COLUMNS)
+    assert len(rows) == 3 and len(result.history) == 2
+    for row, hist in zip(rows[1:], result.history):
+        assert list(hist) == header
+        assert row == ["" if value is None else str(value) for value in hist.values()]
+        weighted = (
+            cfg.user_task_weight * hist["l_bpr"]
+            + (1.0 - cfg.user_task_weight) * hist["l_group"]
+            + cfg.interest_reg_weight * hist["reg_interest"]
+            + cfg.weight_decay * hist["reg_params"]
+        )
+        assert hist["total"] == pytest.approx(weighted, rel=1e-9)
+        assert min(hist["l_bpr"], hist["l_group"], hist["reg_interest"], hist["reg_params"]) > 0.0
 
 
 def test_single_epoch_completes():
