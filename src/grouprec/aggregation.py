@@ -16,7 +16,6 @@ selection distribution when the noise is dropped.
 import numpy as np
 
 from . import autodiff as ag
-from .autodiff import Tensor
 
 GUMBEL_EPS = 1e-10
 
@@ -49,7 +48,7 @@ def selection_weights(group_emb, pooled, tau, noise=None, hard=False):
     gradients taken from the soft weights.
     """
     psi = ag.channel_dot(group_emb, pooled)
-    logits = psi if noise is None else ag.add(psi, Tensor(noise))
+    logits = psi if noise is None else ag.weighted_sum((1.0, psi), (1.0, noise))
     omega = ag.softmax_rows(logits, tau)
     if hard:
         onehot = np.zeros_like(omega.data)

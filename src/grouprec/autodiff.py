@@ -116,56 +116,43 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to an operand's shape (g itself if equal)."""
-    if g.shape == shape:
-        return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # elementwise / arithmetic
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data + b.data)
+def _is_unit(c) -> bool:
+    return not isinstance(c, np.ndarray) and c == 1.0
+
+
+def weighted_sum(*terms) -> Tensor:
+    """sum_i c_i * x_i over (c_i, x_i) pairs with constant coefficients.
+
+    Each c_i is a float or an array that broadcasts into x_i's shape (an
+    (n, 1) column, say), and every x_i has the output's shape. The forward
+    adds the terms left to right into one fresh buffer and multiplies no
+    coefficient of 1.0 in, so a plain sum has the bits of a chain of
+    two-operand adds. Backward gives each x_i the gradient g * c_i.
+    """
+    terms = [(c, _as_tensor(x)) for c, x in terms]
+    (c0, x0), *rest = terms
+    out = x0.data.copy() if _is_unit(c0) else x0.data * c0
+    for c, x in rest:
+        out += x.data if _is_unit(c) else x.data * c
+    # the last unit term that needs a gradient takes g itself
+    owner = None
+    for i, (c, x) in enumerate(terms):
+        if x.requires_grad and _is_unit(c):
+            owner = i
 
     def backward(g):
-        ga, gb = _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-        _accum(a, ga)
-        _accum(b, gb.copy() if gb is ga else gb)
+        # a tensor may sit in several terms, so the owner takes g after the others read it
+        for i, (c, x) in enumerate(terms):
+            if x.requires_grad and i != owner:
+                _accum(x, g.copy() if _is_unit(c) else g * c)
+        if owner is not None:
+            _accum(terms[owner][1], g)
 
-    return _record(out, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _record(out, (a, b), backward)
-
-
-def scale(x, c: float) -> Tensor:
-    x = _as_tensor(x)
-    c = float(c)
-    out = Tensor(x.data * c)
-
-    def backward(g):
-        _accum(x, g * c)
-
-    return _record(out, (x,), backward)
+    return _record(Tensor(out), tuple(x for _, x in terms), backward)
 
 
 def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:

@@ -178,6 +178,8 @@ def _test_metrics(task, evaluation):
 
 
 def cmd_eval(args):
+    if args.seeds < 1:
+        raise ValueError("--seeds must be >= 1")
     ds = load_prepared(args.data)
     ks = parse_ks(args.k)
     tasks = _tasks_of(args.task)
@@ -240,6 +242,8 @@ SENSITIVITY_AXES = (
 def cmd_sweep(args):
     if args.budget < 1:
         raise ValueError("--budget must be >= 1")
+    if args.seeds < 1:
+        raise ValueError("--seeds must be >= 1")
     cfg = load_config(args)
     ds = load_prepared(args.data)
     with open(args.grid) as f:
@@ -288,25 +292,35 @@ def cmd_sweep(args):
     return 0
 
 
-def _train_and_test(ds, cfg, task, ks):
-    """Train cfg on ds; the trainer and its test metrics from the members-only forward."""
-    trainer = Trainer(ds, cfg)
-    trainer.train()
-    return trainer, _test_metrics(task, evaluate_ranking(trainer.model, ds, task, ks=ks))
-
-
 def cmd_ablate(args):
+    if args.seeds < 1:
+        raise ValueError("--seeds must be >= 1")
     cfg = load_config(args)
     ds = load_prepared(args.data)
     ks = parse_ks(args.k)
     seeds = [cfg.seed + i for i in range(args.seeds)]
     os.makedirs(args.out, exist_ok=True)
     variants = [resolve_variant(v) for v in args.variants.split(",") if v]
+    runs = {}
+
+    def train_and_test(run_cfg):
+        """Test metrics and interest parameter count of run_cfg, trained once per command."""
+        key = tuple(run_cfg.as_dict().items())
+        if key not in runs:
+            trainer = Trainer(ds, run_cfg)
+            trainer.train()
+            gen = trainer.model.generator
+            runs[key] = (
+                _test_metrics(args.task, evaluate_ranking(trainer.model, ds, args.task, ks=ks)),
+                None if gen is None else param_count(gen.named_params()),
+            )
+        return runs[key]
+
     per_variant = {}
     rows = []
     for variant in variants:
         for seed in seeds:
-            _, metrics = _train_and_test(ds, cfg.replace(variant=variant, seed=seed), args.task, ks)
+            metrics, _ = train_and_test(cfg.replace(variant=variant, seed=seed))
             rows.append((variant, seed, metrics))
             per_variant.setdefault(variant, []).append(metrics)
     metric_names = [f"{m}@{k}" for m in ("recall", "ndcg") for k in ks]
@@ -342,11 +356,8 @@ def cmd_ablate(args):
         for mode in modes:
             for seed in seeds:
                 mcfg = cfg.replace(interest_mode=mode, variant="full", seed=seed)
-                trainer, metrics = _train_and_test(ds, mcfg, args.task, ks)
-                mode_rows.append(
-                    [mode, param_count(trainer.model.generator.named_params()), seed]
-                    + [f"{metrics[nm]:.6f}" for nm in metric_names]
-                )
+                metrics, n_params = train_and_test(mcfg)
+                mode_rows.append([mode, n_params, seed] + [f"{metrics[nm]:.6f}" for nm in metric_names])
         write_csv(
             os.path.join(args.out, "interest_modes.csv"),
             ["mode", "interest_params", "seed"] + metric_names,

@@ -3,12 +3,11 @@
 import numpy as np
 
 from . import autodiff as ag
-from .autodiff import Tensor
 
 
 def fuse_groups(group_emb, group_interest):
     """e*_g = (e_g + i*_g) / 2."""
-    return ag.scale(ag.add(group_emb, group_interest), 0.5)
+    return ag.weighted_sum((0.5, group_emb), (0.5, group_interest))
 
 
 def build_user_pool(dataset, mode="mean"):
@@ -55,9 +54,9 @@ def fuse_users(user_emb, fused_groups, pool_csr, coef, pooling="mean"):
         slot = np.where(hit, np.arange(len(groups))[:, None], len(groups))
         row_idx = np.zeros(user_emb.shape, dtype=np.int64)
         row_idx[has] = groups[np.minimum.reduceat(slot, starts, axis=0)]
-        picked = ag.gather_elements(fused_groups, row_idx)
-        pooled = ag.mul(Tensor(has[:, None]), picked)
+        pooled = ag.gather_elements(fused_groups, row_idx)
+        half = 0.5 * has[:, None]  # users without groups keep e_u alone
     else:
         pooled = ag.spmm(pool_csr, fused_groups)
-    kept = ag.mul(Tensor(coef[:, None]), user_emb)
-    return ag.add(kept, ag.scale(pooled, 0.5))
+        half = 0.5
+    return ag.weighted_sum((coef[:, None], user_emb), (half, pooled))

@@ -13,13 +13,12 @@ def propagate(adj, users0, items0, n_layers):
     """
     if n_layers < 0:
         raise ValueError("layer count must be >= 0")
-    u_cur, v_cur = users0, items0
-    u_acc, v_acc = users0, items0
+    if n_layers == 0:
+        return users0, items0
+    us, vs = [users0], [items0]
     for _ in range(n_layers):
-        u_next = ag.spmm(adj, v_cur)
-        v_next = ag.spmm(adj.T, u_cur)
-        u_acc = ag.add(u_acc, u_next)
-        v_acc = ag.add(v_acc, v_next)
-        u_cur, v_cur = u_next, v_next
-    return u_acc, v_acc
+        u_next = ag.spmm(adj, vs[-1])
+        vs.append(ag.spmm(adj.T, us[-1]))
+        us.append(u_next)
+    return ag.weighted_sum(*((1.0, u) for u in us)), ag.weighted_sum(*((1.0, v) for v in vs))
 

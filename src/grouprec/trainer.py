@@ -10,8 +10,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from . import autodiff as ag
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, weighted_sum
 from .datasets import TRAIN, VALID
 from .evaluate import evaluate_ranking
 from .losses import LossBreakdown, bpr_loss, interest_regularizer
@@ -154,21 +153,21 @@ class Trainer:
         state = self.model.forward(noise_rng=noise_rng, users=reg_users)
 
         l_user = bpr_loss(state.user_final, state.item_final, *user)
-        loss = ag.scale(l_user, cfg.user_task_weight)
+        terms = [(cfg.user_task_weight, l_user)]
 
         l_group_val = 0.0
         if group is not None:
             l_group = bpr_loss(state.group_fused, state.item_final, *group)
             l_group_val = l_group.item()
-            loss = ag.add(loss, ag.scale(l_group, 1.0 - cfg.user_task_weight))
+            terms.append((1.0 - cfg.user_task_weight, l_group))
 
         reg_val = 0.0
         if self.reg_applies:
             reg_idx = np.searchsorted(state.interest_rows, reg_users)
             reg = interest_regularizer(state.interests, reg_idx, cfg.sim_threshold)
             reg_val = reg.item()
-            loss = ag.add(loss, ag.scale(reg, cfg.interest_reg_weight))
-        return loss, l_user.item(), l_group_val, reg_val
+            terms.append((cfg.interest_reg_weight, reg))
+        return weighted_sum(*terms), l_user.item(), l_group_val, reg_val
 
     def _step(self):
         cfg = self.cfg

@@ -1,7 +1,8 @@
 """Unfused reference ops, kept as the oracles for the fused ops in grouprec.autodiff.
 
 Each is a plain tape op built on autodiff's own recording helpers, so the
-fused ops can be checked against compositions of these.
+fused ops can be checked against compositions of these. The broadcasting
+add, mul and scale are also what test losses are built from.
 """
 
 import logging
@@ -18,12 +19,61 @@ from grouprec.autodiff import (
     _record,
     _segment_softmax,
     _segment_softmax_grad,
-    _unbroadcast,
+    gather_elements,
     gather_rows,
     scatter_rows,
+    spmm,
 )
 
 log = logging.getLogger(__name__)
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a broadcast gradient back down to an operand's shape (g itself if equal)."""
+    if g.shape == shape:
+        return g
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, size in enumerate(shape):
+        if size == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g.reshape(shape)
+
+
+def add(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    out = Tensor(a.data + b.data)
+
+    def backward(g):
+        ga, gb = _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        _accum(a, ga)
+        _accum(b, gb.copy() if gb is ga else gb)
+
+    return _record(out, (a, b), backward)
+
+
+def mul(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    out = Tensor(a.data * b.data)
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+
+    return _record(out, (a, b), backward)
+
+
+def scale(x, c: float) -> Tensor:
+    x = _as_tensor(x)
+    c = float(c)
+    out = Tensor(x.data * c)
+
+    def backward(g):
+        _accum(x, g * c)
+
+    return _record(out, (x,), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -274,3 +324,49 @@ def bpr_loss(pos_scores, neg_scores):
     if pos_scores.shape[0] == 0:
         raise ValueError("empty batch")
     return tmean(softplus(sub(neg_scores, pos_scores)))
+
+
+# ---------------------------------------------------------------------------
+# the two-operand chains that autodiff.weighted_sum replaced, as bit oracles
+
+
+def chain_fuse_groups(group_emb, group_interest):
+    return scale(add(group_emb, group_interest), 0.5)
+
+
+def chain_fuse_users(user_emb, fused_groups, pool_csr, coef, pooling="mean"):
+    """fusion.fuse_users as a chain; max pooling takes each user's argmax rows in a loop."""
+    if pooling == "max":
+        n_users, d = user_emb.shape
+        row_idx = np.zeros((n_users, d), dtype=np.int64)
+        has = np.zeros((n_users, 1))
+        for u in range(n_users):
+            gs = pool_csr.indices[pool_csr.indptr[u]:pool_csr.indptr[u + 1]]
+            if len(gs):
+                row_idx[u] = gs[fused_groups.data[gs].argmax(axis=0)]
+                has[u] = 1.0
+        pooled = mul(Tensor(has), gather_elements(fused_groups, row_idx))
+    else:
+        pooled = spmm(pool_csr, fused_groups)
+    return add(mul(Tensor(coef[:, None]), user_emb), scale(pooled, 0.5))
+
+
+def chain_propagate(adj, users0, items0, n_layers):
+    u_cur, v_cur = users0, items0
+    u_acc, v_acc = users0, items0
+    for _ in range(n_layers):
+        u_next = spmm(adj, v_cur)
+        v_next = spmm(adj.T, u_cur)
+        u_acc = add(u_acc, u_next)
+        v_acc = add(v_acc, v_next)
+        u_cur, v_cur = u_next, v_next
+    return u_acc, v_acc
+
+
+def chain_loss(*terms):
+    """The training loss as it was chained: every (c, x) term scaled, then added left to right."""
+    (c0, x0), *rest = terms
+    loss = scale(x0, c0)
+    for c, x in rest:
+        loss = add(loss, scale(x, c))
+    return loss

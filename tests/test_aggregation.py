@@ -158,11 +158,11 @@ def test_selection_gradients_flow():
     gid = np.array([0, 0, 1, 1, 2, 2])
 
     def loss():
-        interests = ref.stack([table, ag.scale(table, 2.0)])
+        interests = ref.stack([table, ref.scale(table, 2.0)])
         pooled = agg.attention_pool(interests, uid, gid, ag.segment_pattern(gid, 3, 2), att)
         omega = agg.selection_weights(group, pooled, tau=0.7)
         mixed = agg.mix_interests(omega, pooled)
-        return ref.tsum(ag.mul(mixed, mixed))
+        return ref.tsum(ref.mul(mixed, mixed))
 
     err = ag.finite_difference_check(loss, [group, table, att], h=1e-5, rng=rng)
     assert err < 1e-4

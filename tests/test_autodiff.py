@@ -212,7 +212,7 @@ def test_unreachable_param_gets_zero_grad():
     used = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     unused = Tensor(np.array([5.0]), requires_grad=True)
     with Tape() as tape:
-        loss = ref.tsum(ag.mul(used, used))
+        loss = ref.tsum(ref.mul(used, used))
         tape.backward(loss)
     assert unused.grad is None  # optimizer treats None as zeros
     opt = Adam([unused], lr=0.1)
@@ -224,7 +224,7 @@ def test_finite_difference_quadratic():
     x = Tensor(np.array([3.0]), requires_grad=True)
 
     def loss():
-        return ref.tsum(ag.mul(x, x))
+        return ref.tsum(ref.mul(x, x))
 
     err = ag.finite_difference_check(loss, [x], h=1e-5)
     assert err < 1e-8
@@ -234,7 +234,7 @@ def test_finite_difference_constant_loss():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
 
     def loss():
-        return ref.tsum(ag.mul(Tensor([0.0, 0.0]), x))
+        return ref.tsum(ref.mul(Tensor([0.0, 0.0]), x))
 
     err = ag.finite_difference_check(loss, [x], h=1e-5)
     assert err == 0.0
@@ -243,10 +243,10 @@ def test_finite_difference_constant_loss():
 PRIMITIVE_CASES = {
     "sigmoid": lambda t: ref.tsum(ref.sigmoid(t)),
     "softplus": lambda t: ref.tsum(ref.softplus(t)),
-    "relu_like": lambda t: ref.tsum(ag.mul(t, ref.sigmoid(t))),
-    "softmax": lambda t: ref.tsum(ag.mul(ag.softmax_rows(t, tau=0.7), Tensor(np.arange(12.0).reshape(3, 4)))),
+    "relu_like": lambda t: ref.tsum(ref.mul(t, ref.sigmoid(t))),
+    "softmax": lambda t: ref.tsum(ref.mul(ag.softmax_rows(t, tau=0.7), Tensor(np.arange(12.0).reshape(3, 4)))),
     "matmul": lambda t: ref.tsum(ref.matmul(t, t)),
-    "mean": lambda t: ref.tmean(ag.mul(t, t)),
+    "mean": lambda t: ref.tmean(ref.mul(t, t)),
 }
 
 
@@ -270,8 +270,8 @@ def test_gather_and_segment_gradients():
     def loss():
         rows = ag.gather_rows(table, idx)
         gamma = ref.segment_softmax(ref.matmul(rows, Tensor(np.array([1.0, -0.5, 2.0]))), seg, 2)
-        mixed = ref.segment_sum(ag.mul(ref.reshape(ag.mul(gamma, w), (5, 1)), rows), seg, 2)
-        return ref.tsum(ag.mul(mixed, mixed))
+        mixed = ref.segment_sum(ref.mul(ref.reshape(ref.mul(gamma, w), (5, 1)), rows), seg, 2)
+        return ref.tsum(ref.mul(mixed, mixed))
 
     err = ag.finite_difference_check(loss, [table, w], h=1e-5, rng=rng)
     assert err < 1e-4
@@ -293,7 +293,7 @@ def test_gather_rows_backward_adds_the_row_sums_of_add_at(idx, held):
     with Tape() as tape:
         rows = ag.gather_rows(table, idx)
         np.testing.assert_array_equal(rows.data, table.data[idx])
-        tape.backward(ref.tsum(ag.mul(rows, Tensor(g))))
+        tape.backward(ref.tsum(ref.mul(rows, Tensor(g))))
     np.testing.assert_array_equal(table.grad, want)
 
 
@@ -303,7 +303,7 @@ def test_cosine_and_rowdot_gradients():
     b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 
     def loss():
-        return ref.tsum(ag.add(ref.cosine_rows(a, b), ref.rowwise_dot(a, b)))
+        return ref.tsum(ref.add(ref.cosine_rows(a, b), ref.rowwise_dot(a, b)))
 
     err = ag.finite_difference_check(loss, [a, b], h=1e-5, rng=rng)
     assert err < 1e-4
@@ -316,7 +316,7 @@ def test_spmm_gradient():
 
     def loss():
         y = ag.spmm(A, x)
-        return ref.tsum(ag.mul(y, y))
+        return ref.tsum(ref.mul(y, y))
 
     err = ag.finite_difference_check(loss, [x], h=1e-5, rng=rng)
     assert err < 1e-4
@@ -331,7 +331,7 @@ def test_spmm_through_a_transposed_view_is_bit_equal_to_a_transposed_copy():
         g = rng.normal(size=(mat.shape[0], 8))
         with Tape() as tape:
             y = ag.spmm(mat, x)
-            tape.backward(ref.tsum(ag.mul(y, Tensor(g))))
+            tape.backward(ref.tsum(ref.mul(y, Tensor(g))))
         assert np.array_equal(y.data, copy @ x.data)
         assert np.array_equal(x.grad, copy.T.tocsr() @ g)
 
@@ -344,7 +344,7 @@ def test_stack_gradients():
     def loss():
         m = ref.stack([u, v, u])  # (4, 3, 3); u feeds two channels
         assert m.shape == (4, 3, 3)
-        return ref.tsum(ag.mul(m, ref.stack([v, u, v])))
+        return ref.tsum(ref.mul(m, ref.stack([v, u, v])))
 
     err = ag.finite_difference_check(loss, [u, v], h=1e-5, rng=rng)
     assert err < 1e-4
@@ -356,10 +356,45 @@ def test_broadcast_mul_gradient():
     mat = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
 
     def loss():
-        return ref.tsum(ag.mul(col, mat))
+        return ref.tsum(ref.mul(col, mat))
 
     err = ag.finite_difference_check(loss, [col, mat], h=1e-5, rng=rng)
     assert err < 1e-4
+
+
+def test_weighted_sum_finite_differences():
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    y = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    col, const = rng.normal(size=(5, 1)), rng.normal(size=(5, 3))
+
+    def loss():
+        # x in three terms: a scalar, an (n, 1) column and a unit coefficient; const takes none
+        out = ag.weighted_sum((-0.7, x), (col, x), (2.5, y), (1.0, const), (1.0, x))
+        return ref.tsum(ref.mul(out, out))
+
+    err = ag.finite_difference_check(loss, [x, y], h=1e-5, max_coords=15)
+    assert err < 1e-6
+
+
+def test_weighted_sum_bits_and_shared_gradient():
+    rng = np.random.default_rng(24)
+    a, b, c = (rng.normal(size=(4, 3)) for _ in range(3))
+    col = rng.normal(size=(4, 1))
+    # unit coefficients are not multiplied in: the bits of a chain of two-operand adds
+    np.testing.assert_array_equal(ag.weighted_sum((1.0, a), (1.0, b), (1.0, c)).data, (a + b) + c)
+    np.testing.assert_array_equal(ag.weighted_sum((col, a), (0.5, b)).data, a * col + b * 0.5)
+    x = Tensor(a, requires_grad=True)
+    g = rng.normal(size=(4, 3))
+    with Tape() as tape:
+        out = ag.weighted_sum((1.0, x), (2.0, x), (1.0, x))
+        tape.backward(ref.tsum(ref.mul(out, Tensor(g))))
+    # the owning unit term takes g only after the other two have read it
+    np.testing.assert_array_equal(x.grad, (g * 2.0 + g) + g)
+    assert len(tape.nodes) == 3
+    with Tape() as tape:
+        ag.weighted_sum((0.5, Tensor(a)), (1.0, b))
+    assert not tape.nodes
 
 
 def test_straight_through_routes_gradient_to_soft_input():
@@ -369,7 +404,7 @@ def test_straight_through_routes_gradient_to_soft_input():
         soft = ag.softmax_rows(x, tau=1.0)
         out = ag.straight_through(soft, hard)
         np.testing.assert_array_equal(out.data, hard)
-        loss = ref.tsum(ag.mul(out, Tensor(np.array([[3.0, -1.0]]))))
+        loss = ref.tsum(ref.mul(out, Tensor(np.array([[3.0, -1.0]]))))
         tape.backward(loss)
     assert x.grad is not None and np.any(x.grad != 0.0)
 
@@ -378,8 +413,8 @@ def test_tape_reverse_order_and_reuse():
     # a value consumed twice must accumulate both contributions
     x = Tensor(np.array([2.0]), requires_grad=True)
     with Tape() as tape:
-        y = ag.mul(x, x)          # x^2
-        z = ag.add(y, ag.mul(x, Tensor([3.0])))  # x^2 + 3x
+        y = ref.mul(x, x)          # x^2
+        z = ref.add(y, ref.mul(x, Tensor([3.0])))  # x^2 + 3x
         tape.backward(ref.tsum(z))
     assert x.grad[0] == pytest.approx(2 * 2.0 + 3.0)
 
@@ -387,8 +422,8 @@ def test_tape_reverse_order_and_reuse():
 def test_tape_keeps_leaf_gradients_only_and_runs_backward_once():
     x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     with Tape() as tape:
-        y = ag.mul(x, x)
-        z = ag.add(y, y)  # both operands are one tensor: 2 * x^2
+        y = ref.mul(x, x)
+        z = ref.add(y, y)  # both operands are one tensor: 2 * x^2
         tape.backward(ref.tsum(z))
     np.testing.assert_array_equal(x.grad, [4.0, -8.0])
     assert y.grad is None and z.grad is None

@@ -16,7 +16,7 @@ from grouprec.config import VARIANT_LETTERS, VARIANTS, TrainConfig, resolve_vari
 from grouprec.datasets import TRAIN, VALID, TEST, load_dataset, load_prepared
 from grouprec.evaluate import evaluate_ranking
 from grouprec.losses import pairwise_abs_cosine
-from grouprec.trainer import build_model_from_arrays
+from grouprec.trainer import Trainer, build_model_from_arrays
 
 # small but structured enough that groups, splits, and both tasks all exist
 TOY = [
@@ -232,6 +232,21 @@ def test_sweep_budget_must_be_positive(world, tmp_path, capsys):
     assert "budget" in stderr_payload(capsys)["message"]
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--grid", "GRID"],
+    ["ablate"],
+    ["eval", "--baseline", "popularity"],
+])
+def test_seeds_must_be_positive(world, tmp_path, capsys, command):
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"n_interests": [2]}\n')
+    out = tmp_path / "out"
+    argv = [grid if a == "GRID" else a for a in command]
+    assert run([*argv, "--data", world, "--out", out, "--seeds", 0]) == 2
+    assert "--seeds" in stderr_payload(capsys)["message"]
+    assert not out.exists()
+
+
 def test_ablate_full_row_has_zero_delta(world, tmp_path):
     out = tmp_path / "abl"
     assert run(["ablate", "--data", world, "--out", out, "--variants", "Full,C",
@@ -310,6 +325,26 @@ def test_ablate_interest_mode_param_counts(world, tmp_path):
         rows = {row["mode"]: row for row in csv.DictReader(f)}
     assert int(rows["gate"]["interest_params"]) == 2 * (8 + 1) * 8
     assert int(rows["table"]["interest_params"]) == 2 * 30 * 8
+
+
+def test_ablate_trains_each_configuration_once(world, tmp_path, monkeypatch):
+    built = []
+
+    def counting_trainer(ds, cfg):
+        built.append((cfg.variant, cfg.interest_mode, cfg.seed))
+        return Trainer(ds, cfg)
+
+    monkeypatch.setattr(cli, "Trainer", counting_trainer)
+    out = tmp_path / "abl"
+    assert run(["ablate", "--data", world, "--out", out, "--variants", "Full,A",
+                "--interest-modes", "gate,fc1", "--seeds", 2, "--seed", 0, *TOY]) == 0
+    # the gate mode's configuration is the Full variant's, so it reuses those runs
+    assert len(built) == len(set(built)) == 6
+    with open(out / "ablation.csv") as f:
+        full = [row for row in csv.DictReader(f) if row["variant"] == "full"]
+    with open(out / "interest_modes.csv") as f:
+        gate = [row for row in csv.DictReader(f) if row["mode"] == "gate"]
+    assert [row["ndcg@10"] for row in gate] == [row["ndcg@10"] for row in full]
 
 
 def test_every_output_dir_gets_one_manifest(run_dir):

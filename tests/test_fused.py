@@ -51,7 +51,7 @@ def test_gated_channels_finite_differences():
 
     def loss():
         out = ag.gated_channels(x, w, b)
-        return ref.tsum(ag.mul(ag.mul(out, out), Tensor(coef)))
+        return ref.tsum(ref.mul(ref.mul(out, out), Tensor(coef)))
 
     assert ag.gated_channels(x, w, b).shape == (5, 3, 4)
     err = ag.finite_difference_check(loss, [x, w, b], h=1e-5, rng=rng, max_coords=48)
@@ -68,7 +68,7 @@ def test_channel_linear_finite_differences(rank):
 
     def loss():
         out = ag.channel_linear(x, w, b)
-        return ref.tsum(ag.mul(ag.mul(out, out), Tensor(coef)))
+        return ref.tsum(ref.mul(ref.mul(out, out), Tensor(coef)))
 
     out = ag.channel_linear(x, w, b).data
     assert out.shape == (5, 3, 2)
@@ -87,7 +87,7 @@ def test_segment_attention_finite_differences_and_single_member():
 
     def loss():
         out = ag.segment_attention(x, att, UID, GID, ag.segment_pattern(GID, N_GROUPS, 3))
-        return ref.tsum(ag.mul(ag.mul(out, out), Tensor(coef)))
+        return ref.tsum(ref.mul(ref.mul(out, out), Tensor(coef)))
 
     err = ag.finite_difference_check(loss, [x, att], h=1e-5, rng=rng, max_coords=30)
     assert err < 1e-4
@@ -118,7 +118,7 @@ def test_segment_attention_matches_the_reference_op(m, shuffled):
         x, att = Tensor(x0.copy(), requires_grad=True), Tensor(att0.copy(), requires_grad=True)
         with Tape() as tape:
             out = op(x, att, rows, segs, layout)
-            tape.backward(ref.tsum(ag.mul(out, Tensor(coef))))
+            tape.backward(ref.tsum(ref.mul(out, Tensor(coef))))
         results.append((out.data, x.grad, att.grad))
     (out, dx, datt), (want, want_dx, want_datt) = results
     np.testing.assert_array_equal(out, want)
@@ -138,7 +138,7 @@ def test_channel_dot_and_mix_finite_differences():
     def loss():
         psi = ag.channel_dot(a, chans)
         mixed = ag.channel_mix(w, chans)
-        return ag.add(ref.tsum(ag.mul(psi, psi)), ref.tsum(ag.mul(mixed, ref.matmul(psi, proj))))
+        return ref.add(ref.tsum(ref.mul(psi, psi)), ref.tsum(ref.mul(mixed, ref.matmul(psi, proj))))
 
     err = ag.finite_difference_check(loss, [a, w, chans], h=1e-5, rng=rng)
     assert err < 1e-4
@@ -204,7 +204,7 @@ def test_hard_select_gradient_is_the_soft_paths_gradient():
 
     def loss(hard):
         omega = agg.selection_weights(group, pooled, tau=0.7, noise=noise, hard=hard)
-        return ref.tsum(ag.mul(agg.mix_interests(omega, mixed_channels), coef))
+        return ref.tsum(ref.mul(agg.mix_interests(omega, mixed_channels), coef))
 
     hard_omega = agg.selection_weights(group, pooled, tau=0.7, noise=noise, hard=True).data
     assert np.all(np.isin(hard_omega, [0.0, 1.0]))
@@ -223,31 +223,31 @@ def test_hard_select_gradient_is_the_soft_paths_gradient():
 def reference_pipeline(e, gen, att, group, noise, hard, reg_users, threshold):
     """The interest pipeline one interest at a time, from primitive ops only."""
     m = gen.w.shape[0]
-    ints = [ag.mul(e, ref.sigmoid(ag.add(ref.matmul(e, ref.take(gen.w, n)), ref.take(gen.b, n))))
+    ints = [ref.mul(e, ref.sigmoid(ref.add(ref.matmul(e, ref.take(gen.w, n)), ref.take(gen.b, n))))
             for n in range(m)]
     pooled = []
     for t in ints:
         rows = ag.gather_rows(t, UID)
         gamma = ref.segment_softmax(ref.matmul(rows, att), GID, N_GROUPS)
-        weighted = ag.mul(ref.reshape(gamma, (len(UID), 1)), rows)
+        weighted = ref.mul(ref.reshape(gamma, (len(UID), 1)), rows)
         pooled.append(ref.segment_sum(weighted, GID, N_GROUPS))
     psi = ref.reshape(ref.stack([ref.rowwise_dot(group, p) for p in pooled]), (N_GROUPS, m))
-    omega = ag.softmax_rows(ag.add(psi, Tensor(noise)), 0.5)
+    omega = ag.softmax_rows(ref.add(psi, Tensor(noise)), 0.5)
     if hard:
         onehot = np.eye(m)[omega.data.argmax(axis=1)]
         omega = ag.straight_through(omega, onehot)
     mixed = None
     for n, p in enumerate(pooled):
-        term = ag.mul(ref.matmul(omega, Tensor(np.eye(m)[:, n:n + 1])), p)
-        mixed = term if mixed is None else ag.add(mixed, term)
+        term = ref.mul(ref.matmul(omega, Tensor(np.eye(m)[:, n:n + 1])), p)
+        mixed = term if mixed is None else ref.add(mixed, term)
     rows = [ag.gather_rows(t, reg_users) for t in ints]
     acc = Tensor(0.0)
     for p in range(m):
         for q in range(p + 1, m):
             sim = ref.cosine_rows(rows[p], rows[q])
             mask = (np.abs(sim.data) >= threshold).astype(np.float64)
-            acc = ag.add(acc, ref.tsum(ag.mul(sim, Tensor(mask))))
-    reg = ag.scale(acc, 1.0 / len(reg_users))
+            acc = ref.add(acc, ref.tsum(ref.mul(sim, Tensor(mask))))
+    reg = ref.scale(acc, 1.0 / len(reg_users))
     return ints, pooled, omega, mixed, reg
 
 
@@ -281,7 +281,7 @@ def test_fused_pipeline_matches_per_interest_reference(hard):
 
     def loss(pipeline):
         *_, mixed, reg = pipeline(*args)
-        return ag.add(ref.tsum(ag.mul(mixed, coef)), ag.scale(reg, 0.7))
+        return ref.add(ref.tsum(ref.mul(mixed, coef)), ref.scale(reg, 0.7))
 
     fused = fused_pipeline(*args)
     expected = reference_pipeline(*args)

@@ -128,7 +128,7 @@ def test_fuse_users_max_pooling_hand_case_and_gradient():
 
     def loss():
         out = fusion.fuse_users(user, groups, pool, coef, pooling="max")
-        return ref.tsum(ag.mul(out, out))
+        return ref.tsum(ref.mul(out, out))
 
     err = ag.finite_difference_check(loss, [user, groups], h=1e-6, rng=np.random.default_rng(1))
     assert err < 1e-4
@@ -145,10 +145,30 @@ def test_fusion_chain_gradients():
     def loss():
         fused_g = fusion.fuse_groups(group, istar)
         fused_u = fusion.fuse_users(user, fused_g, pool, coef)
-        return ref.tsum(ag.mul(fused_u, fused_u))
+        return ref.tsum(ref.mul(fused_u, fused_u))
 
     err = ag.finite_difference_check(loss, [user, group, istar], h=1e-5, rng=rng)
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("pooling", ["mean", "sum", "max"])
+def test_fusion_bits_equal_the_old_chains(pooling):
+    memberships = [[1, 2, 3], [2, 3, 4, 5], [2, 4], [3, 4, 5], [5]]  # user 0 joins no group
+    pool, coef = fusion.build_user_pool(dataset_with_members(6, memberships), mode=pooling)
+    rng = np.random.default_rng(8)
+    arrays = [rng.normal(size=shape) for shape in ((6, 7), (5, 7), (5, 7))]
+    upstream = Tensor(rng.normal(size=(6, 7)))
+    runs = []
+    for fuse_groups, fuse_users in ((fusion.fuse_groups, fusion.fuse_users),
+                                    (ref.chain_fuse_groups, ref.chain_fuse_users)):
+        user, group, istar = (Tensor(a, requires_grad=True) for a in arrays)
+        with ag.Tape() as tape:
+            fused_g = fuse_groups(group, istar)
+            fused_u = fuse_users(user, fused_g, pool, coef, pooling=pooling)
+            tape.backward(ref.tsum(ref.mul(fused_u, upstream)))
+        runs.append((fused_g.data, fused_u.data, user.grad, group.grad, istar.grad))
+    for new, old in zip(*runs):
+        np.testing.assert_array_equal(new, old)
 
 
 # --- propagation ---------------------------------------------------------
@@ -243,6 +263,26 @@ def test_propagate_rejects_negative_layers():
         graphconv.propagate(adj, Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]]), -1)
 
 
+@pytest.mark.parametrize("n_layers", [0, 1, 3])
+def test_propagate_bits_equal_the_old_chain(n_layers):
+    rng = np.random.default_rng(6)
+    edges = sorted({(int(rng.integers(8)), int(rng.integers(6))) for _ in range(20)})
+    adj = build_norm_adjacency(dataset_with_members(8, [[0]], n_items=6, user_edges=edges))
+    arrays = [rng.normal(size=(8, 4)), rng.normal(size=(6, 4))]
+    up_u, up_v = Tensor(rng.normal(size=(8, 4))), Tensor(rng.normal(size=(6, 4)))
+    runs = []
+    for prop in (graphconv.propagate, ref.chain_propagate):
+        users0, items0 = (Tensor(a, requires_grad=True) for a in arrays)
+        with ag.Tape() as tape:
+            uf, vf = prop(adj, users0, items0, n_layers)
+            tape.backward(ref.add(ref.tsum(ref.mul(uf, up_u)), ref.tsum(ref.mul(vf, up_v))))
+        runs.append((uf.data, vf.data, users0.grad, items0.grad))
+        if n_layers == 0:
+            assert uf is users0 and vf is items0
+    for new, old in zip(*runs):
+        np.testing.assert_array_equal(new, old)
+
+
 def test_score_pairs_values():
     finals_a = Tensor([[1.0, 0.0], [1.0, 2.0]])
     finals_v = Tensor([[0.0, 1.0], [3.0, 4.0], [1.0, 0.0]])
@@ -261,20 +301,6 @@ def test_score_ranking_matches_brute_force():
     assert list(np.argsort(-s)) == list(np.argsort(-(group @ items.T).ravel()))
 
 
-def loop_max_pool(user_emb, fused_groups, coef, lists):
-    """The per-user loop max pooling was first written as: argmax per user."""
-    n_users, d = user_emb.shape
-    row_idx = np.zeros((n_users, d), dtype=np.int64)
-    has = np.zeros((n_users, 1))
-    for u, gs in enumerate(lists):
-        if len(gs):
-            block = fused_groups.data[gs]
-            row_idx[u] = np.asarray(gs)[block.argmax(axis=0)]
-            has[u] = 1.0
-    pooled = ag.mul(Tensor(has), ag.gather_elements(fused_groups, row_idx))
-    return ag.add(ag.mul(Tensor(coef[:, None]), user_emb), ag.scale(pooled, 0.5))
-
-
 def test_fuse_users_max_pooling_matches_loop_oracle():
     # user 0 joins no group, user 1 one group, users 2-5 several, with ties
     memberships = [[1, 2, 3], [2, 3, 4, 5], [2, 4], [3, 4, 5], [5]]
@@ -289,13 +315,13 @@ def test_fuse_users_max_pooling_matches_loop_oracle():
     grads = []
     for pool_fn in (
         lambda u, g: fusion.fuse_users(u, g, pool, coef, pooling="max"),
-        lambda u, g: loop_max_pool(u, g, coef, lists),
+        lambda u, g: ref.chain_fuse_users(u, g, pool, coef, pooling="max"),
     ):
         user = Tensor(np.ones((6, 7)), requires_grad=True)
         groups = Tensor(groups_data, requires_grad=True)
         with ag.Tape() as tape:
             out = pool_fn(user, groups)
-            tape.backward(ref.tsum(ag.mul(out, Tensor(upstream))))
+            tape.backward(ref.tsum(ref.mul(out, Tensor(upstream))))
         grads.append((out.data, user.grad, groups.grad))
     (out_v, gu_v, gg_v), (out_l, gu_l, gg_l) = grads
     np.testing.assert_array_equal(out_v, out_l)

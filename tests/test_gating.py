@@ -95,7 +95,7 @@ def test_gradients_reach_all_parameters(mode):
 
     def loss():
         out = gen.interests(e, np.arange(4))  # (4, 2, 3): both channels enter the sum of squares
-        return ref.tsum(ag.mul(out, out))
+        return ref.tsum(ref.mul(out, out))
 
     every = max(t.data.size for t in params)
     err = ag.finite_difference_check(loss, params, h=1e-5, rng=rng, max_coords=every)

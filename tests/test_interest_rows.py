@@ -25,6 +25,8 @@ from grouprec.losses import interest_regularizer, pairwise_abs_cosine
 from grouprec.model import NO_USERS
 from grouprec.trainer import Trainer
 
+import reference as ref
+
 MODES = ("gate", "fc1", "fc2", "table")
 VARIANTS = ("full", "uniform_mix", "hard_select", "no_interest_reg")
 
@@ -85,7 +87,7 @@ def spy(trainer, full):
         return seen["state"]
 
     def patched_interests(*args):
-        out = ag.scale(generate(*args), 1.0)
+        out = ref.scale(generate(*args), 1.0)
         inner = out._backward
 
         def backward(g):

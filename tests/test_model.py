@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from grouprec import autodiff as ag
-from grouprec import losses
+from grouprec import fusion, graphconv, losses
+from grouprec import trainer as trainer_module
 from grouprec.autodiff import Tape, Tensor
 from grouprec.config import TrainConfig
 from grouprec.datasets import Dataset, Interactions, membership_matrix, split_holdout
 from grouprec.gating import param_count
 from grouprec.model import GroupRecommender
+from grouprec.synthetic import generate_synthetic
 
 import reference as ref
 
@@ -114,7 +116,7 @@ def test_regularizer_mask_blocks_gradient_of_dropped_pairs():
     b = Tensor(np.array([[0.0, 1.0]]), requires_grad=True)  # |cos| = 0 < t
     with Tape() as tape:
         reg = losses.interest_regularizer(ref.stack([a, b]), np.array([0]), threshold=0.5)
-        loss = ag.add(reg, ref.tsum(ag.mul(a, a)))
+        loss = ref.add(reg, ref.tsum(ref.mul(a, a)))
         tape.backward(loss)
     np.testing.assert_allclose(b.grad if b.grad is not None else np.zeros_like(b.data), 0.0)
 
@@ -252,12 +254,12 @@ def test_end_to_end_gradients_match_finite_differences():
             state.group_fused, state.item_final, np.array([0, 1]), np.array([0, 1]), np.array([3, 2])
         )
         reg = losses.interest_regularizer(state.interests, np.arange(5), cfg.sim_threshold)
-        return ag.add(
-            ag.add(
-                ag.scale(l_user, cfg.user_task_weight),
-                ag.scale(l_group, 1.0 - cfg.user_task_weight),
+        return ref.add(
+            ref.add(
+                ref.scale(l_user, cfg.user_task_weight),
+                ref.scale(l_group, 1.0 - cfg.user_task_weight),
             ),
-            ag.scale(reg, cfg.interest_reg_weight),
+            ref.scale(reg, cfg.interest_reg_weight),
         )
 
     # every coordinate, at a step where roundoff stays below the tolerance even
@@ -274,9 +276,39 @@ def test_end_to_end_gradients_max_pooling_variant():
 
     def loss():
         state = model.forward(users=np.arange(5))
-        return ref.tsum(ag.mul(state.user_final, state.user_final))
+        return ref.tsum(ref.mul(state.user_final, state.user_final))
 
     # each interest role stacks n_interests slices: 6 coordinates per slice
     per_role = 6 * model.cfg.n_interests
     err = ag.finite_difference_check(loss, model.tensors(), h=1e-6, rng=rng, max_coords=per_role)
     assert err < 1e-4
+
+
+def traced_step(ds, cfg):
+    """One training step's tape length, loss and parameter gradients."""
+    trainer = trainer_module.Trainer(ds, cfg)
+    user, group = trainer._draw()
+    with Tape() as tape:
+        loss = trainer._loss(user, group, trainer.noise_rng)[0]
+        nodes = len(tape.nodes)
+        tape.backward(loss)
+    return nodes, loss.data, [t.grad for t in trainer.model.tensors()]
+
+
+@pytest.mark.parametrize("use_groups, old_nodes, new_nodes", [(True, 33, 22), (False, 14, 10)])
+def test_weighted_sum_step_bits_equal_the_old_chains(monkeypatch, use_groups, old_nodes, new_nodes):
+    ds, _ = generate_synthetic(30, 40, 8, m_true=2, noise=0.1, seed=0)
+    ds.user_items = split_holdout(ds.user_items, seed=0)
+    ds.group_items = split_holdout(ds.group_items, seed=1)
+    # default layers, interests and loss weights: every term of the loss is on
+    cfg = TrainConfig(embed_dim=8, batch_user=32, batch_group=8, use_groups=use_groups)
+    new = traced_step(ds, cfg)
+    monkeypatch.setattr(fusion, "fuse_groups", ref.chain_fuse_groups)
+    monkeypatch.setattr(fusion, "fuse_users", ref.chain_fuse_users)
+    monkeypatch.setattr(graphconv, "propagate", ref.chain_propagate)
+    monkeypatch.setattr(trainer_module, "weighted_sum", ref.chain_loss)
+    old = traced_step(ds, cfg)
+    assert (old[0], new[0]) == (old_nodes, new_nodes)
+    np.testing.assert_array_equal(new[1], old[1])
+    for new_grad, old_grad in zip(new[2], old[2]):
+        np.testing.assert_array_equal(new_grad, old_grad)
