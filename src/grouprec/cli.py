@@ -178,8 +178,6 @@ def _test_metrics(task, evaluation):
 
 
 def cmd_eval(args):
-    if args.seeds < 1:
-        raise ValueError("--seeds must be >= 1")
     ds = load_prepared(args.data)
     ks = parse_ks(args.k)
     tasks = _tasks_of(args.task)
@@ -191,12 +189,11 @@ def cmd_eval(args):
     similarity = None
     config_echo = {}
     seeds = []
-    if args.baseline == "popularity":
-        for seed in range(args.seeds):
-            seeds.append(seed)
-            for task in tasks:
-                metrics = _test_metrics(task, evaluate_popularity(ds, task, ks=ks))
-                rows.extend(metric_rows(task, metrics, seed))
+    if args.baseline == "popularity":  # deterministic: one evaluation, filed as seed 0
+        seeds.append(0)
+        for task in tasks:
+            metrics = _test_metrics(task, evaluate_popularity(ds, task, ks=ks))
+            rows.extend(metric_rows(task, metrics, 0))
         config_echo = {"baseline": "popularity"}
     else:
         for path in args.checkpoint:
@@ -438,7 +435,6 @@ def build_parser():
     p.add_argument("--baseline", choices=["popularity"], default=None)
     p.add_argument("--task", default="both")
     p.add_argument("--k", default="5,10")
-    p.add_argument("--seeds", type=int, default=1, help="baseline repetition count")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="grid search ranked by validation ndcg@10")

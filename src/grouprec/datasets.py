@@ -39,6 +39,11 @@ MEMBERS_FILE = "group_members.txt"
 _EDGE_ROW = np.dtype([("a", "i8"), ("v", "i8")])
 _SPLIT_ROW = np.dtype([("a", "i8"), ("v", "i8"), ("s", f"S{max(map(len, SPLIT_NAMES)) + 1}")])
 
+# _lines label tables: the name of each split code, and the decimal text of
+# each int8 value indexed by its byte, so a split code of any sign is exact
+_SPLIT_LABELS = tuple(name.encode() for name in SPLIT_NAMES)
+_INT8_DECIMAL = tuple(b"%d" % k for k in np.arange(256, dtype=np.uint8).view(np.int8).tolist())
+
 
 class Interactions:
     """Anchor-item edges with a split label each, held sorted by (anchor, item).
@@ -132,11 +137,58 @@ class Dataset:
         h = hashlib.sha256()
         h.update(json.dumps([self.n_users, self.n_items, self.n_groups]).encode())
         for inter in (self.user_items, self.group_items):
-            rows = zip(inter.anchors.tolist(), inter.items.tolist(), inter.splits.tolist())
-            h.update(b"".join(b"%d %d %d\n" % row for row in rows))
+            split = (inter.splits.view(np.uint8), _INT8_DECIMAL)
+            h.update(_lines(inter.anchors, b" ", inter.items, b" ", split, b"\n"))
         m = self.group_members.tocoo()  # row-major, as the CSR stores it
-        h.update(b"".join(b"m%d %d\n" % pair for pair in zip(m.row.tolist(), m.col.tolist())))
+        h.update(_lines(b"m", m.row, b" ", m.col, b"\n"))
         return h.hexdigest()
+
+
+def _lines(*fields):
+    """One line per row, as bytes: each row's fields side by side.
+
+    A field is bytes, written on every row; an array of non-negative
+    integers, written in decimal; or a (codes, labels) pair, which writes
+    labels[code]. The rows are laid out in one uint8 array of fixed-width
+    columns, with a mask of the bytes kept, so the work is a few array passes
+    per output column and one compaction, whatever the row count.
+    """
+    n = len(next(f[0] if isinstance(f, tuple) else f for f in fields if not isinstance(f, bytes)))
+    if n == 0:
+        return b""
+    columns = []  # (bytes or array field, width)
+    for f in fields:
+        if isinstance(f, bytes):
+            columns.append((f, len(f)))
+        elif isinstance(f, tuple):
+            columns.append((f, max(map(len, f[1]))))
+        else:
+            columns.append((f, len(str(int(f.max())))))
+    buf = np.empty((n, sum(w for _, w in columns)), dtype=np.uint8)
+    keep = np.empty(buf.shape, dtype=bool)
+    start = 0
+    for f, w in columns:
+        out, kept = buf[:, start : start + w], keep[:, start : start + w]
+        start += w
+        if isinstance(f, bytes):
+            out[:] = np.frombuffer(f, dtype=np.uint8)
+            kept[:] = True
+        elif isinstance(f, tuple):
+            codes, labels = f  # no label holds a NUL byte, so NULs are the padding
+            table = np.array(labels, dtype=f"S{w}").view(np.uint8).reshape(len(labels), w)
+            out[:] = table[codes]
+            np.not_equal(out, 0, out=kept)
+        else:
+            # digits right to left; a digit is kept while the number is not
+            # used up, and the units digit always, so 0 is written "0"
+            x = f.astype(np.uint32 if int(f.max()) < 2**32 else np.uint64)
+            digit = np.empty_like(x)
+            for j in reversed(range(w)):
+                np.greater(x, 0, out=kept[:, j])
+                np.divmod(x, 10, out=(x, digit))
+                np.add(digit, ord("0"), out=out[:, j], casting="unsafe")
+            kept[:, -1] = True
+    return buf[keep].tobytes()
 
 
 def _parse_edge_line(line, lineno, path):
@@ -287,9 +339,9 @@ def save_dataset(dataset, dataset_dir):
 
 def write_edges(interactions, path):
     """Write 'id<TAB>item' lines in stored order: by anchor, then item."""
-    with open(path, "w") as f:
-        for a, v in zip(interactions.anchors.tolist(), interactions.items.tolist()):
-            f.write(f"{a}\t{v}\n")
+    text = _lines(interactions.anchors, b"\t", interactions.items, b"\n")
+    with open(path, "wb") as f:
+        f.write(text)
 
 
 def split_holdout(interactions, seed):
@@ -392,10 +444,10 @@ def subsample(dataset, fraction, seed):
 
 def write_splits(interactions, path):
     """Write 'anchor<TAB>item<TAB>split' lines in stored order: by anchor, then item."""
-    cols = (interactions.anchors, interactions.items, interactions.splits)
-    with open(path, "w") as f:
-        for a, v, s in zip(*(col.tolist() for col in cols)):
-            f.write(f"{a}\t{v}\t{SPLIT_NAMES[s]}\n")
+    split = (interactions.splits, _SPLIT_LABELS)
+    text = _lines(interactions.anchors, b"\t", interactions.items, b"\t", split, b"\n")
+    with open(path, "wb") as f:
+        f.write(text)
 
 
 def read_splits(interactions, path):

@@ -2,9 +2,13 @@
 
 Each is a plain tape op built on autodiff's own recording helpers, so the
 fused ops can be checked against compositions of these. The broadcasting
-add, mul and scale are also what test losses are built from.
+add, mul and scale are also what test losses are built from. At the end are
+the per-edge file writers and the dataset fingerprint, the byte oracles for
+grouprec.datasets' array writers.
 """
 
+import hashlib
+import json
 import logging
 
 import numpy as np
@@ -24,6 +28,7 @@ from grouprec.autodiff import (
     scatter_rows,
     spmm,
 )
+from grouprec.datasets import SPLIT_NAMES
 
 log = logging.getLogger(__name__)
 
@@ -370,3 +375,33 @@ def chain_loss(*terms):
     for c, x in rest:
         loss = add(loss, scale(x, c))
     return loss
+
+
+# the per-edge writers and fingerprint that datasets._lines replaced, as byte oracles
+
+
+def write_edges(interactions, path):
+    """Write 'id<TAB>item' lines in stored order: by anchor, then item."""
+    with open(path, "w") as f:
+        for a, v in zip(interactions.anchors.tolist(), interactions.items.tolist()):
+            f.write(f"{a}\t{v}\n")
+
+
+def write_splits(interactions, path):
+    """Write 'anchor<TAB>item<TAB>split' lines in stored order: by anchor, then item."""
+    cols = (interactions.anchors, interactions.items, interactions.splits)
+    with open(path, "w") as f:
+        for a, v, s in zip(*(col.tolist() for col in cols)):
+            f.write(f"{a}\t{v}\t{SPLIT_NAMES[s]}\n")
+
+
+def fingerprint(dataset):
+    """Content hash covering counts, edges, split labels, and memberships."""
+    h = hashlib.sha256()
+    h.update(json.dumps([dataset.n_users, dataset.n_items, dataset.n_groups]).encode())
+    for inter in (dataset.user_items, dataset.group_items):
+        rows = zip(inter.anchors.tolist(), inter.items.tolist(), inter.splits.tolist())
+        h.update(b"".join(b"%d %d %d\n" % row for row in rows))
+    m = dataset.group_members.tocoo()  # row-major, as the CSR stores it
+    h.update(b"".join(b"m%d %d\n" % pair for pair in zip(m.row.tolist(), m.col.tolist())))
+    return h.hexdigest()

@@ -181,13 +181,28 @@ def test_eval_popularity_zero_std_and_reproducible(world, tmp_path):
     for name in ("p1", "p2"):
         out = tmp_path / name
         assert run(["eval", "--data", world, "--out", out,
-                    "--baseline", "popularity", "--task", "both", "--seeds", 3]) == 0
+                    "--baseline", "popularity", "--task", "both"]) == 0
         outs.append((out / "metrics.csv").read_bytes())
     assert outs[0] == outs[1]
+    # the baseline is deterministic: one row per task, metric and cutoff, filed as seed 0
+    with open(tmp_path / "p1" / "metrics.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert {row["seed"] for row in rows} == {"0"}
+    assert len({(row["task"], row["metric"], row["k"]) for row in rows}) == len(rows) == 8
+    assert json.loads((tmp_path / "p1" / "run_manifest.json").read_text())["seeds"] == [0]
     summary = json.loads((tmp_path / "p1" / "summary.json").read_text())
     for task_metrics in summary["results"].values():
         for stats in task_metrics.values():
             assert stats["std"] == 0.0
+
+
+def test_eval_has_no_seeds_flag(world, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", "--data", world, "--out", out, "--baseline", "popularity", "--seeds", 3])
+    assert exc.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_rejects_ambiguous_source(world, run_dir, tmp_path, capsys):
@@ -235,7 +250,6 @@ def test_sweep_budget_must_be_positive(world, tmp_path, capsys):
 @pytest.mark.parametrize("command", [
     ["sweep", "--grid", "GRID"],
     ["ablate"],
-    ["eval", "--baseline", "popularity"],
 ])
 def test_seeds_must_be_positive(world, tmp_path, capsys, command):
     grid = tmp_path / "grid.json"

@@ -2,10 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import reference as ref
 from grouprec import datasets as d
 from grouprec import fusion
 from grouprec.datasets import TRAIN, VALID, TEST, Dataset, Interactions, membership_matrix
@@ -659,6 +660,72 @@ def test_read_splits_paths_agree_on_generated_files(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("splits") / "splits_user.tsv"
     whole, per_line = split_outcomes(path, text, Interactions(*INTER))
     assert whole == per_line
+
+
+def boundary_ids(n):
+    """0, n - 1, both sides of every digit-count and uint32 boundary below n."""
+    edges = [10**k for k in range(1, 20)] + [2**32]
+    return sorted({0, n - 1, *(x + e for x in edges for e in (-1, 0) if x + e < n)})
+
+
+@st.composite
+def id_lists(draw, n, size):
+    return draw(st.lists(st.one_of(st.sampled_from(boundary_ids(n)), st.integers(0, n - 1)),
+                         min_size=size, max_size=size))
+
+
+@st.composite
+def interactions(draw):
+    """Edges over id ranges up to int64's, duplicates likely.
+
+    Split codes run -3..2: the per-edge writer indexes SPLIT_NAMES with the
+    negative ones as Python does, and so must the array writer."""
+    counts = st.one_of(st.integers(1, 120), st.sampled_from([2**32, 10**13, 2**63 - 1]))
+    n_anchors, n_items = draw(counts), draw(counts)
+    size = draw(st.integers(0, 12))
+    anchors, items = draw(id_lists(n_anchors, size)), draw(id_lists(n_items, size))
+    splits = draw(st.lists(st.integers(-3, 2), min_size=size, max_size=size))
+    return Interactions(n_anchors, n_items, anchors, items, splits)
+
+
+@st.composite
+def writer_datasets(draw):
+    """A Dataset as the fingerprint reads it: counts, both edge lists, memberships.
+
+    It is not validated: the CSR allocates a row per group, so the membership
+    has at most 120 groups whatever the group edges' id range."""
+    users, groups = draw(interactions()), draw(interactions())
+    n_groups, size = draw(st.integers(1, 120)), draw(st.integers(0, 12))
+    members = membership_matrix(
+        n_groups, users.n_anchors, draw(id_lists(n_groups, size)), draw(id_lists(users.n_anchors, size))
+    )
+    return Dataset(users.n_anchors, users.n_items, groups.n_anchors, users, groups, members)
+
+
+def boundary_dataset():
+    """Both sides of every digit-count boundary up to 19 digits, of uint32's, ids 0 and
+    2**63 - 2, each split label, a duplicate edge and no group edges."""
+    n = 2**63 - 1
+    ids, groups = boundary_ids(n), boundary_ids(1000)
+    users = Interactions(n, 10, ids + [9], [i % 10 for i in ids] + [9], [i % 3 for i in ids] + [2])
+    members = membership_matrix(1000, n, groups + groups, ids[-2 * len(groups) :])
+    return Dataset(n, 10, 1000, users, Interactions(1000, 10), members)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(ds=writer_datasets())
+@example(ds=boundary_dataset())
+def test_array_writers_match_the_per_edge_oracles(tmp_path_factory, ds):
+    base = tmp_path_factory.mktemp("writers")
+    for inter in (ds.user_items, ds.group_items):
+        for write, oracle in ((d.write_edges, ref.write_edges), (d.write_splits, ref.write_splits)):
+            write(inter, base / "lib.tsv")
+            oracle(inter, base / "ref.tsv")
+            assert (base / "lib.tsv").read_bytes() == (base / "ref.tsv").read_bytes()
+    assert ds.fingerprint() == ref.fingerprint(ds)
+    # the fingerprint writes split codes as numbers, so any int8 code must hash as the oracle's
+    ds.user_items = ds.user_items.relabeled(np.arange(len(ds.user_items)) * 97 % 256 - 128)
+    assert ds.fingerprint() == ref.fingerprint(ds)
 
 
 def test_library_files_take_the_whole_file_path(tmp_path, monkeypatch):
