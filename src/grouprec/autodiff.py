@@ -315,6 +315,56 @@ def spmm(mat, x) -> Tensor:
     return _record(out, (x,), backward)
 
 
+def propagate(adj, users0, items0, n_layers: int) -> tuple[Tensor, Tensor]:
+    """LightGCN's layer sums over the bipartite operator adj, as one op.
+
+    Each layer maps ``u, v = adj @ v, adj.T @ u``; the outputs are
+    users0 + u_1 + ... + u_K and items0 + v_1 + ... + v_K, added left to
+    right into fresh buffers, so they have the bits of a chain of spmm and
+    two-operand adds. No layer output is kept. Backward is the adjoint in
+    Horner form, K times with both updates at once: y_u <- g_u + adj @ y_v
+    and y_v <- g_v + adj.T @ y_u, from y = g. ``adj.T`` is scipy's CSC
+    view, so no transpose is built, and a side with no gradient counts as
+    zeros.
+
+    The op returns two tensors, so it records two tape entries. The item
+    output is recorded last, so its closure runs first: it takes the user
+    output's gradient off that tensor, which is complete because every
+    consumer of either output was recorded later, and runs the adjoint once
+    for both. The user output's closure runs the adjoint only when the item
+    output got no gradient.
+    """
+    users0, items0 = _as_tensor(users0), _as_tensor(items0)
+    u, v = users0.data, items0.data
+    sum_u, sum_v = u.copy(), v.copy()
+    for _ in range(n_layers):
+        u, v = adj @ v, adj.T @ u
+        sum_u += u
+        sum_v += v
+    out_u, out_v = Tensor(sum_u), Tensor(sum_v)
+
+    def adjoint(g_u, g_v):
+        g_u = np.zeros_like(sum_u) if g_u is None else g_u
+        g_v = np.zeros_like(sum_v) if g_v is None else g_v
+        y_u, y_v = g_u, g_v
+        for _ in range(n_layers):
+            y_u, y_v = adj @ y_v, adj.T @ y_u
+            y_u += g_u
+            y_v += g_v
+        _accum(users0, y_u)
+        _accum(items0, y_v)
+
+    def backward_users(g):
+        adjoint(g, None)
+
+    def backward_items(g):
+        g_u, out_u.grad = out_u.grad, None
+        adjoint(g_u, g)
+
+    _record(out_u, (users0, items0), backward_users)
+    return out_u, _record(out_v, (users0, items0), backward_items)
+
+
 def straight_through(soft: Tensor, hard: np.ndarray) -> Tensor:
     """Forward the hard values, route gradients to the soft ones unchanged."""
     soft = _as_tensor(soft)
@@ -530,47 +580,3 @@ def bpr_pairs(anchors, items, a: np.ndarray, p: np.ndarray, n: np.ndarray) -> Te
             _accum(items, scatter_rows(np.concatenate((p, n)), d_rows, items.data.shape[0]))
 
     return _record(out, (anchors, items), backward)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def finite_difference_check(loss_fn, params: list[Tensor], h: float = 1e-5,
-                            max_coords: int = 16, rng=None) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    ``loss_fn`` must build the loss from scratch on each call (deterministic
-    under any frozen noise) and return a scalar Tensor when run under a tape.
-    Checks up to ``max_coords`` coordinates per parameter, sampled with
-    ``rng`` when given, else a fixed spread.
-    """
-    for p in params:
-        p.grad = None
-    with Tape() as tape:
-        loss = loss_fn()
-        tape.backward(loss)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-
-    worst = 0.0
-    for p, ga in zip(params, analytic):
-        n = p.data.size
-        if n <= max_coords:
-            coords = np.arange(n)
-        elif rng is not None:
-            coords = rng.choice(n, size=max_coords, replace=False)
-        else:
-            coords = np.linspace(0, n - 1, max_coords).astype(np.int64)
-        for c in coords:
-            ix = np.unravel_index(c, p.data.shape)
-            orig = p.data[ix]
-            p.data[ix] = orig + h
-            up = float(loss_fn().data)
-            p.data[ix] = orig - h
-            down = float(loss_fn().data)
-            p.data[ix] = orig
-            fd = (up - down) / (2.0 * h)
-            an = float(ga[ix])
-            err = abs(an - fd) / (abs(an) + abs(fd) + 1e-12)
-            worst = max(worst, err)
-    return worst

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 
 # each variant's name and the letter the paper's ablation gives it
@@ -17,6 +18,8 @@ VARIANTS = tuple(VARIANT_LETTERS)
 INTEREST_MODES = ("gate", "fc1", "fc2", "table")
 POOLINGS = ("mean", "sum", "max")
 TASKS = ("user", "group")
+COUNTS = ("embed_dim", "n_interests", "n_layers", "batch_user", "batch_group", "epochs", "patience",
+          "eval_every")
 
 
 @dataclass
@@ -43,6 +46,13 @@ class TrainConfig:
     eval_every: int = 1
 
     def validate(self):
+        # types first, so a string or float count fails here and not in a comparison or the forward
+        for name in COUNTS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"invalid config: {name} must be an integer, got {value!r}")
+        if not isinstance(self.use_groups, bool):
+            raise ValueError(f"invalid config: use_groups must be a bool, got {self.use_groups!r}")
         checks = [
             (self.embed_dim >= 1, "embed_dim must be >= 1"),
             (self.n_interests >= 1, "n_interests must be >= 1"),

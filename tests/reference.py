@@ -2,9 +2,10 @@
 
 Each is a plain tape op built on autodiff's own recording helpers, so the
 fused ops can be checked against compositions of these. The broadcasting
-add, mul and scale are also what test losses are built from. At the end are
-the per-edge file writers and the dataset fingerprint, the byte oracles for
-grouprec.datasets' array writers.
+add, mul and scale are also what test losses are built from. Then comes
+finite_difference_check, the central-difference check that every op's
+gradients are tested with. At the end are the per-edge file writers and the
+dataset fingerprint, the byte oracles for grouprec.datasets' array writers.
 """
 
 import hashlib
@@ -16,6 +17,7 @@ from scipy.special import expit
 
 from grouprec.autodiff import (
     COSINE_NORM_EPS,
+    Tape,
     Tensor,
     _accum,
     _as_tensor,
@@ -375,6 +377,46 @@ def chain_loss(*terms):
     for c, x in rest:
         loss = add(loss, scale(x, c))
     return loss
+
+
+def finite_difference_check(loss_fn, params: list[Tensor], h: float = 1e-5,
+                            max_coords: int = 16, rng=None) -> float:
+    """Max relative error between tape gradients and central differences.
+
+    ``loss_fn`` must build the loss from scratch on each call (deterministic
+    under any frozen noise) and return a scalar Tensor when run under a tape.
+    Checks up to ``max_coords`` coordinates per parameter, sampled with
+    ``rng`` when given, else a fixed spread.
+    """
+    for p in params:
+        p.grad = None
+    with Tape() as tape:
+        loss = loss_fn()
+        tape.backward(loss)
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+
+    worst = 0.0
+    for p, ga in zip(params, analytic):
+        n = p.data.size
+        if n <= max_coords:
+            coords = np.arange(n)
+        elif rng is not None:
+            coords = rng.choice(n, size=max_coords, replace=False)
+        else:
+            coords = np.linspace(0, n - 1, max_coords).astype(np.int64)
+        for c in coords:
+            ix = np.unravel_index(c, p.data.shape)
+            orig = p.data[ix]
+            p.data[ix] = orig + h
+            up = float(loss_fn().data)
+            p.data[ix] = orig - h
+            down = float(loss_fn().data)
+            p.data[ix] = orig
+            fd = (up - down) / (2.0 * h)
+            an = float(ga[ix])
+            err = abs(an - fd) / (abs(an) + abs(fd) + 1e-12)
+            worst = max(worst, err)
+    return worst
 
 
 # the per-edge writers and fingerprint that datasets._lines replaced, as byte oracles

@@ -226,7 +226,7 @@ def test_finite_difference_quadratic():
     def loss():
         return ref.tsum(ref.mul(x, x))
 
-    err = ag.finite_difference_check(loss, [x], h=1e-5)
+    err = ref.finite_difference_check(loss, [x], h=1e-5)
     assert err < 1e-8
 
 
@@ -236,7 +236,7 @@ def test_finite_difference_constant_loss():
     def loss():
         return ref.tsum(ref.mul(Tensor([0.0, 0.0]), x))
 
-    err = ag.finite_difference_check(loss, [x], h=1e-5)
+    err = ref.finite_difference_check(loss, [x], h=1e-5)
     assert err == 0.0
 
 
@@ -256,7 +256,7 @@ def test_primitive_gradients_match_finite_differences(name):
     shape = (3, 4) if name != "matmul" else (4, 4)
     x = Tensor(rng.normal(size=shape), requires_grad=True)
     fn = PRIMITIVE_CASES[name]
-    err = ag.finite_difference_check(lambda: fn(x), [x], h=1e-5, rng=rng)
+    err = ref.finite_difference_check(lambda: fn(x), [x], h=1e-5, rng=rng)
     assert err < 1e-4
 
 
@@ -273,7 +273,7 @@ def test_gather_and_segment_gradients():
         mixed = ref.segment_sum(ref.mul(ref.reshape(ref.mul(gamma, w), (5, 1)), rows), seg, 2)
         return ref.tsum(ref.mul(mixed, mixed))
 
-    err = ag.finite_difference_check(loss, [table, w], h=1e-5, rng=rng)
+    err = ref.finite_difference_check(loss, [table, w], h=1e-5, rng=rng)
     assert err < 1e-4
 
 
@@ -305,7 +305,7 @@ def test_cosine_and_rowdot_gradients():
     def loss():
         return ref.tsum(ref.add(ref.cosine_rows(a, b), ref.rowwise_dot(a, b)))
 
-    err = ag.finite_difference_check(loss, [a, b], h=1e-5, rng=rng)
+    err = ref.finite_difference_check(loss, [a, b], h=1e-5, rng=rng)
     assert err < 1e-4
 
 
@@ -318,7 +318,7 @@ def test_spmm_gradient():
         y = ag.spmm(A, x)
         return ref.tsum(ref.mul(y, y))
 
-    err = ag.finite_difference_check(loss, [x], h=1e-5, rng=rng)
+    err = ref.finite_difference_check(loss, [x], h=1e-5, rng=rng)
     assert err < 1e-4
 
 
@@ -346,7 +346,7 @@ def test_stack_gradients():
         assert m.shape == (4, 3, 3)
         return ref.tsum(ref.mul(m, ref.stack([v, u, v])))
 
-    err = ag.finite_difference_check(loss, [u, v], h=1e-5, rng=rng)
+    err = ref.finite_difference_check(loss, [u, v], h=1e-5, rng=rng)
     assert err < 1e-4
 
 
@@ -358,7 +358,7 @@ def test_broadcast_mul_gradient():
     def loss():
         return ref.tsum(ref.mul(col, mat))
 
-    err = ag.finite_difference_check(loss, [col, mat], h=1e-5, rng=rng)
+    err = ref.finite_difference_check(loss, [col, mat], h=1e-5, rng=rng)
     assert err < 1e-4
 
 
@@ -373,7 +373,7 @@ def test_weighted_sum_finite_differences():
         out = ag.weighted_sum((-0.7, x), (col, x), (2.5, y), (1.0, const), (1.0, x))
         return ref.tsum(ref.mul(out, out))
 
-    err = ag.finite_difference_check(loss, [x, y], h=1e-5, max_coords=15)
+    err = ref.finite_difference_check(loss, [x, y], h=1e-5, max_coords=15)
     assert err < 1e-6
 
 

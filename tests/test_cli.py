@@ -12,7 +12,7 @@ import pytest
 from grouprec import cli
 from grouprec.cli import main
 from grouprec.checkpoint import load_checkpoint
-from grouprec.config import VARIANT_LETTERS, VARIANTS, TrainConfig, resolve_variant
+from grouprec.config import COUNTS, VARIANT_LETTERS, VARIANTS, TrainConfig, resolve_variant
 from grouprec.datasets import TRAIN, VALID, TEST, load_dataset, load_prepared
 from grouprec.evaluate import evaluate_ranking
 from grouprec.losses import pairwise_abs_cosine
@@ -312,6 +312,26 @@ def test_variant_table_resolves_names_and_letters():
             resolve_variant(bad)
     with pytest.raises(ValueError, match="variant must be one of"):
         TrainConfig.from_dict({"variant": "E"})
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_config_counts_must_be_integers(name):
+    for bad in (2.5, 2.0, "2", True, None):
+        with pytest.raises(ValueError, match=f"invalid config: {name} must be an integer"):
+            TrainConfig.from_dict({name: bad})
+    assert getattr(TrainConfig.from_dict({name: np.int64(2)}), name) == 2
+
+
+def test_config_use_groups_must_be_a_bool(world, tmp_path, capsys):
+    # a truthy string used to validate and train with groups on
+    for bad in ("false", "False", 0, 1, None):
+        with pytest.raises(ValueError, match="invalid config: use_groups must be a bool"):
+            TrainConfig.from_dict({"use_groups": bad})
+    assert TrainConfig.from_dict({"use_groups": False}).use_groups is False
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"use_groups": ["false"]}))
+    assert run(["sweep", "--data", world, "--out", tmp_path / "sw", "--grid", grid, "--seed", 0, *TOY]) == 2
+    assert "invalid config: use_groups must be a bool" in stderr_payload(capsys)["message"]
 
 
 def test_ablate_letters_come_from_the_variant_table(world, tmp_path):

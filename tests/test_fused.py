@@ -54,7 +54,7 @@ def test_gated_channels_finite_differences():
         return ref.tsum(ref.mul(ref.mul(out, out), Tensor(coef)))
 
     assert ag.gated_channels(x, w, b).shape == (5, 3, 4)
-    err = ag.finite_difference_check(loss, [x, w, b], h=1e-5, rng=rng, max_coords=48)
+    err = ref.finite_difference_check(loss, [x, w, b], h=1e-5, rng=rng, max_coords=48)
     assert err < 1e-4
 
 
@@ -75,7 +75,7 @@ def test_channel_linear_finite_differences(rank):
     for n in range(3):
         x_n = x.data if rank == 2 else x.data[:, n]
         np.testing.assert_allclose(out[:, n], x_n @ w.data[n] + b.data[n], rtol=1e-14)
-    err = ag.finite_difference_check(loss, [x, w, b], h=1e-5, rng=rng, max_coords=60)
+    err = ref.finite_difference_check(loss, [x, w, b], h=1e-5, rng=rng, max_coords=60)
     assert err < 1e-4
 
 
@@ -89,7 +89,7 @@ def test_segment_attention_finite_differences_and_single_member():
         out = ag.segment_attention(x, att, UID, GID, ag.segment_pattern(GID, N_GROUPS, 3))
         return ref.tsum(ref.mul(ref.mul(out, out), Tensor(coef)))
 
-    err = ag.finite_difference_check(loss, [x, att], h=1e-5, rng=rng, max_coords=30)
+    err = ref.finite_difference_check(loss, [x, att], h=1e-5, rng=rng, max_coords=30)
     assert err < 1e-4
     # the single-member group passes its member's rows through, every channel
     out = ag.segment_attention(x, att, UID, GID, ag.segment_pattern(GID, N_GROUPS, 3))
@@ -140,7 +140,7 @@ def test_channel_dot_and_mix_finite_differences():
         mixed = ag.channel_mix(w, chans)
         return ref.add(ref.tsum(ref.mul(psi, psi)), ref.tsum(ref.mul(mixed, ref.matmul(psi, proj))))
 
-    err = ag.finite_difference_check(loss, [a, w, chans], h=1e-5, rng=rng)
+    err = ref.finite_difference_check(loss, [a, w, chans], h=1e-5, rng=rng)
     assert err < 1e-4
 
 
@@ -160,7 +160,7 @@ def test_mean_pair_cosine_masked_pairs_finite_differences():
     def loss():
         return ag.mean_pair_cosine(x, rows, threshold)
 
-    err = ag.finite_difference_check(loss, [x], h=1e-6, rng=rng, max_coords=40)
+    err = ref.finite_difference_check(loss, [x], h=1e-6, rng=rng, max_coords=40)
     assert err < 1e-4
     want = np.sum(np.where(cos >= threshold, signed, 0.0))
     assert loss().item() == pytest.approx(want / len(rows), abs=1e-12)
@@ -188,7 +188,7 @@ def test_mean_pair_cosine_zero_norm_row_has_zero_similarity_and_no_gradient():
                             for p in range(3) for q in range(p + 1, 3)))
     assert loss().item() == pytest.approx(sum(per_user) / 3, abs=1e-12)
     # a and b are smooth everywhere the zero row is left alone
-    err = ag.finite_difference_check(loss, [a, b], h=1e-5, rng=rng)
+    err = ref.finite_difference_check(loss, [a, b], h=1e-5, rng=rng)
     assert err < 1e-4
 
 
@@ -213,7 +213,7 @@ def test_hard_select_gradient_is_the_soft_paths_gradient():
     for h, s in zip(hard_grads, soft_grads):
         np.testing.assert_allclose(h, s, rtol=1e-12, atol=1e-15)
     assert np.any(hard_grads[0])
-    err = ag.finite_difference_check(lambda: loss(False), [group, pooled], h=1e-5, rng=rng)
+    err = ref.finite_difference_check(lambda: loss(False), [group, pooled], h=1e-5, rng=rng)
     assert err < 1e-4
 
 
@@ -330,10 +330,10 @@ def test_bpr_loss_finite_differences():
     def loss():
         return losses.bpr_loss(anchors, items, BPR_A, BPR_P, BPR_N)
 
-    err = ag.finite_difference_check(loss, [anchors, items], h=1e-5, rng=rng, max_coords=36)
+    err = ref.finite_difference_check(loss, [anchors, items], h=1e-5, rng=rng, max_coords=36)
     assert err < 1e-4
     # one table in both roles accumulates both gradients
-    err = ag.finite_difference_check(
+    err = ref.finite_difference_check(
         lambda: losses.bpr_loss(items, items, BPR_A, BPR_P, BPR_N), [items], h=1e-5, max_coords=36
     )
     assert err < 1e-4

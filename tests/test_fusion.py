@@ -130,7 +130,7 @@ def test_fuse_users_max_pooling_hand_case_and_gradient():
         out = fusion.fuse_users(user, groups, pool, coef, pooling="max")
         return ref.tsum(ref.mul(out, out))
 
-    err = ag.finite_difference_check(loss, [user, groups], h=1e-6, rng=np.random.default_rng(1))
+    err = ref.finite_difference_check(loss, [user, groups], h=1e-6, rng=np.random.default_rng(1))
     assert err < 1e-4
 
 
@@ -147,7 +147,7 @@ def test_fusion_chain_gradients():
         fused_u = fusion.fuse_users(user, fused_g, pool, coef)
         return ref.tsum(ref.mul(fused_u, fused_u))
 
-    err = ag.finite_difference_check(loss, [user, group, istar], h=1e-5, rng=rng)
+    err = ref.finite_difference_check(loss, [user, group, istar], h=1e-5, rng=rng)
     assert err < 1e-4
 
 
@@ -281,6 +281,82 @@ def test_propagate_bits_equal_the_old_chain(n_layers):
             assert uf is users0 and vf is items0
     for new, old in zip(*runs):
         np.testing.assert_array_equal(new, old)
+
+
+def small_graph(seed):
+    rng = np.random.default_rng(seed)
+    edges = sorted({(int(rng.integers(8)), int(rng.integers(6))) for _ in range(20)})
+    adj = build_norm_adjacency(dataset_with_members(8, [[0]], n_items=6, user_edges=edges))
+    return adj, rng
+
+
+@pytest.mark.parametrize("n_layers", [0, 1, 3])
+def test_propagate_op_finite_differences(n_layers):
+    adj, rng = small_graph(7)
+    users0 = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+    items0 = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    up_v = Tensor(rng.normal(size=(6, 3)))
+
+    def loss():
+        uf, vf = ag.propagate(adj, users0, items0, n_layers)
+        return ref.add(ref.tsum(ref.mul(uf, uf)), ref.tsum(ref.mul(vf, up_v)))
+
+    err = ref.finite_difference_check(loss, [users0, items0], h=1e-5, rng=rng)
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("n_layers", [1, 3])
+@pytest.mark.parametrize("side", [0, 1])
+def test_propagate_op_one_read_output_bits_equal_the_old_chain(side, n_layers):
+    # the other output gets no gradient: its side of the adjoint starts from zeros
+    adj, rng = small_graph(8)
+    arrays = [rng.normal(size=(8, 4)), rng.normal(size=(6, 4))]
+    up = Tensor(rng.normal(size=arrays[side].shape))
+    runs = []
+    for prop in (graphconv.propagate, ref.chain_propagate):
+        users0, items0 = (Tensor(a, requires_grad=True) for a in arrays)
+        with ag.Tape() as tape:
+            outs = prop(adj, users0, items0, n_layers)
+            tape.backward(ref.tsum(ref.mul(outs[side], up)))
+        assert outs[0].grad is None and outs[1].grad is None
+        runs.append((outs[0].data, outs[1].data, users0.grad, items0.grad))
+    for new, old in zip(*runs):
+        np.testing.assert_array_equal(new, old)
+
+
+def test_propagate_op_records_nothing_without_gradients():
+    adj, rng = small_graph(9)
+    users0, items0 = Tensor(rng.normal(size=(8, 2))), Tensor(rng.normal(size=(6, 2)))
+    with ag.Tape() as tape:
+        uf, vf = ag.propagate(adj, users0, items0, 2)
+    assert tape.nodes == []
+    assert not uf.requires_grad and not vf.requires_grad
+    old_u, old_v = ref.chain_propagate(adj, users0, items0, 2)
+    np.testing.assert_array_equal(uf.data, old_u.data)
+    np.testing.assert_array_equal(vf.data, old_v.data)
+    items0.requires_grad = True  # either input needing a gradient records both outputs
+    with ag.Tape() as tape:
+        uf, vf = ag.propagate(adj, users0, items0, 2)
+    assert tape.nodes == [uf, vf]
+
+
+def test_propagate_op_input_read_again_after_propagation():
+    adj, rng = small_graph(10)
+    arrays = [rng.normal(size=(8, 4)), rng.normal(size=(6, 4))]
+    up_u, up_v, w = (Tensor(rng.normal(size=a.shape)) for a in (arrays[0], arrays[1], arrays[0]))
+    runs = []
+    for prop in (graphconv.propagate, ref.chain_propagate):
+        users0, items0 = (Tensor(a, requires_grad=True) for a in arrays)
+        with ag.Tape() as tape:
+            uf, vf = prop(adj, users0, items0, 3)
+            later = ref.tsum(ref.mul(users0, w))  # recorded after, so its gradient reaches users0 first
+            tape.backward(ref.add(ref.add(ref.tsum(ref.mul(uf, up_u)), ref.tsum(ref.mul(vf, up_v))), later))
+        runs.append((users0.grad, items0.grad))
+    (new_u, new_v), (old_u, old_v) = runs
+    np.testing.assert_array_equal(new_v, old_v)
+    # users0 sums the same three terms in another order: the chain adds its layer-0 term to the
+    # later op's gradient first, the op adds its whole adjoint at once, so rounding may differ
+    np.testing.assert_allclose(new_u, old_u, rtol=0, atol=1e-12)
 
 
 def test_score_pairs_values():

@@ -166,7 +166,7 @@ def test_compact_path_gradients_match_finite_differences(mode):
             t.data[:] = rng.normal(0.0, 0.1, size=t.data.shape)
     params = trainer.model.tensors()
     every = max(t.data.size for t in params)
-    err = ag.finite_difference_check(
+    err = ref.finite_difference_check(
         lambda: step(trainer)[0], params, h=1e-4, max_coords=every
     )
     assert err < 1e-4
