@@ -79,7 +79,11 @@ class TrainConfig:
         return self
 
     def as_dict(self):
-        return dataclasses.asdict(self)
+        """The fields, with numpy integers (which validate) as Python ints, so JSON takes them."""
+        return {
+            name: int(value) if isinstance(value, numbers.Integral) and not isinstance(value, bool) else value
+            for name, value in dataclasses.asdict(self).items()
+        }
 
     def replace(self, **kwargs):
         return dataclasses.replace(self, **kwargs)

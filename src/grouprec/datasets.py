@@ -69,9 +69,9 @@ class Interactions:
                 raise ValueError("anchor id out of range")
             if items.min() < 0 or items.max() >= self.n_items:
                 raise ValueError("item id out of range")
-        # a stable sort on one int64 key: the same order as lexsort, and linear
-        # time on edges that already arrive sorted (files, relabeled copies)
-        order = np.argsort(anchors * self.n_items + items, kind="stable")
+        # a stable sort on one key per edge: the same order as lexsort, and
+        # linear time on edges that already arrive sorted (files, relabeled copies)
+        order = np.argsort(_edge_keys(anchors, items, self.n_anchors, self.n_items), kind="stable")
         self.anchors, self.items, self.splits = anchors[order], items[order], splits[order]
 
     def __len__(self):
@@ -213,7 +213,7 @@ def load_interactions(path, n_anchors, n_items):
     rows = _load_rows(path, _EDGE_ROW)
     if rows is None or not (_in_range(rows["a"], n_anchors) and _in_range(rows["v"], n_items)):
         return _load_interactions_lines(path, n_anchors, n_items)
-    return _unique_edges(rows["a"], rows["v"], n_items)
+    return _unique_edges(rows["a"], rows["v"], n_anchors, n_items)
 
 
 def _load_interactions_lines(path, n_anchors, n_items):
@@ -230,15 +230,33 @@ def _load_interactions_lines(path, n_anchors, n_items):
                 raise ValueError(f"{path}:{lineno}: item id {v} out of range (n={n_items})")
             anchors.append(a)
             items.append(v)
-    return _unique_edges(np.asarray(anchors, dtype=np.int64), np.asarray(items, dtype=np.int64), n_items)
+    anchors, items = (np.asarray(ids, dtype=np.int64) for ids in (anchors, items))
+    return _unique_edges(anchors, items, n_anchors, n_items)
 
 
-def _unique_edges(anchors, items, n_items):
+def _edge_keys(anchors, items, n_anchors, n_items):
+    """One key per edge, ordered and equal as its (anchor, item) pair is, for ids in range.
+
+    anchor * n_items + item while every such key fits in int64; past that the
+    pair itself, as an _EDGE_ROW record, which numpy sorts and compares field
+    by field (slower, and only for id ranges no dataset in memory reaches).
+    """
+    if n_anchors * n_items < 2**63:  # Python ints: the product cannot wrap
+        return anchors * n_items + items
+    keys = np.empty(len(anchors), dtype=_EDGE_ROW)
+    keys["a"], keys["v"] = anchors, items
+    return keys
+
+
+def _unique_edges(anchors, items, n_anchors, n_items):
     """Distinct (anchor, item) pairs sorted by key, through a sort and a neighbour mask."""
-    keys = np.sort(anchors * n_items + items)
+    keys = np.sort(_edge_keys(anchors, items, n_anchors, n_items))
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    return np.divmod(keys[first], max(n_items, 1))
+    keys = keys[first]
+    if keys.dtype.names:
+        return keys["a"], keys["v"]
+    return np.divmod(keys, max(n_items, 1))
 
 
 def _in_range(ids, n):
@@ -467,14 +485,15 @@ def _labels_from_rows(interactions, rows):
     codes = np.full(len(rows), -1, dtype=np.int8)
     for code, name in enumerate(SPLIT_NAMES):
         codes[rows["s"] == name.encode()] = code
-    anchors, items, n_items = rows["a"], rows["v"], interactions.n_items
-    if codes.min() < 0 or not (_in_range(anchors, interactions.n_anchors) and _in_range(items, n_items)):
+    anchors, items = rows["a"], rows["v"]
+    n_anchors, n_items = interactions.n_anchors, interactions.n_items
+    if codes.min() < 0 or not (_in_range(anchors, n_anchors) and _in_range(items, n_items)):
         return None
-    keys = anchors * n_items + items  # one key per edge only for ids in range
+    keys = _edge_keys(anchors, items, n_anchors, n_items)  # one key per edge only for ids in range
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     # equal sorted keys, none repeated: one row per edge, so the row counts match too
-    wanted = interactions.anchors * n_items + interactions.items
+    wanted = _edge_keys(interactions.anchors, interactions.items, n_anchors, n_items)
     if (keys[1:] == keys[:-1]).any() or not np.array_equal(keys, wanted):
         return None
     return interactions.relabeled(codes[order])
@@ -501,11 +520,12 @@ def _read_splits_lines(interactions, path):
             else:  # cannot be a dataset edge
                 n_outside += 1
     anchors, items, labels, linenos = np.array(fields, dtype=np.int64).reshape(-1, 4).T
-    labeled = Interactions(interactions.n_anchors, n_items, anchors, items, labels)
-    keys, wanted = (x.anchors * n_items + x.items for x in (labeled, interactions))
+    n_anchors = interactions.n_anchors
+    labeled = Interactions(n_anchors, n_items, anchors, items, labels)
+    keys, wanted = (_edge_keys(x.anchors, x.items, n_anchors, n_items) for x in (labeled, interactions))
     twice = np.flatnonzero(keys[1:] == keys[:-1])
     if len(twice):
-        first, second = np.flatnonzero(anchors * n_items + items == keys[twice[0]])[:2]
+        first, second = np.flatnonzero(_edge_keys(anchors, items, n_anchors, n_items) == keys[twice[0]])[:2]
         edge = (int(anchors[first]), int(items[first]))
         label = SPLIT_NAMES[labels[first]]
         raise ValueError(f"{path}:{linenos[second]}: edge {edge} already labeled {label!r}")
@@ -513,7 +533,8 @@ def _read_splits_lines(interactions, path):
     unlabeled = ~np.isin(wanted, keys)
     unlabeled[1:] |= wanted[1:] == wanted[:-1]
     if unlabeled.any():
-        edge = divmod(int(wanted[np.argmax(unlabeled)]), n_items)
+        j = np.argmax(unlabeled)
+        edge = (int(interactions.anchors[j]), int(interactions.items[j]))
         raise ValueError(f"{path}: no split label for edge {edge}")
     extra = len(keys) + n_outside - len(wanted)
     if extra:

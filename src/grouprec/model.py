@@ -17,6 +17,7 @@ is plain matrix factorization, use_groups=False with n_layers>0 is the
 linear graph-convolution recommender both trained with the same BPR loss.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,9 @@ class RowScores:
     """anchors @ items.T, computed one row block at a time and never whole.
 
     `.shape` is the full matrix's; `[rows]` returns those rows as a new
-    float64 array. `nbytes` is the size of the largest block returned so far,
-    the score memory held at once.
+    float64 array, and `negated(rows)` the same rows negated. `nbytes` is
+    the size of the largest block returned so far, the score memory one
+    caller holds at once; it stays exact when threads ask for blocks.
     """
 
     def __init__(self, anchors, items):
@@ -58,10 +60,19 @@ class RowScores:
         self.items_t = np.ascontiguousarray(items.T)
         self.shape = (len(anchors), len(items))
         self.nbytes = 0
+        self._nbytes_lock = threading.Lock()
 
     def __getitem__(self, rows):
-        block = self.anchors[rows] @ self.items_t
-        self.nbytes = max(self.nbytes, block.nbytes)
+        return self._product(self.anchors[rows])
+
+    def negated(self, rows):
+        """-self[rows], bit for bit: negation is exact, so the product of negated anchors is."""
+        return self._product(-self.anchors[rows])
+
+    def _product(self, anchors):
+        block = anchors @ self.items_t
+        with self._nbytes_lock:
+            self.nbytes = max(self.nbytes, block.nbytes)
         return block
 
 

@@ -1,6 +1,7 @@
 """End-to-end command tests driven through the argparse entry point."""
 
 import csv
+import dataclasses
 import json
 import logging
 import platform
@@ -11,7 +12,7 @@ import pytest
 
 from grouprec import cli
 from grouprec.cli import main
-from grouprec.checkpoint import load_checkpoint
+from grouprec.checkpoint import load_checkpoint, save_checkpoint
 from grouprec.config import COUNTS, VARIANT_LETTERS, VARIANTS, TrainConfig, resolve_variant
 from grouprec.datasets import TRAIN, VALID, TEST, load_dataset, load_prepared
 from grouprec.evaluate import evaluate_ranking
@@ -320,6 +321,22 @@ def test_config_counts_must_be_integers(name):
         with pytest.raises(ValueError, match=f"invalid config: {name} must be an integer"):
             TrainConfig.from_dict({name: bad})
     assert getattr(TrainConfig.from_dict({name: np.int64(2)}), name) == 2
+
+
+@pytest.mark.parametrize("name", [*COUNTS, "seed"])
+def test_numpy_integer_config_saves_as_the_python_int_config(tmp_path, name):
+    # a numpy integer validates, so the checkpoint header's JSON must take it too
+    arrays = [("emb", np.arange(6.0).reshape(2, 3))]
+    numpy_cfg, plain_cfg = (TrainConfig.from_dict({name: value}) for value in (np.int64(2), 2))
+    save_checkpoint(tmp_path / "numpy.ckpt", numpy_cfg.as_dict(), arrays)
+    save_checkpoint(tmp_path / "plain.ckpt", plain_cfg.as_dict(), arrays)
+    assert (tmp_path / "numpy.ckpt").read_bytes() == (tmp_path / "plain.ckpt").read_bytes()
+    cfg_dict, back, _ = load_checkpoint(tmp_path / "numpy.ckpt")
+    assert TrainConfig.from_dict(cfg_dict) == plain_cfg
+    assert type(cfg_dict[name]) is int and back[0][1].tobytes() == arrays[0][1].tobytes()
+    # a Python-valued config gives the same dict as before, so its checkpoints keep their bytes
+    assert plain_cfg.as_dict() == dataclasses.asdict(plain_cfg)
+    assert all(type(v) is type(getattr(plain_cfg, k)) for k, v in plain_cfg.as_dict().items())
 
 
 def test_config_use_groups_must_be_a_bool(world, tmp_path, capsys):

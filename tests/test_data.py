@@ -730,6 +730,39 @@ def test_array_writers_match_the_per_edge_oracles(tmp_path_factory, ds):
     assert wide.fingerprint() == ref.fingerprint(wide)
 
 
+def test_edges_sort_dedup_and_take_labels_past_int64_keys(tmp_path):
+    """anchor * n_items + item passes 2**63 for the boundary example's large anchors,
+    so ordering, deduplicating and labeling its edges must not rest on that key."""
+    users = boundary_dataset().user_items
+    n, n_items = users.n_anchors, users.n_items
+    edges = list(zip(users.anchors.tolist(), users.items.tolist(), users.splits.tolist()))
+    backwards = Interactions(n, n_items, *np.array(edges[::-1]).T)
+    stored = zip(backwards.anchors.tolist(), backwards.items.tolist(), backwards.splits.tolist())
+    assert list(stored) == sorted(edges[::-1], key=lambda e: e[:2])  # Python's sort is stable too
+
+    unique = sorted({e[:2] for e in edges})
+    (tmp_path / "users.tsv").write_text("".join(f"{a}\t{v}\n" for a, v, _ in edges[::-1]))
+    for load in (d.load_interactions, d._load_interactions_lines):
+        anchors, items = load(tmp_path / "users.tsv", n, n_items)
+        assert list(zip(anchors.tolist(), items.tolist())) == unique
+
+    labels = [i % 3 for i in range(len(unique))]
+    plain = Interactions(n, n_items, *np.array(unique).T)
+    lines = [f"{a}\t{v}\t{d.SPLIT_NAMES[s]}\n" for (a, v), s in zip(unique, labels)]
+    path = tmp_path / "splits.tsv"
+    path.write_text("".join(lines[::-1]))
+    whole = d._labels_from_rows(plain, d._load_rows(path, d._SPLIT_ROW))
+    for back in (whole, d._read_splits_lines(plain, path)):
+        assert back.splits.tolist() == labels and back.anchors.tolist() == plain.anchors.tolist()
+    last = rf"\({unique[-1][0]}, {unique[-1][1]}\)"
+    path.write_text("".join(lines + lines[-1:]))
+    with pytest.raises(ValueError, match=rf"splits.tsv:{len(lines) + 1}: edge {last} already labeled"):
+        d._read_splits_lines(plain, path)
+    path.write_text("".join(lines[:-1]))
+    with pytest.raises(ValueError, match=rf"no split label for edge {last}"):
+        d._read_splits_lines(plain, path)
+
+
 def test_library_files_take_the_whole_file_path(tmp_path, monkeypatch):
     # a silent fall back to the per-line reader would lose its speed and pass every other test
     ds, _ = generate_synthetic(40, 50, 8, m_true=2, noise=0.1, seed=3)

@@ -1,5 +1,7 @@
 import csv
 import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -125,7 +127,7 @@ def reference_metrics(scores, eval_sets, mask_sets, ks):
     return {key: val / n for key, val in sums.items()}, n
 
 
-@pytest.mark.parametrize(
+RANKING_CASES = pytest.mark.parametrize(
     "n_anchors, n_items, n_eval, n_mask, ks, ties",
     [
         (60, 40, 80, 300, (5, 10), True),  # integer scores, many ties at and across the cut
@@ -137,7 +139,10 @@ def reference_metrics(scores, eval_sets, mask_sets, ks):
         (300, 200, 600, 3000, (10, 50), True),  # ties inside a top 50 keep their order
     ],
 )
-def test_block_ranking_equals_per_anchor_reference(n_anchors, n_items, n_eval, n_mask, ks, ties):
+
+
+def ranking_case(n_anchors, n_items, n_eval, n_mask, ties):
+    """Scores, both indexes and the eval and mask sets of one RANKING_CASES row."""
     # edges drawn with replacement: duplicate pairs, and eval items that are also masked
     rng = np.random.default_rng(n_anchors + n_items)
     n = n_eval + n_mask
@@ -154,7 +159,13 @@ def test_block_ranking_equals_per_anchor_reference(n_anchors, n_items, n_eval, n
     for a in range(n_anchors):  # relevant items lead, and masked ones would lead them
         scores[a, list(eval_sets[a])] += 2.0
         scores[a, list(mask_sets[a])] += 4.0
-    got = ev.evaluate_scores(scores, inter.anchor_index((TEST,)), inter.anchor_index((TRAIN,)), ks)
+    return scores, (inter.anchor_index((TEST,)), inter.anchor_index((TRAIN,))), eval_sets, mask_sets
+
+
+@RANKING_CASES
+def test_block_ranking_equals_per_anchor_reference(n_anchors, n_items, n_eval, n_mask, ks, ties):
+    scores, indexes, eval_sets, mask_sets = ranking_case(n_anchors, n_items, n_eval, n_mask, ties)
+    got = ev.evaluate_scores(scores, *indexes, ks)
     assert got == reference_metrics(scores, eval_sets, mask_sets, ks)
     assert got[1] < n_anchors
 
@@ -324,3 +335,153 @@ def test_evaluate_ranking_never_holds_the_dense_matrix():
         tracemalloc.stop()
     assert n == n_users and 0.0 <= metrics["ndcg@10"] <= 1.0
     assert peak < dense_bytes / 4, f"peak {peak / 1e6:.1f} MB against a {dense_bytes / 1e6:.0f} MB dense matrix"
+
+
+# --- ranking on two lanes ---------------------------------------------------
+
+
+class LateHelper(threading.Thread):
+    """A helper that starts only when joined, after the caller's lane has ranked every block."""
+
+    made = []
+
+    def start(self):
+        LateHelper.made.append(self)
+
+    def join(self, timeout=None):
+        super().start()
+        super().join(timeout=10)
+
+
+class EagerHelper(threading.Thread):
+    """A helper that runs to its end before `start` returns, so it ranks every block."""
+
+    made = []
+
+    def start(self):
+        EagerHelper.made.append(self)
+        super().start()
+        super().join(timeout=10)
+
+
+SCHEDULES = {"free": None, "late_helper": LateHelper, "eager_helper": EagerHelper}
+
+
+class BlockFault(RuntimeError):
+    pass
+
+
+class LaneLog:
+    """Dense scores that record the thread reading each block, and fail on blocks `fail` picks."""
+
+    def __init__(self, scores, fail=lambda: False):
+        self.scores, self.shape, self.fail, self.threads = scores, scores.shape, fail, []
+
+    def __getitem__(self, rows):
+        self.threads.append(threading.get_ident())
+        if self.fail():
+            raise BlockFault("block failed")
+        return self.scores[rows]
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """Sets the usable CPUs and, by name, the helper's schedule; returns the helper class."""
+
+    def use(cpus, schedule="free"):
+        monkeypatch.setattr(ev, "_usable_cpus", lambda: cpus)
+        helper = SCHEDULES[schedule]
+        if helper is not None:
+            helper.made.clear()
+            monkeypatch.setattr(ev.threading, "Thread", helper)
+        return helper
+
+    return use
+
+
+@RANKING_CASES
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_two_lanes_rank_as_one_lane(lanes, monkeypatch, schedule, n_anchors, n_items, n_eval, n_mask, ks, ties):
+    scores, indexes, eval_sets, mask_sets = ranking_case(n_anchors, n_items, n_eval, n_mask, ties)
+    monkeypatch.setattr(ev, "BLOCK_ELEMENTS", 7 * n_items)  # 7 rows a block, so many blocks
+    lanes(1)
+    one_lane = ev.evaluate_scores(scores, *indexes, ks)
+    helper = lanes(2, schedule)
+    log = LaneLog(scores)
+    assert ev.evaluate_scores(log, *indexes, ks) == one_lane == reference_metrics(scores, eval_sets, mask_sets, ks)
+    caller = threading.get_ident()
+    assert len(log.threads) == -(-one_lane[1] // 7)  # each block ranked once
+    if helper is LateHelper:
+        assert set(log.threads) == {caller} and len(helper.made) == 1
+    elif helper is EagerHelper:
+        assert caller not in log.threads and len(set(log.threads)) == 1
+    for thread in getattr(helper, "made", ()):
+        assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("target", [VALID, TEST])
+@pytest.mark.parametrize("task", ["user", "group"])
+def test_two_lanes_rank_the_trained_toy_as_one_lane(trained_toy, lanes, monkeypatch, task, target, schedule):
+    model, ds = trained_toy
+    monkeypatch.setattr(ev, "BLOCK_ELEMENTS", 200 * 7)  # 7 rows a block
+    state = model.forward()
+    lanes(1)
+    one_lane = ev.evaluate_ranking(model, ds, task, ks=(5, 10, 20), target=target, state=state)
+    lanes(2, schedule)
+    assert ev.evaluate_ranking(model, ds, task, ks=(5, 10, 20), target=target, state=state) == one_lane
+    assert one_lane[1] > 7
+
+
+@pytest.mark.parametrize("lane, schedule", [("caller", "late_helper"), ("helper", "eager_helper"),
+                                            ("either", "free")])
+def test_a_failed_block_reaches_the_caller_and_leaves_no_thread(lanes, lane, schedule):
+    scores, indexes, _, _ = ranking_case(700, 1000, 1400, 7000, True)
+    helper = lanes(2, schedule)
+    caller = threading.get_ident()
+    fail = {
+        "caller": lambda: threading.get_ident() == caller,
+        "helper": lambda: threading.get_ident() != caller,
+        "either": lambda: len(log.threads) == 2,  # the second block, on whichever lane takes it
+    }[lane]
+    log = LaneLog(scores, fail)
+    before = threading.active_count()
+    with pytest.raises(BlockFault, match="block failed"):
+        ev.evaluate_scores(log, *indexes, (5, 10))
+    assert threading.active_count() == before
+    for thread in getattr(helper, "made", ()):
+        assert not thread.is_alive()
+    if lane != "either":
+        assert len(log.threads) == 1  # the other lane took no block after the failure
+
+
+def test_lanes_take_each_task_once_under_fast_switching():
+    taken = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            taken.clear()
+            ev._run_on_two_lanes(taken.append, 500)
+            assert sorted(taken) == list(range(500))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_row_scores_nbytes_is_the_largest_block_across_threads():
+    rng = np.random.default_rng(6)
+    scores = RowScores(rng.normal(size=(64, 4)), rng.normal(size=(5, 4)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda n=n: [scores.negated(np.arange(n)) for _ in range(200)])
+                   for n in range(1, 9)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert scores.nbytes == 8 * 5 * 8
+    np.testing.assert_array_equal(scores.negated(np.arange(9)), -scores[np.arange(9)])

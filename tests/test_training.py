@@ -272,6 +272,7 @@ def test_malloc_thresholds_set_once_per_process(monkeypatch, fresh_malloc_state,
     assert mallopt.calls == [
         (trainer_mod.M_MMAP_THRESHOLD, 1 << 30),
         (trainer_mod.M_TRIM_THRESHOLD, 2**31 - 1),
+        (trainer_mod.M_ARENA_MAX, 1),
     ]
     assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
     assert trainer_mod.heap_kept()
