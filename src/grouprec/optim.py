@@ -2,9 +2,24 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import Tensor
+
+# elements per block of the update: the two float64 block buffers, 256 KB
+# each, stay in a 2 MB L2 cache through a block's sixteen passes
+CHUNK = 2 ** 15
+
+
+def _blocks(shape: tuple[int, ...]) -> list:
+    """Keys whose basic-indexing views tile an array of `shape` along its
+    leading axis, CHUNK elements or fewer each unless one row is longer."""
+    if not shape:
+        return [...]
+    rows = max(1, CHUNK // max(1, math.prod(shape[1:])))
+    return [slice(lo, lo + rows) for lo in range(0, shape[0], rows)]
 
 
 class Adam:
@@ -14,12 +29,23 @@ class Adam:
     update, realizing the L2 parameter penalty for every trainable tensor
     uniformly. Parameters the loss never touched get a zero gradient (decay
     still applies).
+
+    The state is `m` and `v`, one array each per parameter, and one pair of
+    block buffers shared by every parameter: the step updates each parameter
+    in blocks of whole leading-axis rows, about CHUNK elements each.
     """
 
     def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 0.0,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if lr < 0:
-            raise ValueError(f"lr must be nonnegative, got {lr}")
+        if not (math.isfinite(lr) and lr >= 0):
+            raise ValueError(f"lr must be finite and nonnegative, got {lr}")
+        for name, beta in (("beta1", beta1), ("beta2", beta2)):
+            if not 0.0 <= beta < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {beta}")
+        if not (math.isfinite(eps) and eps > 0):
+            raise ValueError(f"eps must be finite and positive, got {eps}")
+        if not (math.isfinite(weight_decay) and weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and nonnegative, got {weight_decay}")
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay
@@ -29,40 +55,51 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        # two scratch arrays per parameter keep the step free of fresh temporaries
-        self._scratch = [(np.empty_like(p.data), np.empty_like(p.data)) for p in self.params]
+        width = max([CHUNK] + [math.prod(p.data.shape[1:]) for p in self.params])
+        self._num, self._den = np.empty(width), np.empty(width)
 
     def step(self) -> None:
         """One update, in place, rounding exactly as the textbook expressions:
 
         g = grad + wd * p;  m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g;
         p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps).
+
+        Every gradient's shape is checked before anything is updated. Each
+        block runs the sixteen in-place passes on views of the parameter,
+        its gradient, `m` and `v`; the arithmetic is elementwise, so the
+        bits do not depend on the blocking.
         """
+        for p in self.params:
+            if p.grad is not None and p.grad.shape != p.data.shape:
+                raise ValueError(f"gradient shape {p.grad.shape} != param shape {p.data.shape}")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
-        for p, m, v, (num, den) in zip(self.params, self.m, self.v, self._scratch):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if g.shape != p.data.shape:
-                raise ValueError(f"gradient shape {g.shape} != param shape {p.data.shape}")
-            if self.weight_decay:
-                np.multiply(self.weight_decay, p.data, out=den)
-                den += g
-                g = den
-            m *= b1
-            np.multiply(1.0 - b1, g, out=num)
-            m += num
-            np.multiply(1.0 - b2, g, out=num)
-            num *= g
-            v *= b2
-            v += num
-            np.divide(v, c2, out=den)
-            np.sqrt(den, out=den)
-            den += self.eps
-            np.divide(m, c1, out=num)
-            num *= self.lr
-            num /= den
-            p.data -= num
+        for p, m_all, v_all in zip(self.params, self.m, self.v):
+            for key in _blocks(p.data.shape):
+                data, m, v = p.data[key], m_all[key], v_all[key]
+                # a missing gradient is a zero block, broadcast from a scalar
+                g = 0.0 if p.grad is None else p.grad[key]
+                num = self._num[:data.size].reshape(data.shape)
+                den = self._den[:data.size].reshape(data.shape)
+                if self.weight_decay:
+                    np.multiply(self.weight_decay, data, out=den)
+                    den += g
+                    g = den
+                m *= b1
+                np.multiply(1.0 - b1, g, out=num)
+                m += num
+                np.multiply(1.0 - b2, g, out=num)
+                num *= g
+                v *= b2
+                v += num
+                np.divide(v, c2, out=den)
+                np.sqrt(den, out=den)
+                den += self.eps
+                np.divide(m, c1, out=num)
+                num *= self.lr
+                num /= den
+                data -= num
 
     def zero_grad(self) -> None:
         for p in self.params:

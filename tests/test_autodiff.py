@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.sparse as sp
 
 from grouprec import autodiff as ag
 from grouprec.autodiff import Tape, Tensor
-from grouprec.optim import Adam
+from grouprec.optim import CHUNK, Adam
 
 import reference as ref
 
@@ -178,17 +179,18 @@ def test_adam_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_adam_in_place_step_is_bit_identical_to_formula():
+def formula_step(p, g, m, v, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
     # the out-of-place expressions the in-place step must reproduce bit for bit
-    def formula_step(p, g, m, v, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
-        g = np.zeros_like(p) if g is None else g
-        g = g + wd * p
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+    g = np.zeros_like(p) if g is None else g
+    g = g + wd * p
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
 
+
+def test_adam_in_place_step_is_bit_identical_to_formula():
     rng = np.random.default_rng(23)
     shapes = [(7, 3), (4,), (2, 5)]
     params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
@@ -206,6 +208,93 @@ def test_adam_in_place_step_is_bit_identical_to_formula():
             assert np.array_equal(opt.m[i], ref[i][1])
             assert np.array_equal(opt.v[i], ref[i][2])
     assert not np.array_equal(params[1].data, untouched)  # decay alone moved it
+
+
+@pytest.mark.parametrize("wd", [0.0, 1e-2])
+def test_adam_chunked_step_is_bit_identical_to_formula(wd):
+    # sizes on both sides of the block edges, a table of whole rows spanning
+    # several blocks, a row longer than a block, a parameter without a
+    # gradient, Fortran-ordered and transposed parameters and gradients, a 0-d one
+    rng = np.random.default_rng(29)
+    rows = 3 * CHUNK // 64 + 7
+    datas = [rng.normal(size=n) for n in (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)]
+    datas += [rng.normal(size=(rows, 64)), rng.normal(size=(2, CHUNK + 3)), rng.normal(size=(40, 64)),
+              np.asfortranarray(rng.normal(size=(rows, 64))), rng.normal(size=(64, 1100)).T,
+              np.array(0.7)]
+    params = [Tensor(d, requires_grad=True) for d in datas]
+    assert not params[-3].data.flags.c_contiguous and not params[-2].data.flags.c_contiguous
+    no_grad = 6
+    ref = [(p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for p in params]
+    opt = Adam(params, lr=0.03, weight_decay=wd)
+    for t in range(1, 5):
+        grads = [None if i == no_grad else rng.normal(size=p.shape) * t for i, p in enumerate(params)]
+        grads[4] = np.asfortranarray(grads[4])  # a Fortran-ordered gradient for a C-ordered table
+        for p, g in zip(params, grads):
+            p.grad = None if g is None else g.copy(order="K")
+        assert params[4].grad.flags.f_contiguous and not params[4].grad.flags.c_contiguous
+        opt.step()
+        ref = [formula_step(r[0], g, r[1], r[2], t, 0.03, wd) for r, g in zip(ref, grads)]
+        for i, p in enumerate(params):
+            assert np.array_equal(p.data, ref[i][0]), i
+            assert np.array_equal(opt.m[i], ref[i][1]), i
+            assert np.array_equal(opt.v[i], ref[i][2]), i
+
+
+def test_adam_checks_every_gradient_before_updating():
+    rng = np.random.default_rng(31)
+    params = [Tensor(rng.normal(size=(5, 3)), requires_grad=True), Tensor(rng.normal(size=4), requires_grad=True)]
+    opt = Adam(params, lr=0.1, weight_decay=1e-2)
+    for p in params:
+        p.grad = rng.normal(size=p.shape)
+    opt.step()
+    before = [(p.data.copy(), m.copy(), v.copy()) for p, m, v in zip(params, opt.m, opt.v)]
+    params[0].grad = rng.normal(size=(5, 3))
+    params[1].grad = rng.normal(size=5)
+    with pytest.raises(ValueError, match="gradient shape"):
+        opt.step()
+    assert opt.t == 1
+    for (data, m, v), p, m_now, v_now in zip(before, params, opt.m, opt.v):
+        assert np.array_equal(p.data, data)
+        assert np.array_equal(m_now, m)
+        assert np.array_equal(v_now, v)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"lr": -0.1}, {"lr": float("inf")}, {"lr": float("nan")},
+    {"beta1": -0.1}, {"beta1": 1.0}, {"beta1": float("nan")},
+    {"beta2": -1e-3}, {"beta2": 1.5}, {"beta2": float("nan")},
+    {"eps": 0.0}, {"eps": -1e-8}, {"eps": float("inf")}, {"eps": float("nan")},
+    {"weight_decay": -1e-4}, {"weight_decay": float("inf")}, {"weight_decay": float("nan")},
+])
+def test_adam_rejects_bad_hyperparameters(kwargs):
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=name):
+        Adam([Tensor(np.zeros(2), requires_grad=True)], **{"lr": 0.1, **kwargs})
+
+
+def test_adam_accepts_edge_hyperparameters():
+    Adam([Tensor(np.zeros(2), requires_grad=True)], lr=0.0, beta1=0.0, beta2=0.0, eps=1e-300, weight_decay=0.0)
+
+
+@pytest.mark.parametrize("with_grad", [False, True])
+def test_adam_memory_is_moments_and_two_blocks(with_grad):
+    # m and v are the only per-parameter state, and a step allocates less than
+    # one parameter, with or without a gradient
+    n = 8 * CHUNK
+    p = Tensor(np.ones(n), requires_grad=True)
+    grad = np.full(n, 0.5) if with_grad else None
+    tracemalloc.start()
+    try:
+        opt = Adam([p], lr=0.01, weight_decay=1e-3)
+        held, _ = tracemalloc.get_traced_memory()
+        p.grad = grad
+        tracemalloc.reset_peak()
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * p.data.nbytes + 2 * CHUNK * 8 + 64 * 1024
+    assert peak - held < p.data.nbytes
 
 
 def test_unreachable_param_gets_zero_grad():
