@@ -25,6 +25,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TASKS, VARIANT_LETTERS, TrainConfig, resolve_variant
 from .datasets import (
     GROUP_EDGES_FILE,
+    GROUP_SPLITS_FILE,
+    USER_SPLITS_FILE,
     load_dataset,
     load_prepared,
     save_dataset,
@@ -116,9 +118,9 @@ def cmd_prepare(args):
     elif args.synthesize_groups:
         # only the synthesized file is new; the rest is already in place
         write_edges(ds.group_items, os.path.join(out_dir, GROUP_EDGES_FILE))
-    write_splits(ds.user_items, os.path.join(out_dir, "splits_user.tsv"))
+    write_splits(ds.user_items, os.path.join(out_dir, USER_SPLITS_FILE))
     if len(ds.group_items):
-        write_splits(ds.group_items, os.path.join(out_dir, "splits_group.tsv"))
+        write_splits(ds.group_items, os.path.join(out_dir, GROUP_SPLITS_FILE))
 
     write_manifest(out_dir, "prepare", {"cap": args.cap}, ds.fingerprint(), [args.seed], args.argv_used)
     print(

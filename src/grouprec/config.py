@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ POOLINGS = ("mean", "sum", "max")
 TASKS = ("user", "group")
 COUNTS = ("embed_dim", "n_interests", "n_layers", "batch_user", "batch_group", "epochs", "patience",
           "eval_every")
+REALS = ("temperature", "sim_threshold", "user_task_weight", "interest_reg_weight", "lr", "weight_decay")
 
 
 @dataclass
@@ -46,11 +48,18 @@ class TrainConfig:
     eval_every: int = 1
 
     def validate(self):
-        # types first, so a string or float count fails here and not in a comparison or the forward
+        # types first, so a string, a bool or a float count, and an infinite real, fail here and
+        # not in a comparison or the forward
         for name in COUNTS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"invalid config: {name} must be an integer, got {value!r}")
+        for name in REALS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"invalid config: {name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"invalid config: {name} must be finite, got {value!r}")
         if not isinstance(self.use_groups, bool):
             raise ValueError(f"invalid config: use_groups must be a bool, got {self.use_groups!r}")
         checks = [

@@ -33,6 +33,8 @@ META_FILE = "meta.json"
 USER_EDGES_FILE = "users.tsv"
 GROUP_EDGES_FILE = "groups_items.tsv"
 MEMBERS_FILE = "group_members.txt"
+USER_SPLITS_FILE = "splits_user.tsv"
+GROUP_SPLITS_FILE = "splits_group.tsv"
 
 # rows of the whole-file parse of an edge file and of a splits file; the label
 # is one byte wider than the longest name, so no longer label is cut down to one
@@ -191,19 +193,6 @@ def _lines(*fields):
     return buf[keep].tobytes()
 
 
-def _parse_edge_line(line, lineno, path):
-    parts = line.rstrip("\n").split("\t")
-    if len(parts) != 2:
-        raise ValueError(f"{path}:{lineno}: expected 'id<TAB>item', got {line!r}")
-    try:
-        a, v = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"{path}:{lineno}: non-integer id in {line!r}") from None
-    if a < 0 or v < 0:
-        raise ValueError(f"{path}:{lineno}: negative id in {line!r}")
-    return a, v
-
-
 def load_interactions(path, n_anchors, n_items):
     """Read 'id<TAB>item' edges as int64 (anchors, items), sorted, duplicates dropped.
 
@@ -219,17 +208,19 @@ def load_interactions(path, n_anchors, n_items):
 def _load_interactions_lines(path, n_anchors, n_items):
     """load_interactions one line at a time: raises 'path:line' errors."""
     anchors, items = [], []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            a, v = _parse_edge_line(line, lineno, path)
-            if a >= n_anchors:
-                raise ValueError(f"{path}:{lineno}: anchor id {a} out of range (n={n_anchors})")
-            if v >= n_items:
-                raise ValueError(f"{path}:{lineno}: item id {v} out of range (n={n_items})")
-            anchors.append(a)
-            items.append(v)
+    for lineno, line in _scan_lines(path):
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'id<TAB>item', got {line!r}")
+        a, v = _parse_ids(parts, path, lineno, line)
+        if a < 0 or v < 0:
+            raise ValueError(f"{path}:{lineno}: negative id in {line!r}")
+        if a >= n_anchors:
+            raise ValueError(f"{path}:{lineno}: anchor id {a} out of range (n={n_anchors})")
+        if v >= n_items:
+            raise ValueError(f"{path}:{lineno}: item id {v} out of range (n={n_items})")
+        anchors.append(a)
+        items.append(v)
     anchors, items = (np.asarray(ids, dtype=np.int64) for ids in (anchors, items))
     return _unique_edges(anchors, items, n_anchors, n_items)
 
@@ -282,33 +273,48 @@ def _load_rows(path, dtype):
         return None
 
 
+def _scan_lines(path):
+    """(lineno, line) for each line of a dataset text file that is not blank.
+
+    Lines are numbered from 1 under universal newlines, whitespace-only ones
+    counted but skipped. A byte that is not UTF-8 decodes to a lone surrogate,
+    which matches no id, label or separator, so its line fails the caller's
+    checks with a 'path:line' error instead of a decode error naming neither.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            if line.strip():
+                yield lineno, line
+
+
+def _parse_ids(tokens, path, lineno, line):
+    """The tokens as ints, or a 'path:line: non-integer id' error."""
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: non-integer id in {line!r}") from None
+
+
 def load_group_members(path, n_users, n_groups):
     gids, uids = [], []
     line_of = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'gid u1,u2,...', got {line!r}")
-            try:
-                g = int(parts[0])
-                users = [int(tok) for tok in parts[1].split(",") if tok != ""]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer id in {line!r}") from None
-            if not users:
-                raise ValueError(f"{path}:{lineno}: group {g} lists no members")
-            if g < 0 or g >= n_groups:
-                raise ValueError(f"{path}:{lineno}: group id {g} out of range (n={n_groups})")
-            if g in line_of:
-                raise ValueError(f"{path}:{lineno}: group {g} already listed on line {line_of[g]}")
-            line_of[g] = lineno
-            for u in users:
-                if u < 0 or u >= n_users:
-                    raise ValueError(f"{path}:{lineno}: user id {u} out of range (n={n_users})")
-            gids.extend([g] * len(users))
-            uids.extend(users)
+    for lineno, line in _scan_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'gid u1,u2,...', got {line!r}")
+        g, *users = _parse_ids([parts[0], *filter(None, parts[1].split(","))], path, lineno, line)
+        if not users:
+            raise ValueError(f"{path}:{lineno}: group {g} lists no members")
+        if g < 0 or g >= n_groups:
+            raise ValueError(f"{path}:{lineno}: group id {g} out of range (n={n_groups})")
+        if g in line_of:
+            raise ValueError(f"{path}:{lineno}: group {g} already listed on line {line_of[g]}")
+        line_of[g] = lineno
+        for u in users:
+            if u < 0 or u >= n_users:
+                raise ValueError(f"{path}:{lineno}: user id {u} out of range (n={n_users})")
+        gids.extend([g] * len(users))
+        uids.extend(users)
     return membership_matrix(n_groups, n_users, gids, uids)
 
 
@@ -316,14 +322,20 @@ def load_dataset(dataset_dir):
     """Load the canonical layout; group edges are optional (synthesized later)."""
     meta_path = os.path.join(dataset_dir, META_FILE)
     try:
-        with open(meta_path) as f:
+        with open(meta_path, encoding="utf-8") as f:
             meta = json.load(f)
     except FileNotFoundError:
         raise FileNotFoundError(f"missing {meta_path}") from None
-    try:
-        n_users, n_items, n_groups = (int(meta[k]) for k in ("n_users", "n_items", "n_groups"))
-    except KeyError as e:
-        raise ValueError(f"{meta_path}: missing key {e}") from None
+    except ValueError as e:  # malformed JSON, or bytes that are not UTF-8
+        raise ValueError(f"{meta_path}: not valid JSON: {e}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: expected a JSON object, got {type(meta).__name__}")
+    for key in ("n_users", "n_items", "n_groups"):
+        if key not in meta:
+            raise ValueError(f"{meta_path}: missing key {key!r}")
+        if type(meta[key]) is not int or meta[key] < 0:  # a bool is no count
+            raise ValueError(f"{meta_path}: {key} must be an integer >= 0, got {meta[key]!r}")
+    n_users, n_items, n_groups = meta["n_users"], meta["n_items"], meta["n_groups"]
 
     user_edges = load_interactions(os.path.join(dataset_dir, USER_EDGES_FILE), n_users, n_items)
     user_items = Interactions(n_users, n_items, *user_edges)
@@ -504,21 +516,15 @@ def _read_splits_lines(interactions, path):
     label_of = {name: code for code, name in enumerate(SPLIT_NAMES)}
     n_items, fields = interactions.n_items, []  # anchor, item, label, line of each in-range line
     n_outside = 0
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3 or parts[2] not in label_of:
-                raise ValueError(f"{path}:{lineno}: expected 'anchor<TAB>item<TAB>split'")
-            try:
-                a, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer id in {line!r}") from None
-            if 0 <= a < interactions.n_anchors and 0 <= v < n_items:
-                fields.extend((a, v, label_of[parts[2]], lineno))
-            else:  # cannot be a dataset edge
-                n_outside += 1
+    for lineno, line in _scan_lines(path):
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 3 or parts[2] not in label_of:
+            raise ValueError(f"{path}:{lineno}: expected 'anchor<TAB>item<TAB>split'")
+        a, v = _parse_ids(parts[:2], path, lineno, line)
+        if 0 <= a < interactions.n_anchors and 0 <= v < n_items:
+            fields.extend((a, v, label_of[parts[2]], lineno))
+        else:  # cannot be a dataset edge
+            n_outside += 1
     anchors, items, labels, linenos = np.array(fields, dtype=np.int64).reshape(-1, 4).T
     n_anchors = interactions.n_anchors
     labeled = Interactions(n_anchors, n_items, anchors, items, labels)
@@ -545,10 +551,10 @@ def _read_splits_lines(interactions, path):
 def load_prepared(dataset_dir):
     """Load a dataset plus the split labels written by the prepare step."""
     ds = load_dataset(dataset_dir)
-    user_splits = os.path.join(dataset_dir, "splits_user.tsv")
-    group_splits = os.path.join(dataset_dir, "splits_group.tsv")
+    user_splits = os.path.join(dataset_dir, USER_SPLITS_FILE)
+    group_splits = os.path.join(dataset_dir, GROUP_SPLITS_FILE)
     if not os.path.exists(user_splits):
-        raise FileNotFoundError(f"{dataset_dir} is not prepared (missing splits_user.tsv)")
+        raise FileNotFoundError(f"{dataset_dir} is not prepared (missing {USER_SPLITS_FILE})")
     ds.user_items = read_splits(ds.user_items, user_splits)
     if os.path.exists(group_splits):
         ds.group_items = read_splits(ds.group_items, group_splits)

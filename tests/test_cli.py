@@ -13,7 +13,7 @@ import pytest
 from grouprec import cli
 from grouprec.cli import main
 from grouprec.checkpoint import load_checkpoint, save_checkpoint
-from grouprec.config import COUNTS, VARIANT_LETTERS, VARIANTS, TrainConfig, resolve_variant
+from grouprec.config import COUNTS, REALS, VARIANT_LETTERS, VARIANTS, TrainConfig, resolve_variant
 from grouprec.datasets import TRAIN, VALID, TEST, load_dataset, load_prepared
 from grouprec.evaluate import evaluate_ranking
 from grouprec.losses import pairwise_abs_cosine
@@ -139,6 +139,13 @@ def test_config_validation_runs_before_data_loading(tmp_path, capsys):
               "--set", "temperature=0"])
     assert rc == 2
     assert "temperature" in stderr_payload(capsys)["message"]
+
+
+def test_infinite_config_real_fails_before_data_loading(tmp_path, capsys):
+    rc = run(["train", "--data", tmp_path / "missing", "--out", tmp_path / "x",
+              "--set", "lr=Infinity"])
+    assert rc == 2
+    assert stderr_payload(capsys)["message"] == "invalid config: lr must be finite, got inf"
 
 
 def test_eval_both_tasks(world, run_dir, tmp_path):
@@ -321,6 +328,16 @@ def test_config_counts_must_be_integers(name):
         with pytest.raises(ValueError, match=f"invalid config: {name} must be an integer"):
             TrainConfig.from_dict({name: bad})
     assert getattr(TrainConfig.from_dict({name: np.int64(2)}), name) == 2
+
+
+@pytest.mark.parametrize("name", REALS)
+def test_config_reals_must_be_finite_numbers(name):
+    # each used to validate, or to fail in a comparison with a TypeError
+    for bad in (float("inf"), float("-inf"), "0.1", True):
+        with pytest.raises(ValueError, match=f"invalid config: {name} must be"):
+            TrainConfig.from_dict({name: bad})
+    assert getattr(TrainConfig.from_dict({name: 1}), name) == 1  # an int is a real
+    assert getattr(TrainConfig.from_dict({name: np.float64(0.5)}), name) == 0.5
 
 
 @pytest.mark.parametrize("name", [*COUNTS, "seed"])

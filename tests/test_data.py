@@ -785,6 +785,63 @@ def test_library_files_take_the_whole_file_path(tmp_path, monkeypatch):
             assert getattr(x, name).dtype == getattr(y, name).dtype
 
 
+PER_LINE_READERS = {  # file name -> its per-line reader, for 3 anchors, 4 items, 5 users and 3 groups
+    "users.tsv": lambda p: d._load_interactions_lines(p, 3, 4),
+    "splits_user.tsv": lambda p: d._read_splits_lines(Interactions(*INTER), p),
+    "group_members.txt": lambda p: d.load_group_members(p, 5, 3),
+}
+# each reader's fault after a blank, a whitespace-only, a CRLF and a lone-CR
+# line, then a byte that is not UTF-8: id -> (file name, bytes, message after the path)
+LINE_NUMBER_CASES = {
+    "users-numbering": ("users.tsv", b"\n \t\n0\t1\r\n0\t2\r1\tx\n", r"5: non-integer id in '1\tx\n'"),
+    "users-non-utf8": ("users.tsv", b"0\t1\n1\t\xff2\n", r"2: non-integer id in '1\t\udcff2\n'"),
+    "splits-numbering": ("splits_user.tsv", b"\n \t\n0\t1\ttrain\r\n0\t3\tvalid\r1\t0\ttest\t\n",
+                         "5: expected 'anchor<TAB>item<TAB>split'"),
+    "splits-non-utf8": ("splits_user.tsv", b"0\t1\ttrain\n0\t3\tvalid\xff\n",
+                        "2: expected 'anchor<TAB>item<TAB>split'"),
+    "members-numbering": ("group_members.txt", b"\n \t\n0 1,2\r\n1 3\r0 4\n",
+                          "5: group 0 already listed on line 3"),
+    "members-non-utf8": ("group_members.txt", b"0 1\n\n1 \xff\n", r"3: non-integer id in '1 \udcff\n'"),
+}
+
+
+@pytest.mark.parametrize("name, data, message", LINE_NUMBER_CASES.values(), ids=LINE_NUMBER_CASES)
+def test_per_line_readers_name_the_line_at_fault(tmp_path, name, data, message):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as e:
+        PER_LINE_READERS[name](path)
+    assert str(e.value) == f"{path}:{message}"
+
+
+META_CASES = {  # id -> (meta.json bytes, start of the message after the path)
+    "truncated": (b'{"n_users": 2, "n_items": 2', ": not valid JSON: "),
+    "non-utf8": (b'{"n_users": 2\xff}', ": not valid JSON: "),
+    "list": (b"[2, 2, 1]", ": expected a JSON object, got list"),
+    "missing-key": (b'{"n_items": 2, "n_groups": 1}', ": missing key 'n_users'"),
+    "string": (b'{"n_users": "x", "n_items": 2, "n_groups": 1}', ": n_users must be an integer >= 0, got 'x'"),
+    "float": (b'{"n_users": 2, "n_items": 2.7, "n_groups": 1}', ": n_items must be an integer >= 0, got 2.7"),
+    "bool": (b'{"n_users": 2, "n_items": 2, "n_groups": true}', ": n_groups must be an integer >= 0, got True"),
+    "negative": (b'{"n_users": -2, "n_items": 2, "n_groups": 1}', ": n_users must be an integer >= 0, got -2"),
+}
+
+
+@pytest.mark.parametrize("data, message", META_CASES.values(), ids=META_CASES)
+def test_load_dataset_names_meta_json_at_fault(tmp_path, data, message):
+    ds, _ = generate_synthetic(20, 30, 5, m_true=2, noise=0.1, seed=7)
+    d.save_dataset(ds, tmp_path)
+    (tmp_path / "meta.json").write_bytes(data)
+    with pytest.raises(ValueError) as e:
+        d.load_dataset(tmp_path)
+    assert str(e.value).startswith(f"{tmp_path / 'meta.json'}{message}")
+
+
+def test_load_dataset_names_a_missing_meta_json(tmp_path):
+    with pytest.raises(FileNotFoundError) as e:
+        d.load_dataset(tmp_path)
+    assert str(e.value) == f"missing {tmp_path / 'meta.json'}"
+
+
 def test_load_prepared_requires_splits(tmp_path):
     ds, _ = generate_synthetic(20, 30, 5, m_true=2, noise=0.1, seed=7)
     d.save_dataset(ds, tmp_path)
