@@ -6,7 +6,9 @@ input requires gradients, records a backward closure on the tape. Calling
 which is a valid reverse topological order because operands always exist
 before their results. Each node's gradient is released as the walk reaches
 it, so a closure may hand that array (or disjoint views of it) to an operand
-instead of copying it; only leaf tensors keep a gradient afterwards.
+instead of copying it; only leaf tensors keep a gradient afterwards. The
+node's closure and tape slot are released there too, so an op's forward
+buffers live only until its own backward has run.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class Tape:
     """Ordered record of op applications for one forward pass."""
 
     def __init__(self):
-        self.nodes: list[Tensor] = []
+        self.nodes: list[Tensor | None] = []  # a slot is None once backward has passed it
         self._spent = False
 
     def __enter__(self):
@@ -74,17 +76,26 @@ class Tape:
         Recorded (non-leaf) tensors end with ``.grad`` None: each one's
         gradient is taken off it before its closure runs. Closures may also
         reuse their own forward buffers, so a tape runs backward once.
+
+        The walk releases each node as it passes it: the node's slot in
+        ``nodes`` becomes None and its closure is taken off it, so the op's
+        captured forward buffers, and its output once no later closure holds
+        it, are freed before the earlier closures allocate. ``nodes`` keeps
+        its length, one None slot per recorded op.
         """
         if self._spent:
             raise RuntimeError("backward already ran on this tape; record a new one")
         self._spent = True
         if loss.grad is None:
             loss.grad = np.ones_like(loss.data)
-        for node in reversed(self.nodes):
+        nodes = self.nodes
+        for i in reversed(range(len(nodes))):
+            # the locals are rebound before the next closure runs, so they hold nothing it frees
+            node, nodes[i] = nodes[i], None
+            backward, node._backward = node._backward, None
             g, node.grad = node.grad, None
-            if g is None or node._backward is None:
-                continue
-            node._backward(g)
+            if g is not None and backward is not None:
+                backward(g)
 
 
 def _as_tensor(x) -> Tensor:

