@@ -259,28 +259,6 @@ def _segment_softmax_grad(p: np.ndarray, g: np.ndarray, seg: np.ndarray, onehot)
     return p * (g - (onehot @ (p * g))[seg])
 
 
-def gather_elements(x, row_idx: np.ndarray) -> Tensor:
-    """Per-column row selection: out[r, j] = x[row_idx[r, j], j].
-
-    row_idx is a constant (r, d) int array; the backward pass scatter-adds
-    each output cell's gradient into the selected source cell. Used for
-    coordinatewise max pooling where the argmax rows are picked outside
-    the tape.
-    """
-    x = _as_tensor(x)
-    row_idx = np.asarray(row_idx, dtype=np.int64)
-    if x.data.ndim != 2 or row_idx.ndim != 2 or row_idx.shape[1] != x.data.shape[1]:
-        raise ValueError(f"bad shapes for gather_elements: {x.shape} vs {row_idx.shape}")
-    cols = np.broadcast_to(np.arange(x.data.shape[1]), row_idx.shape)
-    out = Tensor(x.data[row_idx, cols])
-    flat = (row_idx * x.data.shape[1] + cols).ravel()
-
-    def backward(g):
-        _accum(x, scatter_rows(flat, g.ravel(), x.data.size).reshape(x.data.shape))
-
-    return _record(out, (x,), backward)
-
-
 # ---------------------------------------------------------------------------
 # softmax family
 

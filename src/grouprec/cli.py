@@ -244,13 +244,16 @@ def cmd_sweep(args):
     if args.seeds < 1:
         raise ValueError("--seeds must be >= 1")
     cfg = load_config(args)
-    ds = load_prepared(args.data)
     with open(args.grid) as f:
         grid = json.load(f)
     if not isinstance(grid, dict) or not grid:
         raise ValueError("grid file must map config keys to value lists")
+    for key, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise ValueError(f"grid key {key!r} must map to a non-empty list, got {values!r}")
+    ds = load_prepared(args.data)
     axes = sorted(grid)
-    points = list(itertools.product(*(grid[a] for a in axes)))[: args.budget]
+    points = itertools.islice(itertools.product(*(grid[a] for a in axes)), args.budget)
     seeds = [cfg.seed + i for i in range(args.seeds)]
 
     os.makedirs(args.out, exist_ok=True)

@@ -17,10 +17,9 @@ VARIANT_LETTERS = {
 VARIANTS = tuple(VARIANT_LETTERS)
 
 INTEREST_MODES = ("gate", "fc1", "fc2", "table")
-POOLINGS = ("mean", "sum", "max")
 TASKS = ("user", "group")
 COUNTS = ("embed_dim", "n_interests", "n_layers", "batch_user", "batch_group", "epochs", "patience",
-          "eval_every")
+          "eval_every", "seed")
 REALS = ("temperature", "sim_threshold", "user_task_weight", "interest_reg_weight", "lr", "weight_decay")
 
 
@@ -43,7 +42,6 @@ class TrainConfig:
     variant: str = "full"
     interest_mode: str = "gate"
     use_groups: bool = True
-    pooling: str = "mean"
     select_task: str = "user"
     eval_every: int = 1
 
@@ -77,9 +75,9 @@ class TrainConfig:
             (self.epochs >= 1, "epochs must be >= 1"),
             (self.patience >= 0, "patience must be >= 0"),
             (self.eval_every >= 1, "eval_every must be >= 1"),
+            (self.seed >= 0, "seed must be >= 0"),
             (self.variant in VARIANTS, f"variant must be one of {VARIANTS}"),
             (self.interest_mode in INTEREST_MODES, f"interest_mode must be one of {INTEREST_MODES}"),
-            (self.pooling in POOLINGS, f"pooling must be one of {POOLINGS}"),
             (self.select_task in TASKS, f"select_task must be one of {TASKS}"),
         ]
         for ok, msg in checks:

@@ -106,7 +106,7 @@ class GroupRecommender:
             self.member_uid = members.col.astype(np.int64)
             self.is_member = np.zeros(dataset.n_users, dtype=bool)
             self.is_member[self.member_uid] = True
-            self.pool_csr, self.pool_coef = fusion.build_user_pool(dataset, config.pooling)
+            self.pool_csr, self.pool_coef = fusion.build_user_pool(dataset)
             if config.variant == "mean_members":
                 self.member_mean_csr = fusion.row_mean(dataset.group_members)
             else:
@@ -187,13 +187,7 @@ class GroupRecommender:
                     )
                 group_interest = aggregation.mix_interests(omega, pooled)
                 group_fused = fusion.fuse_groups(self.group_emb, group_interest)
-            users0 = fusion.fuse_users(
-                self.user_emb,
-                group_fused,
-                self.pool_csr,
-                self.pool_coef,
-                pooling=cfg.pooling,
-            )
+            users0 = fusion.fuse_users(self.user_emb, group_fused, self.pool_csr, self.pool_coef)
         user_final, item_final = graphconv.propagate(
             self.adj, users0, self.item_emb, cfg.n_layers
         )

@@ -28,7 +28,6 @@ from grouprec.autodiff import (
     _record,
     _segment_softmax,
     _segment_softmax_grad,
-    gather_elements,
     gather_rows,
     scatter_rows,
     spmm,
@@ -345,21 +344,8 @@ def chain_fuse_groups(group_emb, group_interest):
     return scale(add(group_emb, group_interest), 0.5)
 
 
-def chain_fuse_users(user_emb, fused_groups, pool_csr, coef, pooling="mean"):
-    """fusion.fuse_users as a chain; max pooling takes each user's argmax rows in a loop."""
-    if pooling == "max":
-        n_users, d = user_emb.shape
-        row_idx = np.zeros((n_users, d), dtype=np.int64)
-        has = np.zeros((n_users, 1))
-        for u in range(n_users):
-            gs = pool_csr.indices[pool_csr.indptr[u]:pool_csr.indptr[u + 1]]
-            if len(gs):
-                row_idx[u] = gs[fused_groups.data[gs].argmax(axis=0)]
-                has[u] = 1.0
-        pooled = mul(Tensor(has), gather_elements(fused_groups, row_idx))
-    else:
-        pooled = spmm(pool_csr, fused_groups)
-    return add(mul(Tensor(coef[:, None]), user_emb), scale(pooled, 0.5))
+def chain_fuse_users(user_emb, fused_groups, pool_csr, coef):
+    return add(mul(Tensor(coef[:, None]), user_emb), scale(spmm(pool_csr, fused_groups), 0.5))
 
 
 def chain_propagate(adj, users0, items0, n_layers):

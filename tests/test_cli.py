@@ -4,7 +4,9 @@ import csv
 import dataclasses
 import json
 import logging
+import pathlib
 import platform
+import re
 import shutil
 
 import numpy as np
@@ -18,6 +20,8 @@ from grouprec.datasets import TRAIN, VALID, TEST, load_dataset, load_prepared
 from grouprec.evaluate import evaluate_ranking
 from grouprec.losses import pairwise_abs_cosine
 from grouprec.trainer import Trainer, build_model_from_arrays
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 # small but structured enough that groups, splits, and both tasks all exist
 TOY = [
@@ -255,6 +259,19 @@ def test_sweep_budget_must_be_positive(world, tmp_path, capsys):
     assert "budget" in stderr_payload(capsys)["message"]
 
 
+@pytest.mark.parametrize("grid_text, shown", [
+    ('{"lr": []}', "[]"),  # wrote a header-only sweep.csv, then failed with an IndexError
+    ('{"lr": 0.01}', "0.01"),  # failed with a TypeError: 'float' object is not iterable
+])
+def test_sweep_grid_values_must_be_non_empty_lists(world, tmp_path, capsys, grid_text, shown):
+    grid = tmp_path / "grid.json"
+    grid.write_text(grid_text)
+    out = tmp_path / "sw"
+    assert run(["sweep", "--data", world, "--out", out, "--grid", grid]) == 2
+    assert stderr_payload(capsys)["message"] == f"grid key 'lr' must map to a non-empty list, got {shown}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["sweep", "--grid", "GRID"],
     ["ablate"],
@@ -327,6 +344,8 @@ def test_config_counts_must_be_integers(name):
     for bad in (2.5, 2.0, "2", True, None):
         with pytest.raises(ValueError, match=f"invalid config: {name} must be an integer"):
             TrainConfig.from_dict({name: bad})
+    with pytest.raises(ValueError, match=f"invalid config: {name} must be >= "):
+        TrainConfig.from_dict({name: -1})
     assert getattr(TrainConfig.from_dict({name: np.int64(2)}), name) == 2
 
 
@@ -340,7 +359,7 @@ def test_config_reals_must_be_finite_numbers(name):
     assert getattr(TrainConfig.from_dict({name: np.float64(0.5)}), name) == 0.5
 
 
-@pytest.mark.parametrize("name", [*COUNTS, "seed"])
+@pytest.mark.parametrize("name", COUNTS)
 def test_numpy_integer_config_saves_as_the_python_int_config(tmp_path, name):
     # a numpy integer validates, so the checkpoint header's JSON must take it too
     arrays = [("emb", np.arange(6.0).reshape(2, 3))]
@@ -384,6 +403,36 @@ def test_config_use_groups_must_be_a_bool(world, tmp_path, capsys):
     grid.write_text(json.dumps({"use_groups": ["false"]}))
     assert run(["sweep", "--data", world, "--out", tmp_path / "sw", "--grid", grid, "--seed", 0, *TOY]) == 2
     assert "invalid config: use_groups must be a bool" in stderr_payload(capsys)["message"]
+
+
+def test_config_and_checkpoint_naming_pooling_are_rejected(world, run_dir, tmp_path, capsys):
+    # user fusion has one mode, the mean over the user's groups; the old key is not read silently
+    message = "unknown config keys: ['pooling']"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrainConfig.from_dict({**TrainConfig().as_dict(), "pooling": "mean"})
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps({"pooling": "mean"}))
+    assert run(["train", "--data", world, "--out", tmp_path / "tr", "--config", config]) == 2
+    assert stderr_payload(capsys)["message"] == message
+    cfg_dict, arrays, meta = load_checkpoint(run_dir / "best.ckpt")
+    save_checkpoint(tmp_path / "old.ckpt", {**cfg_dict, "pooling": "mean"}, arrays, meta)
+    assert run(["eval", "--data", world, "--out", tmp_path / "ev", "--checkpoint", tmp_path / "old.ckpt"]) == 2
+    assert stderr_payload(capsys)["message"] == message
+
+
+def test_shipped_configs_load():
+    configs = sorted(CONFIGS.glob("*.json"))
+    grids = [p for p in configs if p.name.startswith("sweep_")]
+    assert grids and len(configs) > len(grids)
+    for path in configs:
+        if path in grids:
+            grid = json.loads(path.read_text())
+            for key, values in grid.items():
+                assert isinstance(values, list) and values, (path.name, key)
+                for value in values:
+                    TrainConfig.from_dict({key: value})
+        else:
+            TrainConfig.from_json(path)
 
 
 def test_ablate_letters_come_from_the_variant_table(world, tmp_path):

@@ -449,8 +449,7 @@ def test_sparse_structures_are_canonical_csr(tmp_path):
         ds.group_members,
         d.subsample(ds, 0.5, seed=1).group_members,
         d.build_norm_adjacency(ds),
-        fusion.build_user_pool(ds, "mean")[0],
-        fusion.build_user_pool(ds, "sum")[0],
+        fusion.build_user_pool(ds)[0],
     ]
     for m in structures:
         assert m.format == "csr" and m.has_canonical_format

@@ -94,14 +94,6 @@ def test_fuse_users_permutation_invariant():
     np.testing.assert_allclose(out_a, out_b)
 
 
-def test_fuse_users_sum_pooling():
-    ds = dataset_with_members(1, [[0], [0]])
-    pool, coef = fusion.build_user_pool(ds, mode="sum")
-    groups = Tensor([[2.0, 0.0], [0.0, 2.0]])
-    fused = fusion.fuse_users(Tensor([[0.0, 0.0]]), groups, pool, coef)
-    np.testing.assert_allclose(fused.data, [[1.0, 1.0]])
-
-
 def test_build_user_pool_matches_dense_oracle():
     memberships = [[0, 2], [2], [0, 2, 3]]  # user 1 joins no group
     ds = dataset_with_members(4, memberships)
@@ -109,29 +101,9 @@ def test_build_user_pool_matches_dense_oracle():
     for g, us in enumerate(memberships):
         member[us, g] = 1.0
     counts = member.sum(axis=1)
-    pool, coef = fusion.build_user_pool(ds, mode="sum")
-    np.testing.assert_array_equal(pool.toarray(), member)
-    np.testing.assert_array_equal(coef, [0.5, 1.0, 0.5, 0.5])
-    pool, coef = fusion.build_user_pool(ds, mode="mean")
+    pool, coef = fusion.build_user_pool(ds)
     np.testing.assert_array_equal(pool.toarray(), member / np.maximum(counts, 1.0)[:, None])
     np.testing.assert_array_equal(coef, [0.5, 1.0, 0.5, 0.5])
-
-
-def test_fuse_users_max_pooling_hand_case_and_gradient():
-    ds = dataset_with_members(2, [[0], [0]])  # user 0 is in groups 0 and 1, user 1 in none
-    pool, coef = fusion.build_user_pool(ds)
-    user = Tensor(np.zeros((2, 2)), requires_grad=True)
-    groups = Tensor(np.array([[2.0, -1.0], [0.0, 5.0]]), requires_grad=True)
-    fused = fusion.fuse_users(user, groups, pool, coef, pooling="max")
-    np.testing.assert_allclose(fused.data[0], [1.0, 2.5])  # elementwise max halved
-    np.testing.assert_allclose(fused.data[1], [0.0, 0.0])
-
-    def loss():
-        out = fusion.fuse_users(user, groups, pool, coef, pooling="max")
-        return ref.tsum(ref.mul(out, out))
-
-    err = ref.finite_difference_check(loss, [user, groups], h=1e-6, rng=np.random.default_rng(1))
-    assert err < 1e-4
 
 
 def test_fusion_chain_gradients():
@@ -151,10 +123,9 @@ def test_fusion_chain_gradients():
     assert err < 1e-4
 
 
-@pytest.mark.parametrize("pooling", ["mean", "sum", "max"])
-def test_fusion_bits_equal_the_old_chains(pooling):
+def test_fusion_bits_equal_the_old_chains():
     memberships = [[1, 2, 3], [2, 3, 4, 5], [2, 4], [3, 4, 5], [5]]  # user 0 joins no group
-    pool, coef = fusion.build_user_pool(dataset_with_members(6, memberships), mode=pooling)
+    pool, coef = fusion.build_user_pool(dataset_with_members(6, memberships))
     rng = np.random.default_rng(8)
     arrays = [rng.normal(size=shape) for shape in ((6, 7), (5, 7), (5, 7))]
     upstream = Tensor(rng.normal(size=(6, 7)))
@@ -164,7 +135,7 @@ def test_fusion_bits_equal_the_old_chains(pooling):
         user, group, istar = (Tensor(a, requires_grad=True) for a in arrays)
         with ag.Tape() as tape:
             fused_g = fuse_groups(group, istar)
-            fused_u = fuse_users(user, fused_g, pool, coef, pooling=pooling)
+            fused_u = fuse_users(user, fused_g, pool, coef)
             tape.backward(ref.tsum(ref.mul(fused_u, upstream)))
         runs.append((fused_g.data, fused_u.data, user.grad, group.grad, istar.grad))
     for new, old in zip(*runs):
@@ -375,33 +346,3 @@ def test_score_ranking_matches_brute_force():
     ).data
     np.testing.assert_allclose(s, (group @ items.T).ravel(), atol=1e-12)
     assert list(np.argsort(-s)) == list(np.argsort(-(group @ items.T).ravel()))
-
-
-def test_fuse_users_max_pooling_matches_loop_oracle():
-    # user 0 joins no group, user 1 one group, users 2-5 several, with ties
-    memberships = [[1, 2, 3], [2, 3, 4, 5], [2, 4], [3, 4, 5], [5]]
-    ds = dataset_with_members(6, memberships)
-    pool, coef = fusion.build_user_pool(ds)
-    lists = np.split(pool.indices, pool.indptr[1:-1])
-    assert len(lists[0]) == 0 and len(lists[1]) == 1
-    rng = np.random.default_rng(5)
-    # few distinct values, so most users' groups tie on some coordinate
-    groups_data = rng.integers(-2, 3, size=(len(memberships), 7)).astype(np.float64)
-    upstream = rng.normal(size=(6, 7))
-    grads = []
-    for pool_fn in (
-        lambda u, g: fusion.fuse_users(u, g, pool, coef, pooling="max"),
-        lambda u, g: ref.chain_fuse_users(u, g, pool, coef, pooling="max"),
-    ):
-        user = Tensor(np.ones((6, 7)), requires_grad=True)
-        groups = Tensor(groups_data, requires_grad=True)
-        with ag.Tape() as tape:
-            out = pool_fn(user, groups)
-            tape.backward(ref.tsum(ref.mul(out, Tensor(upstream))))
-        grads.append((out.data, user.grad, groups.grad))
-    (out_v, gu_v, gg_v), (out_l, gu_l, gg_l) = grads
-    np.testing.assert_array_equal(out_v, out_l)
-    np.testing.assert_array_equal(gu_v, gu_l)
-    # the group gradient lands on the winning rows, so it also checks which tied row won
-    np.testing.assert_array_equal(gg_v, gg_l)
-    np.testing.assert_array_equal(out_v[0], 1.0)  # no groups: identity

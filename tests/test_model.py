@@ -207,16 +207,6 @@ def test_mean_members_variant_uses_member_average():
     assert state.interests is None and model.generator is None
 
 
-def test_max_pooling_lists_hold_each_users_groups():
-    ds = toy_dataset(memberships=((0, 1), (3, 1), (1,)))  # users 2 and 4 join nothing
-    model = GroupRecommender(ds, small_config(pooling="max"), np.random.default_rng(0))
-    dense = ds.group_members.toarray()
-    want = [np.flatnonzero(dense[:, u]).tolist() for u in range(ds.n_users)]
-    pool = model.pool_csr
-    assert [pool.indices[lo:hi].tolist() for lo, hi in zip(pool.indptr[:-1], pool.indptr[1:])] == want
-    assert want[1] == [0, 1, 2] and want[2] == []
-
-
 def test_interest_similarity_matrix_properties():
     ds = toy_dataset()
     model = GroupRecommender(ds, small_config(n_interests=3), np.random.default_rng(0))
@@ -266,21 +256,6 @@ def test_end_to_end_gradients_match_finite_differences():
     # for gradients near 1e-8 (at h=1e-5 one such gate weight read 2.0e-4)
     every = max(t.data.size for t in model.tensors())
     err = ref.finite_difference_check(loss, model.tensors(), h=1e-4, rng=rng, max_coords=every)
-    assert err < 1e-4
-
-
-def test_end_to_end_gradients_max_pooling_variant():
-    ds = toy_dataset()
-    model = GroupRecommender(ds, small_config(pooling="max"), np.random.default_rng(2))
-    rng = np.random.default_rng(4)
-
-    def loss():
-        state = model.forward(users=np.arange(5))
-        return ref.tsum(ref.mul(state.user_final, state.user_final))
-
-    # each interest role stacks n_interests slices: 6 coordinates per slice
-    per_role = 6 * model.cfg.n_interests
-    err = ref.finite_difference_check(loss, model.tensors(), h=1e-6, rng=rng, max_coords=per_role)
     assert err < 1e-4
 
 
