@@ -163,14 +163,6 @@ def cmd_train(args):
     return 0
 
 
-def _tasks_of(arg):
-    if arg == "both":
-        return TASKS
-    if arg in TASKS:
-        return (arg,)
-    raise ValueError(f"--task must be one of {TASKS} or both, got {arg!r}")
-
-
 def _test_metrics(task, evaluation):
     """The metrics of a (metrics, n) test evaluation, which must have ranked some anchor."""
     metrics, n = evaluation
@@ -180,11 +172,12 @@ def _test_metrics(task, evaluation):
 
 
 def cmd_eval(args):
-    ds = load_prepared(args.data)
     ks = parse_ks(args.k)
-    tasks = _tasks_of(args.task)
+    tasks = TASKS if args.task == "both" else (args.task,)
     if bool(args.checkpoint) == (args.baseline is not None):
         raise ValueError("pass either --checkpoint paths or --baseline, not both or neither")
+    ds = load_prepared(args.data)
+    fingerprint = ds.fingerprint()
 
     t0 = time.perf_counter()
     rows = []
@@ -199,7 +192,10 @@ def cmd_eval(args):
         config_echo = {"baseline": "popularity"}
     else:
         for path in args.checkpoint:
-            cfg_dict, arrays, _meta = load_checkpoint(path)
+            cfg_dict, arrays, meta = load_checkpoint(path)
+            trained_on = meta.get("dataset_fingerprint")
+            if trained_on != fingerprint:  # its test edges may have been training edges
+                raise ValueError(f"{path}: trained on data with fingerprint {trained_on}, not {fingerprint}")
             cfg = TrainConfig.from_dict(cfg_dict)
             model = build_model_from_arrays(ds, cfg, arrays)
             state = model.forward()
@@ -220,7 +216,7 @@ def cmd_eval(args):
         args.out,
         similarity=similarity,
     )
-    write_manifest(args.out, "eval", config_echo, ds.fingerprint(), seeds, args.argv_used)
+    write_manifest(args.out, "eval", config_echo, fingerprint, seeds, args.argv_used)
     for task, metrics in sorted(summary["results"].items()):
         parts = ", ".join(
             f"{key} {val['mean']:.4f}±{val['std']:.4f}" for key, val in sorted(metrics.items())
@@ -248,9 +244,13 @@ def cmd_sweep(args):
         grid = json.load(f)
     if not isinstance(grid, dict) or not grid:
         raise ValueError("grid file must map config keys to value lists")
+    if "seed" in grid:
+        raise ValueError("grid key 'seed' is not swept: set the first seed with --seed, the count with --seeds")
     for key, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ValueError(f"grid key {key!r} must map to a non-empty list, got {values!r}")
+        for value in values:  # config checks are per field, so each point is valid
+            TrainConfig.from_dict({**cfg.as_dict(), key: value})
     ds = load_prepared(args.data)
     axes = sorted(grid)
     points = itertools.islice(itertools.product(*(grid[a] for a in axes)), args.budget)
@@ -298,11 +298,13 @@ def cmd_ablate(args):
     if args.seeds < 1:
         raise ValueError("--seeds must be >= 1")
     cfg = load_config(args)
-    ds = load_prepared(args.data)
     ks = parse_ks(args.k)
+    variants = [resolve_variant(v) for v in args.variants.split(",") if v]
+    modes = [m.strip() for m in (args.interest_modes or "").split(",") if m.strip()]
+    mode_cfgs = [cfg.replace(interest_mode=mode, variant="full").validate() for mode in modes]
+    ds = load_prepared(args.data)
     seeds = [cfg.seed + i for i in range(args.seeds)]
     os.makedirs(args.out, exist_ok=True)
-    variants = [resolve_variant(v) for v in args.variants.split(",") if v]
     runs = {}
 
     def train_and_test(run_cfg):
@@ -353,12 +355,10 @@ def cmd_ablate(args):
     )
 
     if args.interest_modes:
-        modes = [m.strip() for m in args.interest_modes.split(",") if m.strip()]
         mode_rows = []
-        for mode in modes:
+        for mode, mode_cfg in zip(modes, mode_cfgs):
             for seed in seeds:
-                mcfg = cfg.replace(interest_mode=mode, variant="full", seed=seed)
-                metrics, n_params = train_and_test(mcfg)
+                metrics, n_params = train_and_test(mode_cfg.replace(seed=seed))
                 mode_rows.append([mode, n_params, seed] + [f"{metrics[nm]:.6f}" for nm in metric_names])
         write_csv(
             os.path.join(args.out, "interest_modes.csv"),
@@ -438,7 +438,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--checkpoint", nargs="*", default=[], help="one row per checkpoint")
     p.add_argument("--baseline", choices=["popularity"], default=None)
-    p.add_argument("--task", default="both")
+    p.add_argument("--task", default="both", choices=(*TASKS, "both"))
     p.add_argument("--k", default="5,10")
     p.set_defaults(func=cmd_eval)
 

@@ -41,17 +41,18 @@ GROUP_SPLITS_FILE = "splits_group.tsv"
 _EDGE_ROW = np.dtype([("a", "i8"), ("v", "i8")])
 _SPLIT_ROW = np.dtype([("a", "i8"), ("v", "i8"), ("s", f"S{max(map(len, SPLIT_NAMES)) + 1}")])
 
-# _lines label tables: the name of each split code, and the decimal text of
-# each int8 value indexed by its byte, so a split code of any sign is exact
+# the _lines label table of a splits file: the name of each split code
 _SPLIT_LABELS = tuple(name.encode() for name in SPLIT_NAMES)
-_INT8_DECIMAL = tuple(b"%d" % k for k in np.arange(256, dtype=np.uint8).view(np.int8).tolist())
 
 
 class Interactions:
     """Anchor-item edges with a split label each, held sorted by (anchor, item).
 
-    The constructor sorts once, stably, so duplicate edges keep their given
-    order; every reader of the arrays relies on this order and sorts nothing.
+    The constructor enforces three invariants and raises a ValueError naming
+    the one broken: each (anchor, item) pair appears once, n_anchors * n_items
+    is below 2**63 (so every edge_keys key fits in int64), and every split code
+    is TRAIN, VALID or TEST. It then sorts once; every reader of the arrays
+    relies on this order and sorts nothing.
     """
 
     def __init__(self, n_anchors, n_items, anchors=(), items=(), splits=None):
@@ -61,9 +62,7 @@ class Interactions:
         items = np.asarray(items, dtype=np.int64)
         if anchors.shape != items.shape:
             raise ValueError("anchor and item arrays differ in length")
-        if splits is None:
-            splits = np.zeros(len(anchors), dtype=np.int8)
-        splits = np.asarray(splits, dtype=np.int8)
+        splits = np.zeros(len(anchors), dtype=np.int8) if splits is None else np.asarray(splits)
         if splits.shape != anchors.shape:
             raise ValueError("split labels differ in length from edges")
         if len(anchors):
@@ -71,10 +70,16 @@ class Interactions:
                 raise ValueError("anchor id out of range")
             if items.min() < 0 or items.max() >= self.n_items:
                 raise ValueError("item id out of range")
+            if splits.min() < TRAIN or splits.max() > TEST:
+                raise ValueError(f"split codes must be TRAIN, VALID or TEST, got {np.unique(splits).tolist()}")
         # a stable sort on one key per edge: the same order as lexsort, and
         # linear time on edges that already arrive sorted (files, relabeled copies)
-        order = np.argsort(_edge_keys(anchors, items, self.n_anchors, self.n_items), kind="stable")
-        self.anchors, self.items, self.splits = anchors[order], items[order], splits[order]
+        keys = edge_keys(anchors, items, self.n_anchors, self.n_items)
+        order = np.argsort(keys, kind="stable")
+        twice = order[1:][np.diff(keys[order]) == 0]
+        if len(twice):
+            raise ValueError(f"edge ({anchors[twice[0]]}, {items[twice[0]]}) appears more than once")
+        self.anchors, self.items, self.splits = anchors[order], items[order], splits.astype(np.int8)[order]
 
     def __len__(self):
         return len(self.anchors)
@@ -90,7 +95,7 @@ class Interactions:
     def anchor_index(self, splits=(TRAIN,)):
         """CSR-style (indptr, indices) of each anchor's items in the given splits.
 
-        Row a is indices[indptr[a] : indptr[a + 1]], sorted, duplicates kept.
+        Row a is indices[indptr[a] : indptr[a + 1]], sorted.
         """
         keep = np.isin(self.splits, np.asarray(splits, dtype=np.int8))
         counts = np.bincount(self.anchors[keep], minlength=self.n_anchors)
@@ -139,8 +144,7 @@ class Dataset:
         h = hashlib.sha256()
         h.update(json.dumps([self.n_users, self.n_items, self.n_groups]).encode())
         for inter in (self.user_items, self.group_items):
-            split = (inter.splits.view(np.uint8), _INT8_DECIMAL)
-            h.update(_lines(inter.anchors, b" ", inter.items, b" ", split, b"\n"))
+            h.update(_lines(inter.anchors, b" ", inter.items, b" ", inter.splits, b"\n"))
         m = self.group_members.tocoo()  # row-major, as the CSR stores it
         h.update(_lines(b"m", m.row, b" ", m.col, b"\n"))
         return h.hexdigest()
@@ -225,29 +229,28 @@ def _load_interactions_lines(path, n_anchors, n_items):
     return _unique_edges(anchors, items, n_anchors, n_items)
 
 
-def _edge_keys(anchors, items, n_anchors, n_items):
-    """One key per edge, ordered and equal as its (anchor, item) pair is, for ids in range.
+def edge_keys(anchors, items, n_anchors, n_items):
+    """anchor * n_items + item: one int64 key per edge, ordered and equal as its pair is.
 
-    anchor * n_items + item while every such key fits in int64; past that the
-    pair itself, as an _EDGE_ROW record, which numpy sorts and compares field
-    by field (slower, and only for id ranges no dataset in memory reaches).
+    Ids must be in range. Counts whose keys could pass int64 are rejected.
     """
-    if n_anchors * n_items < 2**63:  # Python ints: the product cannot wrap
-        return anchors * n_items + items
-    keys = np.empty(len(anchors), dtype=_EDGE_ROW)
-    keys["a"], keys["v"] = anchors, items
-    return keys
+    if int(n_anchors) * int(n_items) >= 2**63:  # Python ints: the product cannot wrap
+        raise ValueError(f"{n_anchors} anchors * {n_items} items reach 2**63: edge keys pass int64")
+    return anchors * n_items + items
+
+
+def in_sorted(keys, query):
+    """Whether each key of `query` is in `keys`, a sorted, non-empty key array."""
+    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return keys[at] == query
 
 
 def _unique_edges(anchors, items, n_anchors, n_items):
     """Distinct (anchor, item) pairs sorted by key, through a sort and a neighbour mask."""
-    keys = np.sort(_edge_keys(anchors, items, n_anchors, n_items))
+    keys = np.sort(edge_keys(anchors, items, n_anchors, n_items))
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    keys = keys[first]
-    if keys.dtype.names:
-        return keys["a"], keys["v"]
-    return np.divmod(keys, max(n_items, 1))
+    return np.divmod(keys[first], max(n_items, 1))
 
 
 def _in_range(ids, n):
@@ -336,6 +339,9 @@ def load_dataset(dataset_dir):
         if type(meta[key]) is not int or meta[key] < 0:  # a bool is no count
             raise ValueError(f"{meta_path}: {key} must be an integer >= 0, got {meta[key]!r}")
     n_users, n_items, n_groups = meta["n_users"], meta["n_items"], meta["n_groups"]
+    for key in ("n_users", "n_groups"):  # so edge keys, and each count taken as at least 1, fit in int64
+        if max(meta[key], 1) * max(n_items, 1) >= 2**63:
+            raise ValueError(f"{meta_path}: {key} * n_items must be below 2**63, got {meta[key]} and {n_items}")
 
     user_edges = load_interactions(os.path.join(dataset_dir, USER_EDGES_FILE), n_users, n_items)
     user_items = Interactions(n_users, n_items, *user_edges)
@@ -501,12 +507,10 @@ def _labels_from_rows(interactions, rows):
     n_anchors, n_items = interactions.n_anchors, interactions.n_items
     if codes.min() < 0 or not (_in_range(anchors, n_anchors) and _in_range(items, n_items)):
         return None
-    keys = _edge_keys(anchors, items, n_anchors, n_items)  # one key per edge only for ids in range
+    keys = edge_keys(anchors, items, n_anchors, n_items)
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    # equal sorted keys, none repeated: one row per edge, so the row counts match too
-    wanted = _edge_keys(interactions.anchors, interactions.items, n_anchors, n_items)
-    if (keys[1:] == keys[:-1]).any() or not np.array_equal(keys, wanted):
+    wanted = edge_keys(interactions.anchors, interactions.items, n_anchors, n_items)
+    if not np.array_equal(keys[order], wanted):  # the edges' keys are distinct: one row per edge
         return None
     return interactions.relabeled(codes[order])
 
@@ -514,30 +518,29 @@ def _labels_from_rows(interactions, rows):
 def _read_splits_lines(interactions, path):
     """read_splits one line at a time: raises 'path:line' errors."""
     label_of = {name: code for code, name in enumerate(SPLIT_NAMES)}
-    n_items, fields = interactions.n_items, []  # anchor, item, label, line of each in-range line
+    n_anchors, n_items = interactions.n_anchors, interactions.n_items
+    fields = []  # anchor, item, label, line of each in-range line
     n_outside = 0
     for lineno, line in _scan_lines(path):
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 3 or parts[2] not in label_of:
             raise ValueError(f"{path}:{lineno}: expected 'anchor<TAB>item<TAB>split'")
         a, v = _parse_ids(parts[:2], path, lineno, line)
-        if 0 <= a < interactions.n_anchors and 0 <= v < n_items:
+        if 0 <= a < n_anchors and 0 <= v < n_items:
             fields.extend((a, v, label_of[parts[2]], lineno))
         else:  # cannot be a dataset edge
             n_outside += 1
     anchors, items, labels, linenos = np.array(fields, dtype=np.int64).reshape(-1, 4).T
-    n_anchors = interactions.n_anchors
-    labeled = Interactions(n_anchors, n_items, anchors, items, labels)
-    keys, wanted = (_edge_keys(x.anchors, x.items, n_anchors, n_items) for x in (labeled, interactions))
-    twice = np.flatnonzero(keys[1:] == keys[:-1])
+    keys = edge_keys(anchors, items, n_anchors, n_items)
+    order = np.argsort(keys, kind="stable")  # each key's lines in file order
+    twice = np.flatnonzero(np.diff(keys[order]) == 0)
     if len(twice):
-        first, second = np.flatnonzero(_edge_keys(anchors, items, n_anchors, n_items) == keys[twice[0]])[:2]
+        first, second = order[twice[0]], order[twice[0] + 1]
         edge = (int(anchors[first]), int(items[first]))
         label = SPLIT_NAMES[labels[first]]
         raise ValueError(f"{path}:{linenos[second]}: edge {edge} already labeled {label!r}")
-    # labeled keys are unique, so a dataset edge repeating its predecessor has no label
+    wanted = edge_keys(interactions.anchors, interactions.items, n_anchors, n_items)
     unlabeled = ~np.isin(wanted, keys)
-    unlabeled[1:] |= wanted[1:] == wanted[:-1]
     if unlabeled.any():
         j = np.argmax(unlabeled)
         edge = (int(interactions.anchors[j]), int(interactions.items[j]))
@@ -545,7 +548,7 @@ def _read_splits_lines(interactions, path):
     extra = len(keys) + n_outside - len(wanted)
     if extra:
         raise ValueError(f"{path}: {extra} labeled edges missing from the dataset")
-    return labeled
+    return Interactions(n_anchors, n_items, anchors, items, labels)
 
 
 def load_prepared(dataset_dir):

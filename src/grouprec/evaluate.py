@@ -39,7 +39,7 @@ import threading
 
 import numpy as np
 
-from .datasets import TRAIN, VALID, TEST
+from .datasets import TRAIN, VALID, TEST, edge_keys, in_sorted
 
 
 BLOCK_ELEMENTS = 1 << 18  # so score memory is fixed and the rest grows with edges, not anchors
@@ -54,12 +54,12 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
     are read, one block at a time.
 
     The indexes are (indptr, indices) pairs from `Interactions.anchor_index`:
-    each anchor's relevant items, and the items kept out of its ranking.
+    each anchor's relevant items, each once, and the items kept out of its ranking.
     Returns ({"recall@k": v, "ndcg@k": v, ...}, n_evaluated).
     """
     n_anchors, n_items = score_matrix.shape
-    eval_keys = np.repeat(np.arange(n_anchors), np.diff(eval_index[0])) * n_items + eval_index[1]
-    n_relevant = np.bincount(np.unique(eval_keys) // n_items, minlength=n_anchors)
+    n_relevant = np.diff(eval_index[0])
+    eval_keys = edge_keys(np.repeat(np.arange(n_anchors), n_relevant), eval_index[1], n_anchors, n_items)
     rows = np.flatnonzero(n_relevant)
     kept = np.repeat(n_relevant > 0, np.diff(mask_index[0]))  # mask entries of evaluated anchors
     mask_pos = np.repeat(np.cumsum(n_relevant > 0) - 1, np.diff(mask_index[0]))[kept]  # in `rows`
@@ -78,8 +78,8 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
         neg[mask_pos[a:b] - lo, mask_items[a:b]] = np.inf
         part = np.argpartition(neg, depth - 1, axis=1)[:, :depth].copy()  # frees the full buffer
         order = np.argsort(np.take_along_axis(neg, part, axis=1), axis=1, kind="stable")
-        query = block[:, None] * n_items + np.take_along_axis(part, order, axis=1)
-        hit = eval_keys[np.minimum(np.searchsorted(eval_keys, query), len(eval_keys) - 1)] == query
+        ranked = np.take_along_axis(part, order, axis=1)
+        hit = in_sorted(eval_keys, edge_keys(block[:, None], ranked, n_anchors, n_items))
         hits, dcg = np.cumsum(hit, axis=1), np.cumsum(np.where(hit, gains[:depth], 0.0), axis=1)
         relevant = n_relevant[block]
         metrics = {}

@@ -4,7 +4,7 @@ import logging
 
 import numpy as np
 
-from .datasets import TRAIN
+from .datasets import TRAIN, edge_keys, in_sorted
 
 log = logging.getLogger(__name__)
 
@@ -21,29 +21,23 @@ class TripleSampler:
     """
 
     def __init__(self, interactions, rng):
-        self.n_items = interactions.n_items
+        self.n_anchors, self.n_items = interactions.n_anchors, interactions.n_items
         self.rng = rng
         indptr, items = interactions.anchor_index((TRAIN,))
         counts = np.diff(indptr)
         owner = np.repeat(np.arange(len(counts)), counts)
-        # anchor * n_items + item, sorted because the index is sorted by (anchor, item)
-        self._keys = owner * self.n_items + items
-        first = np.ones(len(items), dtype=bool)
-        first[1:] = self._keys[1:] != self._keys[:-1]
-        distinct = np.bincount(owner[first], minlength=len(counts))  # duplicate edges count once
-        full = np.flatnonzero(distinct == self.n_items)
+        self._keys = edge_keys(owner, items, self.n_anchors, self.n_items)  # sorted, as the index is
+        full = np.flatnonzero(counts == self.n_items)
         if len(full):
             log.warning("%d anchor(s) interact with all items; skipped: %s", len(full), full.tolist())
-        self.eligible = np.flatnonzero((distinct > 0) & (distinct < self.n_items))
+        self.eligible = np.flatnonzero((counts > 0) & (counts < self.n_items))
         if not len(self.eligible):
             raise ValueError("no anchor has train edges to sample from")
         self._starts, self._counts, self._items = indptr[:-1], counts, items
 
     def _is_train(self, anchors, items):
         """Whether each (anchor, item) pair is a train edge."""
-        keys = anchors * self.n_items + items
-        at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-        return self._keys[at] == keys
+        return in_sorted(self._keys, edge_keys(anchors, items, self.n_anchors, self.n_items))
 
     def sample(self, batch_size):
         rng = self.rng

@@ -226,6 +226,54 @@ def test_eval_rejects_ambiguous_source(world, run_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Makes loading prepared data or building a Trainer fail the command with a message naming it."""
+
+    def refuse(what):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{what} before the arguments were checked")
+        return call
+
+    monkeypatch.setattr(cli, "load_prepared", refuse("data loaded"))
+    monkeypatch.setattr(cli, "Trainer", refuse("Trainer built"))
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--baseline", "popularity", "--k", "5,x"], "invalid literal for int() with base 10: 'x'"),
+    (["--baseline", "popularity", "--k", "0"], "bad cutoff list '0'"),
+    (["--k", "5"], "pass either --checkpoint paths or --baseline, not both or neither"),
+])
+def test_eval_checks_its_arguments_before_loading_data(world, tmp_path, capsys, no_work, flags, message):
+    out = tmp_path / "ev"
+    assert run(["eval", "--data", world, "--out", out, *flags]) == 2
+    assert stderr_payload(capsys)["message"] == message
+    assert not out.exists()
+
+
+def test_eval_task_must_be_a_task_or_both(world, tmp_path, capsys, no_work):
+    out = tmp_path / "ev"
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", "--data", world, "--out", out, "--baseline", "popularity", "--task", "items"])
+    assert exc.value.code == 2
+    assert "--task" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_refuses_a_checkpoint_trained_on_other_data(world, run_dir, tmp_path, capsys):
+    # re-splitting with another seed may turn the checkpoint's training edges into test edges
+    other = tmp_path / "world"
+    shutil.copytree(world, other)
+    assert run(["prepare", "--data", other, "--seed", 5]) == 0
+    ckpt = run_dir / "best.ckpt"
+    trained_on, now = load_checkpoint(ckpt)[2]["dataset_fingerprint"], load_prepared(other).fingerprint()
+    assert trained_on == load_prepared(world).fingerprint() != now
+    out = tmp_path / "ev"
+    assert run(["eval", "--data", other, "--out", out, "--checkpoint", ckpt]) == 2
+    assert stderr_payload(capsys)["message"] == f"{ckpt}: trained on data with fingerprint {trained_on}, not {now}"
+    assert not out.exists()
+
+
 def test_eval_multiple_checkpoints_one_row_per_seed(world, run_dir, tmp_path):
     other = tmp_path / "other"
     assert run(["train", "--data", world, "--out", other, "--seed", 4, *TOY]) == 0
@@ -269,6 +317,23 @@ def test_sweep_grid_values_must_be_non_empty_lists(world, tmp_path, capsys, grid
     out = tmp_path / "sw"
     assert run(["sweep", "--data", world, "--out", out, "--grid", grid]) == 2
     assert stderr_payload(capsys)["message"] == f"grid key 'lr' must map to a non-empty list, got {shown}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid_text, message", [
+    # trained every point with seed 0, writing identical sweep.csv rows and "seeds": [0]
+    ('{"seed": [1, 2, 3]}', "grid key 'seed' is not swept: set the first seed with --seed, the count with --seeds"),
+    # trained the lr=0.01 point, then failed and left an empty --out
+    ('{"lr": [0.01, -1]}', "invalid config: lr must be >= 0"),
+    ('{"n_interests": [2, 3], "interest_mode": ["gate", "fc3"]}', "invalid config: interest_mode must be one of"),
+    ('{"n_interests": [2], "pooling": ["max"]}', "unknown config keys: ['pooling']"),
+])
+def test_sweep_checks_every_grid_value_before_work(world, tmp_path, capsys, no_work, grid_text, message):
+    grid = tmp_path / "grid.json"
+    grid.write_text(grid_text)
+    out = tmp_path / "sw"
+    assert run(["sweep", "--data", world, "--out", out, "--grid", grid]) == 2
+    assert stderr_payload(capsys)["message"].startswith(message)
     assert not out.exists()
 
 
@@ -449,6 +514,19 @@ def test_ablate_rejects_unknown_variant(world, tmp_path, capsys):
     rc = run(["ablate", "--data", world, "--out", tmp_path / "abl2", "--variants", "Full,Z"])
     assert rc == 2
     assert "variant" in stderr_payload(capsys)["message"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    # trained Full and A and wrote ablation.csv and ablation_summary.csv before failing
+    (["--variants", "Full,A", "--interest-modes", "gate,fc3"], "invalid config: interest_mode must be one of"),
+    (["--variants", "Full,Z"], "unknown variant 'Z'"),
+    (["--k", "5,0"], "bad cutoff list '5,0'"),
+])
+def test_ablate_checks_its_arguments_before_work(world, tmp_path, capsys, no_work, flags, message):
+    out = tmp_path / "abl"
+    assert run(["ablate", "--data", world, "--out", out, *flags]) == 2
+    assert stderr_payload(capsys)["message"].startswith(message)
+    assert not out.exists()
 
 
 def test_ablate_interest_mode_param_counts(world, tmp_path):

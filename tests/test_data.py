@@ -160,12 +160,11 @@ def split_reference(interactions, seed):
 
 
 def test_split_matches_per_anchor_reference():
-    # unsorted edges, duplicate pairs, anchors with 0-2 edges and an empty world
+    # unsorted edges, anchors with 0-2 edges and an empty world
     rng = np.random.default_rng(3)
     for n_edges in (0, 5, 400, 3000):
-        anchors = rng.integers(0, 60, size=n_edges)
-        items = rng.integers(0, 30, size=n_edges)
-        inter = Interactions(61, 30, anchors, items)
+        anchors, items = np.divmod(rng.choice(60 * 100, size=n_edges, replace=False), 100)
+        inter = Interactions(61, 100, anchors, items)
         for seed in (0, 7):
             got = d.split_holdout(inter, seed=seed)
             assert np.array_equal(got.splits, split_reference(inter, seed))
@@ -176,9 +175,9 @@ def test_split_matches_per_anchor_reference():
 def test_anchor_index_matches_dict_oracle():
     rng = np.random.default_rng(4)
     n_anchors, n_items = 12, 9
-    anchors = rng.integers(0, n_anchors - 1, size=150)  # the last anchor has no edge
-    items = rng.integers(0, n_items, size=150)  # 150 draws of 99 pairs: duplicates
-    splits = rng.integers(0, 3, size=150)
+    # 60 of the 99 pairs; the last anchor has no edge
+    anchors, items = np.divmod(rng.choice((n_anchors - 1) * n_items, size=60, replace=False), n_items)
+    splits = rng.integers(0, 3, size=60)
     inter = Interactions(n_anchors, n_items, anchors, items, splits)
     for wanted in ((TRAIN,), (TEST,), (TRAIN, VALID), (TRAIN, VALID, TEST)):
         rows = {a: [] for a in range(n_anchors)}
@@ -197,8 +196,7 @@ def test_interactions_hold_one_order_whatever_the_input_order(tmp_path):
     n_anchors, n_items = 15, 12
     keys = rng.choice(n_anchors * n_items, size=60, replace=False)
     unique = [(int(k) // n_items, int(k) % n_items, int(rng.integers(0, 3))) for k in keys]
-    edges = unique + unique[:20]  # duplicates carry the same label
-    given = [edges[i] for i in rng.permutation(len(edges))]
+    given = [unique[i] for i in rng.permutation(len(unique))]
 
     def build(rows):
         return Interactions(n_anchors, n_items, *zip(*rows))
@@ -251,8 +249,7 @@ def synthesize_reference(dataset, cap):
 def test_synthesize_matches_dict_counting_reference():
     rng = np.random.default_rng(5)
     n_users, n_items = 80, 60
-    edges = list(zip(rng.integers(0, n_users, 900).tolist(), rng.integers(0, n_items, 900).tolist()))
-    edges += edges[:40]  # duplicate edges count twice
+    edges = [divmod(k, n_items) for k in rng.choice(n_users * n_items, 900, replace=False).tolist()]
     groups = [rng.choice(n_users, size=int(rng.integers(1, 6)), replace=False).tolist() for _ in range(25)]
     ds = make_dataset(n_users, n_items, edges, groups)
     ds.user_items = d.split_holdout(ds.user_items, seed=1)
@@ -395,10 +392,11 @@ def test_sampler_anchor_missing_one_item_always_gets_it():
     assert set(np.unique(anchors)) == {0, 1}
 
 
-def test_sampler_counts_duplicate_edges_once():
-    # anchor 0 has three train edges but only two distinct items of three
-    ds = make_dataset(2, 3, [(0, 0), (0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 2)], [[0]])
-    sampler = TripleSampler(ds.user_items, np.random.default_rng(0))
+def test_sampler_counts_train_edges_only():
+    # both anchors touch all three items, but only anchor 1 has all three in train
+    splits = [TRAIN, TRAIN, TEST, TRAIN, TRAIN, TRAIN]
+    inter = Interactions(2, 3, [0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2], splits)
+    sampler = TripleSampler(inter, np.random.default_rng(0))
     assert sampler.eligible.tolist() == [0]
     _, _, neg = sampler.sample(50)
     assert set(neg) == {2}
@@ -606,14 +604,6 @@ def test_read_splits_whole_file_matches_per_line(tmp_path, text, kind):
     assert whole[0] == kind
 
 
-def test_read_splits_paths_agree_on_a_dataset_with_a_repeated_edge(tmp_path):
-    inter = Interactions(2, 2, [0, 0, 1], [1, 1, 0])
-    for text in ("0\t1\ttrain\n0\t1\ttest\n1\t0\ttrain\n", "0\t1\ttrain\n1\t0\ttrain\n"):
-        whole, per_line = split_outcomes(tmp_path / "splits_user.tsv", text, inter)
-        assert whole == per_line
-        assert whole[0] == "error"
-
-
 ALPHABET = "0123456789+-._xe \t\r\n\x0b\xa0\u0661"
 junk = st.text(alphabet=ALPHABET, max_size=5)
 labels = st.sampled_from(d.SPLIT_NAMES + ("trainee", "Train"))
@@ -667,24 +657,27 @@ def boundary_ids(n):
     return sorted({0, n - 1, *(x + e for x in edges for e in (-1, 0) if x + e < n)})
 
 
+def any_id(n):
+    return st.one_of(st.sampled_from(boundary_ids(n)), st.integers(0, n - 1))
+
+
 @st.composite
 def id_lists(draw, n, size):
-    return draw(st.lists(st.one_of(st.sampled_from(boundary_ids(n)), st.integers(0, n - 1)),
-                         min_size=size, max_size=size))
+    return draw(st.lists(any_id(n), min_size=size, max_size=size))
 
 
 @st.composite
 def interactions(draw):
-    """Edges over id ranges up to int64's, duplicates likely.
+    """Distinct edges over id ranges up to int64's, each with a split label.
 
-    Split codes run -3..2: the per-edge writer indexes SPLIT_NAMES with the
-    negative ones as Python does, and so must the array writer."""
+    The item count is cut so that n_anchors * n_items stays below 2**63: a
+    19-digit id range on one side leaves a small one on the other."""
     counts = st.one_of(st.integers(1, 120), st.sampled_from([2**32, 10**13, 2**63 - 1]))
-    n_anchors, n_items = draw(counts), draw(counts)
-    size = draw(st.integers(0, 12))
-    anchors, items = draw(id_lists(n_anchors, size)), draw(id_lists(n_items, size))
-    splits = draw(st.lists(st.integers(-3, 2), min_size=size, max_size=size))
-    return Interactions(n_anchors, n_items, anchors, items, splits)
+    n_anchors = draw(counts)
+    n_items = min(draw(counts), (2**63 - 1) // n_anchors)
+    edges = draw(st.lists(st.tuples(any_id(n_anchors), any_id(n_items)), unique=True, max_size=12))
+    splits = draw(st.lists(st.integers(TRAIN, TEST), min_size=len(edges), max_size=len(edges)))
+    return Interactions(n_anchors, n_items, [a for a, _ in edges], [v for _, v in edges], splits)
 
 
 @st.composite
@@ -702,18 +695,29 @@ def writer_datasets(draw):
 
 
 def boundary_dataset():
-    """Both sides of every digit-count boundary up to 19 digits, of uint32's, ids 0 and
-    2**63 - 2, each split label, a duplicate edge and no group edges."""
+    """Both sides of every digit-count boundary up to 19 digits and of uint32's, ids 0
+    and 2**63 - 2 and each split label, as users of one item each (so n_anchors * n_items
+    stays below 2**63) and as members; no group edges."""
     n = 2**63 - 1
     ids, groups = boundary_ids(n), boundary_ids(1000)
-    users = Interactions(n, 10, ids + [9], [i % 10 for i in ids] + [9], [i % 3 for i in ids] + [2])
+    users = Interactions(n, 1, ids, [0] * len(ids), [i % 3 for i in ids])
     members = membership_matrix(1000, n, groups + groups, ids[-2 * len(groups) :])
-    return Dataset(n, 10, 1000, users, Interactions(1000, 10), members)
+    return Dataset(n, 1, 1000, users, Interactions(1000, 1), members)
+
+
+def wide_items_dataset():
+    """boundary_dataset's ids as the items of one user, one group and one member."""
+    n = 2**63 - 1
+    ids = boundary_ids(n)
+    users = Interactions(1, n, [0] * len(ids), ids, [i % 3 for i in ids])
+    groups = Interactions(1, n, [0] * len(ids), ids[::-1], [i % 3 for i in ids])
+    return Dataset(1, n, 1, users, groups, membership_matrix(1, 1, [0], [0]))
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(ds=writer_datasets())
 @example(ds=boundary_dataset())
+@example(ds=wide_items_dataset())
 def test_array_writers_match_the_per_edge_oracles(tmp_path_factory, ds):
     base = tmp_path_factory.mktemp("writers")
     for inter in (ds.user_items, ds.group_items):
@@ -722,25 +726,22 @@ def test_array_writers_match_the_per_edge_oracles(tmp_path_factory, ds):
             oracle(inter, base / "ref.tsv")
             assert (base / "lib.tsv").read_bytes() == (base / "ref.tsv").read_bytes()
     assert ds.fingerprint() == ref.fingerprint(ds)
-    # the fingerprint writes split codes as numbers, so any int8 code must hash as the oracle's
-    codes = np.arange(len(ds.user_items)) * 97 % 256 - 128
-    wide = Dataset(ds.n_users, ds.n_items, ds.n_groups, ds.user_items.relabeled(codes),
-                   ds.group_items, ds.group_members)
-    assert wide.fingerprint() == ref.fingerprint(wide)
 
 
-def test_edges_sort_dedup_and_take_labels_past_int64_keys(tmp_path):
-    """anchor * n_items + item passes 2**63 for the boundary example's large anchors,
-    so ordering, deduplicating and labeling its edges must not rest on that key."""
-    users = boundary_dataset().user_items
-    n, n_items = users.n_anchors, users.n_items
-    edges = list(zip(users.anchors.tolist(), users.items.tolist(), users.splits.tolist()))
-    backwards = Interactions(n, n_items, *np.array(edges[::-1]).T)
+def test_edges_sort_dedup_and_take_labels_up_to_the_largest_key(tmp_path):
+    """With n_anchors * n_items = 2**63 - 1 the largest key is 2**63 - 2, which
+    must still order, deduplicate and label edges as their (anchor, item) pairs."""
+    n, n_items = 7, (2**63 - 1) // 7
+    assert n * n_items == 2**63 - 1
+    big = [0, 1, 2**32 - 1, 2**32, 10**18 - 1, 10**18, n_items - 1]
+    edges = [(a, v, (a + i) % 3) for a in (6, 0, 3) for i, v in enumerate(big[::-1])]
+    backwards = Interactions(n, n_items, *np.array(edges).T)
     stored = zip(backwards.anchors.tolist(), backwards.items.tolist(), backwards.splits.tolist())
-    assert list(stored) == sorted(edges[::-1], key=lambda e: e[:2])  # Python's sort is stable too
+    assert list(stored) == sorted(edges)
+    assert d.edge_keys(backwards.anchors, backwards.items, n, n_items).max() == 2**63 - 2
 
-    unique = sorted({e[:2] for e in edges})
-    (tmp_path / "users.tsv").write_text("".join(f"{a}\t{v}\n" for a, v, _ in edges[::-1]))
+    unique = sorted(e[:2] for e in edges)
+    (tmp_path / "users.tsv").write_text("".join(f"{a}\t{v}\n" for a, v, _ in edges + edges[:5]))
     for load in (d.load_interactions, d._load_interactions_lines):
         anchors, items = load(tmp_path / "users.tsv", n, n_items)
         assert list(zip(anchors.tolist(), items.tolist())) == unique
@@ -760,6 +761,24 @@ def test_edges_sort_dedup_and_take_labels_past_int64_keys(tmp_path):
     path.write_text("".join(lines[:-1]))
     with pytest.raises(ValueError, match=rf"no split label for edge {last}"):
         d._read_splits_lines(plain, path)
+
+
+SPLIT_CODES = r"split codes must be TRAIN, VALID or TEST, got "
+INVARIANT_CASES = {  # id -> (Interactions arguments, message)
+    "duplicate-edge": ((3, 4, [2, 0, 1, 0], [1, 3, 0, 3]), r"edge \(0, 3\) appears more than once"),
+    "duplicate-edge-other-label": ((3, 4, [1, 1], [2, 2], [TRAIN, TEST]), r"edge \(1, 2\) appears more than once"),
+    "split-minus-one": ((3, 4, [0, 1], [1, 2], [TRAIN, -1]), SPLIT_CODES + r"\[-1, 0\]"),
+    "split-three": ((3, 4, [0, 1], [1, 2], [3, TEST]), SPLIT_CODES + r"\[2, 3\]"),
+    "split-past-int8": ((3, 4, [0], [1], [256]), SPLIT_CODES + r"\[256\]"),  # not read as 256 % 256 = TRAIN
+    "key-bound": ((8, (2**63 - 1) // 7), r"8 anchors \* 1317624576693539401 items reach 2\*\*63"),
+    "key-bound-with-edges": ((4, 2**62, [0, 3], [1, 2**62 - 1]), r"reach 2\*\*63"),
+}
+
+
+@pytest.mark.parametrize("args, message", INVARIANT_CASES.values(), ids=INVARIANT_CASES)
+def test_interactions_reject_what_breaks_an_invariant(args, message):
+    with pytest.raises(ValueError, match=message):
+        Interactions(*args)
 
 
 def test_library_files_take_the_whole_file_path(tmp_path, monkeypatch):
@@ -822,6 +841,13 @@ META_CASES = {  # id -> (meta.json bytes, start of the message after the path)
     "float": (b'{"n_users": 2, "n_items": 2.7, "n_groups": 1}', ": n_items must be an integer >= 0, got 2.7"),
     "bool": (b'{"n_users": 2, "n_items": 2, "n_groups": true}', ": n_groups must be an integer >= 0, got True"),
     "negative": (b'{"n_users": -2, "n_items": 2, "n_groups": 1}', ": n_users must be an integer >= 0, got -2"),
+    # edge keys anchor * n_items + item must fit in int64
+    "user-key-bound": (b'{"n_users": 4, "n_items": 2305843009213693952, "n_groups": 1}',
+                       ": n_users * n_items must be below 2**63, got 4 and 2305843009213693952"),
+    "group-key-bound": (b'{"n_users": 1, "n_items": 4611686018427387904, "n_groups": 2}',
+                        ": n_groups * n_items must be below 2**63, got 2 and 4611686018427387904"),
+    "count-2**63": (b'{"n_users": 9223372036854775808, "n_items": 0, "n_groups": 1}',
+                    ": n_users * n_items must be below 2**63, got 9223372036854775808 and 0"),
 }
 
 

@@ -145,11 +145,10 @@ RANKING_CASES = pytest.mark.parametrize(
 
 def ranking_case(n_anchors, n_items, n_eval, n_mask, ties):
     """Scores, both indexes and the eval and mask sets of one RANKING_CASES row."""
-    # edges drawn with replacement: duplicate pairs, and eval items that are also masked
+    # pairs drawn with replacement, so eval items may also be masked; each index holds a pair once
     rng = np.random.default_rng(n_anchors + n_items)
     n = n_eval + n_mask
     anchors, items = rng.integers(0, n_anchors, n), rng.integers(0, n_items, n)
-    inter = Interactions(n_anchors, n_items, anchors, items, [TEST] * n_eval + [TRAIN] * n_mask)
     eval_sets = [set() for _ in range(n_anchors)]
     mask_sets = [set() for _ in range(n_anchors)]
     for i, (a, v) in enumerate(zip(anchors.tolist(), items.tolist())):
@@ -161,7 +160,7 @@ def ranking_case(n_anchors, n_items, n_eval, n_mask, ties):
     for a in range(n_anchors):  # relevant items lead, and masked ones would lead them
         scores[a, list(eval_sets[a])] += 2.0
         scores[a, list(mask_sets[a])] += 4.0
-    return scores, (inter.anchor_index((TEST,)), inter.anchor_index((TRAIN,))), eval_sets, mask_sets
+    return scores, (index_of(eval_sets, n_items), index_of(mask_sets, n_items)), eval_sets, mask_sets
 
 
 @RANKING_CASES
