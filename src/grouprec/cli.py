@@ -88,8 +88,12 @@ def load_config(args):
 
 
 def parse_ks(text):
-    ks = tuple(int(tok) for tok in text.split(",") if tok)
-    if not ks or any(k < 1 for k in ks):
+    """Comma-separated distinct integer cutoffs of at least 1, in the order given."""
+    try:
+        ks = tuple(int(tok) for tok in text.split(",") if tok)
+    except ValueError:
+        ks = ()
+    if not ks or any(k < 1 for k in ks) or len(set(ks)) != len(ks):
         raise ValueError(f"bad cutoff list {text!r}")
     return ks
 

@@ -17,6 +17,7 @@ is plain matrix factorization, use_groups=False with n_layers>0 is the
 linear graph-convolution recommender both trained with the same BPR loss.
 """
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -52,6 +53,8 @@ class RowScores:
     float64 array, and `negated(rows)` the same rows negated. `nbytes` is
     the size of the largest block returned so far, the score memory one
     caller holds at once; it stays exact when threads ask for blocks.
+    `columns`, `negated_pairs` and `error_bound` let a ranker bound a row's
+    scores without computing it whole.
     """
 
     def __init__(self, anchors, items):
@@ -61,6 +64,9 @@ class RowScores:
         self.shape = (len(anchors), len(items))
         self.nbytes = 0
         self._nbytes_lock = threading.Lock()
+        width = self.items_t.shape[0]
+        self._gamma = width * 2.0**-53 / (1.0 - width * 2.0**-53)
+        self._max_item_norm = math.sqrt(np.einsum("ij,ij->j", self.items_t, self.items_t).max(initial=0.0))
 
     def __getitem__(self, rows):
         return self._product(self.anchors[rows])
@@ -68,6 +74,26 @@ class RowScores:
     def negated(self, rows):
         """-self[rows], bit for bit: negation is exact, so the product of negated anchors is."""
         return self._product(-self.anchors[rows])
+
+    def columns(self, cols):
+        """The scores of the item columns `cols` alone, over one copy of those columns of items_t."""
+        return RowScores(self.anchors, self.items_t[:, cols].T)
+
+    def negated_pairs(self, rows, items):
+        """-(anchors[rows[j]] · item items[j]) for each j, as row-wise dot products."""
+        return -np.einsum("ij,ji->i", self.anchors[rows], self.items_t[:, items])
+
+    def error_bound(self, rows):
+        """γ_K·‖a‖·max‖v‖ for the anchor a of each of `rows`, K being the embedding width.
+
+        Higham's bound |fl(a·v) - a·v| <= γ_K·|a|·|v|, with γ_K = K·u / (1 - K·u)
+        and u = 2**-53, holds for every summation order (absent underflow and
+        overflow), and |a|·|v| <= ‖a‖·‖v‖; so no float evaluation of a score of
+        these rows, a block product's or a row-wise dot product's, is further
+        than this from the exact score.
+        """
+        anchors = self.anchors[rows]
+        return self._gamma * self._max_item_norm * np.sqrt(np.einsum("ij,ij->i", anchors, anchors))
 
     def _product(self, anchors):
         block = anchors @ self.items_t

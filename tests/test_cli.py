@@ -240,9 +240,11 @@ def no_work(monkeypatch):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--baseline", "popularity", "--k", "5,x"], "invalid literal for int() with base 10: 'x'"),
+    (["--baseline", "popularity", "--k", "5,x"], "bad cutoff list '5,x'"),
     (["--baseline", "popularity", "--k", "0"], "bad cutoff list '0'"),
     (["--k", "5"], "pass either --checkpoint paths or --baseline, not both or neither"),
+    (["--baseline", "popularity", "--k", "5,5"], "bad cutoff list '5,5'"),
+    (["--baseline", "popularity", "--k", "5,2.5"], "bad cutoff list '5,2.5'"),
 ])
 def test_eval_checks_its_arguments_before_loading_data(world, tmp_path, capsys, no_work, flags, message):
     out = tmp_path / "ev"
@@ -521,6 +523,8 @@ def test_ablate_rejects_unknown_variant(world, tmp_path, capsys):
     (["--variants", "Full,A", "--interest-modes", "gate,fc3"], "invalid config: interest_mode must be one of"),
     (["--variants", "Full,Z"], "unknown variant 'Z'"),
     (["--k", "5,0"], "bad cutoff list '5,0'"),
+    (["--k", "5,5"], "bad cutoff list '5,5'"),  # would write recall@5 and ndcg@5 twice into each header
+    (["--k", "5,x"], "bad cutoff list '5,x'"),
 ])
 def test_ablate_checks_its_arguments_before_work(world, tmp_path, capsys, no_work, flags, message):
     out = tmp_path / "abl"

@@ -3,9 +3,12 @@ import json
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grouprec import evaluate as ev
 from grouprec import reporting
@@ -486,3 +489,135 @@ def test_row_scores_nbytes_is_the_largest_block_across_threads():
     assert not any(thread.is_alive() for thread in threads)
     assert scores.nbytes == 8 * 5 * 8
     np.testing.assert_array_equal(scores.negated(np.arange(9)), -scores[np.arange(9)])
+
+
+# --- cutoffs ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ks", [(), (0, 5), (-1,), (5, 0), (2.5,)])
+def test_bad_cutoffs_are_refused_before_any_work(monkeypatch, ks):
+    ds = tiny_dataset()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scores computed before ks was checked")
+
+    class Refusing:
+        row_scores = staticmethod(refuse)
+
+    monkeypatch.setattr(ev, "popularity_scores", refuse)
+    with pytest.raises(ValueError, match="ks must be"):
+        ev.evaluate_scores(np.zeros((2, 5)), *ev._indexes(ds.user_items, TEST), ks)
+    with pytest.raises(ValueError, match="ks must be"):
+        ev.evaluate_ranking(Refusing(), ds, "user", ks=ks)
+    with pytest.raises(ValueError, match="ks must be"):
+        ev.evaluate_popularity(ds, "user", ks=ks)
+
+
+# --- ranking only the rows that can score ---------------------------------------
+
+
+@st.composite
+def pruning_worlds(draw):
+    """Small-integer anchors and items, so every product and dot product is exact.
+
+    Each anchor's relevant items come from the top or the bottom of its row or
+    from anywhere, or it has none; its masked items may cover them. Runs of
+    anchors of one kind make blocks where every row is kept or every row is
+    dropped.
+    """
+    n_anchors, n_items, width = draw(st.integers(1, 10)), draw(st.integers(1, 48)), draw(st.integers(1, 4))
+    ints = st.integers(-3, 3)
+    anchors = np.array(draw(st.lists(ints, min_size=n_anchors * width, max_size=n_anchors * width)), float)
+    items = np.array(draw(st.lists(ints, min_size=n_items * width, max_size=n_items * width)), float)
+    anchors, items = anchors.reshape(n_anchors, width), items.reshape(n_items, width)
+    ks = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True)))
+    scores = anchors @ items.T
+    eval_sets, mask_sets = [], []
+    for a in range(n_anchors):
+        order = np.argsort(-scores[a], kind="stable").tolist()
+        pool = {"top": order[:3], "bottom": order[-3:], "any": order, "none": []}[
+            draw(st.sampled_from(["top", "bottom", "any", "none"]))]
+        eval_sets.append(set(draw(st.lists(st.sampled_from(pool), max_size=3))) if pool else set())
+        mask_sets.append(set(draw(st.lists(st.integers(0, n_items - 1), max_size=n_items // 2))))
+    nan_cells = draw(st.lists(st.tuples(st.integers(0, n_anchors - 1), st.integers(0, n_items - 1)), max_size=3))
+    rows_per_block, sample = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, ev.SAMPLE]))
+    return anchors, items, ks, eval_sets, mask_sets, nan_cells, rows_per_block, sample
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(world=pruning_worlds())
+def test_pruned_ranking_equals_per_anchor_reference(world):
+    anchors, items, ks, eval_sets, mask_sets, nan_cells, rows_per_block, sample = world
+    n_items = len(items)
+    scores = anchors @ items.T
+    indexes = index_of(eval_sets, n_items), index_of(mask_sets, n_items)
+    with mock.patch.object(ev, "BLOCK_ELEMENTS", rows_per_block * n_items), mock.patch.object(ev, "SAMPLE", sample):
+        want = reference_metrics(scores, eval_sets, mask_sets, ks)
+        assert ev.evaluate_scores(scores, *indexes, ks) == want
+        assert ev.evaluate_scores(RowScores(anchors, items), *indexes, ks) == want
+        for a, v in nan_cells:
+            scores[a, v] = np.nan
+        assert ev.evaluate_scores(scores, *indexes, ks) == reference_metrics(scores, eval_sets, mask_sets, ks)
+
+
+class LoggedScores(RowScores):
+    """A RowScores that records the rows of every full-width `negated` call."""
+
+    def __init__(self, anchors, items):
+        super().__init__(anchors, items)
+        self.calls = []
+
+    def negated(self, rows):
+        self.calls.append(np.array(rows))
+        return super().negated(rows)
+
+
+class LowRowwise(LoggedScores):
+    """Row-wise dot products a few ulps lower than the exact scores.
+
+    A summation order other than the block product's may round so: four
+    ulps is within Higham's γ_K·|a|·|v| for the scores below.
+    """
+
+    def negated_pairs(self, rows, items):
+        out = super().negated_pairs(rows, items)
+        for _ in range(4):
+            out = np.nextafter(out, np.inf)
+        return out
+
+
+def test_a_relevant_score_within_ulps_of_the_threshold_keeps_its_row():
+    # one non-zero coordinate, so the block product is exact: item 1 (unsampled) beats
+    # item 0 (sampled) by one ulp, and the row-wise product puts it three ulps behind
+    width, n_items = 16, 4 * ev.SAMPLE  # a stride of 4 at depth 1
+    x = 1.5
+    anchors = np.zeros((3, width))
+    anchors[:, 0] = 1.0
+    items = np.zeros((n_items, width))
+    items[:, 0] = np.linspace(-1.0, 1.0, n_items)
+    items[0, 0], items[1, 0] = x, np.nextafter(x, np.inf)
+    eval_sets = [{1}, {2}, {2}]  # rows 1 and 2 hold a relevant item far below the cut
+    mask_sets = [set(), set(), set()]
+    scores = LowRowwise(anchors, items)
+    got = ev.evaluate_scores(scores, index_of(eval_sets, n_items), index_of(mask_sets, n_items), (1,))
+    assert got == reference_metrics(anchors @ items.T, eval_sets, mask_sets, (1,)) == ({"recall@1": 1 / 3,
+                                                                                       "ndcg@1": 1 / 3}, 3)
+    assert [c.tolist() for c in scores.calls] == [[0]]
+
+
+def test_rows_that_cannot_score_are_never_fully_scored(monkeypatch):
+    rng = np.random.default_rng(7)
+    n_items, width = 400, 8
+    anchors, items = rng.normal(size=(12, width)), rng.normal(size=(n_items, width))
+    scores = anchors @ items.T
+    order = np.argsort(-scores, axis=1)
+    best, worst = order[:, [0, 3]], order[:, [-1, -3]]
+    # blocks of 4 rows: every row can score, every row but row 5, no row
+    eval_sets = [set(best[a].tolist()) for a in range(8)] + [set(worst[a].tolist()) for a in range(8, 12)]
+    eval_sets[5] = set(worst[5].tolist())
+    mask_sets = [{int(order[a, 1])} for a in range(12)]
+    monkeypatch.setattr(ev, "BLOCK_ELEMENTS", 4 * n_items)
+    log = LoggedScores(anchors, items)
+    got = ev.evaluate_scores(log, index_of(eval_sets, n_items), index_of(mask_sets, n_items), (5,))
+    assert got == reference_metrics(scores, eval_sets, mask_sets, (5,))
+    assert sorted(c.tolist() for c in log.calls) == [[0, 1, 2, 3], [4, 6, 7]]
