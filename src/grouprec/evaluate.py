@@ -13,21 +13,21 @@ max(1, n_items // (SAMPLE * depth)), so at least SAMPLE * depth columns are.
 A row's thr is the depth-th smallest of its negated sampled scores, masked
 columns counting as +inf. A relevant item whose negated score is above thr
 has at least depth items strictly ahead of it and cannot be ranked; a row is
-dropped when none of its relevant items can. For a `model.RowScores` the
-sampled scores come from one product with a copy of the sampled columns of
-items.T, made once per call, and the relevant scores from row-wise dot
-products. Neither is the block product that would rank the row, so the
-comparison carries a slack of 8e, e = γ_K·‖a‖·max‖v‖, with K the embedding
-width, γ_K = K·u / (1 - K·u) and u = 2**-53. By Higham's dot-product bound,
+dropped when none of its relevant items can. The sampled scores come from
+one product with a copy of the sampled columns of items.T, made once per
+call, and the relevant scores from row-wise dot products. Neither is the
+block product that would rank the row, so the comparison carries a slack of
+8e, e = γ_K·‖a‖·max‖v‖, with K the embedding width, γ_K = K·u / (1 - K·u)
+and u = 2**-53. By Higham's dot-product bound,
 |fl(a·v) - a·v| <= γ_K·|a|·|v| <= e for every summation order (absent
 underflow and overflow). So when one evaluation puts a relevant score above
 thr + 8e, any other puts it above thr + 6e and puts each of the depth
 sampled scores at or below thr under thr + 2e: they all stay strictly ahead.
 A row is dropped only when every float evaluation of its dot products, the
 block product included, would drop it. NaN compares false, so a row with a
-NaN relevant score or threshold is never dropped. An array source (the
-popularity baseline, the tests), and a RowScores whose stride is 1, has
-each block read whole once and compares its exact values, with slack 0.
+NaN relevant score or threshold is never dropped. At stride 1 the sample is
+every column, so a catalogue below SAMPLE * depth items has each kept row
+multiplied twice, once for the sample and once to rank it.
 
 Ranking the rows that remain. Their negated rows come from `negated(rows)`
 and an in-place partition brings each row's depth best values to its front.
@@ -50,23 +50,24 @@ more; BLAS, partition and argpartition release the GIL, so the lanes overlap.
 Once a `Trainer.train` has run in the process, glibc keeps one malloc arena,
 so the helper's blocks come from the caller's kept heap and not a second one.
 
-A model's scores are never held whole: `evaluate_ranking` hands
-`evaluate_scores` a `model.RowScores`, which computes a block, negated, as
-`-anchors[rows] @ items.T` when it is ranked (negation is exact, so these
-are the bits of the negated product). Evaluation holds at most two blocks of
-BLOCK_ELEMENTS scores at a time, one per lane. Which bits are kept: when
-every row of a block remains, `negated(block)` is the same call on the same
-rows as when every row was ranked, so those scores keep their bits. When
-only some remain, the product over them is another BLAS call and may round
-differently; likewise a block's product may differ from the same rows of the
-whole product. With OpenBLAS 0.3.31 (Haswell kernel, one thread, d = 64),
-one-row products (a gemv) differed from the block's rows in 82% of entries
-at 1513 and 4000 items; products of 2 to 64 of 173 rows by 1513 items in
-1.4e-5 to 5e-4 of them; of 2 to 64 of 65 rows by 4000 items in none; and blocks
-of 173 rows by 1513 items differed from the whole product in about 1.6e-5 of
-the entries. A rank moves only where such a bit reorders two items, so
-parity with ranking every row is measured, not guaranteed: the metrics
-matched in every case measured.
+Scores are never held whole: `evaluate_ranking` hands `evaluate_scores` a
+model's `model.RowScores`, and `evaluate_popularity` a rank-1 one (a column
+of ones by the item scores, exact since K = 1). A RowScores computes a
+block, negated, as `-anchors[rows] @ items.T` when it is ranked (negation is
+exact, so these are the bits of the negated product). Evaluation holds at
+most two blocks of BLOCK_ELEMENTS scores at a time, one per lane. Which bits
+are kept: when every row of a block remains, `negated(block)` is the same
+call on the same rows as when every row was ranked, so those scores keep
+their bits. When only some remain, the product over them is another BLAS
+call and may round differently; likewise a block's product may differ from
+the same rows of the whole product. With OpenBLAS 0.3.31 (Haswell kernel,
+one thread, d = 64), one-row products (a gemv) differed from the block's
+rows in 82% of entries at 1513 and 4000 items; products of 2 to 64 of 173
+rows by 1513 items in 1.4e-5 to 5e-4 of them; of 2 to 64 of 65 rows by 4000
+items in none; and blocks of 173 rows by 1513 items differed from the whole
+product in about 1.6e-5 of the entries. A rank moves only where such a bit
+reorders two items, so parity with ranking every row is measured, not
+guaranteed: the metrics matched in every case measured.
 
 The cost on a model that fits well. When every row remains, a block pays the
 sampled product (about SAMPLE * depth / n_items of the full one), the
@@ -87,6 +88,7 @@ import threading
 import numpy as np
 
 from .datasets import TRAIN, VALID, TEST, edge_keys, in_sorted
+from .model import RowScores
 
 
 BLOCK_ELEMENTS = 1 << 18  # so score memory is fixed and the rest grows with edges, not anchors
@@ -94,21 +96,21 @@ SAMPLE = 16  # sampled item columns per rank of depth; a row's threshold is its 
 
 
 def _cutoffs(ks):
-    """ks as a tuple, checked to be one or more integer cutoffs of at least 1."""
+    """ks as a tuple, checked to be one or more distinct integer cutoffs of at least 1."""
     ks = tuple(ks)
-    if not ks or any(not isinstance(k, numbers.Integral) or k < 1 for k in ks):
-        raise ValueError(f"ks must be one or more integer cutoffs >= 1, got {ks!r}")
+    if not ks or any(not isinstance(k, numbers.Integral) or k < 1 for k in ks) or len(set(ks)) < len(ks):
+        raise ValueError(f"ks must be one or more distinct integer cutoffs >= 1, got {ks!r}")
     return ks
 
 
 def evaluate_scores(score_matrix, eval_index, mask_index, ks):
     """Mean metrics over anchors with nonempty eval rows.
 
-    `score_matrix` is anything with `.shape` whose `[rows]` gives float64
-    rows: a dense array, a broadcast view or a `model.RowScores`, whose
-    `negated(rows)` gives them negated and whose `columns`, `negated_pairs`
-    and `error_bound` give the sampled threshold; only the rows of evaluated
-    anchors that can score are computed whole, one block at a time.
+    `score_matrix` is a `model.RowScores` or anything shaped like one: `.shape`,
+    `negated(rows)` for those rows negated as a new float64 array, and
+    `columns`, `negated_pairs` and `error_bound` for the sampled threshold;
+    only the rows of evaluated anchors that can score are computed whole,
+    one block at a time.
 
     The indexes are (indptr, indices) pairs from `Interactions.anchor_index`:
     each anchor's relevant items, each once, and the items kept out of its ranking.
@@ -129,9 +131,7 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
     step = max(1, BLOCK_ELEMENTS // n_items)
     per_block = [None] * -(-len(rows) // step)  # each block's per-anchor metrics, filed by block index
     stride = max(1, n_items // (SAMPLE * depth))  # so at least SAMPLE * depth columns are sampled
-    sample = None  # a product over one copy of the sampled columns; else each block is read whole, once
-    if stride > 1 and hasattr(score_matrix, "columns"):
-        sample = score_matrix.columns(np.arange(0, n_items, stride))
+    sample = score_matrix.columns(np.arange(0, n_items, stride))  # at stride 1, every column
 
     def ranked_hits(neg, anchors):
         """Whether each of the top `depth` items of each negated row is relevant, best first."""
@@ -170,16 +170,11 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
         m_row, m_item = mask_pos[a:b] - lo, mask_items[a:b]
         a, b = np.searchsorted(rel_pos, (lo, lo + step))
         r_row, r_item = rel_pos[a:b] - lo, eval_index[1][a:b]
-        if sample is None:
-            full = _negated_rows(score_matrix, block)
-            full[m_row, m_item] = np.inf
-            head, rel, slack = full[:, ::stride].copy(), full[r_row, r_item], 0.0
-        else:
-            head = sample.negated(block)
-            on = m_item % stride == 0
-            head[m_row[on], m_item[on] // stride] = np.inf
-            rel = score_matrix.negated_pairs(block[r_row], r_item)
-            slack = 8.0 * score_matrix.error_bound(block)[r_row]
+        head = sample.negated(block)
+        on = m_item % stride == 0
+        head[m_row[on], m_item[on] // stride] = np.inf
+        rel = score_matrix.negated_pairs(block[r_row], r_item)
+        slack = 8.0 * score_matrix.error_bound(block)[r_row]
         head.partition(depth - 1, axis=1)
         # depth items lie strictly ahead of a relevant item above its row's threshold plus slack
         keep = np.zeros(len(block), dtype=bool)
@@ -188,8 +183,6 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
         at = np.cumsum(keep) - 1  # a kept row's place among the kept
 
         def kept_scores():
-            if sample is None:
-                return full[kept]
             neg = score_matrix.negated(block if len(kept) == len(block) else block[kept])
             on = keep[m_row]
             neg[at[m_row[on]], m_item[on]] = np.inf
@@ -214,14 +207,6 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
         key: float(np.cumsum(np.hstack([0.0] + [m[key] for m in per_block]))[-1] / max(n, 1))
         for key in (f"{m}@{k}" for m in ("recall", "ndcg") for k in ks)
     }, n
-
-
-def _negated_rows(score_matrix, rows):
-    """-score_matrix[rows] as a new float64 array; a `RowScores` has BLAS give it negated."""
-    if hasattr(score_matrix, "negated"):
-        return score_matrix.negated(rows)
-    neg = np.asarray(score_matrix[rows], dtype=np.float64)
-    return np.negative(neg, out=neg)
 
 
 def _usable_cpus():
@@ -298,5 +283,6 @@ def popularity_scores(dataset):
 def evaluate_popularity(dataset, task, ks=(5, 10), target=TEST):
     ks = _cutoffs(ks)
     interactions = dataset.user_items if task == "user" else dataset.group_items
-    scores = np.broadcast_to(popularity_scores(dataset), (interactions.n_anchors, dataset.n_items))
+    # a rank-1 product: with one coordinate, 1.0 * score is exact, so every row holds the scores
+    scores = RowScores(np.ones((interactions.n_anchors, 1)), popularity_scores(dataset)[:, None])
     return evaluate_scores(scores, *_indexes(interactions, target), ks)

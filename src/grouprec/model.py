@@ -49,10 +49,10 @@ NO_USERS = np.zeros(0, dtype=np.int64)
 class RowScores:
     """anchors @ items.T, computed one row block at a time and never whole.
 
-    `.shape` is the full matrix's; `[rows]` returns those rows as a new
-    float64 array, and `negated(rows)` the same rows negated. `nbytes` is
-    the size of the largest block returned so far, the score memory one
-    caller holds at once; it stays exact when threads ask for blocks.
+    `.shape` is the full matrix's; `negated(rows)` returns those rows,
+    negated, as a new float64 array. `nbytes` is the size of the largest
+    block returned so far, the score memory one caller holds at once; it
+    stays exact when threads ask for blocks.
     `columns`, `negated_pairs` and `error_bound` let a ranker bound a row's
     scores without computing it whole.
     """
@@ -68,11 +68,8 @@ class RowScores:
         self._gamma = width * 2.0**-53 / (1.0 - width * 2.0**-53)
         self._max_item_norm = math.sqrt(np.einsum("ij,ij->j", self.items_t, self.items_t).max(initial=0.0))
 
-    def __getitem__(self, rows):
-        return self._product(self.anchors[rows])
-
     def negated(self, rows):
-        """-self[rows], bit for bit: negation is exact, so the product of negated anchors is."""
+        """-(anchors[rows] @ items.T), bit for bit: negation is exact, so the product of negated anchors is."""
         return self._product(-self.anchors[rows])
 
     def columns(self, cols):

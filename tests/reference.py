@@ -7,7 +7,8 @@ finite_difference_check, the central-difference check that every op's
 gradients are tested with. Then come the per-edge file writers and the
 dataset fingerprint, the byte oracles for grouprec.datasets' array writers,
 the per-row ranking and metrics that grouprec.evaluate's block ranking is
-checked against, and the structural baseline configs.
+checked against, with the dense score source those tests rank, and the
+structural baseline configs.
 """
 
 import hashlib
@@ -469,6 +470,35 @@ def top_k(scores_row, banned, k):
     k = min(k, len(s))
     part = np.argpartition(-s, k - 1)[:k]
     return part[np.argsort(-s[part], kind="stable")]
+
+
+class DenseScores:
+    """A dense score array shaped as a `grouprec.model.RowScores`, the source evaluate_scores takes.
+
+    Its scores are the array's exact values, so `error_bound` is zero and the
+    sampled threshold compares them with no slack.
+    """
+
+    def __init__(self, scores):
+        self.scores = np.asarray(scores, dtype=np.float64)
+        self.shape = self.scores.shape
+
+    def negated(self, rows):
+        return -self.scores[rows]
+
+    def columns(self, cols):
+        return DenseScores(self.scores[:, cols])
+
+    def negated_pairs(self, rows, items):
+        return -self.scores[rows, items]
+
+    def error_bound(self, rows):
+        return np.zeros(len(rows))
+
+
+def whole(score_source):
+    """Every row of a score source, as one array: negation is exact, so these are its bits."""
+    return -score_source.negated(np.arange(score_source.shape[0]))
 
 
 def baseline_config(name, base=None):

@@ -38,7 +38,7 @@ from grouprec.graphconv import propagate
 from grouprec.synthetic import generate_synthetic
 from grouprec.trainer import Trainer
 
-from reference import baseline_config
+from reference import DenseScores, baseline_config
 
 
 def report(label, ok, detail):
@@ -335,7 +335,8 @@ def test_ranking_matches_hand_enumerated_oracle():
     ])
     # eval items {4}, {0}, {2, 5} as TEST edges; masked {0}, {1}, {1} as TRAIN edges
     edges = Interactions(3, 6, [0, 1, 2, 2, 0, 1, 2], [4, 0, 2, 5, 0, 1, 1], [TEST] * 4 + [TRAIN] * 3)
-    metrics, n = evaluate_scores(scores, edges.anchor_index((TEST,)), edges.anchor_index((TRAIN,)), ks=(2,))
+    metrics, n = evaluate_scores(DenseScores(scores), edges.anchor_index((TEST,)), edges.anchor_index((TRAIN,)),
+                                 ks=(2,))
     half = 1.0 / np.log2(3.0)
     want_recall = (1.0 + 1.0 + 0.5) / 3.0
     want_ndcg = (half + 1.0 + 1.0 / (1.0 + half)) / 3.0

@@ -73,7 +73,7 @@ def test_evaluate_scores_oracle_model_perfect_recall():
             [1.0, 1.0, 1.0, 1.0],
         ]
     )
-    metrics, n = ev.evaluate_scores(scores, index_of(eval_sets, 4), index_of(mask_sets, 4), ks=(5,))
+    metrics, n = ev.evaluate_scores(ref.DenseScores(scores), index_of(eval_sets, 4), index_of(mask_sets, 4), ks=(5,))
     assert n == 2  # the empty-test anchor is skipped
     assert metrics["recall@5"] == 1.0
     assert metrics["ndcg@5"] == 1.0
@@ -85,7 +85,7 @@ def test_evaluate_scores_hand_enumerated_instance():
     scores = rng.normal(size=(5, 8))
     eval_sets = [set(rng.choice(8, size=2, replace=False).tolist()) for _ in range(5)]
     mask_sets = [set(rng.choice(8, size=2, replace=False).tolist()) - eval_sets[i] for i in range(5)]
-    metrics, n = ev.evaluate_scores(scores, index_of(eval_sets, 8), index_of(mask_sets, 8), ks=(3,))
+    metrics, n = ev.evaluate_scores(ref.DenseScores(scores), index_of(eval_sets, 8), index_of(mask_sets, 8), ks=(3,))
 
     recalls, ndcgs = [], []
     for a in range(5):
@@ -110,7 +110,7 @@ def test_evaluate_scores_random_model_hypergeometric():
     eval_sets = [{int(rng.integers(n_items))} for _ in range(n_anchor)]
     mask_sets = [set() for _ in range(n_anchor)]
     metrics, _ = ev.evaluate_scores(
-        scores, index_of(eval_sets, n_items), index_of(mask_sets, n_items), ks=(10,)
+        ref.DenseScores(scores), index_of(eval_sets, n_items), index_of(mask_sets, n_items), ks=(10,)
     )
     assert metrics["recall@10"] == pytest.approx(0.01, abs=0.005)
 
@@ -169,7 +169,7 @@ def ranking_case(n_anchors, n_items, n_eval, n_mask, ties):
 @RANKING_CASES
 def test_block_ranking_equals_per_anchor_reference(n_anchors, n_items, n_eval, n_mask, ks, ties):
     scores, indexes, eval_sets, mask_sets = ranking_case(n_anchors, n_items, n_eval, n_mask, ties)
-    got = ev.evaluate_scores(scores, *indexes, ks)
+    got = ev.evaluate_scores(ref.DenseScores(scores), *indexes, ks)
     assert got == reference_metrics(scores, eval_sets, mask_sets, ks)
     assert got[1] < n_anchors
 
@@ -189,8 +189,8 @@ def tiny_dataset():
 
 class StubModel:
     def __init__(self, user_scores, group_scores=None):
-        self._u = np.asarray(user_scores, dtype=np.float64)
-        self._g = None if group_scores is None else np.asarray(group_scores, dtype=np.float64)
+        self._u = ref.DenseScores(user_scores)
+        self._g = None if group_scores is None else ref.DenseScores(group_scores)
 
     def row_scores(self, task, state=None):
         return self._u if task == "user" else self._g
@@ -243,6 +243,29 @@ def test_popularity_deterministic():
     assert a == b
 
 
+def sets_of(index):
+    """The per-anchor item sets of an (indptr, indices) anchor index."""
+    indptr, items = index
+    return [set(items[lo:hi].tolist()) for lo, hi in zip(indptr[:-1], indptr[1:])]
+
+
+@pytest.mark.parametrize("n_items", [200, 800])  # a sampling stride of 1 and of 5 at depth 10
+@pytest.mark.parametrize("target", [VALID, TEST])
+@pytest.mark.parametrize("task", ["user", "group"])
+def test_popularity_metrics_equal_per_anchor_reference(monkeypatch, task, target, n_items):
+    ds, _ = generate_synthetic(300, n_items, 120, m_true=3, noise=0.1, seed=4, edges_per_group=12)
+    ds.user_items = split_holdout(ds.user_items, seed=4)
+    ds.group_items = split_holdout(ds.group_items, seed=5)
+    monkeypatch.setattr(ev, "BLOCK_ELEMENTS", 7 * n_items)  # 7 rows a block, so many blocks
+    interactions = ds.user_items if task == "user" else ds.group_items
+    dense = np.broadcast_to(ev.popularity_scores(ds), (interactions.n_anchors, n_items))
+    ks = (1, 5, 10)
+    got = ev.evaluate_popularity(ds, task, ks=ks, target=target)
+    eval_index, mask_index = ev._indexes(interactions, target)
+    assert got == reference_metrics(dense, sets_of(eval_index), sets_of(mask_index), ks)
+    assert got[1] > 7 and got[0]["recall@10"] > 0  # several blocks, and hits to count
+
+
 def test_metric_rows_and_summary_round_trip(tmp_path):
     rows = []
     for task in ("user", "group"):
@@ -277,7 +300,8 @@ def test_metric_bounds_invariant():
     scores = rng.normal(size=(30, 20))
     eval_sets = [set(map(int, rng.choice(20, size=3, replace=False))) for _ in range(30)]
     mask_sets = [set() for _ in range(30)]
-    metrics, _ = ev.evaluate_scores(scores, index_of(eval_sets, 20), index_of(mask_sets, 20), ks=(5, 10))
+    metrics, _ = ev.evaluate_scores(ref.DenseScores(scores), index_of(eval_sets, 20), index_of(mask_sets, 20),
+                                    ks=(5, 10))
     for v in metrics.values():
         assert 0.0 <= v <= 1.0
 
@@ -288,8 +312,8 @@ def test_row_scores_blocks_and_nbytes():
     scores = RowScores(anchors, items)
     assert scores.shape == (9, 7) and scores.nbytes == 0
     rows = np.array([8, 0, 3])
-    np.testing.assert_allclose(scores[rows], (anchors @ items.T)[rows], rtol=0, atol=1e-14)
-    scores[np.array([1])]
+    np.testing.assert_allclose(-scores.negated(rows), (anchors @ items.T)[rows], rtol=0, atol=1e-14)
+    scores.negated(np.array([1]))
     assert scores.nbytes == 3 * 7 * 8  # the largest block returned so far
 
 
@@ -317,7 +341,7 @@ def test_row_block_scoring_equals_dense_product(trained_toy, monkeypatch, task, 
     interactions = ds.user_items if task == "user" else ds.group_items
     ks = (5, 10, 20)
     got = ev.evaluate_ranking(model, ds, task, ks=ks, target=target, state=state)
-    assert got == ev.evaluate_scores(dense, *ev._indexes(interactions, target), ks)
+    assert got == ev.evaluate_scores(ref.DenseScores(dense), *ev._indexes(interactions, target), ks)
     assert got[1] > 0
 
 
@@ -375,17 +399,36 @@ class BlockFault(RuntimeError):
     pass
 
 
-class LaneLog:
-    """Dense scores that record the thread reading each block, and fail on blocks `fail` picks."""
+class LaneLog(ref.DenseScores):
+    """Dense scores that record the thread of every `negated` call, and fail on blocks `fail` picks.
 
-    def __init__(self, scores, fail=lambda: False):
-        self.scores, self.shape, self.fail, self.threads = scores, scores.shape, fail, []
+    `columns` gives a LaneLog of the sampled columns that shares the log and
+    files its calls as the sampled reads. Each block is read first, once,
+    through the sample, so `sampled` holds one thread per block ranked;
+    `fail` is asked at each sampled read, so it picks blocks.
+    """
 
-    def __getitem__(self, rows):
-        self.threads.append(threading.get_ident())
-        if self.fail():
+    def __init__(self, scores, fail=lambda: False, log=None, sample=False):
+        super().__init__(scores)
+        self.fail, self.sample = fail, sample
+        self.log = [] if log is None else log  # (thread, whether a sampled read) per call
+
+    @property
+    def threads(self):
+        return [thread for thread, _ in self.log]
+
+    @property
+    def sampled(self):
+        return [thread for thread, sample in self.log if sample]
+
+    def negated(self, rows):
+        self.log.append((threading.get_ident(), self.sample))
+        if self.sample and self.fail():
             raise BlockFault("block failed")
-        return self.scores[rows]
+        return super().negated(rows)
+
+    def columns(self, cols):
+        return LaneLog(self.scores[:, cols], self.fail, self.log, sample=True)
 
 
 @pytest.fixture
@@ -409,12 +452,12 @@ def test_two_lanes_rank_as_one_lane(lanes, monkeypatch, schedule, n_anchors, n_i
     scores, indexes, eval_sets, mask_sets = ranking_case(n_anchors, n_items, n_eval, n_mask, ties)
     monkeypatch.setattr(ev, "BLOCK_ELEMENTS", 7 * n_items)  # 7 rows a block, so many blocks
     lanes(1)
-    one_lane = ev.evaluate_scores(scores, *indexes, ks)
+    one_lane = ev.evaluate_scores(ref.DenseScores(scores), *indexes, ks)
     helper = lanes(2, schedule)
     log = LaneLog(scores)
     assert ev.evaluate_scores(log, *indexes, ks) == one_lane == reference_metrics(scores, eval_sets, mask_sets, ks)
     caller = threading.get_ident()
-    assert len(log.threads) == -(-one_lane[1] // 7)  # each block ranked once
+    assert len(log.sampled) == -(-one_lane[1] // 7)  # each block ranked once: one sampled read each
     if helper is LateHelper:
         assert set(log.threads) == {caller} and len(helper.made) == 1
     elif helper is EagerHelper:
@@ -446,7 +489,7 @@ def test_a_failed_block_reaches_the_caller_and_leaves_no_thread(lanes, lane, sch
     fail = {
         "caller": lambda: threading.get_ident() == caller,
         "helper": lambda: threading.get_ident() != caller,
-        "either": lambda: len(log.threads) == 2,  # the second block, on whichever lane takes it
+        "either": lambda: len(log.sampled) == 2,  # the second block, on whichever lane takes it
     }[lane]
     log = LaneLog(scores, fail)
     before = threading.active_count()
@@ -456,7 +499,7 @@ def test_a_failed_block_reaches_the_caller_and_leaves_no_thread(lanes, lane, sch
     for thread in getattr(helper, "made", ()):
         assert not thread.is_alive()
     if lane != "either":
-        assert len(log.threads) == 1  # the other lane took no block after the failure
+        assert len(log.threads) == 1  # the failing read was the first: no lane read after it
 
 
 def test_lanes_take_each_task_once_under_fast_switching():
@@ -488,13 +531,13 @@ def test_row_scores_nbytes_is_the_largest_block_across_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert scores.nbytes == 8 * 5 * 8
-    np.testing.assert_array_equal(scores.negated(np.arange(9)), -scores[np.arange(9)])
+    np.testing.assert_array_equal(scores.negated(np.arange(9)), -(scores.anchors[:9] @ scores.items_t))
 
 
 # --- cutoffs ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("ks", [(), (0, 5), (-1,), (5, 0), (2.5,)])
+@pytest.mark.parametrize("ks", [(), (0, 5), (-1,), (5, 0), (2.5,), (1, 1), (5, 10, 5)])
 def test_bad_cutoffs_are_refused_before_any_work(monkeypatch, ks):
     ds = tiny_dataset()
 
@@ -506,7 +549,7 @@ def test_bad_cutoffs_are_refused_before_any_work(monkeypatch, ks):
 
     monkeypatch.setattr(ev, "popularity_scores", refuse)
     with pytest.raises(ValueError, match="ks must be"):
-        ev.evaluate_scores(np.zeros((2, 5)), *ev._indexes(ds.user_items, TEST), ks)
+        ev.evaluate_scores(ref.DenseScores(np.zeros((2, 5))), *ev._indexes(ds.user_items, TEST), ks)
     with pytest.raises(ValueError, match="ks must be"):
         ev.evaluate_ranking(Refusing(), ds, "user", ks=ks)
     with pytest.raises(ValueError, match="ks must be"):
@@ -553,11 +596,12 @@ def test_pruned_ranking_equals_per_anchor_reference(world):
     indexes = index_of(eval_sets, n_items), index_of(mask_sets, n_items)
     with mock.patch.object(ev, "BLOCK_ELEMENTS", rows_per_block * n_items), mock.patch.object(ev, "SAMPLE", sample):
         want = reference_metrics(scores, eval_sets, mask_sets, ks)
-        assert ev.evaluate_scores(scores, *indexes, ks) == want
+        assert ev.evaluate_scores(ref.DenseScores(scores), *indexes, ks) == want
         assert ev.evaluate_scores(RowScores(anchors, items), *indexes, ks) == want
         for a, v in nan_cells:
             scores[a, v] = np.nan
-        assert ev.evaluate_scores(scores, *indexes, ks) == reference_metrics(scores, eval_sets, mask_sets, ks)
+        assert ev.evaluate_scores(ref.DenseScores(scores), *indexes, ks) == reference_metrics(scores, eval_sets,
+                                                                                               mask_sets, ks)
 
 
 class LoggedScores(RowScores):

@@ -215,8 +215,8 @@ def test_members_only_inference_matches_the_full_table(trained, task):
     np.testing.assert_array_equal(model.forward().interest_rows, MEMBERS)
     np.testing.assert_array_equal(model.forward(users=NO_USERS).interest_rows, MEMBERS)
 
-    scores = model.row_scores(task)[:]  # no state: the members-only forward
-    want = model.row_scores(task, full_state)[:]
+    scores = ref.whole(model.row_scores(task))  # no state: the members-only forward
+    want = ref.whole(model.row_scores(task, full_state))
     assert np.abs(scores - want).max() <= 1e-12 * np.abs(want).max()
     for target in (VALID, TEST):
         assert evaluate_ranking(model, ds, task, target=target) == evaluate_ranking(

@@ -168,7 +168,7 @@ def test_mf_reduction_scores_are_raw_dot_products():
     ds = toy_dataset()
     cfg = small_config(use_groups=False, n_layers=0)
     model = GroupRecommender(ds, cfg, np.random.default_rng(0))
-    scores = model.row_scores("user")[:]
+    scores = ref.whole(model.row_scores("user"))
     np.testing.assert_allclose(scores, model.user_emb.data @ model.item_emb.data.T, atol=1e-12)
     assert model.group_emb is None and model.generator is None
 
