@@ -52,7 +52,8 @@ class Interactions:
     the one broken: each (anchor, item) pair appears once, n_anchors * n_items
     is below 2**63 (so every edge_keys key fits in int64), and every split code
     is TRAIN, VALID or TEST. It then sorts once; every reader of the arrays
-    relies on this order and sorts nothing.
+    relies on this order and sorts nothing. The arrays are read-only: a copy
+    with other split labels comes from `relabeled`.
     """
 
     def __init__(self, n_anchors, n_items, anchors=(), items=(), splits=None):
@@ -80,6 +81,9 @@ class Interactions:
         if len(twice):
             raise ValueError(f"edge ({anchors[twice[0]]}, {items[twice[0]]}) appears more than once")
         self.anchors, self.items, self.splits = anchors[order], items[order], splits.astype(np.int8)[order]
+        for array in (self.anchors, self.items, self.splits):
+            array.flags.writeable = False  # so no memoised anchor_index goes stale
+        self._indexes = {}  # anchor_index's (indptr, indices), by the sorted split codes
 
     def __len__(self):
         return len(self.anchors)
@@ -95,11 +99,18 @@ class Interactions:
     def anchor_index(self, splits=(TRAIN,)):
         """CSR-style (indptr, indices) of each anchor's items in the given splits.
 
-        Row a is indices[indptr[a] : indptr[a + 1]], sorted.
+        Row a is indices[indptr[a] : indptr[a + 1]], sorted. Each split set's
+        pair is built once and kept; both arrays are read-only.
         """
-        keep = np.isin(self.splits, np.asarray(splits, dtype=np.int8))
-        counts = np.bincount(self.anchors[keep], minlength=self.n_anchors)
-        return np.concatenate(([0], np.cumsum(counts))), self.items[keep]
+        key = tuple(np.unique(np.asarray(splits, dtype=np.int8)).tolist())
+        if key not in self._indexes:
+            keep = np.isin(self.splits, key)
+            counts = np.bincount(self.anchors[keep], minlength=self.n_anchors)
+            index = np.concatenate(([0], np.cumsum(counts))), self.items[keep]
+            for array in index:
+                array.flags.writeable = False
+            self._indexes[key] = index
+        return self._indexes[key]
 
 
 def membership_matrix(n_groups, n_users, gids, uids):

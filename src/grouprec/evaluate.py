@@ -3,10 +3,19 @@
 Every anchor's scores cover the whole item catalog; items the anchor
 already touched in the masked splits are pushed to -inf before ranking,
 and anchors with nothing held out in the target split are skipped.
-`evaluate_scores` works through row blocks (at most BLOCK_ELEMENTS scores
-each) and ranks in full only the rows where a relevant item can reach the
-top depth = min(max(ks), n_items). Every other row gets recall 0 and NDCG 0,
-which is what ranking it would give.
+`evaluate_scores` ranks in full only the rows where a relevant item can reach
+the top depth = min(max(ks), n_items). Every other row gets recall 0 and
+NDCG 0, which is what ranking it would give.
+
+The geometry. A chunk is chunk = max(1, BLOCK_ELEMENTS // n_items) rows, the
+most that one full-width product holds. The threshold below is found per
+block of rows: the evaluated rows are split into an even number of
+near-equal blocks, each a whole number of chunks (only the last chunk may be
+short) and at most widest = chunk * max(1, BLOCK_ELEMENTS // (n_sampled *
+chunk)) rows, so that no sampled product holds more than BLOCK_ELEMENTS
+scores either. A block's kept rows are then scored and ranked in runs of at
+most chunk rows. When every row is kept, each run is one chunk of
+consecutive rows: the calls of ranking every row, chunk by chunk.
 
 The threshold. Every stride-th item column is sampled, with stride =
 max(1, n_items // (SAMPLE * depth)), so at least SAMPLE * depth columns are.
@@ -14,24 +23,24 @@ A row's thr is the depth-th smallest of its negated sampled scores, masked
 columns counting as +inf. A relevant item whose negated score is above thr
 has at least depth items strictly ahead of it and cannot be ranked; a row is
 dropped when none of its relevant items can. The sampled scores come from
-one product with a copy of the sampled columns of items.T, made once per
-call, and the relevant scores from row-wise dot products. Neither is the
-block product that would rank the row, so the comparison carries a slack of
-8e, e = γ_K·‖a‖·max‖v‖, with K the embedding width, γ_K = K·u / (1 - K·u)
-and u = 2**-53. By Higham's dot-product bound,
+one product per block with a copy of the sampled items, made once per call,
+and the relevant scores from row-wise dot products over rows of the item
+table. Neither is the product that would rank the row, so the comparison
+carries a slack of 8e, e = γ_K·‖a‖·max‖v‖, with K the embedding width,
+γ_K = K·u / (1 - K·u) and u = 2**-53. By Higham's dot-product bound,
 |fl(a·v) - a·v| <= γ_K·|a|·|v| <= e for every summation order (absent
 underflow and overflow). So when one evaluation puts a relevant score above
 thr + 8e, any other puts it above thr + 6e and puts each of the depth
 sampled scores at or below thr under thr + 2e: they all stay strictly ahead.
 A row is dropped only when every float evaluation of its dot products, the
-block product included, would drop it. NaN compares false, so a row with a
-NaN relevant score or threshold is never dropped. At stride 1 the sample is
+product that ranks it included, would drop it. NaN compares false, so a row
+with a NaN relevant score or threshold is never dropped. At stride 1 the sample is
 every column, so a catalogue below SAMPLE * depth items has each kept row
 multiplied twice, once for the sample and once to rank it.
 
-Ranking the rows that remain. Their negated rows come from `negated(rows)`
-and an in-place partition brings each row's depth best values to its front.
-A relevant item's rank is one more than the number of those values strictly
+Ranking the rows that remain. Each run's negated rows come from
+`negated(rows)`, and an in-place partition brings each row's depth best
+values to its front. A relevant item's rank is one more than the number of those values strictly
 below it, when it is below the cut and equals no other of them, or is the
 cut and equals no other value of its row. In any other case (a tie, a NaN)
 the row is read again and ranked in full: argpartition takes its depth best,
@@ -42,7 +51,8 @@ at a time and scores it with the textbook Recall@K and NDCG@K (the tests
 keep that loop as the oracle) over the same scores.
 
 Blocks are ranked on two lanes, the caller's thread and one helper thread,
-which take the next block from one shared counter; each block's per-anchor
+which take the next block from one shared counter (an even count of
+near-equal blocks gives the lanes equal shares); each block's per-anchor
 metrics are filed by block index and summed in anchor order afterwards, so
 the metrics are bit-equal whichever lane ranked which block. The helper runs
 only where the process may use more than one CPU and there are two blocks or
@@ -53,30 +63,34 @@ so the helper's blocks come from the caller's kept heap and not a second one.
 Scores are never held whole: `evaluate_ranking` hands `evaluate_scores` a
 model's `model.RowScores`, and `evaluate_popularity` a rank-1 one (a column
 of ones by the item scores, exact since K = 1). A RowScores computes a
-block, negated, as `-anchors[rows] @ items.T` when it is ranked (negation is
-exact, so these are the bits of the negated product). Evaluation holds at
-most two blocks of BLOCK_ELEMENTS scores at a time, one per lane. Which bits
-are kept: when every row of a block remains, `negated(block)` is the same
-call on the same rows as when every row was ranked, so those scores keep
-their bits. When only some remain, the product over them is another BLAS
-call and may round differently; likewise a block's product may differ from
-the same rows of the whole product. With OpenBLAS 0.3.31 (Haswell kernel,
-one thread, d = 64), one-row products (a gemv) differed from the block's
-rows in 82% of entries at 1513 and 4000 items; products of 2 to 64 of 173
-rows by 1513 items in 1.4e-5 to 5e-4 of them; of 2 to 64 of 65 rows by 4000
-items in none; and blocks of 173 rows by 1513 items differed from the whole
-product in about 1.6e-5 of the entries. A rank moves only where such a bit
+run, negated, as `-anchors[rows] @ items.T` when it is ranked (negation is
+exact, so these are the bits of the negated product). Each lane holds one
+buffer of at most BLOCK_ELEMENTS scores at a time: a block's sampled scores
+are freed before its first run is scored. Which bits are kept: when every
+row remains, each run's `negated(rows)` is the same call on the same rows as
+when every row was ranked chunk by chunk, so those scores keep their bits.
+When only some remain, a run gathers kept rows from several chunks, and its
+product is another BLAS call that may round differently; likewise a chunk's
+product may differ from the same rows of the whole product. With OpenBLAS
+0.3.31 (Haswell kernel, one thread, d = 64), one-row products (a gemv)
+differed from a chunk's rows in 82% of entries at 1513 and 4000 items;
+products of 2 to 64 of 173 rows by 1513 items in 1.4e-5 to 5e-4 of them; of
+2 to 64 of 65 rows by 4000 items in none; and chunks of 173 rows by 1513
+items differed from the whole product in about 1.6e-5 of the entries. A rank moves only where such a bit
 reorders two items, so parity with ranking every row is measured, not
 guaranteed: the metrics matched in every case measured.
 
-The cost on a model that fits well. When every row remains, a block pays the
-sampled product (about SAMPLE * depth / n_items of the full one), the
-row-wise dot products and the partition of the sample on top of the full
-product, and an in-place partition replaces argpartition and argsort. At
-10000 x 4000 scores, d = 64, with two relevant items per row ranked near the
-top, every row was kept, and a one-lane pass took 0.263 s against 0.281 s
-for argpartition on every row (medians of 9 alternating runs each on a
-shared 2-vCPU host, SAMPLE = 16).
+The cost on a model that fits well. When every row remains, a row pays its
+share of the sampled product (about SAMPLE * depth / n_items of the full
+one), the row-wise dot products and the partition of the sample on top of
+the full product, and an in-place partition replaces argpartition and
+argsort. At 10000 x 4000 scores, d = 64, with two relevant items per row
+ranked near the top, every row was kept. A one-lane pass took 0.212 s and a
+two-lane pass 0.129 s, against 0.215 s and 0.130 s with the threshold found
+chunk by chunk (medians of 9 alternating runs each on a shared 2-vCPU host,
+one BLAS thread, SAMPLE = 16). Argpartition on every row had taken 0.281 s
+on one lane, against 0.263 s for the chunk-by-chunk threshold, on the same
+host on an earlier day.
 """
 
 import itertools
@@ -128,10 +142,18 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
     depth = min(max(ks), n_items)
     gains = np.array([1.0 / math.log2(rank + 1) for rank in range(1, max(ks) + 1)])
     ideal = np.cumsum(gains)  # ideal[m - 1]: the first m ranks all hit
-    step = max(1, BLOCK_ELEMENTS // n_items)
-    per_block = [None] * -(-len(rows) // step)  # each block's per-anchor metrics, filed by block index
+    chunk = max(1, BLOCK_ELEMENTS // n_items)  # the rows of one full-width product
     stride = max(1, n_items // (SAMPLE * depth))  # so at least SAMPLE * depth columns are sampled
     sample = score_matrix.columns(np.arange(0, n_items, stride))  # at stride 1, every column
+    widest = chunk * max(1, BLOCK_ELEMENTS // (sample.shape[1] * chunk))  # the rows of one sampled product
+    bounds = _block_bounds(len(rows), chunk, widest)
+    per_block = [None] * (len(bounds) - 1)  # each block's per-anchor metrics, filed by block index
+
+    def negated(anchors, m_row, m_item):
+        """The negated score rows of `anchors`, with (m_row, m_item) masked to +inf."""
+        neg = score_matrix.negated(anchors)
+        neg[m_row, m_item] = np.inf
+        return neg
 
     def ranked_hits(neg, anchors):
         """Whether each of the top `depth` items of each negated row is relevant, best first."""
@@ -140,13 +162,13 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
         ranked = np.take_along_axis(part, order, axis=1)
         return in_sorted(eval_keys, edge_keys(anchors[:, None], ranked, n_anchors, n_items))
 
-    def kept_hits(scores, anchors, row, item):
-        """ranked_hits(scores(), anchors), given the relevant (row, item) pairs of those rows.
+    def kept_hits(anchors, masked, row, item):
+        """ranked_hits of the masked negated rows of `anchors`, given their relevant (row, item) pairs.
 
-        `scores()` gives the same negated rows each call; the first is partitioned in
-        place, and a row is ranked in full, from a second call, only on a tie or a NaN.
+        The rows are partitioned in place, and ranked in full, from a second
+        product of the same rows, only on a tie or a NaN.
         """
-        neg = scores()
+        neg = negated(anchors, *masked)
         x = neg[row, item]
         neg.partition(depth - 1, axis=1)  # each row's `depth` best now lead it, unordered
         top = neg[row, :depth]
@@ -155,20 +177,20 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
         sure = (x < cut) & ((top == x[:, None]).sum(axis=1) == 1)
         at_cut = np.flatnonzero(x == cut)  # the cut itself, when no other item of the row equals it
         sure[at_cut] = (neg[row[at_cut]] == x[at_cut, None]).sum(axis=1) == 1
-        del neg  # so a second call holds one buffer of these rows, not two
+        del neg  # so a second product holds one buffer of these rows, not two
         hit = np.zeros((len(anchors), depth), dtype=bool)
         hit[row[sure], (top[sure] < x[sure, None]).sum(axis=1)] = True
         redo = np.unique(row[~sure & ~(x > cut)])
         if len(redo):
-            hit[redo] = ranked_hits(scores()[redo], anchors[redo])
+            hit[redo] = ranked_hits(negated(anchors, *masked)[redo], anchors[redo])
         return hit
 
     def rank_block(i):
-        lo = i * step
-        block = rows[lo : lo + step]
-        a, b = np.searchsorted(mask_pos, (lo, lo + step))
+        lo, hi = bounds[i], bounds[i + 1]
+        block = rows[lo:hi]
+        a, b = np.searchsorted(mask_pos, (lo, hi))
         m_row, m_item = mask_pos[a:b] - lo, mask_items[a:b]
-        a, b = np.searchsorted(rel_pos, (lo, lo + step))
+        a, b = np.searchsorted(rel_pos, (lo, hi))
         r_row, r_item = rel_pos[a:b] - lo, eval_index[1][a:b]
         head = sample.negated(block)
         on = m_item % stride == 0
@@ -179,19 +201,20 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
         # depth items lie strictly ahead of a relevant item above its row's threshold plus slack
         keep = np.zeros(len(block), dtype=bool)
         keep[r_row[~(rel > head[r_row, depth - 1] + slack)]] = True  # NaN compares False: kept
+        del head  # so a lane holds one score buffer at a time
         kept = np.flatnonzero(keep)
         at = np.cumsum(keep) - 1  # a kept row's place among the kept
-
-        def kept_scores():
-            neg = score_matrix.negated(block if len(kept) == len(block) else block[kept])
-            on = keep[m_row]
-            neg[at[m_row[on]], m_item[on]] = np.inf
-            return neg
-
+        on, sel = keep[m_row], keep[r_row]
+        # the mask and relevant pairs of kept rows, by place among the kept; both stay sorted
+        m_row, m_item, r_row, r_item = at[m_row[on]], m_item[on], at[r_row[sel]], r_item[sel]
         hit = np.zeros((len(block), depth), dtype=bool)
-        if len(kept):
-            sel = keep[r_row]
-            hit[kept] = kept_hits(kept_scores, block[kept], at[r_row[sel]], r_item[sel])
+        for start in range(0, len(kept), chunk):  # with every row kept, a run is a chunk of rows
+            end = start + chunk
+            a, b = np.searchsorted(m_row, (start, end))
+            c, d = np.searchsorted(r_row, (start, end))
+            hit[kept[start:end]] = kept_hits(
+                block[kept[start:end]], (m_row[a:b] - start, m_item[a:b]), r_row[c:d] - start, r_item[c:d]
+            )
         hits, dcg = np.cumsum(hit, axis=1), np.cumsum(np.where(hit, gains[:depth], 0.0), axis=1)
         relevant = n_relevant[block]
         metrics = {}
@@ -207,6 +230,18 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
         key: float(np.cumsum(np.hstack([0.0] + [m[key] for m in per_block]))[-1] / max(n, 1))
         for key in (f"{m}@{k}" for m in ("recall", "ndcg") for k in ks)
     }, n
+
+
+def _block_bounds(n_rows, chunk, widest):
+    """The row bounds of near-equal blocks of n_rows rows, as few as fit, in an even count where the chunks allow.
+
+    Each block is a whole number of chunks of `chunk` rows (only the last
+    chunk may be short) and at most `widest` rows, a multiple of `chunk`.
+    """
+    n_chunks = -(-n_rows // chunk)
+    n_blocks = -(-n_chunks // (widest // chunk))
+    n_blocks = min(n_chunks, n_blocks + n_blocks % 2)  # an even count, so two lanes take equal shares
+    return np.minimum(np.arange(n_blocks + 1) * n_chunks // max(n_blocks, 1) * chunk, n_rows)
 
 
 def _usable_cpus():

@@ -59,6 +59,7 @@ class RowScores:
 
     def __init__(self, anchors, items):
         self.anchors = anchors
+        self.items = np.ascontiguousarray(items)  # row-major, so an item's vector is one contiguous row
         # a row-major copy: OpenBLAS packs it faster per block than a transposed view, same bits
         self.items_t = np.ascontiguousarray(items.T)
         self.shape = (len(anchors), len(items))
@@ -73,12 +74,12 @@ class RowScores:
         return self._product(-self.anchors[rows])
 
     def columns(self, cols):
-        """The scores of the item columns `cols` alone, over one copy of those columns of items_t."""
-        return RowScores(self.anchors, self.items_t[:, cols].T)
+        """The scores of the item columns `cols` alone, over one copy of those items."""
+        return RowScores(self.anchors, self.items[cols])
 
     def negated_pairs(self, rows, items):
         """-(anchors[rows[j]] · item items[j]) for each j, as row-wise dot products."""
-        return -np.einsum("ij,ji->i", self.anchors[rows], self.items_t[:, items])
+        return -np.einsum("ij,ij->i", self.anchors[rows], self.items[items])
 
     def error_bound(self, rows):
         """γ_K·‖a‖·max‖v‖ for the anchor a of each of `rows`, K being the embedding width.

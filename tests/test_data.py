@@ -191,6 +191,25 @@ def test_anchor_index_matches_dict_oracle():
     assert inter.anchor_index((TRAIN,))[0][-2] == inter.anchor_index((TRAIN,))[0][-1]
 
 
+def test_interactions_are_read_only_and_build_each_index_once():
+    inter = Interactions(3, 4, [0, 1, 2, 2], [1, 0, 3, 2], [TRAIN, TEST, TRAIN, VALID])
+    for name in ("anchors", "items", "splits"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(inter, name)[0] = 1
+    first = inter.anchor_index((TRAIN, VALID))
+    again = inter.anchor_index((VALID, TRAIN))  # the same split set, in another order
+    assert all(x is y for x, y in zip(first, again))
+    for array in first:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    assert first[0].tolist() == [0, 1, 1, 3] and first[1].tolist() == [1, 2, 3]
+    copy = inter.relabeled([TRAIN, TRAIN, TEST, TEST])
+    own = copy.anchor_index((TRAIN, VALID))
+    assert not any(x is y for x, y in zip(first, own))
+    assert own[0].tolist() == [0, 1, 2, 2] and own[1].tolist() == [1, 0]
+    assert inter.anchor_index((TRAIN, VALID))[1].tolist() == [1, 2, 3]  # the original's, unchanged
+
+
 def test_interactions_hold_one_order_whatever_the_input_order(tmp_path):
     rng = np.random.default_rng(8)
     n_anchors, n_items = 15, 12
@@ -289,7 +308,7 @@ def test_synthesize_single_member_and_cap():
 
 def test_synthesize_uses_train_edges_only():
     ds = make_dataset(1, 5, [(0, 0), (0, 1)], [[0]])
-    ds.user_items.splits[1] = TEST
+    ds.user_items = ds.user_items.relabeled([TRAIN, TEST])
     rg = d.synthesize_group_items(ds)
     assert list(rg.items) == [0]
 
@@ -310,7 +329,7 @@ def test_adjacency_two_items_weight():
 
 def test_adjacency_excludes_heldout_edges():
     ds = make_dataset(1, 2, [(0, 0), (0, 1)], [[0]])
-    ds.user_items.splits[1] = VALID
+    ds.user_items = ds.user_items.relabeled([TRAIN, VALID])
     adj = d.build_norm_adjacency(ds)
     assert adj.nnz == 1
     assert adj.toarray().tolist() == [[1.0, 0.0]]

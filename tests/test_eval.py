@@ -256,7 +256,7 @@ def test_popularity_metrics_equal_per_anchor_reference(monkeypatch, task, target
     ds, _ = generate_synthetic(300, n_items, 120, m_true=3, noise=0.1, seed=4, edges_per_group=12)
     ds.user_items = split_holdout(ds.user_items, seed=4)
     ds.group_items = split_holdout(ds.group_items, seed=5)
-    monkeypatch.setattr(ev, "BLOCK_ELEMENTS", 7 * n_items)  # 7 rows a block, so many blocks
+    monkeypatch.setattr(ev, "BLOCK_ELEMENTS", 7 * n_items)  # chunks of 7 rows, so several blocks
     interactions = ds.user_items if task == "user" else ds.group_items
     dense = np.broadcast_to(ev.popularity_scores(ds), (interactions.n_anchors, n_items))
     ks = (1, 5, 10)
@@ -329,7 +329,7 @@ def trained_toy():
     return trainer.model, ds
 
 
-@pytest.mark.parametrize("block_elements", [ev.BLOCK_ELEMENTS, 200 * 7])  # one block; 7 rows each
+@pytest.mark.parametrize("block_elements", [ev.BLOCK_ELEMENTS, 200 * 7])  # one block; chunks of 7 rows
 @pytest.mark.parametrize("target", [VALID, TEST])
 @pytest.mark.parametrize("task", ["user", "group"])
 def test_row_block_scoring_equals_dense_product(trained_toy, monkeypatch, task, target, block_elements):
@@ -366,6 +366,17 @@ def test_evaluate_ranking_never_holds_the_dense_matrix():
 
 
 # --- ranking on two lanes ---------------------------------------------------
+
+
+def block_count(n_rows, n_items, ks):
+    """The sampled blocks of n_rows evaluated rows: an even number, each of whole chunks and at most `widest` rows."""
+    depth = min(max(ks), n_items)
+    chunk = max(1, ev.BLOCK_ELEMENTS // n_items)
+    n_sampled = len(range(0, n_items, max(1, n_items // (ev.SAMPLE * depth))))
+    chunks_per_block = max(1, ev.BLOCK_ELEMENTS // (n_sampled * chunk))  # widest // chunk
+    n_chunks = -(-n_rows // chunk)
+    n_blocks = -(-n_chunks // chunks_per_block)
+    return min(n_chunks, n_blocks + n_blocks % 2)
 
 
 class LateHelper(threading.Thread):
@@ -450,14 +461,17 @@ def lanes(monkeypatch):
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_two_lanes_rank_as_one_lane(lanes, monkeypatch, schedule, n_anchors, n_items, n_eval, n_mask, ks, ties):
     scores, indexes, eval_sets, mask_sets = ranking_case(n_anchors, n_items, n_eval, n_mask, ties)
-    monkeypatch.setattr(ev, "BLOCK_ELEMENTS", 7 * n_items)  # 7 rows a block, so many blocks
+    monkeypatch.setattr(ev, "BLOCK_ELEMENTS", 7 * n_items)  # chunks of 7 rows
+    monkeypatch.setattr(ev, "SAMPLE", 2)  # a narrow sample, so a block may hold several chunks
     lanes(1)
     one_lane = ev.evaluate_scores(ref.DenseScores(scores), *indexes, ks)
     helper = lanes(2, schedule)
     log = LaneLog(scores)
     assert ev.evaluate_scores(log, *indexes, ks) == one_lane == reference_metrics(scores, eval_sets, mask_sets, ks)
     caller = threading.get_ident()
-    assert len(log.sampled) == -(-one_lane[1] // 7)  # each block ranked once: one sampled read each
+    n_blocks = block_count(one_lane[1], n_items, ks)
+    assert n_blocks >= 2
+    assert len(log.sampled) == n_blocks  # each block ranked once: one sampled read each
     if helper is LateHelper:
         assert set(log.threads) == {caller} and len(helper.made) == 1
     elif helper is EagerHelper:
@@ -471,7 +485,7 @@ def test_two_lanes_rank_as_one_lane(lanes, monkeypatch, schedule, n_anchors, n_i
 @pytest.mark.parametrize("task", ["user", "group"])
 def test_two_lanes_rank_the_trained_toy_as_one_lane(trained_toy, lanes, monkeypatch, task, target, schedule):
     model, ds = trained_toy
-    monkeypatch.setattr(ev, "BLOCK_ELEMENTS", 200 * 7)  # 7 rows a block
+    monkeypatch.setattr(ev, "BLOCK_ELEMENTS", 200 * 7)  # chunks of 7 rows
     state = model.forward()
     lanes(1)
     one_lane = ev.evaluate_ranking(model, ds, task, ks=(5, 10, 20), target=target, state=state)
@@ -482,8 +496,12 @@ def test_two_lanes_rank_the_trained_toy_as_one_lane(trained_toy, lanes, monkeypa
 
 @pytest.mark.parametrize("lane, schedule", [("caller", "late_helper"), ("helper", "eager_helper"),
                                             ("either", "free")])
-def test_a_failed_block_reaches_the_caller_and_leaves_no_thread(lanes, lane, schedule):
+def test_a_failed_block_reaches_the_caller_and_leaves_no_thread(lanes, monkeypatch, lane, schedule):
     scores, indexes, _, _ = ranking_case(700, 1000, 1400, 7000, True)
+    monkeypatch.setattr(ev, "BLOCK_ELEMENTS", 7 * 1000)  # chunks of 7 rows
+    monkeypatch.setattr(ev, "SAMPLE", 8)  # 84 sampled columns at depth 10: 11 chunks a block
+    n_blocks = block_count(ev.evaluate_scores(ref.DenseScores(scores), *indexes, (5, 10))[1], 1000, (5, 10))
+    assert n_blocks >= 4
     helper = lanes(2, schedule)
     caller = threading.get_ident()
     fail = {
@@ -500,6 +518,8 @@ def test_a_failed_block_reaches_the_caller_and_leaves_no_thread(lanes, lane, sch
         assert not thread.is_alive()
     if lane != "either":
         assert len(log.threads) == 1  # the failing read was the first: no lane read after it
+    else:
+        assert 2 <= len(log.sampled) <= n_blocks  # one sampled read a block, the second failing
 
 
 def test_lanes_take_each_task_once_under_fast_switching():
@@ -563,12 +583,16 @@ def test_bad_cutoffs_are_refused_before_any_work(monkeypatch, ks):
 def pruning_worlds(draw):
     """Small-integer anchors and items, so every product and dot product is exact.
 
-    Each anchor's relevant items come from the top or the bottom of its row or
-    from anywhere, or it has none; its masked items may cover them. Runs of
-    anchors of one kind make blocks where every row is kept or every row is
-    dropped.
+    Each anchor's relevant items are its best item, come from the top or the
+    bottom of its row or from anywhere, or it has none; its masked items may
+    cover them. Anchors come in runs of one kind, so a block may have every
+    row kept (all best), none kept, or several runs of kept rows; with a
+    narrow sample a block holds several chunks, and the last one may be short.
     """
-    n_anchors, n_items, width = draw(st.integers(1, 10)), draw(st.integers(1, 48)), draw(st.integers(1, 4))
+    runs = draw(st.lists(st.tuples(st.sampled_from(["best", "top", "bottom", "any", "none"]), st.integers(1, 8)),
+                         min_size=1, max_size=4))
+    kinds = [kind for kind, length in runs for _ in range(length)]
+    n_anchors, n_items, width = len(kinds), draw(st.integers(1, 48)), draw(st.integers(1, 4))
     ints = st.integers(-3, 3)
     anchors = np.array(draw(st.lists(ints, min_size=n_anchors * width, max_size=n_anchors * width)), float)
     items = np.array(draw(st.lists(ints, min_size=n_items * width, max_size=n_items * width)), float)
@@ -578,8 +602,7 @@ def pruning_worlds(draw):
     eval_sets, mask_sets = [], []
     for a in range(n_anchors):
         order = np.argsort(-scores[a], kind="stable").tolist()
-        pool = {"top": order[:3], "bottom": order[-3:], "any": order, "none": []}[
-            draw(st.sampled_from(["top", "bottom", "any", "none"]))]
+        pool = {"best": order[:1], "top": order[:3], "bottom": order[-3:], "any": order, "none": []}[kinds[a]]
         eval_sets.append(set(draw(st.lists(st.sampled_from(pool), max_size=3))) if pool else set())
         mask_sets.append(set(draw(st.lists(st.integers(0, n_items - 1), max_size=n_items // 2))))
     nan_cells = draw(st.lists(st.tuples(st.integers(0, n_anchors - 1), st.integers(0, n_items - 1)), max_size=3))
@@ -597,7 +620,9 @@ def test_pruned_ranking_equals_per_anchor_reference(world):
     with mock.patch.object(ev, "BLOCK_ELEMENTS", rows_per_block * n_items), mock.patch.object(ev, "SAMPLE", sample):
         want = reference_metrics(scores, eval_sets, mask_sets, ks)
         assert ev.evaluate_scores(ref.DenseScores(scores), *indexes, ks) == want
-        assert ev.evaluate_scores(RowScores(anchors, items), *indexes, ks) == want
+        logged = LoggedScores(anchors, items)
+        assert ev.evaluate_scores(logged, *indexes, ks) == want
+        assert max(logged.nbytes, logged.sample.nbytes) <= 8 * ev.BLOCK_ELEMENTS
         for a, v in nan_cells:
             scores[a, v] = np.nan
         assert ev.evaluate_scores(ref.DenseScores(scores), *indexes, ks) == reference_metrics(scores, eval_sets,
@@ -605,15 +630,20 @@ def test_pruned_ranking_equals_per_anchor_reference(world):
 
 
 class LoggedScores(RowScores):
-    """A RowScores that records the rows of every full-width `negated` call."""
+    """A RowScores that records the rows of every full-width `negated` call, and keeps its sampled source."""
 
     def __init__(self, anchors, items):
         super().__init__(anchors, items)
         self.calls = []
+        self.sample = None
 
     def negated(self, rows):
         self.calls.append(np.array(rows))
         return super().negated(rows)
+
+    def columns(self, cols):
+        self.sample = super().columns(cols)
+        return self.sample
 
 
 class LowRowwise(LoggedScores):
@@ -656,7 +686,7 @@ def test_rows_that_cannot_score_are_never_fully_scored(monkeypatch):
     scores = anchors @ items.T
     order = np.argsort(-scores, axis=1)
     best, worst = order[:, [0, 3]], order[:, [-1, -3]]
-    # blocks of 4 rows: every row can score, every row but row 5, no row
+    # chunks of 4 rows: every row can score, every row but row 5, no row
     eval_sets = [set(best[a].tolist()) for a in range(8)] + [set(worst[a].tolist()) for a in range(8, 12)]
     eval_sets[5] = set(worst[5].tolist())
     mask_sets = [{int(order[a, 1])} for a in range(12)]
@@ -665,3 +695,33 @@ def test_rows_that_cannot_score_are_never_fully_scored(monkeypatch):
     got = ev.evaluate_scores(log, index_of(eval_sets, n_items), index_of(mask_sets, n_items), (5,))
     assert got == reference_metrics(scores, eval_sets, mask_sets, (5,))
     assert sorted(c.tolist() for c in log.calls) == [[0, 1, 2, 3], [4, 6, 7]]
+
+
+@pytest.mark.parametrize("kept", ["every", "none", "alternate"])
+def test_kept_rows_are_scored_in_runs_of_one_chunk(lanes, monkeypatch, kept):
+    rng = np.random.default_rng(9)
+    n_anchors, n_items, width = 50, 300, 8
+    anchors, items = rng.normal(size=(n_anchors, width)), rng.normal(size=(n_items, width))
+    scores = anchors @ items.T
+    order = np.argsort(-scores, axis=1)
+    can_score = {"every": lambda a: True, "none": lambda a: False, "alternate": lambda a: a % 2 == 0}[kept]
+    eval_sets = [set(order[a, :2].tolist() if can_score(a) else order[a, -2:].tolist()) for a in range(n_anchors)]
+    mask_sets = [{int(order[a, 2])} for a in range(n_anchors)]
+    # chunks of 7 rows; 20 sampled columns at depth 10, so a block may hold 15 chunks, and the
+    # 50 rows (7 chunks and one short one) make two blocks, rows 0-27 and 28-49
+    monkeypatch.setattr(ev, "BLOCK_ELEMENTS", 7 * n_items)
+    monkeypatch.setattr(ev, "SAMPLE", 2)
+    lanes(1)
+    log = LoggedScores(anchors, items)
+    got = ev.evaluate_scores(log, index_of(eval_sets, n_items), index_of(mask_sets, n_items), (10,))
+    assert got == reference_metrics(scores, eval_sets, mask_sets, (10,))
+    calls = [c.tolist() for c in log.calls]
+    if kept == "every":  # the consecutive chunks, as when every row is ranked
+        assert calls == [list(range(lo, min(lo + 7, n_anchors))) for lo in range(0, n_anchors, 7)]
+        assert log.nbytes == 8 * ev.BLOCK_ELEMENTS
+    elif kept == "none":
+        assert calls == []
+    else:  # each block's kept rows, 7 at a time: two runs in each block, the last one short
+        assert calls == [list(range(lo, hi, 2)) for lo, hi in ((0, 14), (14, 28), (28, 42), (42, 50))]
+    assert log.sample.nbytes == 8 * 28 * 20  # the first block's sampled scores
+    assert max(log.nbytes, log.sample.nbytes) <= 8 * ev.BLOCK_ELEMENTS
