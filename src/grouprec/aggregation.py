@@ -47,7 +47,7 @@ def selection_weights(group_emb, pooled, tau, noise=None, hard=False):
     softmax path. hard snaps each row to a one-hot at its argmax, with
     gradients taken from the soft weights.
     """
-    psi = ag.channel_dot(group_emb, pooled)
+    psi = ag.contract("gd,gmd->gm", group_emb, pooled)
     logits = psi if noise is None else ag.weighted_sum((1.0, psi), (1.0, noise))
     omega = ag.softmax_rows(logits, tau)
     if hard:
@@ -59,4 +59,4 @@ def selection_weights(group_emb, pooled, tau, noise=None, hard=False):
 
 def mix_interests(omega, pooled):
     """i*_g = sum_n omega[:, n] * pooled[:, n]; (|G|, M), (|G|, M, d) -> (|G|, d)."""
-    return ag.channel_mix(omega, pooled)
+    return ag.contract("gm,gmd->gd", omega, pooled)

@@ -485,28 +485,36 @@ def segment_attention(x, att, rows: np.ndarray, segment_ids: np.ndarray, pattern
     return _record(out, (x, att), backward)
 
 
-def channel_dot(a, channels) -> Tensor:
-    """out[g, m] = a[g] . channels[g, m]: (G, d), (G, M, d) -> (G, M)."""
-    a, channels = _as_tensor(a), _as_tensor(channels)
-    out = Tensor(np.einsum("gd,gmd->gm", a.data, channels.data))
+def contract(spec: str, a, b) -> Tensor:
+    """The two-operand einsum spec = "A,B->C" of a and b, such as "gd,gmd->gm".
+
+    Backward takes einsum("C,B->A", g, b) to a and einsum("A,C->B", a, g) to b.
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    operands, sc = spec.split("->")
+    sa, sb = operands.split(",")
+    out = Tensor(np.einsum(spec, a.data, b.data))
 
     def backward(g):
-        _accum(a, np.einsum("gm,gmd->gd", g, channels.data))
-        _accum(channels, np.einsum("gm,gd->gmd", g, a.data))
+        _accum(a, np.einsum(f"{sc},{sb}->{sa}", g, b.data))
+        _accum(b, np.einsum(f"{sa},{sc}->{sb}", a.data, g))
 
-    return _record(out, (a, channels), backward)
+    return _record(out, (a, b), backward)
 
 
-def channel_mix(weights, channels) -> Tensor:
-    """out[g] = sum_m weights[g, m] * channels[g, m]: (G, M), (G, M, d) -> (G, d)."""
-    weights, channels = _as_tensor(weights), _as_tensor(channels)
-    out = Tensor(np.einsum("gm,gmd->gd", weights.data, channels.data))
+def channel_cosines(r: np.ndarray):
+    """Cosines between the channels of each row of r, an (n, M, d) array normalised in place.
 
-    def backward(g):
-        _accum(weights, np.einsum("gd,gmd->gm", g, channels.data))
-        _accum(channels, np.einsum("gm,gd->gmd", weights.data, g))
-
-    return _record(out, (weights, channels), backward)
+    Returns (cos, unit, inv, live): the (n, M, M) cosines, r itself scaled
+    to unit rows, the (n, M) inverse norms and the (n, M) live mask. A
+    channel whose norm is below COSINE_NORM_EPS is not live: its inverse
+    norm and unit row are 0, so its cosine with every channel is 0.
+    """
+    norms = np.sqrt(np.einsum("nmd,nmd->nm", r, r))
+    live = norms >= COSINE_NORM_EPS
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=live)
+    r *= inv[:, :, None]
+    return r @ r.transpose(0, 2, 1), r, inv, live
 
 
 def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
@@ -521,13 +529,7 @@ def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
     x = _as_tensor(x)
     rows = np.asarray(rows, dtype=np.int64)
     n, m = len(rows), x.data.shape[1]
-    r = x.data[rows]
-    norms = np.sqrt(np.einsum("nmd,nmd->nm", r, r))
-    ok = norms >= COSINE_NORM_EPS
-    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=ok)
-    unit = r
-    unit *= inv[:, :, None]
-    cos = unit @ unit.transpose(0, 2, 1)
+    cos, unit, inv, ok = channel_cosines(x.data[rows])
     mask = np.triu(np.ones((m, m), dtype=bool), k=1) & ok[:, :, None] & ok[:, None, :]
     mask &= np.abs(cos) >= threshold
     inv_n = 1.0 / n

@@ -36,7 +36,7 @@ from .datasets import (
     write_edges,
     write_splits,
 )
-from .evaluate import evaluate_popularity, evaluate_ranking
+from .evaluate import _cutoffs, evaluate_popularity, evaluate_ranking
 from .gating import param_count
 from .reporting import export_report, metric_rows, write_csv
 from .synthetic import generate_synthetic
@@ -90,12 +90,9 @@ def load_config(args):
 def parse_ks(text):
     """Comma-separated distinct integer cutoffs of at least 1, in the order given."""
     try:
-        ks = tuple(int(tok) for tok in text.split(",") if tok)
+        return _cutoffs(int(tok) for tok in text.split(",") if tok)
     except ValueError:
-        ks = ()
-    if not ks or any(k < 1 for k in ks) or len(set(ks)) != len(ks):
-        raise ValueError(f"bad cutoff list {text!r}")
-    return ks
+        raise ValueError(f"bad cutoff list {text!r}") from None
 
 
 def cmd_prepare(args):

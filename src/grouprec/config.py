@@ -18,9 +18,6 @@ VARIANTS = tuple(VARIANT_LETTERS)
 
 INTEREST_MODES = ("gate", "fc1", "fc2", "table")
 TASKS = ("user", "group")
-COUNTS = ("embed_dim", "n_interests", "n_layers", "batch_user", "batch_group", "epochs", "patience",
-          "eval_every", "seed")
-REALS = ("temperature", "sim_threshold", "user_task_weight", "interest_reg_weight", "lr", "weight_decay")
 
 
 @dataclass
@@ -110,6 +107,11 @@ class TrainConfig:
     def from_json(cls, path):
         with open(path) as f:
             return cls.from_dict(json.load(f))
+
+
+# the fields validate type-checks, by annotation: every int field is a count, every float field a real
+COUNTS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.type is int)
+REALS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.type is float)
 
 
 def _plain_number(value):

@@ -101,6 +101,7 @@ import threading
 
 import numpy as np
 
+from .config import TASKS
 from .datasets import TRAIN, VALID, TEST, edge_keys, in_sorted
 from .model import RowScores
 
@@ -286,8 +287,16 @@ def _run_on_two_lanes(task, n_tasks):
         raise errors[0]
 
 
-def _indexes(interactions, target):
-    """Eval and mask index: TEST masks train+valid, VALID masks train only."""
+def _indexes(dataset, task, target):
+    """The task's eval and mask index: TEST masks train+valid, VALID masks train only.
+
+    Raises ValueError for a task outside TASKS or a target outside (VALID, TEST).
+    """
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
+    if target not in (VALID, TEST):
+        raise ValueError(f"target must be VALID ({VALID}) or TEST ({TEST}), got {target!r}")
+    interactions = dataset.user_items if task == "user" else dataset.group_items
     mask_splits = (TRAIN, VALID) if target == TEST else (TRAIN,)
     return interactions.anchor_index((target,)), interactions.anchor_index(mask_splits)
 
@@ -299,9 +308,8 @@ def evaluate_ranking(model, dataset, task, ks=(5, 10), target=TEST, state=None):
     (the model-selection path during training).
     """
     ks = _cutoffs(ks)
-    interactions = dataset.user_items if task == "user" else dataset.group_items
-    scores = model.row_scores(task, state=state)
-    return evaluate_scores(scores, *_indexes(interactions, target), ks)
+    indexes = _indexes(dataset, task, target)
+    return evaluate_scores(model.row_scores(task, state=state), *indexes, ks)
 
 
 def popularity_scores(dataset):
@@ -317,7 +325,8 @@ def popularity_scores(dataset):
 
 def evaluate_popularity(dataset, task, ks=(5, 10), target=TEST):
     ks = _cutoffs(ks)
-    interactions = dataset.user_items if task == "user" else dataset.group_items
+    indexes = _indexes(dataset, task, target)
+    n_anchors = len(indexes[0][0]) - 1  # the eval index's indptr
     # a rank-1 product: with one coordinate, 1.0 * score is exact, so every row holds the scores
-    scores = RowScores(np.ones((interactions.n_anchors, 1)), popularity_scores(dataset)[:, None])
-    return evaluate_scores(scores, *_indexes(interactions, target), ks)
+    scores = RowScores(np.ones((n_anchors, 1)), popularity_scores(dataset)[:, None])
+    return evaluate_scores(scores, *indexes, ks)

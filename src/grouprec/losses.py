@@ -68,24 +68,3 @@ def interest_regularizer(interests, user_idx, threshold):
     if interests.shape[1] < 2 or len(user_idx) == 0:
         return Tensor(0.0)
     return ag.mean_pair_cosine(interests, user_idx, threshold)
-
-
-def pairwise_abs_cosine(interests, user_idx=None):
-    """M x M matrix of mean |cosine| between interest channels, diagonal 1.
-
-    interests is the (len(interest_rows), M, d) interest tensor of a
-    forward; the mean runs over all its rows, or the rows in user_idx. As in
-    the regularizer, a channel whose norm is below COSINE_NORM_EPS has
-    cosine 0 with every other channel.
-    """
-    x = interests.data if user_idx is None else interests.data[user_idx]
-    if len(x) == 0:
-        return np.eye(x.shape[1])
-    norms = np.linalg.norm(x, axis=2)
-    denom = norms[:, :, None] * norms[:, None, :]
-    live = norms >= ag.COSINE_NORM_EPS
-    ok = live[:, :, None] & live[:, None, :]
-    cos = np.divide(x @ x.transpose(0, 2, 1), denom, out=np.zeros_like(denom), where=ok)
-    out = np.abs(cos).mean(axis=0)
-    np.fill_diagonal(out, 1.0)
-    return out

@@ -29,7 +29,6 @@ from .autodiff import Tensor
 from .config import TrainConfig
 from .datasets import build_norm_adjacency
 from .gating import INIT_STD, make_interest_generator
-from .losses import pairwise_abs_cosine
 
 
 @dataclass
@@ -233,7 +232,14 @@ class GroupRecommender:
         raise ValueError(f"unknown task {task!r}")
 
     def interest_similarity(self):
-        """Mean |cosine| between interest channels over every user; identity if they don't exist."""
+        """Mean |cosine| between interest channels over every user, diagonal 1; identity if they don't exist.
+
+        As in the interest regularizer, a channel whose norm is below
+        COSINE_NORM_EPS has cosine 0 with every other channel.
+        """
         if self.generator is None:
             return np.eye(max(1, self.cfg.n_interests))
-        return pairwise_abs_cosine(self.forward(users=np.arange(self.dataset.n_users)).interests)
+        interests = self.forward(users=np.arange(self.dataset.n_users)).interests
+        sim = np.abs(ag.channel_cosines(interests.data)[0]).mean(axis=0)
+        np.fill_diagonal(sim, 1.0)
+        return sim

@@ -203,6 +203,16 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
+def mean_abs_cosine(interests: np.ndarray) -> np.ndarray:
+    """The M x M mean over rows of |cosine| between channels, diagonal 1, pair by pair."""
+    m = interests.shape[1]
+    out = np.eye(m)
+    for p in range(m):
+        for q in range(p + 1, m):
+            out[p, q] = out[q, p] = np.mean([abs(cosine_similarity(x[p], x[q])) for x in interests])
+    return out
+
+
 def segment_softmax(scores, segment_ids: np.ndarray, n_segments: int) -> Tensor:
     """Softmax of a 1-d score vector within each segment.
 

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from grouprec import cli
+from grouprec.autodiff import channel_cosines
 from grouprec.cli import main
 from grouprec.checkpoint import load_checkpoint, save_checkpoint
 from grouprec.config import COUNTS, REALS, VARIANT_LETTERS, VARIANTS, TrainConfig, resolve_variant
 from grouprec.datasets import TRAIN, VALID, TEST, load_dataset, load_prepared
 from grouprec.evaluate import evaluate_ranking
-from grouprec.losses import pairwise_abs_cosine
 from grouprec.trainer import Trainer, build_model_from_arrays
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -167,7 +167,9 @@ def test_eval_both_tasks(world, run_dir, tmp_path):
     ds = load_prepared(str(world))
     model = build_model_from_arrays(ds, TrainConfig.from_dict(cfg_dict), arrays)
     full = model.forward(users=np.arange(model.dataset.n_users))
-    want = [[f"{v:.6f}" for v in row] for row in pairwise_abs_cosine(full.interests)]
+    sim = np.abs(channel_cosines(full.interests.data)[0]).mean(axis=0)
+    np.fill_diagonal(sim, 1.0)
+    want = [[f"{v:.6f}" for v in row] for row in sim]
     with open(out / "interest_sim.csv", newline="") as f:
         assert list(csv.reader(f)) == want
 
@@ -404,6 +406,15 @@ def test_variant_table_resolves_names_and_letters():
             resolve_variant(bad)
     with pytest.raises(ValueError, match="variant must be one of"):
         TrainConfig.from_dict({"variant": "E"})
+
+
+def test_every_number_field_is_type_checked():
+    # COUNTS and REALS come from the annotations, so a new int or float field is checked too
+    kinds = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+    assert COUNTS == tuple(name for name, kind in kinds.items() if kind is int)
+    assert REALS == tuple(name for name, kind in kinds.items() if kind is float)
+    assert {"embed_dim", "seed", "eval_every"} <= set(COUNTS) and {"lr", "temperature"} <= set(REALS)
+    assert set(kinds) - set(COUNTS) - set(REALS) == {"variant", "interest_mode", "use_groups", "select_task"}
 
 
 @pytest.mark.parametrize("name", COUNTS)

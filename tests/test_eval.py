@@ -261,7 +261,7 @@ def test_popularity_metrics_equal_per_anchor_reference(monkeypatch, task, target
     dense = np.broadcast_to(ev.popularity_scores(ds), (interactions.n_anchors, n_items))
     ks = (1, 5, 10)
     got = ev.evaluate_popularity(ds, task, ks=ks, target=target)
-    eval_index, mask_index = ev._indexes(interactions, target)
+    eval_index, mask_index = ev._indexes(ds, task, target)
     assert got == reference_metrics(dense, sets_of(eval_index), sets_of(mask_index), ks)
     assert got[1] > 7 and got[0]["recall@10"] > 0  # several blocks, and hits to count
 
@@ -341,7 +341,7 @@ def test_row_block_scoring_equals_dense_product(trained_toy, monkeypatch, task, 
     interactions = ds.user_items if task == "user" else ds.group_items
     ks = (5, 10, 20)
     got = ev.evaluate_ranking(model, ds, task, ks=ks, target=target, state=state)
-    assert got == ev.evaluate_scores(ref.DenseScores(dense), *ev._indexes(interactions, target), ks)
+    assert got == ev.evaluate_scores(ref.DenseScores(dense), *ev._indexes(ds, task, target), ks)
     assert got[1] > 0
 
 
@@ -557,23 +557,48 @@ def test_row_scores_nbytes_is_the_largest_block_across_threads():
 # --- cutoffs ------------------------------------------------------------------
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("scores computed before the arguments were checked")
+
+
+class Refusing:
+    """A model whose scores must not be asked for."""
+
+    row_scores = staticmethod(refuse)
+
+
 @pytest.mark.parametrize("ks", [(), (0, 5), (-1,), (5, 0), (2.5,), (1, 1), (5, 10, 5)])
 def test_bad_cutoffs_are_refused_before_any_work(monkeypatch, ks):
     ds = tiny_dataset()
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("scores computed before ks was checked")
-
-    class Refusing:
-        row_scores = staticmethod(refuse)
-
     monkeypatch.setattr(ev, "popularity_scores", refuse)
     with pytest.raises(ValueError, match="ks must be"):
-        ev.evaluate_scores(ref.DenseScores(np.zeros((2, 5))), *ev._indexes(ds.user_items, TEST), ks)
+        ev.evaluate_scores(ref.DenseScores(np.zeros((2, 5))), *ev._indexes(ds, "user", TEST), ks)
     with pytest.raises(ValueError, match="ks must be"):
         ev.evaluate_ranking(Refusing(), ds, "user", ks=ks)
     with pytest.raises(ValueError, match="ks must be"):
         ev.evaluate_popularity(ds, "user", ks=ks)
+    # a bad cutoff is reported first, whatever else is wrong
+    with pytest.raises(ValueError, match="ks must be"):
+        ev.evaluate_popularity(ds, "users", ks=ks, target=TRAIN)
+
+
+@pytest.mark.parametrize("task, target, message", [
+    ("users", TEST, "unknown task 'users'"),
+    (None, TEST, "unknown task None"),
+    ("group", TRAIN, "target must be"),
+    ("user", 7, "target must be"),
+    ("user", None, "target must be"),
+])
+def test_unknown_tasks_and_targets_are_refused_before_any_work(monkeypatch, task, target, message):
+    # the group task's metrics used to come back for any task but "user", and TRAIN ranked train edges
+    ds = tiny_dataset()
+    monkeypatch.setattr(ev, "popularity_scores", refuse)
+    with pytest.raises(ValueError, match=message):
+        ev.evaluate_ranking(Refusing(), ds, task, target=target)
+    with pytest.raises(ValueError, match=message):
+        ev.evaluate_popularity(ds, task, target=target)
+    with pytest.raises(ValueError, match=message):
+        ev._indexes(ds, task, target)
 
 
 # --- ranking only the rows that can score ---------------------------------------

@@ -128,7 +128,7 @@ def test_segment_attention_matches_the_reference_op(m, shuffled):
     assert np.all(np.abs(dx[[0, 1, 2, 3, 5, 6]]).max(axis=(1, 2)) > 0.0)
 
 
-def test_channel_dot_and_mix_finite_differences():
+def test_contract_finite_differences():
     rng = np.random.default_rng(2)
     a = param(rng, 3, 4)
     w = param(rng, 3, 5)
@@ -136,12 +136,35 @@ def test_channel_dot_and_mix_finite_differences():
     proj = Tensor(rng.normal(size=(5, 4)))
 
     def loss():
-        psi = ag.channel_dot(a, chans)
-        mixed = ag.channel_mix(w, chans)
+        psi = ag.contract("gd,gmd->gm", a, chans)
+        mixed = ag.contract("gm,gmd->gd", w, chans)
         return ref.add(ref.tsum(ref.mul(psi, psi)), ref.tsum(ref.mul(mixed, ref.matmul(psi, proj))))
 
     err = ref.finite_difference_check(loss, [a, w, chans], h=1e-5, rng=rng)
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("m, d", [(5, 4), (1, 4), (5, 1), (1, 1)])
+def test_contract_is_bit_equal_to_the_group_score_and_mix_einsums(m, d):
+    # the einsums of the two ops contract replaced: group scores psi = e_g . pooled, and the omega mix
+    rng = np.random.default_rng(12)
+    a, w, chans = rng.normal(size=(6, d)), rng.normal(size=(6, m)), rng.normal(size=(6, m, d))
+    g_psi, g_mix = rng.normal(size=(6, m)), rng.normal(size=(6, d))
+    cases = [
+        ("gd,gmd->gm", a, g_psi, np.einsum("gd,gmd->gm", a, chans),
+         np.einsum("gm,gmd->gd", g_psi, chans), np.einsum("gm,gd->gmd", g_psi, a)),
+        ("gm,gmd->gd", w, g_mix, np.einsum("gm,gmd->gd", w, chans),
+         np.einsum("gd,gmd->gm", g_mix, chans), np.einsum("gm,gd->gmd", w, g_mix)),
+    ]
+    for spec, left, g, want, want_left, want_chans in cases:
+        x, c = Tensor(left, requires_grad=True), Tensor(chans, requires_grad=True)
+        with Tape() as tape:
+            out = ag.contract(spec, x, c)
+            assert out.data.tobytes() == want.tobytes()
+            out.grad = g.copy()
+            tape.backward(out)
+        assert x.grad.tobytes() == want_left.tobytes()
+        assert c.grad.tobytes() == want_chans.tobytes()
 
 
 def test_mean_pair_cosine_masked_pairs_finite_differences():
@@ -405,23 +428,29 @@ def test_scatter_rows_empty_index():
     assert np.array_equal(out, np.zeros((4, 3)))
 
 
-def test_pairwise_abs_cosine_matches_per_pair_oracle():
+def test_channel_cosines_matches_per_pair_oracle():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(7, 3, 5))
     x[2, 1] = 0.0
-    users = np.array([0, 2, 4, 6])
-    got = losses.pairwise_abs_cosine(Tensor(x), users)
-    want = np.eye(3)
-    for p in range(3):
-        for q in range(p + 1, 3):
-            want[p, q] = want[q, p] = np.mean(
-                [abs(ref.cosine_similarity(x[u, p], x[u, q])) for u in users]
-            )
-    np.testing.assert_allclose(got, want, atol=1e-12)
-    np.testing.assert_array_equal(losses.pairwise_abs_cosine(Tensor(x), np.zeros(0, dtype=int)), np.eye(3))
+    cos, unit, inv, live = ag.channel_cosines(x.copy())
+    assert cos.shape == (7, 3, 3) and unit.shape == x.shape
+    for u in range(7):
+        for p in range(3):
+            for q in range(3):
+                if (u, p) != (2, 1) and (u, q) != (2, 1):
+                    want = 1.0 if p == q else ref.cosine_similarity(x[u, p], x[u, q])
+                    assert cos[u, p, q] == pytest.approx(want, abs=1e-12)
+    # the zero channel has cosine 0 with every channel, itself included
+    np.testing.assert_array_equal(cos[2, 1], 0.0)
+    np.testing.assert_array_equal(cos[2, :, 1], 0.0)
+    np.testing.assert_array_equal(live, np.arange(21).reshape(7, 3) != 7)
+    np.testing.assert_array_equal(unit[2, 1], 0.0)
+    assert inv[2, 1] == 0.0
+    np.testing.assert_allclose(inv[live], 1.0 / np.linalg.norm(x, axis=2)[live], rtol=1e-15)
+    np.testing.assert_array_equal(unit, x * inv[:, :, None])
 
 
-def test_pairwise_abs_cosine_zero_norm_rule_is_the_regularizers():
+def test_channel_cosines_zero_norm_rule_is_the_regularizers():
     # both norms pass COSINE_NORM_EPS and their product does not: a zero pair
     # only when a channel's own norm is below the threshold
     x = np.zeros((1, 2, 3))
@@ -429,7 +458,12 @@ def test_pairwise_abs_cosine_zero_norm_rule_is_the_regularizers():
     assert x[0, 0, 0] * x[0, 1, 0] < ag.COSINE_NORM_EPS
     reg = losses.interest_regularizer(Tensor(x), np.array([0]), 0.0).item()
     assert reg == ref.cosine_similarity(x[0, 0], x[0, 1]) == 1.0
-    np.testing.assert_allclose(losses.pairwise_abs_cosine(Tensor(x)), np.ones((2, 2)), rtol=1e-12)
+    cos, _, _, live = ag.channel_cosines(x.copy())
+    np.testing.assert_allclose(cos[0], np.ones((2, 2)), rtol=1e-12)
+    assert live.all()
     x[0, 0, 0] = 1e-13
     assert losses.interest_regularizer(Tensor(x), np.array([0]), 0.0).item() == 0.0
-    np.testing.assert_array_equal(losses.pairwise_abs_cosine(Tensor(x)), np.eye(2))
+    assert ref.cosine_similarity(x[0, 0], x[0, 1]) == 0.0
+    cos, _, _, live = ag.channel_cosines(x.copy())
+    np.testing.assert_array_equal(cos[0], [[0.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(live, [[False, True]])

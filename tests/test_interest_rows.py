@@ -21,7 +21,7 @@ from grouprec.datasets import (
     split_holdout,
 )
 from grouprec.evaluate import evaluate_ranking
-from grouprec.losses import interest_regularizer, pairwise_abs_cosine
+from grouprec.losses import interest_regularizer
 from grouprec.model import NO_USERS
 from grouprec.trainer import Trainer
 
@@ -228,4 +228,8 @@ def test_interest_similarity_stays_the_all_user_mean(trained):
     _, model = trained
     full = model.forward(users=np.arange(N_USERS))
     assert full.interests.shape[0] == N_USERS
-    np.testing.assert_array_equal(model.interest_similarity(), pairwise_abs_cosine(full.interests))
+    sim = model.interest_similarity()
+    want = np.abs(ag.channel_cosines(full.interests.data.copy())[0]).mean(axis=0)
+    np.fill_diagonal(want, 1.0)
+    np.testing.assert_array_equal(sim, want)
+    np.testing.assert_allclose(sim, ref.mean_abs_cosine(full.interests.data), rtol=0, atol=1e-12)
