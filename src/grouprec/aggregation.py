@@ -1,7 +1,7 @@
 """Group-level interest pooling and stochastic interest selection.
 
 Members' n-th interests are attention-pooled into one vector per group,
-for all M channels at once: the (len(interest_rows), M, d) interest tensor
+for all M channels at once: the (n, M, d) interest tensor of the model
 becomes a (|G|, M, d) pooled tensor. A group then mixes its M pooled vectors
 with weights from a Gumbel-Softmax over the scores e_g . pooled_n, giving one
 (|G|, d) interest vector per group. The noise-free softmax of

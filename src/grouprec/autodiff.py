@@ -337,7 +337,8 @@ def propagate(adj, users0, items0, n_layers: int) -> tuple[Tensor, Tensor]:
         g_v = np.zeros_like(sum_v) if g_v is None else g_v
         y_u, y_v = g_u, g_v
         for _ in range(n_layers):
-            y_u, y_v = adj @ y_v, adj.T @ y_u
+            y_u, y_v = y_v, adj.T @ y_u  # the old y_u is freed before adj @ y_v allocates
+            y_u = adj @ y_u
             y_u += g_u
             y_v += g_v
         _accum(users0, y_u)
@@ -534,6 +535,7 @@ def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
     mask &= np.abs(cos) >= threshold
     inv_n = 1.0 / n
     out = Tensor((cos * mask).sum() * inv_n)
+    sorted_rows = bool(np.all(rows[1:] > rows[:-1]))
 
     def backward(g):
         w = mask * (float(g) * inv_n)
@@ -542,7 +544,10 @@ def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
         proj = np.einsum("nmd,nmd->nm", d_unit, unit)
         d_unit -= np.multiply(unit, proj[:, :, None], out=unit)  # unit is dead here
         d_unit *= inv[:, :, None]
-        _accum(x, scatter_rows(rows, d_unit, x.data.shape[0]))
+        if x.grad is not None and sorted_rows:  # the same sums as adding a scattered full-size array
+            x.grad[rows] += d_unit
+        else:
+            _accum(x, scatter_rows(rows, d_unit, x.data.shape[0]))
 
     return _record(out, (x,), backward)
 

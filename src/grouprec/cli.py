@@ -205,7 +205,7 @@ def cmd_eval(args):
             for task in tasks:
                 metrics = _test_metrics(task, evaluate_ranking(model, ds, task, ks=ks, state=state))
                 rows.extend(metric_rows(task, metrics, seed))
-            if similarity is None and state.interests is not None:
+            if similarity is None and model.generator is not None:
                 similarity = model.interest_similarity()
             config_echo = cfg.as_dict()
 

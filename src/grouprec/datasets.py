@@ -88,10 +88,6 @@ class Interactions:
     def __len__(self):
         return len(self.anchors)
 
-    def edges_of(self, split):
-        mask = self.splits == split
-        return self.anchors[mask], self.items[mask]
-
     def relabeled(self, splits):
         """A copy of the edges carrying new split labels, given in stored order."""
         return Interactions(self.n_anchors, self.n_items, self.anchors, self.items, splits)
@@ -431,11 +427,11 @@ def synthesize_group_items(dataset, cap=30):
 
 def build_norm_adjacency(dataset):
     """User-item adjacency over train edges, weight 1/(sqrt(deg_u) sqrt(deg_v))."""
-    users, items = dataset.user_items.edges_of(TRAIN)
-    deg_u = np.bincount(users, minlength=dataset.n_users).astype(np.float64)
+    indptr, items = dataset.user_items.anchor_index((TRAIN,))  # canonical CSR: sorted rows, no repeats
+    deg_u = np.diff(indptr)
     deg_v = np.bincount(items, minlength=dataset.n_items).astype(np.float64)
-    weights = 1.0 / np.sqrt(deg_u[users] * deg_v[items])
-    return sp.csr_matrix((weights, (users, items)), shape=(dataset.n_users, dataset.n_items))
+    weights = 1.0 / np.sqrt(np.repeat(deg_u.astype(np.float64), deg_u) * deg_v[items])
+    return sp.csr_matrix((weights, items, indptr), shape=(dataset.n_users, dataset.n_items))
 
 
 def subsample(dataset, fraction, seed):

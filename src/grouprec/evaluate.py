@@ -318,7 +318,7 @@ def popularity_scores(dataset):
     The id tie-break rides on a sub-unit penalty, which cannot reorder
     distinct integer counts.
     """
-    _, items = dataset.user_items.edges_of(TRAIN)
+    _, items = dataset.user_items.anchor_index((TRAIN,))
     counts = np.bincount(items, minlength=dataset.n_items).astype(np.float64)
     return counts - np.arange(dataset.n_items) / (dataset.n_items + 1.0)
 

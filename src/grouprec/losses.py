@@ -56,8 +56,8 @@ def bpr_loss(anchor_table, item_table, anchors, pos, neg):
 def interest_regularizer(interests, user_idx, threshold):
     """Per-user mean of masked pairwise interest similarities.
 
-    interests is the (len(interest_rows), M, d) interest tensor of a
-    forward, and user_idx indexes its rows (not user ids). For those rows,
+    interests is an (n, M, d) tensor from `GroupRecommender.interests`,
+    and user_idx indexes its rows (not user ids). For those rows,
     sums cosine(i_p, i_q) over pairs p < q whose |cosine| is at
     least the threshold; the mask is computed from forward values only and
     is constant under backward. threshold 0 keeps every pair. Returns a

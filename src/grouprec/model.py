@@ -1,16 +1,16 @@
 """The full recommender: interests -> group mixing -> fusion -> propagation.
 
-The M interests travel as one (len(interest_rows), M, d) tensor, pooled per
-group into one (|G|, M, d) tensor that selection mixes down to (|G|, d).
+The M interests travel as one (n, M, d) tensor, pooled per group into one
+(|G|, M, d) tensor that selection mixes down to (|G|, d).
 
 One forward pass covers the whole user, item, and group tables; mini-batching
-happens only in the losses, which index into the returned tables. Interests
-are the exception: only the attention pool (group members) and the
-regularizer (its users) read them, so a forward generates them for the
-members plus the users it is given, and `ForwardState.interest_rows` names
-the user of each row. Given no users it generates the members' alone; every
-user's takes users=np.arange(n_users). Running a forward outside a gradient
-tape is the (deterministic) inference path.
+happens only in the losses, which index into the returned tables. Interest
+generation is a stage of its own: `interests(users)` generates the interests
+of the group members plus `users` and names the user of each row. Its
+readers are the attention pool (the members' rows), the interest regularizer
+(its users' rows) and the similarity report (every user's). A forward given
+no interests generates the members' alone. Running a forward outside a
+gradient tape is the (deterministic) inference path.
 
 Structural reductions double as baselines: use_groups=False with n_layers=0
 is plain matrix factorization, use_groups=False with n_layers>0 is the
@@ -37,11 +37,9 @@ class ForwardState:
     item_final: Tensor
     group_fused: Tensor  # None when groups are disabled
     omega: Tensor  # None unless the interest mixer ran
-    interests: Tensor  # (len(interest_rows), M, d); None unless interests were generated
-    interest_rows: np.ndarray  # sorted user ids of the interests' rows; None when interests is None
 
 
-# users=NO_USERS, the forward's default, generates the group members' interests only
+# users=NO_USERS, interests' default, generates the group members' interests only
 NO_USERS = np.zeros(0, dtype=np.int64)
 
 
@@ -157,29 +155,22 @@ class GroupRecommender:
     def named_params_data(self):
         return [(name, t.data) for name, t in self.named_params()]
 
-    def _interests(self, users):
-        """The interests of the members plus `users`, each row's user, and each membership's row."""
+    def interests(self, users=NO_USERS):
+        """The (n, M, d) interests of the group members plus `users`, and the sorted user id of each row."""
         keep = self.is_member.copy()
         keep[users] = True
         rows = np.flatnonzero(keep)
-        # a kept user's row in the compact table is the count of kept users before it
-        member_idx = (np.cumsum(keep) - 1)[self.member_uid]
-        interests = self.generator.interests(ag.gather_rows(self.user_emb, rows), rows)
-        return interests, rows, member_idx
+        return self.generator.interests(ag.gather_rows(self.user_emb, rows), rows), rows
 
-    def forward(self, noise_rng=None, users=NO_USERS):
+    def forward(self, noise_rng=None, interests=None):
         """Build all final representations; noise_rng=None is deterministic.
 
-        Interests are generated for the group members plus the user ids in
-        `users` only: the other rows reach no output, so the values and
-        gradients that do are the same as from every user's.
-        users=np.arange(n_users) gives the full table.
+        `interests` is a pair from `interests()`, which must cover the group
+        members; given none, the forward generates the members' own.
         """
         cfg = self.cfg
         group_fused = None
         omega = None
-        interests = None
-        rows = None
         if not cfg.use_groups:
             users0 = self.user_emb
         else:
@@ -188,9 +179,10 @@ class GroupRecommender:
                 member_pool = ag.spmm(self.member_mean_csr, self.user_emb)
                 group_fused = fusion.fuse_groups(self.group_emb, member_pool)
             else:
-                interests, rows, member_idx = self._interests(users)
+                table, rows = self.interests() if interests is None else interests
+                member_rows = np.searchsorted(rows, self.member_uid)
                 pooled = aggregation.attention_pool(
-                    interests, member_idx, self.member_gid, self.pool_pattern, self.att_vec
+                    table, member_rows, self.member_gid, self.pool_pattern, self.att_vec
                 )
                 if cfg.variant == "uniform_mix":
                     m = cfg.n_interests
@@ -214,7 +206,7 @@ class GroupRecommender:
         user_final, item_final = graphconv.propagate(
             self.adj, users0, self.item_emb, cfg.n_layers
         )
-        return ForwardState(user_final, item_final, group_fused, omega, interests, rows)
+        return ForwardState(user_final, item_final, group_fused, omega)
 
     def row_scores(self, task, state=None):
         """The anchor-by-item scores of a task as a `RowScores`, no tape involved.
@@ -239,7 +231,7 @@ class GroupRecommender:
         """
         if self.generator is None:
             return np.eye(max(1, self.cfg.n_interests))
-        interests = self.forward(users=np.arange(self.dataset.n_users)).interests
-        sim = np.abs(ag.channel_cosines(interests.data)[0]).mean(axis=0)
+        table, _ = self.interests(np.arange(self.dataset.n_users))
+        sim = np.abs(ag.channel_cosines(table.data)[0]).mean(axis=0)
         np.fill_diagonal(sim, 1.0)
         return sim

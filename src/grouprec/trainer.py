@@ -14,7 +14,7 @@ from .autodiff import Tape, weighted_sum
 from .datasets import TRAIN, VALID
 from .evaluate import evaluate_ranking
 from .losses import LossBreakdown, bpr_loss, interest_regularizer
-from .model import NO_USERS, GroupRecommender
+from .model import GroupRecommender
 from .optim import Adam
 from .sampling import TripleSampler
 
@@ -99,9 +99,11 @@ class Trainer:
 
     Each step draws one user batch and one group batch, runs one forward
     over the whole user, item and group tables, and backpropagates the
-    combined loss. That forward generates interests only for the rows that
-    read them: group members, plus the users the interest regularizer
-    covers in this step when it applies. Validation NDCG@10 on the
+    combined loss. Interests are generated only for the rows that read
+    them. When the interest regularizer applies, the step generates them
+    for the group members plus the users it covers, regularizes those, and
+    hands the same interests to the forward; otherwise the forward
+    generates the members' alone. Validation NDCG@10 on the
     configured task picks the kept parameters; training stops once it
     fails to improve for `patience` epochs in a row (at least one).
     """
@@ -156,8 +158,12 @@ class Trainer:
         user and group are (anchors, positives, negatives) triples from _draw.
         """
         cfg = self.cfg
-        reg_users = self._reg_users(user[0], group) if self.reg_applies else NO_USERS
-        state = self.model.forward(noise_rng=noise_rng, users=reg_users)
+        interests = reg = None
+        if self.reg_applies:  # recorded first, so its backward runs once the forward's buffers are freed
+            reg_users = self._reg_users(user[0], group)
+            interests = table, rows = self.model.interests(reg_users)
+            reg = interest_regularizer(table, np.searchsorted(rows, reg_users), cfg.sim_threshold)
+        state = self.model.forward(noise_rng=noise_rng, interests=interests)
 
         l_user = bpr_loss(state.user_final, state.item_final, *user)
         terms = [(cfg.user_task_weight, l_user)]
@@ -168,13 +174,9 @@ class Trainer:
             l_group_val = l_group.item()
             terms.append((1.0 - cfg.user_task_weight, l_group))
 
-        reg_val = 0.0
-        if self.reg_applies:
-            reg_idx = np.searchsorted(state.interest_rows, reg_users)
-            reg = interest_regularizer(state.interests, reg_idx, cfg.sim_threshold)
-            reg_val = reg.item()
+        if reg is not None:
             terms.append((cfg.interest_reg_weight, reg))
-        return weighted_sum(*terms), l_user.item(), l_group_val, reg_val
+        return weighted_sum(*terms), l_user.item(), l_group_val, 0.0 if reg is None else reg.item()
 
     def _step(self):
         cfg = self.cfg

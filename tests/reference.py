@@ -6,7 +6,7 @@ add, mul and scale are also what test losses are built from. Then comes
 finite_difference_check, the central-difference check that every op's
 gradients are tested with. Then come the per-edge file writers and the
 dataset fingerprint, the byte oracles for grouprec.datasets' array writers,
-the per-row ranking and metrics that grouprec.evaluate's block ranking is
+the normalised adjacency as scipy's COO path builds it, the per-row ranking and metrics that grouprec.evaluate's block ranking is
 checked against, with the dense score source those tests rank, and the
 structural baseline configs.
 """
@@ -17,6 +17,7 @@ import logging
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from grouprec.autodiff import (
@@ -34,7 +35,7 @@ from grouprec.autodiff import (
     spmm,
 )
 from grouprec.config import TrainConfig
-from grouprec.datasets import SPLIT_NAMES
+from grouprec.datasets import SPLIT_NAMES, TRAIN
 
 log = logging.getLogger(__name__)
 
@@ -448,6 +449,17 @@ def fingerprint(dataset):
     m = dataset.group_members.tocoo()  # row-major, as the CSR stores it
     h.update(b"".join(b"m%d %d\n" % pair for pair in zip(m.row.tolist(), m.col.tolist())))
     return h.hexdigest()
+
+
+def coo_norm_adjacency(dataset):
+    """build_norm_adjacency through scipy's COO path, from the masked train edges."""
+    ui = dataset.user_items
+    train = ui.splits == TRAIN
+    users, items = ui.anchors[train], ui.items[train]
+    deg_u = np.bincount(users, minlength=dataset.n_users).astype(np.float64)
+    deg_v = np.bincount(items, minlength=dataset.n_items).astype(np.float64)
+    weights = 1.0 / np.sqrt(deg_u[users] * deg_v[items])
+    return sp.csr_matrix((weights, (users, items)), shape=(dataset.n_users, dataset.n_items))
 
 
 # the per-row ranking and metrics that block ranking in grouprec.evaluate replaced

@@ -253,10 +253,11 @@ def test_end_to_end_gradient_check():
     all_users = np.arange(ds.n_users)
 
     def loss_fn():
-        state = model.forward(noise_rng=frozen, users=all_users)
+        interests = model.interests(all_users)
+        state = model.forward(noise_rng=frozen, interests=interests)
         l_user = bpr_loss(state.user_final, state.item_final, ua, up, un)
         l_group = bpr_loss(state.group_fused, state.item_final, ga, gp, gn)
-        reg = interest_regularizer(state.interests, all_users, cfg.sim_threshold)
+        reg = interest_regularizer(interests[0], all_users, cfg.sim_threshold)
         return add(add(scale(l_user, 0.9), scale(l_group, 0.1)), scale(reg, 0.4))
 
     params = [t for _, t in model.named_params()]

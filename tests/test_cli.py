@@ -166,8 +166,8 @@ def test_eval_both_tasks(world, run_dir, tmp_path):
     cfg_dict, arrays, _ = load_checkpoint(run_dir / "best.ckpt")
     ds = load_prepared(str(world))
     model = build_model_from_arrays(ds, TrainConfig.from_dict(cfg_dict), arrays)
-    full = model.forward(users=np.arange(model.dataset.n_users))
-    sim = np.abs(channel_cosines(full.interests.data)[0]).mean(axis=0)
+    full, _ = model.interests(np.arange(model.dataset.n_users))
+    sim = np.abs(channel_cosines(full.data)[0]).mean(axis=0)
     np.fill_diagonal(sim, 1.0)
     want = [[f"{v:.6f}" for v in row] for row in sim]
     with open(out / "interest_sim.csv", newline="") as f:
@@ -373,7 +373,8 @@ def test_ablate_test_metrics_equal_the_full_table_forward(world, tmp_path, monke
 
     def both_forwards(model, ds, which, ks=(5, 10), target=TEST, state=None):
         got = evaluate_ranking(model, ds, which, ks=ks, target=target, state=state)
-        full_state = model.forward(users=np.arange(ds.n_users))
+        every_user = None if model.generator is None else model.interests(np.arange(ds.n_users))
+        full_state = model.forward(interests=every_user)
         full = evaluate_ranking(model, ds, which, ks=ks, target=target, state=full_state)
         seen.append((state, got, full))
         return got

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -250,7 +251,9 @@ def test_interactions_hold_one_order_whatever_the_input_order(tmp_path):
 def synthesize_reference(dataset, cap):
     """The dict-counting synthesize_group_items replaced, kept as its oracle."""
     train_items = [[] for _ in range(dataset.n_users)]
-    for u, v in zip(*dataset.user_items.edges_of(TRAIN)):
+    ui = dataset.user_items
+    train = ui.splits == TRAIN
+    for u, v in zip(ui.anchors[train], ui.items[train]):
         train_items[u].append(int(v))
     anchors, items = [], []
     for g in range(dataset.n_groups):
@@ -351,6 +354,31 @@ def test_adjacency_matches_brute_force_random_graphs():
         np.testing.assert_allclose(adj, expect, atol=1e-12)
 
 
+def test_adjacency_equals_the_coo_built_oracle(monkeypatch):
+    # user 3 and item 5 have no train edge; user 0's edge to item 4 is held out
+    edges = [(0, 0), (0, 2), (0, 4), (1, 0), (1, 1), (2, 2), (2, 3), (2, 0), (4, 1), (4, 3)]
+    ds = make_dataset(5, 6, edges, [[0, 1]])
+    splits = np.full(len(edges), TRAIN, dtype=np.int8)
+    splits[2] = VALID  # stored order is by user then item, so edge (0, 4) is third
+    ds.user_items = ds.user_items.relabeled(splits)
+    want = ref.coo_norm_adjacency(ds)
+
+    def no_coo(*args, **kwargs):
+        raise AssertionError("the adjacency was built through a COO matrix")
+
+    monkeypatch.setattr(sp.coo_matrix, "__init__", no_coo)
+    got = d.build_norm_adjacency(ds)
+    monkeypatch.undo()
+    assert got.shape == want.shape == (5, 6)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert got.has_canonical_format and want.has_canonical_format
+    assert got.indptr[4] == got.indptr[3] and got.nnz == 9
+    assert 5 not in got.indices and 4 not in got.indices
+
+
 def test_sampler_negative_from_complement():
     ds = make_dataset(1, 3, [(0, 0)], [[0]])
     sampler = TripleSampler(ds.user_items, np.random.default_rng(0))
@@ -379,7 +407,9 @@ def test_sampler_negative_soundness_bulk():
     # over 1e5 draws no negative may collide with the anchor's train set
     ds, _ = generate_synthetic(30, 40, 6, m_true=3, noise=0.2, seed=0)
     ds.user_items = d.split_holdout(ds.user_items, seed=0)
-    train = set(zip(*(col.tolist() for col in ds.user_items.edges_of(TRAIN))))
+    ui = ds.user_items
+    keep = ui.splits == TRAIN
+    train = set(zip(ui.anchors[keep].tolist(), ui.items[keep].tolist()))
     sampler = TripleSampler(ds.user_items, np.random.default_rng(2))
     anchors, _, neg = sampler.sample(100_000)
     collisions = sum(1 for a, j in zip(anchors.tolist(), neg.tolist()) if (a, j) in train)

@@ -189,6 +189,42 @@ def test_mean_pair_cosine_masked_pairs_finite_differences():
     assert loss().item() == pytest.approx(want / len(rows), abs=1e-12)
 
 
+@pytest.mark.parametrize("rows, prior, in_place", [
+    ([0, 2, 3, 5], True, True),  # sorted rows into an existing gradient: added in place
+    ([0, 2, 3, 5], False, False),  # no gradient yet: the scatter becomes it
+    ([3, 0, 5, 2], True, False),  # unsorted rows: scattered, then added
+    ([0, 2, 2, 5], True, False),  # a repeated row: scattered, then added
+])
+def test_mean_pair_cosine_in_place_gradient_bits_equal_the_scatter(monkeypatch, rows, prior, in_place):
+    rng = np.random.default_rng(6)
+    data, earlier = rng.normal(size=(6, 3, 4)), rng.normal(size=(6, 3, 4))
+    rows = np.array(rows)
+
+    def grad(start, scatter):
+        x = Tensor(data.copy(), requires_grad=True)
+        x.grad = None if start is None else start.copy()
+        monkeypatch.setattr(ag, "scatter_rows", scatter)
+        with Tape() as tape:
+            loss = ag.mean_pair_cosine(x, rows, 0.2)
+            tape.backward(loss)
+        monkeypatch.undo()
+        return x.grad
+
+    calls, scatter = [], ag.scatter_rows
+
+    def counted(*args):
+        calls.append(args)
+        return scatter(*args)
+
+    # the oracle: the scattered gradient alone, plus the earlier one afterwards
+    want = grad(None, scatter)
+    if prior:
+        want = want + earlier
+    got = grad(earlier if prior else None, counted)
+    assert len(calls) == (0 if in_place else 1)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_mean_pair_cosine_zero_norm_row_has_zero_similarity_and_no_gradient():
     rng = np.random.default_rng(4)
     a = param(rng, 3, 4)

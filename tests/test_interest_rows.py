@@ -1,14 +1,16 @@
 """Interests generated for the rows that read them, against the full-table oracle.
 
-A forward generates interests for group members plus the users it is given
-only: the members alone by default (inference), the members plus the
-regularizer's users in training. users=np.arange(n_users) gives every user's,
-the oracle. All must give the same loss, gradients and scores.
+`GroupRecommender.interests` generates interests for group members plus the
+users it is given only: the members alone by default (inference), the
+members plus the regularizer's users in training. users=np.arange(n_users)
+gives every user's, the oracle. All must give the same loss, gradients and
+scores.
 """
 
 import numpy as np
 import pytest
 
+from grouprec import aggregation
 from grouprec import autodiff as ag
 from grouprec.autodiff import Tape
 from grouprec.config import TrainConfig
@@ -73,18 +75,18 @@ def config(**kw):
 
 
 def spy(trainer, full):
-    """Patch the model so the next forwards record their state and interest gradient.
+    """Patch the model so the next interest stages record their interests and gradient.
 
-    full=True also passes every user as the users, so the forward generates
+    full=True also passes every user as the users, so the stage generates
     every user's interests: the oracle. The gradient at the interests is read
     through an exact identity node (x * 1.0) placed behind the generator.
     """
     model, seen = trainer.model, {}
-    forward, generate = model.forward, model.generator.interests
+    interests, generate = model.interests, model.generator.interests
 
-    def patched_forward(noise_rng=None, users=NO_USERS):
-        seen["state"] = forward(noise_rng=noise_rng, users=np.arange(N_USERS) if full else users)
-        return seen["state"]
+    def patched_stage(users=NO_USERS):
+        seen["interests"] = interests(np.arange(N_USERS) if full else users)
+        return seen["interests"]
 
     def patched_interests(*args):
         out = ref.scale(generate(*args), 1.0)
@@ -97,7 +99,7 @@ def spy(trainer, full):
         out._backward = backward
         return out
 
-    model.forward = patched_forward
+    model.interests = patched_stage
     model.generator.interests = patched_interests
     return seen
 
@@ -133,12 +135,12 @@ def test_compact_rows_match_the_full_table(mode, variant):
     reg_applies = variant != "no_interest_reg"
     assert compact.reg_applies is reg_applies
     if reg_applies:  # the regularizer covers the batch users and the batch groups' members
-        want_reg = interest_regularizer(seen_full["state"].interests, BATCH_USERS, 0.0).item()
+        want_reg = interest_regularizer(seen_full["interests"][0], BATCH_USERS, 0.0).item()
         assert abs(reg_c - want_reg) <= 1e-10 * abs(want_reg) and reg_f == want_reg
     want_rows = BATCH_USERS if reg_applies else MEMBERS
-    np.testing.assert_array_equal(seen_compact["state"].interest_rows, want_rows)
-    assert seen_compact["state"].interests.shape == (len(want_rows), 3, 5)
-    np.testing.assert_array_equal(seen_full["state"].interest_rows, np.arange(N_USERS))
+    np.testing.assert_array_equal(seen_compact["interests"][1], want_rows)
+    assert seen_compact["interests"][0].shape == (len(want_rows), 3, 5)
+    np.testing.assert_array_equal(seen_full["interests"][1], np.arange(N_USERS))
 
     assert abs(loss_c - loss_f) <= 1e-10 * abs(loss_f)
     for name, gf in grads_f.items():
@@ -211,9 +213,9 @@ def trained():
 @pytest.mark.parametrize("task", ["user", "group"])
 def test_members_only_inference_matches_the_full_table(trained, task):
     ds, model = trained
-    full_state = model.forward(users=np.arange(N_USERS))
-    np.testing.assert_array_equal(model.forward().interest_rows, MEMBERS)
-    np.testing.assert_array_equal(model.forward(users=NO_USERS).interest_rows, MEMBERS)
+    full_state = model.forward(interests=model.interests(np.arange(N_USERS)))
+    np.testing.assert_array_equal(model.interests()[1], MEMBERS)
+    np.testing.assert_array_equal(model.interests(NO_USERS)[1], MEMBERS)
 
     scores = ref.whole(model.row_scores(task))  # no state: the members-only forward
     want = ref.whole(model.row_scores(task, full_state))
@@ -226,10 +228,57 @@ def test_members_only_inference_matches_the_full_table(trained, task):
 
 def test_interest_similarity_stays_the_all_user_mean(trained):
     _, model = trained
-    full = model.forward(users=np.arange(N_USERS))
-    assert full.interests.shape[0] == N_USERS
+    full, rows = model.interests(np.arange(N_USERS))
+    np.testing.assert_array_equal(rows, np.arange(N_USERS))
     sim = model.interest_similarity()
-    want = np.abs(ag.channel_cosines(full.interests.data.copy())[0]).mean(axis=0)
+    want = np.abs(ag.channel_cosines(full.data.copy())[0]).mean(axis=0)
     np.fill_diagonal(want, 1.0)
     np.testing.assert_array_equal(sim, want)
-    np.testing.assert_allclose(sim, ref.mean_abs_cosine(full.interests.data), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sim, ref.mean_abs_cosine(full.data), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["gate", "table"])
+def test_interest_similarity_runs_no_forward(mode, monkeypatch):
+    ds = world(split=True)
+    trainer = Trainer(ds, config(interest_mode=mode, epochs=2, batch_user=8, batch_group=3, lr=0.05))
+    trainer.train()
+    model = trainer.model
+    # the oracle: the interests a forward pools from, when it is handed every user's
+    pooled_from = []
+    pool = aggregation.attention_pool
+
+    def recording_pool(interests, *args):
+        pooled_from.append(interests.data.copy())
+        return pool(interests, *args)
+
+    monkeypatch.setattr(aggregation, "attention_pool", recording_pool)
+    model.forward(interests=model.interests(np.arange(N_USERS)))
+    (table,) = pooled_from
+    want = np.abs(ag.channel_cosines(table)[0]).mean(axis=0)
+    np.fill_diagonal(want, 1.0)
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("interest_similarity ran a forward")
+
+    monkeypatch.setattr(model, "forward", no_forward)
+    np.testing.assert_array_equal(model.interest_similarity(), want)
+
+
+def test_regularizer_is_recorded_before_the_pool(monkeypatch):
+    """The regularizer's node precedes the pool's, so its backward runs once the pool's has."""
+    trainer = Trainer(world(), config())
+    recorded = {}
+    for name in ("mean_pair_cosine", "segment_attention"):
+        op = getattr(ag, name)
+
+        def recording(*args, _op=op, _name=name):
+            recorded[_name] = _op(*args)
+            return recorded[_name]
+
+        monkeypatch.setattr(ag, name, recording)
+    with Tape() as tape:
+        loss = step(trainer)[0]
+        order = [id(node) for node in tape.nodes]
+        tape.backward(loss)
+    reg, pool = (order.index(id(recorded[name])) for name in ("mean_pair_cosine", "segment_attention"))
+    assert reg < pool

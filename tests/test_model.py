@@ -8,7 +8,7 @@ from grouprec import fusion, graphconv, losses
 from grouprec import trainer as trainer_module
 from grouprec.autodiff import Tape, Tensor
 from grouprec.config import TrainConfig
-from grouprec.datasets import Dataset, Interactions, membership_matrix, split_holdout
+from grouprec.datasets import TRAIN, Dataset, Interactions, membership_matrix, split_holdout
 from grouprec.gating import param_count
 from grouprec.model import GroupRecommender
 from grouprec.synthetic import generate_synthetic
@@ -147,13 +147,15 @@ def test_loss_breakdown_rejects_nan():
 def test_forward_shapes_and_simplex():
     ds = toy_dataset()
     model = GroupRecommender(ds, small_config(), np.random.default_rng(0))
-    state = model.forward(users=np.arange(5))
+    interests, rows = model.interests(np.arange(5))
+    state = model.forward(interests=(interests, rows))
     assert state.user_final.shape == (5, 6)
     assert state.item_final.shape == (4, 6)
     assert state.group_fused.shape == (2, 6)
     assert state.omega.shape == (2, 2)
     np.testing.assert_allclose(state.omega.data.sum(axis=1), np.ones(2), atol=1e-12)
-    assert state.interests.shape == (5, 2, 6)
+    assert interests.shape == (5, 2, 6)
+    np.testing.assert_array_equal(rows, np.arange(5))
 
 
 def test_forward_deterministic_without_noise():
@@ -178,7 +180,7 @@ def test_graph_reduction_ignores_groups():
     cfg = small_config(use_groups=False, n_layers=2)
     model = GroupRecommender(ds, cfg, np.random.default_rng(0))
     state = model.forward()
-    assert state.group_fused is None and state.interests is None
+    assert state.group_fused is None and model.generator is None
     with pytest.raises(ValueError):
         model.row_scores("group")
 
@@ -204,7 +206,7 @@ def test_mean_members_variant_uses_member_average():
     g0_members = ds.members_of(0)
     want = 0.5 * (model.group_emb.data[0] + model.user_emb.data[g0_members].mean(axis=0))
     np.testing.assert_allclose(state.group_fused.data[0], want, atol=1e-12)
-    assert state.interests is None and model.generator is None
+    assert model.generator is None
 
 
 def test_interest_similarity_matrix_properties():
@@ -234,16 +236,18 @@ def test_end_to_end_gradients_match_finite_differences():
     cfg = small_config()
     model = GroupRecommender(ds, cfg, np.random.default_rng(7))
     u_split = split_holdout(ds.user_items, seed=0)
-    ua, uv = u_split.edges_of(0)
+    train = u_split.splits == TRAIN
+    ua, uv = u_split.anchors[train], u_split.items[train]
     rng = np.random.default_rng(3)
 
     def loss():
-        state = model.forward(users=np.arange(5))
+        interests = model.interests(np.arange(5))
+        state = model.forward(interests=interests)
         l_user = losses.bpr_loss(state.user_final, state.item_final, ua[:4], uv[:4], (uv[:4] + 1) % 4)
         l_group = losses.bpr_loss(
             state.group_fused, state.item_final, np.array([0, 1]), np.array([0, 1]), np.array([3, 2])
         )
-        reg = losses.interest_regularizer(state.interests, np.arange(5), cfg.sim_threshold)
+        reg = losses.interest_regularizer(interests[0], np.arange(5), cfg.sim_threshold)
         return ref.add(
             ref.add(
                 ref.scale(l_user, cfg.user_task_weight),
