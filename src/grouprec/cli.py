@@ -82,9 +82,7 @@ def load_config(args):
             overrides[key] = raw
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if overrides:
-        cfg = TrainConfig.from_dict({**cfg.as_dict(), **overrides})
-    return cfg.validate()
+    return TrainConfig.from_dict({**cfg.as_dict(), **overrides}) if overrides else cfg
 
 
 def parse_ks(text):
@@ -93,6 +91,13 @@ def parse_ks(text):
         return _cutoffs(int(tok) for tok in text.split(",") if tok)
     except ValueError:
         raise ValueError(f"bad cutoff list {text!r}") from None
+
+
+def _distinct(flag, names):
+    """names, refused if there are none or one repeats, as `--k` refuses its cutoffs."""
+    if not names or len(set(names)) < len(names):
+        raise ValueError(f"{flag} takes one or more distinct names, got {names}")
+    return names
 
 
 def cmd_prepare(args):
@@ -300,9 +305,11 @@ def cmd_ablate(args):
         raise ValueError("--seeds must be >= 1")
     cfg = load_config(args)
     ks = parse_ks(args.k)
-    variants = [resolve_variant(v) for v in args.variants.split(",") if v]
+    variants = _distinct("--variants", [resolve_variant(v) for v in args.variants.split(",") if v])
     modes = [m.strip() for m in (args.interest_modes or "").split(",") if m.strip()]
-    mode_cfgs = [cfg.replace(interest_mode=mode, variant="full").validate() for mode in modes]
+    if args.interest_modes is not None:
+        _distinct("--interest-modes", modes)
+    mode_cfgs = [cfg.replace(interest_mode=mode, variant="full") for mode in modes]
     ds = load_prepared(args.data)
     seeds = [cfg.seed + i for i in range(args.seeds)]
     os.makedirs(args.out, exist_ok=True)
@@ -310,16 +317,15 @@ def cmd_ablate(args):
 
     def train_and_test(run_cfg):
         """Test metrics and interest parameter count of run_cfg, trained once per command."""
-        key = tuple(run_cfg.as_dict().items())
-        if key not in runs:
+        if run_cfg not in runs:
             trainer = Trainer(ds, run_cfg)
             trainer.train()
             gen = trainer.model.generator
-            runs[key] = (
+            runs[run_cfg] = (
                 _test_metrics(args.task, evaluate_ranking(trainer.model, ds, args.task, ks=ks)),
                 None if gen is None else param_count(gen.named_params()),
             )
-        return runs[key]
+        return runs[run_cfg]
 
     per_variant = {}
     rows = []
@@ -355,7 +361,7 @@ def cmd_ablate(args):
         ),
     )
 
-    if args.interest_modes:
+    if modes:
         mode_rows = []
         for mode, mode_cfg in zip(modes, mode_cfgs):
             for seed in seeds:

@@ -1,4 +1,4 @@
-"""Training configuration: defaults, validation, loading from a dict or JSON file."""
+"""Training configuration: defaults, checks at construction, loading from a dict or JSON file."""
 
 import dataclasses
 import json
@@ -20,8 +20,10 @@ INTEREST_MODES = ("gate", "fc1", "fc2", "table")
 TASKS = ("user", "group")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Every training setting, checked when made and immutable; numpy numbers are stored as Python numbers."""
+
     embed_dim: int = 64
     n_interests: int = 4
     n_layers: int = 3
@@ -42,7 +44,7 @@ class TrainConfig:
     select_task: str = "user"
     eval_every: int = 1
 
-    def validate(self):
+    def __post_init__(self):
         # types first, so a string, a bool or a float count, and an infinite real, fail here and
         # not in a comparison or the forward
         for name in COUNTS:
@@ -57,6 +59,8 @@ class TrainConfig:
                 raise ValueError(f"invalid config: {name} must be finite, got {value!r}")
         if not isinstance(self.use_groups, bool):
             raise ValueError(f"invalid config: use_groups must be a bool, got {self.use_groups!r}")
+        for name in COUNTS + REALS:
+            object.__setattr__(self, name, _plain_number(getattr(self, name)))
         checks = [
             (self.embed_dim >= 1, "embed_dim must be >= 1"),
             (self.n_interests >= 1, "n_interests must be >= 1"),
@@ -80,11 +84,9 @@ class TrainConfig:
         for ok, msg in checks:
             if not ok:
                 raise ValueError(f"invalid config: {msg}")
-        return self
 
     def as_dict(self):
-        """The fields, with numpy numbers (which validate) as Python ints and floats, so JSON takes them."""
-        return {name: _plain_number(value) for name, value in dataclasses.asdict(self).items()}
+        return dataclasses.asdict(self)
 
     def replace(self, **kwargs):
         return dataclasses.replace(self, **kwargs)
@@ -95,13 +97,12 @@ class TrainConfig:
         unknown = set(d) - names
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**d)
-        if cfg.variant not in VARIANTS:
+        if "variant" in d and d["variant"] not in VARIANTS:
             try:
-                cfg = cfg.replace(variant=resolve_variant(cfg.variant))
+                d = {**d, "variant": resolve_variant(d["variant"])}
             except ValueError:
-                pass  # let validate() report it with the canonical list
-        return cfg.validate()
+                pass  # let construction report it with the canonical list
+        return cls(**d)
 
     @classmethod
     def from_json(cls, path):
@@ -109,15 +110,13 @@ class TrainConfig:
             return cls.from_dict(json.load(f))
 
 
-# the fields validate type-checks, by annotation: every int field is a count, every float field a real
+# the fields construction type-checks, by annotation: every int field is a count, every float field a real
 COUNTS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.type is int)
 REALS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.type is float)
 
 
 def _plain_number(value):
-    """An integer as int and any other real as float; bools and non-numbers as they are."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return value
+    """An integer as int and any other real as float."""
     return int(value) if isinstance(value, numbers.Integral) else float(value)
 
 

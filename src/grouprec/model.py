@@ -99,7 +99,6 @@ class RowScores:
 
 class GroupRecommender:
     def __init__(self, dataset, config: TrainConfig, rng):
-        config.validate()
         self.cfg = config
         self.dataset = dataset
         d = config.embed_dim
@@ -157,6 +156,8 @@ class GroupRecommender:
 
     def interests(self, users=NO_USERS):
         """The (n, M, d) interests of the group members plus `users`, and the sorted user id of each row."""
+        if self.generator is None:
+            raise ValueError(f"model has no interest generator ({self.cfg.variant}, use_groups={self.cfg.use_groups})")
         keep = self.is_member.copy()
         keep[users] = True
         rows = np.flatnonzero(keep)
@@ -224,13 +225,11 @@ class GroupRecommender:
         raise ValueError(f"unknown task {task!r}")
 
     def interest_similarity(self):
-        """Mean |cosine| between interest channels over every user, diagonal 1; identity if they don't exist.
+        """Mean |cosine| between interest channels over every user, diagonal 1.
 
         As in the interest regularizer, a channel whose norm is below
         COSINE_NORM_EPS has cosine 0 with every other channel.
         """
-        if self.generator is None:
-            return np.eye(max(1, self.cfg.n_interests))
         table, _ = self.interests(np.arange(self.dataset.n_users))
         sim = np.abs(ag.channel_cosines(table.data)[0]).mean(axis=0)
         np.fill_diagonal(sim, 1.0)

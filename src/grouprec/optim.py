@@ -12,6 +12,9 @@ from .autodiff import Tensor
 # each, stay in a 2 MB L2 cache through a block's sixteen passes
 CHUNK = 2 ** 15
 
+# the moment decay rates and the denominator guard of Kingma & Ba (arXiv:1412.6980)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def _blocks(shape: tuple[int, ...]) -> list:
     """Keys whose basic-indexing views tile an array of `shape` along its
@@ -35,23 +38,14 @@ class Adam:
     in blocks of whole leading-axis rows, about CHUNK elements each.
     """
 
-    def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 0.0):
         if not (math.isfinite(lr) and lr >= 0):
             raise ValueError(f"lr must be finite and nonnegative, got {lr}")
-        for name, beta in (("beta1", beta1), ("beta2", beta2)):
-            if not 0.0 <= beta < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {beta}")
-        if not (math.isfinite(eps) and eps > 0):
-            raise ValueError(f"eps must be finite and positive, got {eps}")
         if not (math.isfinite(weight_decay) and weight_decay >= 0):
             raise ValueError(f"weight_decay must be finite and nonnegative, got {weight_decay}")
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -62,7 +56,9 @@ class Adam:
         """One update, in place, rounding exactly as the textbook expressions:
 
         g = grad + wd * p;  m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g;
-        p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps).
+        p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps),
+
+        with b1, b2 and eps the module's BETA1, BETA2 and EPS.
 
         Every gradient's shape is checked before anything is updated. Each
         block runs the sixteen in-place passes on views of the parameter,
@@ -73,8 +69,7 @@ class Adam:
             if p.grad is not None and p.grad.shape != p.data.shape:
                 raise ValueError(f"gradient shape {p.grad.shape} != param shape {p.data.shape}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        c1, c2 = 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
         for p, m_all, v_all in zip(self.params, self.m, self.v):
             for key in _blocks(p.data.shape):
                 data, m, v = p.data[key], m_all[key], v_all[key]
@@ -86,16 +81,16 @@ class Adam:
                     np.multiply(self.weight_decay, data, out=den)
                     den += g
                     g = den
-                m *= b1
-                np.multiply(1.0 - b1, g, out=num)
+                m *= BETA1
+                np.multiply(1.0 - BETA1, g, out=num)
                 m += num
-                np.multiply(1.0 - b2, g, out=num)
+                np.multiply(1.0 - BETA2, g, out=num)
                 num *= g
-                v *= b2
+                v *= BETA2
                 v += num
                 np.divide(v, c2, out=den)
                 np.sqrt(den, out=den)
-                den += self.eps
+                den += EPS
                 np.divide(m, c1, out=num)
                 num *= self.lr
                 num /= den

@@ -109,7 +109,6 @@ class Trainer:
     """
 
     def __init__(self, dataset, config):
-        config.validate()
         self.dataset = dataset
         self.cfg = config
         param_rng, sample_rng, group_rng, self.noise_rng = np.random.default_rng(

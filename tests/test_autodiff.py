@@ -272,13 +272,15 @@ def test_adam_checks_every_gradient_before_updating():
     {"weight_decay": -1e-4}, {"weight_decay": float("inf")}, {"weight_decay": float("nan")},
 ])
 def test_adam_rejects_bad_hyperparameters(kwargs):
+    # the moment settings are the module's constants: naming one is refused, whatever its value
     name = next(iter(kwargs))
-    with pytest.raises(ValueError, match=name):
+    error = ValueError if name in ("lr", "weight_decay") else TypeError
+    with pytest.raises(error, match=name):
         Adam([Tensor(np.zeros(2), requires_grad=True)], **{"lr": 0.1, **kwargs})
 
 
 def test_adam_accepts_edge_hyperparameters():
-    Adam([Tensor(np.zeros(2), requires_grad=True)], lr=0.0, beta1=0.0, beta2=0.0, eps=1e-300, weight_decay=0.0)
+    Adam([Tensor(np.zeros(2), requires_grad=True)], lr=0.0, weight_decay=0.0)
 
 
 @pytest.mark.parametrize("with_grad", [False, True])

@@ -472,6 +472,19 @@ def test_numpy_float_config_saves_as_the_python_float_config(tmp_path, name):
     assert plain_cfg.as_dict() == dataclasses.asdict(plain_cfg)
 
 
+def test_config_is_frozen_hashable_and_checked_on_replace():
+    cfg = TrainConfig(lr=np.float32(0.25), seed=np.int64(3))
+    assert type(cfg.lr) is float and type(cfg.seed) is int
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.lr = 0.1
+    assert not hasattr(cfg, "validate")
+    same = TrainConfig.from_dict({"lr": 0.25, "seed": 3})
+    assert cfg == same and hash(cfg) == hash(same) and len({cfg, same}) == 1
+    assert cfg.replace(seed=4) != cfg
+    with pytest.raises(ValueError, match="invalid config: lr must be >= 0"):
+        cfg.replace(lr=-1.0)
+
+
 def test_config_use_groups_must_be_a_bool(world, tmp_path, capsys):
     # a truthy string used to validate and train with groups on
     for bad in ("false", "False", 0, 1, None):
@@ -537,6 +550,11 @@ def test_ablate_rejects_unknown_variant(world, tmp_path, capsys):
     (["--k", "5,0"], "bad cutoff list '5,0'"),
     (["--k", "5,5"], "bad cutoff list '5,5'"),  # would write recall@5 and ndcg@5 twice into each header
     (["--k", "5,x"], "bad cutoff list '5,x'"),
+    # each wrote its repeated rows twice into the ablation CSVs
+    (["--variants", "Full,full,A"], "--variants takes one or more distinct names, got ['full', 'full', 'mean_"),
+    (["--variants", "Full", "--interest-modes", "gate,fc1,gate"],
+     "--interest-modes takes one or more distinct names, got ['gate', 'fc1', 'gate']"),
+    (["--variants", ","], "--variants takes one or more distinct names, got []"),
 ])
 def test_ablate_checks_its_arguments_before_work(world, tmp_path, capsys, no_work, flags, message):
     out = tmp_path / "abl"

@@ -57,6 +57,16 @@ def small_config(**kw):
     return TrainConfig(**base)
 
 
+@pytest.mark.parametrize("kw", [dict(variant="mean_members"), dict(use_groups=False)])
+@pytest.mark.parametrize("method", ["interests", "interest_similarity"])
+def test_interest_readers_need_a_generator(kw, method):
+    # interests() used to fail with an AttributeError, and interest_similarity() to return an identity
+    model = GroupRecommender(toy_dataset(), small_config(**kw), np.random.default_rng(0))
+    assert model.generator is None
+    with pytest.raises(ValueError, match="model has no interest generator"):
+        getattr(model, method)()
+
+
 def bpr_of(anchor, pos, neg):
     """BPR loss of one anchor vector against one positive and one negative per row."""
     anchor, pos, neg = (np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in (anchor, pos, neg))

@@ -125,6 +125,19 @@ def test_restores_best_parameters(monkeypatch):
     assert param_bytes(trainer.model) == captured["best"]
 
 
+def test_numpy_float_config_trains_as_its_checkpoint_round_trip():
+    # a float32 weight was once kept, and trained with, as float32, while its round trip through
+    # the checkpoint's JSON gave a Python float: the configs compared equal but trained apart
+    ds, _ = generate_synthetic(120, 90, 20, 3, 0.1, 1)
+    ds.user_items = split_holdout(ds.user_items, seed=1)
+    ds.group_items = split_holdout(ds.group_items, seed=2)
+    cfg = TrainConfig(embed_dim=8, epochs=2, user_task_weight=np.float32(0.9))
+    back = TrainConfig.from_dict(cfg.as_dict())
+    assert back == cfg
+    totals = [[row["total"] for row in Trainer(ds, c).train().history] for c in (cfg, back)]
+    assert totals[0] == totals[1]
+
+
 def test_variant_no_reg_logs_zero_regularizer():
     ds, _ = planted_dataset()
     trainer = Trainer(ds, toy_config(variant="no_interest_reg", epochs=2))
