@@ -14,9 +14,12 @@ buffers live only until its own backward has run.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import scipy.sparse as sp
+
+from .lanes import run_on_two_lanes
 
 COSINE_NORM_EPS = 1e-12
 
@@ -304,17 +307,60 @@ def spmm(mat, x) -> Tensor:
     return _record(out, (x,), backward)
 
 
+class _LayerSum:
+    """One side's sum of layers 0..K, added in layer order from either lane.
+
+    `add(k, x)` files layer k; layers are added in turn, and one that is
+    ready before the layer before it is held until that one has been added.
+    The lane that files a layer adds it and every held layer that follows,
+    unless the other lane is adding to this sum, which then adds them
+    itself; so no lane waits on the other.
+    """
+
+    def __init__(self, layer0):
+        self.total = layer0.copy()
+        self.held = {}
+        self.next = 1
+        self.adding = False
+        self.lock = threading.Lock()
+
+    def add(self, k, x):
+        with self.lock:
+            self.held[k] = x
+            if self.adding:
+                return
+            self.adding = True
+        while True:
+            with self.lock:
+                x = self.held.pop(self.next, None)
+                if x is None:
+                    self.adding = False
+                    return
+                self.next += 1
+            self.total += x
+
+
 def propagate(adj, users0, items0, n_layers: int) -> tuple[Tensor, Tensor]:
     """LightGCN's layer sums over the bipartite operator adj, as one op.
 
     Each layer maps ``u, v = adj @ v, adj.T @ u``; the outputs are
-    users0 + u_1 + ... + u_K and items0 + v_1 + ... + v_K, added left to
-    right into fresh buffers, so they have the bits of a chain of spmm and
-    two-operand adds. No layer output is kept. Backward is the adjoint in
-    Horner form, K times with both updates at once: y_u <- g_u + adj @ y_v
-    and y_v <- g_v + adj.T @ y_u, from y = g. ``adj.T`` is scipy's CSC
-    view, so no transpose is built, and a side with no gradient counts as
-    zeros.
+    users0 + u_1 + ... + u_K and items0 + v_1 + ... + v_K. The layers form
+    two chains that share no operand, u_0 -> v_1 -> u_2 -> ... and
+    v_0 -> u_1 -> v_2 -> ..., which run on the two lanes of
+    `lanes.run_on_two_lanes`. Each chain keeps only its last layer and adds
+    each layer into its side's sum, a fresh copy of the input, in layer
+    order: a layer that is ready before the one before it on its side is
+    held until that one has been added, and no lane waits on the other. So
+    the sums have the bits of a chain of spmm and two-operand adds, on one
+    lane or two.
+
+    Backward is the adjoint in Horner form, y_u <- g_u + adj @ y_v and
+    y_v <- g_v + adj.T @ y_u, K times from y = g, and splits the same way
+    into two chains: one from g_v through y_u1 = adj @ g_v + g_u,
+    y_v2 = adj.T @ y_u1 + g_v, ..., and one from g_u starting on the item
+    side. Each keeps only its last output; for odd K the chain from g_v
+    ends at users0's gradient. ``adj.T`` is scipy's CSC view, so no
+    transpose is built, and a side with no gradient counts as zeros.
 
     The op returns two tensors, so it records two tape entries. The item
     output is recorded last, so its closure runs first: it takes the user
@@ -324,25 +370,35 @@ def propagate(adj, users0, items0, n_layers: int) -> tuple[Tensor, Tensor]:
     output got no gradient.
     """
     users0, items0 = _as_tensor(users0), _as_tensor(items0)
-    u, v = users0.data, items0.data
-    sum_u, sum_v = u.copy(), v.copy()
-    for _ in range(n_layers):
-        u, v = adj @ v, adj.T @ u
-        sum_u += u
-        sum_v += v
-    out_u, out_v = Tensor(sum_u), Tensor(sum_v)
+    ops = (adj, adj.T)  # side 0 (users) is adj @ items, side 1 (items) is adj.T @ users
+    sums = (_LayerSum(users0.data), _LayerSum(items0.data))
+
+    def layers(side):
+        x = (users0.data, items0.data)[side]
+        for k in range(1, n_layers + 1):
+            side ^= 1
+            x = ops[side] @ x
+            sums[side].add(k, x)
+
+    run_on_two_lanes(layers, 2)
+    out_u, out_v = Tensor(sums[0].total), Tensor(sums[1].total)
 
     def adjoint(g_u, g_v):
-        g_u = np.zeros_like(sum_u) if g_u is None else g_u
-        g_v = np.zeros_like(sum_v) if g_v is None else g_v
-        y_u, y_v = g_u, g_v
-        for _ in range(n_layers):
-            y_u, y_v = y_v, adj.T @ y_u  # the old y_u is freed before adj @ y_v allocates
-            y_u = adj @ y_u
-            y_u += g_u
-            y_v += g_v
-        _accum(users0, y_u)
-        _accum(items0, y_v)
+        g_u = np.zeros_like(out_u.data) if g_u is None else g_u
+        g_v = np.zeros_like(out_v.data) if g_v is None else g_v
+        g, ends = (g_u, g_v), [None, None]
+
+        def horner(side):
+            y = g[side]
+            for _ in range(n_layers):
+                side ^= 1
+                y = ops[side] @ y
+                y += g[side]
+            ends[side] = y
+
+        run_on_two_lanes(horner, 2)
+        _accum(users0, ends[0])
+        _accum(items0, ends[1])
 
     def backward_users(g):
         adjoint(g, None)

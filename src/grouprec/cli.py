@@ -255,8 +255,10 @@ def cmd_sweep(args):
     for key, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ValueError(f"grid key {key!r} must map to a non-empty list, got {values!r}")
-        for value in values:  # config checks are per field, so each point is valid
-            TrainConfig.from_dict({**cfg.as_dict(), key: value})
+        # config checks are per field, so each point is valid; equal configs would train one point twice
+        configs = [TrainConfig.from_dict({**cfg.as_dict(), key: value}) for value in values]
+        if len(set(configs)) < len(configs):
+            raise ValueError(f"grid key {key!r} takes values that give distinct configs, got {values!r}")
     ds = load_prepared(args.data)
     axes = sorted(grid)
     points = itertools.islice(itertools.product(*(grid[a] for a in axes)), args.budget)

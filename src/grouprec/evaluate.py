@@ -51,7 +51,8 @@ at a time and scores it with the textbook Recall@K and NDCG@K (the tests
 keep that loop as the oracle) over the same scores.
 
 Blocks are ranked on two lanes, the caller's thread and one helper thread,
-which take the next block from one shared counter (an even count of
+by `lanes.run_on_two_lanes`, the runner propagation uses too. The lanes
+take the next block from one shared counter (an even count of
 near-equal blocks gives the lanes equal shares); each block's per-anchor
 metrics are filed by block index and summed in anchor order afterwards, so
 the metrics are bit-equal whichever lane ranked which block. The helper runs
@@ -93,16 +94,14 @@ on one lane, against 0.263 s for the chunk-by-chunk threshold, on the same
 host on an earlier day.
 """
 
-import itertools
 import math
 import numbers
-import os
-import threading
 
 import numpy as np
 
 from .config import TASKS
 from .datasets import TRAIN, VALID, TEST, edge_keys, in_sorted
+from .lanes import run_on_two_lanes
 from .model import RowScores
 
 
@@ -224,7 +223,7 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
             metrics[f"ndcg@{k}"] = dcg[:, min(k, depth) - 1] / ideal[np.minimum(relevant, k) - 1]
         per_block[i] = metrics
 
-    _run_on_two_lanes(rank_block, len(per_block))
+    run_on_two_lanes(rank_block, len(per_block))
     # cumsum adds left to right, in anchor order whatever lane ranked a block, and 0.0 + v is exactly v
     n = len(rows)
     return {
@@ -243,48 +242,6 @@ def _block_bounds(n_rows, chunk, widest):
     n_blocks = -(-n_chunks // (widest // chunk))
     n_blocks = min(n_chunks, n_blocks + n_blocks % 2)  # an even count, so two lanes take equal shares
     return np.minimum(np.arange(n_blocks + 1) * n_chunks // max(n_blocks, 1) * chunk, n_rows)
-
-
-def _usable_cpus():
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_on_two_lanes(task, n_tasks):
-    """Run task(0), ..., task(n_tasks - 1), each once, on the caller's thread and one helper.
-
-    Both lanes take the next index from one counter, so a helper the host
-    starves holds back at most the one task it took. The helper starts only
-    when there are two tasks and more than one usable CPU, and it is joined
-    before this returns; the first exception either lane raised is raised
-    here, after which neither lane takes another task.
-    """
-    taken = itertools.count()
-    lock = threading.Lock()
-    errors = []
-
-    def lane():
-        try:
-            while not errors:
-                with lock:
-                    i = next(taken)
-                if i >= n_tasks:
-                    return
-                task(i)
-        except BaseException as exc:  # re-raised on the caller's thread below
-            errors.append(exc)
-
-    helper = None
-    if n_tasks >= 2 and _usable_cpus() > 1:
-        helper = threading.Thread(target=lane, name="grouprec-rank", daemon=True)
-        helper.start()
-    lane()  # stores what it raises, so the helper is always joined
-    if helper is not None:
-        helper.join()
-    if errors:
-        raise errors[0]
 
 
 def _indexes(dataset, task, target):

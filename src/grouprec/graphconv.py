@@ -9,8 +9,8 @@ def propagate(adj, users0, items0, n_layers):
     Each layer maps the previous pair through the normalized bipartite
     adjacency, with no transforms or nonlinearities; the returned pair is
     the unweighted sum over layers 0..n_layers. The layers and both sums are
-    one tape op, autodiff.propagate, whose backward runs the adjoint in
-    Horner form and keeps no layer output. n_layers=0 is the identity and
+    one tape op, autodiff.propagate, which runs the layers, and the adjoint
+    in Horner form, as two chains on two lanes. n_layers=0 is the identity and
     returns the inputs themselves, which is what the plain
     matrix-factorization baseline runs.
     """

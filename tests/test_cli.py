@@ -331,6 +331,10 @@ def test_sweep_grid_values_must_be_non_empty_lists(world, tmp_path, capsys, grid
     ('{"lr": [0.01, -1]}', "invalid config: lr must be >= 0"),
     ('{"n_interests": [2, 3], "interest_mode": ["gate", "fc3"]}', "invalid config: interest_mode must be one of"),
     ('{"n_interests": [2], "pooling": ["max"]}', "unknown config keys: ['pooling']"),
+    # each trained its point twice and wrote its sweep.csv row twice
+    ('{"temperature": [0.5, 0.5]}', "grid key 'temperature' takes values that give distinct configs, got [0.5, 0.5]"),
+    ('{"n_layers": [1], "lr": [1, 1.0]}', "grid key 'lr' takes values that give distinct configs, got [1, 1.0]"),
+    ('{"variant": ["Full", "full"]}', "grid key 'variant' takes values that give distinct configs"),
 ])
 def test_sweep_checks_every_grid_value_before_work(world, tmp_path, capsys, no_work, grid_text, message):
     grid = tmp_path / "grid.json"

@@ -14,6 +14,7 @@ from grouprec import evaluate as ev
 from grouprec import reporting
 from grouprec.config import TrainConfig
 from grouprec.datasets import TRAIN, VALID, TEST, Dataset, Interactions, membership_matrix, split_holdout
+from grouprec.lanes import run_on_two_lanes
 from grouprec.model import GroupRecommender, RowScores
 from grouprec.synthetic import generate_synthetic
 from grouprec.trainer import Trainer
@@ -379,31 +380,7 @@ def block_count(n_rows, n_items, ks):
     return min(n_chunks, n_blocks + n_blocks % 2)
 
 
-class LateHelper(threading.Thread):
-    """A helper that starts only when joined, after the caller's lane has ranked every block."""
-
-    made = []
-
-    def start(self):
-        LateHelper.made.append(self)
-
-    def join(self, timeout=None):
-        super().start()
-        super().join(timeout=10)
-
-
-class EagerHelper(threading.Thread):
-    """A helper that runs to its end before `start` returns, so it ranks every block."""
-
-    made = []
-
-    def start(self):
-        EagerHelper.made.append(self)
-        super().start()
-        super().join(timeout=10)
-
-
-SCHEDULES = {"free": None, "late_helper": LateHelper, "eager_helper": EagerHelper}
+SCHEDULES = ("free", "late_helper", "eager_helper")  # helper schedules of the `lanes` fixture
 
 
 class BlockFault(RuntimeError):
@@ -442,21 +419,6 @@ class LaneLog(ref.DenseScores):
         return LaneLog(self.scores[:, cols], self.fail, self.log, sample=True)
 
 
-@pytest.fixture
-def lanes(monkeypatch):
-    """Sets the usable CPUs and, by name, the helper's schedule; returns the helper class."""
-
-    def use(cpus, schedule="free"):
-        monkeypatch.setattr(ev, "_usable_cpus", lambda: cpus)
-        helper = SCHEDULES[schedule]
-        if helper is not None:
-            helper.made.clear()
-            monkeypatch.setattr(ev.threading, "Thread", helper)
-        return helper
-
-    return use
-
-
 @RANKING_CASES
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_two_lanes_rank_as_one_lane(lanes, monkeypatch, schedule, n_anchors, n_items, n_eval, n_mask, ks, ties):
@@ -472,9 +434,9 @@ def test_two_lanes_rank_as_one_lane(lanes, monkeypatch, schedule, n_anchors, n_i
     n_blocks = block_count(one_lane[1], n_items, ks)
     assert n_blocks >= 2
     assert len(log.sampled) == n_blocks  # each block ranked once: one sampled read each
-    if helper is LateHelper:
+    if schedule == "late_helper":
         assert set(log.threads) == {caller} and len(helper.made) == 1
-    elif helper is EagerHelper:
+    elif schedule == "eager_helper":
         assert caller not in log.threads and len(set(log.threads)) == 1
     for thread in getattr(helper, "made", ()):
         assert not thread.is_alive()
@@ -529,7 +491,7 @@ def test_lanes_take_each_task_once_under_fast_switching():
     try:
         for _ in range(20):
             taken.clear()
-            ev._run_on_two_lanes(taken.append, 500)
+            run_on_two_lanes(taken.append, 500)
             assert sorted(taken) == list(range(500))
     finally:
         sys.setswitchinterval(interval)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -328,6 +331,112 @@ def test_propagate_op_input_read_again_after_propagation():
     # users0 sums the same three terms in another order: the chain adds its layer-0 term to the
     # later op's gradient first, the op adds its whole adjoint at once, so rounding may differ
     np.testing.assert_allclose(new_u, old_u, rtol=0, atol=1e-12)
+
+
+class Products:
+    """A sparse operator that files the thread of each product it makes; `.T` shares the file.
+
+    `fail(n)` is asked before product n (counted from 0 across both), so a
+    test can make a chosen product raise.
+    """
+
+    def __init__(self, mat, threads, fail=lambda n: False):
+        self.mat, self.threads, self.fail = mat, threads, fail
+
+    @property
+    def T(self):
+        return Products(self.mat.T, self.threads, self.fail)
+
+    def __matmul__(self, x):
+        if self.fail(len(self.threads)):
+            raise ChainFault("product failed")
+        self.threads.append(threading.get_ident())
+        return self.mat @ x
+
+
+class ChainFault(RuntimeError):
+    pass
+
+
+LANE_CASES = {"one_lane": (1, "free"), "two_lanes": (2, "free"), "helper_takes_none": (2, "late_helper")}
+
+
+@pytest.mark.parametrize("lane_case", LANE_CASES)
+@pytest.mark.parametrize("read", ["both", "users", "items"])
+@pytest.mark.parametrize("n_layers", [1, 2, 3, 4, 5])
+def test_propagate_chains_bits_equal_the_old_chain(lanes, lane_case, read, n_layers):
+    rng = np.random.default_rng(11)
+    edges = sorted({(int(rng.integers(40)), int(rng.integers(30))) for _ in range(200)})
+    adj = build_norm_adjacency(dataset_with_members(40, [[0]], n_items=30, user_edges=edges))
+    arrays = [rng.normal(size=(40, 5)), rng.normal(size=(30, 5))]
+    up_u, up_v = Tensor(rng.normal(size=(40, 5))), Tensor(rng.normal(size=(30, 5)))
+    helper = lanes(*LANE_CASES[lane_case])
+    threads = []
+    runs = []
+    for prop, mat in ((ag.propagate, Products(adj, threads)), (ref.chain_propagate, adj)):
+        users0, items0 = (Tensor(a, requires_grad=True) for a in arrays)
+        with ag.Tape() as tape:
+            uf, vf = prop(mat, users0, items0, n_layers)
+            terms = [ref.tsum(ref.mul(out, up)) for out, up, side in ((uf, up_u, "users"), (vf, up_v, "items"))
+                     if read in (side, "both")]
+            tape.backward(ref.add(*terms) if len(terms) == 2 else terms[0])
+        runs.append((uf.data, vf.data, users0.grad, items0.grad))
+    for new, old in zip(*runs):
+        np.testing.assert_array_equal(new, old)
+    assert len(threads) == 4 * n_layers  # each chain makes one product a layer, forward and backward
+    if lane_case != "two_lanes":  # the caller ran both chains
+        assert set(threads) == {threading.get_ident()}
+    for thread in getattr(helper, "made", ()):
+        assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("phase", ["forward", "backward"])
+def test_an_error_in_the_helpers_chain_reaches_the_caller(lanes, phase):
+    adj, rng = small_graph(12)
+    users0 = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+    items0 = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    n_layers = 3
+    first = 0 if phase == "forward" else 2 * n_layers  # the backward's products follow the forward's
+    caller = threading.get_ident()
+    threads = []
+    mat = Products(adj, threads, fail=lambda n: n >= first and threading.get_ident() != caller)
+    helper = lanes(2, "eager_helper")  # the helper runs both chains, and the failing product
+    before = threading.active_count()
+    with pytest.raises(ChainFault, match="product failed"):
+        with ag.Tape() as tape:
+            uf, vf = ag.propagate(mat, users0, items0, n_layers)
+            tape.backward(ref.add(ref.tsum(uf), ref.tsum(vf)))
+    assert len(threads) == first and caller not in threads  # no product after the failing one
+    assert threading.active_count() == before
+    assert len(helper.made) == 1 + (phase == "backward")
+    assert not any(thread.is_alive() for thread in helper.made)
+
+
+def test_layer_sums_add_in_layer_order_from_many_threads():
+    # more filing threads than cores and a short switch interval: a layer added out of turn, or
+    # lost between the filer and the adder, changes the sum's bits or leaves it held
+    rng = np.random.default_rng(13)
+    layers = rng.normal(size=(41, 50, 3)) * np.logspace(0, 12, 41)[:, None, None]  # sums that round
+    want = layers[0].copy()
+    for x in layers[1:]:
+        want += x
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            order = rng.permutation(np.arange(1, 41))
+            total = ag._LayerSum(layers[0])
+            threads = [threading.Thread(target=lambda ks=ks: [total.add(int(k), layers[k]) for k in ks])
+                       for ks in np.array_split(order, 8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert total.held == {} and total.next == 41 and not total.adding
+            np.testing.assert_array_equal(total.total, want)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_score_pairs_values():
