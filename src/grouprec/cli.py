@@ -1,14 +1,16 @@
 """Batch command-line surface: prepare, train, eval, sweep, ablate, synth.
 
 Every command writes a run_manifest.json into its output directory with the
-resolved configuration, dataset fingerprint, and seeds, which is enough to
-re-run it identically, plus the library versions, the BLAS thread variables
-and whether the malloc setting of Trainer.train took effect. Errors leave a
-machine-readable JSON line on stderr and a nonzero exit code. Log verbosity
-comes from the GROUPREC_LOG environment variable (DEBUG/INFO/WARNING/ERROR).
+resolved configuration, dataset fingerprint and seeds (a sweep's also holds
+its grid and budget), which is enough to re-run it identically, plus the
+library versions, the BLAS thread variables and whether the malloc setting of
+Trainer.train took effect. Errors leave a machine-readable JSON line on stderr
+and a nonzero exit code. Log verbosity comes from the GROUPREC_LOG environment
+variable (DEBUG/INFO/WARNING/ERROR).
 """
 
 import argparse
+import functools
 import itertools
 import json
 import logging
@@ -45,9 +47,10 @@ from .trainer import Trainer, build_model_from_arrays, heap_kept
 log = logging.getLogger(__name__)
 
 
-def write_manifest(out_dir, command, config_dict, fingerprint, seeds, argv):
+def write_manifest(out_dir, command, config_dict, fingerprint, seeds, argv, **inputs):
     os.makedirs(out_dir, exist_ok=True)
     payload = {
+        **inputs,
         "command": command,
         "argv": list(argv),
         "config": config_dict,
@@ -231,6 +234,30 @@ def cmd_eval(args):
     return 0
 
 
+def train_each(ds, configs, measure):
+    """measure(trainer, result) of each config, in input order, training each distinct config once.
+
+    Configs train in the order first seen; measure is a module-level function or a partial of one.
+    """
+    measured = {}
+    for cfg in configs:
+        if cfg not in measured:
+            trainer = Trainer(ds, cfg)
+            measured[cfg] = measure(trainer, trainer.train())
+    return [measured[cfg] for cfg in configs]
+
+
+def best_val_metric(_trainer, result):
+    return result.best_metric
+
+
+def heldout_metrics(task, ks, trainer, _result):
+    """The test metrics of a trained run and its interest parameter count (None without a generator)."""
+    gen = trainer.model.generator
+    n_params = None if gen is None else param_count(gen.named_params())
+    return _test_metrics(task, evaluate_ranking(trainer.model, trainer.dataset, task, ks=ks)), n_params
+
+
 SENSITIVITY_AXES = (
     "n_interests",
     "interest_reg_weight",
@@ -261,42 +288,32 @@ def cmd_sweep(args):
             raise ValueError(f"grid key {key!r} takes values that give distinct configs, got {values!r}")
     ds = load_prepared(args.data)
     axes = sorted(grid)
-    points = itertools.islice(itertools.product(*(grid[a] for a in axes)), args.budget)
+    points = [dict(zip(axes, v)) for v in itertools.islice(itertools.product(*(grid[a] for a in axes)), args.budget)]
     seeds = [cfg.seed + i for i in range(args.seeds)]
 
     os.makedirs(args.out, exist_ok=True)
-    trials = []
-    for values in points:
-        point = dict(zip(axes, values))
-        vals = []
-        for seed in seeds:
-            trial_cfg = TrainConfig.from_dict({**cfg.as_dict(), **point, "seed": seed})
-            vals.append(Trainer(ds, trial_cfg).train().best_metric)
-        trials.append((point, float(np.mean(vals)), float(np.std(vals))))
-        log.info("sweep point %s: val ndcg@10 %.4f", point, trials[-1][1])
-
-    trials.sort(key=lambda t: -t[1])
+    configs = [TrainConfig.from_dict({**cfg.as_dict(), **point, "seed": seed}) for point in points for seed in seeds]
+    vals = np.reshape(train_each(ds, configs, best_val_metric), (len(points), len(seeds)))
+    # a stable sort: points with equal means keep their grid order
+    trials = sorted(((p, float(np.mean(v)), float(np.std(v))) for p, v in zip(points, vals)), key=lambda t: -t[1])
     write_csv(
         os.path.join(args.out, "sweep.csv"),
         axes + ["val_ndcg10_mean", "val_ndcg10_std"],
         ([point[a] for a in axes] + [f"{mean:.6f}", f"{std:.6f}"] for point, mean, std in trials),
     )
 
-    for axis in axes:
-        if axis not in SENSITIVITY_AXES:
-            continue
-        best_by_value = {}
-        for point, mean, _std in trials:
-            v = point[axis]
-            if v not in best_by_value or mean > best_by_value[v]:
-                best_by_value[v] = mean
+    for axis in [a for a in axes if a in SENSITIVITY_AXES]:
+        # trials run from the best mean down, so a value's first trial holds its best mean
+        best_by_value = {point[axis]: mean for point, mean, _std in reversed(trials)}
         write_csv(
             os.path.join(args.out, f"sensitivity_{axis}.csv"),
             [axis, "val_ndcg10"],
             ([v, f"{best_by_value[v]:.6f}"] for v in sorted(best_by_value)),
         )
 
-    write_manifest(args.out, "sweep", cfg.as_dict(), ds.fingerprint(), seeds, args.argv_used)
+    write_manifest(
+        args.out, "sweep", cfg.as_dict(), ds.fingerprint(), seeds, args.argv_used, grid=grid, budget=args.budget
+    )
     best = trials[0]
     print(f"best point {best[0]} with val ndcg@10 {best[1]:.4f} over {len(trials)} trials")
     return 0
@@ -311,45 +328,28 @@ def cmd_ablate(args):
     modes = [m.strip() for m in (args.interest_modes or "").split(",") if m.strip()]
     if args.interest_modes is not None:
         _distinct("--interest-modes", modes)
-    mode_cfgs = [cfg.replace(interest_mode=mode, variant="full") for mode in modes]
-    ds = load_prepared(args.data)
     seeds = [cfg.seed + i for i in range(args.seeds)]
+    variant_cfgs = [cfg.replace(variant=variant, seed=seed) for variant in variants for seed in seeds]
+    mode_cfgs = [cfg.replace(interest_mode=mode, variant="full", seed=seed) for mode in modes for seed in seeds]
+    ds = load_prepared(args.data)
     os.makedirs(args.out, exist_ok=True)
-    runs = {}
+    # the gate mode's configs are the Full variant's, so those runs train once
+    tested = train_each(ds, variant_cfgs + mode_cfgs, functools.partial(heldout_metrics, args.task, ks))
 
-    def train_and_test(run_cfg):
-        """Test metrics and interest parameter count of run_cfg, trained once per command."""
-        if run_cfg not in runs:
-            trainer = Trainer(ds, run_cfg)
-            trainer.train()
-            gen = trainer.model.generator
-            runs[run_cfg] = (
-                _test_metrics(args.task, evaluate_ranking(trainer.model, ds, args.task, ks=ks)),
-                None if gen is None else param_count(gen.named_params()),
-            )
-        return runs[run_cfg]
-
-    per_variant = {}
-    rows = []
-    for variant in variants:
-        for seed in seeds:
-            metrics, _ = train_and_test(cfg.replace(variant=variant, seed=seed))
-            rows.append((variant, seed, metrics))
-            per_variant.setdefault(variant, []).append(metrics)
     metric_names = [f"{m}@{k}" for m in ("recall", "ndcg") for k in ks]
     write_csv(
         os.path.join(args.out, "ablation.csv"),
         ["variant", "letter", "seed"] + metric_names,
         (
-            [variant, VARIANT_LETTERS[variant], seed] + [f"{metrics[name]:.6f}" for name in metric_names]
-            for variant, seed, metrics in rows
+            [c.variant, VARIANT_LETTERS[c.variant], c.seed] + [f"{metrics[name]:.6f}" for name in metric_names]
+            for c, (metrics, _) in zip(variant_cfgs, tested)
         ),
     )
 
     anchor = "ndcg@10" if 10 in ks else metric_names[-1]
     means = {
-        v: {name: float(np.mean([m[name] for m in ms])) for name in metric_names}
-        for v, ms in per_variant.items()
+        v: {name: float(np.mean([m[name] for m, _ in tested[i : i + args.seeds]])) for name in metric_names}
+        for v, i in zip(variants, range(0, len(variant_cfgs), args.seeds))
     }
     full_mean = means.get("full", {}).get(anchor)
     write_csv(
@@ -364,15 +364,13 @@ def cmd_ablate(args):
     )
 
     if modes:
-        mode_rows = []
-        for mode, mode_cfg in zip(modes, mode_cfgs):
-            for seed in seeds:
-                metrics, n_params = train_and_test(mode_cfg.replace(seed=seed))
-                mode_rows.append([mode, n_params, seed] + [f"{metrics[nm]:.6f}" for nm in metric_names])
         write_csv(
             os.path.join(args.out, "interest_modes.csv"),
             ["mode", "interest_params", "seed"] + metric_names,
-            mode_rows,
+            (
+                [c.interest_mode, n_params, c.seed] + [f"{metrics[nm]:.6f}" for nm in metric_names]
+                for c, (metrics, n_params) in zip(mode_cfgs, tested[len(variant_cfgs) :])
+            ),
         )
 
     write_manifest(args.out, "ablate", cfg.as_dict(), ds.fingerprint(), seeds, args.argv_used)

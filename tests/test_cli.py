@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import itertools
 import json
 import logging
 import pathlib
@@ -36,6 +37,24 @@ TOY = [
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def toy_config(**changes):
+    """The config that the TOY flags set, with changes."""
+    pairs = (flag.split("=") for flag in TOY[1::2])
+    return TrainConfig.from_dict({key: json.loads(value) for key, value in pairs}).replace(**changes)
+
+
+def counting_trainers(monkeypatch, key):
+    """Patches cli.Trainer to file key(cfg) of each Trainer built, in build order; returns that list."""
+    built = []
+
+    def counting_trainer(ds, cfg):
+        built.append(key(cfg))
+        return Trainer(ds, cfg)
+
+    monkeypatch.setattr(cli, "Trainer", counting_trainer)
+    return built
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +319,72 @@ def test_sweep_single_point_grid(world, tmp_path):
     assert rows[0]["n_interests"] == "2"
     with open(out / "sensitivity_n_interests.csv") as f:
         assert len(list(csv.DictReader(f))) == 1
+
+
+def test_sweep_trains_each_point_and_seed_once_point_major(world, tmp_path, monkeypatch):
+    built = counting_trainers(monkeypatch, lambda cfg: (cfg.n_interests, cfg.temperature, cfg.seed))
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"temperature": [0.3, 0.5], "n_interests": [2, 3]}')
+    assert run(["sweep", "--data", world, "--out", tmp_path / "sw", "--grid", grid,
+                "--seeds", 2, "--seed", 0, *TOY]) == 0
+    # axes in sorted order, the last varying fastest, and every seed of a point before the next point
+    assert built == [(n, t, seed) for n, t in itertools.product([2, 3], [0.3, 0.5]) for seed in (0, 1)]
+
+
+def test_sweep_rows_and_sensitivity_follow_independent_runs(world, tmp_path):
+    # variant A has no interests to regularize, so its two weights train alike and tie
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"variant": ["A", "Full"], "interest_reg_weight": [0.0, 1.0]}')
+    out = tmp_path / "sw"
+    assert run(["sweep", "--data", world, "--out", out, "--grid", grid, "--seeds", 2, "--seed", 0, *TOY]) == 0
+
+    ds = load_prepared(world)
+    in_grid_order = []
+    for weight, variant in itertools.product([0.0, 1.0], ["A", "Full"]):
+        vals = [
+            Trainer(ds, toy_config(interest_reg_weight=weight, variant=resolve_variant(variant), seed=seed))
+            .train().best_metric
+            for seed in (0, 1)
+        ]
+        in_grid_order.append(((str(weight), variant), np.mean(vals), np.std(vals)))
+    means = [mean for _point, mean, _std in in_grid_order]
+    assert means[0] == means[2] and len(set(means)) == 3
+
+    with open(out / "sweep.csv") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["interest_reg_weight", "variant", "val_ndcg10_mean", "val_ndcg10_std"]
+    # mean descending, ties in grid order
+    assert rows[1:] == [
+        [*point, f"{mean:.6f}", f"{std:.6f}"]
+        for point, mean, std in sorted(in_grid_order, key=lambda t: -t[1])
+    ]
+    with open(out / "sensitivity_interest_reg_weight.csv") as f:
+        assert list(csv.reader(f)) == [["interest_reg_weight", "val_ndcg10"]] + [
+            [w, f"{max(mean for (pw, _v), mean, _std in in_grid_order if pw == w):.6f}"] for w in ("0.0", "1.0")
+        ]
+    assert not (out / "sensitivity_variant.csv").exists()
+
+
+def test_sweep_manifest_reruns_the_sweep_after_the_grid_file_changes(world, tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"n_interests": [2, 3], "temperature": [0.3, 0.5]}')
+    out = tmp_path / "sw"
+    assert run(["sweep", "--data", world, "--out", out, "--grid", grid, "--budget", 3,
+                "--seeds", 2, "--seed", 0, *TOY]) == 0
+    grid.write_text('{"n_interests": [4]}')
+
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["grid"] == {"n_interests": [2, 3], "temperature": [0.3, 0.5]}
+    assert manifest["budget"] == 3
+    config, again_grid, again = tmp_path / "config.json", tmp_path / "again.json", tmp_path / "again"
+    config.write_text(json.dumps(manifest["config"]))
+    again_grid.write_text(json.dumps(manifest["grid"]))
+    assert run(["sweep", "--data", world, "--out", again, "--grid", again_grid, "--config", config,
+                "--budget", manifest["budget"], "--seeds", len(manifest["seeds"])]) == 0
+    for name in ("sweep.csv", "sensitivity_n_interests.csv", "sensitivity_temperature.csv"):
+        assert (again / name).read_bytes() == (out / name).read_bytes()
+    with open(again / "sweep.csv") as f:
+        assert len(list(csv.DictReader(f))) == 3
 
 
 def test_sweep_budget_must_be_positive(world, tmp_path, capsys):
@@ -596,6 +681,23 @@ def test_ablate_trains_each_configuration_once(world, tmp_path, monkeypatch):
     with open(out / "interest_modes.csv") as f:
         gate = [row for row in csv.DictReader(f) if row["mode"] == "gate"]
     assert [row["ndcg@10"] for row in gate] == [row["ndcg@10"] for row in full]
+
+
+def config_and_metric(trainer, result):
+    return trainer.cfg, result.best_metric
+
+
+def test_train_each_trains_each_distinct_config_once_in_first_seen_order(world, monkeypatch):
+    built = counting_trainers(monkeypatch, lambda cfg: cfg)
+    ds = load_prepared(world)
+    a, b, c = toy_config(seed=1), toy_config(seed=0), toy_config(variant="mean_members", seed=1)
+    got = cli.train_each(ds, [a, b, a, c, b, a], config_and_metric)
+    assert built == [a, b, c]
+    assert [cfg for cfg, _metric in got] == [a, b, a, c, b, a]
+    assert got[0] is got[2] is got[5] and got[1] is got[4]
+    assert [metric for _cfg, metric in got[:2]] == [Trainer(ds, cfg).train().best_metric for cfg in (a, b)]
+    assert cli.train_each(ds, [], config_and_metric) == []
+    assert len(built) == 3
 
 
 def test_every_output_dir_gets_one_manifest(run_dir):
