@@ -19,7 +19,7 @@ import threading
 import numpy as np
 import scipy.sparse as sp
 
-from .lanes import run_on_two_lanes
+from .lanes import row_blocks, run_on_two_lanes
 
 COSINE_NORM_EPS = 1e-12
 
@@ -433,29 +433,58 @@ def gated_channels(x, w, b) -> Tensor:
     """out[:, n] = x * sigmoid(x @ w[n] + b[n]): (U, d), (M, d, d), (M, d) -> (U, M, d).
 
     The M (d, d) gates run as one (U, d) @ (d, M*d) product, whose column
-    block n is w[n].
+    block n is w[n]. The rows split into `lanes.row_blocks`, which run on
+    the two lanes of `lanes.run_on_two_lanes`: forward, each block's
+    product, bias, sigmoid and gated multiply, into its slice of the whole
+    gate and output; backward, each block's x-gradient einsum and in-place
+    dz passes, then each block's dz @ w_cat.T on one lane while the other
+    takes the weight and bias gradients whole, since their sums run over
+    the rows. The block layout keeps every product's bits (see `lanes`),
+    so the op has the bits of the unsplit one, on one lane or two.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    m, d = w.data.shape[0], x.data.shape[1]
+    (n, d), m = x.data.shape, w.data.shape[0]
     w_cat = w.data.transpose(1, 0, 2).reshape(d, m * d)
-    z = x.data @ w_cat
-    z += b.data.reshape(m * d)
-    gate = _sigmoid_inplace(z).reshape(-1, m, d)
-    gated = x.data[:, None, :] * gate
+    bias = b.data.reshape(m * d)
+    blocks = row_blocks(n)
+    gate, gated = np.empty((n, m, d)), np.empty((n, m, d))
+
+    def forward_block(i):
+        r = blocks[i]
+        z = np.matmul(x.data[r], w_cat, out=gate[r].reshape(-1, m * d))
+        z += bias
+        _sigmoid_inplace(z)
+        np.multiply(x.data[r, None, :], gate[r], out=gated[r])
+
+    run_on_two_lanes(forward_block, len(blocks))
     out = Tensor(gated)
 
     def backward(g):
-        if x.requires_grad:
-            _accum(x, np.einsum("umd,umd->ud", g, gate))
         # g (released by the tape) and gate are dead after this, so both are reused
         dz = g
-        dz *= gated
-        dz *= np.subtract(1.0, gate, out=gate)  # g * x * gate * (1 - gate)
-        dz = dz.reshape(-1, m * d)
-        _accum(w, (x.data.T @ dz).reshape(d, m, d).transpose(1, 0, 2))
-        _accum(b, dz.sum(axis=0).reshape(m, d))
-        if x.requires_grad:
-            x.grad += dz @ w_cat.T
+        dx = np.empty((n, d)) if x.requires_grad else None
+
+        def dz_block(i):
+            r = blocks[i]
+            if dx is not None:
+                np.einsum("umd,umd->ud", g[r], gate[r], out=dx[r])
+            dz[r] *= gated[r]
+            dz[r] *= np.subtract(1.0, gate[r], out=gate[r])  # g * x * gate * (1 - gate)
+
+        run_on_two_lanes(dz_block, len(blocks))
+        dz = dz.reshape(n, m * d)
+        if dx is not None:
+            _accum(x, dx)
+
+        def grad_task(i):
+            if i == 0:
+                _accum(w, (x.data.T @ dz).reshape(d, m, d).transpose(1, 0, 2))
+                _accum(b, dz.sum(axis=0).reshape(m, d))
+            else:
+                r = blocks[i - 1]
+                x.grad[r] += dz[r] @ w_cat.T
+
+        run_on_two_lanes(grad_task, 1 + len(blocks) if dx is not None else 1)
 
     return _record(out, (x, w, b), backward)
 
@@ -582,11 +611,28 @@ def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
     is taken from forward values and is constant under backward. A channel
     whose norm is below COSINE_NORM_EPS has similarity 0 with everything and
     passes no gradient.
+
+    The rows split into `lanes.row_blocks` on the two lanes of
+    `lanes.run_on_two_lanes`: forward, each block gathers its rows into its
+    slice of the whole unit buffer and takes their cosines there; backward,
+    each block takes its rows' gradient into its slice of the whole buffer
+    and, when sorted rows meet an existing gradient, adds it in place. The
+    mask, the loss's one pairwise sum and the scatter of any other rows run
+    whole, so the bits are those of the unsplit op.
     """
     x = _as_tensor(x)
     rows = np.asarray(rows, dtype=np.int64)
-    n, m = len(rows), x.data.shape[1]
-    cos, unit, inv, ok = channel_cosines(x.data[rows])
+    n, (m, d) = len(rows), x.data.shape[1:]
+    blocks = row_blocks(n)
+    unit, cos = np.empty((n, m, d)), np.empty((n, m, m))
+    inv, ok = np.empty((n, m)), np.empty((n, m), dtype=bool)
+
+    def cosine_block(i):
+        r = blocks[i]
+        unit[r] = x.data[rows[r]]
+        cos[r], _, inv[r], ok[r] = channel_cosines(unit[r])
+
+    run_on_two_lanes(cosine_block, len(blocks))
     mask = np.triu(np.ones((m, m), dtype=bool), k=1) & ok[:, :, None] & ok[:, None, :]
     mask &= np.abs(cos) >= threshold
     inv_n = 1.0 / n
@@ -594,15 +640,23 @@ def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
     sorted_rows = bool(np.all(rows[1:] > rows[:-1]))
 
     def backward(g):
-        w = mask * (float(g) * inv_n)
-        w += w.transpose(0, 2, 1)
-        d_unit = w @ unit
-        proj = np.einsum("nmd,nmd->nm", d_unit, unit)
-        d_unit -= np.multiply(unit, proj[:, :, None], out=unit)  # unit is dead here
-        d_unit *= inv[:, :, None]
-        if x.grad is not None and sorted_rows:  # the same sums as adding a scattered full-size array
-            x.grad[rows] += d_unit
-        else:
+        coef = float(g) * inv_n
+        in_place = x.grad is not None and sorted_rows  # the same sums as adding a scattered full-size array
+        d_unit = np.empty((n, m, d))
+
+        def grad_block(i):
+            r = blocks[i]
+            w = mask[r] * coef
+            w += w.transpose(0, 2, 1)
+            du = np.matmul(w, unit[r], out=d_unit[r])
+            proj = np.einsum("nmd,nmd->nm", du, unit[r])
+            du -= np.multiply(unit[r], proj[:, :, None], out=unit[r])  # unit is dead here
+            du *= inv[r][:, :, None]
+            if in_place:
+                x.grad[rows[r]] += du
+
+        run_on_two_lanes(grad_block, len(blocks))
+        if not in_place:
             _accum(x, scatter_rows(rows, d_unit, x.data.shape[0]))
 
     return _record(out, (x,), backward)

@@ -3,10 +3,12 @@
 Every command writes a run_manifest.json into its output directory with the
 resolved configuration, dataset fingerprint and seeds (a sweep's also holds
 its grid and budget), which is enough to re-run it identically, plus the
-library versions, the BLAS thread variables and whether the malloc setting of
-Trainer.train took effect. Errors leave a machine-readable JSON line on stderr
-and a nonzero exit code. Log verbosity comes from the GROUPREC_LOG environment
-variable (DEBUG/INFO/WARNING/ERROR).
+library versions, the BLAS thread variables, whether the malloc setting of
+Trainer.train took effect and the CPUs the process may use (a second one
+gives the row-block ops, propagation and evaluation their helper lane).
+Errors leave a machine-readable JSON line on stderr and a nonzero exit code.
+Log verbosity comes from the GROUPREC_LOG environment variable
+(DEBUG/INFO/WARNING/ERROR).
 """
 
 import argparse
@@ -22,7 +24,7 @@ import time
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, lanes
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TASKS, VARIANT_LETTERS, TrainConfig, resolve_variant
 from .datasets import (
@@ -65,6 +67,8 @@ def write_manifest(out_dir, command, config_dict, fingerprint, seeds, argv, **in
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
             "malloc_keeps_freed_heap": heap_kept(),
+            # a helper lane runs only where this is above 1, so timings depend on it
+            "usable_cpus": lanes.usable_cpus(),
         },
     }
     with open(os.path.join(out_dir, "run_manifest.json"), "w") as f:

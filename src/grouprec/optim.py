@@ -7,9 +7,10 @@ import math
 import numpy as np
 
 from .autodiff import Tensor
+from .lanes import ALIGN, row_blocks, run_on_two_lanes
 
-# elements per block of the update: the two float64 block buffers, 256 KB
-# each, stay in a 2 MB L2 cache through a block's sixteen passes
+# elements per block of the update: a block's two float64 buffers, 256 KB
+# each, stay in a 2 MB L2 cache through its sixteen passes
 CHUNK = 2 ** 15
 
 # the moment decay rates and the denominator guard of Kingma & Ba (arXiv:1412.6980)
@@ -18,11 +19,12 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 def _blocks(shape: tuple[int, ...]) -> list:
     """Keys whose basic-indexing views tile an array of `shape` along its
-    leading axis, CHUNK elements or fewer each unless one row is longer."""
+    leading axis: `lanes.row_blocks` of about CHUNK elements each, or
+    ALIGN rows where ALIGN rows hold more."""
     if not shape:
         return [...]
-    rows = max(1, CHUNK // max(1, math.prod(shape[1:])))
-    return [slice(lo, lo + rows) for lo in range(0, shape[0], rows)]
+    width = max(1, math.prod(shape[1:]))
+    return row_blocks(shape[0], max(ALIGN, CHUNK // width // ALIGN * ALIGN))
 
 
 class Adam:
@@ -33,9 +35,10 @@ class Adam:
     uniformly. Parameters the loss never touched get a zero gradient (decay
     still applies).
 
-    The state is `m` and `v`, one array each per parameter, and one pair of
-    block buffers shared by every parameter: the step updates each parameter
-    in blocks of whole leading-axis rows, about CHUNK elements each.
+    The state is `m` and `v`, one array each per parameter. The step updates
+    each parameter in blocks of whole leading-axis rows, about CHUNK elements
+    each, and the blocks of every parameter run as tasks on the two lanes of
+    `lanes.run_on_two_lanes`, each with its own pair of block buffers.
     """
 
     def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 0.0):
@@ -49,8 +52,6 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        width = max([CHUNK] + [math.prod(p.data.shape[1:]) for p in self.params])
-        self._num, self._den = np.empty(width), np.empty(width)
 
     def step(self) -> None:
         """One update, in place, rounding exactly as the textbook expressions:
@@ -63,38 +64,41 @@ class Adam:
         Every gradient's shape is checked before anything is updated. Each
         block runs the sixteen in-place passes on views of the parameter,
         its gradient, `m` and `v`; the arithmetic is elementwise, so the
-        bits do not depend on the blocking.
+        bits depend neither on the blocking nor on which lane ran a block.
         """
         for p in self.params:
             if p.grad is not None and p.grad.shape != p.data.shape:
                 raise ValueError(f"gradient shape {p.grad.shape} != param shape {p.data.shape}")
         self.t += 1
         c1, c2 = 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
-        for p, m_all, v_all in zip(self.params, self.m, self.v):
-            for key in _blocks(p.data.shape):
-                data, m, v = p.data[key], m_all[key], v_all[key]
-                # a missing gradient is a zero block, broadcast from a scalar
-                g = 0.0 if p.grad is None else p.grad[key]
-                num = self._num[:data.size].reshape(data.shape)
-                den = self._den[:data.size].reshape(data.shape)
-                if self.weight_decay:
-                    np.multiply(self.weight_decay, data, out=den)
-                    den += g
-                    g = den
-                m *= BETA1
-                np.multiply(1.0 - BETA1, g, out=num)
-                m += num
-                np.multiply(1.0 - BETA2, g, out=num)
-                num *= g
-                v *= BETA2
-                v += num
-                np.divide(v, c2, out=den)
-                np.sqrt(den, out=den)
-                den += EPS
-                np.divide(m, c1, out=num)
-                num *= self.lr
-                num /= den
-                data -= num
+        tasks = [(p, m, v, key) for p, m, v in zip(self.params, self.m, self.v) for key in _blocks(p.data.shape)]
+
+        def update(i):
+            p, m_all, v_all, key = tasks[i]
+            data, m, v = p.data[key], m_all[key], v_all[key]
+            # a missing gradient is a zero block, broadcast from a scalar
+            g = 0.0 if p.grad is None else p.grad[key]
+            num, den = np.empty_like(data), np.empty_like(data)
+            if self.weight_decay:
+                np.multiply(self.weight_decay, data, out=den)
+                den += g
+                g = den
+            m *= BETA1
+            np.multiply(1.0 - BETA1, g, out=num)
+            m += num
+            np.multiply(1.0 - BETA2, g, out=num)
+            num *= g
+            v *= BETA2
+            v += num
+            np.divide(v, c2, out=den)
+            np.sqrt(den, out=den)
+            den += EPS
+            np.divide(m, c1, out=num)
+            num *= self.lr
+            num /= den
+            data -= num
+
+        run_on_two_lanes(update, len(tasks))
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -2,7 +2,9 @@
 
 Each is a plain tape op built on autodiff's own recording helpers, so the
 fused ops can be checked against compositions of these. The broadcasting
-add, mul and scale are also what test losses are built from. Then comes
+add, mul and scale are also what test losses are built from. Then come
+gated_channels, mean_pair_cosine and the Adam update as one block each, the
+oracles for the ops that run their rows in blocks on two lanes, and
 finite_difference_check, the central-difference check that every op's
 gradients are tested with. Then come the per-edge file writers and the
 dataset fingerprint, the byte oracles for grouprec.datasets' array writers,
@@ -29,6 +31,8 @@ from grouprec.autodiff import (
     _onehot_rows,
     _record,
     _segment_softmax,
+    _sigmoid_inplace,
+    channel_cosines,
     _segment_softmax_grad,
     gather_rows,
     scatter_rows,
@@ -36,6 +40,7 @@ from grouprec.autodiff import (
 )
 from grouprec.config import TrainConfig
 from grouprec.datasets import SPLIT_NAMES, TRAIN
+from grouprec.optim import BETA1, BETA2, EPS
 
 log = logging.getLogger(__name__)
 
@@ -379,6 +384,78 @@ def chain_loss(*terms):
     for c, x in rest:
         loss = add(loss, scale(x, c))
     return loss
+
+
+# the row-block ops as one block on the caller's thread: grouprec's code before
+# gated_channels, mean_pair_cosine and Adam.step ran their rows in blocks on two lanes
+
+
+def gated_channels(x, w, b) -> Tensor:
+    """autodiff.gated_channels as one product over every row."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    m, d = w.data.shape[0], x.data.shape[1]
+    w_cat = w.data.transpose(1, 0, 2).reshape(d, m * d)
+    z = x.data @ w_cat
+    z += b.data.reshape(m * d)
+    gate = _sigmoid_inplace(z).reshape(-1, m, d)
+    gated = x.data[:, None, :] * gate
+    out = Tensor(gated)
+
+    def backward(g):
+        if x.requires_grad:
+            _accum(x, np.einsum("umd,umd->ud", g, gate))
+        dz = g
+        dz *= gated
+        dz *= np.subtract(1.0, gate, out=gate)
+        dz = dz.reshape(-1, m * d)
+        _accum(w, (x.data.T @ dz).reshape(d, m, d).transpose(1, 0, 2))
+        _accum(b, dz.sum(axis=0).reshape(m, d))
+        if x.requires_grad:
+            x.grad += dz @ w_cat.T
+
+    return _record(out, (x, w, b), backward)
+
+
+def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
+    """autodiff.mean_pair_cosine with every row's cosines and gradient taken at once."""
+    x = _as_tensor(x)
+    rows = np.asarray(rows, dtype=np.int64)
+    n, m = len(rows), x.data.shape[1]
+    cos, unit, inv, ok = channel_cosines(x.data[rows])
+    mask = np.triu(np.ones((m, m), dtype=bool), k=1) & ok[:, :, None] & ok[:, None, :]
+    mask &= np.abs(cos) >= threshold
+    inv_n = 1.0 / n
+    out = Tensor((cos * mask).sum() * inv_n)
+    sorted_rows = bool(np.all(rows[1:] > rows[:-1]))
+
+    def backward(g):
+        w = mask * (float(g) * inv_n)
+        w += w.transpose(0, 2, 1)
+        d_unit = w @ unit
+        proj = np.einsum("nmd,nmd->nm", d_unit, unit)
+        d_unit -= np.multiply(unit, proj[:, :, None], out=unit)
+        d_unit *= inv[:, :, None]
+        if x.grad is not None and sorted_rows:
+            x.grad[rows] += d_unit
+        else:
+            _accum(x, scatter_rows(rows, d_unit, x.data.shape[0]))
+
+    return _record(out, (x,), backward)
+
+
+def adam_step(opt) -> None:
+    """optim.Adam.step for `opt`, one whole-array pass per parameter, with the same roundings."""
+    opt.t += 1
+    c1, c2 = 1.0 - BETA1 ** opt.t, 1.0 - BETA2 ** opt.t
+    for p, m, v in zip(opt.params, opt.m, opt.v):
+        g = 0.0 if p.grad is None else p.grad
+        if opt.weight_decay:
+            g = opt.weight_decay * p.data + g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p.data -= (m / c1) * opt.lr / (np.sqrt(v / c2) + EPS)
 
 
 def finite_difference_check(loss_fn, params: list[Tensor], h: float = 1e-5,

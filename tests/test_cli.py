@@ -20,6 +20,7 @@ from grouprec.checkpoint import load_checkpoint, save_checkpoint
 from grouprec.config import COUNTS, REALS, VARIANT_LETTERS, VARIANTS, TrainConfig, resolve_variant
 from grouprec.datasets import TRAIN, VALID, TEST, load_dataset, load_prepared
 from grouprec.evaluate import evaluate_ranking
+from grouprec.lanes import usable_cpus
 from grouprec.trainer import Trainer, build_model_from_arrays
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -716,6 +717,17 @@ def test_every_output_dir_gets_one_manifest(run_dir):
         assert env[key] is None or isinstance(env[key], str)
     # Trainer.train sets the malloc thresholds wherever libc is glibc
     assert env["malloc_keeps_freed_heap"] is (platform.libc_ver()[0] == "glibc")
+
+
+def test_manifest_records_the_usable_cpus(run_dir, world, tmp_path, lanes):
+    # a run's timings depend on whether it had a helper lane, so the manifest says how many CPUs it could use
+    env = json.loads((run_dir / "run_manifest.json").read_text())["environment"]
+    assert env["usable_cpus"] == usable_cpus() >= 1
+    for cpus in (1, 2):
+        lanes(cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert run(["prepare", "--data", world, "--out", out, "--seed", 1]) == 0
+        assert json.loads((out / "run_manifest.json").read_text())["environment"]["usable_cpus"] == cpus
 
 
 def test_version_flag_exits_zero(capsys):
