@@ -678,6 +678,9 @@ def bpr_pairs(anchors, items, a: np.ndarray, p: np.ndarray, n: np.ndarray) -> Te
 
     def backward(g):
         s = _sigmoid_inplace(x)[:, None] * (float(g) / len(x))  # x is dead here
+        # a positive that is its own negative scores log 2 whatever the tables hold; without this
+        # its item terms, added at the positives then at the negatives, leave a rounding residue
+        s[p == n] = 0.0
         if anchors.requires_grad:
             _accum(anchors, scatter_rows(a, diff * s, anchors.data.shape[0]))
         if items.requires_grad:

@@ -1,7 +1,9 @@
 import csv
 import ctypes
+import gc
 import logging
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -319,3 +321,94 @@ def test_malloc_setting_failure_logs_once_and_trains_the_same(
     assert ("not glibc" in debug[0].getMessage()) is (failure == "not_glibc")
     assert first == want and second == want
     assert not trainer_mod.heap_kept()
+
+
+# --- the optimizer's lifetime ---------------------------------------------
+
+
+@pytest.fixture
+def adams(monkeypatch):
+    """Every Adam the trainer makes, in order: a weak reference, and what its first step found."""
+    made = []
+
+    class Recorded(trainer_mod.Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.record = types.SimpleNamespace(ref=weakref.ref(self), first_step=None)
+            made.append(self.record)
+
+        def step(self):
+            if self.record.first_step is None:
+                self.record.first_step = (
+                    self.t,
+                    all(not m.any() and not v.any() for m, v in zip(self.m, self.v)),
+                    [p.data.copy() for p in self.params],
+                )
+            super().step()
+
+    monkeypatch.setattr(trainer_mod, "Adam", Recorded)
+    return made
+
+
+def live(made):
+    gc.collect()
+    return [r for r in made if r.ref() is not None]
+
+
+def test_a_built_trainer_holds_no_optimizer(adams):
+    trainer = Trainer(planted_dataset()[0], toy_config())
+    assert trainer.opt is None
+    assert not adams and not live(adams)
+
+
+def test_train_drops_its_optimizer_when_it_returns(adams):
+    trainer = Trainer(planted_dataset()[0], toy_config(epochs=2))
+    trainer.train()
+    assert trainer.opt is None
+    assert len(adams) == 1 and not live(adams)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_train_drops_its_optimizer_when_it_raises(adams):
+    # the set-up of test_nan_abort_carries_diagnostics: the first step's loss is not finite
+    trainer = Trainer(planted_dataset()[0], toy_config(epochs=2))
+    trainer.model.user_emb.data[:] = 1e200
+    trainer.model.item_emb.data[:] = 1e200
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        trainer.train()
+    assert trainer.opt is None
+    assert len(adams) == 1 and not live(adams)
+
+
+def test_a_step_on_its_own_keeps_its_optimizer(adams):
+    trainer = Trainer(planted_dataset()[0], toy_config())
+    trainer._step()
+    opt = trainer.opt
+    trainer._step()
+    assert trainer.opt is opt and opt.t == 2 and len(adams) == 1
+
+
+def test_a_second_train_starts_fresh_moments_from_the_kept_parameters(adams):
+    trainer = Trainer(planted_dataset()[0], toy_config(epochs=2))
+    trainer.train()
+    kept = [t.data.copy() for t in trainer.model.tensors()]
+    trainer.train()
+    assert len(adams) == 2 and not live(adams)
+    for record in adams:
+        t, zero_moments, _ = record.first_step
+        assert t == 0 and zero_moments
+    for start, want in zip(adams[1].first_step[2], kept):
+        np.testing.assert_array_equal(start, want)
+
+
+def test_trainers_trained_twice_write_equal_checkpoints(tmp_path):
+    ds, _ = planted_dataset()
+    files = []
+    for run in range(2):
+        trainer = Trainer(ds, toy_config(epochs=2))
+        trainer.train()
+        trainer.train()
+        path = tmp_path / f"run{run}.ckpt"
+        save_checkpoint(path, trainer.cfg.as_dict(), trainer.model.named_params_data())
+        files.append(path.read_bytes())
+    assert files[0] == files[1]
