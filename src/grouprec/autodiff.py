@@ -310,34 +310,25 @@ def spmm(mat, x) -> Tensor:
 class _LayerSum:
     """One side's sum of layers 0..K, added in layer order from either lane.
 
-    `add(k, x)` files layer k; layers are added in turn, and one that is
-    ready before the layer before it is held until that one has been added.
-    The lane that files a layer adds it and every held layer that follows,
-    unless the other lane is adding to this sum, which then adds them
-    itself; so no lane waits on the other.
+    `add(k, x)` files layer k, then, holding the sum's lock, adds every filed
+    layer that is next in turn. A layer filed before the one before it waits
+    in `held` until that one is added, by whichever lane adds it. The lock
+    holder waits on nothing, so a lane waits only for an add in progress on
+    the same side, never for the other chain.
     """
 
     def __init__(self, layer0):
         self.total = layer0.copy()
         self.held = {}
         self.next = 1
-        self.adding = False
         self.lock = threading.Lock()
 
     def add(self, k, x):
         with self.lock:
             self.held[k] = x
-            if self.adding:
-                return
-            self.adding = True
-        while True:
-            with self.lock:
-                x = self.held.pop(self.next, None)
-                if x is None:
-                    self.adding = False
-                    return
+            while self.next in self.held:
+                self.total += self.held.pop(self.next)
                 self.next += 1
-            self.total += x
 
 
 def propagate(adj, users0, items0, n_layers: int) -> tuple[Tensor, Tensor]:
@@ -349,10 +340,11 @@ def propagate(adj, users0, items0, n_layers: int) -> tuple[Tensor, Tensor]:
     v_0 -> u_1 -> v_2 -> ..., which run on the two lanes of
     `lanes.run_on_two_lanes`. Each chain keeps only its last layer and adds
     each layer into its side's sum, a fresh copy of the input, in layer
-    order: a layer that is ready before the one before it on its side is
-    held until that one has been added, and no lane waits on the other. So
-    the sums have the bits of a chain of spmm and two-operand adds, on one
-    lane or two.
+    order, under the sum's lock: a layer that is ready before the one
+    before it on its side is held until that one has been added, and a lane
+    waits only for an add in progress on the same side, never for the other
+    chain. So the sums have the bits of a chain of spmm and two-operand
+    adds, on one lane or two.
 
     Backward is the adjoint in Horner form, y_u <- g_u + adj @ y_v and
     y_v <- g_v + adj.T @ y_u, K times from y = g, and splits the same way
@@ -380,7 +372,7 @@ def propagate(adj, users0, items0, n_layers: int) -> tuple[Tensor, Tensor]:
             x = ops[side] @ x
             sums[side].add(k, x)
 
-    run_on_two_lanes(layers, 2)
+    run_on_two_lanes(layers, (0, 1))
     out_u, out_v = Tensor(sums[0].total), Tensor(sums[1].total)
 
     def adjoint(g_u, g_v):
@@ -396,7 +388,7 @@ def propagate(adj, users0, items0, n_layers: int) -> tuple[Tensor, Tensor]:
                 y += g[side]
             ends[side] = y
 
-        run_on_two_lanes(horner, 2)
+        run_on_two_lanes(horner, (0, 1))
         _accum(users0, ends[0])
         _accum(items0, ends[1])
 
@@ -433,14 +425,15 @@ def gated_channels(x, w, b) -> Tensor:
     """out[:, n] = x * sigmoid(x @ w[n] + b[n]): (U, d), (M, d, d), (M, d) -> (U, M, d).
 
     The M (d, d) gates run as one (U, d) @ (d, M*d) product, whose column
-    block n is w[n]. The rows split into `lanes.row_blocks`, which run on
-    the two lanes of `lanes.run_on_two_lanes`: forward, each block's
+    block n is w[n]. The rows split into `lanes.row_blocks`, whose slices
+    are the items of `lanes.run_on_two_lanes`: forward, each block's
     product, bias, sigmoid and gated multiply, into its slice of the whole
     gate and output; backward, each block's x-gradient einsum and in-place
-    dz passes, then each block's dz @ w_cat.T on one lane while the other
-    takes the weight and bias gradients whole, since their sums run over
-    the rows. The block layout keeps every product's bits (see `lanes`),
-    so the op has the bits of the unsplit one, on one lane or two.
+    dz passes, then one pass whose first item, None, takes the weight and
+    bias gradients whole, since their sums run over the rows, and whose
+    blocks each add their rows' dz @ w_cat.T. The block layout keeps every
+    product's bits (see `lanes`), so the op has the bits of the unsplit
+    one, on one lane or two.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     (n, d), m = x.data.shape, w.data.shape[0]
@@ -449,14 +442,13 @@ def gated_channels(x, w, b) -> Tensor:
     blocks = row_blocks(n)
     gate, gated = np.empty((n, m, d)), np.empty((n, m, d))
 
-    def forward_block(i):
-        r = blocks[i]
+    def forward_block(r):
         z = np.matmul(x.data[r], w_cat, out=gate[r].reshape(-1, m * d))
         z += bias
         _sigmoid_inplace(z)
         np.multiply(x.data[r, None, :], gate[r], out=gated[r])
 
-    run_on_two_lanes(forward_block, len(blocks))
+    run_on_two_lanes(forward_block, blocks)
     out = Tensor(gated)
 
     def backward(g):
@@ -464,27 +456,25 @@ def gated_channels(x, w, b) -> Tensor:
         dz = g
         dx = np.empty((n, d)) if x.requires_grad else None
 
-        def dz_block(i):
-            r = blocks[i]
+        def dz_block(r):
             if dx is not None:
                 np.einsum("umd,umd->ud", g[r], gate[r], out=dx[r])
             dz[r] *= gated[r]
             dz[r] *= np.subtract(1.0, gate[r], out=gate[r])  # g * x * gate * (1 - gate)
 
-        run_on_two_lanes(dz_block, len(blocks))
+        run_on_two_lanes(dz_block, blocks)
         dz = dz.reshape(n, m * d)
         if dx is not None:
             _accum(x, dx)
 
-        def grad_task(i):
-            if i == 0:
+        def grad_task(r):  # None: the weight and bias gradients; a block: its rows' x-gradient
+            if r is None:
                 _accum(w, (x.data.T @ dz).reshape(d, m, d).transpose(1, 0, 2))
                 _accum(b, dz.sum(axis=0).reshape(m, d))
             else:
-                r = blocks[i - 1]
                 x.grad[r] += dz[r] @ w_cat.T
 
-        run_on_two_lanes(grad_task, 1 + len(blocks) if dx is not None else 1)
+        run_on_two_lanes(grad_task, [None] + blocks if dx is not None else [None])
 
     return _record(out, (x, w, b), backward)
 
@@ -612,7 +602,7 @@ def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
     whose norm is below COSINE_NORM_EPS has similarity 0 with everything and
     passes no gradient.
 
-    The rows split into `lanes.row_blocks` on the two lanes of
+    The rows split into `lanes.row_blocks`, whose slices are the items of
     `lanes.run_on_two_lanes`: forward, each block gathers its rows into its
     slice of the whole unit buffer and takes their cosines there; backward,
     each block takes its rows' gradient into its slice of the whole buffer
@@ -627,12 +617,11 @@ def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
     unit, cos = np.empty((n, m, d)), np.empty((n, m, m))
     inv, ok = np.empty((n, m)), np.empty((n, m), dtype=bool)
 
-    def cosine_block(i):
-        r = blocks[i]
+    def cosine_block(r):
         unit[r] = x.data[rows[r]]
         cos[r], _, inv[r], ok[r] = channel_cosines(unit[r])
 
-    run_on_two_lanes(cosine_block, len(blocks))
+    run_on_two_lanes(cosine_block, blocks)
     mask = np.triu(np.ones((m, m), dtype=bool), k=1) & ok[:, :, None] & ok[:, None, :]
     mask &= np.abs(cos) >= threshold
     inv_n = 1.0 / n
@@ -644,8 +633,7 @@ def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
         in_place = x.grad is not None and sorted_rows  # the same sums as adding a scattered full-size array
         d_unit = np.empty((n, m, d))
 
-        def grad_block(i):
-            r = blocks[i]
+        def grad_block(r):
             w = mask[r] * coef
             w += w.transpose(0, 2, 1)
             du = np.matmul(w, unit[r], out=d_unit[r])
@@ -655,7 +643,7 @@ def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
             if in_place:
                 x.grad[rows[r]] += du
 
-        run_on_two_lanes(grad_block, len(blocks))
+        run_on_two_lanes(grad_block, blocks)
         if not in_place:
             _accum(x, scatter_rows(rows, d_unit, x.data.shape[0]))
 

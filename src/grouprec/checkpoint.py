@@ -43,8 +43,9 @@ def load_checkpoint(path):
 
     A file whose header or payload disagrees with what save_checkpoint writes
     raises ValueError naming the path (and the tensor, where one is at fault):
-    tensors must have unique names and non-negative integer shapes, and must
-    follow one another in the payload with no gap or overlap.
+    the config, and the meta where present, must be JSON objects; tensors
+    must have unique names and non-negative integer shapes, and must follow
+    one another in the payload with no gap or overlap.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -62,6 +63,9 @@ def load_checkpoint(path):
     tensors = header.get("tensors") if isinstance(header, dict) else None
     if not isinstance(tensors, list) or "config" not in header:
         raise ValueError(f"{path}: header needs a config and a tensors list")
+    for key in ("config", "meta"):  # meta may be absent
+        if not isinstance(header.get(key, {}), dict):
+            raise ValueError(f"{path}: header's {key} must be a JSON object, got {header[key]!r}")
     payload = memoryview(data)[start + header_len :]
     arrays = []
     names = set()

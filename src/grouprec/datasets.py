@@ -413,8 +413,11 @@ def synthesize_group_items(dataset, cap=30):
     """Build group-item edges from members' train interactions.
 
     Per group, items are ranked by how many member train edges touch them,
-    ties broken toward the smaller item id, and the top `cap` are kept.
+    ties broken toward the smaller item id, and the top `cap` are kept;
+    a cap below 1 is refused.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     indptr, items = dataset.user_items.anchor_index((TRAIN,))
     counts = sp.csr_matrix((np.ones(len(items)), items, indptr), (dataset.n_users, dataset.n_items))
     per_group = (dataset.group_members @ counts).tocsr()  # member train edges per group and item

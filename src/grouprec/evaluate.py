@@ -52,7 +52,7 @@ keep that loop as the oracle) over the same scores.
 
 Blocks are ranked on two lanes, the caller's thread and one helper thread,
 by `lanes.run_on_two_lanes`, the runner propagation uses too. The lanes
-take the next block from one shared counter (an even count of
+take the next block number from one shared list (an even count of
 near-equal blocks gives the lanes equal shares); each block's per-anchor
 metrics are filed by block index and summed in anchor order afterwards, so
 the metrics are bit-equal whichever lane ranked which block. The helper runs
@@ -128,13 +128,17 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
 
     The indexes are (indptr, indices) pairs from `Interactions.anchor_index`:
     each anchor's relevant items, each once, and the items kept out of its ranking.
-    Returns ({"recall@k": v, "ndcg@k": v, ...}, n_evaluated).
+    Returns ({"recall@k": v, "ndcg@k": v, ...}, n_evaluated), every metric
+    0.0 when no anchor is evaluated.
     """
     ks = _cutoffs(ks)
+    keys = [f"{m}@{k}" for m in ("recall", "ndcg") for k in ks]
     n_anchors, n_items = score_matrix.shape
     n_relevant = np.diff(eval_index[0])
-    eval_keys = edge_keys(np.repeat(np.arange(n_anchors), n_relevant), eval_index[1], n_anchors, n_items)
     rows = np.flatnonzero(n_relevant)
+    if not len(rows):  # before the block geometry, which divides by the catalogue size
+        return dict.fromkeys(keys, 0.0), 0
+    eval_keys = edge_keys(np.repeat(np.arange(n_anchors), n_relevant), eval_index[1], n_anchors, n_items)
     rel_pos = np.repeat(np.arange(len(rows)), n_relevant[rows])  # each eval entry's anchor, in `rows`
     masked = np.repeat(n_relevant > 0, np.diff(mask_index[0]))  # mask entries of evaluated anchors
     mask_pos = np.repeat(np.cumsum(n_relevant > 0) - 1, np.diff(mask_index[0]))[masked]  # in `rows`
@@ -223,13 +227,10 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
             metrics[f"ndcg@{k}"] = dcg[:, min(k, depth) - 1] / ideal[np.minimum(relevant, k) - 1]
         per_block[i] = metrics
 
-    run_on_two_lanes(rank_block, len(per_block))
+    run_on_two_lanes(rank_block, range(len(per_block)))
     # cumsum adds left to right, in anchor order whatever lane ranked a block, and 0.0 + v is exactly v
     n = len(rows)
-    return {
-        key: float(np.cumsum(np.hstack([0.0] + [m[key] for m in per_block]))[-1] / max(n, 1))
-        for key in (f"{m}@{k}" for m in ("recall", "ndcg") for k in ks)
-    }, n
+    return {key: float(np.cumsum(np.hstack([0.0] + [m[key] for m in per_block]))[-1] / n) for key in keys}, n
 
 
 def _block_bounds(n_rows, chunk, widest):

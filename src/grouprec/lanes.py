@@ -1,9 +1,10 @@
 """Two lanes of work: the caller's thread and at most one helper thread.
 
-Propagation runs its two independent layer chains on them, evaluation its
-blocks of rows, and the self-gated interests (`autodiff.gated_channels`),
-the interest regularizer (`autodiff.mean_pair_cosine`) and the Adam update
-their blocks of `row_blocks` rows. The work overlaps because the products,
+Each work item runs once, on either lane: propagation's two sides (one
+layer chain each), evaluation's block numbers, the `row_blocks` slices of
+the self-gated interests (`autodiff.gated_channels`) and the interest
+regularizer (`autodiff.mean_pair_cosine`), and the Adam update's
+(parameter, moments, block) tuples. The work overlaps because the products,
 partitions and ufuncs release the GIL. The helper starts only where the
 process may use more than one CPU, so a process with one usable CPU runs
 everything on the caller's thread, and there is no setting for the lane
@@ -20,7 +21,6 @@ its blocks start on multiples of ALIGN rows and hold at least ALIGN rows,
 unless the whole array is shorter, when it is one block: the unsplit call.
 """
 
-import itertools
 import os
 import threading
 
@@ -39,16 +39,16 @@ def usable_cpus():
     return os.cpu_count() or 1
 
 
-def run_on_two_lanes(task, n_tasks):
-    """Run task(0), ..., task(n_tasks - 1), each once, on the caller's thread and one helper.
+def run_on_two_lanes(task, items):
+    """Run task(item) once for each item of the sequence `items`, on the caller's thread and one helper.
 
-    Both lanes take the next index from one counter, so a helper the host
-    starves holds back at most the one task it took. The helper starts only
-    when there are two tasks and more than one usable CPU, and it is joined
-    before this returns; the first exception either lane raised is raised
-    here, after which neither lane takes another task.
+    Both lanes take the next item from one shared iterator, so a helper the
+    host starves holds back at most the one item it took. The helper starts
+    only when there are two items or more and more than one usable CPU, and
+    it is joined before this returns; the first exception either lane raised
+    is raised here, after which neither lane takes another item.
     """
-    taken = itertools.count()
+    queue, done = iter(items), object()
     lock = threading.Lock()
     errors = []
 
@@ -56,15 +56,15 @@ def run_on_two_lanes(task, n_tasks):
         try:
             while not errors:
                 with lock:
-                    i = next(taken)
-                if i >= n_tasks:
+                    item = next(queue, done)
+                if item is done:
                     return
-                task(i)
+                task(item)
         except BaseException as exc:  # re-raised on the caller's thread below
             errors.append(exc)
 
     helper = None
-    if n_tasks >= 2 and usable_cpus() > 1:
+    if len(items) >= 2 and usable_cpus() > 1:
         helper = threading.Thread(target=lane, name="grouprec-lane", daemon=True)
         helper.start()
     lane()  # stores what it raises, so the helper is always joined

@@ -37,7 +37,7 @@ class Adam:
 
     The state is `m` and `v`, one array each per parameter. The step updates
     each parameter in blocks of whole leading-axis rows, about CHUNK elements
-    each, and the blocks of every parameter run as tasks on the two lanes of
+    each, and the blocks of every parameter are the work items of
     `lanes.run_on_two_lanes`, each with its own pair of block buffers.
     """
 
@@ -73,8 +73,8 @@ class Adam:
         c1, c2 = 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
         tasks = [(p, m, v, key) for p, m, v in zip(self.params, self.m, self.v) for key in _blocks(p.data.shape)]
 
-        def update(i):
-            p, m_all, v_all, key = tasks[i]
+        def update(task):
+            p, m_all, v_all, key = task
             data, m, v = p.data[key], m_all[key], v_all[key]
             # a missing gradient is a zero block, broadcast from a scalar
             g = 0.0 if p.grad is None else p.grad[key]
@@ -98,7 +98,7 @@ class Adam:
             num /= den
             data -= num
 
-        run_on_two_lanes(update, len(tasks))
+        run_on_two_lanes(update, tasks)
 
     def zero_grad(self) -> None:
         for p in self.params:

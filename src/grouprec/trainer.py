@@ -33,9 +33,10 @@ M_ARENA_MAX = -8
 # mapped on top of the kept heap and raised peak RSS by 15-19%.
 MMAP_THRESHOLD_BYTES = 1 << 30
 TRIM_THRESHOLD_BYTES = 2**31 - 1
-# One arena for every thread: evaluation's helper thread otherwise gets its
-# own, a second heap that keeps its freed blocks too (about 4 MB more peak RSS
-# on the benchmark's stress shape).
+# One arena for every thread: the helper thread of every lane op (propagation,
+# the interest ops, Adam, evaluation) otherwise gets its own, a second heap
+# that keeps its freed blocks too (about 4 MB more peak RSS on the
+# benchmark's stress shape).
 ARENA_MAX = 1
 
 _heap_kept = None  # None until the first Trainer.train, then whether every setting took

@@ -126,3 +126,21 @@ def test_forged_descriptors_name_path(tmp_path, tensors, message):
     with pytest.raises(ValueError, match=rf"damaged\.ckpt: {message}"):
         load_checkpoint(path)
 
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("config", []), ("config", "lr"), ("config", None), ("meta", []), ("meta", 3), ("meta", None)],
+)
+def test_config_and_meta_that_are_not_objects_name_path(tmp_path, key, value):
+    header = {"config": {}, "meta": {}, "tensors": [tensor("a", [4], 0)]}
+    header[key] = value
+    path = forged(tmp_path, header, bytes(32))
+    with pytest.raises(ValueError, match=rf"damaged\.ckpt: header's {key} must be a JSON object, got "):
+        load_checkpoint(path)
+
+
+def test_a_header_without_meta_loads_an_empty_meta(tmp_path):
+    path = forged(tmp_path, {"config": {"k": 1}, "tensors": [tensor("a", [4], 0)]}, bytes(32))
+    cfg, arrays, meta = load_checkpoint(path)
+    assert cfg == {"k": 1} and meta == {} and [name for name, _ in arrays] == ["a"]

@@ -117,16 +117,54 @@ def test_prepare_refuses_synthesis_over_existing_groups(world, tmp_path, capsys)
     assert "refusing" in payload["message"]
 
 
-def test_prepare_synthesizes_when_group_edges_absent(world, tmp_path):
-    src = tmp_path / "nogroups"
-    shutil.copytree(world, src)
+def world_without_groups(world, path):
+    """A copy of world at path with no group-item edges and no splits."""
+    shutil.copytree(world, path)
     for name in ("groups_items.tsv", "splits_user.tsv", "splits_group.tsv"):
-        (src / name).unlink(missing_ok=True)
+        (path / name).unlink(missing_ok=True)
+    return path
+
+
+def test_prepare_synthesizes_when_group_edges_absent(world, tmp_path):
+    src = world_without_groups(world, tmp_path / "nogroups")
     assert run(["prepare", "--data", src, "--synthesize-groups", "--cap", 5, "--seed", 2]) == 0
     ds = load_prepared(str(src))
     assert len(ds.group_items) > 0
     per_group = np.bincount(ds.group_items.anchors, minlength=ds.n_groups)
     assert per_group.max() <= 5
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_prepare_refuses_a_cap_below_one_before_writing(world, tmp_path, capsys, cap):
+    src = world_without_groups(world, tmp_path / "nogroups")
+    before = {p.name: p.read_bytes() for p in src.iterdir()}
+    assert run(["prepare", "--data", src, "--synthesize-groups", "--cap", cap, "--seed", 2]) == 2
+    assert stderr_payload(capsys)["message"] == f"cap must be at least 1, got {cap}"
+    assert {p.name: p.read_bytes() for p in src.iterdir()} == before
+    out = tmp_path / "out"
+    assert run(["prepare", "--data", src, "--out", out, "--synthesize-groups", "--cap", cap]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+
+
+def test_prepare_with_a_cap_of_one_keeps_one_item_per_group(world, tmp_path):
+    src = world_without_groups(world, tmp_path / "nogroups")
+    assert run(["prepare", "--data", src, "--synthesize-groups", "--cap", 1, "--seed", 2]) == 0
+    ds = load_prepared(str(src))
+    assert len(ds.group_items) > 0
+    assert np.bincount(ds.group_items.anchors, minlength=ds.n_groups).max() == 1
+
+
+def test_eval_on_an_empty_catalogue_reports_no_anchors(tmp_path, capsys):
+    data = tmp_path / "empty"
+    data.mkdir()
+    (data / "meta.json").write_text('{"n_users": 2, "n_items": 0, "n_groups": 1}')
+    (data / "users.tsv").write_text("")
+    (data / "group_members.txt").write_text("0 0,1\n")
+    assert run(["prepare", "--data", data, "--seed", 1]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--data", data, "--out", tmp_path / "ev", "--baseline", "popularity"]) == 2
+    assert stderr_payload(capsys)["message"] == "no user anchors with test edges"
 
 
 def test_train_outputs(run_dir):
@@ -295,6 +333,16 @@ def test_eval_refuses_a_checkpoint_trained_on_other_data(world, run_dir, tmp_pat
     out = tmp_path / "ev"
     assert run(["eval", "--data", other, "--out", out, "--checkpoint", ckpt]) == 2
     assert stderr_payload(capsys)["message"] == f"{ckpt}: trained on data with fingerprint {trained_on}, not {now}"
+    assert not out.exists()
+
+
+def test_eval_refuses_a_checkpoint_whose_meta_is_not_an_object(world, run_dir, tmp_path, capsys):
+    cfg, arrays, meta = load_checkpoint(run_dir / "best.ckpt")
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, cfg, arrays, meta=[meta])
+    out = tmp_path / "ev"
+    assert run(["eval", "--data", world, "--out", out, "--checkpoint", bad]) == 2
+    assert stderr_payload(capsys)["message"] == f"{bad}: header's meta must be a JSON object, got {[meta]!r}"
     assert not out.exists()
 
 

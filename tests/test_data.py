@@ -275,7 +275,7 @@ def test_synthesize_matches_dict_counting_reference():
     groups = [rng.choice(n_users, size=int(rng.integers(1, 6)), replace=False).tolist() for _ in range(25)]
     ds = make_dataset(n_users, n_items, edges, groups)
     ds.user_items = d.split_holdout(ds.user_items, seed=1)
-    for cap in (0, 3, 30, 1000):
+    for cap in (1, 3, 30, 1000):
         got = d.synthesize_group_items(ds, cap=cap)
         anchors, items = synthesize_reference(ds, cap)
         assert list(zip(got.anchors.tolist(), got.items.tolist())) == sorted(zip(anchors, items))
@@ -307,6 +307,13 @@ def test_synthesize_single_member_and_cap():
     rg2 = d.synthesize_group_items(ds2, cap=30)
     for g in range(2):
         assert (rg2.anchors == g).sum() <= 30
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_synthesize_refuses_a_cap_below_one(cap):
+    ds = make_dataset(2, 3, [(0, 0), (1, 1)], [[0, 1]])
+    with pytest.raises(ValueError, match=f"cap must be at least 1, got {cap}"):
+        d.synthesize_group_items(ds, cap=cap)
 
 
 def test_synthesize_uses_train_edges_only():

@@ -116,6 +116,13 @@ def test_evaluate_scores_random_model_hypergeometric():
     assert metrics["recall@10"] == pytest.approx(0.01, abs=0.005)
 
 
+def test_an_empty_catalogue_evaluates_no_anchor():
+    scores = RowScores(np.ones((3, 1)), np.ones((0, 1)))
+    empty = (np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64))  # three anchors, no edges
+    zeros = {"recall@5": 0.0, "recall@10": 0.0, "ndcg@5": 0.0, "ndcg@10": 0.0}
+    assert ev.evaluate_scores(scores, empty, empty, (5, 10)) == (zeros, 0)
+
+
 def reference_metrics(scores, eval_sets, mask_sets, ks):
     """The per-anchor loop block ranking replaced, built from top_k and the metrics."""
     sums = {f"{m}@{k}": 0.0 for m in ("recall", "ndcg") for k in ks}
@@ -491,10 +498,21 @@ def test_lanes_take_each_task_once_under_fast_switching():
     try:
         for _ in range(20):
             taken.clear()
-            run_on_two_lanes(taken.append, 500)
+            run_on_two_lanes(taken.append, range(500))
             assert sorted(taken) == list(range(500))
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_lanes_pass_each_item_as_given(lanes, cpus):
+    lanes(cpus)
+    items = [None, slice(0, 64), (np.zeros(2), "key")]
+    seen = []
+    run_on_two_lanes(seen.append, items)
+    assert sorted(map(id, seen)) == sorted(map(id, items))
+    run_on_two_lanes(seen.append, [])
+    assert len(seen) == 3
 
 
 def test_row_scores_nbytes_is_the_largest_block_across_threads():
@@ -609,7 +627,8 @@ def test_pruned_ranking_equals_per_anchor_reference(world):
         assert ev.evaluate_scores(ref.DenseScores(scores), *indexes, ks) == want
         logged = LoggedScores(anchors, items)
         assert ev.evaluate_scores(logged, *indexes, ks) == want
-        assert max(logged.nbytes, logged.sample.nbytes) <= 8 * ev.BLOCK_ELEMENTS
+        assert (logged.sample is None) == (want[1] == 0)  # no anchor evaluated: no sampled product
+        assert max(logged.nbytes, 0 if logged.sample is None else logged.sample.nbytes) <= 8 * ev.BLOCK_ELEMENTS
         for a, v in nan_cells:
             scores[a, v] = np.nan
         assert ev.evaluate_scores(ref.DenseScores(scores), *indexes, ks) == reference_metrics(scores, eval_sets,

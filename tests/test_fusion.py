@@ -433,7 +433,7 @@ def test_layer_sums_add_in_layer_order_from_many_threads():
             for thread in threads:
                 thread.join(timeout=30)
             assert not any(thread.is_alive() for thread in threads)
-            assert total.held == {} and total.next == 41 and not total.adding
+            assert total.held == {} and total.next == 41
             np.testing.assert_array_equal(total.total, want)
     finally:
         sys.setswitchinterval(interval)

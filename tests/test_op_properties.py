@@ -1,10 +1,14 @@
-"""Property tests of three tape ops against their references in tests/reference.py.
+"""Property tests of seven tape ops against their references in tests/reference.py.
 
 `segment_attention` on empty and one-member segments, rows in several
 segments and unsorted segment ids; `bpr_pairs` on repeated anchors and
 items, positives equal to their negatives and batches of one; `propagate`
-at K = 0-3 with one side reading no gradient or needing none. Forward values
-are compared with the reference op, gradients with the reference op and by
+at K = 0-3 with one side reading no gradient or needing none;
+`gather_rows` on repeated and unsorted indices, with and without an
+existing gradient; `weighted_sum` with array coefficients and one tensor in
+several terms; `spmm`; and `softmax_rows` at temperatures other than 1.
+Forward values are compared with the reference op (or with numpy where
+tests/reference.py has none), gradients with the reference op and by
 `finite_difference_check`.
 """
 
@@ -185,4 +189,145 @@ def test_propagate_property(lanes, graph, n_layers, read, constant, cpus):
         return terms[0] if len(terms) == 1 else ref.add(*terms)
 
     err = ref.finite_difference_check(loss, [t for t in params if t.requires_grad], h=1e-5, max_coords=12, rng=rng)
+    assert err < 1e-4
+
+
+# ------------------------------------------------------------ gather_rows
+
+
+@st.composite
+def lookups(draw):
+    """(rows of x, idx): 0-8 indices into 1-5 rows, in drawn order, so they may repeat and be unsorted."""
+    n_rows = draw(st.integers(1, 5))
+    return n_rows, np.array(draw(st.lists(st.integers(0, n_rows - 1), max_size=8)), dtype=np.int64)
+
+
+@PROPERTY
+@given(lookup=lookups(), d=st.integers(1, 3), prior=st.booleans(), seed=SEEDS)
+def test_gather_rows_property(lookup, d, prior, seed):
+    n_rows, idx = lookup
+    rng = np.random.default_rng(seed)
+    x0, up = rng.normal(size=(n_rows, d)), rng.normal(size=(len(idx), d))
+    before = rng.normal(size=(n_rows, d)) if prior else None
+    x = Tensor(x0.copy(), requires_grad=True)
+    x.grad = None if before is None else before.copy()
+    with Tape() as tape:
+        out = ag.gather_rows(x, idx)
+        tape.backward(ref.tsum(ref.mul(out, Tensor(up))))
+    np.testing.assert_array_equal(out.data, x0[idx])
+    # a source row gains the bits np.add.at sums for it from zero, added to any gradient it had
+    want = np.zeros_like(x0)
+    np.add.at(want, idx, up)
+    if before is not None:
+        want = before + want
+    np.testing.assert_array_equal(x.grad, want)
+
+    x = Tensor(x0.copy(), requires_grad=True)
+    weight = Tensor(up)
+    err = ref.finite_difference_check(lambda: ref.tsum(ref.mul(ref.mul(ag.gather_rows(x, idx), weight),
+                                                               ag.gather_rows(x, idx))),
+                                      [x], h=1e-5, max_coords=12, rng=rng)
+    assert err < 1e-4
+
+
+# ------------------------------------------------------------ weighted_sum
+
+
+@st.composite
+def weightings(draw):
+    """(tensor count, [(tensor, coefficient kind)]): 1-4 terms over 1-3 tensors, so a tensor may sit in several."""
+    n_tensors = draw(st.integers(1, 3))
+    kinds = st.sampled_from(["unit", "scalar", "full", "column", "row"])
+    terms = draw(st.lists(st.tuples(st.integers(0, n_tensors - 1), kinds), min_size=1, max_size=4))
+    return n_tensors, terms
+
+
+def coefficient(kind, shape, rng):
+    """A constant coefficient of the kind: 1.0, a float, or an array that broadcasts into shape."""
+    if kind == "unit":
+        return 1.0
+    if kind == "scalar":
+        return float(rng.normal())
+    return rng.normal(size={"full": shape, "column": (shape[0], 1), "row": shape[1:]}[kind])
+
+
+@PROPERTY
+@given(weighting=weightings(), n=st.integers(1, 4), d=st.integers(1, 3), seed=SEEDS)
+def test_weighted_sum_property(weighting, n, d, seed):
+    n_tensors, terms = weighting
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(n, d)) for _ in range(n_tensors)]
+    coefs = [coefficient(kind, (n, d), rng) for _, kind in terms]
+    up = rng.normal(size=(n, d))
+
+    def composed(*xs):
+        parts = [xs[j] if kind == "unit" else ref.mul(Tensor(c), xs[j]) for (j, kind), c in zip(terms, coefs)]
+        total = parts[0]
+        for part in parts[1:]:
+            total = ref.add(total, part)
+        return total
+
+    (out,), grads = run(lambda *xs: ag.weighted_sum(*((c, xs[j]) for (j, _), c in zip(terms, coefs))), arrays, [up])
+    (want,), want_grads = run(composed, arrays, [up])
+    np.testing.assert_array_equal(out, want)  # left to right, as a chain of two-operand adds
+    for got, expected in zip(grads, want_grads):
+        if expected is None:  # a tensor in no term
+            assert got is None
+        else:
+            assert close(got, expected, terms=np.abs(up).max() * sum(np.abs(c).max() for c in coefs))
+
+    xs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    used = [xs[j] for j in sorted({j for j, _ in terms})]
+
+    def loss():
+        out = ag.weighted_sum(*((c, xs[j]) for (j, _), c in zip(terms, coefs)))
+        return ref.tsum(ref.mul(ref.mul(out, out), Tensor(up)))
+
+    assert ref.finite_difference_check(loss, used, h=1e-5, max_coords=12, rng=rng) < 1e-4
+
+
+# ------------------------------------------------------------ spmm
+
+
+@PROPERTY
+@given(graph=graphs(), d=st.integers(1, 3))
+def test_spmm_property(graph, d):
+    mat, rng = graph
+    x0, up = rng.normal(size=(mat.shape[1], d)), rng.normal(size=(mat.shape[0], d))
+    (out,), (grad,) = run(lambda x: ag.spmm(mat, x), [x0], [up])
+    (want,), (want_grad,) = run(lambda x: ref.matmul(Tensor(mat.toarray()), x), [x0], [up])
+    terms = np.abs(mat.data).max(initial=0.0) * max(np.abs(x0).max(), np.abs(up).max()) * max(mat.shape)
+    assert close(out, want, terms=terms) and close(grad, want_grad, terms=terms)
+    # backward through scipy's transposed view has the bits of a product through a transposed copy
+    np.testing.assert_array_equal(grad, mat.T.tocsr() @ up)
+
+    x = Tensor(x0.copy(), requires_grad=True)
+    err = ref.finite_difference_check(lambda: ref.tsum(ref.mul(ref.mul(ag.spmm(mat, x), ag.spmm(mat, x)), Tensor(up))),
+                                      [x], h=1e-5, max_coords=12, rng=rng)
+    assert err < 1e-4
+
+
+# ------------------------------------------------------------ softmax_rows
+
+
+@PROPERTY
+@given(n=st.integers(1, 4), k=st.integers(1, 5), tau=st.sampled_from([0.1, 0.3, 0.5, 2.0, 3.7]), seed=SEEDS)
+def test_softmax_rows_property(n, k, tau, seed):
+    rng = np.random.default_rng(seed)
+    # logits within 2 of each other after the division by tau: no probability is so small that its
+    # gradient sits below the central difference's rounding noise
+    x0, up = rng.uniform(-1.0, 1.0, size=(n, k)) * tau, rng.normal(size=(n, k))
+    seg = np.repeat(np.arange(n), k)
+
+    def composed(x):  # a segment softmax over each row's entries, of x * (1 / tau)
+        return ref.reshape(ref.segment_softmax(ref.reshape(ref.scale(x, 1.0 / tau), (n * k,)), seg, n), (n, k))
+
+    (out,), (grad,) = run(lambda x: ag.softmax_rows(x, tau), [x0], [up])
+    (want,), (want_grad,) = run(composed, [x0], [up])
+    assert close(out, want) and close(grad, want_grad, terms=np.abs(up).max() / tau)
+    np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=1e-12)
+
+    x = Tensor(x0.copy(), requires_grad=True)
+    err = ref.finite_difference_check(lambda: ref.tsum(ref.mul(ag.softmax_rows(x, tau), Tensor(up))),
+                                      [x], h=1e-5, max_coords=12, rng=rng)
     assert err < 1e-4
