@@ -17,6 +17,15 @@ MAGIC = b"GRCK1\n"
 
 
 def save_checkpoint(path, config_dict, named_arrays, meta=None):
+    """Write the checkpoint; a None meta is written as {}.
+
+    A config or meta that is not a JSON object raises ValueError naming the
+    path before anything is written, as load_checkpoint would refuse it.
+    """
+    meta = {} if meta is None else meta
+    for key, value in (("config", config_dict), ("meta", meta)):
+        if not isinstance(value, dict):
+            raise ValueError(f"{path}: {key} must be a JSON object, got {value!r}")
     descriptors = []
     offset = 0
     blobs = []
@@ -27,7 +36,7 @@ def save_checkpoint(path, config_dict, named_arrays, meta=None):
         offset += len(blob)
         blobs.append(blob)
     header = json.dumps(
-        {"config": config_dict, "meta": meta or {}, "tensors": descriptors},
+        {"config": config_dict, "meta": meta, "tensors": descriptors},
         sort_keys=True,
     ).encode()
     with open(path, "wb") as f:

@@ -12,7 +12,9 @@ Log verbosity comes from the GROUPREC_LOG environment variable
 """
 
 import argparse
+import dataclasses
 import functools
+import inspect
 import itertools
 import json
 import logging
@@ -108,6 +110,11 @@ def _distinct(flag, names):
 
 
 def cmd_prepare(args):
+    if args.cap is not None and not args.synthesize_groups:
+        raise ValueError("--cap applies only with --synthesize-groups")
+    cap = args.cap  # the cap that applied, for the manifest
+    if args.synthesize_groups and cap is None:  # synthesize_group_items' own default
+        cap = inspect.signature(synthesize_group_items).parameters["cap"].default
     ds = load_dataset(args.data)
     out_dir = args.out or args.data
     if args.subsample is not None:
@@ -120,11 +127,11 @@ def cmd_prepare(args):
             "dataset already ships group-item interactions; refusing to synthesize over them"
         )
 
-    ds.user_items = split_holdout(ds.user_items, args.seed)
-    if args.synthesize_groups:
-        ds.group_items = synthesize_group_items(ds, cap=args.cap)
+    ds = dataclasses.replace(ds, user_items=split_holdout(ds.user_items, args.seed))
+    if args.synthesize_groups:  # from the members' train edges, so after the user split
+        ds = dataclasses.replace(ds, group_items=synthesize_group_items(ds, cap=cap))
     if len(ds.group_items):
-        ds.group_items = split_holdout(ds.group_items, args.seed + 1)
+        ds = dataclasses.replace(ds, group_items=split_holdout(ds.group_items, args.seed + 1))
 
     if out_dir != args.data:
         save_dataset(ds, out_dir)
@@ -135,7 +142,7 @@ def cmd_prepare(args):
     if len(ds.group_items):
         write_splits(ds.group_items, os.path.join(out_dir, GROUP_SPLITS_FILE))
 
-    write_manifest(out_dir, "prepare", {"cap": args.cap}, ds.fingerprint(), [args.seed], args.argv_used)
+    write_manifest(out_dir, "prepare", {"cap": cap}, ds.fingerprint(), [args.seed], args.argv_used)
     print(
         f"prepared {out_dir}: {ds.n_users} users, {ds.n_items} items, "
         f"{ds.n_groups} groups, {len(ds.user_items)} user edges, "
@@ -433,7 +440,7 @@ def build_parser():
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", help="write prepared copy here instead of in place")
     p.add_argument("--synthesize-groups", action="store_true")
-    p.add_argument("--cap", type=int, default=30, help="max synthesized items per group")
+    p.add_argument("--cap", type=int, help="max synthesized items per group (with --synthesize-groups)")
     p.add_argument("--subsample", type=float, default=None, metavar="FRACTION")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_prepare)

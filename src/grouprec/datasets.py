@@ -14,6 +14,7 @@ Edge order is decided once, by `Interactions`: edges are held sorted by
 (anchor, item), and every reader and writer here takes them as stored.
 """
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -118,28 +119,41 @@ def membership_matrix(n_groups, n_users, gids, uids):
     return m
 
 
+@dataclasses.dataclass(eq=False)
 class Dataset:
-    """Counts, both edge lists, and `group_members`, a membership_matrix CSR."""
+    """Counts, both edge lists, and `group_members`, a membership_matrix CSR.
 
-    def __init__(self, n_users, n_items, n_groups, user_items, group_items, group_members):
-        self.n_users = int(n_users)
-        self.n_items = int(n_items)
-        self.n_groups = int(n_groups)
-        self.user_items = user_items
-        self.group_items = group_items
-        self.group_members = group_members
+    A Dataset is checked when it is made: the counts become ints, and a
+    ValueError is raised when the membership is not n_groups x n_users, a
+    group has no members, or either edge list's counts differ from the
+    dataset's. The membership CSR's arrays are then read-only. A changed
+    dataset comes from `dataclasses.replace`, which runs the checks again;
+    no field is assigned after construction. The class is not frozen and
+    `fingerprint()` is not memoised, because perfbench/run.py's `setup_once`
+    still assigns `user_items` and `group_items`.
+    """
 
-    def validate(self):
-        if self.group_members.shape != (self.n_groups, self.n_users):
+    n_users: int
+    n_items: int
+    n_groups: int
+    user_items: Interactions
+    group_items: Interactions
+    group_members: sp.csr_matrix
+
+    def __post_init__(self):
+        self.n_users, self.n_items, self.n_groups = map(int, (self.n_users, self.n_items, self.n_groups))
+        m = self.group_members
+        if m.shape != (self.n_groups, self.n_users):
             raise ValueError("membership matrix shape does not match counts")
-        empty = np.flatnonzero(np.diff(self.group_members.indptr) == 0)
+        empty = np.flatnonzero(np.diff(m.indptr) == 0)
         if len(empty):
             raise ValueError(f"group {empty[0]} has no members")
         if (self.user_items.n_anchors, self.user_items.n_items) != (self.n_users, self.n_items):
             raise ValueError("user interactions do not match counts")
         if (self.group_items.n_anchors, self.group_items.n_items) != (self.n_groups, self.n_items):
             raise ValueError("group interactions do not match counts")
-        return self
+        for array in (m.data, m.indices, m.indptr):
+            array.flags.writeable = False
 
     def members_of(self, g):
         """Sorted member ids of group g, a view into the membership CSR."""
@@ -325,6 +339,9 @@ def load_group_members(path, n_users, n_groups):
                 raise ValueError(f"{path}:{lineno}: user id {u} out of range (n={n_users})")
         gids.extend([g] * len(users))
         uids.extend(users)
+    if len(line_of) < n_groups:  # every listed id is in range and listed once
+        g = next(g for g in range(n_groups) if g not in line_of)
+        raise ValueError(f"{path}: group {g} is not listed")
     return membership_matrix(n_groups, n_users, gids, uids)
 
 
@@ -360,7 +377,7 @@ def load_dataset(dataset_dir):
         group_items = Interactions(n_groups, n_items)
 
     members = load_group_members(os.path.join(dataset_dir, MEMBERS_FILE), n_users, n_groups)
-    return Dataset(n_users, n_items, n_groups, user_items, group_items, members).validate()
+    return Dataset(n_users, n_items, n_groups, user_items, group_items, members)
 
 
 def save_dataset(dataset, dataset_dir):
@@ -485,7 +502,7 @@ def subsample(dataset, fraction, seed):
     log.info(
         "subsampled to %d users, %d items, %d groups", ds.n_users, ds.n_items, ds.n_groups
     )
-    return ds.validate()
+    return ds
 
 
 def write_splits(interactions, path):
@@ -568,7 +585,8 @@ def load_prepared(dataset_dir):
     group_splits = os.path.join(dataset_dir, GROUP_SPLITS_FILE)
     if not os.path.exists(user_splits):
         raise FileNotFoundError(f"{dataset_dir} is not prepared (missing {USER_SPLITS_FILE})")
-    ds.user_items = read_splits(ds.user_items, user_splits)
+    user_items = read_splits(ds.user_items, user_splits)
+    group_items = ds.group_items
     if os.path.exists(group_splits):
-        ds.group_items = read_splits(ds.group_items, group_splits)
-    return ds
+        group_items = read_splits(group_items, group_splits)
+    return dataclasses.replace(ds, user_items=user_items, group_items=group_items)

@@ -73,13 +73,17 @@ when every row was ranked chunk by chunk, so those scores keep their bits.
 When only some remain, a run gathers kept rows from several chunks, and its
 product is another BLAS call that may round differently; likewise a chunk's
 product may differ from the same rows of the whole product. With OpenBLAS
-0.3.31 (Haswell kernel, one thread, d = 64), one-row products (a gemv)
-differed from a chunk's rows in 82% of entries at 1513 and 4000 items;
-products of 2 to 64 of 173 rows by 1513 items in 1.4e-5 to 5e-4 of them; of
-2 to 64 of 65 rows by 4000 items in none; and chunks of 173 rows by 1513
-items differed from the whole product in about 1.6e-5 of the entries. A rank moves only where such a bit
-reorders two items, so parity with ranking every row is measured, not
-guaranteed: the metrics matched in every case measured.
+0.3.31 at one thread, d = 64 and 5275 random anchors, one-row products (a
+gemv) differed from a chunk's rows in 82% of entries at 1513 and 4000 items,
+on the SkylakeX kernel and on Haswell. The rest depends on the kernel.
+Products of 2 to 64 gathered rows of a 173-row chunk by 1513 items differed
+in up to 6.6e-4 of the entries on SkylakeX and up to 5.2e-2 on Haswell; of a
+65-row chunk by 4000 items, in none on SkylakeX and up to 1.0e-1 on Haswell.
+Chunks differed from the whole product in about 1.6e-5 of the entries at
+1513 items and in none at 4000 on SkylakeX, and in about 4.6e-3 and 1.4e-2
+on Haswell. A rank moves only where such a bit reorders two items, so parity
+with ranking every row is measured, not guaranteed: the metrics matched in
+every case the tests measure, on both kernels.
 
 The cost on a model that fits well. When every row remains, a row pays its
 share of the sampled product (about SAMPLE * depth / n_items of the full

@@ -11,14 +11,20 @@ everything on the caller's thread, and there is no setting for the lane
 count.
 
 The row layout keeps the bits. A block's product need not round like the
-same rows of the whole product: with OpenBLAS 0.3.31 (Haswell kernel, one
-thread, random 3800 x 64 inputs), a one-row `x @ w` of the interest gate
-differed from the whole product in 198-222 of its 256 entries, and 1- to
-16-row tails of its backward product in 89-92% of theirs, while tails of
-40 rows or more matched.
-So `row_blocks` depends on the row count alone, never on the lane count;
-its blocks start on multiples of ALIGN rows and hold at least ALIGN rows,
-unless the whole array is shorter, when it is one block: the unsplit call.
+same rows of the whole product. With OpenBLAS 0.3.31 at one thread, on
+random 3800 x 64 inputs, a one-row `x @ w` of the interest gate differed
+from the whole product in 193-227 of its 256 entries on the SkylakeX kernel
+and in 200-225 on the Haswell kernel. Which longer blocks differ depends on
+the kernel. On SkylakeX, tails of 1 to 17 rows of the backward product
+`dz @ w.T` differed in 89-97% of their entries and tails of 24 rows or more
+matched. On Haswell, a tail matched when it started on an even row and
+differed in about one row's entries when it started on an odd one, at any
+length (41 rows: 2.3%). The blocks of `row_blocks` matched the whole product
+on SkylakeX, Haswell and Sandybridge, for eleven row counts from 1 to 3843
+in blocks of 64 and 512. So `row_blocks` depends on the row count alone,
+never on the lane count; its blocks start on multiples of ALIGN rows and
+hold at least ALIGN rows, unless the whole array is shorter, when it is one
+block: the unsplit call.
 """
 
 import os

@@ -96,5 +96,5 @@ def generate_synthetic(
         Interactions(n_users, n_items, ua, uv),
         Interactions(n_groups, n_items, ga, gv),
         membership_matrix(n_groups, n_users, mg, mu),
-    ).validate()
+    )
     return ds, PlantedLabels(user_interests, group_interest, item_block)

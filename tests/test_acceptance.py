@@ -11,6 +11,7 @@ Two tiers:
   without group-item interactions).
 """
 
+import dataclasses
 import os
 import time
 
@@ -217,8 +218,8 @@ def test_threshold_similarity_behavior(tmp_path_factory):
 
 def planted_world(n_users=40, n_items=30, n_groups=8, m_true=3, noise=0.1, seed=5, **kw):
     ds, labels = generate_synthetic(n_users, n_items, n_groups, m_true, noise, seed, **kw)
-    ds.user_items = split_holdout(ds.user_items, 0)
-    ds.group_items = split_holdout(ds.group_items, 1)
+    ds = dataclasses.replace(ds, user_items=split_holdout(ds.user_items, 0),
+                             group_items=split_holdout(ds.group_items, 1))
     return ds, labels
 
 

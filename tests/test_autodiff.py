@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import weakref
@@ -574,8 +575,8 @@ def test_backward_frees_a_passed_op_before_an_earlier_closure_runs():
 
 def test_trainer_step_frees_forward_buffers_during_backward(monkeypatch):
     ds, _ = generate_synthetic(300, 200, 40, m_true=3, noise=0.1, seed=4)
-    ds.user_items = split_holdout(ds.user_items, seed=0)
-    ds.group_items = split_holdout(ds.group_items, seed=1)
+    ds = dataclasses.replace(ds, user_items=split_holdout(ds.user_items, seed=0),
+                             group_items=split_holdout(ds.group_items, seed=1))
     trainer = Trainer(ds, TrainConfig(seed=0, batch_user=256, batch_group=64))
     live = {}
     backward = Tape.backward

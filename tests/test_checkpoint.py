@@ -144,3 +144,24 @@ def test_a_header_without_meta_loads_an_empty_meta(tmp_path):
     path = forged(tmp_path, {"config": {"k": 1}, "tensors": [tensor("a", [4], 0)]}, bytes(32))
     cfg, arrays, meta = load_checkpoint(path)
     assert cfg == {"k": 1} and meta == {} and [name for name, _ in arrays] == ["a"]
+
+
+@pytest.mark.parametrize(
+    "config, meta, shown",
+    [([], None, "config must be a JSON object, got []"), ({}, [], "meta must be a JSON object, got []"),
+     ({}, [{"best_epoch": 4}], "meta must be a JSON object, got [{'best_epoch': 4}]")],
+    ids=["list-config", "empty-list-meta", "list-meta"],
+)
+def test_save_refuses_a_config_or_meta_that_load_would_refuse(tmp_path, config, meta, shown):
+    path = tmp_path / "a.ckpt"
+    with pytest.raises(ValueError) as e:
+        save_checkpoint(path, config, [("w", np.ones(4))], meta=meta)
+    assert str(e.value) == f"{path}: {shown}"
+    assert not path.exists()
+
+
+def test_save_writes_a_none_meta_as_an_empty_object(tmp_path):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, {"k": 1}, [("w", np.ones(4))], meta=None)
+    assert load_checkpoint(path)[2] == {}
+    assert b'"meta": {}' in path.read_bytes()

@@ -16,7 +16,7 @@ import pytest
 from grouprec import cli
 from grouprec.autodiff import channel_cosines
 from grouprec.cli import main
-from grouprec.checkpoint import load_checkpoint, save_checkpoint
+from grouprec.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from grouprec.config import COUNTS, REALS, VARIANT_LETTERS, VARIANTS, TrainConfig, resolve_variant
 from grouprec.datasets import TRAIN, VALID, TEST, load_dataset, load_prepared
 from grouprec.evaluate import evaluate_ranking
@@ -153,6 +153,25 @@ def test_prepare_with_a_cap_of_one_keeps_one_item_per_group(world, tmp_path):
     ds = load_prepared(str(src))
     assert len(ds.group_items) > 0
     assert np.bincount(ds.group_items.anchors, minlength=ds.n_groups).max() == 1
+
+
+def test_prepare_refuses_a_cap_without_synthesis_before_writing(world, tmp_path, capsys):
+    before = {p.name: p.read_bytes() for p in world.iterdir()}
+    for flags in (["--cap", 0], ["--cap", 5, "--out", tmp_path / "out"]):
+        assert run(["prepare", "--data", world, *flags, "--seed", 2]) == 2
+        assert stderr_payload(capsys)["message"] == "--cap applies only with --synthesize-groups"
+    assert {p.name: p.read_bytes() for p in world.iterdir()} == before
+    assert not (tmp_path / "out").exists()
+
+
+def test_prepare_manifest_records_the_cap_that_applied(world, tmp_path):
+    src = world_without_groups(world, tmp_path / "nogroups")
+    cases = {"plain": ([], world, None), "default": (["--synthesize-groups"], src, 30),
+             "given": (["--synthesize-groups", "--cap", 5], src, 5)}
+    for name, (flags, data, cap) in cases.items():
+        out = tmp_path / name
+        assert run(["prepare", "--data", data, "--out", out, *flags, "--seed", 2]) == 0
+        assert json.loads((out / "run_manifest.json").read_text())["config"] == {"cap": cap}
 
 
 def test_eval_on_an_empty_catalogue_reports_no_anchors(tmp_path, capsys):
@@ -337,9 +356,16 @@ def test_eval_refuses_a_checkpoint_trained_on_other_data(world, run_dir, tmp_pat
 
 
 def test_eval_refuses_a_checkpoint_whose_meta_is_not_an_object(world, run_dir, tmp_path, capsys):
-    cfg, arrays, meta = load_checkpoint(run_dir / "best.ckpt")
+    # save_checkpoint refuses such a meta, so the file is written by hand: the header
+    # of a good checkpoint with its meta wrapped in a list, then the same payload
+    data = (run_dir / "best.ckpt").read_bytes()
+    start = len(MAGIC) + 8
+    end = start + int.from_bytes(data[len(MAGIC) : start], "big")
+    header = json.loads(data[start:end])
+    meta = header["meta"]
+    blob = json.dumps({**header, "meta": [meta]}, sort_keys=True).encode()
     bad = tmp_path / "bad.ckpt"
-    save_checkpoint(bad, cfg, arrays, meta=[meta])
+    bad.write_bytes(MAGIC + len(blob).to_bytes(8, "big") + blob + data[end:])
     out = tmp_path / "ev"
     assert run(["eval", "--data", world, "--out", out, "--checkpoint", bad]) == 2
     assert stderr_payload(capsys)["message"] == f"{bad}: header's meta must be a JSON object, got {[meta]!r}"

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -30,7 +31,7 @@ def make_dataset(n_users, n_items, user_edges, memberships, group_edges=()):
             len(memberships), n_items, [e[0] for e in group_edges], [e[1] for e in group_edges]
         ),
         members,
-    ).validate()
+    )
 
 
 def test_load_interactions_dedup(tmp_path):
@@ -274,7 +275,7 @@ def test_synthesize_matches_dict_counting_reference():
     edges = [divmod(k, n_items) for k in rng.choice(n_users * n_items, 900, replace=False).tolist()]
     groups = [rng.choice(n_users, size=int(rng.integers(1, 6)), replace=False).tolist() for _ in range(25)]
     ds = make_dataset(n_users, n_items, edges, groups)
-    ds.user_items = d.split_holdout(ds.user_items, seed=1)
+    ds = dataclasses.replace(ds, user_items=d.split_holdout(ds.user_items, seed=1))
     for cap in (1, 3, 30, 1000):
         got = d.synthesize_group_items(ds, cap=cap)
         anchors, items = synthesize_reference(ds, cap)
@@ -318,7 +319,7 @@ def test_synthesize_refuses_a_cap_below_one(cap):
 
 def test_synthesize_uses_train_edges_only():
     ds = make_dataset(1, 5, [(0, 0), (0, 1)], [[0]])
-    ds.user_items = ds.user_items.relabeled([TRAIN, TEST])
+    ds = dataclasses.replace(ds, user_items=ds.user_items.relabeled([TRAIN, TEST]))
     rg = d.synthesize_group_items(ds)
     assert list(rg.items) == [0]
 
@@ -339,7 +340,7 @@ def test_adjacency_two_items_weight():
 
 def test_adjacency_excludes_heldout_edges():
     ds = make_dataset(1, 2, [(0, 0), (0, 1)], [[0]])
-    ds.user_items = ds.user_items.relabeled([TRAIN, VALID])
+    ds = dataclasses.replace(ds, user_items=ds.user_items.relabeled([TRAIN, VALID]))
     adj = d.build_norm_adjacency(ds)
     assert adj.nnz == 1
     assert adj.toarray().tolist() == [[1.0, 0.0]]
@@ -367,7 +368,7 @@ def test_adjacency_equals_the_coo_built_oracle(monkeypatch):
     ds = make_dataset(5, 6, edges, [[0, 1]])
     splits = np.full(len(edges), TRAIN, dtype=np.int8)
     splits[2] = VALID  # stored order is by user then item, so edge (0, 4) is third
-    ds.user_items = ds.user_items.relabeled(splits)
+    ds = dataclasses.replace(ds, user_items=ds.user_items.relabeled(splits))
     want = ref.coo_norm_adjacency(ds)
 
     def no_coo(*args, **kwargs):
@@ -413,7 +414,7 @@ def test_sampler_reproducible():
 def test_sampler_negative_soundness_bulk():
     # over 1e5 draws no negative may collide with the anchor's train set
     ds, _ = generate_synthetic(30, 40, 6, m_true=3, noise=0.2, seed=0)
-    ds.user_items = d.split_holdout(ds.user_items, seed=0)
+    ds = dataclasses.replace(ds, user_items=d.split_holdout(ds.user_items, seed=0))
     ui = ds.user_items
     keep = ui.splits == TRAIN
     train = set(zip(ui.anchors[keep].tolist(), ui.items[keep].tolist()))
@@ -488,8 +489,8 @@ def test_synthetic_seeded_regeneration_identical():
 def test_fingerprint_pinned_across_versions():
     # a changed digest means every prepared directory and checkpoint meta goes stale
     ds, _ = generate_synthetic(20, 30, 5, m_true=2, noise=0.1, seed=7)
-    ds.user_items = d.split_holdout(ds.user_items, seed=1)
-    ds.group_items = d.split_holdout(ds.group_items, seed=2)
+    ds = dataclasses.replace(ds, user_items=d.split_holdout(ds.user_items, seed=1),
+                             group_items=d.split_holdout(ds.group_items, seed=2))
     assert ds.fingerprint() == "22279c8528e12e65ecbcc33b594f9597d5820e27c58a0be6591d3e12f4ff29f5"
 
 
@@ -723,14 +724,15 @@ def id_lists(draw, n, size):
 
 
 @st.composite
-def interactions(draw):
+def interactions(draw, n_anchors=None, n_items=None):
     """Distinct edges over id ranges up to int64's, each with a split label.
 
-    The item count is cut so that n_anchors * n_items stays below 2**63: a
-    19-digit id range on one side leaves a small one on the other."""
+    Counts not given are drawn. A drawn item count is cut so that n_anchors *
+    n_items stays below 2**63: a 19-digit id range on one side leaves a small
+    one on the other."""
     counts = st.one_of(st.integers(1, 120), st.sampled_from([2**32, 10**13, 2**63 - 1]))
-    n_anchors = draw(counts)
-    n_items = min(draw(counts), (2**63 - 1) // n_anchors)
+    n_anchors = draw(counts) if n_anchors is None else n_anchors
+    n_items = min(draw(counts), (2**63 - 1) // n_anchors) if n_items is None else n_items
     edges = draw(st.lists(st.tuples(any_id(n_anchors), any_id(n_items)), unique=True, max_size=12))
     splits = draw(st.lists(st.integers(TRAIN, TEST), min_size=len(edges), max_size=len(edges)))
     return Interactions(n_anchors, n_items, [a for a, _ in edges], [v for _, v in edges], splits)
@@ -740,24 +742,25 @@ def interactions(draw):
 def writer_datasets(draw):
     """A Dataset as the fingerprint reads it: counts, both edge lists, memberships.
 
-    It is not validated: the CSR allocates a row per group, so the membership
-    has at most 120 groups whatever the group edges' id range."""
-    users, groups = draw(interactions()), draw(interactions())
-    n_groups, size = draw(st.integers(1, 120)), draw(st.integers(0, 12))
-    members = membership_matrix(
-        n_groups, users.n_anchors, draw(id_lists(n_groups, size)), draw(id_lists(users.n_anchors, size))
-    )
-    return Dataset(users.n_anchors, users.n_items, groups.n_anchors, users, groups, members)
+    The ids up to int64's run through the users, their items and the group
+    items. The CSR allocates a row per group, so there are at most 120 groups,
+    each with a member, and fewer where n_groups * n_items would reach 2**63."""
+    users = draw(interactions())
+    n_groups = draw(st.integers(1, min(120, (2**63 - 1) // users.n_items)))
+    groups = draw(interactions(n_groups, users.n_items))
+    gids = [*range(n_groups), *draw(id_lists(n_groups, draw(st.integers(0, 12))))]
+    members = membership_matrix(n_groups, users.n_anchors, gids, draw(id_lists(users.n_anchors, len(gids))))
+    return Dataset(users.n_anchors, users.n_items, n_groups, users, groups, members)
 
 
 def boundary_dataset():
     """Both sides of every digit-count boundary up to 19 digits and of uint32's, ids 0
     and 2**63 - 2 and each split label, as users of one item each (so n_anchors * n_items
-    stays below 2**63) and as members; no group edges."""
+    stays below 2**63) and as the members of 1000 groups, one each; no group edges."""
     n = 2**63 - 1
-    ids, groups = boundary_ids(n), boundary_ids(1000)
+    ids = boundary_ids(n)
     users = Interactions(n, 1, ids, [0] * len(ids), [i % 3 for i in ids])
-    members = membership_matrix(1000, n, groups + groups, ids[-2 * len(groups) :])
+    members = membership_matrix(1000, n, range(1000), [ids[g % len(ids)] for g in range(1000)])
     return Dataset(n, 1, 1000, users, Interactions(1000, 1), members)
 
 
@@ -840,8 +843,8 @@ def test_interactions_reject_what_breaks_an_invariant(args, message):
 def test_library_files_take_the_whole_file_path(tmp_path, monkeypatch):
     # a silent fall back to the per-line reader would lose its speed and pass every other test
     ds, _ = generate_synthetic(40, 50, 8, m_true=2, noise=0.1, seed=3)
-    ds.user_items = d.split_holdout(ds.user_items, seed=1)
-    ds.group_items = d.split_holdout(ds.group_items, seed=2)
+    ds = dataclasses.replace(ds, user_items=d.split_holdout(ds.user_items, seed=1),
+                             group_items=d.split_holdout(ds.group_items, seed=2))
     d.save_dataset(ds, tmp_path)
     d.write_splits(ds.user_items, tmp_path / "splits_user.tsv")
     d.write_splits(ds.group_items, tmp_path / "splits_group.tsv")
@@ -936,7 +939,6 @@ def test_subsample_compacts_ids():
     assert small.n_users == 10
     assert small.n_items <= ds.n_items
     assert len(small.user_items) > 0
-    small.validate()
 
 
 def test_subsample_rejects_bad_fraction():
@@ -948,3 +950,56 @@ def test_subsample_rejects_bad_fraction():
 def test_group_with_no_members_rejected():
     with pytest.raises(ValueError, match="no members"):
         make_dataset(2, 2, [(0, 0)], [[0], []])
+
+
+def checked_dataset():
+    """3 users, 4 items and 2 groups, each check met."""
+    return make_dataset(3, 4, [(0, 1), (2, 3)], [[0, 1], [2]], [(1, 2)])
+
+
+DATASET_CHECKS = {  # id -> (fields that break one check of checked_dataset, message)
+    "membership-shape": ({"group_members": membership_matrix(2, 4, [0, 1], [0, 3])},
+                         "membership matrix shape does not match counts"),
+    "empty-group": ({"group_members": membership_matrix(2, 3, [0, 0], [0, 2])}, "group 1 has no members"),
+    "user-edge-counts": ({"user_items": Interactions(3, 5)}, "user interactions do not match counts"),
+    "group-edge-counts": ({"group_items": Interactions(3, 4)}, "group interactions do not match counts"),
+}
+
+
+@pytest.mark.parametrize("fields, message", DATASET_CHECKS.values(), ids=DATASET_CHECKS)
+def test_a_dataset_is_checked_when_made_and_when_replaced(fields, message):
+    ds = checked_dataset()
+    given = {f.name: getattr(ds, f.name) for f in dataclasses.fields(Dataset)}
+    for make in (lambda: Dataset(**{**given, **fields}), lambda: dataclasses.replace(ds, **fields)):
+        with pytest.raises(ValueError) as e:
+            make()
+        assert str(e.value) == message
+    assert not hasattr(ds, "validate")
+
+
+def test_a_dataset_holds_int_counts_and_a_read_only_membership():
+    ds = checked_dataset()
+    again = Dataset(np.int64(3), np.int32(4), 2.0, ds.user_items, ds.group_items, ds.group_members)
+    assert [type(n) for n in (again.n_users, again.n_items, again.n_groups)] == [int] * 3
+    assert again.fingerprint() == ds.fingerprint()
+    relabeled = dataclasses.replace(ds, user_items=ds.user_items.relabeled([TRAIN, TEST]))
+    for m in (ds.group_members, relabeled.group_members):
+        for array in (m.data, m.indices, m.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+    assert ds.group_members.toarray().tolist() == [[1, 1, 0], [0, 0, 1]]
+
+
+def test_load_dataset_names_the_file_of_an_unlisted_group(tmp_path):
+    ds, _ = generate_synthetic(20, 30, 5, m_true=2, noise=0.1, seed=7)
+    d.save_dataset(ds, tmp_path)
+    path = tmp_path / "group_members.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:3] + lines[4:]))  # drops group 3's line
+    with pytest.raises(ValueError) as e:
+        d.load_dataset(tmp_path)
+    assert str(e.value) == f"{path}: group 3 is not listed"
+    path.write_text("")
+    with pytest.raises(ValueError) as e:
+        d.load_group_members(path, 20, 5)
+    assert str(e.value) == f"{path}: group 0 is not listed"

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import sys
 import threading
@@ -192,7 +193,7 @@ def tiny_dataset():
         [TRAIN, VALID, TEST, TRAIN, TEST],
     )
     gi = Interactions(1, 5, [0, 0], [0, 4], [TRAIN, TEST])
-    return Dataset(2, 5, 1, ui, gi, members).validate()
+    return Dataset(2, 5, 1, ui, gi, members)
 
 
 class StubModel:
@@ -239,7 +240,7 @@ def test_popularity_ranking_order():
         ui,
         Interactions(1, 4),
         membership_matrix(1, 3, [0], [0]),
-    ).validate()
+    )
     scores = ev.popularity_scores(ds)
     assert list(np.argsort(-scores)) == [0, 1, 2, 3]  # counts 3,1 then unseen by id
 
@@ -262,8 +263,8 @@ def sets_of(index):
 @pytest.mark.parametrize("task", ["user", "group"])
 def test_popularity_metrics_equal_per_anchor_reference(monkeypatch, task, target, n_items):
     ds, _ = generate_synthetic(300, n_items, 120, m_true=3, noise=0.1, seed=4, edges_per_group=12)
-    ds.user_items = split_holdout(ds.user_items, seed=4)
-    ds.group_items = split_holdout(ds.group_items, seed=5)
+    ds = dataclasses.replace(ds, user_items=split_holdout(ds.user_items, seed=4),
+                             group_items=split_holdout(ds.group_items, seed=5))
     monkeypatch.setattr(ev, "BLOCK_ELEMENTS", 7 * n_items)  # chunks of 7 rows, so several blocks
     interactions = ds.user_items if task == "user" else ds.group_items
     dense = np.broadcast_to(ev.popularity_scores(ds), (interactions.n_anchors, n_items))
@@ -328,8 +329,8 @@ def test_row_scores_blocks_and_nbytes():
 @pytest.fixture(scope="module")
 def trained_toy():
     ds, _ = generate_synthetic(300, 200, 40, m_true=3, noise=0.1, seed=4)
-    ds.user_items = split_holdout(ds.user_items, seed=4)
-    ds.group_items = split_holdout(ds.group_items, seed=5)
+    ds = dataclasses.replace(ds, user_items=split_holdout(ds.user_items, seed=4),
+                             group_items=split_holdout(ds.group_items, seed=5))
     cfg = TrainConfig(embed_dim=8, n_interests=2, n_layers=1, batch_user=256, batch_group=32,
                       epochs=2, patience=5, seed=2, lr=0.05)
     trainer = Trainer(ds, cfg)
@@ -361,7 +362,7 @@ def test_evaluate_ranking_never_holds_the_dense_matrix():
     ui = Interactions(n_users, n_items, np.repeat(np.arange(n_users), per_user), items, splits)
     ds = Dataset(n_users, n_items, 1, ui, Interactions(1, n_items), membership_matrix(1, n_users, [0], [0]))
     cfg = TrainConfig(embed_dim=16, n_layers=1, use_groups=False)
-    model = GroupRecommender(ds.validate(), cfg, np.random.default_rng(1))
+    model = GroupRecommender(ds, cfg, np.random.default_rng(1))
     dense_bytes = n_users * n_items * 8
     tracemalloc.start()
     try:

@@ -26,7 +26,7 @@ def dataset_with_members(n_users, memberships, n_items=3, user_edges=((0, 0),)):
         Interactions(n_users, n_items, [e[0] for e in user_edges], [e[1] for e in user_edges]),
         Interactions(len(memberships), n_items),
         members,
-    ).validate()
+    )
 
 
 def test_fuse_groups_identity_fixed_point():

@@ -8,6 +8,7 @@ users x items array reads 4. A phase over the bound is a fault in that
 phase, not in the bound.
 """
 
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -55,8 +56,8 @@ def write_world(path, n_users, n_items, n_groups, seed):
 
 def prepare(path):
     raw = load_dataset(path)
-    raw.user_items = split_holdout(raw.user_items, 0)
-    raw.group_items = split_holdout(raw.group_items, 1)
+    raw = dataclasses.replace(raw, user_items=split_holdout(raw.user_items, 0),
+                              group_items=split_holdout(raw.group_items, 1))
     write_splits(raw.user_items, os.path.join(path, USER_SPLITS_FILE))
     write_splits(raw.group_items, os.path.join(path, GROUP_SPLITS_FILE))
     return raw.fingerprint()

@@ -7,6 +7,8 @@ gives every user's, the oracle. All must give the same loss, gradients and
 scores.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,10 +54,10 @@ def world(split=False):
         Interactions(N_USERS, N_ITEMS, [e[0] for e in edges], [e[1] for e in edges]),
         Interactions(len(MEMBERSHIPS), N_ITEMS, [0, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 2, 2, 3, 4, 4, 5, 6]),
         membership_matrix(len(MEMBERSHIPS), N_USERS, gids, [u for us in MEMBERSHIPS for u in us]),
-    ).validate()
+    )
     if split:
-        ds.user_items = split_holdout(ds.user_items, seed=0)
-        ds.group_items = split_holdout(ds.group_items, seed=1)
+        ds = dataclasses.replace(ds, user_items=split_holdout(ds.user_items, seed=0),
+                                 group_items=split_holdout(ds.group_items, seed=1))
     return ds
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ def toy_dataset(n_users=5, n_items=4, memberships=((0, 1), (2, 3))):
         Interactions(n_users, n_items, [e[0] for e in edges], [e[1] for e in edges]),
         Interactions(len(memberships), n_items, [0, 0, 1, 1], [0, 2, 1, 3]),
         members,
-    ).validate()
+    )
     return ds
 
 
@@ -287,8 +288,8 @@ def traced_step(ds, cfg):
 @pytest.mark.parametrize("use_groups, old_nodes, new_nodes", [(True, 33, 16), (False, 14, 4)])
 def test_weighted_sum_step_bits_equal_the_old_chains(monkeypatch, use_groups, old_nodes, new_nodes):
     ds, _ = generate_synthetic(30, 40, 8, m_true=2, noise=0.1, seed=0)
-    ds.user_items = split_holdout(ds.user_items, seed=0)
-    ds.group_items = split_holdout(ds.group_items, seed=1)
+    ds = dataclasses.replace(ds, user_items=split_holdout(ds.user_items, seed=0),
+                             group_items=split_holdout(ds.group_items, seed=1))
     # default layers, interests and loss weights: every term of the loss is on
     cfg = TrainConfig(embed_dim=8, batch_user=32, batch_group=8, use_groups=use_groups)
     new = traced_step(ds, cfg)

@@ -4,6 +4,7 @@ one-block references in tests/reference.py under every helper schedule,
 plus property tests of the two tape ops and whole trainings per schedule."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -260,8 +261,8 @@ def test_mean_pair_cosine_property(blocks_of_64, shape, rows_order, dead_share):
 def block_world():
     """A world with several blocks of interest rows and of embedding rows per step."""
     ds, _ = generate_synthetic(700, 160, 120, m_true=3, noise=0.1, seed=2)
-    ds.user_items = split_holdout(ds.user_items, seed=2)
-    ds.group_items = split_holdout(ds.group_items, seed=3)
+    ds = dataclasses.replace(ds, user_items=split_holdout(ds.user_items, seed=2),
+                             group_items=split_holdout(ds.group_items, seed=3))
     return ds
 
 

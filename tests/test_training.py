@@ -1,5 +1,6 @@
 import csv
 import ctypes
+import dataclasses
 import gc
 import logging
 import types
@@ -20,8 +21,8 @@ import reference as ref
 
 def planted_dataset(seed=0):
     ds, labels = generate_synthetic(30, 40, 8, m_true=2, noise=0.1, seed=seed)
-    ds.user_items = split_holdout(ds.user_items, seed=seed)
-    ds.group_items = split_holdout(ds.group_items, seed=seed + 1)
+    ds = dataclasses.replace(ds, user_items=split_holdout(ds.user_items, seed=seed),
+                             group_items=split_holdout(ds.group_items, seed=seed + 1))
     return ds, labels
 
 
@@ -131,8 +132,8 @@ def test_numpy_float_config_trains_as_its_checkpoint_round_trip():
     # a float32 weight was once kept, and trained with, as float32, while its round trip through
     # the checkpoint's JSON gave a Python float: the configs compared equal but trained apart
     ds, _ = generate_synthetic(120, 90, 20, 3, 0.1, 1)
-    ds.user_items = split_holdout(ds.user_items, seed=1)
-    ds.group_items = split_holdout(ds.group_items, seed=2)
+    ds = dataclasses.replace(ds, user_items=split_holdout(ds.user_items, seed=1),
+                             group_items=split_holdout(ds.group_items, seed=2))
     cfg = TrainConfig(embed_dim=8, epochs=2, user_task_weight=np.float32(0.9))
     back = TrainConfig.from_dict(cfg.as_dict())
     assert back == cfg
