@@ -14,7 +14,6 @@ Log verbosity comes from the GROUPREC_LOG environment variable
 import argparse
 import dataclasses
 import functools
-import inspect
 import itertools
 import json
 import logging
@@ -31,6 +30,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TASKS, VARIANT_LETTERS, TrainConfig, resolve_variant
 from .datasets import (
     GROUP_EDGES_FILE,
+    GROUP_ITEM_CAP,
     GROUP_SPLITS_FILE,
     USER_SPLITS_FILE,
     load_dataset,
@@ -113,8 +113,8 @@ def cmd_prepare(args):
     if args.cap is not None and not args.synthesize_groups:
         raise ValueError("--cap applies only with --synthesize-groups")
     cap = args.cap  # the cap that applied, for the manifest
-    if args.synthesize_groups and cap is None:  # synthesize_group_items' own default
-        cap = inspect.signature(synthesize_group_items).parameters["cap"].default
+    if args.synthesize_groups and cap is None:
+        cap = GROUP_ITEM_CAP
     ds = load_dataset(args.data)
     out_dir = args.out or args.data
     if args.subsample is not None:

@@ -37,6 +37,9 @@ MEMBERS_FILE = "group_members.txt"
 USER_SPLITS_FILE = "splits_user.tsv"
 GROUP_SPLITS_FILE = "splits_group.tsv"
 
+# the items synthesize_group_items keeps per group when no cap is given
+GROUP_ITEM_CAP = 30
+
 # rows of the whole-file parse of an edge file and of a splits file; the label
 # is one byte wider than the longest name, so no longer label is cut down to one
 _EDGE_ROW = np.dtype([("a", "i8"), ("v", "i8")])
@@ -426,7 +429,7 @@ def split_holdout(interactions, seed):
     return interactions.relabeled(splits)
 
 
-def synthesize_group_items(dataset, cap=30):
+def synthesize_group_items(dataset, cap=GROUP_ITEM_CAP):
     """Build group-item edges from members' train interactions.
 
     Per group, items are ranked by how many member train edges touch them,

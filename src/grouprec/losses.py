@@ -1,44 +1,11 @@
-"""Ranking losses and the interest-diversity regularizer."""
+"""Ranking losses and the interest-diversity regularizer, as tape nodes.
 
-from dataclasses import dataclass
-
-import numpy as np
+`Trainer._loss` weights them into the one loss a step backpropagates;
+`trainer.LOSS_TERMS` names the values a step logs.
+"""
 
 from . import autodiff as ag
 from .autodiff import Tensor
-
-
-@dataclass
-class LossBreakdown:
-    """Reported per-step (or per-epoch mean) loss components.
-
-    Its fields, in order, are the loss columns of the training log. total
-    always equals the weighted sum of the four components. The quadratic
-    parameter penalty reaches the gradients through optimizer weight decay
-    rather than the tape, but it is reported here so the decomposition
-    stays checkable.
-    """
-
-    l_bpr: float
-    l_group: float
-    reg_interest: float
-    reg_params: float
-    total: float
-
-    @classmethod
-    def build(cls, l_bpr, l_group, reg_interest, reg_params, user_w, reg_w, decay):
-        total = (
-            user_w * l_bpr
-            + (1.0 - user_w) * l_group
-            + reg_w * reg_interest
-            + decay * reg_params
-        )
-        if not np.isfinite(total):
-            raise FloatingPointError(
-                f"non-finite loss: bpr={l_bpr} group={l_group} "
-                f"reg={reg_interest} params={reg_params}"
-            )
-        return cls(float(l_bpr), float(l_group), float(reg_interest), float(reg_params), float(total))
 
 
 def bpr_loss(anchor_table, item_table, anchors, pos, neg):

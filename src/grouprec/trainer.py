@@ -6,21 +6,22 @@ import logging
 import math
 import platform
 import time
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tape, weighted_sum
 from .datasets import TRAIN, VALID
 from .evaluate import evaluate_ranking
-from .losses import LossBreakdown, bpr_loss, interest_regularizer
+from .losses import bpr_loss, interest_regularizer
 from .model import GroupRecommender
 from .optim import Adam
 from .sampling import TripleSampler
 
 log = logging.getLogger(__name__)
 
-LOSS_TERMS = tuple(f.name for f in fields(LossBreakdown))
+# the step's loss values, in the order _step returns them: the loss columns of the training log
+LOSS_TERMS = ("l_bpr", "l_group", "reg_interest", "reg_params", "total")
 LOG_COLUMNS = ("epoch", *LOSS_TERMS, "val_metric", "seconds")
 
 # mallopt parameter numbers from glibc's <malloc.h>
@@ -190,6 +191,12 @@ class Trainer:
         return weighted_sum(*terms), l_user.item(), l_group_val, 0.0 if reg is None else reg.item()
 
     def _step(self):
+        """One step; returns its loss values in LOSS_TERMS order.
+
+        total is the loss the step backpropagated plus the L2 penalty that
+        Adam's weight decay applies, weight_decay * reg_params, which reaches
+        the gradients through the optimizer rather than the tape.
+        """
         cfg = self.cfg
         # the samplers' streams are their own, so drawing before the forward changes no draw
         user, group = self._draw()
@@ -202,15 +209,13 @@ class Trainer:
         self.opt.zero_grad()
 
         reg_params = sum(float(np.vdot(t.data, t.data)) for t in self.model.tensors())
-        return LossBreakdown.build(
-            l_user,
-            l_group,
-            reg_interest,
-            reg_params,
-            cfg.user_task_weight,
-            cfg.interest_reg_weight if self.reg_applies else 0.0,
-            cfg.weight_decay,
-        )
+        total = loss.item() + cfg.weight_decay * reg_params
+        if not np.isfinite(total):
+            raise FloatingPointError(
+                f"non-finite loss: bpr={l_user} group={l_group} "
+                f"reg={reg_interest} params={reg_params}"
+            )
+        return l_user, l_group, reg_interest, reg_params, total
 
     def _validation_metric(self):
         metrics, n = evaluate_ranking(
@@ -241,7 +246,7 @@ class Trainer:
                 t0 = time.perf_counter()
                 acc = np.zeros(len(LOSS_TERMS))
                 for _ in range(self.steps_per_epoch):
-                    acc += astuple(self._step())
+                    acc += self._step()
                 acc /= self.steps_per_epoch
 
                 val = None

@@ -144,17 +144,6 @@ def test_regularizer_gradient_matches_cosine_away_from_threshold():
     assert err < 1e-4
 
 
-def test_loss_breakdown_decomposition():
-    br = losses.LossBreakdown.build(0.6, 0.4, 0.2, 10.0, user_w=0.9, reg_w=0.4, decay=1e-4)
-    want = 0.9 * 0.6 + 0.1 * 0.4 + 0.4 * 0.2 + 1e-4 * 10.0
-    assert br.total == pytest.approx(want, abs=1e-12)
-
-
-def test_loss_breakdown_rejects_nan():
-    with pytest.raises(FloatingPointError):
-        losses.LossBreakdown.build(float("nan"), 0.0, 0.0, 0.0, 0.9, 0.4, 0.0)
-
-
 def test_forward_shapes_and_simplex():
     ds = toy_dataset()
     model = GroupRecommender(ds, small_config(), np.random.default_rng(0))

@@ -1,4 +1,4 @@
-"""Property tests of seven tape ops against their references in tests/reference.py.
+"""Property tests of ten tape ops against their references in tests/reference.py.
 
 `segment_attention` on empty and one-member segments, rows in several
 segments and unsorted segment ids; `bpr_pairs` on repeated anchors and
@@ -6,15 +6,19 @@ items, positives equal to their negatives and batches of one; `propagate`
 at K = 0-3 with one side reading no gradient or needing none;
 `gather_rows` on repeated and unsorted indices, with and without an
 existing gradient; `weighted_sum` with array coefficients and one tensor in
-several terms; `spmm`; and `softmax_rows` at temperatures other than 1.
+several terms; `spmm`; `softmax_rows` at temperatures other than 1;
+`channel_linear` on a shared (U, d) input and a per-channel (U, M, d) one,
+M = 1 and d' other than d among them; `contract` with the model's two
+specs; and `straight_through` on rows that tie at the argmax.
 Forward values are compared with the reference op (or with numpy where
 tests/reference.py has none), gradients with the reference op and by
 `finite_difference_check`.
 """
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from grouprec import autodiff as ag
@@ -279,9 +283,10 @@ def test_weighted_sum_property(weighting, n, d, seed):
     xs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     used = [xs[j] for j in sorted({j for j, _ in terms})]
 
-    def loss():
+    def loss():  # linear in out: a squared loss's gradient also holds out, and with it the summed
+        # coefficients of a tensor twice, whose near cancellation left a flat direction
         out = ag.weighted_sum(*((c, xs[j]) for (j, _), c in zip(terms, coefs)))
-        return ref.tsum(ref.mul(ref.mul(out, out), Tensor(up)))
+        return ref.tsum(ref.mul(out, Tensor(up)))
 
     assert ref.finite_difference_check(loss, used, h=1e-5, max_coords=12, rng=rng) < 1e-4
 
@@ -331,3 +336,129 @@ def test_softmax_rows_property(n, k, tau, seed):
     err = ref.finite_difference_check(lambda: ref.tsum(ref.mul(ag.softmax_rows(x, tau), Tensor(up))),
                                       [x], h=1e-5, max_coords=12, rng=rng)
     assert err < 1e-4
+
+
+# ------------------------------------------------------------ channel_linear
+
+
+def off_zero(rng, size):
+    """Random signs with magnitudes in [0.5, 1.5].
+
+    A gradient of these bilinear ops under a squared loss is a product of
+    entries; with an entry near 0 it is itself near 0, a flat direction
+    where the central difference reads rounding residue as a relative error.
+    """
+    return rng.choice([-1.0, 1.0], size=size) * rng.uniform(0.5, 1.5, size=size)
+
+
+@PROPERTY
+@given(shared=st.booleans(), u=st.integers(1, 4), m=st.integers(1, 3), d=st.integers(1, 3),
+       d_out=st.integers(1, 3), seed=SEEDS)
+@example(shared=True, u=3, m=1, d=2, d_out=3, seed=0)
+@example(shared=False, u=3, m=1, d=3, d_out=1, seed=1)
+def test_channel_linear_property(shared, u, m, d, d_out, seed):
+    rng = np.random.default_rng(seed)
+    # a (U, d) input reaches every channel; a (U, M, d) one is passed as its M channels, stacked
+    xs = [off_zero(rng, (u, d)) for _ in range(1 if shared else m)]
+    w0, b0, up = off_zero(rng, (m, d, d_out)), off_zero(rng, (m, d_out)), off_zero(rng, (u, m, d_out))
+
+    def op(w, b, *xs):
+        return ag.channel_linear(xs[0] if shared else ref.stack(list(xs)), w, b)
+
+    def composed(w, b, *xs):  # one product per channel, stacked
+        return ref.stack([ref.add(ref.matmul(xs[0 if shared else n], ref.take(w, n)), ref.take(b, n))
+                          for n in range(m)])
+
+    (out,), grads = run(op, [w0, b0, *xs], [up])
+    (want,), want_grads = run(composed, [w0, b0, *xs], [up])
+    x_max, w_max = max(np.abs(x).max() for x in xs), np.abs(w0).max()
+    assert out.shape == (u, m, d_out)
+    assert close(out, want, terms=x_max * w_max * d + np.abs(b0).max())
+    for got, expected in zip(grads, want_grads):  # x sums over channels and outputs, w and b over rows
+        assert close(got, expected, terms=np.abs(up).max() * max(w_max * m * d_out, x_max * u, u))
+
+    x = Tensor(xs[0].copy() if shared else np.stack(xs, axis=1), requires_grad=True)
+    w, b = Tensor(w0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True)
+
+    def loss():
+        out = ag.channel_linear(x, w, b)
+        return ref.tsum(ref.mul(ref.mul(out, out), Tensor(up)))
+
+    assert ref.finite_difference_check(loss, [x, w, b], h=1e-5, max_coords=12, rng=rng) < 1e-4
+
+
+# ------------------------------------------------------------ contract
+
+
+@PROPERTY
+@given(spec=st.sampled_from(["gd,gmd->gm", "gm,gmd->gd"]), g=st.integers(1, 4), m=st.integers(1, 3),
+       d=st.integers(1, 3), seed=SEEDS)
+def test_contract_property(spec, g, m, d, seed):
+    rng = np.random.default_rng(seed)
+    scores = spec == "gd,gmd->gm"  # group scores psi = e_g . pooled; otherwise the omega mix
+    # the (G, M, d) operand is passed as its M channels, stacked, so the reference reads each one
+    a0 = off_zero(rng, (g, d if scores else m))
+    chans = [off_zero(rng, (g, d)) for _ in range(m)]
+    up = off_zero(rng, (g, m if scores else d))
+
+    def composed(a, *chans):
+        if scores:
+            return ref.stack([ref.rowwise_dot(a, c) for c in chans])
+        mixed = None
+        for n, c in enumerate(chans):
+            term = ref.mul(ref.matmul(a, Tensor(np.eye(m)[:, n:n + 1])), c)
+            mixed = term if mixed is None else ref.add(mixed, term)
+        return mixed
+
+    (out,), grads = run(lambda a, *chans: ag.contract(spec, a, ref.stack(list(chans))), [a0, *chans], [up])
+    (want,), want_grads = run(composed, [a0, *chans], [up])
+    a_max, c_max = np.abs(a0).max(), max(np.abs(c).max() for c in chans)
+    assert close(out, want, terms=a_max * c_max * max(m, d))
+    for got, expected in zip(grads, want_grads):
+        assert close(got, expected, terms=np.abs(up).max() * max(a_max, c_max) * max(m, d))
+
+    a, b = Tensor(a0.copy(), requires_grad=True), Tensor(np.stack(chans, axis=1), requires_grad=True)
+
+    def loss():
+        out = ag.contract(spec, a, b)
+        return ref.tsum(ref.mul(ref.mul(out, out), Tensor(up)))
+
+    assert ref.finite_difference_check(loss, [a, b], h=1e-5, max_coords=12, rng=rng) < 1e-4
+
+
+# ------------------------------------------------------------ straight_through
+
+
+@PROPERTY
+@given(n=st.integers(1, 4), k=st.integers(2, 5), tau=st.sampled_from([0.5, 1.0, 2.0]), seed=SEEDS)
+def test_straight_through_property(n, k, tau, seed):
+    rng = np.random.default_rng(seed)
+    # logits on a grid of three values, with a second column raised to each row's maximum, so
+    # every row ties at its argmax; within 2 of each other after the division by tau
+    x0 = rng.choice([-1.0, 0.0, 1.0], size=(n, k)) * tau
+    tie = rng.integers(0, k, size=n)
+    x0[np.arange(n), tie] = x0.max(axis=1)
+    tie2 = (tie + rng.integers(1, k, size=n)) % k
+    x0[np.arange(n), tie2] = x0.max(axis=1)
+    up = rng.normal(size=(n, k))
+
+    soft0 = ag.softmax_rows(Tensor(x0), tau).data
+    assert np.all((soft0 == soft0.max(axis=1, keepdims=True)).sum(axis=1) >= 2)  # the tie survives the softmax
+    hard = np.zeros_like(soft0)  # the one-hot at the first maximum, as aggregation.selection_weights builds it
+    hard[np.arange(n), soft0.argmax(axis=1)] = 1.0
+    (out,), (grad,) = run(lambda s: ag.straight_through(s, hard), [soft0], [up])
+    np.testing.assert_array_equal(out, hard)
+    np.testing.assert_array_equal(out.sum(axis=1), np.ones(n))  # one winner however many tie
+    np.testing.assert_array_equal(out.argmax(axis=1), (x0 == x0.max(axis=1, keepdims=True)).argmax(axis=1))
+    np.testing.assert_array_equal(grad, up)  # the upstream gradient reaches the soft values unchanged
+
+    # through a softmax, the logits get the bits of the soft path's own gradient
+    (_,), (through,) = run(lambda x: ag.straight_through(ag.softmax_rows(x, tau), hard), [x0], [up])
+    (_,), (soft_path,) = run(lambda x: ag.softmax_rows(x, tau), [x0], [up])
+    np.testing.assert_array_equal(through, soft_path)
+    x = Tensor(x0.copy(), requires_grad=True)
+    err = ref.finite_difference_check(lambda: ref.tsum(ref.mul(ag.softmax_rows(x, tau), Tensor(up))),
+                                      [x], h=1e-5, max_coords=12, rng=rng)
+    assert err < 1e-4
+    with pytest.raises(ValueError, match="shape mismatch"):
+        ag.straight_through(Tensor(soft0), hard[:, :-1])

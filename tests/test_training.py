@@ -14,7 +14,7 @@ from grouprec.checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from grouprec.config import TrainConfig
 from grouprec.datasets import split_holdout
 from grouprec.synthetic import generate_synthetic
-from grouprec.trainer import LOG_COLUMNS, Trainer, build_model_from_arrays
+from grouprec.trainer import LOG_COLUMNS, LOSS_TERMS, Trainer, build_model_from_arrays
 
 import reference as ref
 
@@ -165,27 +165,48 @@ def test_nan_abort_carries_diagnostics():
 
 
 def test_epoch_log_csv(tmp_path):
-    ds, _ = planted_dataset()
-    cfg = toy_config(epochs=2)
-    path = tmp_path / "train_log.csv"
-    result = Trainer(ds, cfg).train(log_path=path)
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
     # the columns perfbench/run.py's read_log reads by name
     header = ["epoch", "l_bpr", "l_group", "reg_interest", "reg_params", "total", "val_metric", "seconds"]
-    assert rows[0] == header == list(LOG_COLUMNS)
-    assert len(rows) == 3 and len(result.history) == 2
-    for row, hist in zip(rows[1:], result.history):
-        assert list(hist) == header
-        assert row == ["" if value is None else str(value) for value in hist.values()]
-        weighted = (
-            cfg.user_task_weight * hist["l_bpr"]
-            + (1.0 - cfg.user_task_weight) * hist["l_group"]
-            + cfg.interest_reg_weight * hist["reg_interest"]
-            + cfg.weight_decay * hist["reg_params"]
-        )
-        assert hist["total"] == pytest.approx(weighted, rel=1e-9)
-        assert min(hist["l_bpr"], hist["l_group"], hist["reg_interest"], hist["reg_params"]) > 0.0
+    assert list(LOG_COLUMNS) == header
+    ds, _ = planted_dataset()
+    cases = {"default": {}, "user_only": {"user_task_weight": 1.0}, "group_only": {"user_task_weight": 0.0},
+             "B": {"variant": "uniform_mix"}, "C": {"variant": "no_interest_reg"}, "no_groups": {"use_groups": False}}
+    for name, kw in cases.items():
+        cfg = toy_config(epochs=2, **kw)
+        trainer = Trainer(ds, cfg)
+        steps, step = [], trainer._step
+
+        def recorded():
+            steps.append(step())
+            return steps[-1]
+
+        trainer._step = recorded
+        path = tmp_path / f"{name}.csv"
+        result = trainer.train(log_path=path)
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == header
+        assert len(rows) == 3 and len(result.history) == 2
+        for row, hist in zip(rows[1:], result.history):
+            assert list(hist) == header
+            assert row == ["" if value is None else str(value) for value in hist.values()]
+
+        # each step's total is the loss it backpropagated plus the decay term, with the bits of
+        # the weighted sum added left to right, a term that does not apply weighted 0
+        w, decay = cfg.user_task_weight, cfg.weight_decay
+        r = cfg.interest_reg_weight if trainer.reg_applies else 0.0
+        for l_bpr, l_group, reg_interest, reg_params, total in steps:
+            assert total == w * l_bpr + (1.0 - w) * l_group + r * reg_interest + decay * reg_params, name
+        # a row holds the mean of its epoch's steps; a term is positive where it applies and 0 elsewhere
+        n = trainer.steps_per_epoch
+        assert len(steps) == 2 * n
+        group_applies = trainer.group_sampler is not None and w < 1.0
+        for epoch, hist in enumerate(result.history):
+            means = np.mean(steps[epoch * n:(epoch + 1) * n], axis=0)
+            np.testing.assert_allclose([hist[t] for t in LOSS_TERMS], means, rtol=1e-12)
+            assert hist["l_bpr"] > 0.0 and hist["reg_params"] > 0.0
+            assert hist["l_group"] > 0.0 if group_applies else hist["l_group"] == 0.0
+            assert hist["reg_interest"] > 0.0 if trainer.reg_applies else hist["reg_interest"] == 0.0
 
 
 def test_single_epoch_completes():
