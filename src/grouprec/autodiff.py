@@ -4,11 +4,18 @@ Every op does a plain numpy forward pass and, when a tape is active and some
 input requires gradients, records a backward closure on the tape. Calling
 ``Tape.backward(loss)`` walks the recorded nodes in reverse creation order,
 which is a valid reverse topological order because operands always exist
-before their results. Each node's gradient is released as the walk reaches
-it, so a closure may hand that array (or disjoint views of it) to an operand
-instead of copying it; only leaf tensors keep a gradient afterwards. The
-node's closure and tape slot are released there too, so an op's forward
-buffers live only until its own backward has run.
+before their results.
+
+Backward releases the forward as it goes. Before the walk starts, every
+recorded tensor but the loss has its ``.data`` set to None: a closure never
+reads an operand's or output's ``.data`` at backward time, it captures at
+forward time the arrays, shapes and flags it needs, so an output that no
+closure captured is freed before the first closure allocates. Each node's
+gradient is released as the walk reaches it, so a closure may hand that array
+(or disjoint views of it) to an operand instead of copying it; only leaf
+tensors keep a gradient afterwards. The node's closure and tape slot are
+released there too, so an op's captured forward buffers live only until its
+own backward has run.
 """
 
 from __future__ import annotations
@@ -27,8 +34,11 @@ COSINE_NORM_EPS = 1e-12
 class Tensor:
     """A float64 ndarray plus an accumulated gradient.
 
-    Data is treated as immutable once written; the optimizer, which owns the
-    parameters exclusively during training, is the one sanctioned mutator.
+    Data is treated as immutable once written, with two sanctioned writers:
+    the optimizer, which owns the parameters exclusively during training, and
+    ``Tape.backward``, which sets the ``.data`` of every tensor recorded on
+    its tape, the loss excepted, to None before it walks. Read a recorded
+    output before backward, or keep a copy of it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward")
@@ -48,7 +58,8 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        shape = "released" if self.data is None else self.data.shape
+        return f"Tensor(shape={shape}, requires_grad={self.requires_grad})"
 
 
 _ACTIVE_TAPE: "Tape | None" = None
@@ -76,15 +87,18 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(x) into ``.grad`` of every reachable leaf.
 
-        Recorded (non-leaf) tensors end with ``.grad`` None: each one's
-        gradient is taken off it before its closure runs. Closures may also
-        reuse their own forward buffers, so a tape runs backward once.
+        Before the walk, every recorded tensor except ``loss`` has its
+        ``.data`` set to None. Closures hold the arrays they read themselves,
+        so this frees exactly the outputs that no closure captured; ``loss``
+        keeps its value for ``loss.item()``. Recorded (non-leaf) tensors end
+        with ``.grad`` None too: each one's gradient is taken off it before
+        its closure runs. Closures may also reuse their own forward buffers,
+        so a tape runs backward once.
 
         The walk releases each node as it passes it: the node's slot in
         ``nodes`` becomes None and its closure is taken off it, so the op's
-        captured forward buffers, and its output once no later closure holds
-        it, are freed before the earlier closures allocate. ``nodes`` keeps
-        its length, one None slot per recorded op.
+        captured forward buffers are freed before the earlier closures
+        allocate. ``nodes`` keeps its length, one None slot per recorded op.
         """
         if self._spent:
             raise RuntimeError("backward already ran on this tape; record a new one")
@@ -92,6 +106,9 @@ class Tape:
         if loss.grad is None:
             loss.grad = np.ones_like(loss.data)
         nodes = self.nodes
+        for node in nodes:
+            if node is not loss:
+                node.data = None
         for i in reversed(range(len(nodes))):
             # the locals are rebound before the next closure runs, so they hold nothing it frees
             node, nodes[i] = nodes[i], None
@@ -184,10 +201,11 @@ def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
 
 def relu(x) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(np.maximum(x.data, 0.0))
+    y = np.maximum(x.data, 0.0)
+    out = Tensor(y)
 
     def backward(g):
-        _accum(x, g * (x.data > 0.0))
+        _accum(x, g * (y > 0.0))  # y > 0 exactly where x > 0, and y is all that is kept
 
     return _record(out, (x,), backward)
 
@@ -227,13 +245,14 @@ def gather_rows(x, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(x.data[idx])
     distinct = bool(np.all(idx[1:] > idx[:-1]))
+    shape = x.data.shape
 
     def backward(g):
         if not distinct:
-            _accum(x, scatter_rows(idx, g, x.data.shape[0]))
+            _accum(x, scatter_rows(idx, g, shape[0]))
             return
         if x.grad is None:
-            x.grad = np.zeros_like(x.data)
+            x.grad = np.zeros(shape)
         rows = x.grad.take(idx, axis=0)
         rows += g
         x.grad[idx] = rows
@@ -374,10 +393,11 @@ def propagate(adj, users0, items0, n_layers: int) -> tuple[Tensor, Tensor]:
 
     run_on_two_lanes(layers, (0, 1))
     out_u, out_v = Tensor(sums[0].total), Tensor(sums[1].total)
+    shape_u, shape_v = out_u.data.shape, out_v.data.shape
 
     def adjoint(g_u, g_v):
-        g_u = np.zeros_like(out_u.data) if g_u is None else g_u
-        g_v = np.zeros_like(out_v.data) if g_v is None else g_v
+        g_u = np.zeros(shape_u) if g_u is None else g_u
+        g_v = np.zeros(shape_v) if g_v is None else g_v
         g, ends = (g_u, g_v), [None, None]
 
         def horner(side):
@@ -436,17 +456,18 @@ def gated_channels(x, w, b) -> Tensor:
     one, on one lane or two.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    (n, d), m = x.data.shape, w.data.shape[0]
+    xd = x.data
+    (n, d), m = xd.shape, w.data.shape[0]
     w_cat = w.data.transpose(1, 0, 2).reshape(d, m * d)
     bias = b.data.reshape(m * d)
     blocks = row_blocks(n)
     gate, gated = np.empty((n, m, d)), np.empty((n, m, d))
 
     def forward_block(r):
-        z = np.matmul(x.data[r], w_cat, out=gate[r].reshape(-1, m * d))
+        z = np.matmul(xd[r], w_cat, out=gate[r].reshape(-1, m * d))
         z += bias
         _sigmoid_inplace(z)
-        np.multiply(x.data[r, None, :], gate[r], out=gated[r])
+        np.multiply(xd[r, None, :], gate[r], out=gated[r])
 
     run_on_two_lanes(forward_block, blocks)
     out = Tensor(gated)
@@ -469,7 +490,7 @@ def gated_channels(x, w, b) -> Tensor:
 
         def grad_task(r):  # None: the weight and bias gradients; a block: its rows' x-gradient
             if r is None:
-                _accum(w, (x.data.T @ dz).reshape(d, m, d).transpose(1, 0, 2))
+                _accum(w, (xd.T @ dz).reshape(d, m, d).transpose(1, 0, 2))
                 _accum(b, dz.sum(axis=0).reshape(m, d))
             else:
                 x.grad[r] += dz[r] @ w_cat.T
@@ -486,14 +507,15 @@ def channel_linear(x, w, b) -> Tensor:
     M products run as one stacked matmul over the channel axis.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    xc = x.data[None] if x.data.ndim == 2 else x.data.transpose(1, 0, 2)  # (1 or M, U, d)
-    out = Tensor((xc @ w.data).transpose(1, 0, 2) + b.data)
+    shared, wd = x.data.ndim == 2, w.data
+    xc = x.data[None] if shared else x.data.transpose(1, 0, 2)  # (1 or M, U, d)
+    out = Tensor((xc @ wd).transpose(1, 0, 2) + b.data)
 
     def backward(g):
         gc = g.transpose(1, 0, 2)  # (M, U, d')
         if x.requires_grad:
-            dx = gc @ w.data.transpose(0, 2, 1)  # (M, U, d)
-            _accum(x, dx.sum(axis=0) if x.data.ndim == 2 else dx.transpose(1, 0, 2))
+            dx = gc @ wd.transpose(0, 2, 1)  # (M, U, d)
+            _accum(x, dx.sum(axis=0) if shared else dx.transpose(1, 0, 2))
         _accum(w, xc.transpose(0, 2, 1) @ gc)
         _accum(b, g.sum(axis=0))
 
@@ -537,17 +559,18 @@ def segment_attention(x, att, rows: np.ndarray, segment_ids: np.ndarray, pattern
     x, att = _as_tensor(x), _as_tensor(att)
     rows = np.asarray(rows, dtype=np.int64)
     sid = np.asarray(segment_ids, dtype=np.int64)
-    u, m, d = x.data.shape
+    xd, ad = x.data, att.data
+    u, m, d = xd.shape
     seg, cols = _cells(sid, m), _cells(rows, m)  # each cell's pattern row, and its row of x's cells
     # att . x per row of x, then gathered: the same (M, d) @ (d,) products as gathering first
-    gamma = _segment_softmax((x.data @ att.data)[rows].ravel(), seg, pattern)
+    gamma = _segment_softmax((xd @ ad)[rows].ravel(), seg, pattern)
     cell = pattern.indices
     weights = sp.csr_matrix((gamma[cell], cols[cell], pattern.indptr), shape=(pattern.shape[0], u * m))
-    table = x.data.reshape(u * m, d)
+    table = xd.reshape(u * m, d)
     out = Tensor((weights @ table).reshape(-1, m, d))
 
     def backward(g):
-        gdot = _gathered_dots(g, sid, x.data, rows).ravel()
+        gdot = _gathered_dots(g, sid, xd, rows).ravel()
         ds_cells = _segment_softmax_grad(gamma, gdot, seg, pattern)
         ds = np.bincount(cols, weights=ds_cells, minlength=u * m)  # summed into x's cells
         _accum(att, ds @ table)
@@ -556,7 +579,7 @@ def segment_attention(x, att, rows: np.ndarray, segment_ids: np.ndarray, pattern
             data, idx = np.append(weights.data, ds), np.append(weights.indices, np.arange(u * m))
             indptr = np.append(weights.indptr, len(data))
             both = sp.csr_matrix((data, idx, indptr), shape=(len(indptr) - 1, u * m))
-            _accum(x, (both.T @ np.vstack((g.reshape(-1, d), att.data))).reshape(u, m, d))
+            _accum(x, (both.T @ np.vstack((g.reshape(-1, d), ad))).reshape(u, m, d))
 
     return _record(out, (x, att), backward)
 
@@ -569,11 +592,12 @@ def contract(spec: str, a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     operands, sc = spec.split("->")
     sa, sb = operands.split(",")
-    out = Tensor(np.einsum(spec, a.data, b.data))
+    ad, bd = a.data, b.data
+    out = Tensor(np.einsum(spec, ad, bd))
 
     def backward(g):
-        _accum(a, np.einsum(f"{sc},{sb}->{sa}", g, b.data))
-        _accum(b, np.einsum(f"{sa},{sc}->{sb}", a.data, g))
+        _accum(a, np.einsum(f"{sc},{sb}->{sa}", g, bd))
+        _accum(b, np.einsum(f"{sa},{sc}->{sb}", ad, g))
 
     return _record(out, (a, b), backward)
 
@@ -612,7 +636,7 @@ def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
     """
     x = _as_tensor(x)
     rows = np.asarray(rows, dtype=np.int64)
-    n, (m, d) = len(rows), x.data.shape[1:]
+    n, (n_x, m, d) = len(rows), x.data.shape
     blocks = row_blocks(n)
     unit, cos = np.empty((n, m, d)), np.empty((n, m, m))
     inv, ok = np.empty((n, m)), np.empty((n, m), dtype=bool)
@@ -645,7 +669,7 @@ def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
 
         run_on_two_lanes(grad_block, blocks)
         if not in_place:
-            _accum(x, scatter_rows(rows, d_unit, x.data.shape[0]))
+            _accum(x, scatter_rows(rows, d_unit, n_x))
 
     return _record(out, (x,), backward)
 
@@ -659,6 +683,7 @@ def bpr_pairs(anchors, items, a: np.ndarray, p: np.ndarray, n: np.ndarray) -> Te
     """
     anchors, items = _as_tensor(anchors), _as_tensor(items)
     a, p, n = (np.asarray(i, dtype=np.int64) for i in (a, p, n))
+    n_anchors, n_items = anchors.data.shape[0], items.data.shape[0]
     rows = anchors.data[a]
     diff = items.data[n] - items.data[p]
     x = np.einsum("bd,bd->b", rows, diff)
@@ -670,10 +695,10 @@ def bpr_pairs(anchors, items, a: np.ndarray, p: np.ndarray, n: np.ndarray) -> Te
         # its item terms, added at the positives then at the negatives, leave a rounding residue
         s[p == n] = 0.0
         if anchors.requires_grad:
-            _accum(anchors, scatter_rows(a, diff * s, anchors.data.shape[0]))
+            _accum(anchors, scatter_rows(a, diff * s, n_anchors))
         if items.requires_grad:
             d_neg = rows * s  # and its negation at the positives
             d_rows = np.concatenate((np.negative(d_neg), d_neg))
-            _accum(items, scatter_rows(np.concatenate((p, n)), d_rows, items.data.shape[0]))
+            _accum(items, scatter_rows(np.concatenate((p, n)), d_rows, n_items))
 
     return _record(out, (anchors, items), backward)

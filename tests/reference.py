@@ -1,7 +1,9 @@
 """Unfused reference ops, kept as the oracles for the fused ops in grouprec.autodiff.
 
 Each is a plain tape op built on autodiff's own recording helpers, so the
-fused ops can be checked against compositions of these. The broadcasting
+fused ops can be checked against compositions of these. Like autodiff's
+ops, each closure captures at forward time the arrays and shapes it reads,
+since Tape.backward releases every recorded output but the loss. The broadcasting
 add, mul and scale are also what test losses are built from. Then come
 gated_channels, mean_pair_cosine and the Adam update as one block each, the
 oracles for the ops that run their rows in blocks on two lanes, and
@@ -59,10 +61,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    sa, sb = a.data.shape, b.data.shape
     out = Tensor(a.data + b.data)
 
     def backward(g):
-        ga, gb = _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        ga, gb = _unbroadcast(g, sa), _unbroadcast(g, sb)
         _accum(a, ga)
         _accum(b, gb.copy() if gb is ga else gb)
 
@@ -71,13 +74,14 @@ def add(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data)
+    ad, bd = a.data, b.data
+    out = Tensor(ad * bd)
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+            _accum(a, _unbroadcast(g * bd, ad.shape))
         if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+            _accum(b, _unbroadcast(g * ad, bd.shape))
 
     return _record(out, (a, b), backward)
 
@@ -99,13 +103,14 @@ def matmul(a, b) -> Tensor:
         raise ValueError(f"matmul expects 2-d @ 1/2-d, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data)
+    ad, bd = a.data, b.data
+    out = Tensor(ad @ bd)
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, np.outer(g, b.data) if b.data.ndim == 1 else g @ b.data.T)
+            _accum(a, np.outer(g, bd) if bd.ndim == 1 else g @ bd.T)
         if b.requires_grad:
-            _accum(b, a.data.T @ g)
+            _accum(b, ad.T @ g)
 
     return _record(out, (a, b), backward)
 
@@ -125,10 +130,11 @@ def stack(tensors: list[Tensor]) -> Tensor:
 def take(x, n) -> Tensor:
     """Slice x[n] of a stacked parameter, as its own tape node."""
     x = _as_tensor(x)
+    shape = x.data.shape
     out = Tensor(x.data[n])
 
     def backward(g):
-        grad = np.zeros_like(x.data)
+        grad = np.zeros(shape)
         grad[n] = g
         _accum(x, grad)
 
@@ -159,10 +165,11 @@ def sigmoid(x) -> Tensor:
 
 def reshape(x, shape) -> Tensor:
     x = _as_tensor(x)
+    x_shape = x.data.shape
     out = Tensor(x.data.reshape(shape))
 
     def backward(g):
-        _accum(x, g.reshape(x.data.shape))
+        _accum(x, g.reshape(x_shape))
 
     return _record(out, (x,), backward)
 
@@ -174,15 +181,16 @@ def cosine_rows(a, b) -> Tensor:
     pass no gradient to either side.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"cosine_rows shape mismatch: {a.data.shape} vs {b.data.shape}")
-    na = np.linalg.norm(a.data, axis=1)
-    nb = np.linalg.norm(b.data, axis=1)
+    ad, bd = a.data, b.data
+    if ad.shape != bd.shape:
+        raise ValueError(f"cosine_rows shape mismatch: {ad.shape} vs {bd.shape}")
+    na = np.linalg.norm(ad, axis=1)
+    nb = np.linalg.norm(bd, axis=1)
     ok = (na >= COSINE_NORM_EPS) & (nb >= COSINE_NORM_EPS)
     if not ok.all():
         log.debug("cosine_rows: %d degenerate row(s) clamped to 0", int((~ok).sum()))
     denom = np.where(ok, na * nb, 1.0)
-    cos = np.where(ok, (a.data * b.data).sum(axis=1) / denom, 0.0)
+    cos = np.where(ok, (ad * bd).sum(axis=1) / denom, 0.0)
     out = Tensor(cos)
 
     def backward(g):
@@ -190,8 +198,8 @@ def cosine_rows(a, b) -> Tensor:
         na_ = np.where(ok, na, 1.0)[:, None]
         nb_ = np.where(ok, nb, 1.0)[:, None]
         c = cos[:, None]
-        _accum(a, gm * (b.data / (na_ * nb_) - c * a.data / (na_ * na_)))
-        _accum(b, gm * (a.data / (na_ * nb_) - c * b.data / (nb_ * nb_)))
+        _accum(a, gm * (bd / (na_ * nb_) - c * ad / (na_ * na_)))
+        _accum(b, gm * (ad / (na_ * nb_) - c * bd / (nb_ * nb_)))
 
     return _record(out, (a, b), backward)
 
@@ -251,8 +259,9 @@ def segment_attention(x, att, rows: np.ndarray, segment_ids: np.ndarray,
     rows = np.asarray(rows, dtype=np.int64)
     seg = np.asarray(segment_ids, dtype=np.int64)
     onehot = _onehot_rows(seg, n_segments)
+    n_x, ad = x.data.shape[0], att.data
     r = x.data[rows]
-    gamma = _segment_softmax(r @ att.data, seg, onehot)
+    gamma = _segment_softmax(r @ ad, seg, onehot)
     out = Tensor(scatter_rows(seg, gamma[:, :, None] * r, n_segments))
 
     def backward(g):
@@ -261,8 +270,8 @@ def segment_attention(x, att, rows: np.ndarray, segment_ids: np.ndarray,
         _accum(att, np.einsum("nm,nmd->d", ds, r))
         if x.requires_grad:
             g_rows *= gamma[:, :, None]
-            g_rows += np.multiply(ds[:, :, None], att.data, out=r)  # r is dead here
-            _accum(x, scatter_rows(rows, g_rows, x.data.shape[0]))
+            g_rows += np.multiply(ds[:, :, None], ad, out=r)  # r is dead here
+            _accum(x, scatter_rows(rows, g_rows, n_x))
 
     return _record(out, (x, att), backward)
 
@@ -281,11 +290,12 @@ def segment_sum(x, segment_ids: np.ndarray, n_segments: int) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    sa, sb = a.data.shape, b.data.shape
     out = Tensor(a.data - b.data)
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        _accum(a, _unbroadcast(g, sa))
+        _accum(b, _unbroadcast(-g, sb))
 
     return _record(out, (a, b), backward)
 
@@ -293,44 +303,47 @@ def sub(a, b) -> Tensor:
 def softplus(x) -> Tensor:
     """log(1 + exp(x)), computed stably. Gradient is sigmoid(x)."""
     x = _as_tensor(x)
-    out = Tensor(np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data))))
+    xd = x.data
+    out = Tensor(np.maximum(xd, 0.0) + np.log1p(np.exp(-np.abs(xd))))
 
     def backward(g):
-        _accum(x, g * expit(x.data))
+        _accum(x, g * expit(xd))
 
     return _record(out, (x,), backward)
 
 
 def tsum(x) -> Tensor:
     x = _as_tensor(x)
+    shape = x.data.shape
     out = Tensor(x.data.sum())
 
     def backward(g):
-        _accum(x, np.full_like(x.data, float(g)))
+        _accum(x, np.full(shape, float(g)))
 
     return _record(out, (x,), backward)
 
 
 def tmean(x) -> Tensor:
     x = _as_tensor(x)
-    n = x.data.size
+    shape, n = x.data.shape, x.data.size
     out = Tensor(x.data.mean())
 
     def backward(g):
-        _accum(x, np.full_like(x.data, float(g) / n))
+        _accum(x, np.full(shape, float(g) / n))
 
     return _record(out, (x,), backward)
 
 
 def rowwise_dot(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"rowwise_dot shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out = Tensor((a.data * b.data).sum(axis=1))
+    ad, bd = a.data, b.data
+    if ad.shape != bd.shape:
+        raise ValueError(f"rowwise_dot shape mismatch: {ad.shape} vs {bd.shape}")
+    out = Tensor((ad * bd).sum(axis=1))
 
     def backward(g):
-        _accum(a, g[:, None] * b.data)
-        _accum(b, g[:, None] * a.data)
+        _accum(a, g[:, None] * bd)
+        _accum(b, g[:, None] * ad)
 
     return _record(out, (a, b), backward)
 
@@ -393,12 +406,13 @@ def chain_loss(*terms):
 def gated_channels(x, w, b) -> Tensor:
     """autodiff.gated_channels as one product over every row."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    m, d = w.data.shape[0], x.data.shape[1]
+    xd = x.data
+    m, d = w.data.shape[0], xd.shape[1]
     w_cat = w.data.transpose(1, 0, 2).reshape(d, m * d)
-    z = x.data @ w_cat
+    z = xd @ w_cat
     z += b.data.reshape(m * d)
     gate = _sigmoid_inplace(z).reshape(-1, m, d)
-    gated = x.data[:, None, :] * gate
+    gated = xd[:, None, :] * gate
     out = Tensor(gated)
 
     def backward(g):
@@ -408,7 +422,7 @@ def gated_channels(x, w, b) -> Tensor:
         dz *= gated
         dz *= np.subtract(1.0, gate, out=gate)
         dz = dz.reshape(-1, m * d)
-        _accum(w, (x.data.T @ dz).reshape(d, m, d).transpose(1, 0, 2))
+        _accum(w, (xd.T @ dz).reshape(d, m, d).transpose(1, 0, 2))
         _accum(b, dz.sum(axis=0).reshape(m, d))
         if x.requires_grad:
             x.grad += dz @ w_cat.T
@@ -420,7 +434,7 @@ def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
     """autodiff.mean_pair_cosine with every row's cosines and gradient taken at once."""
     x = _as_tensor(x)
     rows = np.asarray(rows, dtype=np.int64)
-    n, m = len(rows), x.data.shape[1]
+    n, (n_x, m) = len(rows), x.data.shape[:2]
     cos, unit, inv, ok = channel_cosines(x.data[rows])
     mask = np.triu(np.ones((m, m), dtype=bool), k=1) & ok[:, :, None] & ok[:, None, :]
     mask &= np.abs(cos) >= threshold
@@ -438,7 +452,7 @@ def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
         if x.grad is not None and sorted_rows:
             x.grad[rows] += d_unit
         else:
-            _accum(x, scatter_rows(rows, d_unit, x.data.shape[0]))
+            _accum(x, scatter_rows(rows, d_unit, n_x))
 
     return _record(out, (x,), backward)
 

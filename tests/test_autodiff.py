@@ -23,9 +23,10 @@ def grad_of(fn, *arrs):
     params = [Tensor(a, requires_grad=True) for a in arrs]
     with Tape() as tape:
         out = fn(*params)
-        loss = out if out.data.ndim == 0 else ref.tsum(out)
+        value = out.data  # read before backward releases it
+        loss = out if value.ndim == 0 else ref.tsum(out)
         tape.backward(loss)
-    return out.data, [p.grad for p in params]
+    return value, [p.grad for p in params]
 
 
 def test_sigmoid_values():
@@ -428,8 +429,8 @@ def test_spmm_through_a_transposed_view_is_bit_equal_to_a_transposed_copy():
         g = rng.normal(size=(mat.shape[0], 8))
         with Tape() as tape:
             y = ag.spmm(mat, x)
+            assert np.array_equal(y.data, copy @ x.data)
             tape.backward(ref.tsum(ref.mul(y, Tensor(g))))
-        assert np.array_equal(y.data, copy @ x.data)
         assert np.array_equal(x.grad, copy.T.tocsr() @ g)
 
 
@@ -521,11 +522,12 @@ def test_tape_keeps_leaf_gradients_only_and_runs_backward_once():
     with Tape() as tape:
         y = ref.mul(x, x)
         z = ref.add(y, y)  # both operands are one tensor: 2 * x^2
-        tape.backward(ref.tsum(z))
+        loss = ref.tsum(z)
+        tape.backward(loss)
     np.testing.assert_array_equal(x.grad, [4.0, -8.0])
     assert y.grad is None and z.grad is None
     with pytest.raises(RuntimeError, match="backward already ran"):
-        tape.backward(ref.tsum(z))
+        tape.backward(loss)
 
 
 def test_backward_releases_every_node_and_keeps_the_tape_length():
@@ -573,11 +575,15 @@ def test_backward_frees_a_passed_op_before_an_earlier_closure_runs():
     assert e.grad is not None and w.grad is not None and b.grad is not None
 
 
-def test_trainer_step_frees_forward_buffers_during_backward(monkeypatch):
+def _small_trainer():
     ds, _ = generate_synthetic(300, 200, 40, m_true=3, noise=0.1, seed=4)
     ds = dataclasses.replace(ds, user_items=split_holdout(ds.user_items, seed=0),
                              group_items=split_holdout(ds.group_items, seed=1))
-    trainer = Trainer(ds, TrainConfig(seed=0, batch_user=256, batch_group=64))
+    return Trainer(ds, TrainConfig(seed=0, batch_user=256, batch_group=64))
+
+
+def test_trainer_step_frees_forward_buffers_during_backward(monkeypatch):
+    trainer = _small_trainer()
     live = {}
     backward = Tape.backward
 
@@ -599,5 +605,111 @@ def test_trainer_step_frees_forward_buffers_during_backward(monkeypatch):
     finally:
         tracemalloc.stop()
     # what the step's forward allocated is mostly gone by the last closure to run
-    # (a quarter of it on this world; all of it and more when no closure is released)
+    # (about a fifth of it on this world; all of it and more when no closure is released)
     assert live["first"] < 0.5 * live["start"]
+
+
+def test_trainer_step_frees_unread_forward_outputs_before_the_first_closure(monkeypatch):
+    trainer = _small_trainer()
+    refs, seen = {}, {}
+    propagate, spmm = ag.propagate, ag.spmm
+
+    def traced_propagate(*args):
+        outs = propagate(*args)
+        refs["propagate"] = [weakref.ref(t.data) for t in outs]
+        return outs
+
+    def traced_spmm(mat, x):
+        out = spmm(mat, x)
+        if mat is trainer.model.pool_csr:
+            refs["pool"] = weakref.ref(out.data)
+        return out
+
+    backward = Tape.backward
+
+    def traced(tape, loss):
+        assert tape.nodes[-1] is loss  # the loss's weighted_sum, whose closure runs first
+        inner = loss._backward
+
+        def probe(g):
+            seen["alive"] = [r() is not None for r in refs["propagate"] + [refs["pool"]]]
+            inner(g)
+
+        loss._backward = probe
+        backward(tape, loss)
+
+    monkeypatch.setattr(ag, "propagate", traced_propagate)
+    monkeypatch.setattr(ag, "spmm", traced_spmm)
+    monkeypatch.setattr(Tape, "backward", traced)
+    trainer._step()
+    # no closure reads propagate's outputs or the pool product, so nothing holds them
+    assert seen["alive"] == [False, False, False]
+
+
+def test_backward_releases_every_recorded_output_but_the_loss(monkeypatch):
+    trainer = _small_trainer()
+    seen = {}
+    backward = Tape.backward
+
+    def traced(tape, loss):
+        seen["nodes"], seen["loss"], seen["value"] = list(tape.nodes), loss, loss.data.copy()
+        backward(tape, loss)
+
+    monkeypatch.setattr(Tape, "backward", traced)
+    trainer._step()
+    loss, nodes = seen["loss"], seen["nodes"]
+    assert loss in nodes and len(nodes) > 10
+    np.testing.assert_array_equal(loss.data, seen["value"])
+    assert loss.item() == float(seen["value"])
+    assert all(t.data is None for t in nodes if t is not loss)
+    assert "released" in repr(nodes[0])
+
+
+def _guarded_ops():
+    """name -> (input shapes, op): every tape op, with the constants it takes fixed."""
+    adj = sp.random(5, 4, density=0.5, random_state=3, format="csr")
+    rows, segs = np.array([0, 2, 2, 4, 1]), np.array([0, 0, 1, 1, 2])
+    pattern = ag.segment_pattern(segs, 3, 2)
+    hard = np.eye(4, 3)
+    return {
+        "weighted_sum": ([(4, 3), (4, 3)],
+                         lambda x, y: ag.weighted_sum((0.5, x), (np.arange(4.0)[:, None], y), (1.0, x))),
+        "relu": ([(4, 3)], ag.relu),
+        "gather_rows": ([(5, 3)], lambda x: ag.gather_rows(x, [4, 0, 4, 2])),
+        "gather_rows_distinct": ([(5, 3)], lambda x: ag.gather_rows(x, [0, 2, 4])),
+        "softmax_rows": ([(4, 3)], lambda x: ag.softmax_rows(x, 0.5)),
+        "spmm": ([(4, 3)], lambda x: ag.spmm(adj, x)),
+        "propagate": ([(5, 3), (4, 3)], lambda u, v: ag.propagate(adj, u, v, 3)),
+        "straight_through": ([(4, 3)], lambda x: ag.straight_through(x, hard)),
+        "gated_channels": ([(5, 3), (2, 3, 3), (2, 3)], ag.gated_channels),
+        "channel_linear": ([(5, 2, 3), (2, 3, 4), (2, 4)], ag.channel_linear),
+        "channel_linear_shared": ([(5, 3), (2, 3, 4), (2, 4)], ag.channel_linear),
+        "segment_attention": ([(5, 2, 3), (3,)],
+                              lambda x, att: ag.segment_attention(x, att, rows, segs, pattern)),
+        "contract": ([(4, 3), (4, 2, 3)], lambda a, b: ag.contract("gd,gmd->gm", a, b)),
+        "mean_pair_cosine": ([(5, 2, 3)], lambda x: ag.mean_pair_cosine(x, [3, 0, 4], 0.0)),
+        "bpr_pairs": ([(3, 3), (4, 3)], lambda a, i: ag.bpr_pairs(a, i, [0, 2, 2], [1, 3, 0], [2, 3, 1])),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_guarded_ops()))
+def test_op_gradients_are_the_same_when_its_inputs_were_released(name):
+    shapes, op = _guarded_ops()[name]
+    arrays = [np.random.default_rng(43).normal(size=s) for s in shapes]
+    grads = []
+    for recorded in (False, True):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        up = np.random.default_rng(47)
+        with Tape() as tape:
+            # a recorded input is a copy made on the tape, which backward releases before the op's closure runs
+            inputs = [ag.weighted_sum((1.0, t)) for t in leaves] if recorded else leaves
+            outs = op(*inputs)
+            outs = outs if isinstance(outs, tuple) else (outs,)
+            loss = ag.weighted_sum(*((1.0, ref.tsum(ref.mul(out, Tensor(up.normal(size=out.data.shape)))))
+                                     for out in outs))
+            tape.backward(loss)
+        assert all(t.data is None for t in inputs) == recorded
+        grads.append([t.grad for t in leaves])
+    for leaf_grad, recorded_grad in zip(*grads):
+        assert leaf_grad is not None
+        np.testing.assert_array_equal(recorded_grad, leaf_grad)

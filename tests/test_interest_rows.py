@@ -87,8 +87,9 @@ def spy(trainer, full):
     interests, generate = model.interests, model.generator.interests
 
     def patched_stage(users=NO_USERS):
-        seen["interests"] = interests(np.arange(N_USERS) if full else users)
-        return seen["interests"]
+        table, rows = interests(np.arange(N_USERS) if full else users)
+        seen["interests"] = table.data, rows  # the array itself: backward releases the tensor's .data
+        return table, rows
 
     def patched_interests(*args):
         out = ref.scale(generate(*args), 1.0)
