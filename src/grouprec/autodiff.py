@@ -58,8 +58,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self):
-        shape = "released" if self.data is None else self.data.shape
-        return f"Tensor(shape={shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 _ACTIVE_TAPE: "Tape | None" = None

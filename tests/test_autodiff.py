@@ -662,7 +662,6 @@ def test_backward_releases_every_recorded_output_but_the_loss(monkeypatch):
     np.testing.assert_array_equal(loss.data, seen["value"])
     assert loss.item() == float(seen["value"])
     assert all(t.data is None for t in nodes if t is not loss)
-    assert "released" in repr(nodes[0])
 
 
 def _guarded_ops():
