@@ -6,16 +6,17 @@ input requires gradients, records a backward closure on the tape. Calling
 which is a valid reverse topological order because operands always exist
 before their results.
 
-Backward releases the forward as it goes. Before the walk starts, every
-recorded tensor but the loss has its ``.data`` set to None: a closure never
-reads an operand's or output's ``.data`` at backward time, it captures at
-forward time the arrays, shapes and flags it needs, so an output that no
-closure captured is freed before the first closure allocates. Each node's
-gradient is released as the walk reaches it, so a closure may hand that array
-(or disjoint views of it) to an operand instead of copying it; only leaf
-tensors keep a gradient afterwards. The node's closure and tape slot are
-released there too, so an op's captured forward buffers live only until its
-own backward has run.
+The tape holds gradient slots, not tensors. Every tensor has a `GradSlot`
+that holds its gradient, its requires-grad flag and, once recorded, its
+closure and its parents' slots. The tape and the closures hold slots; only
+the caller holds a tensor and so its array. A closure receives its parents'
+slots as arguments and captures at forward time the arrays, shapes and flags
+it reads, so an intermediate the forward drops is freed during the forward,
+unless a closure captured its array. Each node's gradient is released as the
+walk reaches it, so a closure may hand that array (or disjoint views of it)
+to an operand instead of copying it; only leaf tensors keep a gradient
+afterwards. The node's closure and tape slot are released there too, so an
+op's captured forward buffers live only until its own backward has run.
 """
 
 from __future__ import annotations
@@ -31,24 +32,51 @@ from .lanes import row_blocks, run_on_two_lanes
 COSINE_NORM_EPS = 1e-12
 
 
-class Tensor:
-    """A float64 ndarray plus an accumulated gradient.
+class GradSlot:
+    """A tensor's gradient, requires-grad flag and, once recorded, its closure and parents' slots.
 
-    Data is treated as immutable once written, with two sanctioned writers:
-    the optimizer, which owns the parameters exclusively during training, and
-    ``Tape.backward``, which sets the ``.data`` of every tensor recorded on
-    its tape, the loss excepted, to None before it walks. Read a recorded
-    output before backward, or keep a copy of it.
+    ``backward(g, *parents)`` adds the gradient g at the tensor into its
+    parents' slots.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward")
+    __slots__ = ("grad", "requires_grad", "backward", "parents")
 
-    def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = arr
+    def __init__(self, requires_grad: bool):
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._backward = None
+        self.backward = None
+        self.parents = ()
+
+
+class Tensor:
+    """A float64 ndarray plus the `GradSlot` that accumulates its gradient.
+
+    Data is treated as immutable once written; the optimizer, which owns the
+    parameters exclusively during training, is its one sanctioned writer.
+    ``grad`` and ``requires_grad`` are the slot's.
+    """
+
+    __slots__ = ("data", "slot")
+
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.slot = GradSlot(requires_grad)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, value):
+        self.slot.grad = value
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.slot.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool):
+        self.slot.requires_grad = value
 
     @property
     def shape(self):
@@ -65,10 +93,10 @@ _ACTIVE_TAPE: "Tape | None" = None
 
 
 class Tape:
-    """Ordered record of op applications for one forward pass."""
+    """Ordered record of op applications for one forward pass, one gradient slot per recorded output."""
 
     def __init__(self):
-        self.nodes: list[Tensor | None] = []  # a slot is None once backward has passed it
+        self.nodes: list[GradSlot | None] = []  # a slot is None once backward has passed it
         self._spent = False
 
     def __enter__(self):
@@ -86,18 +114,18 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(x) into ``.grad`` of every reachable leaf.
 
-        Before the walk, every recorded tensor except ``loss`` has its
-        ``.data`` set to None. Closures hold the arrays they read themselves,
-        so this frees exactly the outputs that no closure captured; ``loss``
-        keeps its value for ``loss.item()``. Recorded (non-leaf) tensors end
-        with ``.grad`` None too: each one's gradient is taken off it before
-        its closure runs. Closures may also reuse their own forward buffers,
-        so a tape runs backward once.
+        The tape holds no tensor, so a recorded output's array lives as long
+        as the caller or a closure holds it, and backward changes no
+        ``.data``. Recorded (non-leaf) tensors end with ``.grad`` None: each
+        one's gradient is taken off its slot before its closure runs.
+        Closures may also reuse their own forward buffers, so a tape runs
+        backward once.
 
-        The walk releases each node as it passes it: the node's slot in
-        ``nodes`` becomes None and its closure is taken off it, so the op's
-        captured forward buffers are freed before the earlier closures
-        allocate. ``nodes`` keeps its length, one None slot per recorded op.
+        The walk releases each node as it passes it: the node's entry in
+        ``nodes`` becomes None and its closure and parents are taken off its
+        slot, so the op's captured forward buffers are freed before the
+        earlier closures allocate. ``nodes`` keeps its length, one None
+        entry per recorded op.
         """
         if self._spent:
             raise RuntimeError("backward already ran on this tape; record a new one")
@@ -105,16 +133,14 @@ class Tape:
         if loss.grad is None:
             loss.grad = np.ones_like(loss.data)
         nodes = self.nodes
-        for node in nodes:
-            if node is not loss:
-                node.data = None
         for i in reversed(range(len(nodes))):
             # the locals are rebound before the next closure runs, so they hold nothing it frees
-            node, nodes[i] = nodes[i], None
-            backward, node._backward = node._backward, None
-            g, node.grad = node.grad, None
+            slot, nodes[i] = nodes[i], None
+            backward, slot.backward = slot.backward, None
+            parents, slot.parents = slot.parents, ()
+            g, slot.grad = slot.grad, None
             if g is not None and backward is not None:
-                backward(g)
+                backward(g, *parents)
 
 
 def _as_tensor(x) -> Tensor:
@@ -123,26 +149,29 @@ def _as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add g into t.grad, taking g over as the buffer when t has none yet.
+def _accum(slot: GradSlot, g: np.ndarray) -> None:
+    """Add g into slot.grad, taking g over as the buffer when the slot has none yet.
 
-    Callers pass arrays no other tensor will hold: fresh results, or views
+    Callers pass arrays no other slot will hold: fresh results, or views
     of the released output gradient that no other operand receives.
     """
-    if not t.requires_grad:
+    if not slot.requires_grad:
         return
-    if t.grad is None:
-        t.grad = g
+    if slot.grad is None:
+        slot.grad = g
     else:
-        t.grad += g
+        slot.grad += g
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """Put out's slot on the active tape with backward(g, *parent slots), if a parent needs a gradient."""
     tape = _ACTIVE_TAPE
     if tape is not None and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._backward = backward
-        tape.nodes.append(out)
+        slot = out.slot
+        slot.requires_grad = True
+        slot.backward = backward
+        slot.parents = tuple(p.slot for p in parents)
+        tape.nodes.append(slot)
     return out
 
 
@@ -163,26 +192,26 @@ def weighted_sum(*terms) -> Tensor:
     coefficient of 1.0 in, so a plain sum has the bits of a chain of
     two-operand adds. Backward gives each x_i the gradient g * c_i.
     """
-    terms = [(c, _as_tensor(x)) for c, x in terms]
-    (c0, x0), *rest = terms
-    out = x0.data.copy() if _is_unit(c0) else x0.data * c0
-    for c, x in rest:
+    coefs = [c for c, _ in terms]
+    xs = tuple(_as_tensor(x) for _, x in terms)
+    out = xs[0].data.copy() if _is_unit(coefs[0]) else xs[0].data * coefs[0]
+    for c, x in zip(coefs[1:], xs[1:]):
         out += x.data if _is_unit(c) else x.data * c
     # the last unit term that needs a gradient takes g itself
     owner = None
-    for i, (c, x) in enumerate(terms):
+    for i, (c, x) in enumerate(zip(coefs, xs)):
         if x.requires_grad and _is_unit(c):
             owner = i
 
-    def backward(g):
-        # a tensor may sit in several terms, so the owner takes g after the others read it
-        for i, (c, x) in enumerate(terms):
+    def backward(g, *xs):
+        # a slot may sit in several terms, so the owner takes g after the others read it
+        for i, (c, x) in enumerate(zip(coefs, xs)):
             if x.requires_grad and i != owner:
                 _accum(x, g.copy() if _is_unit(c) else g * c)
         if owner is not None:
-            _accum(terms[owner][1], g)
+            _accum(xs[owner], g)
 
-    return _record(Tensor(out), tuple(x for _, x in terms), backward)
+    return _record(Tensor(out), xs, backward)
 
 
 def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
@@ -203,7 +232,7 @@ def relu(x) -> Tensor:
     y = np.maximum(x.data, 0.0)
     out = Tensor(y)
 
-    def backward(g):
+    def backward(g, x):
         _accum(x, g * (y > 0.0))  # y > 0 exactly where x > 0, and y is all that is kept
 
     return _record(out, (x,), backward)
@@ -246,7 +275,7 @@ def gather_rows(x, idx: np.ndarray) -> Tensor:
     distinct = bool(np.all(idx[1:] > idx[:-1]))
     shape = x.data.shape
 
-    def backward(g):
+    def backward(g, x):
         if not distinct:
             _accum(x, scatter_rows(idx, g, shape[0]))
             return
@@ -295,7 +324,7 @@ def softmax_rows(x, tau: float = 1.0) -> Tensor:
     p = e / e.sum(axis=1, keepdims=True)
     out = Tensor(p)
 
-    def backward(g):
+    def backward(g, x):
         inner = (p * g).sum(axis=1, keepdims=True)
         _accum(x, p * (g - inner) / tau)
 
@@ -319,7 +348,7 @@ def spmm(mat, x) -> Tensor:
         raise ValueError(f"spmm shape mismatch: {mat.shape} @ {x.data.shape}")
     out = Tensor(mat @ x.data)
 
-    def backward(g):
+    def backward(g, x):
         _accum(x, mat.T @ g)
 
     return _record(out, (x,), backward)
@@ -374,7 +403,7 @@ def propagate(adj, users0, items0, n_layers: int) -> tuple[Tensor, Tensor]:
 
     The op returns two tensors, so it records two tape entries. The item
     output is recorded last, so its closure runs first: it takes the user
-    output's gradient off that tensor, which is complete because every
+    output's gradient off that tensor's slot, which is complete because every
     consumer of either output was recorded later, and runs the adjoint once
     for both. The user output's closure runs the adjoint only when the item
     output got no gradient.
@@ -393,8 +422,9 @@ def propagate(adj, users0, items0, n_layers: int) -> tuple[Tensor, Tensor]:
     run_on_two_lanes(layers, (0, 1))
     out_u, out_v = Tensor(sums[0].total), Tensor(sums[1].total)
     shape_u, shape_v = out_u.data.shape, out_v.data.shape
+    slot_u = out_u.slot
 
-    def adjoint(g_u, g_v):
+    def adjoint(g_u, g_v, users0, items0):
         g_u = np.zeros(shape_u) if g_u is None else g_u
         g_v = np.zeros(shape_v) if g_v is None else g_v
         g, ends = (g_u, g_v), [None, None]
@@ -411,12 +441,12 @@ def propagate(adj, users0, items0, n_layers: int) -> tuple[Tensor, Tensor]:
         _accum(users0, ends[0])
         _accum(items0, ends[1])
 
-    def backward_users(g):
-        adjoint(g, None)
+    def backward_users(g, users0, items0):
+        adjoint(g, None, users0, items0)
 
-    def backward_items(g):
-        g_u, out_u.grad = out_u.grad, None
-        adjoint(g_u, g)
+    def backward_items(g, users0, items0):
+        g_u, slot_u.grad = slot_u.grad, None
+        adjoint(g_u, g, users0, items0)
 
     _record(out_u, (users0, items0), backward_users)
     return out_u, _record(out_v, (users0, items0), backward_items)
@@ -429,7 +459,7 @@ def straight_through(soft: Tensor, hard: np.ndarray) -> Tensor:
         raise ValueError("straight_through shape mismatch")
     out = Tensor(np.asarray(hard, dtype=np.float64))
 
-    def backward(g):
+    def backward(g, soft):
         _accum(soft, g)
 
     return _record(out, (soft,), backward)
@@ -471,7 +501,7 @@ def gated_channels(x, w, b) -> Tensor:
     run_on_two_lanes(forward_block, blocks)
     out = Tensor(gated)
 
-    def backward(g):
+    def backward(g, x, w, b):
         # g (released by the tape) and gate are dead after this, so both are reused
         dz = g
         dx = np.empty((n, d)) if x.requires_grad else None
@@ -510,7 +540,7 @@ def channel_linear(x, w, b) -> Tensor:
     xc = x.data[None] if shared else x.data.transpose(1, 0, 2)  # (1 or M, U, d)
     out = Tensor((xc @ wd).transpose(1, 0, 2) + b.data)
 
-    def backward(g):
+    def backward(g, x, w, b):
         gc = g.transpose(1, 0, 2)  # (M, U, d')
         if x.requires_grad:
             dx = gc @ wd.transpose(0, 2, 1)  # (M, U, d)
@@ -568,17 +598,18 @@ def segment_attention(x, att, rows: np.ndarray, segment_ids: np.ndarray, pattern
     table = xd.reshape(u * m, d)
     out = Tensor((weights @ table).reshape(-1, m, d))
 
-    def backward(g):
+    def backward(g, x, att):
         gdot = _gathered_dots(g, sid, xd, rows).ravel()
         ds_cells = _segment_softmax_grad(gamma, gdot, seg, pattern)
         ds = np.bincount(cols, weights=ds_cells, minlength=u * m)  # summed into x's cells
         _accum(att, ds @ table)
         if x.requires_grad:
-            # weights.T @ g plus ds ⊗ att, as one product: ds is one more row of weights, against att
-            data, idx = np.append(weights.data, ds), np.append(weights.indices, np.arange(u * m))
-            indptr = np.append(weights.indptr, len(data))
-            both = sp.csr_matrix((data, idx, indptr), shape=(len(indptr) - 1, u * m))
-            _accum(x, (both.T @ np.vstack((g.reshape(-1, d), ad))).reshape(u, m, d))
+            # weights.T @ g, then ds ⊗ att added in row blocks: the CSC-view product adds each
+            # cell's terms in order, so the bits are those of one product with ds as a last row
+            dx = weights.T @ g.reshape(-1, d)
+            for r in row_blocks(u * m):
+                dx[r] += ds[r, None] * ad
+            _accum(x, dx.reshape(u, m, d))
 
     return _record(out, (x, att), backward)
 
@@ -594,7 +625,7 @@ def contract(spec: str, a, b) -> Tensor:
     ad, bd = a.data, b.data
     out = Tensor(np.einsum(spec, ad, bd))
 
-    def backward(g):
+    def backward(g, a, b):
         _accum(a, np.einsum(f"{sc},{sb}->{sa}", g, bd))
         _accum(b, np.einsum(f"{sa},{sc}->{sb}", ad, g))
 
@@ -626,23 +657,24 @@ def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
     passes no gradient.
 
     The rows split into `lanes.row_blocks`, whose slices are the items of
-    `lanes.run_on_two_lanes`: forward, each block gathers its rows into its
-    slice of the whole unit buffer and takes their cosines there; backward,
-    each block takes its rows' gradient into its slice of the whole buffer
-    and, when sorted rows meet an existing gradient, adds it in place. The
-    mask, the loss's one pairwise sum and the scatter of any other rows run
-    whole, so the bits are those of the unsplit op.
+    `lanes.run_on_two_lanes`: forward, each block gathers its rows and takes
+    their cosines; backward, each block gathers and rescales its rows again,
+    as `channel_cosines` does, and takes their gradient, into its slice of
+    one whole buffer or, when sorted rows meet an existing gradient, into a
+    block of its own that it adds in place. The op keeps x's array, not a
+    copy of the unit rows. The mask, the loss's one pairwise sum and the
+    scatter of any other rows run whole, so the bits are those of the
+    unsplit op.
     """
     x = _as_tensor(x)
     rows = np.asarray(rows, dtype=np.int64)
-    n, (n_x, m, d) = len(rows), x.data.shape
+    xd = x.data
+    n, (n_x, m, d) = len(rows), xd.shape
     blocks = row_blocks(n)
-    unit, cos = np.empty((n, m, d)), np.empty((n, m, m))
-    inv, ok = np.empty((n, m)), np.empty((n, m), dtype=bool)
+    cos, inv, ok = np.empty((n, m, m)), np.empty((n, m)), np.empty((n, m), dtype=bool)
 
     def cosine_block(r):
-        unit[r] = x.data[rows[r]]
-        cos[r], _, inv[r], ok[r] = channel_cosines(unit[r])
+        cos[r], _, inv[r], ok[r] = channel_cosines(xd[rows[r]])
 
     run_on_two_lanes(cosine_block, blocks)
     mask = np.triu(np.ones((m, m), dtype=bool), k=1) & ok[:, :, None] & ok[:, None, :]
@@ -651,17 +683,19 @@ def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
     out = Tensor((cos * mask).sum() * inv_n)
     sorted_rows = bool(np.all(rows[1:] > rows[:-1]))
 
-    def backward(g):
+    def backward(g, x):
         coef = float(g) * inv_n
         in_place = x.grad is not None and sorted_rows  # the same sums as adding a scattered full-size array
-        d_unit = np.empty((n, m, d))
+        d_unit = None if in_place else np.empty((n, m, d))
 
         def grad_block(r):
             w = mask[r] * coef
             w += w.transpose(0, 2, 1)
-            du = np.matmul(w, unit[r], out=d_unit[r])
-            proj = np.einsum("nmd,nmd->nm", du, unit[r])
-            du -= np.multiply(unit[r], proj[:, :, None], out=unit[r])  # unit is dead here
+            unit = xd[rows[r]]
+            unit *= inv[r][:, :, None]
+            du = np.matmul(w, unit, out=None if in_place else d_unit[r])
+            proj = np.einsum("nmd,nmd->nm", du, unit)
+            du -= np.multiply(unit, proj[:, :, None], out=unit)  # unit is dead here
             du *= inv[r][:, :, None]
             if in_place:
                 x.grad[rows[r]] += du
@@ -688,7 +722,7 @@ def bpr_pairs(anchors, items, a: np.ndarray, p: np.ndarray, n: np.ndarray) -> Te
     x = np.einsum("bd,bd->b", rows, diff)
     out = Tensor(np.mean(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))))
 
-    def backward(g):
+    def backward(g, anchors, items):
         s = _sigmoid_inplace(x)[:, None] * (float(g) / len(x))  # x is dead here
         # a positive that is its own negative scores log 2 whatever the tables hold; without this
         # its item terms, added at the positives then at the negatives, leave a rounding residue

@@ -4,12 +4,15 @@ Layout: magic line, 8-byte big-endian header length, a JSON header listing
 config, metadata, and tensor descriptors (name, shape, byte offset), then
 the raw float64 blobs concatenated in descriptor order. Writing the same
 arrays twice yields byte-identical files, so checkpoint hashes double as
-determinism probes.
+determinism probes. Each tensor is written from its own buffer and read
+straight into its own array, so neither side holds a second copy of the
+payload.
 """
 
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 
@@ -28,13 +31,12 @@ def save_checkpoint(path, config_dict, named_arrays, meta=None):
             raise ValueError(f"{path}: {key} must be a JSON object, got {value!r}")
     descriptors = []
     offset = 0
-    blobs = []
+    arrays = []
     for name, arr in named_arrays:
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
-        blob = arr.tobytes()
+        arr = np.ascontiguousarray(arr, dtype=np.float64)  # the array itself when it is one already
         descriptors.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += len(blob)
-        blobs.append(blob)
+        offset += arr.nbytes
+        arrays.append(arr)
     header = json.dumps(
         {"config": config_dict, "meta": meta, "tensors": descriptors},
         sort_keys=True,
@@ -43,8 +45,8 @@ def save_checkpoint(path, config_dict, named_arrays, meta=None):
         f.write(MAGIC)
         f.write(len(header).to_bytes(8, "big"))
         f.write(header)
-        for blob in blobs:
-            f.write(blob)
+        for arr in arrays:
+            f.write(arr.reshape(-1).view(np.uint8))
 
 
 def load_checkpoint(path):
@@ -57,16 +59,23 @@ def load_checkpoint(path):
     one another in the payload with no gap or overlap.
     """
     with open(path, "rb") as f:
-        data = f.read()
-    magic = data[: len(MAGIC)]
-    if magic != MAGIC:
-        raise ValueError(f"{path}: not a checkpoint (bad magic {magic!r})")
-    start = len(MAGIC) + 8
-    header_len = int.from_bytes(data[len(MAGIC) : start], "big")
-    if start + header_len > len(data):
-        raise ValueError(f"{path}: truncated header ({len(data)}-byte file)")
+        size = os.fstat(f.fileno()).st_size
+        start = len(MAGIC) + 8
+        lead = f.read(start)
+        magic = lead[: len(MAGIC)]
+        if magic != MAGIC:
+            raise ValueError(f"{path}: not a checkpoint (bad magic {magic!r})")
+        header_len = int.from_bytes(lead[len(MAGIC) :], "big")
+        if start + header_len > size:
+            raise ValueError(f"{path}: truncated header ({size}-byte file)")
+        header = f.read(header_len)
+        return _read_tensors(path, f, header, size - start - header_len)
+
+
+def _read_tensors(path, f, header, payload_len):
+    """Check the header, then read each tensor it lists from f, which stands at the payload's start."""
     try:
-        header = json.loads(data[start : start + header_len].decode())
+        header = json.loads(header.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ValueError(f"{path}: unreadable header ({e})") from None
     tensors = header.get("tensors") if isinstance(header, dict) else None
@@ -75,7 +84,6 @@ def load_checkpoint(path):
     for key in ("config", "meta"):  # meta may be absent
         if not isinstance(header.get(key, {}), dict):
             raise ValueError(f"{path}: header's {key} must be a JSON object, got {header[key]!r}")
-    payload = memoryview(data)[start + header_len :]
     arrays = []
     names = set()
     expected = 0
@@ -96,17 +104,19 @@ def load_checkpoint(path):
             )
         count = math.prod(shape)
         end = expected + count * 8
-        if end > len(payload):
+        if end > payload_len:
             raise ValueError(
                 f"{path}: truncated in tensor {name!r} "
-                f"(needs payload bytes up to {end}, file has {len(payload)})"
+                f"(needs payload bytes up to {end}, file has {payload_len})"
             )
-        arr = np.frombuffer(payload, dtype=np.float64, count=count, offset=expected)
-        arrays.append((name, arr.reshape(shape).copy()))
+        arr = np.empty(shape)
+        if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+            raise ValueError(f"{path}: tensor {name!r} ended early; the file changed while it was read")
+        arrays.append((name, arr))
         expected = end
-    if len(payload) != expected:
+    if payload_len != expected:
         raise ValueError(
-            f"{path}: payload is {len(payload)} bytes, its tensors describe {expected}"
+            f"{path}: payload is {payload_len} bytes, its tensors describe {expected}"
         )
     return header["config"], arrays, header.get("meta", {})
 

@@ -170,44 +170,47 @@ class GroupRecommender:
         members; given none, the forward generates the members' own.
         """
         cfg = self.cfg
-        group_fused = None
-        omega = None
-        if not cfg.use_groups:
-            users0 = self.user_emb
-        else:
-            n_groups = self.dataset.n_groups
-            if cfg.variant == "mean_members":
-                member_pool = ag.spmm(self.member_mean_csr, self.user_emb)
-                group_fused = fusion.fuse_groups(self.group_emb, member_pool)
-            else:
-                table, rows = self.interests() if interests is None else interests
-                member_rows = np.searchsorted(rows, self.member_uid)
-                pooled = aggregation.attention_pool(
-                    table, member_rows, self.member_gid, self.pool_pattern, self.att_vec
-                )
-                if cfg.variant == "uniform_mix":
-                    m = cfg.n_interests
-                    omega = Tensor(np.full((n_groups, m), 1.0 / m))
-                else:
-                    noise = (
-                        aggregation.sample_gumbel(noise_rng, (n_groups, cfg.n_interests))
-                        if noise_rng is not None
-                        else None
-                    )
-                    omega = aggregation.selection_weights(
-                        self.group_emb,
-                        pooled,
-                        cfg.temperature,
-                        noise=noise,
-                        hard=cfg.variant == "hard_select",
-                    )
-                group_interest = aggregation.mix_interests(omega, pooled)
-                group_fused = fusion.fuse_groups(self.group_emb, group_interest)
+        group_fused = omega = None
+        users0 = self.user_emb
+        if cfg.use_groups:
+            # the group side's intermediates are its locals, so propagation runs without them
+            group_fused, omega = self._fused_groups(noise_rng, interests)
             users0 = fusion.fuse_users(self.user_emb, group_fused, self.pool_csr, self.pool_coef)
         user_final, item_final = graphconv.propagate(
             self.adj, users0, self.item_emb, cfg.n_layers
         )
         return ForwardState(user_final, item_final, group_fused, omega)
+
+    def _fused_groups(self, noise_rng, interests):
+        """The fused group vectors, and the interest mixer's weights (None unless it ran)."""
+        cfg = self.cfg
+        if cfg.variant == "mean_members":
+            member_pool = ag.spmm(self.member_mean_csr, self.user_emb)
+            return fusion.fuse_groups(self.group_emb, member_pool), None
+        n_groups = self.dataset.n_groups
+        table, rows = self.interests() if interests is None else interests
+        member_rows = np.searchsorted(rows, self.member_uid)
+        pooled = aggregation.attention_pool(
+            table, member_rows, self.member_gid, self.pool_pattern, self.att_vec
+        )
+        if cfg.variant == "uniform_mix":
+            m = cfg.n_interests
+            omega = Tensor(np.full((n_groups, m), 1.0 / m))
+        else:
+            noise = (
+                aggregation.sample_gumbel(noise_rng, (n_groups, cfg.n_interests))
+                if noise_rng is not None
+                else None
+            )
+            omega = aggregation.selection_weights(
+                self.group_emb,
+                pooled,
+                cfg.temperature,
+                noise=noise,
+                hard=cfg.variant == "hard_select",
+            )
+        group_interest = aggregation.mix_interests(omega, pooled)
+        return fusion.fuse_groups(self.group_emb, group_interest), omega
 
     def row_scores(self, task, state=None):
         """The anchor-by-item scores of a task as a `RowScores`, no tape involved.

@@ -2,15 +2,16 @@
 
 Each is a plain tape op built on autodiff's own recording helpers, so the
 fused ops can be checked against compositions of these. Like autodiff's
-ops, each closure captures at forward time the arrays and shapes it reads,
-since Tape.backward releases every recorded output but the loss. The broadcasting
+ops, each closure receives its parents' gradient slots and captures at
+forward time the arrays and shapes it reads, and no tensor. The broadcasting
 add, mul and scale are also what test losses are built from. Then come
 gated_channels, mean_pair_cosine and the Adam update as one block each, the
 oracles for the ops that run their rows in blocks on two lanes, and
 finite_difference_check, the central-difference check that every op's
 gradients are tested with. Then come the per-edge file writers and the
 dataset fingerprint, the byte oracles for grouprec.datasets' array writers,
-the normalised adjacency as scipy's COO path builds it, the per-row ranking and metrics that grouprec.evaluate's block ranking is
+the normalised adjacency as scipy's COO path builds it, the checkpoint
+writer that copied each tensor's bytes, the per-row ranking and metrics that grouprec.evaluate's block ranking is
 checked against, with the dense score source those tests rank, and the
 structural baseline configs.
 """
@@ -40,6 +41,7 @@ from grouprec.autodiff import (
     scatter_rows,
     spmm,
 )
+from grouprec.checkpoint import MAGIC as CHECKPOINT_MAGIC
 from grouprec.config import TrainConfig
 from grouprec.datasets import SPLIT_NAMES, TRAIN
 from grouprec.optim import BETA1, BETA2, EPS
@@ -64,7 +66,7 @@ def add(a, b) -> Tensor:
     sa, sb = a.data.shape, b.data.shape
     out = Tensor(a.data + b.data)
 
-    def backward(g):
+    def backward(g, a, b):
         ga, gb = _unbroadcast(g, sa), _unbroadcast(g, sb)
         _accum(a, ga)
         _accum(b, gb.copy() if gb is ga else gb)
@@ -77,7 +79,7 @@ def mul(a, b) -> Tensor:
     ad, bd = a.data, b.data
     out = Tensor(ad * bd)
 
-    def backward(g):
+    def backward(g, a, b):
         if a.requires_grad:
             _accum(a, _unbroadcast(g * bd, ad.shape))
         if b.requires_grad:
@@ -91,7 +93,7 @@ def scale(x, c: float) -> Tensor:
     c = float(c)
     out = Tensor(x.data * c)
 
-    def backward(g):
+    def backward(g, x):
         _accum(x, g * c)
 
     return _record(out, (x,), backward)
@@ -106,7 +108,7 @@ def matmul(a, b) -> Tensor:
     ad, bd = a.data, b.data
     out = Tensor(ad @ bd)
 
-    def backward(g):
+    def backward(g, a, b):
         if a.requires_grad:
             _accum(a, np.outer(g, bd) if bd.ndim == 1 else g @ bd.T)
         if b.requires_grad:
@@ -120,9 +122,9 @@ def stack(tensors: list[Tensor]) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     out = Tensor(np.stack([t.data for t in tensors], axis=1))
 
-    def backward(g):
-        for j, t in enumerate(tensors):
-            _accum(t, g[:, j])
+    def backward(g, *slots):
+        for j, slot in enumerate(slots):
+            _accum(slot, g[:, j])
 
     return _record(out, tuple(tensors), backward)
 
@@ -133,7 +135,7 @@ def take(x, n) -> Tensor:
     shape = x.data.shape
     out = Tensor(x.data[n])
 
-    def backward(g):
+    def backward(g, x):
         grad = np.zeros(shape)
         grad[n] = g
         _accum(x, grad)
@@ -145,7 +147,7 @@ def neg(x) -> Tensor:
     x = _as_tensor(x)
     out = Tensor(-x.data)
 
-    def backward(g):
+    def backward(g, x):
         _accum(x, -g)
 
     return _record(out, (x,), backward)
@@ -157,7 +159,7 @@ def sigmoid(x) -> Tensor:
     y = expit(x.data)
     out = Tensor(y)
 
-    def backward(g):
+    def backward(g, x):
         _accum(x, g * y * (1.0 - y))
 
     return _record(out, (x,), backward)
@@ -168,7 +170,7 @@ def reshape(x, shape) -> Tensor:
     x_shape = x.data.shape
     out = Tensor(x.data.reshape(shape))
 
-    def backward(g):
+    def backward(g, x):
         _accum(x, g.reshape(x_shape))
 
     return _record(out, (x,), backward)
@@ -193,7 +195,7 @@ def cosine_rows(a, b) -> Tensor:
     cos = np.where(ok, (ad * bd).sum(axis=1) / denom, 0.0)
     out = Tensor(cos)
 
-    def backward(g):
+    def backward(g, a, b):
         gm = np.where(ok, g, 0.0)[:, None]
         na_ = np.where(ok, na, 1.0)[:, None]
         nb_ = np.where(ok, nb, 1.0)[:, None]
@@ -238,7 +240,7 @@ def segment_softmax(scores, segment_ids: np.ndarray, n_segments: int) -> Tensor:
     p = _segment_softmax(scores.data, seg, onehot)
     out = Tensor(p)
 
-    def backward(g):
+    def backward(g, scores):
         _accum(scores, _segment_softmax_grad(p, g, seg, onehot))
 
     return _record(out, (scores,), backward)
@@ -264,7 +266,7 @@ def segment_attention(x, att, rows: np.ndarray, segment_ids: np.ndarray,
     gamma = _segment_softmax(r @ ad, seg, onehot)
     out = Tensor(scatter_rows(seg, gamma[:, :, None] * r, n_segments))
 
-    def backward(g):
+    def backward(g, x, att):
         g_rows = g[seg]
         ds = _segment_softmax_grad(gamma, np.einsum("nmd,nmd->nm", g_rows, r), seg, onehot)
         _accum(att, np.einsum("nm,nmd->d", ds, r))
@@ -282,7 +284,7 @@ def segment_sum(x, segment_ids: np.ndarray, n_segments: int) -> Tensor:
     seg = np.asarray(segment_ids, dtype=np.int64)
     out = Tensor(scatter_rows(seg, x.data, n_segments))
 
-    def backward(g):
+    def backward(g, x):
         _accum(x, g[seg])
 
     return _record(out, (x,), backward)
@@ -293,7 +295,7 @@ def sub(a, b) -> Tensor:
     sa, sb = a.data.shape, b.data.shape
     out = Tensor(a.data - b.data)
 
-    def backward(g):
+    def backward(g, a, b):
         _accum(a, _unbroadcast(g, sa))
         _accum(b, _unbroadcast(-g, sb))
 
@@ -306,7 +308,7 @@ def softplus(x) -> Tensor:
     xd = x.data
     out = Tensor(np.maximum(xd, 0.0) + np.log1p(np.exp(-np.abs(xd))))
 
-    def backward(g):
+    def backward(g, x):
         _accum(x, g * expit(xd))
 
     return _record(out, (x,), backward)
@@ -317,7 +319,7 @@ def tsum(x) -> Tensor:
     shape = x.data.shape
     out = Tensor(x.data.sum())
 
-    def backward(g):
+    def backward(g, x):
         _accum(x, np.full(shape, float(g)))
 
     return _record(out, (x,), backward)
@@ -328,7 +330,7 @@ def tmean(x) -> Tensor:
     shape, n = x.data.shape, x.data.size
     out = Tensor(x.data.mean())
 
-    def backward(g):
+    def backward(g, x):
         _accum(x, np.full(shape, float(g) / n))
 
     return _record(out, (x,), backward)
@@ -341,7 +343,7 @@ def rowwise_dot(a, b) -> Tensor:
         raise ValueError(f"rowwise_dot shape mismatch: {ad.shape} vs {bd.shape}")
     out = Tensor((ad * bd).sum(axis=1))
 
-    def backward(g):
+    def backward(g, a, b):
         _accum(a, g[:, None] * bd)
         _accum(b, g[:, None] * ad)
 
@@ -415,7 +417,7 @@ def gated_channels(x, w, b) -> Tensor:
     gated = xd[:, None, :] * gate
     out = Tensor(gated)
 
-    def backward(g):
+    def backward(g, x, w, b):
         if x.requires_grad:
             _accum(x, np.einsum("umd,umd->ud", g, gate))
         dz = g
@@ -442,7 +444,7 @@ def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
     out = Tensor((cos * mask).sum() * inv_n)
     sorted_rows = bool(np.all(rows[1:] > rows[:-1]))
 
-    def backward(g):
+    def backward(g, x):
         w = mask * (float(g) * inv_n)
         w += w.transpose(0, 2, 1)
         d_unit = w @ unit
@@ -551,6 +553,32 @@ def coo_norm_adjacency(dataset):
     deg_v = np.bincount(items, minlength=dataset.n_items).astype(np.float64)
     weights = 1.0 / np.sqrt(deg_u[users] * deg_v[items])
     return sp.csr_matrix((weights, (users, items)), shape=(dataset.n_users, dataset.n_items))
+
+
+# the checkpoint writer that copied every tensor's bytes out before it wrote, as a byte oracle
+
+
+def save_checkpoint(path, config_dict, named_arrays, meta=None):
+    """grouprec.checkpoint.save_checkpoint's file, from one bytes copy of each tensor."""
+    descriptors = []
+    offset = 0
+    blobs = []
+    for name, arr in named_arrays:
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        blob = arr.tobytes()
+        descriptors.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += len(blob)
+        blobs.append(blob)
+    header = json.dumps(
+        {"config": config_dict, "meta": {} if meta is None else meta, "tensors": descriptors},
+        sort_keys=True,
+    ).encode()
+    with open(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(len(header).to_bytes(8, "big"))
+        f.write(header)
+        for blob in blobs:
+            f.write(blob)
 
 
 # the per-row ranking and metrics that block ranking in grouprec.evaluate replaced

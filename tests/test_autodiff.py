@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from grouprec import aggregation
 from grouprec import autodiff as ag
 from grouprec.autodiff import Tape, Tensor
 from grouprec.config import TrainConfig
@@ -23,10 +24,9 @@ def grad_of(fn, *arrs):
     params = [Tensor(a, requires_grad=True) for a in arrs]
     with Tape() as tape:
         out = fn(*params)
-        value = out.data  # read before backward releases it
-        loss = out if value.ndim == 0 else ref.tsum(out)
+        loss = out if out.data.ndim == 0 else ref.tsum(out)
         tape.backward(loss)
-    return value, [p.grad for p in params]
+    return out.data, [p.grad for p in params]
 
 
 def test_sigmoid_values():
@@ -429,8 +429,8 @@ def test_spmm_through_a_transposed_view_is_bit_equal_to_a_transposed_copy():
         g = rng.normal(size=(mat.shape[0], 8))
         with Tape() as tape:
             y = ag.spmm(mat, x)
-            assert np.array_equal(y.data, copy @ x.data)
             tape.backward(ref.tsum(ref.mul(y, Tensor(g))))
+        assert np.array_equal(y.data, copy @ x.data)
         assert np.array_equal(x.grad, copy.T.tocsr() @ g)
 
 
@@ -541,13 +541,24 @@ def test_backward_releases_every_node_and_keeps_the_tape_length():
     np.testing.assert_array_equal(x.grad, 2.0 * x.data + 2.0)
     assert len(tape.nodes) == len(recorded) == 4
     assert all(slot is None for slot in tape.nodes)
-    assert all(t._backward is None for t in recorded)
+    assert all(slot.backward is None and slot.parents == () for slot in recorded)
+
+
+def _hook(slot, probe):
+    """Run probe() just before the closure on slot, which then runs as it would have."""
+    inner = slot.backward
+
+    def hooked(g, *parents):
+        probe()
+        inner(g, *parents)
+
+    slot.backward = hooked
 
 
 def _gated_with_refs(rows, w, b):
     """A loss over gated_channels, and weakrefs to that op's output and captured gate."""
     h = ag.gated_channels(rows, w, b)
-    fn = h._backward
+    fn = h.slot.backward
     captured = dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
     refs = [weakref.ref(h.data), weakref.ref(captured["gate"])]
     return ag.mean_pair_cosine(h, np.arange(rows.data.shape[0]), 0.0), refs
@@ -562,24 +573,18 @@ def test_backward_frees_a_passed_op_before_an_earlier_closure_runs():
     with Tape() as tape:
         rows = ag.gather_rows(e, np.array([0, 2, 2, 5, 6]))
         loss, refs = _gated_with_refs(rows, w, b)
-        inner = rows._backward
-
-        def probe(g):
-            alive.extend(r() is not None for r in refs)
-            inner(g)
-
-        rows._backward = probe
+        _hook(rows.slot, lambda: alive.extend(r() is not None for r in refs))
         tape.backward(loss)
     # the first-recorded op's closure ran after gated_channels' output and gate were gone
     assert alive == [False, False]
     assert e.grad is not None and w.grad is not None and b.grad is not None
 
 
-def _small_trainer():
+def _small_trainer(**config):
     ds, _ = generate_synthetic(300, 200, 40, m_true=3, noise=0.1, seed=4)
     ds = dataclasses.replace(ds, user_items=split_holdout(ds.user_items, seed=0),
                              group_items=split_holdout(ds.group_items, seed=1))
-    return Trainer(ds, TrainConfig(seed=0, batch_user=256, batch_group=64))
+    return Trainer(ds, TrainConfig(seed=0, batch_user=256, batch_group=64, **config))
 
 
 def test_trainer_step_frees_forward_buffers_during_backward(monkeypatch):
@@ -589,13 +594,7 @@ def test_trainer_step_frees_forward_buffers_during_backward(monkeypatch):
 
     def traced(tape, loss):
         live["start"] = tracemalloc.get_traced_memory()[0]
-        inner = tape.nodes[0]._backward
-
-        def probe(g):
-            live["first"] = tracemalloc.get_traced_memory()[0]
-            inner(g)
-
-        tape.nodes[0]._backward = probe
+        _hook(tape.nodes[0], lambda: live.update(first=tracemalloc.get_traced_memory()[0]))
         backward(tape, loss)
 
     monkeypatch.setattr(Tape, "backward", traced)
@@ -609,105 +608,145 @@ def test_trainer_step_frees_forward_buffers_during_backward(monkeypatch):
     assert live["first"] < 0.5 * live["start"]
 
 
-def test_trainer_step_frees_unread_forward_outputs_before_the_first_closure(monkeypatch):
-    trainer = _small_trainer()
+# the default model, variants A-D, the other interest generators, and LightGCN alone
+STEP_CONFIGS = {
+    "default": {},
+    "A": {"variant": "mean_members"},
+    "B": {"variant": "uniform_mix"},
+    "C": {"variant": "no_interest_reg"},
+    "D": {"variant": "hard_select"},
+    "fc1": {"interest_mode": "fc1"},
+    "fc2": {"interest_mode": "fc2"},
+    "table": {"interest_mode": "table"},
+    "no_groups": {"use_groups": False},
+}
+
+
+@pytest.mark.parametrize("name", list(STEP_CONFIGS))
+def test_trainer_step_frees_unread_forward_outputs_before_the_first_closure(monkeypatch, name):
+    trainer = _small_trainer(**STEP_CONFIGS[name])
+    pool_csr = getattr(trainer.model, "pool_csr", None)
     refs, seen = {}, {}
-    propagate, spmm = ag.propagate, ag.spmm
+    propagate, spmm, mix_interests = ag.propagate, ag.spmm, aggregation.mix_interests
 
     def traced_propagate(*args):
+        seen["at_propagate"] = {key: refs[key]() is not None for key in ("pool", "mixed") if key in refs}
         outs = propagate(*args)
         refs["propagate"] = [weakref.ref(t.data) for t in outs]
         return outs
 
     def traced_spmm(mat, x):
         out = spmm(mat, x)
-        if mat is trainer.model.pool_csr:
+        if mat is pool_csr:
             refs["pool"] = weakref.ref(out.data)
+        return out
+
+    def traced_mix(omega, pooled):
+        out = mix_interests(omega, pooled)
+        refs["mixed"] = weakref.ref(out.data)
         return out
 
     backward = Tape.backward
 
     def traced(tape, loss):
-        assert tape.nodes[-1] is loss  # the loss's weighted_sum, whose closure runs first
-        inner = loss._backward
-
-        def probe(g):
-            seen["alive"] = [r() is not None for r in refs["propagate"] + [refs["pool"]]]
-            inner(g)
-
-        loss._backward = probe
+        assert tape.nodes[-1] is loss.slot  # the loss's weighted_sum, whose closure runs first
+        kept = refs["propagate"] + ([refs["pool"]] if "pool" in refs else [])
+        _hook(loss.slot, lambda: seen.update(alive=[r() is not None for r in kept]))
         backward(tape, loss)
 
     monkeypatch.setattr(ag, "propagate", traced_propagate)
     monkeypatch.setattr(ag, "spmm", traced_spmm)
+    monkeypatch.setattr(aggregation, "mix_interests", traced_mix)
     monkeypatch.setattr(Tape, "backward", traced)
     trainer._step()
+    cfg = trainer.cfg
+    built = {"pool": cfg.use_groups, "mixed": cfg.use_groups and cfg.variant != "mean_members"}
+    assert set(seen["at_propagate"]) == {key for key, made in built.items() if made}
     # no closure reads propagate's outputs or the pool product, so nothing holds them
-    assert seen["alive"] == [False, False, False]
+    assert seen["alive"] == [False] * (2 + cfg.use_groups)
+    # nor the mixed interests, and the forward holds neither once propagation starts
+    assert not any(seen["at_propagate"].values())
 
 
-def test_backward_releases_every_recorded_output_but_the_loss(monkeypatch):
+def test_outputs_the_caller_holds_keep_their_values_through_backward(monkeypatch):
     trainer = _small_trainer()
-    seen = {}
+    held = []
+    forward = trainer.model.forward
+
+    def holding(*args, **kwargs):
+        state = forward(*args, **kwargs)
+        outs = (state.user_final, state.item_final, state.group_fused, state.omega)
+        held.extend((t, t.data.copy()) for t in outs)
+        return state
+
+    monkeypatch.setattr(trainer.model, "forward", holding)
     backward = Tape.backward
 
     def traced(tape, loss):
-        seen["nodes"], seen["loss"], seen["value"] = list(tape.nodes), loss, loss.data.copy()
+        held.append((loss, loss.data.copy()))
         backward(tape, loss)
 
     monkeypatch.setattr(Tape, "backward", traced)
-    trainer._step()
-    loss, nodes = seen["loss"], seen["nodes"]
-    assert loss in nodes and len(nodes) > 10
-    np.testing.assert_array_equal(loss.data, seen["value"])
-    assert loss.item() == float(seen["value"])
-    assert all(t.data is None for t in nodes if t is not loss)
+    total = trainer._step()[-1]
+    assert len(held) == 5
+    # backward writes no .data: every recorded output keeps the array and bits it was made with
+    for t, value in held:
+        assert t.grad is None
+        np.testing.assert_array_equal(t.data, value)
+    loss = held[-1][0]
+    assert total == loss.item() + trainer.cfg.weight_decay * sum(
+        float(np.vdot(t.data, t.data)) for t in trainer.model.tensors())
 
 
 def _guarded_ops():
-    """name -> (input shapes, op): every tape op, with the constants it takes fixed."""
+    """name -> (input shapes, op, the inputs whose arrays its backward reads): every tape op, constants fixed."""
     adj = sp.random(5, 4, density=0.5, random_state=3, format="csr")
     rows, segs = np.array([0, 2, 2, 4, 1]), np.array([0, 0, 1, 1, 2])
     pattern = ag.segment_pattern(segs, 3, 2)
     hard = np.eye(4, 3)
     return {
         "weighted_sum": ([(4, 3), (4, 3)],
-                         lambda x, y: ag.weighted_sum((0.5, x), (np.arange(4.0)[:, None], y), (1.0, x))),
-        "relu": ([(4, 3)], ag.relu),
-        "gather_rows": ([(5, 3)], lambda x: ag.gather_rows(x, [4, 0, 4, 2])),
-        "gather_rows_distinct": ([(5, 3)], lambda x: ag.gather_rows(x, [0, 2, 4])),
-        "softmax_rows": ([(4, 3)], lambda x: ag.softmax_rows(x, 0.5)),
-        "spmm": ([(4, 3)], lambda x: ag.spmm(adj, x)),
-        "propagate": ([(5, 3), (4, 3)], lambda u, v: ag.propagate(adj, u, v, 3)),
-        "straight_through": ([(4, 3)], lambda x: ag.straight_through(x, hard)),
-        "gated_channels": ([(5, 3), (2, 3, 3), (2, 3)], ag.gated_channels),
-        "channel_linear": ([(5, 2, 3), (2, 3, 4), (2, 4)], ag.channel_linear),
-        "channel_linear_shared": ([(5, 3), (2, 3, 4), (2, 4)], ag.channel_linear),
+                         lambda x, y: ag.weighted_sum((0.5, x), (np.arange(4.0)[:, None], y), (1.0, x)), ()),
+        "relu": ([(4, 3)], ag.relu, ()),
+        "gather_rows": ([(5, 3)], lambda x: ag.gather_rows(x, [4, 0, 4, 2]), ()),
+        "gather_rows_distinct": ([(5, 3)], lambda x: ag.gather_rows(x, [0, 2, 4]), ()),
+        "softmax_rows": ([(4, 3)], lambda x: ag.softmax_rows(x, 0.5), ()),
+        "spmm": ([(4, 3)], lambda x: ag.spmm(adj, x), ()),
+        "propagate": ([(5, 3), (4, 3)], lambda u, v: ag.propagate(adj, u, v, 3), ()),
+        "straight_through": ([(4, 3)], lambda x: ag.straight_through(x, hard), ()),
+        "gated_channels": ([(5, 3), (2, 3, 3), (2, 3)], ag.gated_channels, (0,)),
+        "channel_linear": ([(5, 2, 3), (2, 3, 4), (2, 4)], ag.channel_linear, (0, 1)),
+        "channel_linear_shared": ([(5, 3), (2, 3, 4), (2, 4)], ag.channel_linear, (0, 1)),
         "segment_attention": ([(5, 2, 3), (3,)],
-                              lambda x, att: ag.segment_attention(x, att, rows, segs, pattern)),
-        "contract": ([(4, 3), (4, 2, 3)], lambda a, b: ag.contract("gd,gmd->gm", a, b)),
-        "mean_pair_cosine": ([(5, 2, 3)], lambda x: ag.mean_pair_cosine(x, [3, 0, 4], 0.0)),
-        "bpr_pairs": ([(3, 3), (4, 3)], lambda a, i: ag.bpr_pairs(a, i, [0, 2, 2], [1, 3, 0], [2, 3, 1])),
+                              lambda x, att: ag.segment_attention(x, att, rows, segs, pattern), (0, 1)),
+        "contract": ([(4, 3), (4, 2, 3)], lambda a, b: ag.contract("gd,gmd->gm", a, b), (0, 1)),
+        "mean_pair_cosine": ([(5, 2, 3)], lambda x: ag.mean_pair_cosine(x, [3, 0, 4], 0.0), (0,)),
+        "bpr_pairs": ([(3, 3), (4, 3)], lambda a, i: ag.bpr_pairs(a, i, [0, 2, 2], [1, 3, 0], [2, 3, 1]), ()),
     }
 
 
 @pytest.mark.parametrize("name", sorted(_guarded_ops()))
 def test_op_gradients_are_the_same_when_its_inputs_were_released(name):
-    shapes, op = _guarded_ops()[name]
+    shapes, op, read = _guarded_ops()[name]
     arrays = [np.random.default_rng(43).normal(size=s) for s in shapes]
     grads = []
     for recorded in (False, True):
         leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
         up = np.random.default_rng(47)
         with Tape() as tape:
-            # a recorded input is a copy made on the tape, which backward releases before the op's closure runs
+            # a recorded input is a copy made on the tape, which only this frame holds
             inputs = [ag.weighted_sum((1.0, t)) for t in leaves] if recorded else leaves
             outs = op(*inputs)
             outs = outs if isinstance(outs, tuple) else (outs,)
             loss = ag.weighted_sum(*((1.0, ref.tsum(ref.mul(out, Tensor(up.normal(size=out.data.shape)))))
                                      for out in outs))
+            refs = [weakref.ref(t.data) for t in inputs]
+            del inputs
+            alive = [r() is not None for r in refs]
             tape.backward(loss)
-        assert all(t.data is None for t in inputs) == recorded
+        # neither the tape nor a closure holds an input tensor: a dropped input's array is
+        # freed before backward unless the op's backward reads it
+        assert alive == [not recorded or i in read for i in range(len(arrays))]
         grads.append([t.grad for t in leaves])
     for leaf_grad, recorded_grad in zip(*grads):
         assert leaf_grad is not None

@@ -1,9 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from grouprec.checkpoint import MAGIC, file_sha256, load_checkpoint, save_checkpoint
+
+import reference as ref
 
 
 def sample_arrays(rng):
@@ -165,3 +168,43 @@ def test_save_writes_a_none_meta_as_an_empty_object(tmp_path):
     save_checkpoint(path, {"k": 1}, [("w", np.ones(4))], meta=None)
     assert load_checkpoint(path)[2] == {}
     assert b'"meta": {}' in path.read_bytes()
+
+
+def test_file_bytes_equal_the_copying_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    arrays = [
+        ("emb", rng.normal(size=(7, 3))),
+        ("transposed", rng.normal(size=(4, 6)).T),  # not contiguous: written in C order
+        ("counts", np.arange(5, dtype=np.int32)),  # cast to float64
+        ("scalar", np.float64(2.5)),  # written as shape [1]
+        ("empty", np.zeros((0, 3))),
+    ]
+    meta = {"best_epoch": 2}
+    save_checkpoint(tmp_path / "new.ckpt", {"k": 1}, iter(arrays), meta=meta)
+    ref.save_checkpoint(tmp_path / "old.ckpt", {"k": 1}, arrays, meta=meta)
+    assert (tmp_path / "new.ckpt").read_bytes() == (tmp_path / "old.ckpt").read_bytes()
+    _, back, _ = load_checkpoint(tmp_path / "new.ckpt")
+    for (name, arr), (back_name, got) in zip(arrays, back):
+        assert back_name == name and got.flags.c_contiguous and got.flags.writeable
+        assert got.tobytes() == np.ascontiguousarray(arr, dtype=np.float64).tobytes()
+
+
+def test_save_and_load_hold_no_second_copy_of_the_payload(tmp_path):
+    rng = np.random.default_rng(6)
+    arrays = [("a", rng.normal(size=(400, 500))), ("b", rng.normal(size=(300, 200))), ("c", rng.normal(size=64))]
+    payload = sum(arr.nbytes for _, arr in arrays)
+    path = tmp_path / "big.ckpt"
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, call in (("save", lambda: save_checkpoint(path, {"k": 1}, arrays)),
+                           ("load", lambda: load_checkpoint(path))):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # a copy of every tensor's bytes made the save peak one payload and the load peak two
+    assert peaks["save"] < 0.05 * payload
+    assert peaks["load"] < 1.05 * payload

@@ -118,9 +118,8 @@ def test_segment_attention_matches_the_reference_op(m, shuffled):
         x, att = Tensor(x0.copy(), requires_grad=True), Tensor(att0.copy(), requires_grad=True)
         with Tape() as tape:
             out = op(x, att, rows, segs, layout)
-            value = out.data  # read before backward releases it
             tape.backward(ref.tsum(ref.mul(out, Tensor(coef))))
-        results.append((value, x.grad, att.grad))
+        results.append((out.data, x.grad, att.grad))
     (out, dx, datt), (want, want_dx, want_datt) = results
     np.testing.assert_array_equal(out, want)
     np.testing.assert_array_equal(out[1], x0[3])  # the single member passes through
@@ -432,13 +431,12 @@ def test_sigmoid_saturates_to_exact_zero_and_one_without_warnings():
         warnings.simplefilter("error")
         with Tape() as tape:
             out = ag.gated_channels(x, w, b)
-            gated = out.data.ravel().tolist()  # read before backward releases it
             tape.backward(ref.tsum(out))
         with Tape() as tape:
             # one triple 800 in favour of the positive, one 800 against it
             bpr = losses.bpr_loss(anchor, items, [0, 0], [1, 0], [0, 1])
             tape.backward(bpr)
-    assert gated == [1.0, 0.0]
+    assert out.data.ravel().tolist() == [1.0, 0.0]
     assert bpr.item() == 400.0
     assert items.grad.ravel().tolist() == [-0.5, 0.5]
     assert anchor.grad.ravel().tolist() == [400.0]

@@ -139,9 +139,8 @@ def test_fusion_bits_equal_the_old_chains():
         with ag.Tape() as tape:
             fused_g = fuse_groups(group, istar)
             fused_u = fuse_users(user, fused_g, pool, coef)
-            outputs = (fused_g.data, fused_u.data)  # backward releases them
             tape.backward(ref.tsum(ref.mul(fused_u, upstream)))
-        runs.append((*outputs, user.grad, group.grad, istar.grad))
+        runs.append((fused_g.data, fused_u.data, user.grad, group.grad, istar.grad))
     for new, old in zip(*runs):
         np.testing.assert_array_equal(new, old)
 
@@ -250,9 +249,8 @@ def test_propagate_bits_equal_the_old_chain(n_layers):
         users0, items0 = (Tensor(a, requires_grad=True) for a in arrays)
         with ag.Tape() as tape:
             uf, vf = prop(adj, users0, items0, n_layers)
-            outputs = (uf.data, vf.data)  # backward releases them
             tape.backward(ref.add(ref.tsum(ref.mul(uf, up_u)), ref.tsum(ref.mul(vf, up_v))))
-        runs.append((*outputs, users0.grad, items0.grad))
+        runs.append((uf.data, vf.data, users0.grad, items0.grad))
         if n_layers == 0:
             assert uf is users0 and vf is items0
     for new, old in zip(*runs):
@@ -293,10 +291,9 @@ def test_propagate_op_one_read_output_bits_equal_the_old_chain(side, n_layers):
         users0, items0 = (Tensor(a, requires_grad=True) for a in arrays)
         with ag.Tape() as tape:
             outs = prop(adj, users0, items0, n_layers)
-            outputs = (outs[0].data, outs[1].data)  # backward releases them
             tape.backward(ref.tsum(ref.mul(outs[side], up)))
         assert outs[0].grad is None and outs[1].grad is None
-        runs.append((*outputs, users0.grad, items0.grad))
+        runs.append((outs[0].data, outs[1].data, users0.grad, items0.grad))
     for new, old in zip(*runs):
         np.testing.assert_array_equal(new, old)
 
@@ -314,7 +311,7 @@ def test_propagate_op_records_nothing_without_gradients():
     items0.requires_grad = True  # either input needing a gradient records both outputs
     with ag.Tape() as tape:
         uf, vf = ag.propagate(adj, users0, items0, 2)
-    assert tape.nodes == [uf, vf]
+    assert tape.nodes == [uf.slot, vf.slot]
 
 
 def test_propagate_op_input_read_again_after_propagation():
@@ -382,9 +379,8 @@ def test_propagate_chains_bits_equal_the_old_chain(lanes, lane_case, read, n_lay
             uf, vf = prop(mat, users0, items0, n_layers)
             terms = [ref.tsum(ref.mul(out, up)) for out, up, side in ((uf, up_u, "users"), (vf, up_v, "items"))
                      if read in (side, "both")]
-            outputs = (uf.data, vf.data)  # backward releases them
             tape.backward(ref.add(*terms) if len(terms) == 2 else terms[0])
-        runs.append((*outputs, users0.grad, items0.grad))
+        runs.append((uf.data, vf.data, users0.grad, items0.grad))
     for new, old in zip(*runs):
         np.testing.assert_array_equal(new, old)
     assert len(threads) == 4 * n_layers  # each chain makes one product a layer, forward and backward

@@ -88,18 +88,18 @@ def spy(trainer, full):
 
     def patched_stage(users=NO_USERS):
         table, rows = interests(np.arange(N_USERS) if full else users)
-        seen["interests"] = table.data, rows  # the array itself: backward releases the tensor's .data
+        seen["interests"] = table.data, rows
         return table, rows
 
     def patched_interests(*args):
         out = ref.scale(generate(*args), 1.0)
-        inner = out._backward
+        inner = out.slot.backward
 
-        def backward(g):
+        def backward(g, *parents):
             seen["interest_grad"] = g.copy()
-            inner(g)
+            inner(g, *parents)
 
-        out._backward = backward
+        out.slot.backward = backward
         return out
 
     model.interests = patched_stage
@@ -283,5 +283,5 @@ def test_regularizer_is_recorded_before_the_pool(monkeypatch):
         loss = step(trainer)[0]
         order = [id(node) for node in tape.nodes]
         tape.backward(loss)
-    reg, pool = (order.index(id(recorded[name])) for name in ("mean_pair_cosine", "segment_attention"))
+    reg, pool = (order.index(id(recorded[name].slot)) for name in ("mean_pair_cosine", "segment_attention"))
     assert reg < pool
