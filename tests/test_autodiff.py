@@ -604,13 +604,14 @@ def test_trainer_step_frees_forward_buffers_during_backward(monkeypatch):
     finally:
         tracemalloc.stop()
     # what the step's forward allocated is mostly gone by the last closure to run
-    # (about a fifth of it on this world; all of it and more when no closure is released)
+    # (about a third of it on this world, whose forward has already freed what no closure
+    # reads; all of it and more when no closure is released)
     assert live["first"] < 0.5 * live["start"]
 
 
-# the default model, variants A-D, the other interest generators, and LightGCN alone
+# the default model (variant Full), variants A-D, the other interest generators, and LightGCN alone
 STEP_CONFIGS = {
-    "default": {},
+    "Full": {},
     "A": {"variant": "mean_members"},
     "B": {"variant": "uniform_mix"},
     "C": {"variant": "no_interest_reg"},
