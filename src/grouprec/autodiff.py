@@ -179,37 +179,26 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
 # elementwise / arithmetic
 
 
-def _is_unit(c) -> bool:
-    return not isinstance(c, np.ndarray) and c == 1.0
-
-
 def weighted_sum(*terms) -> Tensor:
     """sum_i c_i * x_i over (c_i, x_i) pairs with constant coefficients.
 
     Each c_i is a float or an array that broadcasts into x_i's shape (an
     (n, 1) column, say), and every x_i has the output's shape. The forward
-    adds the terms left to right into one fresh buffer and multiplies no
-    coefficient of 1.0 in, so a plain sum has the bits of a chain of
-    two-operand adds. Backward gives each x_i the gradient g * c_i.
+    adds the products left to right into the first one's buffer. A product
+    by 1.0 is exact, so a plain sum has the bits of a chain of two-operand
+    adds. Backward gives each x_i the gradient g * c_i, in term order, so a
+    tensor in several terms sums its gradients left to right.
     """
     coefs = [c for c, _ in terms]
     xs = tuple(_as_tensor(x) for _, x in terms)
-    out = xs[0].data.copy() if _is_unit(coefs[0]) else xs[0].data * coefs[0]
+    out = xs[0].data * coefs[0]
     for c, x in zip(coefs[1:], xs[1:]):
-        out += x.data if _is_unit(c) else x.data * c
-    # the last unit term that needs a gradient takes g itself
-    owner = None
-    for i, (c, x) in enumerate(zip(coefs, xs)):
-        if x.requires_grad and _is_unit(c):
-            owner = i
+        out += x.data * c
 
     def backward(g, *xs):
-        # a slot may sit in several terms, so the owner takes g after the others read it
-        for i, (c, x) in enumerate(zip(coefs, xs)):
-            if x.requires_grad and i != owner:
-                _accum(x, g.copy() if _is_unit(c) else g * c)
-        if owner is not None:
-            _accum(xs[owner], g)
+        for c, x in zip(coefs, xs):
+            if x.requires_grad:
+                _accum(x, g * c)
 
     return _record(Tensor(out), xs, backward)
 
@@ -654,55 +643,46 @@ def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:
     p < q with |cosine| >= threshold, then divides by len(rows). The mask
     is taken from forward values and is constant under backward. A channel
     whose norm is below COSINE_NORM_EPS has similarity 0 with everything and
-    passes no gradient.
+    passes no gradient. rows must be distinct, in any order: backward adds
+    each row's gradient in place, which would lose the sums of a repeat.
 
-    The rows split into `lanes.row_blocks`, whose slices are the items of
-    `lanes.run_on_two_lanes`: forward, each block gathers its rows and takes
-    their cosines; backward, each block gathers and rescales its rows again,
-    as `channel_cosines` does, and takes their gradient, into its slice of
-    one whole buffer or, when sorted rows meet an existing gradient, into a
-    block of its own that it adds in place. The op keeps x's array, not a
-    copy of the unit rows. The mask, the loss's one pairwise sum and the
-    scatter of any other rows run whole, so the bits are those of the
-    unsplit op.
+    The forward is one `channel_cosines` call. The backward runs the
+    `lanes.row_blocks` of the rows on `lanes.run_on_two_lanes`: each block
+    gathers and rescales its rows again, as `channel_cosines` does, and adds
+    their gradient in place into x's, which starts from zeros when x has
+    none. The op keeps x's array, not a copy of the unit rows, and the bits
+    are those of the unsplit op.
     """
     x = _as_tensor(x)
     rows = np.asarray(rows, dtype=np.int64)
+    ordered = np.sort(rows)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ValueError("mean_pair_cosine needs distinct rows")
     xd = x.data
-    n, (n_x, m, d) = len(rows), xd.shape
-    blocks = row_blocks(n)
-    cos, inv, ok = np.empty((n, m, m)), np.empty((n, m)), np.empty((n, m), dtype=bool)
-
-    def cosine_block(r):
-        cos[r], _, inv[r], ok[r] = channel_cosines(xd[rows[r]])
-
-    run_on_two_lanes(cosine_block, blocks)
+    n, m = len(rows), xd.shape[1]
+    cos, _, inv, ok = channel_cosines(xd[rows])
     mask = np.triu(np.ones((m, m), dtype=bool), k=1) & ok[:, :, None] & ok[:, None, :]
     mask &= np.abs(cos) >= threshold
     inv_n = 1.0 / n
     out = Tensor((cos * mask).sum() * inv_n)
-    sorted_rows = bool(np.all(rows[1:] > rows[:-1]))
 
     def backward(g, x):
         coef = float(g) * inv_n
-        in_place = x.grad is not None and sorted_rows  # the same sums as adding a scattered full-size array
-        d_unit = None if in_place else np.empty((n, m, d))
+        if x.grad is None:
+            x.grad = np.zeros(xd.shape)
 
         def grad_block(r):
             w = mask[r] * coef
             w += w.transpose(0, 2, 1)
             unit = xd[rows[r]]
             unit *= inv[r][:, :, None]
-            du = np.matmul(w, unit, out=None if in_place else d_unit[r])
+            du = w @ unit
             proj = np.einsum("nmd,nmd->nm", du, unit)
             du -= np.multiply(unit, proj[:, :, None], out=unit)  # unit is dead here
             du *= inv[r][:, :, None]
-            if in_place:
-                x.grad[rows[r]] += du
+            x.grad[rows[r]] += du
 
-        run_on_two_lanes(grad_block, blocks)
-        if not in_place:
-            _accum(x, scatter_rows(rows, d_unit, n_x))
+        run_on_two_lanes(grad_block, row_blocks(n))
 
     return _record(out, (x,), backward)
 

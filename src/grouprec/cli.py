@@ -217,6 +217,8 @@ def cmd_eval(args):
             if trained_on != fingerprint:  # its test edges may have been training edges
                 raise ValueError(f"{path}: trained on data with fingerprint {trained_on}, not {fingerprint}")
             cfg = TrainConfig.from_dict(cfg_dict)
+            if "group" in tasks and not cfg.use_groups:
+                raise ValueError(f"{path}: trained with groups disabled, so it scores no groups; pass --task user")
             model = build_model_from_arrays(ds, cfg, arrays)
             state = model.forward()
             seed = cfg.seed
@@ -284,10 +286,13 @@ def cmd_sweep(args):
     if args.seeds < 1:
         raise ValueError("--seeds must be >= 1")
     cfg = load_config(args)
-    with open(args.grid) as f:
-        grid = json.load(f)
+    try:
+        with open(args.grid) as f:
+            grid = json.load(f)
+    except ValueError as e:  # malformed JSON, or bytes that are not UTF-8
+        raise ValueError(f"{args.grid}: not valid JSON: {e}") from None
     if not isinstance(grid, dict) or not grid:
-        raise ValueError("grid file must map config keys to value lists")
+        raise ValueError(f"{args.grid}: grid file must map config keys to value lists")
     if "seed" in grid:
         raise ValueError("grid key 'seed' is not swept: set the first seed with --seed, the count with --seeds")
     for key, values in grid.items():

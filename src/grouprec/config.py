@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 # each variant's name and the letter the paper's ablation gives it
@@ -93,6 +94,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, Mapping):
+            raise ValueError(f"a config maps keys to values, got {type(d).__name__}")
         names = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - names
         if unknown:
@@ -106,8 +109,14 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        try:
+            with open(path) as f:
+                d = json.load(f)
+        except ValueError as e:  # malformed JSON, or bytes that are not UTF-8
+            raise ValueError(f"{path}: not valid JSON: {e}") from None
+        if not isinstance(d, dict):
+            raise ValueError(f"{path}: expected a JSON object, got {type(d).__name__}")
+        return cls.from_dict(d)
 
 
 # the fields construction type-checks, by annotation: every int field is a count, every float field a real

@@ -24,11 +24,12 @@ def interest_regularizer(interests, user_idx, threshold):
     """Per-user mean of masked pairwise interest similarities.
 
     interests is an (n, M, d) tensor from `GroupRecommender.interests`,
-    and user_idx indexes its rows (not user ids). For those rows,
-    sums cosine(i_p, i_q) over pairs p < q whose |cosine| is at
-    least the threshold; the mask is computed from forward values only and
-    is constant under backward. threshold 0 keeps every pair. Returns a
-    scalar tensor, zero when there is a single interest.
+    and user_idx indexes its rows (not user ids), each row at most once:
+    repeats raise ValueError. For those rows, sums cosine(i_p, i_q) over
+    pairs p < q whose |cosine| is at least the threshold; the mask is
+    computed from forward values only and is constant under backward.
+    threshold 0 keeps every pair. Returns a scalar tensor, zero when there
+    is a single interest.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")

@@ -479,7 +479,7 @@ def test_weighted_sum_bits_and_shared_gradient():
     rng = np.random.default_rng(24)
     a, b, c = (rng.normal(size=(4, 3)) for _ in range(3))
     col = rng.normal(size=(4, 1))
-    # unit coefficients are not multiplied in: the bits of a chain of two-operand adds
+    # a product by 1.0 is exact: the bits of a chain of two-operand adds
     np.testing.assert_array_equal(ag.weighted_sum((1.0, a), (1.0, b), (1.0, c)).data, (a + b) + c)
     np.testing.assert_array_equal(ag.weighted_sum((col, a), (0.5, b)).data, a * col + b * 0.5)
     x = Tensor(a, requires_grad=True)
@@ -487,12 +487,21 @@ def test_weighted_sum_bits_and_shared_gradient():
     with Tape() as tape:
         out = ag.weighted_sum((1.0, x), (2.0, x), (1.0, x))
         tape.backward(ref.tsum(ref.mul(out, Tensor(g))))
-    # the owning unit term takes g only after the other two have read it
-    np.testing.assert_array_equal(x.grad, (g * 2.0 + g) + g)
+    np.testing.assert_array_equal(x.grad, (g + g * 2.0) + g)
     assert len(tape.nodes) == 3
     with Tape() as tape:
         ag.weighted_sum((0.5, Tensor(a)), (1.0, b))
     assert not tape.nodes
+
+
+def test_weighted_sum_adds_a_shared_tensors_gradients_in_term_order():
+    g = np.random.default_rng(1).normal(size=(4, 3))
+    x = Tensor(np.zeros((4, 3)), requires_grad=True)
+    with Tape() as tape:
+        out = ag.weighted_sum((1.0, x), (2.0, x), (3.0, x))
+        out.grad = g.copy()
+        tape.backward(out)
+    assert x.grad.tobytes() == ((g + g * 2.0) + g * 3.0).tobytes()
 
 
 def test_straight_through_routes_gradient_to_soft_input():

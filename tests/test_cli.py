@@ -229,6 +229,35 @@ def test_infinite_config_real_fails_before_data_loading(tmp_path, capsys):
     assert stderr_payload(capsys)["message"] == "invalid config: lr must be finite, got inf"
 
 
+@pytest.mark.parametrize("text, shown", [
+    ('{"lr": 0.01,\n}', "not valid JSON: Expecting property name enclosed in double quotes"),  # named no file
+    ("null", "expected a JSON object, got NoneType"),  # a TypeError: 'NoneType' object is not iterable
+    ('"abc"', "expected a JSON object, got str"),  # unknown config keys: ['a', 'b', 'c']
+    ('[["lr", 0.01]]', "expected a JSON object, got list"),  # a TypeError: unhashable type: 'list'
+], ids=["malformed", "null", "string", "list"])
+def test_a_bad_config_file_is_named(tmp_path, capsys, text, shown):
+    config = tmp_path / "bad.json"
+    config.write_text(text)
+    rc = run(["train", "--data", tmp_path / "missing", "--out", tmp_path / "x", "--config", config])
+    assert rc == 2
+    assert stderr_payload(capsys)["message"].startswith(f"{config}: {shown}")
+
+
+@pytest.mark.parametrize("value", [None, "abc", [["lr", 0.01]]])
+def test_config_from_dict_refuses_what_is_not_a_mapping(value):
+    with pytest.raises(ValueError, match="a config maps keys to values"):
+        TrainConfig.from_dict(value)
+
+
+def test_a_bad_grid_file_is_named(tmp_path, capsys, no_work):
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"lr": [0.01]\n')
+    out = tmp_path / "sw"
+    assert run(["sweep", "--data", tmp_path / "missing", "--out", out, "--grid", grid]) == 2
+    assert stderr_payload(capsys)["message"].startswith(f"{grid}: not valid JSON: ")
+    assert not out.exists()
+
+
 def test_eval_both_tasks(world, run_dir, tmp_path):
     out = tmp_path / "ev"
     assert run(["eval", "--data", world, "--out", out,
@@ -353,6 +382,19 @@ def test_eval_refuses_a_checkpoint_trained_on_other_data(world, run_dir, tmp_pat
     assert run(["eval", "--data", other, "--out", out, "--checkpoint", ckpt]) == 2
     assert stderr_payload(capsys)["message"] == f"{ckpt}: trained on data with fingerprint {trained_on}, not {now}"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config", ["mf.json", "lightgcn.json"])
+def test_eval_of_both_tasks_refuses_a_checkpoint_trained_without_groups(world, tmp_path, capsys, config):
+    trained = tmp_path / "run"
+    assert run(["train", "--data", world, "--out", trained, "--config", CONFIGS / config, "--seed", 3, *TOY]) == 0
+    ckpt = trained / "best.ckpt"
+    out = tmp_path / "ev"
+    assert run(["eval", "--data", world, "--out", out, "--checkpoint", ckpt]) == 2
+    assert stderr_payload(capsys)["message"] == (
+        f"{ckpt}: trained with groups disabled, so it scores no groups; pass --task user")
+    assert not out.exists()
+    assert run(["eval", "--data", world, "--out", out, "--checkpoint", ckpt, "--task", "user"]) == 0
 
 
 def test_eval_refuses_a_checkpoint_whose_meta_is_not_an_object(world, run_dir, tmp_path, capsys):

@@ -189,25 +189,23 @@ def test_mean_pair_cosine_masked_pairs_finite_differences():
     assert loss().item() == pytest.approx(want / len(rows), abs=1e-12)
 
 
-@pytest.mark.parametrize("rows, prior, in_place", [
-    ([0, 2, 3, 5], True, True),  # sorted rows into an existing gradient: added in place
-    ([0, 2, 3, 5], False, False),  # no gradient yet: the scatter becomes it
-    ([3, 0, 5, 2], True, False),  # unsorted rows: scattered, then added
-    ([0, 2, 2, 5], True, False),  # a repeated row: scattered, then added
+@pytest.mark.parametrize("rows, prior", [
+    ([0, 2, 3, 5], True),  # sorted rows into an existing gradient
+    ([0, 2, 3, 5], False),  # no gradient yet: it starts from zeros
+    ([3, 0, 5, 2], True),  # unsorted distinct rows
+    ([0, 2, 2, 5], True),  # a repeated row, whose in-place add would keep one of its gradients: refused
 ])
-def test_mean_pair_cosine_in_place_gradient_bits_equal_the_scatter(monkeypatch, rows, prior, in_place):
+def test_mean_pair_cosine_in_place_gradient_bits_equal_the_scatter(monkeypatch, rows, prior):
     rng = np.random.default_rng(6)
     data, earlier = rng.normal(size=(6, 3, 4)), rng.normal(size=(6, 3, 4))
     rows = np.array(rows)
 
-    def grad(start, scatter):
+    def grad(op, start):
         x = Tensor(data.copy(), requires_grad=True)
         x.grad = None if start is None else start.copy()
-        monkeypatch.setattr(ag, "scatter_rows", scatter)
         with Tape() as tape:
-            loss = ag.mean_pair_cosine(x, rows, 0.2)
+            loss = op(x, rows, 0.2)
             tape.backward(loss)
-        monkeypatch.undo()
         return x.grad
 
     calls, scatter = [], ag.scatter_rows
@@ -216,12 +214,17 @@ def test_mean_pair_cosine_in_place_gradient_bits_equal_the_scatter(monkeypatch, 
         calls.append(args)
         return scatter(*args)
 
-    # the oracle: the scattered gradient alone, plus the earlier one afterwards
-    want = grad(None, scatter)
+    monkeypatch.setattr(ag, "scatter_rows", counted)
+    if len(set(rows)) < len(rows):
+        with pytest.raises(ValueError, match="distinct rows"):
+            grad(ag.mean_pair_cosine, earlier)
+        return
+    # the oracle: the one-block op's scattered gradient alone, plus the earlier one afterwards
+    want = grad(ref.mean_pair_cosine, None)
     if prior:
         want = want + earlier
-    got = grad(earlier if prior else None, counted)
-    assert len(calls) == (0 if in_place else 1)
+    got = grad(ag.mean_pair_cosine, earlier if prior else None)
+    assert not calls
     assert got.tobytes() == want.tobytes()
 
 

@@ -124,8 +124,8 @@ def test_gated_channels_without_an_input_gradient_bits_equal_one_block(lanes, mo
     assert_same_bits(run_op(ag.gated_channels, make, [None] * 3), want)
 
 
-# sorted rows with a gradient already there take the in-place path; the others the scatter
-ROW_ORDERS = ["sorted_into_a_gradient", "sorted_no_gradient", "unsorted_repeated"]
+# distinct rows, sorted into an existing gradient or none, or unsorted
+ROW_ORDERS = ["sorted_into_a_gradient", "sorted_no_gradient", "unsorted_distinct"]
 
 
 def cosine_case(n, order, rng):
@@ -134,15 +134,18 @@ def cosine_case(n, order, rng):
     table[n // 2, 1] = 0.0  # a channel below COSINE_NORM_EPS
     if order == "unsorted_repeated":
         rows = rng.integers(0, n + 9, size=n)
+        rows = np.append(rows, rows[0])
     else:
-        rows = np.sort(rng.choice(n + 9, size=n, replace=False))
+        rows = rng.choice(n + 9, size=n, replace=False)
+        if order != "unsorted_distinct":
+            rows = np.sort(rows)
     prior = rng.normal(size=table.shape) if order == "sorted_into_a_gradient" else None
     return table, rows, prior
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
 @pytest.mark.parametrize("block_rows, n", BLOCKS_AND_ROWS)
-@pytest.mark.parametrize("order", ROW_ORDERS)
+@pytest.mark.parametrize("order", ROW_ORDERS + ["unsorted_repeated"])
 def test_mean_pair_cosine_bits_equal_one_block(lanes, monkeypatch, schedule, block_rows, n, order):
     monkeypatch.setattr(lane_runner, "BLOCK_ROWS", block_rows)
     rng = np.random.default_rng(n)
@@ -154,8 +157,12 @@ def test_mean_pair_cosine_bits_equal_one_block(lanes, monkeypatch, schedule, blo
     def op(ref_op):
         return lambda x: ref_op(x, rows, 0.2)
 
-    want = run_op(op(ref.mean_pair_cosine), make, [prior])
     lanes(*SCHEDULES[schedule])
+    if order == "unsorted_repeated":  # refused on every layout and schedule, as its in-place add would lose sums
+        with pytest.raises(ValueError, match="distinct rows"):
+            run_op(op(ag.mean_pair_cosine), make, [prior])
+        return
+    want = run_op(op(ref.mean_pair_cosine), make, [prior])
     assert_same_bits(run_op(op(ag.mean_pair_cosine), make, [prior]), want)
 
 
@@ -230,10 +237,7 @@ def test_mean_pair_cosine_property(blocks_of_64, shape, rows_order, dead_share):
     dead = rng.random((n, m)) < dead_share
     # channels with norm COSINE_NORM_EPS / 2, below the guard
     table[dead] *= COSINE_NORM_EPS / 2 / np.linalg.norm(table[dead], axis=-1, keepdims=True)
-    if rows_order == "unsorted_repeated":
-        rows = rng.integers(0, n, size=n)
-    else:
-        rows = np.arange(n)
+    rows = rng.permutation(n) if rows_order == "unsorted_distinct" else np.arange(n)
     priors = [rng.normal(size=table.shape) if rows_order == "sorted_into_a_gradient" else None]
 
     def make():
