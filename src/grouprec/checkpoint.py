@@ -9,6 +9,7 @@ straight into its own array, so neither side holds a second copy of the
 payload.
 """
 
+import contextlib
 import hashlib
 import json
 import math
@@ -21,6 +22,9 @@ MAGIC = b"GRCK1\n"
 
 def save_checkpoint(path, config_dict, named_arrays, meta=None):
     """Write the checkpoint; a None meta is written as {}.
+
+    The file is written as path + ".tmp" and moved onto path once whole, so
+    a write that raises or is killed never leaves a truncated file at path.
 
     A config or meta that is not a JSON object raises ValueError naming the
     path before anything is written, as load_checkpoint would refuse it.
@@ -41,12 +45,19 @@ def save_checkpoint(path, config_dict, named_arrays, meta=None):
         {"config": config_dict, "meta": meta, "tensors": descriptors},
         sort_keys=True,
     ).encode()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(len(header).to_bytes(8, "big"))
-        f.write(header)
-        for arr in arrays:
-            f.write(arr.reshape(-1).view(np.uint8))
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(len(header).to_bytes(8, "big"))
+            f.write(header)
+            for arr in arrays:
+                f.write(arr.reshape(-1).view(np.uint8))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -117,8 +117,9 @@ def cmd_prepare(args):
         cap = GROUP_ITEM_CAP
     ds = load_dataset(args.data)
     out_dir = args.out or args.data
+    in_place = os.path.realpath(out_dir) == os.path.realpath(args.data)  # however either is spelled
     if args.subsample is not None:
-        if out_dir == args.data:
+        if in_place:
             raise ValueError("--subsample would clobber the source; pass --out")
         ds = subsample(ds, args.subsample, args.seed)
     had_group_edges = len(ds.group_items) > 0
@@ -133,7 +134,7 @@ def cmd_prepare(args):
     if len(ds.group_items):
         ds = dataclasses.replace(ds, group_items=split_holdout(ds.group_items, args.seed + 1))
 
-    if out_dir != args.data:
+    if not in_place:
         save_dataset(ds, out_dir)
     elif args.synthesize_groups:
         # only the synthesized file is new; the rest is already in place
@@ -191,6 +192,27 @@ def _test_metrics(task, evaluation):
     return metrics
 
 
+def _refuse_another_model(path, cfg, earlier):
+    """Refuse the checkpoint at path unless it is the earlier checkpoints' model under a new seed.
+
+    earlier holds the (path, TrainConfig) of each checkpoint before it, in
+    order. eval reports one model's mean and spread over seeds, so a config
+    may differ from the first one in its seed alone.
+    """
+    if not earlier:
+        return
+    first_path, first = earlier[0][0], earlier[0][1].as_dict()
+    key = next((k for k, v in cfg.as_dict().items() if k != "seed" and v != first[k]), None)
+    if key is not None:
+        raise ValueError(
+            f"{first_path} and {path} hold different models: {key!r} is {first[key]!r} and "
+            f"{getattr(cfg, key)!r}; evaluate each model's seeds on their own"
+        )
+    twin = next((p for p, c in earlier if c.seed == cfg.seed), None)
+    if twin is not None:
+        raise ValueError(f"{twin} and {path} both hold seed {cfg.seed}; each seed may be evaluated once")
+
+
 def cmd_eval(args):
     ks = parse_ks(args.k)
     tasks = TASKS if args.task == "both" else (args.task,)
@@ -211,12 +233,15 @@ def cmd_eval(args):
             rows.extend(metric_rows(task, metrics, 0))
         config_echo = {"baseline": "popularity"}
     else:
+        checked = []
         for path in args.checkpoint:
             cfg_dict, arrays, meta = load_checkpoint(path)
             trained_on = meta.get("dataset_fingerprint")
             if trained_on != fingerprint:  # its test edges may have been training edges
                 raise ValueError(f"{path}: trained on data with fingerprint {trained_on}, not {fingerprint}")
             cfg = TrainConfig.from_dict(cfg_dict)
+            _refuse_another_model(path, cfg, checked)
+            checked.append((path, cfg))
             if "group" in tasks and not cfg.use_groups:
                 raise ValueError(f"{path}: trained with groups disabled, so it scores no groups; pass --task user")
             model = build_model_from_arrays(ds, cfg, arrays)

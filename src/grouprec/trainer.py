@@ -4,6 +4,7 @@ import csv
 import ctypes
 import logging
 import math
+import os
 import platform
 import time
 from dataclasses import dataclass, field
@@ -89,9 +90,10 @@ def heap_kept():
 
 @dataclass
 class TrainResult:
-    best_epoch: int
-    best_metric: float
-    epochs_run: int
+    """The record of one training run, which Trainer.train advances an epoch at a time."""
+    best_epoch: int = 0
+    best_metric: float = -math.inf  # the best validation NDCG@10 so far, reached at best_epoch
+    epochs_run: int = 0
     history: list = field(default_factory=list)  # one dict per epoch, keyed by LOG_COLUMNS
     stopped_early: bool = False
 
@@ -193,28 +195,28 @@ class Trainer:
     def _step(self):
         """One step; returns its loss values in LOSS_TERMS order.
 
-        total is the loss the step backpropagated plus the L2 penalty that
+        total is the loss the step backpropagates plus the L2 penalty that
         Adam's weight decay applies, weight_decay * reg_params, which reaches
-        the gradients through the optimizer rather than the tape.
+        the gradients through the optimizer rather than the tape. Both are
+        taken before backward: a non-finite total raises with nothing updated.
         """
         cfg = self.cfg
         # the samplers' streams are their own, so drawing before the forward changes no draw
         user, group = self._draw()
         with Tape() as tape:
             loss, l_user, l_group, reg_interest = self._loss(user, group, self.noise_rng)
+            reg_params = sum(float(np.vdot(t.data, t.data)) for t in self.model.tensors())
+            total = loss.item() + cfg.weight_decay * reg_params
+            if not np.isfinite(total):
+                raise FloatingPointError(
+                    f"non-finite loss: bpr={l_user} group={l_group} "
+                    f"reg={reg_interest} params={reg_params}"
+                )
             tape.backward(loss)
         if self.opt is None:
             self.opt = Adam(self.model.tensors(), lr=cfg.lr, weight_decay=cfg.weight_decay)
         self.opt.step()
         self.opt.zero_grad()
-
-        reg_params = sum(float(np.vdot(t.data, t.data)) for t in self.model.tensors())
-        total = loss.item() + cfg.weight_decay * reg_params
-        if not np.isfinite(total):
-            raise FloatingPointError(
-                f"non-finite loss: bpr={l_user} group={l_group} "
-                f"reg={reg_interest} params={reg_params}"
-            )
         return l_user, l_group, reg_interest, reg_params, total
 
     def _validation_metric(self):
@@ -227,77 +229,60 @@ class Trainer:
         return metrics["ndcg@10"]
 
     def train(self, log_path=None):
+        """Train, keep the best validated parameters and return the run's TrainResult."""
         _keep_freed_heap()
         cfg = self.cfg
-        best_metric = -np.inf
-        best_epoch = 0
-        best_params = None
+        result = TrainResult()
+        best_params = None  # in model.tensors() order
         streak = 0
-        history = []
-        stopped = False
-        writer = None
-        log_file = None
-        if log_path is not None:
-            log_file = open(log_path, "w", newline="")
-            writer = csv.DictWriter(log_file, LOG_COLUMNS)
-            writer.writeheader()
         try:
-            for epoch in range(1, cfg.epochs + 1):
-                t0 = time.perf_counter()
-                acc = np.zeros(len(LOSS_TERMS))
-                for _ in range(self.steps_per_epoch):
-                    acc += self._step()
-                acc /= self.steps_per_epoch
+            with open(os.devnull if log_path is None else log_path, "w", newline="") as log_file:
+                writer = csv.DictWriter(log_file, LOG_COLUMNS)
+                writer.writeheader()
+                for epoch in range(1, cfg.epochs + 1):
+                    t0 = time.perf_counter()
+                    acc = np.zeros(len(LOSS_TERMS))
+                    for _ in range(self.steps_per_epoch):
+                        acc += self._step()
+                    acc /= self.steps_per_epoch
 
-                val = None
-                if epoch % cfg.eval_every == 0:
-                    val = self._validation_metric()
-                    if val > best_metric:
-                        best_metric = val
-                        best_epoch = epoch
-                        best_params = [
-                            (name, t.data.copy()) for name, t in self.model.named_params()
-                        ]
-                        streak = 0
-                    else:
-                        streak += 1
-                seconds = time.perf_counter() - t0
-                row = {"epoch": epoch, **dict(zip(LOSS_TERMS, acc)), "val_metric": val, "seconds": seconds}
-                history.append(row)
-                if writer:
+                    val = None
+                    if epoch % cfg.eval_every == 0:
+                        val = self._validation_metric()
+                        if val > result.best_metric:
+                            result.best_metric = float(val)
+                            result.best_epoch = epoch
+                            streak = 0
+                            best_params = [t.data.copy() for t in self.model.tensors()]
+                        else:
+                            streak += 1
+                    seconds = time.perf_counter() - t0
+                    row = {"epoch": epoch, **dict(zip(LOSS_TERMS, acc)), "val_metric": val, "seconds": seconds}
+                    result.history.append(row)
+                    result.epochs_run = epoch
                     writer.writerow(row)
-                log.info(
-                    "epoch %d: total %.4f bpr %.4f group %.4f reg %.4f val %s (%.2fs)",
-                    epoch,
-                    row["total"],
-                    row["l_bpr"],
-                    row["l_group"],
-                    row["reg_interest"],
-                    "-" if val is None else f"{val:.4f}",
-                    seconds,
-                )
-                if streak >= max(1, cfg.patience):
-                    stopped = True
-                    break
+                    log.info(
+                        "epoch %d: total %.4f bpr %.4f group %.4f reg %.4f val %s (%.2fs)",
+                        epoch,
+                        row["total"],
+                        row["l_bpr"],
+                        row["l_group"],
+                        row["reg_interest"],
+                        "-" if val is None else f"{val:.4f}",
+                        seconds,
+                    )
+                    result.stopped_early = streak >= max(1, cfg.patience)
+                    if result.stopped_early:
+                        break
         finally:
             self.opt = None
-            if log_file:
-                log_file.close()
 
-        if best_params is not None:
-            by_name = dict(best_params)
-            for name, tensor in self.model.named_params():
-                tensor.data = by_name[name]
+        if best_params is None:
+            result.best_metric, result.best_epoch = 0.0, result.epochs_run
         else:
-            best_epoch = len(history)
-            best_metric = 0.0
-        return TrainResult(
-            best_epoch=best_epoch,
-            best_metric=float(best_metric),
-            epochs_run=len(history),
-            history=history,
-            stopped_early=stopped,
-        )
+            for tensor, data in zip(self.model.tensors(), best_params):
+                tensor.data = data
+        return result
 
 
 def build_model_from_arrays(dataset, config, named_arrays):

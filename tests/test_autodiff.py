@@ -697,6 +697,7 @@ def test_outputs_the_caller_holds_keep_their_values_through_backward(monkeypatch
         backward(tape, loss)
 
     monkeypatch.setattr(Tape, "backward", traced)
+    params = [t.data.copy() for t in trainer.model.tensors()]
     total = trainer._step()[-1]
     assert len(held) == 5
     # backward writes no .data: every recorded output keeps the array and bits it was made with
@@ -704,8 +705,8 @@ def test_outputs_the_caller_holds_keep_their_values_through_backward(monkeypatch
         assert t.grad is None
         np.testing.assert_array_equal(t.data, value)
     loss = held[-1][0]
-    assert total == loss.item() + trainer.cfg.weight_decay * sum(
-        float(np.vdot(t.data, t.data)) for t in trainer.model.tensors())
+    # the decay term is taken on the parameters the loss was computed on, before Adam's update
+    assert total == loss.item() + trainer.cfg.weight_decay * sum(float(np.vdot(p, p)) for p in params)
 
 
 def _guarded_ops():

@@ -1,9 +1,11 @@
+import io
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from grouprec import checkpoint
 from grouprec.checkpoint import MAGIC, file_sha256, load_checkpoint, save_checkpoint
 
 import reference as ref
@@ -161,6 +163,41 @@ def test_save_refuses_a_config_or_meta_that_load_would_refuse(tmp_path, config, 
         save_checkpoint(path, config, [("w", np.ones(4))], meta=meta)
     assert str(e.value) == f"{path}: {shown}"
     assert not path.exists()
+
+
+@pytest.mark.parametrize("existed", [True, False], ids=["over-a-checkpoint", "new-path"])
+def test_a_write_that_fails_mid_payload_leaves_the_path_as_it_was(tmp_path, monkeypatch, existed):
+    path = tmp_path / "best.ckpt"
+    arrays = sample_arrays(np.random.default_rng(7))
+    if existed:
+        save_checkpoint(path, {"k": 1}, arrays)
+    before = path.read_bytes() if existed else None
+
+    class FullDisk(io.FileIO):
+        writes = 0
+
+        def write(self, b):
+            FullDisk.writes += 1
+            if FullDisk.writes == 5:  # the magic, header length, header and first tensor went through
+                raise OSError(28, "No space left on device")
+            return super().write(b)
+
+    monkeypatch.setattr(checkpoint, "open", FullDisk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(path, {"k": 2}, [(name, arr + 1.0) for name, arr in arrays])
+    assert FullDisk.writes == 5
+    assert (path.read_bytes() if path.exists() else None) == before
+    assert [p.name for p in tmp_path.iterdir()] == (["best.ckpt"] if existed else [])
+
+
+def test_a_rewrite_replaces_the_file_and_leaves_no_temporary(tmp_path):
+    path = tmp_path / "best.ckpt"
+    first, second = sample_arrays(np.random.default_rng(8)), sample_arrays(np.random.default_rng(9))
+    save_checkpoint(path, {"k": 1}, first)
+    save_checkpoint(path, {"k": 1}, second)
+    save_checkpoint(tmp_path / "fresh.ckpt", {"k": 1}, second)
+    assert path.read_bytes() == (tmp_path / "fresh.ckpt").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt", "fresh.ckpt"]
 
 
 def test_save_writes_a_none_meta_as_an_empty_object(tmp_path):

@@ -174,6 +174,22 @@ def test_prepare_manifest_records_the_cap_that_applied(world, tmp_path):
         assert json.loads((out / "run_manifest.json").read_text())["config"] == {"cap": cap}
 
 
+def test_prepare_counts_other_spellings_of_the_source_as_in_place(world, tmp_path, capsys, monkeypatch):
+    src = shutil.copytree(world, tmp_path / "w")
+    (tmp_path / "link").symlink_to(src)
+    before = {p.name: p.read_bytes() for p in src.iterdir()}
+    for out in (f"{src}/", tmp_path / "w" / ".." / "w", tmp_path / "link"):
+        assert run(["prepare", "--data", src, "--out", out, "--subsample", 0.5, "--seed", 1]) == 2
+        assert stderr_payload(capsys)["message"] == "--subsample would clobber the source; pass --out"
+    assert {p.name: p.read_bytes() for p in src.iterdir()} == before
+    # without --subsample, in place writes the splits and leaves the raw files alone
+    saved = []
+    monkeypatch.setattr(cli, "save_dataset", lambda ds, out: saved.append(out))
+    assert run(["prepare", "--data", src, "--out", f"{src}/", "--seed", 1]) == 0
+    assert saved == []
+    assert load_prepared(str(src)).fingerprint() == load_prepared(str(world)).fingerprint()
+
+
 def test_eval_on_an_empty_catalogue_reports_no_anchors(tmp_path, capsys):
     data = tmp_path / "empty"
     data.mkdir()
@@ -423,6 +439,25 @@ def test_eval_multiple_checkpoints_one_row_per_seed(world, run_dir, tmp_path):
     with open(out / "metrics.csv") as f:
         seeds = {row["seed"] for row in csv.DictReader(f)}
     assert seeds == {"3", "4"}
+
+
+def test_eval_refuses_checkpoints_of_other_models_or_a_repeated_seed(world, run_dir, tmp_path, capsys):
+    other = tmp_path / "other"
+    assert run(["train", "--data", world, "--out", other, "--seed", 3, *TOY,
+                "--set", "variant=B", "--set", "n_interests=2"]) == 0
+    first, second = run_dir / "best.ckpt", other / "best.ckpt"
+    out = tmp_path / "ev"
+    assert run(["eval", "--data", world, "--out", out, "--task", "user", "--checkpoint", first, second]) == 2
+    # the first key, in config order, in which the two differ (variant differs too)
+    assert stderr_payload(capsys)["message"] == (
+        f"{first} and {second} hold different models: 'n_interests' is 4 and 2; "
+        "evaluate each model's seeds on their own"
+    )
+    assert run(["eval", "--data", world, "--out", out, "--task", "user", "--checkpoint", first, first]) == 2
+    assert stderr_payload(capsys)["message"] == (
+        f"{first} and {first} both hold seed 3; each seed may be evaluated once"
+    )
+    assert not out.exists()
 
 
 def test_sweep_single_point_grid(world, tmp_path):

@@ -164,6 +164,36 @@ def test_nan_abort_carries_diagnostics():
         trainer.train()
 
 
+def test_a_non_finite_step_raises_before_anything_is_updated(adams):
+    ds, _ = planted_dataset()
+    trainer = Trainer(ds, toy_config(epochs=2))
+    trainer.model.user_emb.data[:] = 1e200
+    trainer.model.item_emb.data[:] = 1e200
+    before = [t.data.copy() for t in trainer.model.tensors()]
+    with pytest.raises(FloatingPointError, match=r"non-finite loss: bpr=\S+ group=\S+ reg=\S+ params=\S+"):
+        trainer._step()
+    assert not adams and trainer.opt is None
+    for tensor, want in zip(trainer.model.tensors(), before):
+        assert tensor.grad is None
+        np.testing.assert_array_equal(tensor.data, want)
+
+
+def test_the_log_file_changes_neither_the_record_nor_the_parameters(tmp_path):
+    ds, _ = planted_dataset()
+    runs = []
+    for log_path in (None, tmp_path / "train_log.csv"):
+        trainer = Trainer(ds, toy_config(epochs=4, eval_every=2, patience=1))
+        result = trainer.train(log_path=log_path)
+        for row in result.history:
+            row.pop("seconds")  # wall time, the one column two runs need not share
+        runs.append((result, trainer.model.named_params_data()))
+    (quiet, quiet_params), (logged, logged_params) = runs
+    assert quiet == logged and len(quiet.history) == quiet.epochs_run > 0
+    assert [name for name, _ in quiet_params] == [name for name, _ in logged_params]
+    for (_, a), (_, b) in zip(quiet_params, logged_params):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_epoch_log_csv(tmp_path):
     # the columns perfbench/run.py's read_log reads by name
     header = ["epoch", "l_bpr", "l_group", "reg_interest", "reg_params", "total", "val_metric", "seconds"]
@@ -390,12 +420,19 @@ def test_train_drops_its_optimizer_when_it_returns(adams):
     assert len(adams) == 1 and not live(adams)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_train_drops_its_optimizer_when_it_raises(adams):
-    # the set-up of test_nan_abort_carries_diagnostics: the first step's loss is not finite
+    # the set-up of test_nan_abort_carries_diagnostics, applied once the first step has made the
+    # optimizer: the second step's loss is not finite
     trainer = Trainer(planted_dataset()[0], toy_config(epochs=2))
-    trainer.model.user_emb.data[:] = 1e200
-    trainer.model.item_emb.data[:] = 1e200
+    step = trainer._step
+
+    def diverging():
+        if trainer.opt is not None:
+            trainer.model.user_emb.data[:] = 1e200
+            trainer.model.item_emb.data[:] = 1e200
+        return step()
+
+    trainer._step = diverging
     with pytest.raises(FloatingPointError, match="non-finite"):
         trainer.train()
     assert trainer.opt is None
