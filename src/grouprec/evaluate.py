@@ -13,8 +13,11 @@ block of rows: the evaluated rows are split into an even number of
 near-equal blocks, each a whole number of chunks (only the last chunk may be
 short) and at most widest = chunk * max(1, BLOCK_ELEMENTS // (n_sampled *
 chunk)) rows, so that no sampled product holds more than BLOCK_ELEMENTS
-scores either. A block's kept rows are then scored and ranked in runs of at
-most chunk rows. When every row is kept, each run is one chunk of
+scores either. Where a block runs the second sample (below), its kept rows
+are re-thresholded in runs of at most max(1, BLOCK_ELEMENTS // n_dense) rows,
+n_dense being that sample's column count, so its products keep within
+BLOCK_ELEMENTS scores too. A block's kept rows are then scored and ranked in
+runs of at most chunk rows. When every row is kept, each run is one chunk of
 consecutive rows: the calls of ranking every row, chunk by chunk.
 
 The threshold. Every stride-th item column is sampled, with stride =
@@ -37,6 +40,22 @@ product that ranks it included, would drop it. NaN compares false, so a row
 with a NaN relevant score or threshold is never dropped. At stride 1 the sample is
 every column, so a catalogue below SAMPLE * depth items has each kept row
 multiplied twice, once for the sample and once to rank it.
+
+The second sample. Any set of columns gives a threshold no better than the
+depth-th best of the whole row, so the argument above holds for every
+sample, and a denser one drops more rows. Where the first sample kept at
+most DENSER_KEPT (a quarter) of a block's rows, and dense_stride = stride //
+DENSER is at least DENSER_MIN_STRIDE (4), the kept rows are thresholded
+again against every dense_stride-th column, about DENSER (4) times as many,
+with the same masking and the same 8e slack; only the rows that survive both
+are scored in full. So a row is still dropped only when every float
+evaluation would drop it. The second source is made once per call, by the
+first block that asks for it, and not at all when no block does. Both gates
+are read from what the call sees: a block of a well fit model keeps most
+rows, and there a second pass over nearly every row costs more than it
+saves; a catalogue of 1513 items at depth 10 has stride 9 and dense_stride
+2, where the second product is near a full one. Either way the call makes
+the calls of one sample, on the same rows.
 
 Ranking the rows that remain. Each run's negated rows come from
 `negated(rows)`, and an in-place partition brings each row's depth best
@@ -95,11 +114,23 @@ two-lane pass 0.129 s, against 0.215 s and 0.130 s with the threshold found
 chunk by chunk (medians of 9 alternating runs each on a shared 2-vCPU host,
 one BLAS thread, SAMPLE = 16). Argpartition on every row had taken 0.281 s
 on one lane, against 0.263 s for the chunk-by-chunk threshold, on the same
-host on an earlier day.
+host on an earlier day. There the kept-share gate keeps the second sample
+off and the full-width calls those of one sample: a one-lane pass read
+0.166 s against 0.162 s with one sample, and two lanes 0.086 s against
+0.086 s (medians of 9 alternating runs); without the gate, a second pass
+over every row, a one-lane pass read 0.214 s against 0.185 s.
+
+The cost on a model that fits poorly. On perfbench's seed-1 stress world
+(10000 users by 4000 items, d = 64) after two training steps, the first
+sample kept 1186 of 10000 rows of a validation pass and the second 305, and
+a one-lane ranking took about 30 ms against 42 ms with one sample, at one
+BLAS thread. Its rows then cost mostly the first sample's product and
+partition, about 9 of those 30 ms.
 """
 
 import math
 import numbers
+import threading
 
 import numpy as np
 
@@ -111,6 +142,9 @@ from .model import RowScores
 
 BLOCK_ELEMENTS = 1 << 18  # so score memory is fixed and the rest grows with edges, not anchors
 SAMPLE = 16  # sampled item columns per rank of depth; a row's threshold is its depth-th best of them
+DENSER = 4  # a second sample takes every (stride // DENSER)-th column, about DENSER times as many
+DENSER_KEPT = 0.25  # it re-thresholds a block's kept rows only when the first kept at most this share
+DENSER_MIN_STRIDE = 4  # and only when its stride is at least this; below it the product nears a full one
 
 
 def _cutoffs(ks):
@@ -155,6 +189,18 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
     sample = score_matrix.columns(np.arange(0, n_items, stride))  # at stride 1, every column
     widest = chunk * max(1, BLOCK_ELEMENTS // (sample.shape[1] * chunk))  # the rows of one sampled product
     bounds = _block_bounds(len(rows), chunk, widest)
+    dense_stride = max(1, stride // DENSER)  # the second sample's, which runs only at DENSER_MIN_STRIDE or more
+    denser = dense_stride >= DENSER_MIN_STRIDE
+    dense_run = max(1, BLOCK_ELEMENTS // -(-n_items // dense_stride))  # the rows of one second-sample product
+    dense = []  # the denser sampled source, made once, by the first block that asks for it
+    dense_lock = threading.Lock()
+
+    def dense_sample():
+        with dense_lock:
+            if not dense:
+                dense.append(score_matrix.columns(np.arange(0, n_items, dense_stride)))
+        return dense[0]
+
     per_block = [None] * (len(bounds) - 1)  # each block's per-anchor metrics, filed by block index
 
     def negated(anchors, m_row, m_item):
@@ -170,13 +216,13 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
         ranked = np.take_along_axis(part, order, axis=1)
         return in_sorted(eval_keys, edge_keys(anchors[:, None], ranked, n_anchors, n_items))
 
-    def kept_hits(anchors, masked, row, item):
+    def kept_hits(anchors, m_row, m_item, row, item):
         """ranked_hits of the masked negated rows of `anchors`, given their relevant (row, item) pairs.
 
         The rows are partitioned in place, and ranked in full, from a second
         product of the same rows, only on a tie or a NaN.
         """
-        neg = negated(anchors, *masked)
+        neg = negated(anchors, m_row, m_item)
         x = neg[row, item]
         neg.partition(depth - 1, axis=1)  # each row's `depth` best now lead it, unordered
         top = neg[row, :depth]
@@ -190,8 +236,43 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
         hit[row[sure], (top[sure] < x[sure, None]).sum(axis=1)] = True
         redo = np.unique(row[~sure & ~(x > cut)])
         if len(redo):
-            hit[redo] = ranked_hits(negated(anchors, *masked)[redo], anchors[redo])
+            hit[redo] = ranked_hits(negated(anchors, m_row, m_item)[redo], anchors[redo])
         return hit
+
+    def reachable(source, step, anchors, m_row, m_item, r_row, rel, slack):
+        """Whether each of `anchors` may rank a relevant item, against the depth-th best of `source`.
+
+        `source` scores every step-th item column; (m_row, m_item) are the
+        masked pairs and `rel` and `slack` each relevant pair's negated score
+        and slack, rows counted in `anchors`.
+        """
+        head = source.negated(anchors)
+        on = m_item % step == 0
+        head[m_row[on], m_item[on] // step] = np.inf
+        head.partition(depth - 1, axis=1)
+        # depth items lie strictly ahead of a relevant item above its row's threshold plus slack
+        keep = np.zeros(len(anchors), dtype=bool)
+        keep[r_row[~(rel > head[r_row, depth - 1] + slack)]] = True  # NaN compares False: kept
+        return keep
+
+    def runs(keep, size, m_row, m_item, r_row, *by_pair):
+        """The kept rows of a block in runs of at most `size` rows, each with its share of the pairs.
+
+        Yields a run's rows in the block, then its masked (row, item) pairs,
+        its relevant rows and its part of each `by_pair` array (aligned with
+        r_row), rows counted from the run's first.
+        """
+        kept = np.flatnonzero(keep)
+        at = np.cumsum(keep) - 1  # a kept row's place among the kept
+        on, sel = keep[m_row], keep[r_row]
+        # the mask and relevant pairs of kept rows, by place among the kept; both stay sorted
+        m_row, m_item, r_row = at[m_row[on]], m_item[on], at[r_row[sel]]
+        by_pair = [x[sel] for x in by_pair]
+        for start in range(0, len(kept), size):
+            end = start + size
+            a, b = np.searchsorted(m_row, (start, end))
+            c, d = np.searchsorted(r_row, (start, end))
+            yield kept[start:end], m_row[a:b] - start, m_item[a:b], r_row[c:d] - start, *(x[c:d] for x in by_pair)
 
     def rank_block(i):
         lo, hi = bounds[i], bounds[i + 1]
@@ -200,29 +281,17 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
         m_row, m_item = mask_pos[a:b] - lo, mask_items[a:b]
         a, b = np.searchsorted(rel_pos, (lo, hi))
         r_row, r_item = rel_pos[a:b] - lo, eval_index[1][a:b]
-        head = sample.negated(block)
-        on = m_item % stride == 0
-        head[m_row[on], m_item[on] // stride] = np.inf
         rel = score_matrix.negated_pairs(block[r_row], r_item)
         slack = 8.0 * score_matrix.error_bound(block)[r_row]
-        head.partition(depth - 1, axis=1)
-        # depth items lie strictly ahead of a relevant item above its row's threshold plus slack
-        keep = np.zeros(len(block), dtype=bool)
-        keep[r_row[~(rel > head[r_row, depth - 1] + slack)]] = True  # NaN compares False: kept
-        del head  # so a lane holds one score buffer at a time
-        kept = np.flatnonzero(keep)
-        at = np.cumsum(keep) - 1  # a kept row's place among the kept
-        on, sel = keep[m_row], keep[r_row]
-        # the mask and relevant pairs of kept rows, by place among the kept; both stay sorted
-        m_row, m_item, r_row, r_item = at[m_row[on]], m_item[on], at[r_row[sel]], r_item[sel]
+        keep = reachable(sample, stride, block, m_row, m_item, r_row, rel, slack)
+        if denser and np.count_nonzero(keep) <= DENSER_KEPT * len(block):
+            # a poorly fit block: the denser sample's threshold, over the kept rows alone
+            first, keep = keep, np.zeros(len(block), dtype=bool)
+            for run, *pairs in runs(first, dense_run, m_row, m_item, r_row, rel, slack):
+                keep[run] = reachable(dense_sample(), dense_stride, block[run], *pairs)
         hit = np.zeros((len(block), depth), dtype=bool)
-        for start in range(0, len(kept), chunk):  # with every row kept, a run is a chunk of rows
-            end = start + chunk
-            a, b = np.searchsorted(m_row, (start, end))
-            c, d = np.searchsorted(r_row, (start, end))
-            hit[kept[start:end]] = kept_hits(
-                block[kept[start:end]], (m_row[a:b] - start, m_item[a:b]), r_row[c:d] - start, r_item[c:d]
-            )
+        for run, *pairs in runs(keep, chunk, m_row, m_item, r_row, r_item):  # every row kept: chunks of rows
+            hit[run] = kept_hits(block[run], *pairs)
         hits, dcg = np.cumsum(hit, axis=1), np.cumsum(np.where(hit, gains[:depth], 0.0), axis=1)
         relevant = n_relevant[block]
         metrics = {}

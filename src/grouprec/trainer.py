@@ -199,6 +199,11 @@ class Trainer:
         Adam's weight decay applies, weight_decay * reg_params, which reaches
         the gradients through the optimizer rather than the tape. Both are
         taken before backward: a non-finite total raises with nothing updated.
+        After backward and before Adam, one `vdot` per parameter gradient, as
+        reg_params takes for the data, checks it: a gradient holding inf or
+        NaN (or whose squares overflow, as Adam's g * g would) raises, naming
+        the first such parameter, with the gradients dropped and nothing
+        updated.
         """
         cfg = self.cfg
         # the samplers' streams are their own, so drawing before the forward changes no draw
@@ -213,6 +218,11 @@ class Trainer:
                     f"reg={reg_interest} params={reg_params}"
                 )
             tape.backward(loss)
+        for name, tensor in self.model.named_params():
+            if tensor.grad is not None and not np.isfinite(np.vdot(tensor.grad, tensor.grad)):
+                for t in self.model.tensors():
+                    t.grad = None
+                raise FloatingPointError(f"non-finite gradient of {name}: loss={total}")
         if self.opt is None:
             self.opt = Adam(self.model.tensors(), lr=cfg.lr, weight_decay=cfg.weight_decay)
         self.opt.step()

@@ -585,6 +585,12 @@ def test_unknown_tasks_and_targets_are_refused_before_any_work(monkeypatch, task
 # --- ranking only the rows that can score ---------------------------------------
 
 
+# the second sample's factor and its two gates: as shipped, and opened wide
+DENSER_CONSTANTS = [dict(DENSER=ev.DENSER, DENSER_KEPT=ev.DENSER_KEPT, DENSER_MIN_STRIDE=ev.DENSER_MIN_STRIDE),
+                    dict(DENSER=2, DENSER_KEPT=1.0, DENSER_MIN_STRIDE=1),
+                    dict(DENSER=4, DENSER_KEPT=0.5, DENSER_MIN_STRIDE=1)]
+
+
 @st.composite
 def pruning_worlds(draw):
     """Small-integer anchors and items, so every product and dot product is exact.
@@ -594,6 +600,8 @@ def pruning_worlds(draw):
     cover them. Anchors come in runs of one kind, so a block may have every
     row kept (all best), none kept, or several runs of kept rows; with a
     narrow sample a block holds several chunks, and the last one may be short.
+    The second sample's constants are drawn too: with its gates opened, any
+    block whose first sample kept a row re-thresholds it.
     """
     runs = draw(st.lists(st.tuples(st.sampled_from(["best", "top", "bottom", "any", "none"]), st.integers(1, 8)),
                          min_size=1, max_size=4))
@@ -613,23 +621,29 @@ def pruning_worlds(draw):
         mask_sets.append(set(draw(st.lists(st.integers(0, n_items - 1), max_size=n_items // 2))))
     nan_cells = draw(st.lists(st.tuples(st.integers(0, n_anchors - 1), st.integers(0, n_items - 1)), max_size=3))
     rows_per_block, sample = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, ev.SAMPLE]))
-    return anchors, items, ks, eval_sets, mask_sets, nan_cells, rows_per_block, sample
+    denser = draw(st.sampled_from(DENSER_CONSTANTS))
+    return anchors, items, ks, eval_sets, mask_sets, nan_cells, rows_per_block, sample, denser
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(world=pruning_worlds())
 def test_pruned_ranking_equals_per_anchor_reference(world):
-    anchors, items, ks, eval_sets, mask_sets, nan_cells, rows_per_block, sample = world
+    anchors, items, ks, eval_sets, mask_sets, nan_cells, rows_per_block, sample, denser = world
     n_items = len(items)
     scores = anchors @ items.T
     indexes = index_of(eval_sets, n_items), index_of(mask_sets, n_items)
-    with mock.patch.object(ev, "BLOCK_ELEMENTS", rows_per_block * n_items), mock.patch.object(ev, "SAMPLE", sample):
+    with mock.patch.object(ev, "BLOCK_ELEMENTS", rows_per_block * n_items), mock.patch.object(ev, "SAMPLE", sample), \
+            mock.patch.multiple(ev, **denser):
         want = reference_metrics(scores, eval_sets, mask_sets, ks)
         assert ev.evaluate_scores(ref.DenseScores(scores), *indexes, ks) == want
         logged = LoggedScores(anchors, items)
         assert ev.evaluate_scores(logged, *indexes, ks) == want
-        assert (logged.sample is None) == (want[1] == 0)  # no anchor evaluated: no sampled product
-        assert max(logged.nbytes, 0 if logged.sample is None else logged.sample.nbytes) <= 8 * ev.BLOCK_ELEMENTS
+        assert bool(logged.samples) == (want[1] > 0)  # no anchor evaluated: no sampled product
+        assert len(logged.samples) <= 2  # the second sample is made once, if at all
+        stride = max(1, n_items // (sample * min(max(ks), n_items)))
+        if max(1, stride // ev.DENSER) < ev.DENSER_MIN_STRIDE:
+            assert len(logged.samples) <= 1
+        assert max([logged.nbytes] + [source.nbytes for source in logged.samples]) <= 8 * ev.BLOCK_ELEMENTS
         for a, v in nan_cells:
             scores[a, v] = np.nan
         assert ev.evaluate_scores(ref.DenseScores(scores), *indexes, ks) == reference_metrics(scores, eval_sets,
@@ -637,11 +651,15 @@ def test_pruned_ranking_equals_per_anchor_reference(world):
 
 
 class LoggedScores(RowScores):
-    """A RowScores that records the rows of every full-width `negated` call, and keeps its sampled source."""
+    """A RowScores that records the rows of every full-width `negated` call, and keeps its sampled sources.
+
+    `samples` holds every source `columns` made, in order; `sample` is the last.
+    """
 
     def __init__(self, anchors, items):
         super().__init__(anchors, items)
         self.calls = []
+        self.samples = []
         self.sample = None
 
     def negated(self, rows):
@@ -650,6 +668,7 @@ class LoggedScores(RowScores):
 
     def columns(self, cols):
         self.sample = super().columns(cols)
+        self.samples.append(self.sample)
         return self.sample
 
 
@@ -732,3 +751,64 @@ def test_kept_rows_are_scored_in_runs_of_one_chunk(lanes, monkeypatch, kept):
         assert calls == [list(range(lo, hi, 2)) for lo, hi in ((0, 14), (14, 28), (28, 42), (42, 50))]
     assert log.sample.nbytes == 8 * 28 * 20  # the first block's sampled scores
     assert max(log.nbytes, log.sample.nbytes) <= 8 * ev.BLOCK_ELEMENTS
+
+
+def test_the_second_sample_drops_rows_the_first_kept(lanes):
+    # depth 1 and a catalogue of SAMPLE * DENSER * DENSER_MIN_STRIDE items (256): the first sample
+    # takes every 16th column, all scored 0, and the second every 4th, the others of them scored 2.
+    # Row 0's relevant item (1.0) beats the first sample's best and not the second's; row 1's is the
+    # best item (3.0); rows 2-7 hold the worst (-5.0). So the first sample keeps rows 0 and 1, a
+    # quarter of the block, and only row 1 is scored in full.
+    first = ev.DENSER * ev.DENSER_MIN_STRIDE
+    n_items = ev.SAMPLE * first
+    values = np.full(n_items, -1.0)
+    values[::ev.DENSER_MIN_STRIDE] = 2.0
+    values[::first] = 0.0
+    values[1:4] = 3.0, 1.0, -5.0
+    anchors, items = np.ones((8, 1)), values[:, None]
+    eval_sets = [{2}, {1}] + [{3}] * 6
+    mask_sets = [set() for _ in range(8)]
+    lanes(1)
+    log = LoggedScores(anchors, items)
+    got = ev.evaluate_scores(log, index_of(eval_sets, n_items), index_of(mask_sets, n_items), (1,))
+    assert got == reference_metrics(anchors @ items.T, eval_sets, mask_sets, (1,)) == ({"recall@1": 1 / 8,
+                                                                                       "ndcg@1": 1 / 8}, 8)
+    assert [c.tolist() for c in log.calls] == [[1]]
+    assert [s.shape[1] for s in log.samples] == [n_items // first, n_items // ev.DENSER_MIN_STRIDE]
+    assert log.samples[1].nbytes == 8 * 2 * n_items // ev.DENSER_MIN_STRIDE  # rows 0 and 1 alone
+
+
+def poor_fit_case(n_anchors, n_items):
+    """Normal scores and eval sets of a poorly fit model: one anchor in twenty holds its row's two
+    best items, three in twenty hold items ranked 200th to 400th, and the rest their two worst;
+    each anchor has one best item masked."""
+    rng = np.random.default_rng(11)
+    scores = rng.normal(size=(n_anchors, n_items))
+    order = np.argsort(-scores, axis=1)
+    picks = {0: [1, 2], 1: [200, 300], 2: [250, 350], 3: [399, 220]}
+    eval_sets = [set(order[a, picks.get(a % 20, [-1, -2])].tolist()) for a in range(n_anchors)]
+    mask_sets = [{int(order[a, 0])} for a in range(n_anchors)]
+    return scores, (index_of(eval_sets, n_items), index_of(mask_sets, n_items)), eval_sets, mask_sets
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_two_lanes_rank_through_the_second_sample_as_one_lane(lanes, monkeypatch, schedule):
+    n_items, ks = 2000, (5, 10)
+    scores, indexes, eval_sets, mask_sets = poor_fit_case(1400, n_items)
+    # chunks of 7 rows; 40 sampled columns at depth 10 (stride 50), so blocks of 350 rows, four of
+    # them; the second sample takes every 12th column, 167 of them, 83 rows a product
+    monkeypatch.setattr(ev, "BLOCK_ELEMENTS", 7 * n_items)
+    monkeypatch.setattr(ev, "SAMPLE", 4)
+    made = []
+    columns = LaneLog.columns
+    monkeypatch.setattr(LaneLog, "columns", lambda self, cols: made.append(len(cols)) or columns(self, cols))
+    lanes(1)
+    one_lane = ev.evaluate_scores(ref.DenseScores(scores), *indexes, ks)
+    helper = lanes(2, schedule)
+    log = LaneLog(scores)
+    assert ev.evaluate_scores(log, *indexes, ks) == one_lane == reference_metrics(scores, eval_sets, mask_sets, ks)
+    n_blocks = block_count(one_lane[1], n_items, ks)
+    assert n_blocks == 4 and len(log.sampled) == 2 * n_blocks  # each block's kept rows in one denser product
+    assert made == [40, 167]  # the second sample made once, for whichever block asked first
+    for thread in getattr(helper, "made", ()):
+        assert not thread.is_alive()

@@ -5,6 +5,7 @@ plus property tests of the two tape ops and whole trainings per schedule."""
 
 import csv
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -102,11 +103,26 @@ def test_gated_channels_bits_equal_one_block(lanes, monkeypatch, schedule, block
     def make():
         return [Tensor(a, requires_grad=True) for a in (x, w, b)]
 
-    want = run_op(ref.gated_channels, make, priors)
-    helper = lanes(*SCHEDULES[schedule])
-    assert_same_bits(run_op(ag.gated_channels, make, priors), want)
+    with ref.blas_threads(1):  # two threads split the oracle's whole products otherwise, rounding apart on Haswell
+        want = run_op(ref.gated_channels, make, priors)
+        helper = lanes(*SCHEDULES[schedule])
+        assert_same_bits(run_op(ag.gated_channels, make, priors), want)
     if schedule == "eager_helper" and n >= 2 * block_rows:
         assert helper.made  # the helper ran, and took every block
+
+
+def test_blas_threads_sets_the_count_and_restores_it(monkeypatch, caplog):
+    lib, _ = ref._bundled_openblas()
+    if lib is not None:
+        before = lib.scipy_openblas_get_num_threads64_()
+        with ref.blas_threads(1):
+            assert lib.scipy_openblas_get_num_threads64_() == 1
+        assert lib.scipy_openblas_get_num_threads64_() == before
+    monkeypatch.setattr(ref, "_bundled_openblas", lambda: (None, "no library to set"))
+    ran = []
+    with caplog.at_level(logging.WARNING), ref.blas_threads(1):
+        ran.append(True)
+    assert ran and "BLAS thread count left as it is: no library to set" in caplog.text
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)

@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+from grouprec import autodiff as ag
 from grouprec import trainer as trainer_mod
 from grouprec.checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from grouprec.config import TrainConfig
@@ -176,6 +177,37 @@ def test_a_non_finite_step_raises_before_anything_is_updated(adams):
     for tensor, want in zip(trainer.model.tensors(), before):
         assert tensor.grad is None
         np.testing.assert_array_equal(tensor.data, want)
+
+
+def test_a_non_finite_gradient_raises_before_adam_moves_anything(adams, monkeypatch):
+    # a finite loss whose gradient is not: the interests' row gather passes an inf back to user_emb
+    trainer = Trainer(planted_dataset()[0], toy_config(epochs=2))
+    trainer._step()
+    opt = trainer.opt
+    before = [(t.data.copy(), m.copy(), v.copy()) for t, m, v in zip(trainer.model.tensors(), opt.m, opt.v)]
+    gather = ag.gather_rows
+
+    def poisoned(x, idx):
+        out = gather(x, idx)
+        closure = out.slot.backward
+
+        def backward(g, *parents):
+            g = g.copy()
+            g[0, 0] = np.inf
+            closure(g, *parents)
+
+        out.slot.backward = backward
+        return out
+
+    monkeypatch.setattr(ag, "gather_rows", poisoned)
+    with pytest.raises(FloatingPointError, match=r"non-finite gradient of user_emb: loss=\S+"):
+        trainer._step()
+    assert trainer.opt is opt and opt.t == 1 and len(adams) == 1
+    for tensor, m, v, (data, m_before, v_before) in zip(trainer.model.tensors(), opt.m, opt.v, before):
+        assert tensor.grad is None
+        np.testing.assert_array_equal(tensor.data, data)
+        np.testing.assert_array_equal(m, m_before)
+        np.testing.assert_array_equal(v, v_before)
 
 
 def test_the_log_file_changes_neither_the_record_nor_the_parameters(tmp_path):
