@@ -254,27 +254,18 @@ def scatter_rows(idx: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
 def gather_rows(x, idx: np.ndarray) -> Tensor:
     """Row lookup x[idx]; backward adds each row's gradient back into its source row.
 
-    Rows given sorted and without repeats (interest rows) are taken, added to
-    and put back; any other idx sums through scatter_rows first. Either way a
-    source row gains the bits np.add.at sums for it from zero.
+    The rows' gradients sum through scatter_rows, whatever order or repeats
+    idx has, so a source row gains the bits np.add.at sums for it from zero,
+    added to any gradient it already holds.
     """
     x = _as_tensor(x)
     idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(x.data[idx])
-    distinct = bool(np.all(idx[1:] > idx[:-1]))
-    shape = x.data.shape
+    n_rows = x.data.shape[0]
 
     def backward(g, x):
-        if not distinct:
-            _accum(x, scatter_rows(idx, g, shape[0]))
-            return
-        if x.grad is None:
-            x.grad = np.zeros(shape)
-        rows = x.grad.take(idx, axis=0)
-        rows += g
-        x.grad[idx] = rows
+        _accum(x, scatter_rows(idx, g, n_rows))
 
-    return _record(out, (x,), backward)
+    return _record(Tensor(x.data[idx]), (x,), backward)
 
 
 def _segment_max(x: np.ndarray, onehot) -> np.ndarray:

@@ -323,17 +323,18 @@ def cmd_sweep(args):
     for key, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ValueError(f"grid key {key!r} must map to a non-empty list, got {values!r}")
-        # config checks are per field, so each point is valid; equal configs would train one point twice
+        # equal configs would train one point twice
         configs = [TrainConfig.from_dict({**cfg.as_dict(), key: value}) for value in values]
         if len(set(configs)) < len(configs):
             raise ValueError(f"grid key {key!r} takes values that give distinct configs, got {values!r}")
-    ds = load_prepared(args.data)
     axes = sorted(grid)
     points = [dict(zip(axes, v)) for v in itertools.islice(itertools.product(*(grid[a] for a in axes)), args.budget)]
     seeds = [cfg.seed + i for i in range(args.seeds)]
+    # every point is checked before any work, as some checks span two keys (use_groups and select_task)
+    configs = [TrainConfig.from_dict({**cfg.as_dict(), **point, "seed": seed}) for point in points for seed in seeds]
+    ds = load_prepared(args.data)
 
     os.makedirs(args.out, exist_ok=True)
-    configs = [TrainConfig.from_dict({**cfg.as_dict(), **point, "seed": seed}) for point in points for seed in seeds]
     vals = np.reshape(train_each(ds, configs, best_val_metric), (len(points), len(seeds)))
     # a stable sort: points with equal means keep their grid order
     trials = sorted(((p, float(np.mean(v)), float(np.std(v))) for p, v in zip(points, vals)), key=lambda t: -t[1])

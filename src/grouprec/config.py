@@ -81,6 +81,9 @@ class TrainConfig:
             (self.variant in VARIANTS, f"variant must be one of {VARIANTS}"),
             (self.interest_mode in INTEREST_MODES, f"interest_mode must be one of {INTEREST_MODES}"),
             (self.select_task in TASKS, f"select_task must be one of {TASKS}"),
+            # without groups the user loss is the only term, and no group is scored
+            (self.use_groups or self.select_task == "user", "select_task 'group' needs use_groups"),
+            (self.use_groups or self.user_task_weight > 0.0, "user_task_weight must be > 0 without use_groups"),
         ]
         for ok, msg in checks:
             if not ok:

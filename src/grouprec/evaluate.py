@@ -49,13 +49,15 @@ DENSER is at least DENSER_MIN_STRIDE (4), the kept rows are thresholded
 again against every dense_stride-th column, about DENSER (4) times as many,
 with the same masking and the same 8e slack; only the rows that survive both
 are scored in full. So a row is still dropped only when every float
-evaluation would drop it. The second source is made once per call, by the
-first block that asks for it, and not at all when no block does. Both gates
-are read from what the call sees: a block of a well fit model keeps most
-rows, and there a second pass over nearly every row costs more than it
-saves; a catalogue of 1513 items at depth 10 has stride 9 and dense_stride
-2, where the second product is near a full one. Either way the call makes
-the calls of one sample, on the same rows.
+evaluation would drop it. The second source is made once per call, before
+the blocks, wherever dense_stride allows, and is never multiplied while
+the kept-share gate is closed; there it costs its copy of the items, about
+0.7 MB at 4000 items and d = 64. Both gates are read from what the call
+sees: a block of a well fit model keeps most rows, and there a second pass
+over nearly every row costs more than it saves; a catalogue of 1513 items
+at depth 10 has stride 9 and dense_stride 2, where the second product is
+near a full one. Either way the call makes the calls of one sample, on the
+same rows.
 
 Ranking the rows that remain. Each run's negated rows come from
 `negated(rows)`, and an in-place partition brings each row's depth best
@@ -130,7 +132,6 @@ partition, about 9 of those 30 ms.
 
 import math
 import numbers
-import threading
 
 import numpy as np
 
@@ -189,24 +190,20 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
     sample = score_matrix.columns(np.arange(0, n_items, stride))  # at stride 1, every column
     widest = chunk * max(1, BLOCK_ELEMENTS // (sample.shape[1] * chunk))  # the rows of one sampled product
     bounds = _block_bounds(len(rows), chunk, widest)
-    dense_stride = max(1, stride // DENSER)  # the second sample's, which runs only at DENSER_MIN_STRIDE or more
-    denser = dense_stride >= DENSER_MIN_STRIDE
+    dense_stride = max(1, stride // DENSER)  # the second sample's, made only at DENSER_MIN_STRIDE or more
+    dense = None if dense_stride < DENSER_MIN_STRIDE else score_matrix.columns(np.arange(0, n_items, dense_stride))
     dense_run = max(1, BLOCK_ELEMENTS // -(-n_items // dense_stride))  # the rows of one second-sample product
-    dense = []  # the denser sampled source, made once, by the first block that asks for it
-    dense_lock = threading.Lock()
-
-    def dense_sample():
-        with dense_lock:
-            if not dense:
-                dense.append(score_matrix.columns(np.arange(0, n_items, dense_stride)))
-        return dense[0]
-
     per_block = [None] * (len(bounds) - 1)  # each block's per-anchor metrics, filed by block index
 
-    def negated(anchors, m_row, m_item):
-        """The negated score rows of `anchors`, with (m_row, m_item) masked to +inf."""
-        neg = score_matrix.negated(anchors)
-        neg[m_row, m_item] = np.inf
+    def masked(source, step, anchors, m_row, m_item):
+        """`source`'s negated rows of `anchors`, the masked (m_row, m_item) pairs among its columns at +inf.
+
+        `source` scores every step-th item column: the sampled sources, or the
+        whole row at step 1. Rows are counted in `anchors`.
+        """
+        neg = source.negated(anchors)
+        on = m_item % step == 0
+        neg[m_row[on], m_item[on] // step] = np.inf
         return neg
 
     def ranked_hits(neg, anchors):
@@ -222,7 +219,7 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
         The rows are partitioned in place, and ranked in full, from a second
         product of the same rows, only on a tie or a NaN.
         """
-        neg = negated(anchors, m_row, m_item)
+        neg = masked(score_matrix, 1, anchors, m_row, m_item)
         x = neg[row, item]
         neg.partition(depth - 1, axis=1)  # each row's `depth` best now lead it, unordered
         top = neg[row, :depth]
@@ -236,19 +233,16 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
         hit[row[sure], (top[sure] < x[sure, None]).sum(axis=1)] = True
         redo = np.unique(row[~sure & ~(x > cut)])
         if len(redo):
-            hit[redo] = ranked_hits(negated(anchors, m_row, m_item)[redo], anchors[redo])
+            hit[redo] = ranked_hits(masked(score_matrix, 1, anchors, m_row, m_item)[redo], anchors[redo])
         return hit
 
     def reachable(source, step, anchors, m_row, m_item, r_row, rel, slack):
-        """Whether each of `anchors` may rank a relevant item, against the depth-th best of `source`.
+        """Whether each of `anchors` may rank a relevant item, against the depth-th best of `masked` `source`.
 
-        `source` scores every step-th item column; (m_row, m_item) are the
-        masked pairs and `rel` and `slack` each relevant pair's negated score
-        and slack, rows counted in `anchors`.
+        `rel` and `slack` are each relevant pair's negated score and slack,
+        rows counted in `anchors`.
         """
-        head = source.negated(anchors)
-        on = m_item % step == 0
-        head[m_row[on], m_item[on] // step] = np.inf
+        head = masked(source, step, anchors, m_row, m_item)
         head.partition(depth - 1, axis=1)
         # depth items lie strictly ahead of a relevant item above its row's threshold plus slack
         keep = np.zeros(len(anchors), dtype=bool)
@@ -284,11 +278,11 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
         rel = score_matrix.negated_pairs(block[r_row], r_item)
         slack = 8.0 * score_matrix.error_bound(block)[r_row]
         keep = reachable(sample, stride, block, m_row, m_item, r_row, rel, slack)
-        if denser and np.count_nonzero(keep) <= DENSER_KEPT * len(block):
+        if dense is not None and np.count_nonzero(keep) <= DENSER_KEPT * len(block):
             # a poorly fit block: the denser sample's threshold, over the kept rows alone
             first, keep = keep, np.zeros(len(block), dtype=bool)
             for run, *pairs in runs(first, dense_run, m_row, m_item, r_row, rel, slack):
-                keep[run] = reachable(dense_sample(), dense_stride, block[run], *pairs)
+                keep[run] = reachable(dense, dense_stride, block[run], *pairs)
         hit = np.zeros((len(block), depth), dtype=bool)
         for run, *pairs in runs(keep, chunk, m_row, m_item, r_row, r_item):  # every row kept: chunks of rows
             hit[run] = kept_hits(block[run], *pairs)

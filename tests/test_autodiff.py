@@ -378,7 +378,7 @@ def test_gather_and_segment_gradients():
 @pytest.mark.parametrize("idx", [[0, 2, 3, 5], [0, 2, 2, 5, 1], [5, 2, 0]])
 @pytest.mark.parametrize("held", [False, True])
 def test_gather_rows_backward_adds_the_row_sums_of_add_at(idx, held):
-    # sorted distinct rows take the indexed add, the others the one-hot scatter
+    # sorted distinct rows, repeated rows and unsorted rows all sum through the one-hot scatter
     rng = np.random.default_rng(6)
     idx = np.array(idx)
     table = Tensor(rng.normal(size=(6, 2, 3)), requires_grad=True)

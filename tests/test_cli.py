@@ -738,6 +738,28 @@ def test_config_use_groups_must_be_a_bool(world, tmp_path, capsys):
     assert "invalid config: use_groups must be a bool" in stderr_payload(capsys)["message"]
 
 
+@pytest.mark.parametrize("setting, message", [
+    # trained a whole epoch, then failed at validation: "group scoring requested with groups disabled"
+    (("select_task", "group"), "invalid config: select_task 'group' needs use_groups"),
+    # weighted the only loss term by 0: a run's parameters moved by weight decay alone
+    (("user_task_weight", 0.0), "invalid config: user_task_weight must be > 0 without use_groups"),
+])
+def test_configs_without_groups_that_cannot_train_are_refused_before_work(world, tmp_path, capsys, no_work,
+                                                                           setting, message):
+    key, value = setting
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrainConfig(use_groups=False, **{key: value})
+    assert getattr(TrainConfig(use_groups=True, **{key: value}), key) == value  # with groups, both train
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"use_groups": [True, False], key: [value]}))
+    flags = ["--set", "use_groups=false", "--set", f"{key}={value}"]
+    for argv in (["sweep", "--grid", grid], ["ablate", *flags], ["train", *flags]):
+        out = tmp_path / argv[0]
+        assert run([*argv, "--data", world, "--out", out]) == 2
+        assert stderr_payload(capsys)["message"].startswith(message)
+        assert not out.exists()
+
+
 def test_config_and_checkpoint_naming_pooling_are_rejected(world, run_dir, tmp_path, capsys):
     # user fusion has one mode, the mean over the user's groups; the old key is not read silently
     message = "unknown config keys: ['pooling']"

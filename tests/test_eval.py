@@ -809,6 +809,26 @@ def test_two_lanes_rank_through_the_second_sample_as_one_lane(lanes, monkeypatch
     assert ev.evaluate_scores(log, *indexes, ks) == one_lane == reference_metrics(scores, eval_sets, mask_sets, ks)
     n_blocks = block_count(one_lane[1], n_items, ks)
     assert n_blocks == 4 and len(log.sampled) == 2 * n_blocks  # each block's kept rows in one denser product
-    assert made == [40, 167]  # the second sample made once, for whichever block asked first
+    assert made == [40, 167]  # the second sample made once, before any block
     for thread in getattr(helper, "made", ()):
         assert not thread.is_alive()
+
+
+def test_the_sampled_sources_are_made_by_the_caller_before_any_block(lanes, monkeypatch):
+    # the case above, with the helper ranking every block and each block reading the second
+    # sample: the lanes share the sources and make none
+    n_items, ks = 2000, (5, 10)
+    scores, indexes, eval_sets, mask_sets = poor_fit_case(1400, n_items)
+    monkeypatch.setattr(ev, "BLOCK_ELEMENTS", 7 * n_items)
+    monkeypatch.setattr(ev, "SAMPLE", 4)
+    log = LaneLog(scores)
+    made = []  # (thread, `negated` calls before it) of each `columns` call
+    columns = LaneLog.columns
+    monkeypatch.setattr(LaneLog, "columns",
+                        lambda self, cols: made.append((threading.get_ident(), len(log.log))) or columns(self, cols))
+    helper = lanes(2, "eager_helper")
+    assert ev.evaluate_scores(log, *indexes, ks) == reference_metrics(scores, eval_sets, mask_sets, ks)
+    caller = threading.get_ident()
+    assert made == [(caller, 0), (caller, 0)]
+    assert caller not in log.threads and len(log.sampled) == 2 * 4  # four blocks, each through both samples
+    assert len(helper.made) == 1 and not helper.made[0].is_alive()
