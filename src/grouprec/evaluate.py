@@ -20,8 +20,16 @@ BLOCK_ELEMENTS scores too. A block's kept rows are then scored and ranked in
 runs of at most chunk rows. When every row is kept, each run is one chunk of
 consecutive rows: the calls of ranking every row, chunk by chunk.
 
-The threshold. Every stride-th item column is sampled, with stride =
-max(1, n_items // (SAMPLE * depth)), so at least SAMPLE * depth columns are.
+The threshold. The sample is the items of largest reach, as many as every
+stride-th column would be, with stride = max(1, n_items // (SAMPLE *
+depth)), so at least SAMPLE * depth columns are sampled. A source orders its
+items by `by_reach()`: a RowScores by item norm, largest first, ties to the
+smaller id. A score a·v is at most ‖a‖·‖v‖, so the items of largest norm
+are those that can set a high threshold for any row (exact
+maximum-inner-product search prunes with the same bound); in a LightGCN-style
+model they are mostly the popular items. The sampled items are copied in id
+order, and masking finds an item's column in a source through a map from
+each item to its column, -1 where the source has none.
 A row's thr is the depth-th smallest of its negated sampled scores, masked
 columns counting as +inf. A relevant item whose negated score is above thr
 has at least depth items strictly ahead of it and cannot be ranked; a row is
@@ -46,9 +54,10 @@ depth-th best of the whole row, so the argument above holds for every
 sample, and a denser one drops more rows. Where the first sample kept at
 most DENSER_KEPT (a quarter) of a block's rows, and dense_stride = stride //
 DENSER is at least DENSER_MIN_STRIDE (4), the kept rows are thresholded
-again against every dense_stride-th column, about DENSER (4) times as many,
-with the same masking and the same 8e slack; only the rows that survive both
-are scored in full. So a row is still dropped only when every float
+again against the items of largest reach, as many as every dense_stride-th
+column would be: about DENSER (4) times as many, holding the first sample.
+The same masking and the same 8e slack apply; only the rows that survive
+both are scored in full. So a row is still dropped only when every float
 evaluation would drop it. The second source is made once per call, before
 the blocks, wherever dense_stride allows, and is never multiplied while
 the kept-share gate is closed; there it costs its copy of the items, about
@@ -120,14 +129,24 @@ host on an earlier day. There the kept-share gate keeps the second sample
 off and the full-width calls those of one sample: a one-lane pass read
 0.166 s against 0.162 s with one sample, and two lanes 0.086 s against
 0.086 s (medians of 9 alternating runs); without the gate, a second pass
-over every row, a one-lane pass read 0.214 s against 0.185 s.
+over every row, a one-lane pass read 0.214 s against 0.185 s. The
+largest-norm sample leaves the rows and calls there as they were (10000
+rows in 154 full-width calls) and adds one argsort of the item norms: two
+lanes read 0.162 and 0.156 s against 0.151 and 0.153 s with every stride-th
+item, one lane 0.278 s against 0.282 s (medians of 10 alternating runs on a
+contended host; each change median lies inside the parent's quartiles).
 
 The cost on a model that fits poorly. On perfbench's seed-1 stress world
-(10000 users by 4000 items, d = 64) after two training steps, the first
-sample kept 1186 of 10000 rows of a validation pass and the second 305, and
-a one-lane ranking took about 30 ms against 42 ms with one sample, at one
-BLAS thread. Its rows then cost mostly the first sample's product and
-partition, about 9 of those 30 ms.
+(10000 users by 4000 items, d = 64) after two training steps, the samples
+of every stride-th item kept 1186 of 10000 rows of a validation pass (the
+first) and 305 (the second); the largest-norm samples keep 673 and 147.
+At 1513 items (stride 9, so no second sample), a validation pass of a
+LightGCN model after 64 steps of perfbench's seed-1 world scores 133 rows
+in full where every stride-th item left 818, and the full model after 32
+steps 208 where it left 865. There a pass costs mostly the first sample's
+product and partition: a traced `lightgcn_train` run read 12.3 ms of
+ranking per pass against 15.2 ms with the stride sample (medians of 8
+alternating runs each, one BLAS thread).
 """
 
 import math
@@ -143,7 +162,7 @@ from .model import RowScores
 
 BLOCK_ELEMENTS = 1 << 18  # so score memory is fixed and the rest grows with edges, not anchors
 SAMPLE = 16  # sampled item columns per rank of depth; a row's threshold is its depth-th best of them
-DENSER = 4  # a second sample takes every (stride // DENSER)-th column, about DENSER times as many
+DENSER = 4  # a second sample takes as many columns as every (stride // DENSER)-th, about DENSER times as many
 DENSER_KEPT = 0.25  # it re-thresholds a block's kept rows only when the first kept at most this share
 DENSER_MIN_STRIDE = 4  # and only when its stride is at least this; below it the product nears a full one
 
@@ -160,10 +179,11 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
     """Mean metrics over anchors with nonempty eval rows.
 
     `score_matrix` is a `model.RowScores` or anything shaped like one: `.shape`,
-    `negated(rows)` for those rows negated as a new float64 array, and
-    `columns`, `negated_pairs` and `error_bound` for the sampled threshold;
-    only the rows of evaluated anchors that can score are computed whole,
-    one block at a time.
+    `negated(rows)` for those rows negated as a new float64 array, and for
+    the sampled threshold `by_reach()` (the item ids, those that may score
+    highest first), `columns`, `negated_pairs` and `error_bound`; only the
+    rows of evaluated anchors that can score are computed whole, one block
+    at a time.
 
     The indexes are (indptr, indices) pairs from `Interactions.anchor_index`:
     each anchor's relevant items, each once, and the items kept out of its ranking.
@@ -187,23 +207,35 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
     ideal = np.cumsum(gains)  # ideal[m - 1]: the first m ranks all hit
     chunk = max(1, BLOCK_ELEMENTS // n_items)  # the rows of one full-width product
     stride = max(1, n_items // (SAMPLE * depth))  # so at least SAMPLE * depth columns are sampled
-    sample = score_matrix.columns(np.arange(0, n_items, stride))  # at stride 1, every column
+    dense_stride = max(1, stride // DENSER)  # the second sample's, made only at DENSER_MIN_STRIDE or more
+    reach = score_matrix.by_reach()
+    whole_at = np.arange(n_items)  # each item's column in the whole row
+
+    def sampled(n_cols):
+        """The source of the n_cols items of largest reach, copied in id order, and each item's column in it, or -1."""
+        cols = np.sort(reach[:n_cols])
+        at = np.full(n_items, -1)
+        at[cols] = np.arange(n_cols)
+        return score_matrix.columns(cols), at
+
+    sample, sample_at = sampled(-(-n_items // stride))  # the count of every stride-th column; at stride 1, all
     widest = chunk * max(1, BLOCK_ELEMENTS // (sample.shape[1] * chunk))  # the rows of one sampled product
     bounds = _block_bounds(len(rows), chunk, widest)
-    dense_stride = max(1, stride // DENSER)  # the second sample's, made only at DENSER_MIN_STRIDE or more
-    dense = None if dense_stride < DENSER_MIN_STRIDE else score_matrix.columns(np.arange(0, n_items, dense_stride))
-    dense_run = max(1, BLOCK_ELEMENTS // -(-n_items // dense_stride))  # the rows of one second-sample product
+    n_dense = -(-n_items // dense_stride)  # it holds the first sample: both lead `reach`
+    dense, dense_at = (None, None) if dense_stride < DENSER_MIN_STRIDE else sampled(n_dense)
+    dense_run = max(1, BLOCK_ELEMENTS // n_dense)  # the rows of one second-sample product
     per_block = [None] * (len(bounds) - 1)  # each block's per-anchor metrics, filed by block index
 
-    def masked(source, step, anchors, m_row, m_item):
+    def masked(source, at, anchors, m_row, m_item):
         """`source`'s negated rows of `anchors`, the masked (m_row, m_item) pairs among its columns at +inf.
 
-        `source` scores every step-th item column: the sampled sources, or the
-        whole row at step 1. Rows are counted in `anchors`.
+        `source` is a sampled source or the whole row; `at` maps each item to
+        its column in it, -1 where it has none. Rows are counted in `anchors`.
         """
         neg = source.negated(anchors)
-        on = m_item % step == 0
-        neg[m_row[on], m_item[on] // step] = np.inf
+        col = at[m_item]
+        on = col >= 0
+        neg[m_row[on], col[on]] = np.inf
         return neg
 
     def ranked_hits(neg, anchors):
@@ -219,7 +251,7 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
         The rows are partitioned in place, and ranked in full, from a second
         product of the same rows, only on a tie or a NaN.
         """
-        neg = masked(score_matrix, 1, anchors, m_row, m_item)
+        neg = masked(score_matrix, whole_at, anchors, m_row, m_item)
         x = neg[row, item]
         neg.partition(depth - 1, axis=1)  # each row's `depth` best now lead it, unordered
         top = neg[row, :depth]
@@ -233,16 +265,16 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
         hit[row[sure], (top[sure] < x[sure, None]).sum(axis=1)] = True
         redo = np.unique(row[~sure & ~(x > cut)])
         if len(redo):
-            hit[redo] = ranked_hits(masked(score_matrix, 1, anchors, m_row, m_item)[redo], anchors[redo])
+            hit[redo] = ranked_hits(masked(score_matrix, whole_at, anchors, m_row, m_item)[redo], anchors[redo])
         return hit
 
-    def reachable(source, step, anchors, m_row, m_item, r_row, rel, slack):
+    def reachable(source, at, anchors, m_row, m_item, r_row, rel, slack):
         """Whether each of `anchors` may rank a relevant item, against the depth-th best of `masked` `source`.
 
         `rel` and `slack` are each relevant pair's negated score and slack,
         rows counted in `anchors`.
         """
-        head = masked(source, step, anchors, m_row, m_item)
+        head = masked(source, at, anchors, m_row, m_item)
         head.partition(depth - 1, axis=1)
         # depth items lie strictly ahead of a relevant item above its row's threshold plus slack
         keep = np.zeros(len(anchors), dtype=bool)
@@ -277,12 +309,12 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
         r_row, r_item = rel_pos[a:b] - lo, eval_index[1][a:b]
         rel = score_matrix.negated_pairs(block[r_row], r_item)
         slack = 8.0 * score_matrix.error_bound(block)[r_row]
-        keep = reachable(sample, stride, block, m_row, m_item, r_row, rel, slack)
+        keep = reachable(sample, sample_at, block, m_row, m_item, r_row, rel, slack)
         if dense is not None and np.count_nonzero(keep) <= DENSER_KEPT * len(block):
             # a poorly fit block: the denser sample's threshold, over the kept rows alone
             first, keep = keep, np.zeros(len(block), dtype=bool)
             for run, *pairs in runs(first, dense_run, m_row, m_item, r_row, rel, slack):
-                keep[run] = reachable(dense, dense_stride, block[run], *pairs)
+                keep[run] = reachable(dense, dense_at, block[run], *pairs)
         hit = np.zeros((len(block), depth), dtype=bool)
         for run, *pairs in runs(keep, chunk, m_row, m_item, r_row, r_item):  # every row kept: chunks of rows
             hit[run] = kept_hits(block[run], *pairs)

@@ -50,8 +50,8 @@ class RowScores:
     negated, as a new float64 array. `nbytes` is the size of the largest
     block returned so far, the score memory one caller holds at once; it
     stays exact when threads ask for blocks.
-    `columns`, `negated_pairs` and `error_bound` let a ranker bound a row's
-    scores without computing it whole.
+    `by_reach`, `columns`, `negated_pairs` and `error_bound` let a ranker
+    bound a row's scores without computing it whole.
     """
 
     def __init__(self, anchors, items):
@@ -64,11 +64,16 @@ class RowScores:
         self._nbytes_lock = threading.Lock()
         width = self.items_t.shape[0]
         self._gamma = width * 2.0**-53 / (1.0 - width * 2.0**-53)
-        self._max_item_norm = math.sqrt(np.einsum("ij,ij->j", self.items_t, self.items_t).max(initial=0.0))
+        self._item_sq_norms = np.einsum("ij,ij->j", self.items_t, self.items_t)
+        self._max_item_norm = math.sqrt(self._item_sq_norms.max(initial=0.0))
 
     def negated(self, rows):
         """-(anchors[rows] @ items.T), bit for bit: negation is exact, so the product of negated anchors is."""
         return self._product(-self.anchors[rows])
+
+    def by_reach(self):
+        """The item ids, largest norm first, ties to the smaller id: a score a·v is at most ‖a‖·‖v‖."""
+        return np.argsort(-self._item_sq_norms, kind="stable")
 
     def columns(self, cols):
         """The scores of the item columns `cols` alone, over one copy of those items."""

@@ -674,6 +674,10 @@ class DenseScores:
     def negated(self, rows):
         return -self.scores[rows]
 
+    def by_reach(self):
+        """The columns by their largest |score|, largest first, ties to the smaller id."""
+        return np.argsort(-np.abs(self.scores).max(axis=0, initial=0.0), kind="stable")
+
     def columns(self, cols):
         return DenseScores(self.scores[:, cols])
 

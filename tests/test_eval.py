@@ -644,6 +644,13 @@ def test_pruned_ranking_equals_per_anchor_reference(world):
         if max(1, stride // ev.DENSER) < ev.DENSER_MIN_STRIDE:
             assert len(logged.samples) <= 1
         assert max([logged.nbytes] + [source.nbytes for source in logged.samples]) <= 8 * ev.BLOCK_ELEMENTS
+        # each sample is the items of largest norm (exact squares of small integers), ties to the
+        # smaller id, in id order; the first has the count of every stride-th column
+        sq = np.einsum("ij,ij->i", items, items)
+        reach = sorted(range(n_items), key=lambda j: (-sq[j], j))
+        assert [cols.tolist() for cols in logged.picked] == [sorted(reach[:len(cols)]) for cols in logged.picked]
+        if logged.picked:
+            assert len(logged.picked[0]) == -(-n_items // stride)
         for a, v in nan_cells:
             scores[a, v] = np.nan
         assert ev.evaluate_scores(ref.DenseScores(scores), *indexes, ks) == reference_metrics(scores, eval_sets,
@@ -653,13 +660,15 @@ def test_pruned_ranking_equals_per_anchor_reference(world):
 class LoggedScores(RowScores):
     """A RowScores that records the rows of every full-width `negated` call, and keeps its sampled sources.
 
-    `samples` holds every source `columns` made, in order; `sample` is the last.
+    `samples` holds every source `columns` made, in order, and `picked` its
+    item ids; `sample` is the last source.
     """
 
     def __init__(self, anchors, items):
         super().__init__(anchors, items)
         self.calls = []
         self.samples = []
+        self.picked = []
         self.sample = None
 
     def negated(self, rows):
@@ -669,6 +678,7 @@ class LoggedScores(RowScores):
     def columns(self, cols):
         self.sample = super().columns(cols)
         self.samples.append(self.sample)
+        self.picked.append(np.array(cols))
         return self.sample
 
 
@@ -687,15 +697,18 @@ class LowRowwise(LoggedScores):
 
 
 def test_a_relevant_score_within_ulps_of_the_threshold_keeps_its_row():
-    # one non-zero coordinate, so the block product is exact: item 1 (unsampled) beats
-    # item 0 (sampled) by one ulp, and the row-wise product puts it three ulps behind
-    width, n_items = 16, 4 * ev.SAMPLE  # a stride of 4 at depth 1
+    # one non-zero anchor coordinate, so the block product is exact: item 1 (unsampled) beats
+    # item 0 (sampled) by one ulp, and the row-wise product puts it three ulps behind. A second
+    # item coordinate gives every item but item 1 a larger norm, and item 0 the largest
+    width, n_items = 16, 4 * ev.SAMPLE  # SAMPLE columns sampled at depth 1
     x = 1.5
     anchors = np.zeros((3, width))
     anchors[:, 0] = 1.0
     items = np.zeros((n_items, width))
     items[:, 0] = np.linspace(-1.0, 1.0, n_items)
-    items[0, 0], items[1, 0] = x, np.nextafter(x, np.inf)
+    items[:, 1] = 2.0
+    items[0, 0] = x
+    items[1, :2] = np.nextafter(x, np.inf), 0.0
     eval_sets = [{1}, {2}, {2}]  # rows 1 and 2 hold a relevant item far below the cut
     mask_sets = [set(), set(), set()]
     scores = LowRowwise(anchors, items)
@@ -703,6 +716,58 @@ def test_a_relevant_score_within_ulps_of_the_threshold_keeps_its_row():
     assert got == reference_metrics(anchors @ items.T, eval_sets, mask_sets, (1,)) == ({"recall@1": 1 / 3,
                                                                                        "ndcg@1": 1 / 3}, 3)
     assert [c.tolist() for c in scores.calls] == [[0]]
+
+
+def test_the_first_sample_holds_the_items_of_largest_norm_in_id_order():
+    # small integer items, so the squared norms are exact and many tie; depth 1 and 4 * SAMPLE
+    # items sample SAMPLE of them, and the cut falls inside a tie, which goes to the smaller ids
+    rng = np.random.default_rng(0)
+    n_items = 4 * ev.SAMPLE
+    items = rng.integers(-2, 3, size=(n_items, 3)).astype(float)
+    anchors = rng.normal(size=(4, 3))
+    sq = (items ** 2).sum(axis=1)
+    reach = sorted(range(n_items), key=lambda j: (-sq[j], j))
+    assert sq[reach[ev.SAMPLE - 1]] == sq[reach[ev.SAMPLE]]  # a tie across the cut
+    eval_sets, mask_sets = [{0}, {5}, {9}, {13}], [{1}, set(), {2, 3}, set()]
+    log = LoggedScores(anchors, items)
+    got = ev.evaluate_scores(log, index_of(eval_sets, n_items), index_of(mask_sets, n_items), (1,))
+    assert got == reference_metrics(anchors @ items.T, eval_sets, mask_sets, (1,))
+    assert [cols.tolist() for cols in log.picked] == [sorted(reach[:ev.SAMPLE])]
+    assert np.array_equal(log.samples[0].items, items[sorted(reach[:ev.SAMPLE])])
+
+
+def test_popularity_samples_the_most_popular_items(monkeypatch):
+    # a rank-1 source: an item's norm is its popularity score's magnitude, which orders the items
+    # trained at least twice by popularity, ahead of every other item
+    ds, _ = generate_synthetic(300, 800, 120, m_true=3, noise=0.1, seed=4, edges_per_group=12)
+    ds = dataclasses.replace(ds, user_items=split_holdout(ds.user_items, seed=4))
+    made = []
+    monkeypatch.setattr(ev, "RowScores", lambda anchors, items: made.append(LoggedScores(anchors, items)) or made[-1])
+    ev.evaluate_popularity(ds, "user", ks=(10,))
+    popularity = ev.popularity_scores(ds)
+    n_sampled = 800 // (800 // (ev.SAMPLE * 10))  # every stride-th column's count, stride 800 // 160 = 5
+    most = np.sort(np.argsort(-popularity, kind="stable")[:n_sampled])
+    assert popularity[most].min() > 1.0  # each trained at least twice
+    assert [cols.tolist() for cols in made[0].picked] == [most.tolist()]
+
+
+def test_a_large_norm_item_off_the_stride_grid_drops_the_row_it_outscores(lanes):
+    # depth 1 and 4 * SAMPLE items, SAMPLE of them sampled: item 1, off the grid of every 4th item,
+    # has the largest norm and the best score, and row 0's relevant item 2 comes next, ahead of
+    # every item on the grid. Item 1 alone stands ahead of it, so row 0 is dropped unscored; row 1
+    # holds item 1 and is ranked
+    n_items = 4 * ev.SAMPLE
+    items = np.zeros((n_items, 2))
+    items[:, 0] = np.linspace(-1.0, 0.5, n_items)
+    items[1, 0], items[2, 0] = 3.0, 2.0
+    anchors = np.tile([1.0, 0.0], (2, 1))
+    eval_sets, mask_sets = [{2}, {1}], [set(), set()]
+    lanes(1)
+    log = LoggedScores(anchors, items)
+    got = ev.evaluate_scores(log, index_of(eval_sets, n_items), index_of(mask_sets, n_items), (1,))
+    assert got == reference_metrics(anchors @ items.T, eval_sets, mask_sets, (1,)) == ({"recall@1": 1 / 2,
+                                                                                       "ndcg@1": 1 / 2}, 2)
+    assert [c.tolist() for c in log.calls] == [[1]]
 
 
 def test_rows_that_cannot_score_are_never_fully_scored(monkeypatch):
@@ -755,17 +820,19 @@ def test_kept_rows_are_scored_in_runs_of_one_chunk(lanes, monkeypatch, kept):
 
 def test_the_second_sample_drops_rows_the_first_kept(lanes):
     # depth 1 and a catalogue of SAMPLE * DENSER * DENSER_MIN_STRIDE items (256): the first sample
-    # takes every 16th column, all scored 0, and the second every 4th, the others of them scored 2.
-    # Row 0's relevant item (1.0) beats the first sample's best and not the second's; row 1's is the
-    # best item (3.0); rows 2-7 hold the worst (-5.0). So the first sample keeps rows 0 and 1, a
-    # quarter of the block, and only row 1 is scored in full.
+    # takes the 16 items of largest norm, every 16th, all scored 0, and the second the 64 largest,
+    # every 4th, the others of them scored 2. A second coordinate, which the anchors do not read,
+    # sets the norms. Row 0's relevant item (1.0) beats the first sample's best and not the
+    # second's; row 1's is the best item (3.0); rows 2-7 hold the worst (-5.0). So the first sample
+    # keeps rows 0 and 1, a quarter of the block, and only row 1 is scored in full.
     first = ev.DENSER * ev.DENSER_MIN_STRIDE
     n_items = ev.SAMPLE * first
-    values = np.full(n_items, -1.0)
-    values[::ev.DENSER_MIN_STRIDE] = 2.0
-    values[::first] = 0.0
-    values[1:4] = 3.0, 1.0, -5.0
-    anchors, items = np.ones((8, 1)), values[:, None]
+    items = np.zeros((n_items, 2))
+    items[:, 0] = -1.0
+    items[::ev.DENSER_MIN_STRIDE] = 2.0, 50.0
+    items[::first] = 0.0, 100.0
+    items[1:4, 0] = 3.0, 1.0, -5.0
+    anchors = np.tile([1.0, 0.0], (8, 1))
     eval_sets = [{2}, {1}] + [{3}] * 6
     mask_sets = [set() for _ in range(8)]
     lanes(1)
