@@ -7,18 +7,21 @@ and anchors with nothing held out in the target split are skipped.
 the top depth = min(max(ks), n_items). Every other row gets recall 0 and
 NDCG 0, which is what ranking it would give.
 
-The geometry. A chunk is chunk = max(1, BLOCK_ELEMENTS // n_items) rows, the
-most that one full-width product holds. The threshold below is found per
-block of rows: the evaluated rows are split into an even number of
-near-equal blocks, each a whole number of chunks (only the last chunk may be
-short) and at most widest = chunk * max(1, BLOCK_ELEMENTS // (n_sampled *
-chunk)) rows, so that no sampled product holds more than BLOCK_ELEMENTS
-scores either. Where a block runs the second sample (below), its kept rows
-are re-thresholded in runs of at most max(1, BLOCK_ELEMENTS // n_dense) rows,
-n_dense being that sample's column count, so its products keep within
-BLOCK_ELEMENTS scores too. A block's kept rows are then scored and ranked in
-runs of at most chunk rows. When every row is kept, each run is one chunk of
-consecutive rows: the calls of ranking every row, chunk by chunk.
+The geometry. The evaluated anchors are split into an even number of
+near-equal blocks. A chunk is chunk = max(1, BLOCK_ELEMENTS // n_items)
+rows, the most that one full-width product holds; a block is a whole number
+of chunks (only the last chunk may be short) and at most widest = chunk *
+max(1, BLOCK_ELEMENTS // (n_sampled * chunk)) rows, so that no sampled
+product holds more than BLOCK_ELEMENTS scores either. A block passes three
+stages, each given anchor ids alone and each reading its rows' masked and
+relevant items from the two (indptr, indices) indexes: the first sample
+thresholds the whole block; where the second sample runs (below), it
+thresholds the anchors the first kept, in runs of at most max(1,
+BLOCK_ELEMENTS // n_dense) anchors, n_dense being its column count, so its
+products keep within BLOCK_ELEMENTS scores too; and the anchors still kept
+are scored and ranked in runs of at most chunk. When every row is kept,
+each run is one chunk of consecutive rows: the calls of ranking every row,
+chunk by chunk.
 
 The threshold. The sample is the items of largest reach, as many as every
 stride-th column would be, with stride = max(1, n_items // (SAMPLE *
@@ -58,15 +61,17 @@ again against the items of largest reach, as many as every dense_stride-th
 column would be: about DENSER (4) times as many, holding the first sample.
 The same masking and the same 8e slack apply; only the rows that survive
 both are scored in full. So a row is still dropped only when every float
-evaluation would drop it. The second source is made once per call, before
-the blocks, wherever dense_stride allows, and is never multiplied while
-the kept-share gate is closed; there it costs its copy of the items, about
-0.7 MB at 4000 items and d = 64. Both gates are read from what the call
-sees: a block of a well fit model keeps most rows, and there a second pass
-over nearly every row costs more than it saves; a catalogue of 1513 items
-at depth 10 has stride 9 and dense_stride 2, where the second product is
-near a full one. Either way the call makes the calls of one sample, on the
-same rows.
+evaluation would drop it. Each run recomputes its rows' relevant scores and
+slack; a RowScores gives each row the same bits of both whatever other rows
+share the call, so which rows survive does not depend on how the runs are
+cut. The second source is made once per call, before the blocks, wherever
+dense_stride allows, and is never multiplied while the kept-share gate is
+closed; there it costs its copy of the items, about 0.7 MB at 4000 items
+and d = 64. Both gates are read from what the call sees: a block of a well
+fit model keeps most rows, and there a second pass over nearly every row
+costs more than it saves; a catalogue of 1513 items at depth 10 has stride
+9 and dense_stride 2, where the second product is near a full one. Either
+way the call makes the calls of one sample, on the same rows.
 
 Ranking the rows that remain. Each run's negated rows come from
 `negated(rows)`, and an in-place partition brings each row's depth best
@@ -120,33 +125,19 @@ share of the sampled product (about SAMPLE * depth / n_items of the full
 one), the row-wise dot products and the partition of the sample on top of
 the full product, and an in-place partition replaces argpartition and
 argsort. At 10000 x 4000 scores, d = 64, with two relevant items per row
-ranked near the top, every row was kept. A one-lane pass took 0.212 s and a
-two-lane pass 0.129 s, against 0.215 s and 0.130 s with the threshold found
-chunk by chunk (medians of 9 alternating runs each on a shared 2-vCPU host,
-one BLAS thread, SAMPLE = 16). Argpartition on every row had taken 0.281 s
-on one lane, against 0.263 s for the chunk-by-chunk threshold, on the same
-host on an earlier day. There the kept-share gate keeps the second sample
-off and the full-width calls those of one sample: a one-lane pass read
-0.166 s against 0.162 s with one sample, and two lanes 0.086 s against
-0.086 s (medians of 9 alternating runs); without the gate, a second pass
-over every row, a one-lane pass read 0.214 s against 0.185 s. The
-largest-norm sample leaves the rows and calls there as they were (10000
-rows in 154 full-width calls) and adds one argsort of the item norms: two
-lanes read 0.162 and 0.156 s against 0.151 and 0.153 s with every stride-th
-item, one lane 0.278 s against 0.282 s (medians of 10 alternating runs on a
-contended host; each change median lies inside the parent's quartiles).
+ranked near the top, every row is kept, in 154 full-width calls: a one-lane
+pass took 0.146 s and a two-lane pass 0.079 s (medians of 10 runs, one BLAS
+thread, a shared 2-vCPU host). There the kept-share gate keeps the second
+sample off. Without that gate, a second pass over every row, a one-lane pass
+read 0.214 s against 0.185 s with it (medians of 5 alternating runs).
 
 The cost on a model that fits poorly. On perfbench's seed-1 stress world
-(10000 users by 4000 items, d = 64) after two training steps, the samples
-of every stride-th item kept 1186 of 10000 rows of a validation pass (the
-first) and 305 (the second); the largest-norm samples keep 673 and 147.
-At 1513 items (stride 9, so no second sample), a validation pass of a
-LightGCN model after 64 steps of perfbench's seed-1 world scores 133 rows
-in full where every stride-th item left 818, and the full model after 32
-steps 208 where it left 865. There a pass costs mostly the first sample's
-product and partition: a traced `lightgcn_train` run read 12.3 ms of
-ranking per pass against 15.2 ms with the stride sample (medians of 8
-alternating runs each, one BLAS thread).
+(10000 users by 4000 items, d = 64) after two training steps, the first
+sample keeps 673 of 10000 rows of a validation pass and the second 147. At
+1513 items (stride 9, so no second sample), a validation pass scores 133
+rows in full for a LightGCN model after 64 steps of perfbench's seed-1
+world, and 208 for the full model after 32 steps. There a pass costs mostly
+the first sample's product and partition.
 """
 
 import math
@@ -192,16 +183,11 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
     """
     ks = _cutoffs(ks)
     keys = [f"{m}@{k}" for m in ("recall", "ndcg") for k in ks]
-    n_anchors, n_items = score_matrix.shape
+    n_items = score_matrix.shape[1]
     n_relevant = np.diff(eval_index[0])
     rows = np.flatnonzero(n_relevant)
     if not len(rows):  # before the block geometry, which divides by the catalogue size
         return dict.fromkeys(keys, 0.0), 0
-    eval_keys = edge_keys(np.repeat(np.arange(n_anchors), n_relevant), eval_index[1], n_anchors, n_items)
-    rel_pos = np.repeat(np.arange(len(rows)), n_relevant[rows])  # each eval entry's anchor, in `rows`
-    masked = np.repeat(n_relevant > 0, np.diff(mask_index[0]))  # mask entries of evaluated anchors
-    mask_pos = np.repeat(np.cumsum(n_relevant > 0) - 1, np.diff(mask_index[0]))[masked]  # in `rows`
-    mask_items = mask_index[1][masked]
     depth = min(max(ks), n_items)
     gains = np.array([1.0 / math.log2(rank + 1) for rank in range(1, max(ks) + 1)])
     ideal = np.cumsum(gains)  # ideal[m - 1]: the first m ranks all hit
@@ -226,32 +212,56 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
     dense_run = max(1, BLOCK_ELEMENTS // n_dense)  # the rows of one second-sample product
     per_block = [None] * (len(bounds) - 1)  # each block's per-anchor metrics, filed by block index
 
-    def masked(source, at, anchors, m_row, m_item):
-        """`source`'s negated rows of `anchors`, the masked (m_row, m_item) pairs among its columns at +inf.
+    def entries(index, anchors):
+        """The (row, item) entries of `anchors` in an (indptr, indices) index, rows counted in `anchors`."""
+        indptr, indices = index
+        start = indptr[anchors]
+        count = indptr[anchors + 1] - start
+        row = np.arange(len(anchors)).repeat(count)
+        return row, indices[np.arange(len(row)) + (start - count.cumsum() + count)[row]]
+
+    def masked(source, at, anchors):
+        """`source`'s negated rows of `anchors`, their masked items among its columns at +inf.
 
         `source` is a sampled source or the whole row; `at` maps each item to
-        its column in it, -1 where it has none. Rows are counted in `anchors`.
+        its column in it, -1 where it has none.
         """
         neg = source.negated(anchors)
-        col = at[m_item]
+        row, item = entries(mask_index, anchors)
+        col = at[item]
         on = col >= 0
-        neg[m_row[on], col[on]] = np.inf
+        neg[row[on], col[on]] = np.inf
         return neg
+
+    def reachable(source, at, anchors):
+        """Those of `anchors` that may rank a relevant item, against the depth-th best of `masked` `source`."""
+        row, item = entries(eval_index, anchors)
+        rel = score_matrix.negated_pairs(anchors[row], item)
+        slack = 8.0 * score_matrix.error_bound(anchors)[row]
+        head = masked(source, at, anchors)
+        head.partition(depth - 1, axis=1)
+        # depth items lie strictly ahead of a relevant item above its row's threshold plus slack
+        keep = np.zeros(len(anchors), dtype=bool)
+        keep[row[~(rel > head[row, depth - 1] + slack)]] = True  # NaN compares False: kept
+        return anchors[keep]
 
     def ranked_hits(neg, anchors):
         """Whether each of the top `depth` items of each negated row is relevant, best first."""
         part = np.argpartition(neg, depth - 1, axis=1)[:, :depth].copy()  # frees the full buffer
         order = np.argsort(np.take_along_axis(neg, part, axis=1), axis=1, kind="stable")
         ranked = np.take_along_axis(part, order, axis=1)
-        return in_sorted(eval_keys, edge_keys(anchors[:, None], ranked, n_anchors, n_items))
+        row, item = entries(eval_index, anchors)
+        n = len(anchors)
+        return in_sorted(edge_keys(row, item, n, n_items), edge_keys(np.arange(n)[:, None], ranked, n, n_items))
 
-    def kept_hits(anchors, m_row, m_item, row, item):
-        """ranked_hits of the masked negated rows of `anchors`, given their relevant (row, item) pairs.
+    def kept_hits(anchors):
+        """ranked_hits of the masked negated rows of `anchors`.
 
         The rows are partitioned in place, and ranked in full, from a second
         product of the same rows, only on a tie or a NaN.
         """
-        neg = masked(score_matrix, whole_at, anchors, m_row, m_item)
+        neg = masked(score_matrix, whole_at, anchors)
+        row, item = entries(eval_index, anchors)
         x = neg[row, item]
         neg.partition(depth - 1, axis=1)  # each row's `depth` best now lead it, unordered
         top = neg[row, :depth]
@@ -265,59 +275,20 @@ def evaluate_scores(score_matrix, eval_index, mask_index, ks):
         hit[row[sure], (top[sure] < x[sure, None]).sum(axis=1)] = True
         redo = np.unique(row[~sure & ~(x > cut)])
         if len(redo):
-            hit[redo] = ranked_hits(masked(score_matrix, whole_at, anchors, m_row, m_item)[redo], anchors[redo])
+            hit[redo] = ranked_hits(masked(score_matrix, whole_at, anchors)[redo], anchors[redo])
         return hit
 
-    def reachable(source, at, anchors, m_row, m_item, r_row, rel, slack):
-        """Whether each of `anchors` may rank a relevant item, against the depth-th best of `masked` `source`.
-
-        `rel` and `slack` are each relevant pair's negated score and slack,
-        rows counted in `anchors`.
-        """
-        head = masked(source, at, anchors, m_row, m_item)
-        head.partition(depth - 1, axis=1)
-        # depth items lie strictly ahead of a relevant item above its row's threshold plus slack
-        keep = np.zeros(len(anchors), dtype=bool)
-        keep[r_row[~(rel > head[r_row, depth - 1] + slack)]] = True  # NaN compares False: kept
-        return keep
-
-    def runs(keep, size, m_row, m_item, r_row, *by_pair):
-        """The kept rows of a block in runs of at most `size` rows, each with its share of the pairs.
-
-        Yields a run's rows in the block, then its masked (row, item) pairs,
-        its relevant rows and its part of each `by_pair` array (aligned with
-        r_row), rows counted from the run's first.
-        """
-        kept = np.flatnonzero(keep)
-        at = np.cumsum(keep) - 1  # a kept row's place among the kept
-        on, sel = keep[m_row], keep[r_row]
-        # the mask and relevant pairs of kept rows, by place among the kept; both stay sorted
-        m_row, m_item, r_row = at[m_row[on]], m_item[on], at[r_row[sel]]
-        by_pair = [x[sel] for x in by_pair]
-        for start in range(0, len(kept), size):
-            end = start + size
-            a, b = np.searchsorted(m_row, (start, end))
-            c, d = np.searchsorted(r_row, (start, end))
-            yield kept[start:end], m_row[a:b] - start, m_item[a:b], r_row[c:d] - start, *(x[c:d] for x in by_pair)
-
     def rank_block(i):
-        lo, hi = bounds[i], bounds[i + 1]
-        block = rows[lo:hi]
-        a, b = np.searchsorted(mask_pos, (lo, hi))
-        m_row, m_item = mask_pos[a:b] - lo, mask_items[a:b]
-        a, b = np.searchsorted(rel_pos, (lo, hi))
-        r_row, r_item = rel_pos[a:b] - lo, eval_index[1][a:b]
-        rel = score_matrix.negated_pairs(block[r_row], r_item)
-        slack = 8.0 * score_matrix.error_bound(block)[r_row]
-        keep = reachable(sample, sample_at, block, m_row, m_item, r_row, rel, slack)
-        if dense is not None and np.count_nonzero(keep) <= DENSER_KEPT * len(block):
-            # a poorly fit block: the denser sample's threshold, over the kept rows alone
-            first, keep = keep, np.zeros(len(block), dtype=bool)
-            for run, *pairs in runs(first, dense_run, m_row, m_item, r_row, rel, slack):
-                keep[run] = reachable(dense, dense_at, block[run], *pairs)
+        block = rows[bounds[i]:bounds[i + 1]]
+        kept = reachable(sample, sample_at, block)
+        if dense is not None and 0 < len(kept) <= DENSER_KEPT * len(block):
+            # a poorly fit block with rows left: the denser sample's threshold, over the kept rows alone
+            kept = np.concatenate([reachable(dense, dense_at, kept[s:s + dense_run])
+                                   for s in range(0, len(kept), dense_run)])
         hit = np.zeros((len(block), depth), dtype=bool)
-        for run, *pairs in runs(keep, chunk, m_row, m_item, r_row, r_item):  # every row kept: chunks of rows
-            hit[run] = kept_hits(block[run], *pairs)
+        at = np.searchsorted(block, kept)  # the kept rows' places in the block
+        for s in range(0, len(kept), chunk):  # every row kept: the block's chunks of rows
+            hit[at[s:s + chunk]] = kept_hits(kept[s:s + chunk])
         hits, dcg = np.cumsum(hit, axis=1), np.cumsum(np.where(hit, gains[:depth], 0.0), axis=1)
         relevant = n_relevant[block]
         metrics = {}

@@ -326,6 +326,22 @@ def test_row_scores_blocks_and_nbytes():
     assert scores.nbytes == 3 * 7 * 8  # the largest block returned so far
 
 
+def test_row_scores_pair_scores_and_error_bounds_do_not_depend_on_the_other_rows():
+    # the second sample recomputes both for its kept rows alone, and must read the bits the first
+    # read for the whole block: any subset of the rows, in any order, gets each row's same bits
+    rng = np.random.default_rng(13)
+    n_anchors, n_items, width = 200, 300, 64
+    scores = RowScores(rng.normal(size=(n_anchors, width)), rng.normal(size=(n_items, width)))
+    rows = np.repeat(np.arange(n_anchors), 3)
+    items = rng.integers(0, n_items, size=len(rows))
+    pairs, bounds = scores.negated_pairs(rows, items), scores.error_bound(np.arange(n_anchors))
+    for size in [1, 2, 3, 7, 64, 65, 333, len(rows)]:
+        pick = rng.permutation(len(rows))[:size]
+        assert (scores.negated_pairs(rows[pick], items[pick]) == pairs[pick]).all()
+        anchors = rng.permutation(n_anchors)[:min(size, n_anchors)]
+        assert (scores.error_bound(anchors) == bounds[anchors]).all()
+
+
 @pytest.fixture(scope="module")
 def trained_toy():
     ds, _ = generate_synthetic(300, 200, 40, m_true=3, noise=0.1, seed=4)
