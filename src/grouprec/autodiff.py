@@ -216,17 +216,6 @@ def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
         return np.reciprocal(z, out=z)
 
 
-def relu(x) -> Tensor:
-    x = _as_tensor(x)
-    y = np.maximum(x.data, 0.0)
-    out = Tensor(y)
-
-    def backward(g, x):
-        _accum(x, g * (y > 0.0))  # y > 0 exactly where x > 0, and y is all that is kept
-
-    return _record(out, (x,), backward)
-
-
 # ---------------------------------------------------------------------------
 # shape plumbing
 
@@ -505,28 +494,6 @@ def gated_channels(x, w, b) -> Tensor:
                 x.grad[r] += dz[r] @ w_cat.T
 
         run_on_two_lanes(grad_task, [None] + blocks if dx is not None else [None])
-
-    return _record(out, (x, w, b), backward)
-
-
-def channel_linear(x, w, b) -> Tensor:
-    """out[:, n] = x_n @ w[n] + b[n]: (U, d) or (U, M, d), (M, d, d'), (M, d') -> (U, M, d').
-
-    x_n is x itself for a (U, d) input and x[:, n] for a (U, M, d) one. The
-    M products run as one stacked matmul over the channel axis.
-    """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    shared, wd = x.data.ndim == 2, w.data
-    xc = x.data[None] if shared else x.data.transpose(1, 0, 2)  # (1 or M, U, d)
-    out = Tensor((xc @ wd).transpose(1, 0, 2) + b.data)
-
-    def backward(g, x, w, b):
-        gc = g.transpose(1, 0, 2)  # (M, U, d')
-        if x.requires_grad:
-            dx = gc @ wd.transpose(0, 2, 1)  # (M, U, d)
-            _accum(x, dx.sum(axis=0) if shared else dx.transpose(1, 0, 2))
-        _accum(w, xc.transpose(0, 2, 1) @ gc)
-        _accum(b, g.sum(axis=0))
 
     return _record(out, (x, w, b), backward)
 

@@ -370,6 +370,15 @@ def cmd_ablate(args):
     modes = [m.strip() for m in (args.interest_modes or "").split(",") if m.strip()]
     if args.interest_modes is not None:
         _distinct("--interest-modes", modes)
+    if not cfg.use_groups:
+        # no variant or interest mode is read without groups, so each would train the same model
+        if len(variants) > 1 or args.interest_modes is not None:
+            raise ValueError(
+                f"use_groups=false reads no variant or interest mode: pass one --variants name and no "
+                f"--interest-modes, got variants {variants} and modes {modes}"
+            )
+        if args.task == "group":
+            raise ValueError("use_groups=false scores no groups: pass --task user")
     seeds = [cfg.seed + i for i in range(args.seeds)]
     variant_cfgs = [cfg.replace(variant=variant, seed=seed) for variant in variants for seed in seeds]
     mode_cfgs = [cfg.replace(interest_mode=mode, variant="full", seed=seed) for mode in modes for seed in seeds]
@@ -504,7 +513,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--variants", default="Full,A,B,C,D")
-    p.add_argument("--interest-modes", default=None, help="e.g. gate,fc1,fc2,table")
+    p.add_argument("--interest-modes", default=None, help="e.g. gate,table")
     p.add_argument("--task", default="user", choices=TASKS)
     p.add_argument("--k", default="5,10")
     p.add_argument("--seeds", type=int, default=1)

@@ -17,7 +17,7 @@ VARIANT_LETTERS = {
 }
 VARIANTS = tuple(VARIANT_LETTERS)
 
-INTEREST_MODES = ("gate", "fc1", "fc2", "table")
+INTEREST_MODES = ("gate", "table")
 TASKS = ("user", "group")
 
 

@@ -2,21 +2,21 @@
 
 The default extractor carves M interest vectors out of each user embedding
 with per-interest self-gates: interest n is e ⊙ sigmoid(e W_n + b_n). The
-alternative generators (plain linear maps, a two-layer map, free per-user
-tables) exist only for the comparison harness and share the same interface:
-``interests(user_rows, rows)`` maps the (r, d) embeddings of the users
-``rows`` (sorted ids) to one (r, M, d) tensor whose [:, n] slice is
-interest n. Only the free tables read ``rows``; the other generators depend
-on the embeddings alone. Parameters follow the same convention: each role is
-one tensor whose slice n belongs to interest n (``gate_w`` is (M, d, d) and
-``gate_w[n]`` is W_n), except the free table, which holds every user's
-interests, (|U|, M, d), and gathers the rows asked for.
+one alternative, free per-user tables, exists for the comparison harness and
+shares the same interface: ``interests(user_rows, rows)`` maps the (r, d)
+embeddings of the users ``rows`` (sorted ids) to one (r, M, d) tensor whose
+[:, n] slice is interest n. Only the free tables read ``rows``; the gates
+depend on the embeddings alone. Parameters follow the same convention: each
+role is one tensor whose slice n belongs to interest n (``gate_w`` is
+(M, d, d) and ``gate_w[n]`` is W_n), except the free table, which holds every
+user's interests, (|U|, M, d), and gathers the rows asked for.
 """
 
 import numpy as np
 
 from . import autodiff as ag
 from .autodiff import Tensor
+from .config import INTEREST_MODES
 
 INIT_STD = 0.1
 
@@ -52,37 +52,6 @@ class SelfGatingInterests:
         return [("gate_w", self.w), ("gate_b", self.b)]
 
 
-class LinearInterests:
-    """One affine map per interest; same parameter count as the gates."""
-
-    def __init__(self, m_interests, dim, rng):
-        self.w = _weight(rng, (m_interests, dim, dim))
-        self.b = _bias((m_interests, dim))
-
-    def interests(self, user_rows, rows):
-        return ag.channel_linear(user_rows, self.w, self.b)
-
-    def named_params(self):
-        return [("fc1_w", self.w), ("fc1_b", self.b)]
-
-
-class TwoLayerInterests:
-    """Two affine maps with a ReLU between; twice the single-layer count."""
-
-    def __init__(self, m_interests, dim, rng):
-        self.w1 = _weight(rng, (m_interests, dim, dim))
-        self.b1 = _bias((m_interests, dim))
-        self.w2 = _weight(rng, (m_interests, dim, dim))
-        self.b2 = _bias((m_interests, dim))
-
-    def interests(self, user_rows, rows):
-        hidden = ag.relu(ag.channel_linear(user_rows, self.w1, self.b1))
-        return ag.channel_linear(hidden, self.w2, self.b2)
-
-    def named_params(self):
-        return [("fc2_w1", self.w1), ("fc2_b1", self.b1), ("fc2_w2", self.w2), ("fc2_b2", self.b2)]
-
-
 class TableInterests:
     """Free interest embeddings, one full table per interest: M * |U| * d."""
 
@@ -99,18 +68,10 @@ class TableInterests:
         return [("interest_table", self.table)]
 
 
-GENERATORS = {
-    "gate": SelfGatingInterests,
-    "fc1": LinearInterests,
-    "fc2": TwoLayerInterests,
-    "table": TableInterests,
-}
-
-
 def make_interest_generator(mode, m_interests, dim, rng, n_users):
     """The generator of mode for n_users users; only the free tables use the count."""
-    if mode not in GENERATORS:
-        raise ValueError(f"unknown interest mode {mode!r}; pick from {sorted(GENERATORS)}")
+    if mode == "gate":
+        return SelfGatingInterests(m_interests, dim, rng)
     if mode == "table":
         return TableInterests(m_interests, dim, rng, n_users)
-    return GENERATORS[mode](m_interests, dim, rng)
+    raise ValueError(f"unknown interest mode {mode!r}; pick from {list(INTEREST_MODES)}")

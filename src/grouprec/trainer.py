@@ -199,18 +199,22 @@ class Trainer:
         Adam's weight decay applies, weight_decay * reg_params, which reaches
         the gradients through the optimizer rather than the tape. Both are
         taken before backward: a non-finite total raises with nothing updated.
-        After backward and before Adam, one `vdot` per parameter gradient, as
-        reg_params takes for the data, checks it: a gradient holding inf or
-        NaN (or whose squares overflow, as Adam's g * g would) raises, naming
-        the first such parameter, with the gradients dropped and nothing
-        updated.
+        After backward and before Adam, one `vdot` per parameter gradient and
+        the `vdot` of its data that reg_params sums bound the gradient Adam
+        squares, g = grad + weight_decay * p, as
+        |g|^2 <= 2 (|grad|^2 + (weight_decay |p|)^2). A gradient holding inf
+        or NaN, or a bound that overflows, as Adam's g * g might, raises,
+        naming the first such parameter, with the gradients dropped and
+        nothing updated.
         """
         cfg = self.cfg
+        params = self.model.named_params()
         # the samplers' streams are their own, so drawing before the forward changes no draw
         user, group = self._draw()
         with Tape() as tape:
             loss, l_user, l_group, reg_interest = self._loss(user, group, self.noise_rng)
-            reg_params = sum(float(np.vdot(t.data, t.data)) for t in self.model.tensors())
+            squares = [float(np.vdot(t.data, t.data)) for _, t in params]
+            reg_params = sum(squares)
             total = loss.item() + cfg.weight_decay * reg_params
             if not np.isfinite(total):
                 raise FloatingPointError(
@@ -218,8 +222,10 @@ class Trainer:
                     f"reg={reg_interest} params={reg_params}"
                 )
             tape.backward(loss)
-        for name, tensor in self.model.named_params():
-            if tensor.grad is not None and not np.isfinite(np.vdot(tensor.grad, tensor.grad)):
+        for (name, tensor), p_square in zip(params, squares):
+            g_square = 0.0 if tensor.grad is None else float(np.vdot(tensor.grad, tensor.grad))
+            decay = cfg.weight_decay * math.sqrt(p_square)
+            if not math.isfinite(2.0 * (g_square + decay * decay)):
                 for t in self.model.tensors():
                     t.grad = None
                 raise FloatingPointError(f"non-finite gradient of {name}: loss={total}")

@@ -775,6 +775,15 @@ def test_config_and_checkpoint_naming_pooling_are_rejected(world, run_dir, tmp_p
     assert stderr_payload(capsys)["message"] == message
 
 
+def test_a_checkpoint_of_a_removed_interest_mode_is_refused(world, run_dir, tmp_path, capsys):
+    cfg_dict, arrays, meta = load_checkpoint(run_dir / "best.ckpt")
+    save_checkpoint(tmp_path / "fc1.ckpt", {**cfg_dict, "interest_mode": "fc1"}, arrays, meta)
+    out = tmp_path / "ev"
+    assert run(["eval", "--data", world, "--out", out, "--checkpoint", tmp_path / "fc1.ckpt"]) == 2
+    assert stderr_payload(capsys)["message"].startswith("invalid config: interest_mode must be one of")
+    assert not out.exists()
+
+
 def test_shipped_configs_load():
     configs = sorted(CONFIGS.glob("*.json"))
     grids = [p for p in configs if p.name.startswith("sweep_")]
@@ -815,9 +824,17 @@ def test_ablate_rejects_unknown_variant(world, tmp_path, capsys):
     (["--k", "5,x"], "bad cutoff list '5,x'"),
     # each wrote its repeated rows twice into the ablation CSVs
     (["--variants", "Full,full,A"], "--variants takes one or more distinct names, got ['full', 'full', 'mean_"),
-    (["--variants", "Full", "--interest-modes", "gate,fc1,gate"],
-     "--interest-modes takes one or more distinct names, got ['gate', 'fc1', 'gate']"),
+    (["--variants", "Full", "--interest-modes", "gate,table,gate"],
+     "--interest-modes takes one or more distinct names, got ['gate', 'table', 'gate']"),
     (["--variants", ","], "--variants takes one or more distinct names, got []"),
+    # without groups no variant or interest mode is read: each wrote one more identical row
+    (["--set", "use_groups=false"], "use_groups=false reads no variant or interest mode"),
+    (["--set", "use_groups=false", "--variants", "Full,A"], "use_groups=false reads no variant or interest mode"),
+    (["--set", "use_groups=false", "--variants", "Full", "--interest-modes", "gate"],
+     "use_groups=false reads no variant or interest mode"),
+    # trained every run, then failed in the held-out evaluation
+    (["--set", "use_groups=false", "--variants", "Full", "--task", "group"],
+     "use_groups=false scores no groups: pass --task user"),
 ])
 def test_ablate_checks_its_arguments_before_work(world, tmp_path, capsys, no_work, flags, message):
     out = tmp_path / "abl"
@@ -847,7 +864,7 @@ def test_ablate_trains_each_configuration_once(world, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "Trainer", counting_trainer)
     out = tmp_path / "abl"
     assert run(["ablate", "--data", world, "--out", out, "--variants", "Full,A",
-                "--interest-modes", "gate,fc1", "--seeds", 2, "--seed", 0, *TOY]) == 0
+                "--interest-modes", "gate,table", "--seeds", 2, "--seed", 0, *TOY]) == 0
     # the gate mode's configuration is the Full variant's, so it reuses those runs
     assert len(built) == len(set(built)) == 6
     with open(out / "ablation.csv") as f:

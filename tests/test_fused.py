@@ -58,27 +58,6 @@ def test_gated_channels_finite_differences():
     assert err < 1e-4
 
 
-@pytest.mark.parametrize("rank", [2, 3], ids=["shared_input", "per_channel_input"])
-def test_channel_linear_finite_differences(rank):
-    rng = np.random.default_rng(8)
-    x = param(rng, 5, 4) if rank == 2 else param(rng, 5, 3, 4)
-    w = param(rng, 3, 4, 2)
-    b = param(rng, 3, 2)
-    coef = rng.normal(size=(5, 3, 2))
-
-    def loss():
-        out = ag.channel_linear(x, w, b)
-        return ref.tsum(ref.mul(ref.mul(out, out), Tensor(coef)))
-
-    out = ag.channel_linear(x, w, b).data
-    assert out.shape == (5, 3, 2)
-    for n in range(3):
-        x_n = x.data if rank == 2 else x.data[:, n]
-        np.testing.assert_allclose(out[:, n], x_n @ w.data[n] + b.data[n], rtol=1e-14)
-    err = ref.finite_difference_check(loss, [x, w, b], h=1e-5, rng=rng, max_coords=60)
-    assert err < 1e-4
-
-
 def test_segment_attention_finite_differences_and_single_member():
     rng = np.random.default_rng(1)
     x = param(rng, 5, 3, 4)

@@ -50,7 +50,7 @@ def test_identical_users_identical_interests():
 def test_output_shape_all_modes():
     rng = np.random.default_rng(3)
     e = Tensor(rng.normal(size=(5, 4)))
-    for mode in ("gate", "fc1", "fc2", "table"):
+    for mode in ("gate", "table"):
         gen = make_interest_generator(mode, 3, 4, rng, n_users=5)
         out = gen.interests(e, np.arange(5))
         assert out.shape == (5, 3, 4)
@@ -70,8 +70,6 @@ def test_param_counts_exact():
     m, d, n_users = 4, 16, 50
     counts = {
         "gate": m * (d + 1) * d,
-        "fc1": m * (d + 1) * d,
-        "fc2": 2 * m * (d + 1) * d,
         "table": m * n_users * d,
     }
     for mode, want in counts.items():
@@ -86,7 +84,7 @@ def test_unknown_mode_rejected():
         make_interest_generator("capsule", 2, 4, np.random.default_rng(0), n_users=1)
 
 
-@pytest.mark.parametrize("mode", ["gate", "fc1", "fc2", "table"])
+@pytest.mark.parametrize("mode", ["gate", "table"])
 def test_gradients_reach_all_parameters(mode):
     rng = np.random.default_rng(6)
     gen = make_interest_generator(mode, 2, 3, rng, n_users=4)

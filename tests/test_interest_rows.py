@@ -31,7 +31,7 @@ from grouprec.trainer import Trainer
 
 import reference as ref
 
-MODES = ("gate", "fc1", "fc2", "table")
+MODES = ("gate", "table")
 VARIANTS = ("full", "uniform_mix", "hard_select", "no_interest_reg")
 
 N_USERS, N_ITEMS = 8, 7
@@ -163,8 +163,8 @@ def test_compact_rows_match_the_full_table(mode, variant):
 @pytest.mark.parametrize("mode", MODES)
 def test_compact_path_gradients_match_finite_differences(mode):
     trainer = Trainer(world(), config(interest_mode=mode))
-    # zero biases let fc2 zero a user's whole interest channel, where the
-    # cosine (and so the loss) jumps; random biases keep every channel off zero
+    # random gate biases put the check at a general point, not at the zero-bias start
+    # (the free table holds no bias)
     rng = np.random.default_rng(2)
     for name, t in trainer.model.generator.named_params():
         if "_b" in name:

@@ -1,4 +1,4 @@
-"""Property tests of ten tape ops against their references in tests/reference.py.
+"""Property tests of nine tape ops against their references in tests/reference.py.
 
 `segment_attention` on empty and one-member segments, rows in several
 segments and unsorted segment ids; `bpr_pairs` on repeated anchors and
@@ -7,9 +7,8 @@ at K = 0-3 with one side reading no gradient or needing none;
 `gather_rows` on repeated and unsorted indices, with and without an
 existing gradient; `weighted_sum` with array coefficients and one tensor in
 several terms; `spmm`; `softmax_rows` at temperatures other than 1;
-`channel_linear` on a shared (U, d) input and a per-channel (U, M, d) one,
-M = 1 and d' other than d among them; `contract` with the model's two
-specs; and `straight_through` on rows that tie at the argmax.
+`contract` with the model's two specs; and `straight_through` on rows that
+tie at the argmax.
 Forward values are compared with the reference op (or with numpy where
 tests/reference.py has none), gradients with the reference op and by
 `finite_difference_check`.
@@ -338,7 +337,7 @@ def test_softmax_rows_property(n, k, tau, seed):
     assert err < 1e-4
 
 
-# ------------------------------------------------------------ channel_linear
+# ------------------------------------------------------------ contract
 
 
 def off_zero(rng, size):
@@ -349,45 +348,6 @@ def off_zero(rng, size):
     where the central difference reads rounding residue as a relative error.
     """
     return rng.choice([-1.0, 1.0], size=size) * rng.uniform(0.5, 1.5, size=size)
-
-
-@PROPERTY
-@given(shared=st.booleans(), u=st.integers(1, 4), m=st.integers(1, 3), d=st.integers(1, 3),
-       d_out=st.integers(1, 3), seed=SEEDS)
-@example(shared=True, u=3, m=1, d=2, d_out=3, seed=0)
-@example(shared=False, u=3, m=1, d=3, d_out=1, seed=1)
-def test_channel_linear_property(shared, u, m, d, d_out, seed):
-    rng = np.random.default_rng(seed)
-    # a (U, d) input reaches every channel; a (U, M, d) one is passed as its M channels, stacked
-    xs = [off_zero(rng, (u, d)) for _ in range(1 if shared else m)]
-    w0, b0, up = off_zero(rng, (m, d, d_out)), off_zero(rng, (m, d_out)), off_zero(rng, (u, m, d_out))
-
-    def op(w, b, *xs):
-        return ag.channel_linear(xs[0] if shared else ref.stack(list(xs)), w, b)
-
-    def composed(w, b, *xs):  # one product per channel, stacked
-        return ref.stack([ref.add(ref.matmul(xs[0 if shared else n], ref.take(w, n)), ref.take(b, n))
-                          for n in range(m)])
-
-    (out,), grads = run(op, [w0, b0, *xs], [up])
-    (want,), want_grads = run(composed, [w0, b0, *xs], [up])
-    x_max, w_max = max(np.abs(x).max() for x in xs), np.abs(w0).max()
-    assert out.shape == (u, m, d_out)
-    assert close(out, want, terms=x_max * w_max * d + np.abs(b0).max())
-    for got, expected in zip(grads, want_grads):  # x sums over channels and outputs, w and b over rows
-        assert close(got, expected, terms=np.abs(up).max() * max(w_max * m * d_out, x_max * u, u))
-
-    x = Tensor(xs[0].copy() if shared else np.stack(xs, axis=1), requires_grad=True)
-    w, b = Tensor(w0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True)
-
-    def loss():
-        out = ag.channel_linear(x, w, b)
-        return ref.tsum(ref.mul(ref.mul(out, out), Tensor(up)))
-
-    assert ref.finite_difference_check(loss, [x, w, b], h=1e-5, max_coords=12, rng=rng) < 1e-4
-
-
-# ------------------------------------------------------------ contract
 
 
 @PROPERTY

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from grouprec import autodiff as ag
+from grouprec import cli
 from grouprec import trainer as trainer_mod
 from grouprec.checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from grouprec.config import TrainConfig
-from grouprec.datasets import split_holdout
+from grouprec.datasets import load_prepared, split_holdout
 from grouprec.synthetic import generate_synthetic
 from grouprec.trainer import LOG_COLUMNS, LOSS_TERMS, Trainer, build_model_from_arrays
 
@@ -503,3 +504,26 @@ def test_trainers_trained_twice_write_equal_checkpoints(tmp_path):
         save_checkpoint(path, trainer.cfg.as_dict(), trainer.model.named_params_data())
         files.append(path.read_bytes())
     assert files[0] == files[1]
+
+
+@pytest.fixture(scope="module")
+def decay_world(tmp_path_factory):
+    world = tmp_path_factory.mktemp("decay") / "world"
+    assert cli.main(["synth", "--out", str(world), "--users", "200", "--items", "120", "--groups", "40",
+                     "--interests", "4", "--edges-per-user", "6", "--seed", "1"]) == 0
+    assert cli.main(["prepare", "--data", str(world), "--seed", "1"]) == 0
+    return load_prepared(world)
+
+
+@pytest.mark.parametrize("decay", [1e155, 1e200, 1e300])
+def test_a_weight_decay_that_overflows_adams_gradient_raises_before_adam(decay_world, adams, decay):
+    # loss, decay term and tape gradients are finite here, but Adam squares grad + decay * p:
+    # these decays overflowed there, and a run wrote a best.ckpt
+    trainer = Trainer(decay_world, TrainConfig(epochs=2, weight_decay=decay))
+    before = [t.data.copy() for t in trainer.model.tensors()]
+    with pytest.raises(FloatingPointError, match=r"non-finite gradient of user_emb: loss=\S+"):
+        trainer._step()
+    assert not adams and trainer.opt is None
+    for tensor, want in zip(trainer.model.tensors(), before):
+        assert tensor.grad is None
+        np.testing.assert_array_equal(tensor.data, want)
