@@ -48,6 +48,9 @@ _SPLIT_ROW = np.dtype([("a", "i8"), ("v", "i8"), ("s", f"S{max(map(len, SPLIT_NA
 # the _lines label table of a splits file: the name of each split code
 _SPLIT_LABELS = tuple(name.encode() for name in SPLIT_NAMES)
 
+# 10**k for each digit place of an id of at most 18 digits, in the whole-file membership parse
+_POWERS_OF_TEN = 10 ** np.arange(18, dtype=np.int64)
+
 
 class Interactions:
     """Anchor-item edges with a split label each, held sorted by (anchor, item).
@@ -56,8 +59,12 @@ class Interactions:
     the one broken: each (anchor, item) pair appears once, n_anchors * n_items
     is below 2**63 (so every edge_keys key fits in int64), and every split code
     is TRAIN, VALID or TEST. It then sorts once; every reader of the arrays
-    relies on this order and sorts nothing. The arrays are read-only: a copy
-    with other split labels comes from `relabeled`.
+    relies on this order and sorts nothing. Edges whose keys already strictly
+    increase, as every file the library writes and every `relabeled` copy
+    gives them, pass one comparison in place of the sort. The arrays are
+    read-only: an array given read-only is held as it is, any other is
+    copied, so a caller's writeable array stays writeable. A copy with other
+    split labels comes from `relabeled`.
     """
 
     def __init__(self, n_anchors, n_items, anchors=(), items=(), splits=None):
@@ -77,16 +84,19 @@ class Interactions:
                 raise ValueError("item id out of range")
             if splits.min() < TRAIN or splits.max() > TEST:
                 raise ValueError(f"split codes must be TRAIN, VALID or TEST, got {np.unique(splits).tolist()}")
-        # a stable sort on one key per edge: the same order as lexsort, and
-        # linear time on edges that already arrive sorted (files, relabeled copies)
+        splits = splits.astype(np.int8, copy=False)
         keys = edge_keys(anchors, items, self.n_anchors, self.n_items)
-        order = np.argsort(keys, kind="stable")
-        twice = order[1:][np.diff(keys[order]) == 0]
-        if len(twice):
-            raise ValueError(f"edge ({anchors[twice[0]]}, {items[twice[0]]}) appears more than once")
-        self.anchors, self.items, self.splits = anchors[order], items[order], splits.astype(np.int8)[order]
-        for array in (self.anchors, self.items, self.splits):
-            array.flags.writeable = False  # so no memoised anchor_index goes stale
+        if _increasing(keys):  # sorted, and no key twice
+            arrays = [_read_only(x) for x in (anchors, items, splits)]
+        else:  # a stable sort on one key per edge: the same order as lexsort
+            order = np.argsort(keys, kind="stable")
+            twice = order[1:][np.diff(keys[order]) == 0]
+            if len(twice):
+                raise ValueError(f"edge ({anchors[twice[0]]}, {items[twice[0]]}) appears more than once")
+            arrays = [x[order] for x in (anchors, items, splits)]
+            for array in arrays:
+                array.flags.writeable = False  # so no memoised anchor_index goes stale
+        self.anchors, self.items, self.splits = arrays
         self._indexes = {}  # anchor_index's (indptr, indices), by the sorted split codes
 
     def __len__(self):
@@ -111,6 +121,23 @@ class Interactions:
                 array.flags.writeable = False
             self._indexes[key] = index
         return self._indexes[key]
+
+
+def _increasing(keys):
+    """Whether the keys strictly increase: sorted, and each one once."""
+    return bool(np.all(keys[1:] > keys[:-1]))
+
+
+def _read_only(array):
+    """The array itself when neither it nor any array it views is writeable, else a read-only copy."""
+    base = array
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            array = array.copy()
+            array.flags.writeable = False
+            return array
+        base = base.base
+    return array
 
 
 def membership_matrix(n_groups, n_users, gids, uids):
@@ -270,8 +297,14 @@ def in_sorted(keys, query):
 
 
 def _unique_edges(anchors, items, n_anchors, n_items):
-    """Distinct (anchor, item) pairs sorted by key, through a sort and a neighbour mask."""
-    keys = np.sort(edge_keys(anchors, items, n_anchors, n_items))
+    """Distinct (anchor, item) pairs sorted by key, through a sort and a neighbour mask.
+
+    Pairs whose keys already strictly increase come back as given.
+    """
+    keys = edge_keys(anchors, items, n_anchors, n_items)
+    if _increasing(keys):
+        return anchors, items
+    keys = np.sort(keys)
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     return np.divmod(keys[first], max(n_items, 1))
@@ -286,12 +319,15 @@ def _load_rows(path, dtype):
 
     None means the per-line reader must decide: a wrong field count, an id
     that is not a plain int64 literal, a whitespace-only line, no rows at all
-    (loadtxt only warns), or a NUL byte anywhere (a fixed-width label drops
-    trailing NULs). Empty lines are skipped, as the per-line reader skips them.
+    (loadtxt only warns), a NUL byte anywhere (a fixed-width label drops
+    trailing NULs), or a byte 0x1c-0x1f anywhere (loadtxt strips them around
+    an id as whitespace, and int() refuses them). Empty lines are skipped, as
+    the per-line reader skips them.
     """
     with open(path, "rb") as f:
-        if b"\0" in f.read():
-            return None
+        data = f.read()
+    if any(byte in data for byte in (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -323,6 +359,58 @@ def _parse_ids(tokens, path, lineno, line):
 
 
 def load_group_members(path, n_users, n_groups):
+    """Read "gid u1,u2,..." lines as a membership_matrix CSR of n_groups x n_users.
+
+    A file of canonical lines, each ASCII digits, one space, comma-separated
+    ASCII digits and LF, that lists each group once with every id in range,
+    is parsed whole. Any other file is read again line by line, which names
+    the line at fault: fields split on whitespace, members on commas (empty
+    ones skipped), ids as `int()` reads them, blank lines skipped.
+    """
+    with open(path, "rb") as f:
+        members = _members_from_bytes(f.read(), n_users, n_groups)
+    if members is None:
+        return _load_group_members_lines(path, n_users, n_groups)
+    return membership_matrix(n_groups, n_users, *members)
+
+
+def _members_from_bytes(data, n_users, n_groups):
+    """(gids, uids), one pair per listed member, of a canonical membership file, else None.
+
+    Every byte that is not an ASCII digit ends a token. The separators must
+    run space, commas, LF on each line, and no token may be empty or over 18
+    digits, so each fits in int64. A token's value is the sum of its digits
+    times their powers of ten, summed for all tokens at once.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if not len(buf) or buf[-1] != ord("\n"):
+        return None
+    digit = (buf >= ord("0")) & (buf <= ord("9"))
+    ends = np.flatnonzero(~digit)
+    lengths = np.diff(ends, prepend=-1) - 1
+    if lengths.min() < 1 or lengths.max() > 18:
+        return None
+    seps = buf[ends]
+    gid = seps == ord(" ")  # the token before a line's space is its group id
+    line_end = seps == ord("\n")
+    if not (gid[0] and np.array_equal(gid[1:], line_end[:-1]) and np.all(gid | line_end | (seps == ord(",")))):
+        return None
+    values = buf[digit].astype(np.int64) - ord("0")
+    # a digit's power is how many digits of its token follow it
+    power = np.repeat(ends - np.arange(len(ends)), lengths) - 1 - np.arange(len(values))
+    ids = np.add.reduceat(values * _POWERS_OF_TEN[power], np.cumsum(lengths) - lengths)
+    gids, uids = ids[gid], ids[~gid]
+    if gids.max() >= n_groups or uids.max() >= n_users or len(gids) != n_groups:
+        return None
+    listed = np.zeros(n_groups, dtype=bool)
+    listed[gids] = True
+    if not listed.all():  # a group listed twice, so another not at all
+        return None
+    return np.repeat(gids, np.diff(np.flatnonzero(gid), append=len(gid)) - 1), uids
+
+
+def _load_group_members_lines(path, n_users, n_groups):
+    """load_group_members one line at a time: raises 'path:line' errors."""
     gids, uids = [], []
     line_of = {}
     for lineno, line in _scan_lines(path):
@@ -413,19 +501,24 @@ def split_holdout(interactions, seed):
     Valid and test each get max(1, floor(n/10)) edges so every held-out
     anchor is testable; anchors with fewer than 3 edges hold nothing out.
     Anchors draw their permutations in id order over their edges in stored
-    order, so the labels depend only on the edge set.
+    order, so the labels depend only on the edge set. Each anchor's draw is
+    `rng.shuffle` of its slice of one buffer of 0..k-1 runs: the draws of
+    `rng.permutation(k)`, without an array per anchor.
     """
     rng = np.random.default_rng(seed)
     counts = np.bincount(interactions.anchors, minlength=interactions.n_anchors)
     held = np.flatnonzero(counts >= 3)
     n = counts[held]
-    perms = [rng.permutation(k) for k in n.tolist()]
+    starts = np.cumsum(n) - n
+    slot = np.arange(n.sum()) - np.repeat(starts, n)  # each held anchor's 0..k-1
+    perm = slot.copy()
+    for start, stop in zip(starts.tolist(), (starts + n).tolist()):
+        rng.shuffle(perm[start:stop])
+    # slot j of anchor held[i] takes its perm[j]-th edge; slots fill valid, then test
     splits = np.zeros(len(interactions), dtype=np.int8)
-    if perms:  # slot j of anchor held[i] takes its perms[i][j]-th edge; slots fill valid, then test
-        n_hold = np.repeat(np.maximum(1, n // 10), n)
-        slot = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        edge = np.repeat(np.cumsum(counts)[held] - n, n) + np.concatenate(perms)
-        splits[edge] = np.where(slot < n_hold, VALID, np.where(slot < 2 * n_hold, TEST, TRAIN))
+    n_hold = np.repeat(np.maximum(1, n // 10), n)
+    edge = np.repeat(np.cumsum(counts)[held] - n, n) + perm
+    splits[edge] = np.where(slot < n_hold, VALID, np.where(slot < 2 * n_hold, TEST, TRAIN))
     return interactions.relabeled(splits)
 
 
@@ -538,11 +631,13 @@ def _labels_from_rows(interactions, rows):
     if codes.min() < 0 or not (_in_range(anchors, n_anchors) and _in_range(items, n_items)):
         return None
     keys = edge_keys(anchors, items, n_anchors, n_items)
-    order = np.argsort(keys, kind="stable")
+    if not _increasing(keys):  # rows in stored order need no sort
+        order = np.argsort(keys, kind="stable")
+        keys, codes = keys[order], codes[order]
     wanted = edge_keys(interactions.anchors, interactions.items, n_anchors, n_items)
-    if not np.array_equal(keys[order], wanted):  # the edges' keys are distinct: one row per edge
+    if not np.array_equal(keys, wanted):  # the edges' keys are distinct: one row per edge
         return None
-    return interactions.relabeled(codes[order])
+    return interactions.relabeled(codes)
 
 
 def _read_splits_lines(interactions, path):

@@ -10,12 +10,18 @@ for the plugin; the warning policy for everything else is unchanged.
 
 `lanes` sets how many CPUs `grouprec.lanes` sees, so work runs on one lane
 or two, and can give the helper a fixed schedule.
+
+The "wide" hypothesis profile gives each `@given` test that leaves its
+example budget to the profile ten times hypothesis's default of 100, still
+derandomized: `pytest --hypothesis-profile=wide`. CI runs the reader
+agreement and loader mutation tests of tests/test_data.py under it.
 """
 
 import threading
 import warnings
 
 import pytest
+from hypothesis import settings
 
 from grouprec import lanes as lane_runner
 
@@ -25,6 +31,9 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:  # no libcst: the plugin skips the patch and never imports it
         pass
+
+
+settings.register_profile("wide", max_examples=1000, derandomize=True, deadline=None, database=None)
 
 
 class LateHelper(threading.Thread):

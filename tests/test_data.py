@@ -249,6 +249,48 @@ def test_interactions_hold_one_order_whatever_the_input_order(tmp_path):
         assert np.array_equal(getattr(back, name), getattr(want, name))
 
 
+def test_sorted_input_is_held_as_a_shuffled_copy_is():
+    rng = np.random.default_rng(9)
+    n_anchors, n_items = 20, 16
+    keys = np.sort(rng.choice(n_anchors * n_items, size=90, replace=False))
+    anchors, items = np.divmod(keys, n_items)
+    splits = rng.integers(TRAIN, TEST + 1, size=90).astype(np.int8)
+    given = [x.copy() for x in (anchors, items, splits)]
+    shuffle = rng.permutation(90)
+    stored = Interactions(n_anchors, n_items, anchors, items, splits)
+    shuffled = Interactions(n_anchors, n_items, anchors[shuffle], items[shuffle], splits[shuffle])
+    for name in ("anchors", "items", "splits"):
+        assert np.array_equal(getattr(stored, name), getattr(shuffled, name))
+    for wanted in ((TRAIN,), (VALID, TEST), (TRAIN, VALID, TEST)):
+        for x, y in zip(stored.anchor_index(wanted), shuffled.anchor_index(wanted)):
+            assert np.array_equal(x, y)
+    for mine, before, held in zip((anchors, items, splits), given, (stored.anchors, stored.items, stored.splits)):
+        assert mine.flags.writeable and np.array_equal(mine, before)
+        assert not held.flags.writeable and not np.shares_memory(mine, held)
+        mine[0] += 1  # the caller's array is still the caller's to write
+        assert np.array_equal(held, before)
+
+
+def test_read_only_input_is_shared_and_a_read_only_view_of_a_writeable_one_is_not():
+    inter = Interactions(3, 4, [0, 1, 2], [1, 0, 3], [TRAIN, TEST, VALID])
+    copy = inter.relabeled(np.array([TEST, TRAIN, TRAIN], dtype=np.int8))
+    assert copy.anchors is inter.anchors and copy.items is inter.items
+    base = np.array([0, 1, 2])
+    view = base[:]
+    view.flags.writeable = False
+    held = Interactions(3, 4, view, [1, 0, 3])
+    assert not np.shares_memory(held.anchors, base)
+    base[0] = 2
+    assert held.anchors.tolist() == [0, 1, 2]
+
+
+def test_a_duplicate_edge_in_sorted_input_is_named():
+    with pytest.raises(ValueError, match=r"edge \(1, 2\) appears more than once"):
+        Interactions(3, 4, np.array([0, 1, 1, 2]), np.array([3, 2, 2, 0]))
+    anchors, items = d._unique_edges(np.array([0, 1, 1, 2]), np.array([3, 2, 2, 0]), 3, 4)
+    assert anchors.tolist() == [0, 1, 2] and items.tolist() == [3, 2, 0]
+
+
 def synthesize_reference(dataset, cap):
     """The dict-counting synthesize_group_items replaced, kept as its oracle."""
     train_items = [[] for _ in range(dataset.n_users)]
@@ -623,6 +665,43 @@ SPLIT_CASES = [  # (file text, outcome) for Interactions(*INTER)
     ("", "error"),
 ]
 
+MEMBER_CASES = [  # (file text, outcome) with 12 users and 3 groups
+    ("0 1,2\n1 3\n2 4,0\n", "ok"),
+    ("2 4,0\n0 1,2\n1 3\n", "ok"),  # any line order
+    ("0 011,2\n1 3\n2 4\n", "ok"),  # a leading zero
+    ("0 1,1\n1 3\n2 4\n", "ok"),  # a repeated member
+    ("0 1,2\n1 3\n2 4", "ok"),  # no final newline
+    ("0 1,2\r\n1 3\r\n2 4\r\n", "ok"),
+    ("0 1,2\r1 3\r2 4\r", "ok"),
+    ("0 1,2\n\n1 3\n2 4\n", "ok"),  # a blank line
+    ("0 1,2\n \t\n1 3\n2 4\n", "ok"),  # a whitespace-only line
+    ("0\t1,2\n1 3\n2 4\n", "ok"),
+    ("0  1,2\n1 3\n2 4\n", "ok"),
+    (" 0 1,2 \n1 3\n2 4\n", "ok"),
+    ("0 ,1,2\n1 3\n2 4\n", "ok"),  # empty members are skipped
+    ("0 1,2,\n1 3\n2 4\n", "ok"),
+    ("0 1,,2\n1 3\n2 4\n", "ok"),
+    ("0 +3\n1 3\n2 4\n", "ok"),
+    ("0 1_0\n1 3\n2 4\n", "ok"),
+    ("0 \u0661,2\n1 3\n2 4\n", "ok"),  # an Arabic-Indic digit one
+    ("0 0000000000000000001\n1 3\n2 4\n", "ok"),  # 19 digits
+    ("0 1\x002\n1 3\n2 4\n", "error"),
+    ("0 1, 2\n1 3\n2 4\n", "error"),  # a third field
+    ("0 1;2\n1 3\n2 4\n", "error"),
+    ("0 1.0\n1 3\n2 4\n", "error"),
+    ("0 1,2\n0 3\n2 4\n", "error"),  # group 0 twice, group 1 unlisted
+    ("0 1,2\n2 4\n", "error"),
+    ("0 1,2\n1 3\n2 4\n3 5\n", "error"),
+    ("0 1,12\n1 3\n2 4\n", "error"),
+    ("0 1,-1\n1 3\n2 4\n", "error"),
+    ("0 99999999999999999999\n1 3\n2 4\n", "error"),
+    ("0 \n1 3\n2 4\n", "error"),  # an empty member list
+    ("0 ,\n1 3\n2 4\n", "error"),
+    ("0\n1 3\n2 4\n", "error"),
+    ("", "error"),
+    ("\n\n", "error"),
+]
+
 
 def outcome(fn, *args):
     """("ok", dtypes and values) or ("error", message); a warning fails the test."""
@@ -647,6 +726,20 @@ def split_outcomes(path, text, inter):
     return outcome(d.read_splits, inter, path), outcome(d._read_splits_lines, inter, path)
 
 
+def member_arrays(read):
+    """read, for 12 users and 3 groups, as a function of the path giving the CSR's arrays."""
+    def arrays(path):
+        m = read(path, 12, 3)
+        return m.indptr, m.indices, m.data
+
+    return arrays
+
+
+def member_outcomes(path, text):
+    path.write_bytes(text.encode())
+    return outcome(member_arrays(d.load_group_members), path), outcome(member_arrays(d._load_group_members_lines), path)
+
+
 @pytest.mark.parametrize("text, kind", EDGE_CASES)
 def test_load_interactions_whole_file_matches_per_line(tmp_path, text, kind):
     whole, per_line = edge_outcomes(tmp_path / "users.tsv", text)
@@ -657,6 +750,23 @@ def test_load_interactions_whole_file_matches_per_line(tmp_path, text, kind):
 @pytest.mark.parametrize("text, kind", SPLIT_CASES)
 def test_read_splits_whole_file_matches_per_line(tmp_path, text, kind):
     whole, per_line = split_outcomes(tmp_path / "splits_user.tsv", text, Interactions(*INTER))
+    assert whole == per_line
+    assert whole[0] == kind
+
+
+@pytest.mark.parametrize("space", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_whole_file_parse_rereads_what_int_refuses(tmp_path, space):
+    # loadtxt strips these separators around an id as whitespace, and int() refuses them
+    whole, per_line = edge_outcomes(tmp_path / "users.tsv", f"0\t1\n{space}2\t3\n")
+    assert whole == per_line and whole[0] == "error"
+    text = f"0\t1\ttrain\n0\t3\tvalid\n1\t0\ttest\n2\t2{space}\ttrain\n"
+    whole, per_line = split_outcomes(tmp_path / "splits_user.tsv", text, Interactions(*INTER))
+    assert whole == per_line and whole[0] == "error"
+
+
+@pytest.mark.parametrize("text, kind", MEMBER_CASES)
+def test_load_group_members_whole_file_matches_per_line(tmp_path, text, kind):
+    whole, per_line = member_outcomes(tmp_path / "group_members.txt", text)
     assert whole == per_line
     assert whole[0] == kind
 
@@ -705,6 +815,43 @@ def test_load_interactions_paths_agree_on_generated_files(tmp_path_factory, text
 def test_read_splits_paths_agree_on_generated_files(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("splits") / "splits_user.tsv"
     whole, per_line = split_outcomes(path, text, Interactions(*INTER))
+    assert whole == per_line
+
+
+@st.composite
+def member_files(draw):
+    """A line for each of 3 groups in any order, then up to two fields replaced by any field,
+    and a line dropped or repeated; half the files are laid out canonically, the others
+    with assorted separators and line ends."""
+    rows = []
+    for g in draw(st.permutations(range(3))):
+        users = draw(st.lists(st.integers(0, 12).map(str), min_size=1, max_size=3))
+        rows.append([str(g), users])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        row = draw(st.sampled_from(rows))
+        field = draw(st.one_of(st.integers(-1, 13).map(str), junk))
+        if draw(st.booleans()):
+            row[0] = field
+        else:
+            row[1][draw(st.integers(0, len(row[1]) - 1))] = field
+    change = draw(st.sampled_from(["none", "none", "none", "drop", "repeat"]))
+    if change == "drop":
+        rows.pop(draw(st.integers(0, len(rows) - 1)))
+    elif change == "repeat":
+        rows.append(draw(st.sampled_from(rows)))
+    if draw(st.booleans()):
+        field_sep, member_sep, end = st.just(" "), st.just(","), st.just("\n")
+    else:
+        field_sep = st.sampled_from([" ", "\t", "  "])
+        member_sep = st.sampled_from([",", ",,", ", "])
+        end = st.sampled_from(["\n", "\r\n", "\r", "\n \n", "\n\n"])
+    return "".join(g + draw(field_sep) + draw(member_sep).join(users) + draw(end) for g, users in rows)
+
+
+@given(text=st.one_of(member_files(), st.text(alphabet=ALPHABET + ",", max_size=40)))
+@settings(deadline=None, database=None, derandomize=True)  # the example budget is the profile's
+def test_load_group_members_paths_agree_on_generated_files(tmp_path_factory, text):
+    whole, per_line = member_outcomes(tmp_path_factory.mktemp("members") / "group_members.txt", text)
     assert whole == per_line
 
 
@@ -854,12 +1001,78 @@ def test_library_files_take_the_whole_file_path(tmp_path, monkeypatch):
 
     monkeypatch.setattr(d, "_load_interactions_lines", refuse)
     monkeypatch.setattr(d, "_read_splits_lines", refuse)
+    monkeypatch.setattr(d, "_load_group_members_lines", refuse)
     back = d.load_prepared(tmp_path)
     assert back.fingerprint() == ds.fingerprint()
     for x, y in ((back.user_items, ds.user_items), (back.group_items, ds.group_items)):
         for name in ("anchors", "items", "splits"):
             assert np.array_equal(getattr(x, name), getattr(y, name))
             assert getattr(x, name).dtype == getattr(y, name).dtype
+
+
+@pytest.fixture(scope="module")
+def tiny_prepared(tmp_path_factory):
+    """A prepared world's directory and the bytes of its five data files."""
+    base = tmp_path_factory.mktemp("tiny-prepared")
+    ds, _ = generate_synthetic(20, 30, 5, m_true=2, noise=0.1, seed=7)
+    ds = dataclasses.replace(ds, user_items=d.split_holdout(ds.user_items, seed=1),
+                             group_items=d.split_holdout(ds.group_items, seed=2))
+    d.save_dataset(ds, base)
+    d.write_splits(ds.user_items, base / d.USER_SPLITS_FILE)
+    d.write_splits(ds.group_items, base / d.GROUP_SPLITS_FILE)
+    names = (d.USER_EDGES_FILE, d.GROUP_EDGES_FILE, d.MEMBERS_FILE, d.USER_SPLITS_FILE, d.GROUP_SPLITS_FILE)
+    return base, {name: (base / name).read_bytes() for name in names}
+
+
+def mutate(data, rng):
+    """data with one to three bytes flipped, inserted or deleted at random places."""
+    data = bytearray(data)
+    for _ in range(rng.integers(1, 4)):
+        at = int(rng.integers(0, len(data) + 1))
+        kind = rng.integers(0, 3)
+        if kind == 0 and at < len(data):  # flip one bit
+            data[at] ^= 1 << int(rng.integers(0, 8))
+        elif kind == 1:
+            data[at:at] = bytes([int(rng.integers(0, 256))])
+        else:
+            del data[at : at + 1]
+    return bytes(data)
+
+
+def prepared_outcome(path):
+    """("ok", fingerprint, arrays) of load_prepared, or ("error", message) if it raised ValueError."""
+    try:
+        ds = d.load_prepared(path)
+    except ValueError as e:
+        return "error", str(e)
+    m = ds.group_members
+    edges = [getattr(x, n) for x in (ds.user_items, ds.group_items) for n in ("anchors", "items", "splits")]
+    return "ok", ds.fingerprint(), [(a.dtype.str, a.tolist()) for a in (*edges, m.indptr, m.indices, m.data)]
+
+
+def mutated_outcomes(base, files, seed):
+    """load_prepared's outcome, and again with the whole-file parses off, with one file mutated."""
+    rng = np.random.default_rng(seed)
+    name = list(files)[rng.integers(0, len(files))]
+    (base / name).write_bytes(mutate(files[name], rng))
+    try:
+        whole = prepared_outcome(base)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(d, "_load_rows", lambda *args: None)
+            patch.setattr(d, "_members_from_bytes", lambda *args: None)
+            per_line = prepared_outcome(base)
+    finally:
+        (base / name).write_bytes(files[name])
+    return whole, per_line
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(deadline=None, database=None, derandomize=True)  # the example budget is the profile's
+def test_load_prepared_agrees_with_the_per_line_readers_on_mutated_files(tiny_prepared, seed):
+    # a mutated world either fails with a ValueError or loads, and either way the
+    # whole-file parses must give what the per-line readers give; no other exception
+    whole, per_line = mutated_outcomes(*tiny_prepared, seed)
+    assert whole == per_line
 
 
 PER_LINE_READERS = {  # file name -> its per-line reader, for 3 anchors, 4 items, 5 users and 3 groups
