@@ -3,9 +3,10 @@
 Every command writes a run_manifest.json into its output directory with the
 resolved configuration, dataset fingerprint and seeds (a sweep's also holds
 its grid and budget), which is enough to re-run it identically, plus the
-library versions, the BLAS thread variables, whether the malloc setting of
-Trainer.train took effect and the CPUs the process may use (a second one
-gives the row-block ops, propagation and evaluation their helper lane).
+library versions, the BLAS thread count and core in effect, whether the
+malloc setting of Trainer.train took effect and the CPUs the process may
+use (a second one gives the row-block ops, propagation and evaluation their
+helper lane).
 Errors leave a machine-readable JSON line on stderr and a nonzero exit code.
 Log verbosity comes from the GROUPREC_LOG environment variable
 (DEBUG/INFO/WARNING/ERROR).
@@ -66,8 +67,9 @@ def write_manifest(out_dir, command, config_dict, fingerprint, seeds, argv, **in
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            # what lanes set numpy's bundled OpenBLAS to; null where it cannot be read
+            "blas_threads": lanes.blas_threads(),
+            "blas_core": lanes.blas_core(),
             "malloc_keeps_freed_heap": heap_kept(),
             # a helper lane runs only where this is above 1, so timings depend on it
             "usable_cpus": lanes.usable_cpus(),

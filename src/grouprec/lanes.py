@@ -25,10 +25,28 @@ in blocks of 64 and 512. So `row_blocks` depends on the row count alone,
 never on the lane count; its blocks start on multiples of ALIGN rows and
 hold at least ALIGN rows, unless the whole array is shorter, when it is one
 block: the unsplit call.
+
+Importing this module also sets numpy's bundled OpenBLAS to BLAS_THREADS
+(one) thread, whatever OPENBLAS_NUM_THREADS says: how a product splits over
+BLAS threads changes its rounding, so a checkpoint's bits would otherwise
+depend on the thread count. `autodiff` and `evaluate` import this module, so
+every product of training, evaluation and the ops runs after the pin, which
+no setting changes. The pin is process-wide: any other numpy code in a
+process that imports grouprec runs its products on one thread too.
+`blas_threads` and `blas_core` report the count and the OpenBLAS core in
+effect. Where numpy bundles no OpenBLAS, or it lacks the thread calls, a
+DEBUG line says so and the count stays the environment's.
 """
 
+import ctypes
+import glob
+import logging
 import os
 import threading
+
+import numpy as np
+
+log = logging.getLogger(__name__)
 
 ALIGN = 64  # rows: blocks start on multiples of ALIGN and, unless the whole is shorter, hold ALIGN or more
 # rows per block of the row-wise ops. At the mfw shape (about 3800 interest rows, M = 4, d = 64,
@@ -36,6 +54,53 @@ ALIGN = 64  # rows: blocks start on multiples of ALIGN and, unless the whole is 
 # took 27.4-28.0 ms in blocks of 512 rows, against 28.1-28.8 ms in blocks of 1024 and 27.1-28.4 ms
 # in blocks of 256 (medians of 30 interleaved steps, three runs)
 BLOCK_ROWS = 512
+# threads of numpy's bundled OpenBLAS. One writes the same bits whatever OPENBLAS_NUM_THREADS
+# says, and two never beat it on the step's kernels (0.85-1.04x on a shared 2-vCPU host), while
+# two on each lane oversubscribed those CPUs (an epoch at 1.68 s against 0.79-1.00 s at one)
+BLAS_THREADS = 1
+
+
+def _pin_bundled_openblas():
+    """Set numpy's bundled OpenBLAS to BLAS_THREADS threads; its (get_num_threads, get_corename) calls, or None.
+
+    numpy 2 wheels bundle libscipy_openblas64_, whose calls are named
+    scipy_openblas_*64_, and numpy 1 wheels libopenblas64_, named
+    openblas_*64_. Where numpy bundles neither, or the calls are missing,
+    it logs at DEBUG and returns None.
+    """
+    libs = sorted(glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "lib*openblas*")))
+    if not libs:
+        log.debug("numpy bundles no OpenBLAS; BLAS thread count left as the environment sets it")
+        return None
+    try:
+        lib = ctypes.CDLL(libs[0])  # the copy numpy loaded: the same file maps to the same handle
+        prefix = "scipy_openblas" if hasattr(lib, "scipy_openblas_set_num_threads64_") else "openblas"
+        set_threads, get_threads, get_core = (
+            getattr(lib, f"{prefix}_{name}64_") for name in ("set_num_threads", "get_num_threads", "get_corename")
+        )
+    except (OSError, AttributeError) as exc:
+        log.debug("cannot reach %s's thread calls (%s); BLAS thread count left as the environment sets it",
+                  libs[0], exc)
+        return None
+    for call, argtypes, restype in ((set_threads, (ctypes.c_int,), None),
+                                    (get_threads, (), ctypes.c_int),
+                                    (get_core, (), ctypes.c_char_p)):
+        call.argtypes, call.restype = argtypes, restype
+    set_threads(BLAS_THREADS)
+    return get_threads, get_core
+
+
+_openblas = _pin_bundled_openblas()
+
+
+def blas_threads():
+    """The thread count numpy's bundled OpenBLAS runs at, or None where it cannot be read."""
+    return None if _openblas is None else _openblas[0]()
+
+
+def blas_core():
+    """The core numpy's bundled OpenBLAS runs (OPENBLAS_CORETYPE can force one), or None where it cannot be read."""
+    return None if _openblas is None else _openblas[1]().decode()
 
 
 def usable_cpus():

@@ -132,8 +132,8 @@ class Trainer:
         self.model = GroupRecommender(dataset, config, param_rng)
         self.opt = None  # Adam, made by the first step and dropped by train()
         self.user_sampler = TripleSampler(dataset.user_items, sample_rng)
-        self.group_sampler = None
-        if config.use_groups and np.any(dataset.group_items.splits == TRAIN):
+        self.group_sampler = None  # the group task, off without groups, group TRAIN edges or a group weight
+        if config.use_groups and config.user_task_weight < 1.0 and np.any(dataset.group_items.splits == TRAIN):
             self.group_sampler = TripleSampler(dataset.group_items, group_rng)
         n_train = int(np.sum(dataset.user_items.splits == TRAIN))
         self.steps_per_epoch = max(1, math.ceil(n_train / config.batch_user))
@@ -155,7 +155,7 @@ class Trainer:
         cfg = self.cfg
         user = self.user_sampler.sample(cfg.batch_user)
         group = None
-        if self.group_sampler is not None and cfg.user_task_weight < 1.0:
+        if self.group_sampler is not None:
             group = self.group_sampler.sample(cfg.batch_group)
         return user, group
 

@@ -6,9 +6,8 @@ ops, each closure receives its parents' gradient slots and captures at
 forward time the arrays and shapes it reads, and no tensor. The broadcasting
 add, mul and scale are also what test losses are built from. Then come
 gated_channels, mean_pair_cosine and the Adam update as one block each, the
-oracles for the ops that run their rows in blocks on two lanes, with
-blas_threads to run an oracle and its op at a stated OpenBLAS thread count,
-and finite_difference_check, the central-difference check that every op's
+oracles for the ops that run their rows in blocks on two lanes, and
+finite_difference_check, the central-difference check that every op's
 gradients are tested with. Then come the per-edge file writers and the
 dataset fingerprint, the byte oracles for grouprec.datasets' array writers,
 the normalised adjacency as scipy's COO path builds it, the checkpoint
@@ -17,14 +16,10 @@ checked against, with the dense score source those tests rank, and the
 structural baseline configs.
 """
 
-import contextlib
-import ctypes
-import glob
 import hashlib
 import json
 import logging
 import math
-import os
 
 import numpy as np
 import scipy.sparse as sp
@@ -435,48 +430,6 @@ def gated_channels(x, w, b) -> Tensor:
             x.grad += dz @ w_cat.T
 
     return _record(out, (x, w, b), backward)
-
-
-def _bundled_openblas():
-    """numpy's bundled scipy-openblas library, with restype and argtypes of its thread calls set.
-
-    Returns (library, None), or (None, why) where numpy bundles no such
-    library or it lacks the thread calls.
-    """
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*"))
-    if not libs:
-        return None, "numpy bundles no libscipy_openblas64_ library"
-    try:
-        lib = ctypes.CDLL(libs[0])  # the copy numpy loaded: the same file maps to the same handle
-        lib.scipy_openblas_set_num_threads64_.argtypes = (ctypes.c_int,)
-        lib.scipy_openblas_set_num_threads64_.restype = None
-        lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-    except (OSError, AttributeError) as exc:
-        return None, f"{libs[0]} offers no thread calls ({exc})"
-    return lib, None
-
-
-@contextlib.contextmanager
-def blas_threads(n):
-    """Run the body with numpy's OpenBLAS at n threads, and restore its count afterwards.
-
-    How a product splits over OpenBLAS threads changes its rounding on some
-    cores (two threads on the Haswell kernel round a whole product unlike
-    the row blocks of gated_channels), so a bit-equality oracle and its op
-    run at a stated count. Where the count cannot be set, the body runs at
-    the process's own count and the reason is logged.
-    """
-    lib, why = _bundled_openblas()
-    if lib is None:
-        log.warning("BLAS thread count left as it is: %s", why)
-        yield
-        return
-    before = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(n)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def mean_pair_cosine(x, rows: np.ndarray, threshold: float) -> Tensor:

@@ -2,17 +2,22 @@
 
 import csv
 import dataclasses
+import hashlib
 import itertools
 import json
 import logging
+import os
 import pathlib
 import platform
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import grouprec
 from grouprec import cli
 from grouprec.autodiff import channel_cosines
 from grouprec.cli import main
@@ -20,7 +25,7 @@ from grouprec.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from grouprec.config import COUNTS, REALS, VARIANT_LETTERS, VARIANTS, TrainConfig, resolve_variant
 from grouprec.datasets import TRAIN, VALID, TEST, load_dataset, load_prepared
 from grouprec.evaluate import evaluate_ranking
-from grouprec.lanes import usable_cpus
+from grouprec.lanes import BLAS_THREADS, blas_core, blas_threads, usable_cpus
 from grouprec.trainer import Trainer, build_model_from_arrays
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -903,10 +908,30 @@ def test_every_output_dir_gets_one_manifest(run_dir):
     assert env["numpy"] == np.__version__
     for key in ("python", "scipy"):
         assert isinstance(env[key], str) and env[key]
-    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        assert env[key] is None or isinstance(env[key], str)
+    # the BLAS thread count and core in effect, as lanes set and read them; null where they cannot be read
+    assert env["blas_threads"] == blas_threads() in (BLAS_THREADS, None)
+    assert env["blas_core"] == blas_core()
     # Trainer.train sets the malloc thresholds wherever libc is glibc
     assert env["malloc_keeps_freed_heap"] is (platform.libc_ver()[0] == "glibc")
+
+
+def test_train_writes_one_checkpoint_at_one_and_two_blas_threads(tmp_path):
+    # OPENBLAS_NUM_THREADS is read when numpy loads OpenBLAS, so each count gets a fresh process. Before
+    # lanes pinned one thread, this world's best.ckpt differed between the two on a SkylakeX core
+    world = tmp_path / "world"
+    assert run(["synth", "--out", world, "--users", 600, "--items", 300, "--groups", 120, "--interests", 4,
+                "--edges-per-user", 8, "--seed", 1]) == 0
+    assert run(["prepare", "--data", world, "--seed", 1]) == 0
+    src = os.path.dirname(os.path.dirname(grouprec.__file__))
+    hashes = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        subprocess.run([sys.executable, "-m", "grouprec", "train", "--data", str(world), "--out", str(out),
+                        "--set", "epochs=2", "--seed", "1"], env=env, check=True, timeout=300)
+        hashes.add(hashlib.sha256((out / "best.ckpt").read_bytes()).hexdigest())
+    assert len(hashes) == 1
 
 
 def test_manifest_records_the_usable_cpus(run_dir, world, tmp_path, lanes):

@@ -103,26 +103,27 @@ def test_gated_channels_bits_equal_one_block(lanes, monkeypatch, schedule, block
     def make():
         return [Tensor(a, requires_grad=True) for a in (x, w, b)]
 
-    with ref.blas_threads(1):  # two threads split the oracle's whole products otherwise, rounding apart on Haswell
-        want = run_op(ref.gated_channels, make, priors)
-        helper = lanes(*SCHEDULES[schedule])
-        assert_same_bits(run_op(ag.gated_channels, make, priors), want)
+    want = run_op(ref.gated_channels, make, priors)
+    helper = lanes(*SCHEDULES[schedule])
+    assert_same_bits(run_op(ag.gated_channels, make, priors), want)
     if schedule == "eager_helper" and n >= 2 * block_rows:
         assert helper.made  # the helper ran, and took every block
 
 
-def test_blas_threads_sets_the_count_and_restores_it(monkeypatch, caplog):
-    lib, _ = ref._bundled_openblas()
-    if lib is not None:
-        before = lib.scipy_openblas_get_num_threads64_()
-        with ref.blas_threads(1):
-            assert lib.scipy_openblas_get_num_threads64_() == 1
-        assert lib.scipy_openblas_get_num_threads64_() == before
-    monkeypatch.setattr(ref, "_bundled_openblas", lambda: (None, "no library to set"))
-    ran = []
-    with caplog.at_level(logging.WARNING), ref.blas_threads(1):
-        ran.append(True)
-    assert ran and "BLAS thread count left as it is: no library to set" in caplog.text
+def test_bundled_openblas_runs_one_thread(monkeypatch, caplog):
+    # set when lanes was imported, for the whole process; the oracles' whole products above run at it too
+    if lane_runner.blas_threads() is not None:
+        assert lane_runner.blas_threads() == lane_runner.BLAS_THREADS == 1
+        assert lane_runner.blas_core()
+    # without the library, or without its thread calls, the pin logs at DEBUG and reports nothing
+    caplog.set_level(logging.DEBUG, logger=lane_runner.__name__)
+    monkeypatch.setattr(lane_runner.glob, "glob", lambda pattern: [])
+    assert lane_runner._pin_bundled_openblas() is None
+    assert "numpy bundles no OpenBLAS" in caplog.text
+    monkeypatch.setattr(lane_runner.glob, "glob", lambda pattern: ["libopenblas-stub.so"])
+    monkeypatch.setattr(lane_runner.ctypes, "CDLL", lambda path: object())
+    assert lane_runner._pin_bundled_openblas() is None
+    assert "cannot reach libopenblas-stub.so's thread calls" in caplog.text
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
