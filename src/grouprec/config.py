@@ -43,7 +43,6 @@ class TrainConfig:
     interest_mode: str = "gate"
     use_groups: bool = True
     select_task: str = "user"
-    eval_every: int = 1
 
     def __post_init__(self):
         # types first, so a string, a bool or a float count, and an infinite real, fail here and
@@ -76,7 +75,6 @@ class TrainConfig:
             (self.batch_group >= 1, "batch_group must be >= 1"),
             (self.epochs >= 1, "epochs must be >= 1"),
             (self.patience >= 0, "patience must be >= 0"),
-            (self.eval_every >= 1, "eval_every must be >= 1"),
             (self.seed >= 0, "seed must be >= 0"),
             (self.variant in VARIANTS, f"variant must be one of {VARIANTS}"),
             (self.interest_mode in INTEREST_MODES, f"interest_mode must be one of {INTEREST_MODES}"),

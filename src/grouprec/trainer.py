@@ -236,20 +236,21 @@ class Trainer:
         return l_user, l_group, reg_interest, reg_params, total
 
     def _validation_metric(self):
-        metrics, n = evaluate_ranking(
-            self.model, self.dataset, self.cfg.select_task, ks=(10,), target=VALID
-        )
-        if n == 0:
-            log.warning("no %s anchors with validation edges; metric pinned to 0", self.cfg.select_task)
-            return 0.0
+        metrics, _ = evaluate_ranking(self.model, self.dataset, self.cfg.select_task, ks=(10,), target=VALID)
         return metrics["ndcg@10"]
 
     def train(self, log_path=None):
-        """Train, keep the best validated parameters and return the run's TrainResult."""
-        _keep_freed_heap()
+        """Train, validating every epoch, keep the best epoch's parameters and return the run's TrainResult.
+
+        A `select_task` with no validation edge raises ValueError before any step or file write.
+        """
         cfg = self.cfg
+        edges = self.dataset.user_items if cfg.select_task == "user" else self.dataset.group_items
+        if not np.any(edges.splits == VALID):
+            raise ValueError(f"select_task {cfg.select_task!r} has no validation edges to select an epoch on")
+        _keep_freed_heap()
         result = TrainResult()
-        best_params = None  # in model.tensors() order
+        best_params = None  # in model.tensors() order; the first epoch's metric beats -inf and sets it
         streak = 0
         try:
             with open(os.devnull if log_path is None else log_path, "w", newline="") as log_file:
@@ -262,29 +263,27 @@ class Trainer:
                         acc += self._step()
                     acc /= self.steps_per_epoch
 
-                    val = None
-                    if epoch % cfg.eval_every == 0:
-                        val = self._validation_metric()
-                        if val > result.best_metric:
-                            result.best_metric = float(val)
-                            result.best_epoch = epoch
-                            streak = 0
-                            best_params = [t.data.copy() for t in self.model.tensors()]
-                        else:
-                            streak += 1
+                    val = self._validation_metric()
+                    if val > result.best_metric:
+                        result.best_metric = float(val)
+                        result.best_epoch = epoch
+                        streak = 0
+                        best_params = [t.data.copy() for t in self.model.tensors()]
+                    else:
+                        streak += 1
                     seconds = time.perf_counter() - t0
                     row = {"epoch": epoch, **dict(zip(LOSS_TERMS, acc)), "val_metric": val, "seconds": seconds}
                     result.history.append(row)
                     result.epochs_run = epoch
                     writer.writerow(row)
                     log.info(
-                        "epoch %d: total %.4f bpr %.4f group %.4f reg %.4f val %s (%.2fs)",
+                        "epoch %d: total %.4f bpr %.4f group %.4f reg %.4f val %.4f (%.2fs)",
                         epoch,
                         row["total"],
                         row["l_bpr"],
                         row["l_group"],
                         row["reg_interest"],
-                        "-" if val is None else f"{val:.4f}",
+                        val,
                         seconds,
                     )
                     result.stopped_early = streak >= max(1, cfg.patience)
@@ -293,11 +292,8 @@ class Trainer:
         finally:
             self.opt = None
 
-        if best_params is None:
-            result.best_metric, result.best_epoch = 0.0, result.epochs_run
-        else:
-            for tensor, data in zip(self.model.tensors(), best_params):
-                tensor.data = data
+        for tensor, data in zip(self.model.tensors(), best_params):
+            tensor.data = data
         return result
 
 

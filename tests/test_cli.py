@@ -660,7 +660,7 @@ def test_every_number_field_is_type_checked():
     kinds = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
     assert COUNTS == tuple(name for name, kind in kinds.items() if kind is int)
     assert REALS == tuple(name for name, kind in kinds.items() if kind is float)
-    assert {"embed_dim", "seed", "eval_every"} <= set(COUNTS) and {"lr", "temperature"} <= set(REALS)
+    assert {"embed_dim", "seed", "patience"} <= set(COUNTS) and {"lr", "temperature"} <= set(REALS)
     assert set(kinds) - set(COUNTS) - set(REALS) == {"variant", "interest_mode", "use_groups", "select_task"}
 
 
@@ -787,6 +787,29 @@ def test_a_checkpoint_of_a_removed_interest_mode_is_refused(world, run_dir, tmp_
     assert run(["eval", "--data", world, "--out", out, "--checkpoint", tmp_path / "fc1.ckpt"]) == 2
     assert stderr_payload(capsys)["message"].startswith("invalid config: interest_mode must be one of")
     assert not out.exists()
+
+
+def test_a_checkpoint_naming_eval_every_is_refused(world, run_dir, tmp_path, capsys):
+    # every epoch validates; a run stored with the old key is retrained, not read without it
+    cfg_dict, arrays, meta = load_checkpoint(run_dir / "best.ckpt")
+    save_checkpoint(tmp_path / "old.ckpt", {**cfg_dict, "eval_every": 1}, arrays, meta)
+    out = tmp_path / "ev"
+    assert run(["eval", "--data", world, "--out", out, "--checkpoint", tmp_path / "old.ckpt"]) == 2
+    assert stderr_payload(capsys)["message"] == "unknown config keys: ['eval_every']"
+    assert not out.exists()
+
+
+def test_group_selection_on_a_world_without_group_edges_is_refused(tmp_path, capsys):
+    # a world prepared with no groups_items.tsv, as Douban or Steam are without --synthesize-groups
+    bare = tmp_path / "bare"
+    assert run(["synth", "--out", bare, "--users", 30, "--items", 24, "--groups", 6, "--interests", 3,
+                "--seed", 7]) == 0
+    (bare / "groups_items.tsv").unlink()
+    assert run(["prepare", "--data", bare, "--seed", 1]) == 0
+    out = tmp_path / "run"
+    assert run(["train", "--data", bare, "--out", out, "--config", CONFIGS / "group_best.json"]) == 2
+    assert stderr_payload(capsys)["message"] == "select_task 'group' has no validation edges to select an epoch on"
+    assert not (out / "best.ckpt").exists() and not (out / "train_log.csv").exists()
 
 
 def test_shipped_configs_load():

@@ -215,7 +215,7 @@ def test_the_log_file_changes_neither_the_record_nor_the_parameters(tmp_path):
     ds, _ = planted_dataset()
     runs = []
     for log_path in (None, tmp_path / "train_log.csv"):
-        trainer = Trainer(ds, toy_config(epochs=4, eval_every=2, patience=1))
+        trainer = Trainer(ds, toy_config(epochs=4, patience=1))
         result = trainer.train(log_path=log_path)
         for row in result.history:
             row.pop("seconds")  # wall time, the one column two runs need not share
@@ -225,6 +225,17 @@ def test_the_log_file_changes_neither_the_record_nor_the_parameters(tmp_path):
     assert [name for name, _ in quiet_params] == [name for name, _ in logged_params]
     for (_, a), (_, b) in zip(quiet_params, logged_params):
         np.testing.assert_array_equal(a, b)
+
+
+def test_a_selection_task_without_validation_edges_is_refused_before_any_step(tmp_path):
+    ds, _ = generate_synthetic(30, 40, 8, m_true=2, noise=0.1, seed=0)
+    ds = dataclasses.replace(ds, group_items=split_holdout(ds.group_items, seed=1))  # every user edge trains
+    trainer = Trainer(ds, toy_config(select_task="user"))
+    before = param_bytes(trainer.model)
+    log_path = tmp_path / "train_log.csv"
+    with pytest.raises(ValueError, match=r"^select_task 'user' has no validation edges to select an epoch on$"):
+        trainer.train(log_path=log_path)
+    assert not log_path.exists() and trainer.opt is None and param_bytes(trainer.model) == before
 
 
 def test_epoch_log_csv(tmp_path):
